@@ -10,14 +10,19 @@ not, result in more efficient algorithms."
 
 This module makes that question executable:
 
-* :class:`ExtendedNetwork` — an MCB engine with selectable policies:
+* :class:`ExtendedNetwork` — the reference interpreter
+  (:class:`~repro.mcb.reference.ReferenceMCBNetwork`) under a
+  :class:`~repro.mcb.reference.ChannelPolicy` chosen at construction:
 
   - ``write_policy``: ``"exclusive"`` (the paper's model — collisions
     abort), ``"detect"`` (concurrent writes deliver the
     :data:`COLLISION` marker — the IPBAM/Ethernet ternary feedback), or
     ``"priority"`` (lowest-pid writer wins — CRCW-priority style);
   - ``read_policy``: ``"single"`` (one channel per cycle) or ``"all"``
-    (a processor hears every channel each cycle).
+    (an :class:`ExtOp` may read several channels in one cycle).
+
+  Under ``exclusive``/``single`` it behaves exactly like the reference
+  engine, and hence like :class:`~repro.mcb.MCBNetwork`.
 
 * Algorithms that separate the models:
 
@@ -40,41 +45,17 @@ benchmark E15).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Literal, Optional, Sequence, Union
+from typing import Any, Optional, Union
 
-from ..obs.events import (
-    CollisionDetected,
-    FastForward,
-    ListenParked,
-    ListenWoken,
-    MessageBroadcast,
-    PhaseEnded,
-    PhaseStarted,
-    ProcessorSlept,
-)
-from ..obs.hooks import ObservableMixin
-from .errors import CollisionError, ConfigurationError, ProtocolError
+from .errors import ConfigurationError
 from .message import EMPTY, Message
-from .program import Listen, ProcContext, Sleep
-from .trace import PhaseStats, RunStats
-
-
-class _ExtListenState:
-    """Per-pid desugaring state for one in-flight :class:`Listen`.
-
-    Listens are single-channel reads regardless of ``read_policy``;
-    under ``write_policy="detect"`` the :data:`COLLISION` marker is
-    audibly non-empty, so it is buffered (and wakes ``until_nonempty``
-    listeners) exactly like a message.
-    """
-
-    __slots__ = ("channel", "window", "elapsed", "buf")
-
-    def __init__(self, channel: int, window: Optional[int]):
-        self.channel = channel
-        self.window = window  # None = until_nonempty
-        self.elapsed = 1
-        self.buf: list = []
+from .program import ProcContext
+from .reference import (
+    ChannelPolicy,
+    ReadPolicy,
+    ReferenceMCBNetwork,
+    WritePolicy,
+)
 
 
 class _Collision:
@@ -98,9 +79,6 @@ class _Collision:
 
 COLLISION = _Collision()
 
-WritePolicy = Literal["exclusive", "detect", "priority"]
-ReadPolicy = Literal["single", "all"]
-
 
 @dataclass(frozen=True)
 class ExtOp:
@@ -116,7 +94,7 @@ class ExtOp:
     read: Union[int, tuple, str, None] = None
 
 
-class ExtendedNetwork(ObservableMixin):
+class ExtendedNetwork(ReferenceMCBNetwork):
     """An MCB(p, k) engine with §9's strengthened access rules.
 
     Shares the observability hooks of :class:`~repro.mcb.MCBNetwork`
@@ -137,314 +115,18 @@ class ExtendedNetwork(ObservableMixin):
     ):
         if p < 1 or k < 1 or k > p:
             raise ConfigurationError(f"invalid network shape p={p}, k={k}")
-        if write_policy not in ("exclusive", "detect", "priority"):
-            raise ConfigurationError(f"unknown write policy {write_policy!r}")
-        if read_policy not in ("single", "all"):
-            raise ConfigurationError(f"unknown read policy {read_policy!r}")
-        self.p = p
-        self.k = k
-        self.write_policy = write_policy
-        self.read_policy = read_policy
-        self.stats = RunStats()
-        self._init_observability(record_trace=record_trace)
+        self.policy = ChannelPolicy(write=write_policy, read=read_policy)
+        self._setup(p, k, record_trace)
 
-    def reset_stats(self) -> None:
-        """Forget accumulated statistics and detach every observer."""
-        self.stats = RunStats()
-        self._reset_observability()
+    @property
+    def write_policy(self) -> WritePolicy:
+        """The ``write`` rule of :attr:`policy`."""
+        return self.policy.write
 
-    # ------------------------------------------------------------------
-    def run(self, programs, *, phase: str = "phase", max_cycles: int = 10_000_000):
-        """Execute one synchronized stage of ``ExtOp`` programs; same
-        contract as :meth:`MCBNetwork.run` under the selected policies."""
-        if not isinstance(programs, dict):
-            programs = {i + 1: fn for i, fn in enumerate(programs)}
-        contexts = {
-            pid: ProcContext(pid=pid, p=self.p, k=self.k)
-            for pid in programs
-        }
-        gens = {pid: fn(contexts[pid]) for pid, fn in programs.items()}
-        inbox: dict[int, Any] = {pid: None for pid in gens}
-        wake = {pid: 0 for pid in gens}
-        results: dict[int, Any] = {pid: None for pid in gens}
-        ph = PhaseStats(name=phase, k=self.k)
-        listening: dict[int, _ExtListenState] = {}
-        until_parked = 0
-        dispatch = self._dispatch
-        if dispatch is not None:
-            dispatch.dispatch(PhaseStarted(phase=phase, p=self.p, k=self.k))
-        cycle = 0
-        while gens:
-            if until_parked and until_parked == len(gens) and not any(
-                inbox[pid] is not None and inbox[pid] is not EMPTY
-                for pid in listening
-            ):
-                # Every live processor waits for a broadcast that can never
-                # come: end the phase, closing the orphans (results None).
-                # A listener whose last synthesized read already delivered
-                # (a message, or an audible COLLISION marker) completes
-                # instead.
-                for pid in list(gens):
-                    gens.pop(pid).close()
-                break
-            acting = [pid for pid in gens if wake[pid] <= cycle]
-            if not acting:
-                target = min(wake[pid] for pid in gens)
-                ph.fast_forward_cycles += target - cycle
-                if dispatch is not None:
-                    dispatch.dispatch(
-                        FastForward(
-                            phase=phase, from_cycle=cycle, to_cycle=target
-                        )
-                    )
-                cycle = target
-                continue
-            if cycle >= max_cycles:
-                raise ProtocolError(f"exceeded max_cycles={max_cycles}")
-            writes: dict[int, list[tuple[int, Message]]] = {}
-            reads: list[tuple[int, Any]] = []
-            any_op = False
-            for pid in acting:
-                st = listening.get(pid)
-                if st is not None:
-                    # Desugared listen: fold last cycle's read, then either
-                    # synthesize this cycle's read or resume in bulk.
-                    got = inbox[pid]
-                    inbox[pid] = None
-                    off = st.elapsed - 1
-                    if st.window is None:
-                        if got is EMPTY or got is None:
-                            st.elapsed += 1
-                            wake[pid] = cycle + 1
-                            any_op = True
-                            reads.append((pid, st.channel))
-                            continue
-                        del listening[pid]
-                        until_parked -= 1
-                        inbox[pid] = (off, got)
-                        if dispatch is not None:
-                            dispatch.dispatch(
-                                ListenWoken(
-                                    phase=phase,
-                                    cycle=cycle,
-                                    pid=pid,
-                                    channel=st.channel,
-                                    heard=1,
-                                )
-                            )
-                    else:
-                        if got is not EMPTY and got is not None:
-                            st.buf.append((off, got))
-                        if st.elapsed < st.window:
-                            st.elapsed += 1
-                            wake[pid] = cycle + 1
-                            any_op = True
-                            reads.append((pid, st.channel))
-                            continue
-                        del listening[pid]
-                        inbox[pid] = st.buf
-                        if dispatch is not None:
-                            dispatch.dispatch(
-                                ListenWoken(
-                                    phase=phase,
-                                    cycle=cycle,
-                                    pid=pid,
-                                    channel=st.channel,
-                                    heard=len(st.buf),
-                                )
-                            )
-                try:
-                    op = gens[pid].send(inbox[pid])
-                except StopIteration as stop:
-                    results[pid] = stop.value
-                    del gens[pid]
-                    continue
-                finally:
-                    inbox[pid] = None
-                any_op = True
-                if isinstance(op, Sleep):
-                    w = max(1, op.cycles)
-                    wake[pid] = cycle + w
-                    if w > 1 and dispatch is not None:
-                        dispatch.dispatch(
-                            ProcessorSlept(
-                                phase=phase,
-                                cycle=cycle,
-                                pid=pid,
-                                until_cycle=cycle + w,
-                            )
-                        )
-                    continue
-                if isinstance(op, Listen):
-                    if not 1 <= op.channel <= self.k:
-                        raise ProtocolError(
-                            f"P{pid}: bad listen channel {op.channel}"
-                        )
-                    if op.until_nonempty:
-                        if op.cycles is not None:
-                            raise ProtocolError(
-                                f"P{pid} yielded Listen with both a cycle "
-                                f"count and until_nonempty=True; pick one"
-                            )
-                        window = None
-                        until_parked += 1
-                    else:
-                        if op.cycles is None:
-                            raise ProtocolError(
-                                f"P{pid} yielded Listen without a cycle count "
-                                f"(pass cycles or until_nonempty=True)"
-                            )
-                        if op.cycles < 0:
-                            raise ProtocolError(
-                                f"P{pid} requested a negative listen window "
-                                f"({op.cycles})"
-                            )
-                        window = max(1, op.cycles)
-                    listening[pid] = _ExtListenState(op.channel, window)
-                    wake[pid] = cycle + 1
-                    reads.append((pid, op.channel))
-                    if dispatch is not None:
-                        dispatch.dispatch(
-                            ListenParked(
-                                phase=phase,
-                                cycle=cycle,
-                                pid=pid,
-                                channel=op.channel,
-                                window=window,
-                            )
-                        )
-                    continue
-                if not isinstance(op, ExtOp):
-                    raise ProtocolError(
-                        f"P{pid} yielded {op!r}; extended programs yield ExtOp"
-                    )
-                wake[pid] = cycle + 1
-                if op.write is not None:
-                    if not 1 <= op.write <= self.k:
-                        raise ProtocolError(f"P{pid}: bad channel {op.write}")
-                    if not isinstance(op.payload, Message):
-                        raise ProtocolError(f"P{pid}: write without Message")
-                    writes.setdefault(op.write, []).append((pid, op.payload))
-                if op.read is not None:
-                    reads.append((pid, op.read))
-
-            # --- resolve channel contents per policy ---------------------
-            content: dict[int, Any] = {}
-            delivered: dict[int, int] = {}  # channel -> winning writer pid
-            for ch, writers in writes.items():
-                ph.messages += len(writers)
-                ph.bits += sum(m.bit_size() for _, m in writers)
-                ph.channel_writes[ch] = (
-                    ph.channel_writes.get(ch, 0) + len(writers)
-                )
-                if len(writers) == 1:
-                    content[ch] = writers[0][1]
-                    delivered[ch] = writers[0][0]
-                elif self.write_policy == "exclusive":
-                    if dispatch is not None:
-                        dispatch.dispatch(
-                            CollisionDetected(
-                                phase=phase,
-                                cycle=cycle,
-                                channel=ch,
-                                writers=tuple(w for w, _ in writers),
-                                resolution="abort",
-                            )
-                        )
-                    # Record the partial phase before aborting so
-                    # adversary/lower-bound experiments keep the cost
-                    # data accumulated up to the collision.
-                    ph.cycles = cycle
-                    ph.collisions += 1
-                    for cpid, ctx in contexts.items():
-                        ph.aux_peak[cpid] = ctx.aux_peak
-                    self.stats.add(ph)
-                    raise CollisionError(cycle, ch, [w for w, _ in writers])
-                else:
-                    ph.collisions += 1
-                    if self.write_policy == "detect":
-                        content[ch] = COLLISION
-                        resolution = "garbled"
-                    else:  # priority: lowest pid wins
-                        winner = min(writers)
-                        content[ch] = winner[1]
-                        delivered[ch] = winner[0]
-                        resolution = "priority"
-                    if dispatch is not None:
-                        dispatch.dispatch(
-                            CollisionDetected(
-                                phase=phase,
-                                cycle=cycle,
-                                channel=ch,
-                                writers=tuple(w for w, _ in writers),
-                                resolution=resolution,
-                            )
-                        )
-
-            # --- deliver reads -------------------------------------------
-            readers_by_channel: dict[int, list[int]] = {}
-            for pid, want in reads:
-                if pid not in gens:
-                    continue
-                if isinstance(want, int):
-                    if not 1 <= want <= self.k:
-                        raise ProtocolError(f"P{pid}: bad read channel {want}")
-                    inbox[pid] = content.get(want, EMPTY)
-                    if dispatch is not None:
-                        readers_by_channel.setdefault(want, []).append(pid)
-                else:
-                    if self.read_policy != "all":
-                        raise ProtocolError(
-                            f"P{pid}: multi-channel read requires "
-                            "read_policy='all'"
-                        )
-                    chans = (
-                        range(1, self.k + 1) if want == "all" else tuple(want)
-                    )
-                    inbox[pid] = {
-                        ch: content.get(ch, EMPTY) for ch in chans
-                    }
-                    if dispatch is not None:
-                        for ch in chans:
-                            readers_by_channel.setdefault(ch, []).append(pid)
-            if dispatch is not None:
-                for ch, writer in delivered.items():
-                    msg = content[ch]
-                    dispatch.dispatch(
-                        MessageBroadcast(
-                            phase=phase,
-                            cycle=cycle,
-                            channel=ch,
-                            writer=writer,
-                            readers=tuple(readers_by_channel.get(ch, ())),
-                            msg_kind=msg.kind,
-                            fields=msg.fields,
-                            bits=msg.bit_size(),
-                        )
-                    )
-            if any_op:
-                cycle += 1
-        ph.cycles = cycle
-        for pid, ctx in contexts.items():
-            ph.aux_peak[pid] = ctx.aux_peak
-        self.stats.add(ph)
-        if dispatch is not None:
-            dispatch.dispatch(
-                PhaseEnded(
-                    phase=phase,
-                    p=self.p,
-                    k=self.k,
-                    cycles=ph.cycles,
-                    messages=ph.messages,
-                    bits=ph.bits,
-                    channel_writes=dict(ph.channel_writes),
-                    max_aux_peak=ph.max_aux_peak,
-                    fast_forward_cycles=ph.fast_forward_cycles,
-                    collisions=ph.collisions,
-                    utilization=ph.channel_utilization(),
-                )
-            )
-        return results
+    @property
+    def read_policy(self) -> ReadPolicy:
+        """The ``read`` rule of :attr:`policy`."""
+        return self.policy.read
 
 
 # ---------------------------------------------------------------------------

@@ -1,59 +1,61 @@
-"""The pre-optimization MCB engine, kept verbatim as a correctness oracle.
+"""The reference interpreter: one plain cycle loop for every MCB variant.
 
-When the hot path of :class:`~repro.mcb.network.MCBNetwork` was rewritten
-for throughput (slot-indexed arenas, a heap-based wake queue, hoisted
-validation — see ``docs/MODEL.md`` § "Engine performance"), the original
-straightforward implementation was moved here **unchanged**.  It is not
-exported from :mod:`repro.mcb` and is not meant for production use; it
-exists so that
+:class:`ReferenceMCBNetwork` runs the same generator programs as the
+optimized :class:`~repro.mcb.network.MCBNetwork`, one cycle at a time
+with plain dicts and lists.  It is not exported from :mod:`repro.mcb`
+and is not meant for production use.  It serves as
 
-* the equivalence test battery (``tests/test_engine_equivalence.py``)
-  can prove the fast engine produces bit-identical ``RunStats`` (cycles,
+* the correctness oracle: the equivalence battery
+  (``tests/test_engine_equivalence.py``) demands that the fast engine
+  produce bit-identical per-processor results, ``RunStats`` (cycles,
   messages, bits, channel_writes, aux_peak, fast_forward_cycles) and
-  per-processor results on the sort / select / bounds suites, and
-* the hot-path microbenchmark (``benchmarks/bench_engine_hotpath.py``)
-  can report the speedup against the exact pre-change code.
+  observer event streams on the sort, select, bounds and scheduler
+  suites;
+* the baseline of the hot-path microbenchmark
+  (``benchmarks/bench_engine_hotpath.py``);
+* the one engine behind the paper's §9 model variants.  A frozen
+  :class:`ChannelPolicy` selects the channel-access rules:
 
-Two deliberate behavioural additions are mirrored from the fast engine
-so the two engines stay comparable:
+  ============  ==================================================
+  ``write``     ``exclusive`` (the paper's model: a second writer
+                aborts the stage), ``detect`` (readers of a
+                collided channel get the ``COLLISION`` marker) or
+                ``priority`` (the lowest-pid writer wins)
+  ``read``      ``single`` (one channel per cycle) or ``all``
+                (``ExtOp`` may read a tuple of channels or ``"all"``)
+  ``medium``    ``channels`` (memoryless: a read hears only this
+                cycle's write) or ``cells`` (CREW shared memory: a
+                read returns the last value ever written)
+  ============  ==================================================
 
-* the partial-:class:`PhaseStats` record on :class:`CollisionError` (the
-  aborted phase is recorded with ``collisions=1`` before the exception
-  propagates), for adversary workloads;
-* :class:`~repro.mcb.program.Listen` support, implemented here by
-  *desugaring* into per-cycle ``CycleOp(read=...)`` — the engine
-  synthesizes one read per cycle of the window without resuming the
-  generator, then resumes it once with the bulk result.  This is the
-  semantic definition of ``Listen``; the fast engine's parked wait-lists
-  must match it bit for bit (cycles, messages, fast-forward accounting,
-  and observer event streams).
+  :class:`~repro.mcb.extensions.ExtendedNetwork` and
+  :class:`~repro.mcb.crew.CREWMemory` are this class with a fixed
+  policy; neither has a loop of its own.
 
-:func:`run_simulated_reference` likewise preserves the original
-O(v²·s·|ops|) linear-scan scheduling of :func:`repro.mcb.simulate.run_simulated`
-before the per-virtual-cycle lookup tables were introduced.
+:class:`~repro.mcb.program.Listen` is defined here by *desugaring*: the
+interpreter synthesizes one ``CycleOp(read=...)`` per cycle of the
+window without resuming the generator, then resumes it once with the
+bulk result.  The fast engine's parked wait-lists must match this bit
+for bit.
 
-Two bindings of the reference engine exist because the shared protocol
-classes (:class:`CycleOp`, :class:`Sleep`, :class:`Message`) were
-*themselves* part of the optimization (``__slots__``, cached
-``bit_size``), so the loop alone does not reproduce the pre-change
-throughput:
+Rules shared by every policy (and by the fast engine): ``Sleep(c)``
+with ``c < 0`` raises :class:`ProtocolError`; a message with more than
+``max_message_fields`` fields raises :class:`MessageSizeError`; a
+payload without a write channel raises :class:`ProtocolError`; an
+exclusive-write abort records the partial phase (``collisions = 1``)
+without charging the aborted cycle's messages, and
+:class:`CollisionError` lists every writer of the collided channel.
 
-* :class:`ReferenceMCBNetwork` — the old loop bound to the **current**
-  protocol classes.  This is the equivalence oracle: it runs the very
-  same programs as the fast engine.
-* :class:`SeedMCBNetwork` — the old loop bound to verbatim copies of
-  the **seed-era** protocol classes (:class:`SeedCycleOp`,
-  :class:`SeedSleep`, :class:`SeedMessage`).  This is the perf
-  baseline: driving it with seed-class ops reproduces the pre-change
-  hot path end to end, so the hot-path microbenchmark's speedup factor
-  is measured against the real past, not a moving target.
+:func:`run_simulated_reference` likewise keeps the O(v²·s·|ops|)
+linear-scan scheduling of :func:`repro.mcb.simulate.run_simulated`
+as the oracle for its per-virtual-cycle lookup tables.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Optional, Sequence
+from typing import Any, Literal, Optional, Sequence
 
 from ..obs.events import (
     CollisionDetected,
@@ -72,9 +74,34 @@ from .errors import (
     MessageSizeError,
     ProtocolError,
 )
-from .message import EMPTY, Message, scalar_bits
+from .message import EMPTY, Message
 from .program import CycleOp, Listen, ProcContext, ProgramFn, Sleep
 from .trace import PhaseStats, RunStats
+
+WritePolicy = Literal["exclusive", "detect", "priority"]
+ReadPolicy = Literal["single", "all"]
+Medium = Literal["channels", "cells"]
+
+
+@dataclass(frozen=True)
+class ChannelPolicy:
+    """The channel-access rules one interpreter run follows.
+
+    An engine whose medium is ``cells`` keeps a ``cells_used`` set; the
+    interpreter adds every cell written to it.
+    """
+
+    write: WritePolicy = "exclusive"
+    read: ReadPolicy = "single"
+    medium: Medium = "channels"
+
+    def __post_init__(self) -> None:
+        if self.write not in ("exclusive", "detect", "priority"):
+            raise ConfigurationError(f"unknown write policy {self.write!r}")
+        if self.read not in ("single", "all"):
+            raise ConfigurationError(f"unknown read policy {self.read!r}")
+        if self.medium not in ("channels", "cells"):
+            raise ConfigurationError(f"unknown medium {self.medium!r}")
 
 
 class _RefListenState:
@@ -88,53 +115,37 @@ class _RefListenState:
         self.elapsed = 1  # reads synthesized so far (first at yield cycle)
         self.buf: list = []
 
+    def fold(self, got: Any) -> Any:
+        """Fold the read delivered last cycle.
 
-# ---------------------------------------------------------------------------
-# Seed-era protocol classes, verbatim (pre-__slots__ ops, uncached bit_size)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SeedCycleOp:
-    """The seed tree's ``CycleOp``: a plain frozen dataclass."""
-
-    write: Optional[int] = None
-    payload: Optional["SeedMessage"] = None
-    read: Optional[int] = None
-
-
-@dataclass(frozen=True)
-class SeedSleep:
-    """The seed tree's ``Sleep``: a plain frozen dataclass."""
-
-    cycles: int
-
-
-class SeedMessage:
-    """The seed tree's ``Message``: ``bit_size`` re-encodes on every call."""
-
-    __slots__ = ("kind", "fields")
-
-    def __init__(self, kind: str, *fields: Any):
-        self.kind = kind
-        self.fields = fields
-
-    def bit_size(self) -> int:
-        """Total encoded size of this message in bits (incl. kind tag)."""
-        return 8 + sum(scalar_bits(f) for f in self.fields)
+        Returns the listen's bulk result once it completes, or ``None``
+        when the interpreter must synthesize another read.  Anything
+        non-empty is heard, including the ``COLLISION`` marker.
+        """
+        off = self.elapsed - 1
+        heard = got is not None and got is not EMPTY
+        if self.window is None:
+            if heard:
+                return (off, got)
+        else:
+            if heard:
+                self.buf.append((off, got))
+            if self.elapsed >= self.window:
+                return self.buf
+        self.elapsed += 1
+        return None
 
 
 class ReferenceMCBNetwork(ObservableMixin):
-    """The original per-cycle dict-scan MCB(p, k) engine (oracle only).
+    """The per-cycle dict-scan MCB(p, k) interpreter (oracle only).
 
-    The protocol classes the loop validates against are class attributes
-    so :class:`SeedMCBNetwork` can rebind them to the seed-era copies;
-    this binding indirection is the only deviation from the original
-    source.
+    Runs under :attr:`policy`, the paper's model unless a subclass fixes
+    another one.  ``run`` accepts ``CycleOp`` and ``ExtOp`` under every
+    policy.
     """
 
-    _CycleOp: type = CycleOp
-    _Sleep: type = Sleep
-    _Message: type = Message
+    policy: ChannelPolicy = ChannelPolicy()
+    max_message_fields: int = 8
 
     def __init__(
         self,
@@ -152,9 +163,12 @@ class ReferenceMCBNetwork(ObservableMixin):
             raise ConfigurationError(
                 f"the model requires k <= p, got p={p}, k={k}"
             )
+        self.max_message_fields = max_message_fields
+        self._setup(p, k, record_trace)
+
+    def _setup(self, p: int, k: int, record_trace: bool) -> None:
         self.p = p
         self.k = k
-        self.max_message_fields = max_message_fields
         self.stats = RunStats()
         self._init_observability(record_trace=record_trace)
 
@@ -173,7 +187,18 @@ class ReferenceMCBNetwork(ObservableMixin):
         data: Optional[dict[int, Any]] = None,
         max_cycles: int = 50_000_000,
     ) -> dict[int, Any]:
-        """Execute one synchronized stage (original implementation)."""
+        """Execute one synchronized stage under :attr:`policy`; same
+        contract as :meth:`MCBNetwork.run`."""
+        # extensions.py builds on this module, so import its op lazily.
+        from .extensions import COLLISION, ExtOp
+
+        policy = self.policy
+        write_policy = policy.write
+        read_all = policy.read == "all"
+        cells_used: Optional[set] = (
+            self.cells_used if policy.medium == "cells" else None
+        )
+        k = self.k
         if not isinstance(programs, dict):
             if len(programs) != self.p:
                 raise ConfigurationError(
@@ -192,7 +217,7 @@ class ReferenceMCBNetwork(ObservableMixin):
             ctx = ProcContext(
                 pid=pid,
                 p=self.p,
-                k=self.k,
+                k=k,
                 data=None if data is None else data.get(pid),
             )
             contexts[pid] = ctx
@@ -203,12 +228,13 @@ class ReferenceMCBNetwork(ObservableMixin):
         wake: dict[int, int] = {pid: 0 for pid in programs}
         listening: dict[int, _RefListenState] = {}
         until_parked = 0
+        memory: dict[int, Any] = {}  # cell contents (medium "cells")
 
-        ph = PhaseStats(name=phase, k=self.k)
+        ph = PhaseStats(name=phase, k=k)
         dispatch = self._dispatch
         if dispatch is not None:
-            dispatch.dispatch(PhaseStarted(phase=phase, p=self.p, k=self.k))
-        Sleep_, CycleOp_ = self._Sleep, self._CycleOp
+            dispatch.dispatch(PhaseStarted(phase=phase, p=self.p, k=k))
+        cycle_ops = (CycleOp, ExtOp)
         cycle = 0
         while gens:
             if until_parked and until_parked == len(gens) and not any(
@@ -218,7 +244,7 @@ class ReferenceMCBNetwork(ObservableMixin):
                 # Every still-live processor waits for a broadcast that can
                 # never come: end the phase, closing the orphaned listeners
                 # (their results stay None).  A listener whose last
-                # synthesized read already delivered a message is about to
+                # synthesized read already delivered something is about to
                 # complete — and may write — so it is not orphaned.
                 for pid in list(gens):
                     gens.pop(pid).close()
@@ -241,61 +267,38 @@ class ReferenceMCBNetwork(ObservableMixin):
                 )
 
             # --- collect this cycle's ops from every awake processor -----
-            writes: dict[int, tuple[int, Any]] = {}  # channel -> (pid, msg)
-            collided: dict[int, list[int]] = {}
-            reads: list[tuple[int, int]] = []  # (pid, channel)
+            writes: dict[int, tuple[int, Any]] = {}  # channel -> 1st writer
+            collided: dict[int, list[tuple[int, Any]]] = {}  # every writer
+            reads: list[tuple[int, Any]] = []  # (pid, channel or channels)
             any_op = False
             for pid in acting:
                 st = listening.get(pid)
                 if st is not None:
                     # In-flight Listen: fold the read delivered last cycle,
                     # then either synthesize this cycle's read (without
-                    # resuming the generator) or complete the listen and
-                    # resume with the bulk result.
-                    got = inbox[pid]
-                    inbox[pid] = None
-                    off = st.elapsed - 1
+                    # resuming the generator) or resume it with the bulk
+                    # result.
+                    done = st.fold(inbox[pid])
+                    if done is None:
+                        inbox[pid] = None
+                        wake[pid] = cycle + 1
+                        any_op = True
+                        reads.append((pid, st.channel))
+                        continue
+                    del listening[pid]
                     if st.window is None:
-                        if got is EMPTY or got is None:
-                            st.elapsed += 1
-                            wake[pid] = cycle + 1
-                            any_op = True
-                            reads.append((pid, st.channel))
-                            continue
-                        del listening[pid]
                         until_parked -= 1
-                        inbox[pid] = (off, got)
-                        if dispatch is not None:
-                            dispatch.dispatch(
-                                ListenWoken(
-                                    phase=phase,
-                                    cycle=cycle,
-                                    pid=pid,
-                                    channel=st.channel,
-                                    heard=1,
-                                )
+                    inbox[pid] = done
+                    if dispatch is not None:
+                        dispatch.dispatch(
+                            ListenWoken(
+                                phase=phase,
+                                cycle=cycle,
+                                pid=pid,
+                                channel=st.channel,
+                                heard=1 if st.window is None else len(done),
                             )
-                    else:
-                        if got is not EMPTY and got is not None:
-                            st.buf.append((off, got))
-                        if st.elapsed < st.window:
-                            st.elapsed += 1
-                            wake[pid] = cycle + 1
-                            any_op = True
-                            reads.append((pid, st.channel))
-                            continue
-                        del listening[pid]
-                        inbox[pid] = st.buf
-                        if dispatch is not None:
-                            dispatch.dispatch(
-                                ListenWoken(
-                                    phase=phase,
-                                    cycle=cycle,
-                                    pid=pid,
-                                    channel=st.channel,
-                                    heard=len(st.buf),
-                                )
-                            )
+                        )
                 try:
                     op = gens[pid].send(inbox[pid])
                 except StopIteration as stop:
@@ -305,7 +308,7 @@ class ReferenceMCBNetwork(ObservableMixin):
                 finally:
                     inbox[pid] = None
                 any_op = True
-                if isinstance(op, Sleep_):
+                if isinstance(op, Sleep):
                     if op.cycles < 0:
                         raise ProtocolError(
                             f"P{pid} requested a negative sleep ({op.cycles})"
@@ -340,33 +343,38 @@ class ReferenceMCBNetwork(ObservableMixin):
                             )
                         )
                     continue
-                if not isinstance(op, CycleOp_):
+                if not isinstance(op, cycle_ops):
                     raise ProtocolError(
                         f"P{pid} yielded {op!r}; expected "
-                        f"CycleOp, Sleep, or Listen"
+                        f"CycleOp, ExtOp, Sleep, or Listen"
                     )
                 wake[pid] = cycle + 1
-                if op.write is not None:
+                w = op.write
+                if w is not None:
                     self._validate_write(pid, op, cycle)
-                    if op.write in writes or op.write in collided:
-                        collided.setdefault(
-                            op.write, [writes.pop(op.write)[0]] if op.write in writes else []
-                        ).append(pid)
+                    if w in writes:
+                        collided.setdefault(w, [writes[w]]).append(
+                            (pid, op.payload)
+                        )
                     else:
-                        writes[op.write] = (pid, op.payload)
+                        writes[w] = (pid, op.payload)
                 elif op.payload is not None:
                     raise ProtocolError(
                         f"P{pid} attached a payload without a write channel"
                     )
-                if op.read is not None:
-                    if not 1 <= op.read <= self.k:
+                r = op.read
+                if r is not None:
+                    if not isinstance(r, int):
+                        r = self._multi_read(pid, r, read_all)
+                    elif not 1 <= r <= k:
                         raise ProtocolError(
-                            f"P{pid} read invalid channel C{op.read} (k={self.k})"
+                            f"P{pid} read invalid channel C{r} (k={k})"
                         )
-                    reads.append((pid, op.read))
+                    reads.append((pid, r))
 
-            if collided:
-                channel, writers = next(iter(collided.items()))
+            if collided and write_policy == "exclusive":
+                channel, clash = next(iter(collided.items()))
+                writers = [w for w, _ in clash]
                 if dispatch is not None:
                     dispatch.dispatch(
                         CollisionDetected(
@@ -377,56 +385,88 @@ class ReferenceMCBNetwork(ObservableMixin):
                             resolution="abort",
                         )
                     )
-                # Record the partial phase (costs of the completed cycles)
-                # so adversary experiments keep their data — mirrored from
-                # the fast engine.
-                ph.cycles = cycle
+                # Record the partial phase (costs of the completed cycles,
+                # none of the aborted one) so adversary experiments keep
+                # their data.
                 ph.collisions = 1
-                for pid, ctx in contexts.items():
-                    ph.aux_peak[pid] = ctx.aux_peak
-                self.stats.add(ph)
+                self._close_phase(ph, cycle, contexts)
                 raise CollisionError(cycle, channel, writers)
 
-            # --- deliver reads -------------------------------------------
-            readers_by_channel: dict[int, list[int]] = {}
-            for pid, ch in reads:
-                if pid in gens:  # the generator may have just finished
-                    readers_by_channel.setdefault(ch, []).append(pid)
-                    inbox[pid] = EMPTY
+            # --- resolve what each written channel carries ---------------
+            content = memory if cells_used is not None else {}
             for ch, (writer, msg) in writes.items():
-                bits = msg.bit_size()
-                ph.messages += 1
-                ph.bits += bits
-                ph.channel_writes[ch] = ph.channel_writes.get(ch, 0) + 1
-                receivers = readers_by_channel.get(ch, [])
-                for pid in receivers:
-                    inbox[pid] = msg
-                if dispatch is not None:
+                clash = collided.get(ch)
+                if clash is None:
+                    ph.messages += 1
+                    ph.bits += msg.bit_size()
+                    ph.channel_writes[ch] = ph.channel_writes.get(ch, 0) + 1
+                else:
+                    ph.collisions += 1
+                    ph.messages += len(clash)
+                    ph.bits += sum(m.bit_size() for _, m in clash)
+                    ph.channel_writes[ch] = (
+                        ph.channel_writes.get(ch, 0) + len(clash)
+                    )
+                    if write_policy == "detect":
+                        msg = COLLISION
+                        resolution = "garbled"
+                    else:  # priority: lowest pid wins
+                        writer, msg = min(clash)
+                        resolution = "priority"
+                    writes[ch] = (writer, msg)
+                    if dispatch is not None:
+                        dispatch.dispatch(
+                            CollisionDetected(
+                                phase=phase,
+                                cycle=cycle,
+                                channel=ch,
+                                writers=tuple(w for w, _ in clash),
+                                resolution=resolution,
+                            )
+                        )
+                content[ch] = msg
+                if cells_used is not None:
+                    cells_used.add(ch)
+
+            # --- deliver reads -------------------------------------------
+            # Reads see the channel (or cell) as of the end of the cycle.
+            readers: dict[int, list[int]] = {}
+            for pid, want in reads:
+                if isinstance(want, int):
+                    inbox[pid] = content.get(want, EMPTY)
+                    if dispatch is not None:
+                        readers.setdefault(want, []).append(pid)
+                else:
+                    inbox[pid] = {ch: content.get(ch, EMPTY) for ch in want}
+                    if dispatch is not None:
+                        for ch in want:
+                            readers.setdefault(ch, []).append(pid)
+            if dispatch is not None:
+                for ch, (writer, msg) in writes.items():
+                    if msg is COLLISION:
+                        continue  # garbled: nothing was delivered
                     dispatch.dispatch(
                         MessageBroadcast(
                             phase=phase,
                             cycle=cycle,
                             channel=ch,
                             writer=writer,
-                            readers=tuple(receivers),
+                            readers=tuple(readers.get(ch, ())),
                             msg_kind=msg.kind,
                             fields=msg.fields,
-                            bits=bits,
+                            bits=msg.bit_size(),
                         )
                     )
             if any_op:
                 cycle += 1
 
-        ph.cycles = cycle
-        for pid, ctx in contexts.items():
-            ph.aux_peak[pid] = ctx.aux_peak
-        self.stats.add(ph)
+        self._close_phase(ph, cycle, contexts)
         if dispatch is not None:
             dispatch.dispatch(
                 PhaseEnded(
                     phase=phase,
                     p=self.p,
-                    k=self.k,
+                    k=k,
                     cycles=ph.cycles,
                     messages=ph.messages,
                     bits=ph.bits,
@@ -440,6 +480,15 @@ class ReferenceMCBNetwork(ObservableMixin):
         return results
 
     # ------------------------------------------------------------------
+    def _close_phase(
+        self, ph: PhaseStats, cycle: int, contexts: dict[int, ProcContext]
+    ) -> None:
+        """Stamp the phase's cycle count and aux peaks; add it to stats."""
+        ph.cycles = cycle
+        for pid, ctx in contexts.items():
+            ph.aux_peak[pid] = ctx.aux_peak
+        self.stats.add(ph)
+
     def _validate_listen(self, pid: int, op: Listen) -> Optional[int]:
         """Check a Listen op; return its window (None = until_nonempty)."""
         if not 1 <= op.channel <= self.k:
@@ -464,14 +513,13 @@ class ReferenceMCBNetwork(ObservableMixin):
             )
         return max(1, op.cycles)
 
-    # ------------------------------------------------------------------
     def _validate_write(self, pid: int, op: Any, cycle: int) -> None:
         if not 1 <= op.write <= self.k:
             raise ProtocolError(
                 f"P{pid} wrote invalid channel C{op.write} (k={self.k}) "
                 f"at cycle {cycle}"
             )
-        if not isinstance(op.payload, self._Message):
+        if not isinstance(op.payload, Message):
             raise ProtocolError(
                 f"P{pid} wrote channel C{op.write} without a Message payload"
             )
@@ -481,22 +529,22 @@ class ReferenceMCBNetwork(ObservableMixin):
                 f"limit is {self.max_message_fields} (O(log beta) bits)"
             )
 
+    def _multi_read(self, pid: int, want: Any, read_all: bool) -> tuple:
+        """Check an ``ExtOp`` multi-channel read; return its channels."""
+        if not read_all:
+            raise ProtocolError(
+                f"P{pid}: multi-channel read requires read_policy='all'"
+            )
+        chans = tuple(range(1, self.k + 1)) if want == "all" else tuple(want)
+        for ch in chans:
+            if not isinstance(ch, int) or not 1 <= ch <= self.k:
+                raise ProtocolError(
+                    f"P{pid} read invalid channel C{ch} (k={self.k})"
+                )
+        return chans
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(p={self.p}, k={self.k})"
-
-
-class SeedMCBNetwork(ReferenceMCBNetwork):
-    """The reference loop bound to the seed-era protocol classes.
-
-    Programs driving it must yield :class:`SeedCycleOp` / :class:`SeedSleep`
-    with :class:`SeedMessage` payloads — exactly what the seed tree's
-    algorithms did — so throughput measured here is the true pre-change
-    baseline for ``benchmarks/bench_engine_hotpath.py``.
-    """
-
-    _CycleOp = SeedCycleOp
-    _Sleep = SeedSleep
-    _Message = SeedMessage
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,22 @@
-"""The fast engine must be bit-identical to the reference engine.
+"""The fast engine must be bit-identical to the reference interpreter.
 
-``MCBNetwork.run`` was rewritten for throughput (slot-indexed arena,
-wake heap, hoisted dispatch — see docs/MODEL.md "Engine performance");
-``repro.mcb.reference.ReferenceMCBNetwork`` preserves the original
-dict-scan loop as the equivalence oracle.  These tests drive both
-engines over the sort, select, and lower-bound suites and demand
-*identical* per-processor results and *identical* accounting
+``MCBNetwork.run`` is written for throughput (slot-indexed arena, wake
+heap, hoisted dispatch — see docs/MODEL.md "Engine performance");
+``repro.mcb.reference.ReferenceMCBNetwork`` is the plain per-cycle
+interpreter kept as the equivalence oracle, and ``ExtendedNetwork`` is
+that interpreter under an explicit policy.  These tests drive the fast
+engine, the reference interpreter and ``ExtendedNetwork`` (exclusive
+write, single read) over the sort, select, and lower-bound suites and
+demand *identical* per-processor results and *identical* accounting
 (``RunStats.to_dict()``: cycles, messages, bits, channel_writes,
 aux_peak, fast_forward_cycles) — plus identical profiler JSON, since the
-obs pipeline observes the run cycle by cycle.
+obs pipeline observes the run cycle by cycle.  ``TestSharedRules`` pins
+the protocol rules every engine enforces alike.
 """
 
 from __future__ import annotations
+
+import inspect
 
 import pytest
 
@@ -20,12 +25,16 @@ from repro.core.problem import is_sorted_output
 from repro.mcb import (
     CollisionError,
     CycleOp,
+    ExtendedNetwork,
+    ExtOp,
     Listen,
     MCBNetwork,
     Message,
+    MessageSizeError,
     ProtocolError,
     Sleep,
 )
+from repro.mcb.crew import CREWMemory
 from repro.mcb.reference import ReferenceMCBNetwork, run_simulated_reference
 from repro.mcb.simulate import run_simulated
 from repro.obs.profile import Profiler
@@ -34,18 +43,27 @@ from repro.sort import mcb_sort
 
 
 def run_both(p, k, drive):
-    """Run ``drive(net)`` on the fast and the reference engine.
+    """Run ``drive(net)`` on the fast engine, the reference interpreter
+    and ``ExtendedNetwork`` under the paper's policy.
 
-    Asserts identical RunStats projections and returns both outcomes.
+    Asserts identical RunStats projections on all three and identical
+    outcomes on the two interpreter-backed engines; returns the fast and
+    the reference outcome.
     """
     fast = MCBNetwork(p=p, k=k)
     ref = ReferenceMCBNetwork(p=p, k=k)
+    ext = ExtendedNetwork(
+        p=p, k=k, write_policy="exclusive", read_policy="single"
+    )
     out_fast = drive(fast)
     out_ref = drive(ref)
-    assert fast.stats.to_dict() == ref.stats.to_dict()
-    assert [ph.to_dict() for ph in fast.stats.phases] == [
-        ph.to_dict() for ph in ref.stats.phases
-    ]
+    out_ext = drive(ext)
+    for other in (ref, ext):
+        assert fast.stats.to_dict() == other.stats.to_dict()
+        assert [ph.to_dict() for ph in fast.stats.phases] == [
+            ph.to_dict() for ph in other.stats.phases
+        ]
+    assert out_ext == out_ref
     return out_fast, out_ref
 
 
@@ -462,3 +480,115 @@ class TestProfilerEquivalence:
 
         report_fast, report_ref = run_both(8, 4, drive)
         assert report_fast == report_ref
+
+
+ENGINES = {
+    "fast": lambda p, k: MCBNetwork(p=p, k=k),
+    "reference": lambda p, k: ReferenceMCBNetwork(p=p, k=k),
+    "extended-exclusive": lambda p, k: ExtendedNetwork(
+        p=p, k=k, write_policy="exclusive"
+    ),
+    "crew": lambda p, k: CREWMemory(p=p, cells=k),
+}
+
+
+@pytest.mark.parametrize("make", list(ENGINES.values()), ids=list(ENGINES))
+class TestSharedRules:
+    """Protocol rules that hold on every engine, whatever its policy."""
+
+    def test_negative_sleep_raises(self, make):
+        def prog(ctx):
+            yield Sleep(-3)
+
+        with pytest.raises(ProtocolError, match="negative sleep"):
+            make(2, 1).run({1: prog})
+
+    def test_oversized_message_raises(self, make):
+        def prog(ctx):
+            yield CycleOp(write=1, payload=Message("big", *range(20)))
+
+        with pytest.raises(MessageSizeError):
+            make(2, 1).run({1: prog})
+
+    def test_payload_without_write_raises(self, make):
+        def prog(ctx):
+            yield CycleOp(payload=Message("lost", 1), read=1)
+
+        with pytest.raises(ProtocolError, match="without a write channel"):
+            make(2, 1).run({1: prog})
+
+    def test_abort_charges_nothing_from_aborted_cycle(self, make):
+        def prog(ctx):
+            if ctx.pid == 1:
+                yield CycleOp(write=1, payload=Message("ok", 1))
+            else:
+                yield CycleOp(read=1)
+            yield CycleOp(write=1, payload=Message("clash", ctx.pid))
+
+        net = make(3, 1)
+        with pytest.raises(CollisionError):
+            net.run({pid: prog for pid in (1, 2, 3)}, phase="adv")
+        ph = net.stats.phases[-1]
+        assert (ph.cycles, ph.collisions) == (1, 1)
+        assert ph.messages == 1  # the clean cycle only
+        assert ph.bits == Message("ok", 1).bit_size()
+        assert ph.channel_writes == {1: 1}
+
+    def test_collision_lists_every_writer(self, make):
+        def prog(ctx):
+            yield CycleOp(write=1, payload=Message("clash", ctx.pid))
+
+        with pytest.raises(CollisionError) as exc:
+            make(3, 1).run({pid: prog for pid in (1, 2, 3)})
+        assert (exc.value.cycle, exc.value.channel) == (0, 1)
+        assert exc.value.writers == [1, 2, 3]
+
+    def test_run_signature_matches_fast_engine(self, make):
+        net = make(2, 1)
+        assert inspect.signature(net.run) == inspect.signature(
+            MCBNetwork(p=2, k=1).run
+        )
+        assert inspect.signature(net.run).parameters[
+            "max_cycles"
+        ].default == 50_000_000
+
+    def test_data_installed_as_ctx_data(self, make):
+        def prog(ctx):
+            yield CycleOp(read=1)
+            return ctx.data
+
+        res = make(2, 1).run({1: prog, 2: prog}, data={1: "a", 2: "b"})
+        assert res == {1: "a", 2: "b"}
+
+
+class TestPolicyInterpreter:
+    """``ExtOp`` runs on every interpreter-backed engine."""
+
+    @pytest.mark.parametrize(
+        "make", [ENGINES["reference"], ENGINES["crew"]],
+        ids=["reference", "crew"],
+    )
+    def test_extop_accepted(self, make):
+        def prog(ctx):
+            if ctx.pid == 1:
+                yield ExtOp(write=1, payload=Message("x", 7))
+                return None
+            got = yield ExtOp(read=1)
+            return got.fields
+
+        assert make(2, 1).run({1: prog, 2: prog})[2] == (7,)
+
+    def test_multi_read_needs_read_all(self):
+        def prog(ctx):
+            yield ExtOp(read="all")
+
+        with pytest.raises(ProtocolError, match="read_policy='all'"):
+            ReferenceMCBNetwork(p=2, k=2).run({1: prog})
+
+    def test_multi_read_channels_checked(self):
+        def prog(ctx):
+            yield ExtOp(read=(1, 5))
+
+        net = ExtendedNetwork(p=2, k=2, read_policy="all")
+        with pytest.raises(ProtocolError, match="invalid channel"):
+            net.run({1: prog})
