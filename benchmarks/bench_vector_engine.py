@@ -18,13 +18,6 @@ gated:
   this size, so timing all 64 would only slow the suite without
   changing the per-instance rate).  Required: **>= 40x**.
 
-A third, ungated leg reruns the same batch with ``shards=2`` (the
-shared-memory lane-sharding path) and asserts every lane's output and
-``RunStats`` are bit-identical to the inline pass; its throughput is
-recorded so multi-core hosts can watch the scaling (on a single-core
-runner the spawn overhead makes it slower — correctness is the gate,
-the speedup is the batch leg's).
-
 The speedup is not allowed to buy accounting drift: both legs assert
 bit-identical outputs and identical per-phase stats between engines,
 and ``test_vector_matches_reference`` pins full
@@ -84,8 +77,6 @@ REQUIRED_BATCH_SPEEDUP = 40.0
 REQUIRED_COMPILE_SPEEDUP = 3.0
 #: A warm disk hit must hand back the compiled plans this fast.
 REQUIRED_WARM_LOAD_S = 0.05
-#: Lane shards for the sharding-parity leg (correctness, not speed).
-SHARDS = 2
 
 #: Fallback baseline when the committed history carries no compile_s
 #: (fresh checkouts with scrubbed results): the pre-vectorization
@@ -241,15 +232,6 @@ def test_vector_engine_speedup(benchmark, emit, record, tmp_path, monkeypatch):
         assert batch.stats[b].to_dict() == gen_stat_dicts[b], b
     batch_speedup = batch_throughput / gen_throughput
 
-    # ---- leg 3: shared-memory lane sharding, parity + throughput --------
-    start = time.perf_counter()
-    sharded = sort_even_pk_batch(K, lanes, shards=SHARDS)
-    shard_wall = time.perf_counter() - start
-    shard_throughput = B / shard_wall
-    for b in range(B):
-        assert sharded.results[b].output == batch.results[b].output, b
-        assert sharded.stats[b].to_dict() == batch.stats[b].to_dict(), b
-
     record(
         bench="vector_engine",
         p=P,
@@ -264,11 +246,9 @@ def test_vector_engine_speedup(benchmark, emit, record, tmp_path, monkeypatch):
             "generator": round(gen_wall, 6), "vector": round(vec_wall, 6),
         },
         fused_wall_s=round(fused_wall, 6),
-        shards=SHARDS,
         sorts_per_s={
             "generator": round(gen_throughput, 3),
             "vector_batched": round(batch_throughput, 3),
-            "vector_sharded": round(shard_throughput, 3),
         },
         speedup={
             "transform": round(transform_speedup, 3),
@@ -314,12 +294,6 @@ def test_vector_engine_speedup(benchmark, emit, record, tmp_path, monkeypatch):
                 f"{gen_throughput:.2f}",
                 f"{batch_throughput:.2f}",
                 f"{batch_speedup:.1f}x",
-            ],
-            [
-                f"sharded x{SHARDS} (sorts/s)",
-                f"{gen_throughput:.2f}",
-                f"{shard_throughput:.2f}",
-                "parity-gated",
             ],
         ],
         notes=(

@@ -26,7 +26,9 @@ import subprocess
 import sys
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-BACKENDS = ("columnsort", "batcher", "bitonic")
+sys.path.insert(0, os.path.join(REPO, "src"))
+
+from repro.sort.backends import BACKENDS  # noqa: E402
 
 
 def run_cli(*args: str) -> str:

@@ -1,12 +1,10 @@
 """Deterministic on-disk cache for benchmark results.
 
 One JSON file per configuration, keyed on the exact
-``(algorithm, p, k, n, seed, engine, shards)`` tuple.  Engine runs are
-deterministic for a fixed seed (sharded batch runs are bit-identical to
-inline ones by construction, but the shard count still keys the entry so
-wall-clock comparisons never alias), so a cache hit is exactly as good as a re-run — grids can
-be resumed, extended, or re-plotted without re-simulating configurations
-that already have results on disk.
+``(algorithm, p, k, n, seed, engine, backend)`` tuple.  Engine runs are
+deterministic for a fixed seed, so a cache hit is exactly as good as a
+re-run — grids can be resumed, extended, or re-plotted without
+re-simulating configurations that already have results on disk.
 
 The file format is stable: keys are sorted, the key tuple is embedded in
 the payload (``"key"``), and a schema tag (``"cache_version"``) guards
@@ -23,10 +21,12 @@ from typing import Any, NamedTuple, Optional
 #: Bump when the stored payload shape changes incompatibly; mismatched
 #: entries read as misses and are overwritten on the next put().
 #: v2: keys grew an ``engine`` field (generator vs vector execution).
-#: v3: keys grew a ``shards`` field (multi-core batch sharding).
+#: v3: keys grew a shard-count field (multi-core batch sharding).
 #: v4: keys grew a ``backend`` field (columnsort vs comparator-network
 #: schedules), so backend runs never alias each other's results.
-CACHE_VERSION = 4
+#: v5: keys lost the shard-count field (batch sharding removed), so
+#: file names drop their ``_sh{n}`` part.
+CACHE_VERSION = 5
 
 
 def default_cache_root() -> Path:
@@ -64,15 +64,13 @@ class CacheKey(NamedTuple):
     n: int
     seed: int
     engine: str = "generator"
-    shards: int = 1
     backend: str = "columnsort"
 
     def filename(self) -> str:
         """Deterministic, human-scannable file name for this key."""
         return (
             f"{self.algorithm}_p{self.p}_k{self.k}_n{self.n}"
-            f"_seed{self.seed}_{self.engine}_sh{self.shards}"
-            f"_{self.backend}.json"
+            f"_seed{self.seed}_{self.engine}_{self.backend}.json"
         )
 
 

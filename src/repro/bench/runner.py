@@ -32,9 +32,9 @@ class BenchSpec(NamedTuple):
 
     ``engine`` selects the execution engine for algorithms that support
     it (``mcb_sort``'s / ``mcb_select``'s ``"generator"`` /
-    ``"vector"``); ``shards`` is the multi-core batch shard count for
-    vector batch runs (``1`` = inline, ``0`` = auto).  Both are part of
-    the cache identity so engine and sharding comparisons never alias.
+    ``"vector"``) and ``backend`` the even ``p == k`` sort schedule.
+    Both are part of the cache identity so engine and backend
+    comparisons never alias.
     """
 
     algorithm: str
@@ -43,14 +43,13 @@ class BenchSpec(NamedTuple):
     n: int
     seed: int = 0
     engine: str = "generator"
-    shards: int = 1
     backend: str = "columnsort"
 
     @property
     def key(self) -> CacheKey:
         return CacheKey(
-            self.algorithm, self.p, self.k, self.n, self.seed, self.engine,
-            self.shards, self.backend,
+            algorithm=self.algorithm, p=self.p, k=self.k, n=self.n,
+            seed=self.seed, engine=self.engine, backend=self.backend,
         )
 
 

@@ -29,6 +29,7 @@ from .service.cli import add_serve_parser
 from .select import mcb_select
 from .select.multi import mcb_quantiles
 from .sort import mcb_sort
+from .sort.backends import BACKENDS
 
 
 def _make_distribution(args) -> Distribution:
@@ -146,7 +147,7 @@ def cmd_backends(args) -> int:
     """Print the backend crossover table (cost model per shape)."""
     import json
 
-    from .sort.backends import BACKENDS, crossover_table
+    from .sort.backends import crossover_table
 
     rows = crossover_table()
     if args.json:
@@ -215,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=["auto", "even-pk", "collect", "virtual",
                              "virtual-merge", "uneven", "rank", "merge"])
     sp.add_argument("--backend", default="columnsort",
-                    choices=["columnsort", "batcher", "bitonic", "auto"],
+                    choices=[*BACKENDS, "auto"],
                     help="even p=k schedule family ('auto' = cost model)")
     sp.set_defaults(fn=cmd_sort)
 

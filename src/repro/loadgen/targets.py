@@ -168,8 +168,8 @@ class InProcessTarget(Target):
 
     def _run_bench_identical(self, query: Query) -> QueryOutcome:
         spec = BenchSpec(
-            query.algorithm, query.p, query.k, query.n, query.seed,
-            query.engine, 1, query.backend,
+            algorithm=query.algorithm, p=query.p, k=query.k, n=query.n,
+            seed=query.seed, engine=query.engine, backend=query.backend,
         )
         if self.cache is not None:
             cached = self.cache.get(spec.key)

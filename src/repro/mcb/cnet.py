@@ -28,9 +28,6 @@ Generators:
   drop every comparator touching them — a virtual line is never the
   low index of a pair, so it stays ``-inf`` forever and the dropped
   comparators are no-ops.
-* :func:`bitonic_network` — bitonic sort.  Directions alternate
-  (``i & kk`` decides), so virtual lines would receive real data;
-  power-of-two widths only.
 * :func:`columnsort_network` — the §5.2 phases 1–9 as IR rounds.
 
 The lowering :func:`cnet_to_schedule` turns every communication round
@@ -207,37 +204,6 @@ def batcher_network(width: int) -> ComparatorNetwork:
     return ComparatorNetwork("batcher", width, tuple(rounds))
 
 
-def bitonic_network(width: int) -> ComparatorNetwork:
-    """Bitonic sort over ``width`` lines (power-of-two widths only)."""
-    if width < 1:
-        raise ConfigurationError(f"width must be >= 1, got {width}")
-    if width & (width - 1):
-        raise ConfigurationError(
-            "bitonic direction flags follow the line index bit pattern, "
-            "so virtual-line pruning is unsound: width must be a power "
-            f"of two, got {width}"
-        )
-    rounds: list[Round] = [SortRound()]
-    block = 2
-    while block <= width:
-        stride = block >> 1
-        while stride >= 1:
-            pairs = []
-            for line in range(width):
-                partner = line ^ stride
-                if partner > line:
-                    # Descending overall order: the block parity decides
-                    # which endpoint keeps the max half.
-                    pairs.append(
-                        (line, partner) if line & block == 0
-                        else (partner, line)
-                    )
-            rounds.append(CompareRound(pairs=tuple(pairs)))
-            stride >>= 1
-        block <<= 1
-    return ComparatorNetwork("bitonic", width, tuple(rounds))
-
-
 def columnsort_network(width: int) -> ComparatorNetwork:
     """The §5.2 columnsort pipeline (phases 1–9) in the round IR."""
     if width < 1:
@@ -257,7 +223,6 @@ def columnsort_network(width: int) -> ComparatorNetwork:
 #: Network generators by backend name (the ``mcb_sort`` backend axis).
 NETWORKS = {
     "batcher": batcher_network,
-    "bitonic": bitonic_network,
     "columnsort": columnsort_network,
 }
 

@@ -98,8 +98,8 @@ def columnsort_plan_stem(
 def cnet_plan_stem(network: str, m: int, k: int) -> str:
     """Registry/filename stem of one comparator-network configuration.
 
-    The network name is part of the identity, so Batcher/bitonic plans
-    never alias each other or the columnsort entries above.
+    The network name is part of the identity, so network plans never
+    alias each other or the columnsort entries above.
     """
     return f"cnet_{network}_m{m}_k{k}"
 

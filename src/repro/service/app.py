@@ -438,7 +438,7 @@ class ServiceApp:
         misses = len(keys) - hits
         todo = [i for i in range(len(keys)) if i not in payloads]
         if todo:
-            fields = list(keys[0]._replace(seed=spec.seed))
+            bench_spec = spec.bench_spec()
             if self.executor_mode == "process":
                 # Workers are separate processes: run the metered
                 # variants and fold the full registry increments they
@@ -451,18 +451,22 @@ class ServiceApp:
                 if spec.batch > 1:
                     seeds = tuple(spec.seed + i for i in todo)
                     wrapped = await self._dispatch(
-                        run_batch_lanes_metered, fields, seeds
+                        run_batch_lanes_metered, bench_spec, seeds
                     )
                     fresh = wrapped["payloads"]
                 else:
-                    wrapped = await self._dispatch(run_lane_metered, fields)
+                    wrapped = await self._dispatch(
+                        run_lane_metered, bench_spec
+                    )
                     fresh = [wrapped["payload"]]
                 self._fold_worker_metrics(wrapped["metrics"])
             elif spec.batch > 1:
                 seeds = tuple(spec.seed + i for i in todo)
-                fresh = await self._dispatch(run_batch_lanes, fields, seeds)
+                fresh = await self._dispatch(
+                    run_batch_lanes, bench_spec, seeds
+                )
             else:
-                fresh = [await self._dispatch(run_lane, fields)]
+                fresh = [await self._dispatch(run_lane, bench_spec)]
             for i, payload in zip(todo, fresh):
                 payloads[i] = payload
                 if self.cache is not None:

@@ -4,17 +4,15 @@ The event loop never simulates anything.  Workers hand these
 module-level functions (picklable, stdlib-``ProcessPoolExecutor``-safe)
 to the configured executor:
 
-* :func:`run_lane` — one ``(algorithm, p, k, n, seed, engine)``
+* :func:`run_lane` — one :class:`~repro.bench.runner.BenchSpec`
   configuration, delegated to the benchmark harness's
   :func:`repro.bench.runner.run_config` so service results are
   byte-identical to bench results (same payload shape, same cache
   entries).
 * :func:`run_batch_lanes` — the uncached lanes of one vector batch job,
   executed through :func:`repro.sort.vector.sort_even_pk_batch` as a
-  single columnar pass (optionally sharded across cores via shared
-  memory when the spec carries ``shards != 1``); returns one
-  ``run_config``-shaped payload per lane so batch lanes and solo runs
-  share the result cache.
+  single columnar pass; returns one ``run_config``-shaped payload per
+  lane so batch lanes and solo runs share the result cache.
 * :func:`prewarm_worker` — a process-pool *initializer* that compiles
   the vector plan cache for a known set of ``(m, k)`` configurations
   before the worker accepts jobs, so the first batch job never pays
@@ -30,21 +28,21 @@ from typing import Any, Sequence
 from ..bench.runner import BenchSpec, run_config, _fingerprint
 
 
-def run_lane(spec_fields: Sequence[Any]) -> dict[str, Any]:
-    """Run one configuration; ``spec_fields`` is a ``BenchSpec`` tuple."""
-    payload = run_config(BenchSpec(*spec_fields))
-    _observe_lane_walls([payload], spec_fields[0])
+def run_lane(spec: BenchSpec) -> dict[str, Any]:
+    """Run one configuration."""
+    payload = run_config(spec)
+    _observe_lane_walls([payload], spec.algorithm)
     return payload
 
 
 def run_batch_lanes(
-    spec_fields: Sequence[Any], seeds: Sequence[int]
+    spec: BenchSpec, seeds: Sequence[int]
 ) -> list[dict[str, Any]]:
     """Sort ``len(seeds)`` independent instances in one vector pass.
 
-    ``spec_fields`` is the job's ``BenchSpec`` tuple (its own seed is
-    ignored; ``seeds`` names the lanes to run — the cache misses of a
-    possibly partially-warm batch).  Each returned payload matches
+    ``spec`` is the job's configuration (its own seed is ignored;
+    ``seeds`` names the lanes to run — the cache misses of a possibly
+    partially-warm batch).  Each returned payload matches
     :func:`repro.bench.runner.run_config` for the corresponding solo
     spec, except ``wall_s`` is the *shared* pass time divided evenly
     across lanes (lanes have no individual wall clock by construction).
@@ -52,7 +50,6 @@ def run_batch_lanes(
     from ..core.distribution import Distribution
     from ..sort.vector import sort_even_pk_batch
 
-    spec = BenchSpec(*spec_fields)
     lanes = [
         {
             pid: list(part)
@@ -64,8 +61,7 @@ def run_batch_lanes(
     ]
     start = time.perf_counter()
     batch = sort_even_pk_batch(
-        spec.k, lanes, phase="sort", shards=spec.shards,
-        backend=spec.backend,
+        spec.k, lanes, phase="sort", backend=spec.backend
     )
     wall = (time.perf_counter() - start) / max(1, len(seeds))
     payloads = []
@@ -108,7 +104,7 @@ def _registry_state() -> dict[str, Any]:
     return global_registry().export_state()
 
 
-def run_lane_metered(spec_fields: Sequence[Any]) -> dict[str, Any]:
+def run_lane_metered(spec: BenchSpec) -> dict[str, Any]:
     """:func:`run_lane` plus the registry increments it caused.
 
     Process-pool workers mutate their *own* global registry, which the
@@ -121,7 +117,7 @@ def run_lane_metered(spec_fields: Sequence[Any]) -> dict[str, Any]:
     from ..obs.metrics import MetricsRegistry
 
     before = _registry_state()
-    payload = run_lane(spec_fields)
+    payload = run_lane(spec)
     return {
         "payload": payload,
         "metrics": MetricsRegistry.delta_state(before, _registry_state()),
@@ -129,13 +125,13 @@ def run_lane_metered(spec_fields: Sequence[Any]) -> dict[str, Any]:
 
 
 def run_batch_lanes_metered(
-    spec_fields: Sequence[Any], seeds: Sequence[int]
+    spec: BenchSpec, seeds: Sequence[int]
 ) -> dict[str, Any]:
     """:func:`run_batch_lanes` plus the registry increments."""
     from ..obs.metrics import MetricsRegistry
 
     before = _registry_state()
-    payloads = run_batch_lanes(spec_fields, seeds)
+    payloads = run_batch_lanes(spec, seeds)
     return {
         "payloads": payloads,
         "metrics": MetricsRegistry.delta_state(before, _registry_state()),

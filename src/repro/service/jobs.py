@@ -2,7 +2,7 @@
 
 A *job* is one sort/select workload — the paper's Θ(max{n/k, n_max})
 sort or O(n/k + log n · log log n) selection (§6–8) — expressed as the
-same ``(algorithm, p, k, n, seed, engine, shards)`` tuple the benchmark
+same ``(algorithm, p, k, n, seed, engine, backend)`` tuple the benchmark
 harness uses, plus an optional ``batch`` width for the vector engine and
 an optional list of per-job sink configs for lifecycle events.
 
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional, Sequence
 
 from ..bench.cache import CacheKey
-from ..bench.runner import ALGORITHMS
+from ..bench.runner import ALGORITHMS, BenchSpec
 from ..columnsort.matrix import dims_valid
 from ..mcb.errors import ConfigurationError
 
@@ -54,12 +54,6 @@ class JobSpec:
     pass (:func:`repro.sort.vector.sort_even_pk_batch`); each lane is
     cached individually under its own seed.
 
-    ``shards`` splits a batch job's lane axis across worker processes
-    backed by shared memory (:func:`repro.sort.vector.sort_even_pk_batch`):
-    ``1`` (default) runs inline, ``0`` auto-sizes to the machine, and
-    ``> 1`` forces that many shards.  Results and stats are bit-identical
-    to the inline run either way.
-
     ``sinks`` is a tuple of sink configs (see
     :func:`repro.service.sinks.build_sink`) that receive this job's
     lifecycle events in addition to the service-wide sink.
@@ -72,14 +66,13 @@ class JobSpec:
     seed: int = 0
     engine: str = "generator"
     batch: int = 1
-    shards: int = 1
     sinks: tuple = ()
     backend: str = "columnsort"
 
     #: Fields accepted from a JSON payload (everything else is a 400).
     FIELDS = (
-        "algorithm", "p", "k", "n", "seed", "engine", "batch", "shards",
-        "sinks", "backend",
+        "algorithm", "p", "k", "n", "seed", "engine", "batch", "sinks",
+        "backend",
     )
 
     @classmethod
@@ -98,7 +91,7 @@ class JobSpec:
         if "algorithm" not in payload:
             raise ConfigurationError("job spec needs an 'algorithm' field")
         kwargs: dict[str, Any] = {"algorithm": str(payload["algorithm"])}
-        for name in ("p", "k", "n", "seed", "batch", "shards"):
+        for name in ("p", "k", "n", "seed", "batch"):
             if name in payload:
                 value = payload[name]
                 if isinstance(value, bool) or not isinstance(value, int):
@@ -167,10 +160,6 @@ class JobSpec:
             )
         if self.batch < 1:
             raise ConfigurationError(f"batch must be >= 1, got {self.batch}")
-        if self.shards < 0:
-            raise ConfigurationError(
-                f"shards must be >= 0 (0 = auto), got {self.shards}"
-            )
         from ..sort.backends import BACKENDS, backend_unavailable_reason
 
         if self.backend not in BACKENDS:
@@ -208,13 +197,15 @@ class JobSpec:
                 "batch > 1 is a vector-sort feature (one columnar pass "
                 "over all lanes); other jobs run one instance per job"
             )
-        if self.shards != 1 and not (
-            self.engine == "vector" and self.algorithm == "sort"
-        ):
-            raise ConfigurationError(
-                "shards != 1 is a vector-sort batch feature "
-                "(shared-memory lane sharding); this job runs inline"
-            )
+
+    def bench_spec(self, seed: Optional[int] = None) -> BenchSpec:
+        """The benchmark configuration this job runs (at ``seed``, which
+        defaults to the job's own)."""
+        return BenchSpec(
+            algorithm=self.algorithm, p=self.p, k=self.k, n=self.n,
+            seed=self.seed if seed is None else seed,
+            engine=self.engine, backend=self.backend,
+        )
 
     def lane_keys(self) -> list[CacheKey]:
         """Result-cache identities, one per batch lane.
@@ -224,10 +215,7 @@ class JobSpec:
         warm cache serves any re-slicing of the same seeds.
         """
         return [
-            CacheKey(self.algorithm, self.p, self.k, self.n,
-                     self.seed + b, self.engine, self.shards,
-                     self.backend)
-            for b in range(self.batch)
+            self.bench_spec(self.seed + b).key for b in range(self.batch)
         ]
 
     def to_dict(self) -> dict[str, Any]:
@@ -240,7 +228,6 @@ class JobSpec:
             "seed": self.seed,
             "engine": self.engine,
             "batch": self.batch,
-            "shards": self.shards,
             "backend": self.backend,
         }
 

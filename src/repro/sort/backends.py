@@ -13,9 +13,6 @@ sorting an even ``p = k`` distribution of ``m`` elements per processor:
     shape, ``m * rounds(k)`` comm cycles where ``rounds(k)`` grows as
     ``O(log^2 k)`` but is tiny at service scale (1 round at ``k = 2``,
     3 at ``k = 4``, 6 at ``k = 8``).
-``bitonic``
-    Bitonic sort — power-of-two ``k`` only, ``k/2 * log^2 k``
-    comparators in ``log^2 k / 2 + log k / 2`` rounds.
 
 :func:`choose_backend` is the auto-tuner behind
 ``mcb_sort(..., backend="auto")``: it scores every *available* backend
@@ -46,7 +43,7 @@ from ..mcb.errors import ConfigurationError
 
 #: Preference-ordered backend names (ties in cost break left-to-right,
 #: so the paper's pipeline wins any exact draw).
-BACKENDS = ("columnsort", "batcher", "bitonic")
+BACKENDS = ("columnsort", "batcher")
 
 
 def network_for(backend: str, k: int) -> ComparatorNetwork:
@@ -72,8 +69,6 @@ def backend_unavailable_reason(
         return (
             f"columnsort needs m >= k(k-1) and k | m, got m={m}, k={k}"
         )
-    if backend == "bitonic" and k & (k - 1):
-        return f"bitonic needs a power-of-two k, got k={k}"
     return None
 
 
@@ -170,18 +165,14 @@ def _score(k: int, m: int) -> str:
     return best[1]
 
 
-def choose_backend(
-    p: int, k: int, n: int, *, n_max: Optional[int] = None, batch: int = 1
-) -> str:
+def choose_backend(p: int, k: int, n: int) -> str:
     """The cheapest available backend for this shape (the auto-tuner).
 
     Scores candidates by the static totals of their compiled plans —
     fewest comm cycles, then fewest messages, then registry order.
-    ``n_max`` and ``batch`` don't move the ranking today (every backend
-    is value-oblivious and batch-transparent) but are part of the
-    decision key so a future value-aware backend can use them.  Shapes
-    no comparator network covers (``p != k``, uneven ``n``) fall back
-    to ``"columnsort"`` — the dispatcher's other strategies take over.
+    Shapes no comparator network covers (``p != k``, uneven ``n``) fall
+    back to ``"columnsort"`` — the dispatcher's other strategies take
+    over.
     """
     if p != k or n <= 0 or n % p != 0:
         return "columnsort"

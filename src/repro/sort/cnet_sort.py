@@ -16,7 +16,7 @@ accounting agree bit-for-bit (``tests/test_cnet_backends.py``).
 
 Compiled round plans live in the shared
 :class:`~repro.mcb.vector.cache.PlanRegistry` under a network-keyed
-stem (``cnet_<name>_m<m>_k<k>``), so Batcher/bitonic plans get the same
+stem (``cnet_<name>_m<m>_k<k>``), so Batcher plans get the same
 memory/disk caching, prewarming, and ``vector_plan_cache_total``
 accounting (labelled ``backend=<name>``) as the columnsort phases.
 """

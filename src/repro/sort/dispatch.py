@@ -23,6 +23,7 @@ from ..core.element import has_duplicates, tag_elements
 from ..columnsort.matrix import dims_valid
 from ..mcb.errors import ConfigurationError
 from ..mcb.network import MCBNetwork
+from .backends import BACKENDS, backend_unavailable_reason, choose_backend
 from .even_collect import sort_even_collect
 from .even_pk import SortResult, sort_even_pk
 from .merge_sort import merge_sort
@@ -71,8 +72,6 @@ def _resolve_backend(
     m = lengths.pop() if even else 0
     if backend == "auto":
         if strategy in ("auto", "even-pk") and even and p == k:
-            from .backends import choose_backend
-
             return choose_backend(p, k, p * m)
         return "columnsort"
     if strategy not in ("auto", "even-pk"):
@@ -86,8 +85,6 @@ def _resolve_backend(
             f"p == k; got p={p}, k={k}, "
             f"{'even' if even else 'uneven'} distribution"
         )
-    from .backends import backend_unavailable_reason
-
     reason = backend_unavailable_reason(backend, p, k, m)
     if reason is not None:
         raise ConfigurationError(reason)
@@ -125,10 +122,10 @@ def mcb_sort(
         of silently mis-executing.
     backend:
         The even ``p == k`` schedule family: ``"columnsort"``
-        (default, the paper's §5.2 pipeline), ``"batcher"`` /
-        ``"bitonic"`` (comparator networks — any even ``p == k`` shape,
-        so they extend the fast path below columnsort's dimension
-        rule), or ``"auto"`` to let the static cost model pick
+        (default, the paper's §5.2 pipeline), ``"batcher"`` (Batcher's
+        odd-even merge network — any even ``p == k`` shape, so it
+        extends the fast path below columnsort's dimension rule), or
+        ``"auto"`` to let the static cost model pick
         (:func:`repro.sort.backends.choose_backend`).  Non-columnsort
         backends apply only to the even-pk strategy; forcing one
         together with an incompatible strategy or shape raises.
@@ -142,10 +139,10 @@ def mcb_sort(
         raise ConfigurationError(
             f"unknown engine {engine!r}; expected 'generator' or 'vector'"
         )
-    if backend not in ("columnsort", "batcher", "bitonic", "auto"):
+    if backend != "auto" and backend not in BACKENDS:
         raise ConfigurationError(
-            f"unknown backend {backend!r}; expected 'columnsort', "
-            "'batcher', 'bitonic' or 'auto'"
+            f"unknown backend {backend!r}; expected one of "
+            f"{', '.join(map(repr, BACKENDS))} or 'auto'"
         )
     parts = dist.parts if isinstance(dist, Distribution) else {
         pid: tuple(v) for pid, v in dist.items()

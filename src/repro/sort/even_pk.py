@@ -273,9 +273,8 @@ def sort_even_pk(
         supported.
     backend:
         ``"columnsort"`` (default) runs the §5.2 pipeline below;
-        ``"batcher"`` / ``"bitonic"`` run the corresponding
-        comparator network (:mod:`repro.sort.cnet_sort`) on the same
-        engine.
+        ``"batcher"`` runs Batcher's odd-even merge network
+        (:mod:`repro.sort.cnet_sort`) on the same engine.
 
     Returns
     -------

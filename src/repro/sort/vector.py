@@ -21,11 +21,7 @@ generator-only — their traffic depends on run-time data.
 :func:`sort_even_pk_batch` adds the batch axis: ``B`` independent
 instances (same ``(k, m)``, different data) run through one compiled
 schedule as a single ``(k, m, B)`` pass, amortizing compilation and all
-per-phase Python overhead across the batch.  ``shards > 1`` splits the
-batch axis across worker processes over one
-``multiprocessing.shared_memory`` state block — each worker owns a
-contiguous lane range, and the merged per-lane ``RunStats`` are
-bit-identical to the single-process run by construction.
+per-phase Python overhead across the batch.
 """
 
 from __future__ import annotations
@@ -38,7 +34,7 @@ import numpy as np
 from ..columnsort.matrix import require_valid_dims
 from ..mcb.errors import ConfigurationError
 from ..mcb.network import MCBNetwork
-from ..mcb.trace import PhaseStats, RunStats
+from ..mcb.trace import RunStats
 from ..mcb.vector import (
     CompiledPhase,
     VectorRun,
@@ -116,8 +112,7 @@ def prewarm_plan_cache(configs: Iterable[Sequence]) -> int:
     * ``(m, k[, paper_phase2[, wrap_skip]])`` — columnsort
       transformation phases (the historical form);
     * ``(backend, m, k)`` — a comparator-network backend by name
-      (``"batcher"``, ``"bitonic"``, or ``"columnsort"`` for the plain
-      phases).
+      (``"batcher"``, or ``"columnsort"`` for the plain phases).
 
     Intended as a worker-pool initializer: spawn-context workers start
     with an empty module cache, so without pre-warming every worker
@@ -298,106 +293,6 @@ class BatchSortResult:
     stats: list[RunStats]
 
 
-def resolve_shards(shards: int, lanes: int) -> int:
-    """Effective shard count: ``0`` = auto (all cores), capped by lanes."""
-    if shards < 0:
-        raise ConfigurationError(f"shards must be >= 0, got {shards}")
-    if shards == 0:
-        from ..bench.runner import resolve_max_workers
-
-        shards = resolve_max_workers()
-    return max(1, min(shards, lanes))
-
-
-def _shard_worker(job: tuple) -> list[PhaseStats]:
-    """Run one lane range of a sharded batch in a worker process.
-
-    Attaches to the parent's shared-memory state block, copies its
-    ``[lo, hi)`` lane slice into a private contiguous array, runs the
-    full columnsort pipeline on it, and writes the sorted lanes back in
-    place — lane ranges are disjoint, so writers never overlap.  The
-    returned per-lane :class:`PhaseStats` are exactly what the inline
-    run would have produced for those lanes.
-    """
-    (shm_name, shape, dtype_str, k, m, lo, hi,
-     paper_phase2, wrap_skip, phase, backend) = job
-    from multiprocessing import shared_memory
-
-    try:
-        shm = shared_memory.SharedMemory(name=shm_name, track=False)
-    except TypeError:  # pragma: no cover - Python < 3.13
-        shm = shared_memory.SharedMemory(name=shm_name)
-    try:
-        full = np.ndarray(shape, dtype=np.dtype(dtype_str), buffer=shm.buf)
-        state = np.ascontiguousarray(full[:, :, lo:hi])
-        run = VectorRun(k, k, phase=phase, batch=hi - lo)
-        if backend == "columnsort":
-            phases = compiled_columnsort_phases(m, k, paper_phase2, wrap_skip)
-            state = _columnsort_pipeline(
-                run, state, phases, width=m if wrap_skip else None
-            )
-        else:
-            from ..mcb.cnet import build_network
-            from .cnet_sort import _cnet_pipeline, compiled_cnet_phases
-
-            network = build_network(backend, k)
-            compiled = compiled_cnet_phases(backend, m, k)
-            state = _cnet_pipeline(run, state, network, compiled, m)
-        full[:, :, lo:hi] = state
-        return run.finish()
-    finally:
-        shm.close()
-
-
-def _run_sharded(
-    state: np.ndarray,
-    k: int,
-    m: int,
-    shards: int,
-    paper_phase2: bool,
-    wrap_skip: bool,
-    phase: str,
-    backend: str = "columnsort",
-) -> tuple[np.ndarray, list[PhaseStats]]:
-    """Split the batch axis of ``state`` across a spawn-context pool."""
-    from concurrent.futures import ProcessPoolExecutor
-    from multiprocessing import get_context, shared_memory
-
-    lanes = state.shape[2]
-    shm = shared_memory.SharedMemory(create=True, size=state.nbytes)
-    try:
-        view = np.ndarray(state.shape, dtype=state.dtype, buffer=shm.buf)
-        view[...] = state
-        bounds = [i * lanes // shards for i in range(shards + 1)]
-        jobs = [
-            (shm.name, state.shape, state.dtype.str, k, m,
-             bounds[i], bounds[i + 1], paper_phase2, wrap_skip, phase,
-             backend)
-            for i in range(shards)
-        ]
-        with ProcessPoolExecutor(
-            max_workers=shards, mp_context=get_context("spawn")
-        ) as pool:
-            per_shard = list(pool.map(_shard_worker, jobs))
-        out = view.copy()
-    finally:
-        shm.close()
-        shm.unlink()
-    lane_phases = [ph for phs in per_shard for ph in phs]
-    first = lane_phases[0]
-    for ph in lane_phases[1:]:
-        # Structural counters are data-independent for an unmasked
-        # schedule: every lane of every shard must agree.
-        if (ph.cycles, ph.messages, ph.channel_writes) != (
-            first.cycles, first.messages, first.channel_writes
-        ):
-            raise RuntimeError(
-                "sharded lanes diverged structurally: "
-                f"{ph} != {first} — shards must be bit-identical"
-            )
-    return out, lane_phases
-
-
 def sort_even_pk_batch(
     k: int,
     batches: Sequence[dict[int, list]],
@@ -405,7 +300,6 @@ def sort_even_pk_batch(
     paper_phase2: bool = False,
     wrap_skip: bool = False,
     phase: str = "columnsort",
-    shards: int = 1,
     backend: str = "columnsort",
 ) -> BatchSortResult:
     """Sort ``B`` independent even ``p = k`` instances in one pass.
@@ -417,22 +311,12 @@ def sort_even_pk_batch(
     counters (cycles, messages, channel writes) are shared by
     construction, bits are accounted per lane.
 
-    ``shards`` splits the batch axis across worker processes over one
-    shared-memory state block: ``1`` (default) runs inline, ``0`` uses
-    every core (:func:`repro.bench.runner.resolve_max_workers`), and
-    ``s > 1`` gives each of ``s`` spawn-context workers a contiguous
-    lane range.  Results and per-lane stats are bit-identical to the
-    inline run.  Object-dtype batches (tuples, mixed columns) cannot
-    ride a typed shared-memory block: ``shards=0`` degrades to inline
-    and an explicit ``shards > 1`` is refused.
-
     ``backend`` selects the schedule family: ``"columnsort"`` (default)
-    runs the §5.2 pipeline above; ``"batcher"`` / ``"bitonic"`` run the
-    corresponding comparator network (:mod:`repro.mcb.cnet`) through
-    the same batched state and sharding machinery.  The network
-    backends accept any even shape (no columnsort dimension rule) but
-    ignore ``paper_phase2`` / ``wrap_skip``, which are columnsort
-    notions — requesting them together is refused.
+    runs the §5.2 pipeline above; ``"batcher"`` runs Batcher's odd-even
+    merge network (:mod:`repro.mcb.cnet`) through the same batched
+    state.  The network backends accept any even shape (no columnsort
+    dimension rule) but ignore ``paper_phase2`` / ``wrap_skip``, which
+    are columnsort notions — requesting them together is refused.
     """
     if not batches:
         raise ConfigurationError("sort_even_pk_batch needs at least one lane")
@@ -455,35 +339,19 @@ def sort_even_pk_batch(
     state = build_batched_state(
         [[lane[pid] for pid in range(1, k + 1)] for lane in batches]
     )
-    if shards != 1 and state.dtype == np.dtype(object):
-        if shards > 1:
-            raise ConfigurationError(
-                "shards > 1 runs lanes over a typed shared-memory state; "
-                "object-dtype batches (tuples, mixed columns) run "
-                f"single-process — got shards={shards}"
-            )
-        shards = 1  # auto: object batches stay inline
-    else:
-        shards = resolve_shards(shards, lanes)
     if cnet:
-        phase = f"{phase}/cnet-{backend}"
+        from .cnet_sort import _cnet_pipeline, compiled_cnet_phases
+
         if network.slot_factor == 2:
             # Merge-split scratch: partner columns land in slots m..2m-1.
             state = np.concatenate([state, state], axis=1)
-    if wrap:
-        state = _with_parking(state, m // 2)
-    if shards > 1:
-        state, lane_phases = _run_sharded(
-            state, k, m, shards, paper_phase2, wrap, phase, backend
-        )
-    elif cnet:
-        from .cnet_sort import _cnet_pipeline, compiled_cnet_phases
-
         compiled = compiled_cnet_phases(backend, m, k)
-        run = VectorRun(k, k, phase=phase, batch=lanes)
+        run = VectorRun(k, k, phase=f"{phase}/cnet-{backend}", batch=lanes)
         state = _cnet_pipeline(run, state, network, compiled, m)
         lane_phases = run.finish()
     else:
+        if wrap:
+            state = _with_parking(state, m // 2)
         phases = compiled_columnsort_phases(m, k, paper_phase2, wrap)
         run = VectorRun(k, k, phase=phase, batch=lanes)
         state = _columnsort_pipeline(

@@ -16,7 +16,7 @@ def _hermetic_plan_cache(tmp_path_factory):
     must be hermetic, and several assert exact hit/miss sequences).  An
     explicit ``REPRO_PLAN_CACHE`` — e.g. CI restoring a cached plan dir
     for the benchmarks — wins.  Exported via ``os.environ`` so spawned
-    shard/service workers inherit it.
+    service workers inherit it.
     """
     if "REPRO_PLAN_CACHE" not in os.environ:
         os.environ["REPRO_PLAN_CACHE"] = str(

@@ -17,7 +17,7 @@ class TestResultCache:
         assert cache.get(key) is None
         path = cache.put(key, {"stats": {"cycles": 42}})
         assert path.name == (
-            "sort_p8_k4_n64_seed0_generator_sh1_columnsort.json"
+            "sort_p8_k4_n64_seed0_generator_columnsort.json"
         )
         assert cache.get(key) == {"stats": {"cycles": 42}}
         assert cache.hits == 1 and cache.misses == 1

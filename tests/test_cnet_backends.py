@@ -6,7 +6,7 @@ Layers covered:
   at construction, not at run time.
 * Abstract network correctness — the 0-1 principle, exhaustively at
   ``m = 1`` (where merge-split *is* compare-exchange) for every Batcher
-  width up to 10 and every bitonic power of two up to 16.
+  width up to 10.
 * Engine parity — a hypothesis battery asserting the vector driver's
   outputs *and* ``RunStats.to_dict()`` equal the ``as_program``
   generator oracle's, plus an exhaustive small-config sweep
@@ -14,7 +14,7 @@ Layers covered:
 * The columnsort extraction — the IR's ``columnsort`` network runs the
   identical plans as :func:`repro.sort.vector.sort_even_pk_vector`.
 * Executor features — fused execution and write masks on cnet plans,
-  the batch axis, shared-memory sharding.
+  the batch axis.
 * The cost model — closed forms equal static plan stats; the tuner
   returns an available backend everywhere; overlay predictions match.
 * Service admission — ``backend`` in JobSpec with 400-style rejection,
@@ -31,13 +31,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench.runner import BenchSpec
 from repro.mcb.cnet import (
     CompareRound,
     ComparatorNetwork,
     PermuteRound,
     SortRound,
     batcher_network,
-    bitonic_network,
     build_network,
     cnet_to_schedule,
     columnsort_network,
@@ -110,13 +110,10 @@ class TestNetworkValidation:
                 (CompareRound(pairs=((0, 1),)), PermuteRound(2)),
             )
 
-    def test_bitonic_requires_power_of_two(self):
-        with pytest.raises(ConfigurationError, match="power"):
-            bitonic_network(6)
-
     def test_unknown_backend_name(self):
-        with pytest.raises(ConfigurationError, match="unknown comparator"):
-            build_network("quicksort", 4)
+        for name in ("quicksort", "bitonic"):
+            with pytest.raises(ConfigurationError, match="unknown comparator"):
+                build_network(name, 4)
 
     def test_lowering_requires_matching_shape(self):
         net = batcher_network(4)
@@ -162,22 +159,6 @@ def test_batcher_zero_one_principle(width):
         assert out == sorted(bits, reverse=True), bits
 
 
-@pytest.mark.parametrize("width", [1, 2, 4, 8, 16])
-def test_bitonic_zero_one_principle(width):
-    net = bitonic_network(width)
-    if width <= 10:
-        inputs = itertools.product((0, 1), repeat=width)
-    else:
-        rng = random.Random(width)
-        inputs = (
-            tuple(rng.randint(0, 1) for _ in range(width))
-            for _ in range(2000)
-        )
-    for bits in inputs:
-        out = run_network_m1(net, list(bits))
-        assert out == sorted(bits, reverse=True), bits
-
-
 def test_batcher_large_width_random_values():
     rng = random.Random(7)
     net = batcher_network(16)
@@ -191,12 +172,11 @@ def test_batcher_large_width_random_values():
 
 @settings(max_examples=40, deadline=None)
 @given(
-    backend=st.sampled_from(["batcher", "bitonic"]),
     k=st.sampled_from([1, 2, 4, 8]),
     m=st.integers(min_value=1, max_value=6),
     data=st.data(),
 )
-def test_vector_matches_generator_oracle(backend, k, m, data):
+def test_vector_matches_generator_oracle(k, m, data):
     """Outputs and full RunStats parity: the vector driver vs the
     ``as_program`` generator oracle, on the same literal plans."""
     vals = data.draw(
@@ -209,9 +189,9 @@ def test_vector_matches_generator_oracle(backend, k, m, data):
         pid: vals[(pid - 1) * m: pid * m] for pid in range(1, k + 1)
     }
     gen_net = MCBNetwork(p=k, k=k)
-    gen = sort_cnet(gen_net, cols, backend, engine="generator")
+    gen = sort_cnet(gen_net, cols, "batcher", engine="generator")
     vec_net = MCBNetwork(p=k, k=k)
-    vec = sort_cnet(vec_net, cols, backend, engine="vector")
+    vec = sort_cnet(vec_net, cols, "batcher", engine="vector")
     assert gen.output == vec.output
     assert gen_net.stats.to_dict() == vec_net.stats.to_dict()
     assert gen.output == expected_output(cols, m)
@@ -325,6 +305,7 @@ def test_cnet_plan_runs_fused_and_masked():
 
 
 def test_batch_and_sharded_cnet_match_solo_runs():
+    """Every lane of a batched network sort equals its solo run."""
     k, m, lanes = 4, 3, 6
     batches = [make_columns(k, m, seed=50 + b) for b in range(lanes)]
     batch = sort_even_pk_batch(k, batches, backend="batcher", phase="sort")
@@ -335,18 +316,14 @@ def test_batch_and_sharded_cnet_match_solo_runs():
         assert batch.results[b].output == solo.output, b
         solo_stats.append(net.stats.to_dict())
         assert batch.stats[b].to_dict() == solo_stats[b], b
-    sharded = sort_even_pk_batch(
-        k, batches, backend="batcher", phase="sort", shards=2
-    )
-    for b in range(lanes):
-        assert sharded.results[b].output == batch.results[b].output, b
-        assert sharded.stats[b].to_dict() == batch.stats[b].to_dict(), b
 
 
 def test_batch_rejects_columnsort_knobs_on_cnet_backend():
     batches = [make_columns(4, 2, seed=1)]
     with pytest.raises(ConfigurationError, match="no such knobs"):
         sort_even_pk_batch(4, batches, backend="batcher", wrap_skip=True)
+    with pytest.raises(ConfigurationError, match="unknown comparator"):
+        sort_even_pk_batch(4, batches, backend="bitonic")
 
 
 # ------------------------------------------------------- cost model --
@@ -368,7 +345,7 @@ def test_static_plan_stats_equal_closed_form():
 def test_predicted_cost_matches_measured_stats():
     """The overlay's closed form equals what RunStats measures — the
     schedules are oblivious, so prediction is exact, not a bound."""
-    for backend, k, m in (("batcher", 4, 5), ("bitonic", 8, 2),
+    for backend, k, m in (("batcher", 4, 5), ("batcher", 8, 2),
                           ("columnsort", 4, 12)):
         cols = make_columns(k, m, seed=9)
         net = MCBNetwork(p=k, k=k)
@@ -427,13 +404,11 @@ def test_overlay_prediction_for_cnet_phase():
 def test_mcb_sort_backend_validation():
     cols = make_columns(4, 2, seed=2)
     net = MCBNetwork(p=4, k=4)
-    with pytest.raises(ConfigurationError, match="unknown backend"):
-        mcb_sort(net, cols, backend="mergesort")
+    for name in ("mergesort", "bitonic"):
+        with pytest.raises(ConfigurationError, match="unknown backend"):
+            mcb_sort(net, cols, backend=name)
     with pytest.raises(ConfigurationError, match="cannot run under"):
         mcb_sort(net, cols, backend="batcher", strategy="uneven")
-    with pytest.raises(ConfigurationError, match="power-of-two"):
-        mcb_sort(MCBNetwork(p=3, k=3), make_columns(3, 2, seed=2),
-                 backend="bitonic")
     with pytest.raises(ConfigurationError, match="p == k"):
         mcb_sort(MCBNetwork(p=8, k=4), make_columns(8, 2, seed=2),
                  backend="batcher")
@@ -480,19 +455,19 @@ def test_plan_registry_backend_labels(tmp_path, monkeypatch):
     from repro.sort.vector import compiled_columnsort_phases
 
     compiled_columnsort_phases.cache_clear()  # clears every backend
-    compiled_cnet_phases("batcher", 4, 4)
+    compiled_cnet_phases("batcher", 12, 4)
     plans = reg.counter("vector_plan_cache_total")
     assert plans.get(result="miss", backend="batcher") == 1
-    compiled_cnet_phases("batcher", 4, 4)
+    compiled_cnet_phases("batcher", 12, 4)
     assert plans.get(result="hit", backend="batcher") == 1
     # One eviction surface: clearing through the columnsort alias
     # evicts the batcher entry too, which then disk-hits.
     compiled_columnsort_phases.cache_clear()
-    compiled_cnet_phases("batcher", 4, 4)
+    compiled_cnet_phases("batcher", 12, 4)
     assert plans.get(result="disk_hit", backend="batcher") == 1
-    # Different backends never alias: bitonic at the same shape misses.
-    compiled_cnet_phases("bitonic", 4, 4)
-    assert plans.get(result="miss", backend="bitonic") == 1
+    # Different backends never alias: columnsort at the same shape misses.
+    compiled_cnet_phases("columnsort", 12, 4)
+    assert plans.get(result="miss", backend="columnsort") == 1
 
 
 def test_prewarm_accepts_backend_configs(tmp_path, monkeypatch):
@@ -503,7 +478,7 @@ def test_prewarm_accepts_backend_configs(tmp_path, monkeypatch):
 
     compiled_columnsort_phases.cache_clear()
     warmed = prewarm_plan_cache([
-        (12, 4), ("batcher", 12, 4), ("bitonic", 12, 4),
+        (12, 4), ("batcher", 12, 4), ("columnsort", 8, 2),
     ])
     assert warmed == 3
     plans = reg.counter("vector_plan_cache_total")
@@ -559,17 +534,13 @@ class TestServiceBackendAdmission:
     def test_unknown_backend_rejected_at_admission(self):
         from repro.service.jobs import JobSpec
 
-        with pytest.raises(ConfigurationError, match="unknown backend"):
-            JobSpec.from_payload(self._payload(backend="shellsort"))
+        for name in ("shellsort", "bitonic"):
+            with pytest.raises(ConfigurationError, match="unknown backend"):
+                JobSpec.from_payload(self._payload(backend=name))
 
     def test_backend_shape_validated_at_admission(self):
         from repro.service.jobs import JobSpec
 
-        with pytest.raises(ConfigurationError, match="power-of-two"):
-            JobSpec.from_payload(
-                self._payload(p=3, k=3, n=6, backend="bitonic",
-                              engine="generator")
-            )
         with pytest.raises(ConfigurationError, match="p == k"):
             JobSpec.from_payload(
                 self._payload(p=8, k=4, n=16, engine="generator")
@@ -606,7 +577,7 @@ class TestServiceBackendAdmission:
         assert all(key.backend == "batcher" for key in a_keys)
         assert all(key.backend == "columnsort" for key in b.lane_keys())
         assert a_keys[0].filename() != a_keys[0]._replace(
-            backend="bitonic"
+            backend="columnsort"
         ).filename()
 
     def test_default_backend_is_columnsort(self):
@@ -621,7 +592,9 @@ class TestServiceBackendAdmission:
         from repro.service.execution import run_batch_lanes
 
         payloads = run_batch_lanes(
-            ("sort", 4, 4, 8, 0, "vector", 1, "batcher"), [0, 1]
+            BenchSpec(algorithm="sort", p=4, k=4, n=8, engine="vector",
+                      backend="batcher"),
+            [0, 1],
         )
         assert len(payloads) == 2
         for payload in payloads:

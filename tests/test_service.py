@@ -49,12 +49,6 @@ class TestSpecValidation:
         JobSpec(**SELECT).validate()
         JobSpec(**{**SORT, "engine": "vector", "batch": 4}).validate()
         JobSpec(**{**SELECT, "engine": "vector"}).validate()
-        JobSpec(
-            **{**SORT, "engine": "vector", "batch": 4, "shards": 2}
-        ).validate()
-        JobSpec(
-            **{**SORT, "engine": "vector", "batch": 4, "shards": 0}
-        ).validate()
 
     @pytest.mark.parametrize("bad", [
         {**SORT, "algorithm": "quicksort"},
@@ -68,9 +62,9 @@ class TestSpecValidation:
         {**SORT, "batch": 2},                  # batch needs the vector engine
         {**SORT, "engine": "vector", "p": 8, "k": 4, "n": 64},  # p != k
         {**SORT, "engine": "vector", "n": 16},  # m=4 < k(k-1)=12
-        {**SORT, "shards": -1},                # negative shard count
-        {**SORT, "shards": 2},                 # sharding needs vector sort
-        {**SELECT, "engine": "vector", "shards": 2},  # sort-only feature
+        {**SORT, "backend": "bitonic"},        # removed backend
+        {**SORT, "engine": "vector", "batch": 4, "backend": "bitonic"},
+        {**SELECT, "backend": "batcher"},      # select has no backend axis
     ])
     def test_bad_specs_raise_configuration_error(self, bad):
         with pytest.raises(ConfigurationError):
@@ -81,6 +75,8 @@ class TestSpecValidation:
             JobSpec.from_payload({"algorithm": "sort"})  # missing p/k/n
         with pytest.raises(ConfigurationError):
             JobSpec.from_payload({**SORT, "frobnicate": 1})
+        with pytest.raises(ConfigurationError, match="unknown job spec"):
+            JobSpec.from_payload({**SORT, "shards": 2})  # removed field
         with pytest.raises(ConfigurationError):
             JobSpec.from_payload({**SORT, "p": "four"})
         with pytest.raises(ConfigurationError):

@@ -114,15 +114,23 @@ class TestJobApi:
                 port, "POST", "/jobs",
                 {"algorithm": "sort", "p": 4, "k": 8, "n": 64},
             )
+            unknown_field, _, field_body = await request(
+                port, "POST", "/jobs",
+                {"algorithm": "sort", "p": 4, "k": 4, "n": 64, "shards": 2},
+            )
             not_found, _, _ = await request(port, "GET", "/nope")
             bad_method, _, _ = await request(port, "POST", "/metrics")
             await server.stop(0)
-            return invalid_json, bad_spec, body, not_found, bad_method
+            return (invalid_json, bad_spec, body, unknown_field, field_body,
+                    not_found, bad_method)
 
-        invalid_json, bad_spec, body, not_found, bad_method = drive(scenario())
+        (invalid_json, bad_spec, body, unknown_field, field_body,
+         not_found, bad_method) = drive(scenario())
         assert invalid_json == 400
         assert bad_spec == 400
         assert "k <= p" in body["error"]
+        assert unknown_field == 400
+        assert "unknown job spec field" in field_body["error"]
         assert not_found == 404
         assert bad_method == 405
 

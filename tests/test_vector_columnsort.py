@@ -177,36 +177,6 @@ def test_batched_wrap_skip_matches_generator():
         assert batch.stats[b].to_dict() == net.stats.to_dict(), b
 
 
-@pytest.mark.parametrize("wrap_skip", [False, True])
-def test_sharded_batch_is_bit_identical_to_inline(wrap_skip):
-    """shards=2 splits the lanes over a shared-memory state; outputs and
-    per-lane stats must match the single-process run exactly."""
-    lanes = [int_columns(s) for s in (51, 52, 53, 54, 55)]
-    inline = sort_even_pk_batch(K, lanes, wrap_skip=wrap_skip)
-    sharded = sort_even_pk_batch(K, lanes, wrap_skip=wrap_skip, shards=2)
-    assert [r.output for r in inline.results] == [
-        r.output for r in sharded.results
-    ]
-    assert [s.to_dict() for s in inline.stats] == [
-        s.to_dict() for s in sharded.stats
-    ]
-
-
-def test_sharding_rejects_object_dtype_and_bad_counts():
-    lanes = [
-        {pid: [(v, pid, j) for j, v in enumerate(col)] for pid, col in
-         int_columns(s).items()}
-        for s in (61, 62)
-    ]
-    with pytest.raises(ConfigurationError, match="object-dtype"):
-        sort_even_pk_batch(K, lanes, shards=2)
-    # shards=0 (auto) degrades to inline for object batches.
-    out = sort_even_pk_batch(K, lanes, shards=0)
-    assert len(out.results) == 2
-    with pytest.raises(ConfigurationError, match="shards"):
-        sort_even_pk_batch(K, [int_columns(63)], shards=-1)
-
-
 def test_unknown_engine_rejected():
     net = ReferenceMCBNetwork(p=K, k=K)
     with pytest.raises(ConfigurationError, match="unknown engine 'warp'"):
