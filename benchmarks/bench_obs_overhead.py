@@ -152,8 +152,8 @@ def test_obs_vector_engine_unobserved_builds_no_events(emit, record):
 
 
 def test_obs_full_instrumentation_cost(benchmark, emit, record):
-    # Informational: what the *full* stack (metrics + pipeline + memory
-    # sink) costs relative to unobserved — useful for deciding whether
+    # Informational: what the *full* stack (metrics observer + event
+    # log) costs relative to unobserved — useful for deciding whether
     # always-on metrics are affordable in a service deployment.
     t_plain = _best_of(lambda: _workload(MCBNetwork(p=8, k=2)), rounds=3)
 

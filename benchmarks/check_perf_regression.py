@@ -6,8 +6,9 @@ result files (``benchmarks/results/BENCH_engine_hotpath.json``,
 ``BENCH_sparse_cycle.json``, ``BENCH_vector_engine.json``,
 ``BENCH_vector_select.json``, ``BENCH_service.json``), so each
 file is a history: the *first*
-record per configuration is the committed baseline, the *last* is the
-freshest run.  This script compares the two on the **speedup ratios**
+record per configuration — every distinct ``(p, k, m, n)`` in the
+record, absent fields read as ``None`` — is the committed baseline, the
+*last* is the freshest run.  This script compares the two on the **speedup ratios**
 (fast/reference, parked/polling) — ratios of two measurements taken on the
 same machine in the same session, hence machine-independent — and
 fails (exit 1) when any ratio drops below ``1 - tolerance`` times its
@@ -45,7 +46,20 @@ DEFAULT_TOLERANCE = 0.2
 #: Default candidate window: best of the newest N records per config.
 DEFAULT_BEST_OF = 3
 
-#: file stem -> (config key fields, callable row -> {metric: ratio} | None)
+#: Record fields that name a configuration.  Each distinct combination
+#: is its own series with its own baseline, so two legs that share
+#: ``(p, k)`` but differ in ``m`` or ``n`` are gated separately.
+CONFIG_FIELDS = ("p", "k", "m", "n")
+
+
+def _speedup(row: dict) -> dict | None:
+    """A record's ``speedup`` legs as ``speedup[<leg>]`` metrics."""
+    if "speedup" not in row:
+        return None
+    return {f"speedup[{w}]": s for w, s in row["speedup"].items()}
+
+
+#: file name -> callable row -> {metric: ratio} | None
 CHECKS = {
     # Older seed-leg records (speedup_hoisted/speedup_constructing) are
     # a closed series; the gate follows the reference-leg series.
@@ -57,36 +71,12 @@ CHECKS = {
         if "speedup_hoisted_vs_ref" in row
         else None
     ),
-    "BENCH_sparse_cycle.json": lambda row: (
-        {f"speedup[{w}]": s for w, s in row["speedup"].items()}
-        if "speedup" in row
-        else None
-    ),
-    "BENCH_vector_engine.json": lambda row: (
-        {f"speedup[{w}]": s for w, s in row["speedup"].items()}
-        if "speedup" in row
-        else None
-    ),
-    "BENCH_vector_select.json": lambda row: (
-        {f"speedup[{w}]": s for w, s in row["speedup"].items()}
-        if "speedup" in row
-        else None
-    ),
-    "BENCH_service.json": lambda row: (
-        {f"speedup[{w}]": s for w, s in row["speedup"].items()}
-        if "speedup" in row
-        else None
-    ),
-    "BENCH_network_backends.json": lambda row: (
-        {f"speedup[{w}]": s for w, s in row["speedup"].items()}
-        if "speedup" in row
-        else None
-    ),
-    "BENCH_loadgen.json": lambda row: (
-        {f"speedup[{w}]": s for w, s in row["speedup"].items()}
-        if "speedup" in row
-        else None
-    ),
+    "BENCH_sparse_cycle.json": _speedup,
+    "BENCH_vector_engine.json": _speedup,
+    "BENCH_vector_select.json": _speedup,
+    "BENCH_service.json": _speedup,
+    "BENCH_network_backends.json": _speedup,
+    "BENCH_loadgen.json": _speedup,
 }
 
 
@@ -110,12 +100,13 @@ def check_file(
         metrics = extract(row)
         if metrics is None:
             continue  # table mirror / unrelated record
-        key = (row.get("p"), row.get("k"))
+        key = tuple(row.get(f) for f in CONFIG_FIELDS)
         by_config.setdefault(key, []).append(metrics)
     if not by_config:
         return [f"{path.name}: no metric records found"]
     failures = []
-    for key, series in sorted(by_config.items()):
+    for key, series in by_config.items():
+        label = ",".join(CONFIG_FIELDS) + "=" + repr(key)
         base = series[0]
         window = series[-best_of:]
         for metric, base_val in base.items():
@@ -124,7 +115,7 @@ def check_file(
             ]
             if not candidates:
                 failures.append(
-                    f"{path.name} {key}: {metric} vanished from the newest "
+                    f"{path.name} {label}: {metric} vanished from the newest "
                     f"{len(window)} run(s)"
                 )
                 continue
@@ -132,13 +123,13 @@ def check_file(
             ratio = cur_val / base_val if base_val else float("inf")
             status = "ok" if ratio >= threshold else "REGRESSION"
             print(
-                f"{path.name} p,k={key} {metric}: baseline {base_val:.2f} "
+                f"{path.name} {label} {metric}: baseline {base_val:.2f} "
                 f"-> best-of-{len(window)} {cur_val:.2f} ({ratio:.0%}) "
                 f"{status}"
             )
             if ratio < threshold:
                 failures.append(
-                    f"{path.name} {key}: {metric} fell to {cur_val:.2f} "
+                    f"{path.name} {label}: {metric} fell to {cur_val:.2f} "
                     f"({ratio:.0%} of baseline {base_val:.2f}; "
                     f"floor {threshold:.0%})"
                 )

@@ -19,7 +19,7 @@ The package provides:
 * :mod:`repro.baselines` — naive/centralized/related-model baselines;
 * :mod:`repro.analysis` — bound-ratio analysis used by the benchmarks;
 * :mod:`repro.obs` — structured observability: typed events, metric
-  registries, pluggable sinks, and the ``repro profile`` CLI.
+  registries, event sinks, and the ``repro profile`` CLI.
 
 Quickstart::
 

@@ -118,8 +118,9 @@ class MCBNetwork(ObservableMixin):
         :class:`~repro.mcb.trace.TraceEvent` in :attr:`events` (this is
         implemented as a built-in :class:`~repro.obs.hooks.TraceObserver`
         on the observability hooks; attach your own observers with
-        :meth:`attach_observer` for structured events, metrics, or
-        persistent sinks — see :mod:`repro.obs`).
+        :meth:`attach_observer` for structured events, metrics, or an
+        :class:`~repro.obs.hooks.EventLog` to write through a sink — see
+        :mod:`repro.obs`).
 
     Examples
     --------

@@ -3,14 +3,15 @@
 The paper's whole empirical argument is cost accounting ("complexity is
 measured in terms of the total number of cycles and the total number of
 broadcast messages", Section 2).  This subsystem turns that accounting
-into an operable pipeline instead of process-local state:
+into observable, exportable data instead of process-local state.
+Observers are the only way events are delivered; sinks only write:
 
 * :mod:`repro.obs.events` — typed run/phase/message/collision events;
-* :mod:`repro.obs.ring` — bounded buffering with overflow accounting;
-* :mod:`repro.obs.sinks` — memory / JSONL / CSV / null sinks + fan-out;
-* :mod:`repro.obs.pipeline` — events -> ring -> sinks plumbing;
+* :mod:`repro.obs.hooks` — the observer API the engines dispatch into,
+  plus the built-in observers (metrics, trace rows, the recording
+  :class:`~repro.obs.hooks.EventLog`);
+* :mod:`repro.obs.sinks` — memory / JSONL / CSV writers for events;
 * :mod:`repro.obs.metrics` — counters/gauges/histograms + snapshots;
-* :mod:`repro.obs.hooks` — the observer API the engines dispatch into;
 * :mod:`repro.obs.trace` — cycle-accurate processor/channel timelines
   with Chrome Trace Event / Perfetto export
   (``python -m repro timeline``);
@@ -51,10 +52,10 @@ from .events import (
 )
 from .hooks import (
     Dispatcher,
+    EventLog,
     MetricsObserver,
     ObservableMixin,
     Observer,
-    PipelineObserver,
     TraceObserver,
 )
 from .metrics import (
@@ -65,10 +66,8 @@ from .metrics import (
     QuantileSketch,
     global_registry,
 )
-from .pipeline import DEFAULT_CAPACITY, EventPipeline
 from .profile import PhaseProfile, Profiler, ProfileReport
-from .ring import RingBuffer
-from .sinks import CsvSink, FanOutSink, JsonlSink, MemorySink, NullSink, Sink
+from .sinks import CsvSink, JsonlSink, MemorySink, Sink
 from .trace import (
     TraceBuilder,
     chrome_trace_phase_totals,
@@ -82,11 +81,9 @@ __all__ = [
     "CollisionDetected",
     "Counter",
     "CsvSink",
-    "DEFAULT_CAPACITY",
     "Dispatcher",
     "EVENT_TYPES",
-    "EventPipeline",
-    "FanOutSink",
+    "EventLog",
     "FastForward",
     "Gauge",
     "Histogram",
@@ -103,7 +100,6 @@ __all__ = [
     "MessageBroadcast",
     "MetricsObserver",
     "MetricsRegistry",
-    "NullSink",
     "ObsEvent",
     "ObservableMixin",
     "Observer",
@@ -111,11 +107,9 @@ __all__ = [
     "PhaseEnded",
     "PhaseProfile",
     "PhaseStarted",
-    "PipelineObserver",
     "ProcessorSlept",
     "Profiler",
     "ProfileReport",
-    "RingBuffer",
     "Sink",
     "TraceBuilder",
     "TraceObserver",

@@ -179,11 +179,11 @@ def cmd_profile(args) -> int:
 
     if args.events:
         with JsonlSink(args.events) as sink:
-            for ev in prof.sink.events:
+            for ev in prof.events:
                 sink.emit(ev)
     if args.csv:
         with CsvSink(args.csv) as sink:
-            for ev in prof.sink.events:
+            for ev in prof.events:
                 sink.emit(ev)
     if args.prom:
         # Include the process-wide families (plan/schedule cache

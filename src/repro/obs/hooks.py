@@ -43,7 +43,6 @@ from .events import (
     ProcessorSlept,
 )
 from .metrics import MetricsRegistry
-from .pipeline import EventPipeline
 
 
 class Observer:
@@ -277,47 +276,21 @@ class MetricsObserver(Observer):
         return self.registry.snapshot()
 
 
-class PipelineObserver(Observer):
-    """Publish every event into an :class:`EventPipeline`.
+class EventLog(Observer):
+    """Record every event, in dispatch order, in ``events``.
 
-    Publishing is an O(1) ring append; the pipeline is flushed to its
-    sinks at phase boundaries (and on ``close()``), keeping sink I/O out
-    of the cycle loop.
+    The profiler buckets its timeline from this list, and tests use it
+    to capture an engine's event stream; write ``events`` through a
+    :class:`~repro.obs.sinks.JsonlSink` or ``CsvSink`` to persist them.
     """
 
-    def __init__(self, pipeline: EventPipeline):
-        self.pipeline = pipeline
+    def __init__(self) -> None:
+        self.events: list[ObsEvent] = []
 
-    def on_phase_start(self, event: PhaseStarted) -> None:
-        """Publish the event into the pipeline's ring buffer."""
-        self.pipeline.publish(event)
+    def _record(self, event: ObsEvent) -> None:
+        """Append the event to ``events``."""
+        self.events.append(event)
 
-    def on_message(self, event: MessageBroadcast) -> None:
-        """Publish the event into the pipeline's ring buffer."""
-        self.pipeline.publish(event)
-
-    def on_collision(self, event: CollisionDetected) -> None:
-        """Publish the event into the pipeline's ring buffer."""
-        self.pipeline.publish(event)
-
-    def on_fast_forward(self, event: FastForward) -> None:
-        """Publish the event into the pipeline's ring buffer."""
-        self.pipeline.publish(event)
-
-    def on_processor_slept(self, event: ProcessorSlept) -> None:
-        """Publish the event into the pipeline's ring buffer."""
-        self.pipeline.publish(event)
-
-    def on_listen_parked(self, event: ListenParked) -> None:
-        """Publish the event into the pipeline's ring buffer."""
-        self.pipeline.publish(event)
-
-    def on_listen_woken(self, event: ListenWoken) -> None:
-        """Publish the event into the pipeline's ring buffer."""
-        self.pipeline.publish(event)
-
-    def on_phase_end(self, event: PhaseEnded) -> None:
-        """Publish the event, then flush to sinks at the phase boundary."""
-        self.pipeline.publish(event)
-        if self.pipeline.auto_flush:
-            self.pipeline.flush()
+    on_phase_start = on_phase_end = on_message = on_collision = _record
+    on_fast_forward = on_processor_slept = _record
+    on_listen_parked = on_listen_woken = _record

@@ -1,9 +1,9 @@
 """Profiler: run an algorithm under full instrumentation, report costs.
 
 :class:`Profiler` wraps a network with the whole obs stack — a
-:class:`~repro.obs.hooks.MetricsObserver` plus a
-:class:`~repro.obs.hooks.PipelineObserver` feeding an in-memory sink —
-runs whatever the caller executes on that network, and distills a
+:class:`~repro.obs.hooks.MetricsObserver` plus an
+:class:`~repro.obs.hooks.EventLog` that records every event — runs
+whatever the caller executes on that network, and distills a
 :class:`ProfileReport`:
 
 * per-phase cycles / messages / bits / utilization / hottest channel /
@@ -12,7 +12,7 @@ runs whatever the caller executes on that network, and distills a
   stream only adds the timeline);
 * a run-wide channel-utilization timeline (phases laid end to end on a
   global cycle axis, bucketed);
-* the metrics-registry snapshot and pipeline health counters.
+* the metrics-registry snapshot.
 
 Used by ``python -m repro profile`` (see :mod:`repro.obs.cli`) and by
 the benchmark recorder.
@@ -24,11 +24,9 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from ..bounds.overlay import overlay_phases
-from .events import MessageBroadcast, PhaseEnded, PhaseStarted
-from .hooks import MetricsObserver, PipelineObserver
+from .events import MessageBroadcast, PhaseEnded
+from .hooks import EventLog, MetricsObserver
 from .metrics import MetricsRegistry
-from .pipeline import EventPipeline
-from .sinks import MemorySink
 
 _SPARK = "▁▂▃▄▅▆▇█"
 
@@ -107,7 +105,6 @@ class ProfileReport:
     totals: dict[str, Any]
     timeline: dict[str, Any]
     metrics: dict[str, Any] = field(default_factory=dict)
-    pipeline: dict[str, Any] = field(default_factory=dict)
     observer_errors: dict[str, int] = field(default_factory=dict)
 
     def to_dict(self) -> dict[str, Any]:
@@ -118,12 +115,11 @@ class ProfileReport:
             "totals": self.totals,
             "timeline": self.timeline,
             "metrics": self.metrics,
-            "pipeline": self.pipeline,
             "observer_errors": dict(self.observer_errors),
         }
 
     def warnings(self) -> list[str]:
-        """Human-readable warnings (observer failures, dropped events)."""
+        """Human-readable warnings (observer failures)."""
         out = []
         for name, count in sorted(self.observer_errors.items()):
             out.append(
@@ -197,11 +193,6 @@ class ProfileReport:
                 f"{len(util)} buckets, peak {peak:.3f}):"
             )
             lines.append(f"  [{spark}]")
-        if self.pipeline.get("dropped"):
-            lines.append(
-                f"note: event ring dropped {self.pipeline['dropped']} events; "
-                "timeline is a lower bound"
-            )
         warns = self.warnings()
         if warns:
             lines.append("")
@@ -229,7 +220,6 @@ class Profiler:
         net: Any,
         *,
         config: Optional[dict[str, Any]] = None,
-        capacity: int = 1 << 20,
         timeline_buckets: int = 60,
         registry: Optional[MetricsRegistry] = None,
         theory: Optional[dict[str, Any]] = None,
@@ -238,15 +228,18 @@ class Profiler:
         self.config = dict(config or {})
         self.theory = dict(theory) if theory else None
         self.timeline_buckets = timeline_buckets
-        self.sink = MemorySink()
-        self.events_pipeline = EventPipeline([self.sink], capacity=capacity)
         self.metrics_observer = MetricsObserver(registry)
-        self.pipeline_observer = PipelineObserver(self.events_pipeline)
+        self.event_log = EventLog()
         self._attached = False
         self._observer_errors: dict[str, int] = {}
         self._err_disp: Any = None
         self._err_seen: dict[str, int] = {}
         self._global_before: dict[str, dict] = {}
+
+    @property
+    def events(self) -> list:
+        """Every event the run dispatched, in order."""
+        return self.event_log.events
 
     # ------------------------------------------------------------------
     def __enter__(self) -> "Profiler":
@@ -259,7 +252,7 @@ class Profiler:
             if name in reg
         }
         self.net.attach_observer(self.metrics_observer)
-        self.net.attach_observer(self.pipeline_observer)
+        self.net.attach_observer(self.event_log)
         self._attached = True
         return self
 
@@ -267,11 +260,10 @@ class Profiler:
         self.detach()
 
     def detach(self) -> None:
-        """Flush the pipeline and remove both observers (idempotent)."""
+        """Remove both observers (idempotent)."""
         if self._attached:
-            self.events_pipeline.flush()
             self._capture_observer_errors()
-            self.net.detach_observer(self.pipeline_observer)
+            self.net.detach_observer(self.event_log)
             self.net.detach_observer(self.metrics_observer)
             self._attached = False
 
@@ -300,7 +292,6 @@ class Profiler:
     # ------------------------------------------------------------------
     def report(self) -> ProfileReport:
         """Build the report from ``net.stats`` + the captured events."""
-        self.events_pipeline.flush()
         if self._attached:
             self._capture_observer_errors()
         stats = self.net.stats
@@ -356,7 +347,6 @@ class Profiler:
             totals=totals,
             timeline=self._timeline(total_cycles, k),
             metrics=self._merged_metrics(),
-            pipeline=self.events_pipeline.stats(),
             observer_errors=dict(self._observer_errors),
         )
 
@@ -434,7 +424,7 @@ class Profiler:
         width = total_cycles / buckets
         counts = [0] * buckets
         offset = 0
-        for ev in self.sink.events:
+        for ev in self.events:
             if isinstance(ev, MessageBroadcast):
                 g = offset + ev.cycle
                 idx = min(buckets - 1, int(g / width))

@@ -1,19 +1,17 @@
-"""Pluggable event sinks: where observability events go to live.
+"""Event sinks: plain writers for observability events.
 
-A sink consumes event dicts (or anything with a ``to_dict()``).  Four
-built-ins cover the paper-reproduction workflows:
+A sink consumes event dicts (or anything with a ``to_dict()``) and
+writes them somewhere.  Sinks do no routing, buffering or failure
+isolation of their own: engines deliver events to observers (see
+:mod:`repro.obs.hooks`), and whoever owns a sink calls ``emit`` —
+``repro profile --events/--csv`` over the profiler's recorded events,
+the job service for lifecycle events (counting, not raising, a failed
+emit).  Three built-ins:
 
-* :class:`MemorySink` — keep events in process (tests, profiler);
+* :class:`MemorySink` — keep events in process;
 * :class:`JsonlSink` — one JSON object per line (machine-readable runs,
-  the benchmark recorder);
-* :class:`CsvSink` — flat spreadsheet-friendly projection;
-* :class:`NullSink` — count-and-discard (overhead baselines).
-
-:class:`FanOutSink` composes them, isolating failures: one broken sink
-(full disk, closed file, buggy plugin) must never abort an MCB run or
-starve its sibling sinks, so ``emit`` swallows per-sink exceptions and
-accounts them in ``errors``; a sink is quarantined after
-``max_errors`` consecutive failures.
+  the service's ``--events-jsonl`` stream);
+* :class:`CsvSink` — flat spreadsheet-friendly projection.
 """
 
 from __future__ import annotations
@@ -22,9 +20,7 @@ import csv
 import io
 import json
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Optional, Union
-
-from .ring import RingBuffer
+from typing import Any, Mapping, Optional, Union
 
 
 def _as_dict(event: Any) -> Mapping[str, Any]:
@@ -61,53 +57,27 @@ class Sink:
         self.close()
 
 
-class NullSink(Sink):
-    """Discard every event, keeping only a count (overhead baseline)."""
+class MemorySink(Sink):
+    """Keep every emitted event in memory."""
 
     def __init__(self) -> None:
-        self.count = 0
-
-    def emit(self, event: Any) -> None:
-        """Bump ``count`` and drop the event."""
-        self.count += 1
-
-
-class MemorySink(Sink):
-    """Buffer events in memory, bounded by an optional ring capacity."""
-
-    def __init__(self, capacity: Optional[int] = None):
-        self._ring: Optional[RingBuffer] = (
-            RingBuffer(capacity) if capacity is not None else None
-        )
         self._items: list[Any] = []
 
     def emit(self, event: Any) -> None:
-        """Buffer the event (evicting the oldest when bounded and full)."""
-        if self._ring is not None:
-            self._ring.append(event)
-        else:
-            self._items.append(event)
+        """Append the event."""
+        self._items.append(event)
 
     @property
     def events(self) -> list[Any]:
         """Buffered events, oldest first."""
-        if self._ring is not None:
-            return list(self._ring)
         return list(self._items)
 
-    @property
-    def dropped(self) -> int:
-        """Events evicted by the bounding ring (0 when unbounded)."""
-        return self._ring.dropped if self._ring is not None else 0
-
     def clear(self) -> None:
-        """Forget every buffered event (and any drop accounting)."""
-        if self._ring is not None:
-            self._ring.clear()
+        """Forget every buffered event."""
         self._items.clear()
 
     def __len__(self) -> int:
-        return len(self._ring) if self._ring is not None else len(self._items)
+        return len(self._items)
 
 
 class JsonlSink(Sink):
@@ -171,12 +141,12 @@ class JsonlSink(Sink):
 class CsvSink(Sink):
     """Flatten events onto a fixed column set; unknown fields go to ``extra``.
 
-    The header is written on first emit from ``columns`` (default: the
-    union of the core event schema).  Fields outside the column set are
+    The header is written on first emit from ``COLUMNS`` (the union of
+    the core event schema).  Fields outside the column set are
     JSON-packed into the ``extra`` column so no information is lost.
     """
 
-    DEFAULT_COLUMNS = (
+    COLUMNS = (
         "kind",
         "phase",
         "cycle",
@@ -190,12 +160,7 @@ class CsvSink(Sink):
         "utilization",
     )
 
-    def __init__(
-        self,
-        target: Union[str, Path, io.TextIOBase, Any],
-        columns: Optional[Iterable[str]] = None,
-    ):
-        self.columns = tuple(columns) if columns is not None else self.DEFAULT_COLUMNS
+    def __init__(self, target: Union[str, Path, io.TextIOBase, Any]):
         self._path: Optional[Path] = None
         self._fh: Optional[Any] = None
         self._owns_fh = False
@@ -214,7 +179,7 @@ class CsvSink(Sink):
                 self._fh = self._path.open("w", encoding="utf-8", newline="")
                 self._owns_fh = True
             self._writer = csv.DictWriter(
-                self._fh, fieldnames=list(self.columns) + ["extra"]
+                self._fh, fieldnames=list(self.COLUMNS) + ["extra"]
             )
             self._writer.writeheader()
         return self._writer
@@ -223,7 +188,7 @@ class CsvSink(Sink):
         """Write the event as one CSV row (header on first emit)."""
         payload = dict(_as_dict(event))
         row = {}
-        for col in self.columns:
+        for col in self.COLUMNS:
             value = payload.pop(col, "")
             if isinstance(value, (tuple, list)):
                 value = " ".join(str(v) for v in value)
@@ -248,57 +213,3 @@ class CsvSink(Sink):
             if self._owns_fh:
                 self._fh.close()
                 self._fh = None
-
-
-class FanOutSink(Sink):
-    """Forward each event to every child sink, isolating failures.
-
-    A child that raises does not abort the emit: the exception is
-    counted in ``errors[i]`` (indexed like ``sinks``) and the remaining
-    children still receive the event.  After ``max_errors`` consecutive
-    failures a child is quarantined (skipped) so a permanently broken
-    sink cannot slow the run; a successful emit resets its streak.
-    """
-
-    def __init__(self, sinks: Iterable[Sink], *, max_errors: int = 10):
-        self.sinks = list(sinks)
-        self.max_errors = max_errors
-        self.errors = [0] * len(self.sinks)
-        self._streak = [0] * len(self.sinks)
-        self.quarantined = [False] * len(self.sinks)
-
-    def emit(self, event: Any) -> None:
-        """Deliver the event to every non-quarantined child sink."""
-        for i, sink in enumerate(self.sinks):
-            if self.quarantined[i]:
-                continue
-            try:
-                sink.emit(event)
-            except Exception:
-                self.errors[i] += 1
-                self._streak[i] += 1
-                if self._streak[i] >= self.max_errors:
-                    self.quarantined[i] = True
-            else:
-                self._streak[i] = 0
-
-    @property
-    def total_errors(self) -> int:
-        """Sum of failures across all child sinks."""
-        return sum(self.errors)
-
-    def flush(self) -> None:
-        """Flush every child, accounting (not raising) failures."""
-        for i, sink in enumerate(self.sinks):
-            try:
-                sink.flush()
-            except Exception:
-                self.errors[i] += 1
-
-    def close(self) -> None:
-        """Close every child, accounting (not raising) failures."""
-        for i, sink in enumerate(self.sinks):
-            try:
-                sink.close()
-            except Exception:
-                self.errors[i] += 1

@@ -13,8 +13,6 @@ become *workloads* behind an HTTP API instead of one-shot scripts.
   ProcessPool, lane-granular result cache, metrics, graceful drain;
 * :mod:`repro.service.http` — stdlib-asyncio HTTP/1.1 front end
   (``POST /jobs``, ``GET /jobs/{id}``, ``GET /metrics``, ...);
-* :mod:`repro.service.sinks` — pluggable per-job sink registry for
-  lifecycle events (JSONL/CSV/memory/fanout + :func:`register_sink`);
 * :mod:`repro.service.execution` — the picklable pool-side executors;
 * :mod:`repro.service.cli` — ``python -m repro serve``.
 
@@ -46,7 +44,6 @@ from .app import (
 )
 from .http import ServiceServer
 from .jobs import Job, JobSpec, JobState
-from .sinks import build_sink, register_sink, sink_kinds
 
 __all__ = [
     "EXECUTOR_MODES",
@@ -59,7 +56,4 @@ __all__ = [
     "ServiceClosedError",
     "ServiceError",
     "ServiceServer",
-    "build_sink",
-    "register_sink",
-    "sink_kinds",
 ]

@@ -50,7 +50,7 @@ from ..obs.events import (
     JobStarted,
 )
 from ..obs.metrics import MetricsRegistry, global_registry
-from ..obs.sinks import FanOutSink, Sink
+from ..obs.sinks import Sink
 from .execution import (
     prewarm_worker,
     run_batch_lanes,
@@ -59,7 +59,6 @@ from .execution import (
     run_lane_metered,
 )
 from .jobs import Job, JobSpec, JobState
-from .sinks import build_sink
 
 #: Sub-second-resolution buckets for request/job latency histograms (the
 #: registry default buckets are sized for cycle counts, not seconds).
@@ -118,8 +117,9 @@ class ServiceApp:
         ``/metrics`` exposition.
     sink:
         Optional service-wide :class:`~repro.obs.sinks.Sink` for job
-        lifecycle events (closed by :meth:`shutdown`); per-job sinks
-        from ``spec.sinks`` are layered on top.
+        lifecycle events (closed by :meth:`shutdown`).  It is the only
+        event destination: a job cannot name its own, so no client
+        chooses a path the server writes to.
     keep_finished:
         How many terminal jobs to retain for ``GET /jobs/{id}`` before
         evicting the oldest — the bounded-memory guarantee under
@@ -269,11 +269,7 @@ class ServiceApp:
         if self._pool is not None:
             self._pool.shutdown(wait=False, cancel_futures=True)
             self._pool = None
-        if self._sink is not None:
-            try:
-                self._sink.close()
-            except Exception:
-                self._m_sink_errors.inc()
+        self._close_sink()
         return aborted
 
     async def join(self) -> None:
@@ -298,33 +294,24 @@ class ServiceApp:
         spec.validate()
         self._next_id += 1
         job_id = f"job-{self._next_id:06d}"
-        job_sink: Optional[Sink] = None
-        if spec.sinks:
-            built = [build_sink(cfg) for cfg in spec.sinks]
-            job_sink = built[0] if len(built) == 1 else FanOutSink(built)
-        job = Job(
-            id=job_id, spec=spec, submitted_at=time.time(), sink=job_sink
-        )
+        job = Job(id=job_id, spec=spec, submitted_at=time.time())
         try:
             self._queue.put_nowait(job)
         except asyncio.QueueFull:
             retry_after = self._retry_after()
             self._m_jobs.inc(status="rejected")
             self._emit(
-                job_sink,
                 JobRejected(
                     job_id=job_id,
                     queue_depth=self._queue.qsize(),
                     retry_after_s=retry_after,
-                ),
+                )
             )
-            self._close_sink(job_sink)
             raise QueueFullError(retry_after) from None
         self._jobs[job_id] = job
         self._m_jobs.inc(status="queued")
         self._m_depth.set(self._queue.qsize())
         self._emit(
-            job_sink,
             JobQueued(
                 job_id=job_id,
                 algorithm=spec.algorithm,
@@ -335,7 +322,7 @@ class ServiceApp:
                 engine=spec.engine,
                 batch=spec.batch,
                 queue_depth=self._queue.qsize(),
-            ),
+            )
         )
         return job
 
@@ -376,12 +363,11 @@ class ServiceApp:
         job.worker = wid
         self._m_inflight.inc()
         self._emit(
-            job.sink,
             JobStarted(
                 job_id=job.id,
                 worker=wid,
                 queue_wait_s=round(job.started_at - job.submitted_at, 6),
-            ),
+            )
         )
         try:
             result, hits, misses = await self._run_job(job.spec)
@@ -390,7 +376,7 @@ class ServiceApp:
             job.state = JobState.FAILED
             job.error = f"{type(exc).__name__}: {exc}"
             self._m_jobs.inc(status="failed")
-            self._emit(job.sink, JobFailed(job_id=job.id, error=job.error))
+            self._emit(JobFailed(job_id=job.id, error=job.error))
         else:
             job.finished_at = time.time()
             job.result = result
@@ -403,7 +389,6 @@ class ServiceApp:
             self._m_job_wall.observe(wall)
             totals = result.get("totals", {})
             self._emit(
-                job.sink,
                 JobFinished(
                     job_id=job.id,
                     cache_hits=hits,
@@ -411,16 +396,13 @@ class ServiceApp:
                     wall_s=round(wall, 6),
                     cycles=totals.get("cycles", 0),
                     messages=totals.get("messages", 0),
-                ),
+                )
             )
         finally:
             self._m_inflight.inc(-1)
             # On cancellation (deadline shutdown) the job is not terminal
-            # yet; the worker's abort path emits JobAborted and closes
-            # the sink itself.
+            # yet; the worker's abort path emits JobAborted itself.
             if job.state.is_terminal():
-                self._close_sink(job.sink)
-                job.sink = None
                 self._trim_finished(job)
 
     async def _run_job(
@@ -553,9 +535,7 @@ class ServiceApp:
         job.abort_reason = reason
         job.finished_at = time.time()
         self._m_jobs.inc(status="aborted")
-        self._emit(job.sink, JobAborted(job_id=job.id, reason=reason))
-        self._close_sink(job.sink)
-        job.sink = None
+        self._emit(JobAborted(job_id=job.id, reason=reason))
         self._trim_finished(job)
 
     def _trim_finished(self, job: Job) -> None:
@@ -565,21 +545,20 @@ class ServiceApp:
             victim = self._finished_order.popleft()
             self._jobs.pop(victim, None)
 
-    def _emit(self, job_sink: Optional[Sink], event) -> None:
+    def _emit(self, event) -> None:
         """Deliver one lifecycle event; a broken sink never fails a job."""
-        for sink in (self._sink, job_sink):
-            if sink is None:
-                continue
-            try:
-                sink.emit(event)
-            except Exception:
-                self._m_sink_errors.inc()
-
-    def _close_sink(self, sink: Optional[Sink]) -> None:
-        if sink is None or sink is self._sink:
+        if self._sink is None:
             return
         try:
-            sink.close()
+            self._sink.emit(event)
+        except Exception:
+            self._m_sink_errors.inc()
+
+    def _close_sink(self) -> None:
+        if self._sink is None:
+            return
+        try:
+            self._sink.close()
         except Exception:
             self._m_sink_errors.inc()
 

@@ -29,9 +29,9 @@ import signal
 import sys
 
 from ..bench.cache import ResultCache
+from ..obs.sinks import JsonlSink
 from .app import EXECUTOR_MODES, ServiceApp
 from .http import ServiceServer
-from .sinks import build_sink
 
 
 def add_serve_parser(sub) -> None:
@@ -124,11 +124,7 @@ def build_app(args) -> ServiceApp:
     if plan_cache is not None:
         # Via the environment so spawn-context pool workers inherit it.
         os.environ["REPRO_PLAN_CACHE"] = plan_cache
-    sink = None
-    if args.events_jsonl:
-        sink = build_sink(
-            {"kind": "jsonl", "path": args.events_jsonl, "mode": "a"}
-        )
+    sink = JsonlSink(args.events_jsonl, mode="a") if args.events_jsonl else None
     cache = ResultCache(args.cache_dir) if args.cache_dir else None
     return ServiceApp(
         queue_size=args.queue_size,

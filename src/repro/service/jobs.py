@@ -3,8 +3,7 @@
 A *job* is one sort/select workload — the paper's Θ(max{n/k, n_max})
 sort or O(n/k + log n · log log n) selection (§6–8) — expressed as the
 same ``(algorithm, p, k, n, seed, engine, backend)`` tuple the benchmark
-harness uses, plus an optional ``batch`` width for the vector engine and
-an optional list of per-job sink configs for lifecycle events.
+harness uses, plus an optional ``batch`` width for the vector engine.
 
 Validation happens at admission (``POST /jobs``), with the same
 :class:`~repro.mcb.errors.ConfigurationError` rules the engines enforce
@@ -16,8 +15,8 @@ queue, so workers only see runnable jobs.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Mapping, Optional
 
 from ..bench.cache import CacheKey
 from ..bench.runner import ALGORITHMS, BenchSpec
@@ -53,10 +52,6 @@ class JobSpec:
     instances — seeds ``seed .. seed+batch-1`` — in a single columnar
     pass (:func:`repro.sort.vector.sort_even_pk_batch`); each lane is
     cached individually under its own seed.
-
-    ``sinks`` is a tuple of sink configs (see
-    :func:`repro.service.sinks.build_sink`) that receive this job's
-    lifecycle events in addition to the service-wide sink.
     """
 
     algorithm: str
@@ -66,13 +61,11 @@ class JobSpec:
     seed: int = 0
     engine: str = "generator"
     batch: int = 1
-    sinks: tuple = ()
     backend: str = "columnsort"
 
     #: Fields accepted from a JSON payload (everything else is a 400).
     FIELDS = (
-        "algorithm", "p", "k", "n", "seed", "engine", "batch", "sinks",
-        "backend",
+        "algorithm", "p", "k", "n", "seed", "engine", "batch", "backend",
     )
 
     @classmethod
@@ -116,13 +109,6 @@ class JobSpec:
                     kwargs["p"], kwargs["k"], kwargs["n"]
                 )
             kwargs["backend"] = backend
-        if "sinks" in payload:
-            sinks = payload["sinks"]
-            if not isinstance(sinks, Sequence) or isinstance(sinks, (str, bytes)):
-                raise ConfigurationError(
-                    "job spec field 'sinks' must be a list of sink configs"
-                )
-            kwargs["sinks"] = tuple(sinks)
         spec = cls(**kwargs)
         spec.validate()
         return spec
@@ -248,9 +234,6 @@ class Job:
     result: Optional[dict[str, Any]] = None
     error: Optional[str] = None
     abort_reason: Optional[str] = None
-    #: Per-job sink (built from ``spec.sinks`` at admission), closed when
-    #: the job reaches a terminal state.  Not part of the status payload.
-    sink: Any = field(default=None, repr=False, compare=False)
 
     @property
     def wall_s(self) -> Optional[float]:

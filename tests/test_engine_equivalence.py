@@ -10,7 +10,7 @@ write, single read) over the sort, select, and lower-bound suites and
 demand *identical* per-processor results and *identical* accounting
 (``RunStats.to_dict()``: cycles, messages, bits, channel_writes,
 aux_peak, fast_forward_cycles) — plus identical profiler JSON, since the
-obs pipeline observes the run cycle by cycle.  ``TestSharedRules`` pins
+obs observers see the run cycle by cycle.  ``TestSharedRules`` pins
 the protocol rules every engine enforces alike.
 """
 

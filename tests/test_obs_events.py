@@ -1,4 +1,4 @@
-"""Tests for the obs event types and the bounded ring buffer."""
+"""Tests for the obs event types."""
 
 import json
 
@@ -20,7 +20,6 @@ from repro.obs import (
     PhaseEnded,
     PhaseStarted,
     ProcessorSlept,
-    RingBuffer,
     from_dict,
 )
 
@@ -99,43 +98,3 @@ class TestEventSchema:
 
     def test_fast_forward_skipped(self):
         assert FastForward(phase="x", from_cycle=3, to_cycle=9).skipped == 6
-
-
-class TestRingBuffer:
-    def test_rejects_nonpositive_capacity(self):
-        with pytest.raises(ValueError):
-            RingBuffer(0)
-
-    def test_keeps_newest_and_counts_drops(self):
-        ring = RingBuffer(3)
-        for i in range(5):
-            ring.append(i)
-        assert list(ring) == [2, 3, 4]
-        assert ring.dropped == 2
-        assert ring.pushed == 5
-        assert len(ring) == 3
-
-    def test_no_drops_under_capacity(self):
-        ring = RingBuffer(10)
-        ring.extend(range(10))
-        assert ring.dropped == 0
-        assert list(ring) == list(range(10))
-
-    def test_drain_empties_but_keeps_counters(self):
-        ring = RingBuffer(2)
-        ring.extend([1, 2, 3])
-        assert ring.drain() == [2, 3]
-        assert len(ring) == 0
-        assert ring.dropped == 1
-        assert ring.pushed == 3
-        # buffer is reusable after drain
-        ring.append(9)
-        assert list(ring) == [9]
-
-    def test_clear_resets_counters(self):
-        ring = RingBuffer(1)
-        ring.extend([1, 2])
-        ring.clear()
-        assert ring.dropped == 0
-        assert ring.pushed == 0
-        assert len(ring) == 0

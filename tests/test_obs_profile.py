@@ -56,6 +56,11 @@ class TestProfiler:
         assert tl["total_cycles"] == net.stats.cycles
         assert len(tl["utilization"]) == 10
         assert all(u >= 0 for u in tl["utilization"])
+        # Exact, not a lower bound: the buckets hold every message; the
+        # only slack is the rounding of utilization and bucket width.
+        k = net.k
+        bucketed = sum(u * tl["bucket_cycles"] * k for u in tl["utilization"])
+        assert abs(bucketed - net.stats.messages) < 0.5
 
     def test_detaches_on_exit(self):
         net = MCBNetwork(p=2, k=1)

@@ -1,4 +1,4 @@
-"""Tests for the obs sinks, fan-out isolation, and the event pipeline."""
+"""Tests for the obs sinks."""
 
 import csv
 import io
@@ -8,14 +8,10 @@ import pytest
 
 from repro.obs import (
     CsvSink,
-    EventPipeline,
-    FanOutSink,
     JsonlSink,
     MemorySink,
     MessageBroadcast,
-    NullSink,
     PhaseStarted,
-    Sink,
 )
 
 
@@ -26,46 +22,19 @@ def _msg(cycle=0, channel=1):
     )
 
 
-class _Boom(Sink):
-    """A sink that always raises."""
-
-    def __init__(self):
-        self.attempts = 0
-
-    def emit(self, event):
-        self.attempts += 1
-        raise RuntimeError("sink is broken")
-
-
 class TestMemorySink:
     def test_unbounded_keeps_everything(self):
         sink = MemorySink()
         for i in range(100):
             sink.emit(_msg(i))
         assert len(sink) == 100
-        assert sink.dropped == 0
-
-    def test_bounded_drops_oldest(self):
-        sink = MemorySink(capacity=10)
-        for i in range(25):
-            sink.emit(_msg(i))
-        assert len(sink) == 10
-        assert sink.dropped == 15
-        assert sink.events[0].cycle == 15
+        assert [e.cycle for e in sink.events] == list(range(100))
 
     def test_clear(self):
-        sink = MemorySink(capacity=2)
+        sink = MemorySink()
         sink.emit(_msg())
         sink.clear()
         assert len(sink) == 0
-
-
-class TestNullSink:
-    def test_counts_and_discards(self):
-        sink = NullSink()
-        for i in range(7):
-            sink.emit(_msg(i))
-        assert sink.count == 7
 
 
 class TestJsonlSink:
@@ -112,91 +81,3 @@ class TestCsvSink:
         # fields outside the column set are preserved in `extra`
         assert "fields" in json.loads(rows[0]["extra"])
         assert rows[1]["kind"] == "phase_start"
-
-
-class TestFanOutSink:
-    def test_delivers_to_all(self):
-        a, b = MemorySink(), MemorySink()
-        fan = FanOutSink([a, b])
-        fan.emit(_msg())
-        assert len(a) == len(b) == 1
-
-    def test_broken_sink_does_not_starve_siblings(self):
-        boom, ok = _Boom(), MemorySink()
-        fan = FanOutSink([boom, ok])
-        for i in range(5):
-            fan.emit(_msg(i))
-        assert len(ok) == 5
-        assert fan.errors[0] == 5
-        assert fan.total_errors == 5
-
-    def test_quarantine_after_max_errors(self):
-        boom, ok = _Boom(), MemorySink()
-        fan = FanOutSink([boom, ok], max_errors=3)
-        for i in range(10):
-            fan.emit(_msg(i))
-        assert boom.attempts == 3  # stopped being called
-        assert fan.quarantined == [True, False]
-        assert len(ok) == 10
-
-    def test_success_resets_streak(self):
-        class Flaky(Sink):
-            def __init__(self):
-                self.n = 0
-
-            def emit(self, event):
-                self.n += 1
-                if self.n % 2:
-                    raise RuntimeError("flaky")
-
-        flaky = Flaky()
-        fan = FanOutSink([flaky], max_errors=3)
-        for i in range(20):
-            fan.emit(_msg(i))
-        assert fan.quarantined == [False]
-        assert fan.errors[0] == 10
-
-
-class TestEventPipeline:
-    def test_publish_then_flush_reaches_sinks(self):
-        sink = MemorySink()
-        pipe = EventPipeline([sink], capacity=100)
-        pipe.publish(_msg(0))
-        assert len(sink) == 0  # buffered, not delivered
-        pipe.flush()
-        assert len(sink) == 1
-        assert pipe.stats()["flushed"] == 1
-
-    def test_overflow_is_counted_and_reported_to_sinks(self):
-        sink = MemorySink()
-        pipe = EventPipeline([sink], capacity=3)
-        for i in range(10):
-            pipe.publish(_msg(i))
-        pipe.flush()
-        assert pipe.stats()["dropped"] == 7
-        # the sink saw a synthetic drop record first, then the survivors
-        kinds = [
-            e["kind"] if isinstance(e, dict) else e.kind for e in sink.events
-        ]
-        assert kinds[0] == "events_dropped"
-        assert sink.events[0]["count"] == 7
-        assert len(sink.events) == 4
-
-    def test_drop_report_is_incremental(self):
-        sink = MemorySink()
-        pipe = EventPipeline([sink], capacity=1)
-        pipe.publish(_msg(0))
-        pipe.publish(_msg(1))
-        pipe.flush()
-        pipe.publish(_msg(2))
-        pipe.flush()  # no *new* drops since last flush
-        drops = [e for e in sink.events if isinstance(e, dict)]
-        assert [d["count"] for d in drops] == [1]
-
-    def test_add_sink_joins_fanout(self):
-        pipe = EventPipeline(capacity=10)
-        late = MemorySink()
-        pipe.add_sink(late)
-        pipe.publish(_msg())
-        pipe.close()
-        assert len(late) == 1

@@ -8,17 +8,13 @@ per-phase cycle/message totals *exactly* against ``RunStats.to_dict()``
 
 from __future__ import annotations
 
-import io
 import json
 
 from repro.core import Distribution
 from repro.mcb import CycleOp, Listen, MCBNetwork, Message, Sleep
 from repro.mcb.reference import ReferenceMCBNetwork
 from repro.obs import (
-    CsvSink,
-    EventPipeline,
-    MemorySink,
-    PipelineObserver,
+    EventLog,
     TraceBuilder,
     chrome_trace_phase_totals,
     to_chrome_trace,
@@ -205,12 +201,10 @@ class TestEngineParity:
             return (off, msg.fields)
 
         def capture(net):
-            sink = MemorySink()
-            pipe = EventPipeline([sink])
-            net.attach_observer(PipelineObserver(pipe))
+            log = EventLog()
+            net.attach_observer(log)
             out = net.run({pid: prog for pid in range(1, 5)}, phase="parity")
-            pipe.flush()
-            return out, [ev.to_dict() for ev in sink.events]
+            return out, [ev.to_dict() for ev in log.events]
 
         out_fast, ev_fast = capture(MCBNetwork(p=4, k=2))
         out_ref, ev_ref = capture(ReferenceMCBNetwork(p=4, k=2))
@@ -232,23 +226,6 @@ class TestEngineParity:
         doc_fast = trace_of(MCBNetwork(p=8, k=4))
         doc_ref = trace_of(ReferenceMCBNetwork(p=8, k=4))
         assert doc_fast["traceEvents"] == doc_ref["traceEvents"]
-
-
-class TestDroppedEventsMarker:
-    def test_events_dropped_surfaces_through_csv_sink(self):
-        # A tiny ring forces evictions; the flush must prepend the
-        # self-describing events_dropped record, and CsvSink must carry
-        # it through to the persisted stream.
-        buf = io.StringIO()
-        csv_sink = CsvSink(buf)
-        pipe = EventPipeline([csv_sink], capacity=8)
-        net = MCBNetwork(p=8, k=2)
-        net.attach_observer(PipelineObserver(pipe))
-        mcb_sort(net, Distribution.even(128, 8, seed=4))
-        pipe.flush()
-        assert pipe.stats()["dropped"] > 0
-        text = buf.getvalue()
-        assert "events_dropped" in text
 
 
 class TestTimelineCli:

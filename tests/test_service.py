@@ -9,22 +9,26 @@ shutdown assertions deterministic.
 from __future__ import annotations
 
 import asyncio
+import json
 
 import pytest
 
 from repro.bench.cache import CacheKey, ResultCache
 from repro.bench.runner import BenchSpec, resolve_max_workers, run_config
 from repro.mcb.errors import ConfigurationError
-from repro.obs import MemorySink, MetricsRegistry, global_registry
+from repro.obs import (
+    JsonlSink,
+    MemorySink,
+    MetricsRegistry,
+    Sink,
+    global_registry,
+)
 from repro.service import (
     JobSpec,
     JobState,
     QueueFullError,
     ServiceApp,
     ServiceClosedError,
-    build_sink,
-    register_sink,
-    sink_kinds,
 )
 
 #: Small even-pk configuration: p = k = 4, m = 16 >= k(k-1), 4 | 16.
@@ -77,6 +81,10 @@ class TestSpecValidation:
             JobSpec.from_payload({**SORT, "frobnicate": 1})
         with pytest.raises(ConfigurationError, match="unknown job spec"):
             JobSpec.from_payload({**SORT, "shards": 2})  # removed field
+        with pytest.raises(ConfigurationError, match="unknown job spec"):
+            JobSpec.from_payload(  # removed field: clients name no paths
+                {**SORT, "sinks": [{"kind": "jsonl", "path": "x.jsonl"}]}
+            )
         with pytest.raises(ConfigurationError):
             JobSpec.from_payload({**SORT, "p": "four"})
         with pytest.raises(ConfigurationError):
@@ -84,9 +92,9 @@ class TestSpecValidation:
         with pytest.raises(ConfigurationError):
             JobSpec.from_payload([1, 2, 3])
 
-    def test_from_payload_accepts_sinks(self):
-        spec = JobSpec.from_payload({**SORT, "sinks": ["memory"]})
-        assert spec.sinks == ("memory",)
+    def test_from_payload_rejects_sinks(self):
+        with pytest.raises(ConfigurationError, match="'sinks'"):
+            JobSpec.from_payload({**SORT, "sinks": ["memory"]})
 
     def test_lane_keys_alias_solo_runs(self):
         spec = JobSpec(**{**SORT, "engine": "vector", "batch": 3})
@@ -329,61 +337,46 @@ class TestShutdown:
         drive(scenario())
 
 
-class TestSinkRegistry:
-    def test_builtin_kinds(self):
-        assert {"null", "memory", "jsonl", "csv", "fanout"} <= set(sink_kinds())
-
-    def test_build_from_string_and_object(self, tmp_path):
-        assert build_sink("null").emit({"kind": "x"}) is None
-        sink = build_sink({"kind": "jsonl", "path": str(tmp_path / "e.jsonl")})
-        sink.emit({"kind": "x"})
-        sink.close()
-        assert (tmp_path / "e.jsonl").read_text().strip() == '{"kind":"x"}'
-
-    def test_fanout_composes_children(self):
-        sink = build_sink({"kind": "fanout", "children": ["null", "memory"]})
-        sink.emit({"kind": "x"})
-        assert len(sink.sinks[1].events) == 1
-
-    def test_unknown_kind_is_configuration_error(self):
-        with pytest.raises(ConfigurationError):
-            build_sink("martian")
-        with pytest.raises(ConfigurationError):
-            build_sink({"kind": "jsonl"})  # missing path
-        with pytest.raises(ConfigurationError):
-            build_sink({"kind": "fanout", "children": []})
-
-    def test_register_sink_decorator(self):
-        @register_sink("test-custom")
-        def factory(config):
-            return MemorySink()
-
-        try:
-            assert isinstance(build_sink("test-custom"), MemorySink)
-        finally:
-            from repro.service import sinks as service_sinks
-            service_sinks._FACTORIES.pop("test-custom", None)
-
-    def test_per_job_sink_sees_full_lifecycle(self, tmp_path):
-        path = tmp_path / "job.jsonl"
+class TestLifecycleSink:
+    def test_service_sink_sees_full_lifecycle(self, tmp_path):
+        path = tmp_path / "jobs.jsonl"
 
         async def scenario():
-            app = make_app()
+            app = make_app(sink=JsonlSink(path, mode="a"))
             await app.start()
-            spec = JobSpec.from_payload(
-                {**SORT, "sinks": [{"kind": "jsonl", "path": str(path)}]}
-            )
-            app.submit(spec)
+            app.submit(JobSpec(**SORT))
             await app.join()
             await app.shutdown()
 
         drive(scenario())
-        import json
         kinds = [
             json.loads(line)["kind"]
             for line in path.read_text().splitlines()
         ]
         assert kinds == ["job_queued", "job_started", "job_finished"]
+
+    def test_raising_sink_never_fails_a_job(self):
+        class BoomSink(Sink):
+            def emit(self, event):
+                raise OSError("disk full")
+
+            def close(self):
+                raise OSError("disk full")
+
+        async def scenario():
+            app = make_app(sink=BoomSink())
+            await app.start()
+            job = app.submit(JobSpec(**SORT))
+            await app.join()
+            await app.shutdown()
+            return app, job
+
+        app, job = drive(scenario())
+        assert job.state is JobState.DONE
+        assert job.result["totals"]["cycles"] > 0
+        errors = app.registry.get("service_sink_errors_total").get()
+        # queued + started + finished emits, plus the close at shutdown
+        assert errors == 4
 
 
 class TestCacheMetrics:

@@ -103,6 +103,9 @@ class TestJobApi:
         assert missing_status == 404
 
     def test_bad_requests_are_400(self, tmp_path):
+        # A client must not be able to make the server create a file.
+        client_path = tmp_path / "client-chosen" / "events.jsonl"
+
         async def scenario():
             server = make_server(tmp_path)
             await server.start()
@@ -118,19 +121,28 @@ class TestJobApi:
                 port, "POST", "/jobs",
                 {"algorithm": "sort", "p": 4, "k": 4, "n": 64, "shards": 2},
             )
+            sinks_field, _, sinks_body = await request(
+                port, "POST", "/jobs",
+                {"algorithm": "sort", "p": 4, "k": 4, "n": 64,
+                 "sinks": [{"kind": "jsonl", "path": str(client_path)}]},
+            )
             not_found, _, _ = await request(port, "GET", "/nope")
             bad_method, _, _ = await request(port, "POST", "/metrics")
             await server.stop(0)
             return (invalid_json, bad_spec, body, unknown_field, field_body,
-                    not_found, bad_method)
+                    sinks_field, sinks_body, not_found, bad_method)
 
         (invalid_json, bad_spec, body, unknown_field, field_body,
-         not_found, bad_method) = drive(scenario())
+         sinks_field, sinks_body, not_found, bad_method) = drive(scenario())
         assert invalid_json == 400
         assert bad_spec == 400
         assert "k <= p" in body["error"]
         assert unknown_field == 400
         assert "unknown job spec field" in field_body["error"]
+        assert sinks_field == 400
+        assert "unknown job spec field" in sinks_body["error"]
+        assert not client_path.exists()
+        assert not client_path.parent.exists()
         assert not_found == 404
         assert bad_method == 405
 
