@@ -90,7 +90,16 @@ class Message:
         """
         bits = self._bits
         if bits < 0:
-            bits = self._bits = 8 + sum(scalar_bits(f) for f in self.fields)
+            # Exact ints (the common element field) skip the scalar_bits
+            # dispatch; bool is an int subclass, so it still takes the
+            # general path and keeps its 1 bit.
+            bits = 8
+            for f in self.fields:
+                if f.__class__ is int:
+                    bits += (f.bit_length() or 1) + 1
+                else:
+                    bits += scalar_bits(f)
+            self._bits = bits
         return bits
 
     def __iter__(self):

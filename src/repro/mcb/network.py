@@ -85,7 +85,14 @@ from .errors import (
     ProtocolError,
 )
 from .message import EMPTY, Message
-from .program import CycleOp, Listen, ProcContext, ProgramFn, Sleep
+from .program import (
+    CycleOp,
+    Listen,
+    ProcContext,
+    ProgramFn,
+    Sleep,
+    listen_window,
+)
 from .trace import PhaseStats, RunStats
 
 
@@ -652,25 +659,7 @@ class MCBNetwork(ObservableMixin):
             raise ProtocolError(
                 f"P{pid} listens on invalid channel C{op.channel} (k={self.k})"
             )
-        if op.until_nonempty:
-            if op.cycles is not None:
-                raise ProtocolError(
-                    f"P{pid} yielded Listen with both a cycle count and "
-                    f"until_nonempty=True; pick one"
-                )
-            return None
-        if op.cycles is None:
-            raise ProtocolError(
-                f"P{pid} yielded Listen without a cycle count "
-                f"(pass cycles or until_nonempty=True)"
-            )
-        if op.cycles < 0:
-            raise ProtocolError(
-                f"P{pid} requested a negative listen window ({op.cycles})"
-            )
-        # Minimum-one-cycle rule, exactly as for Sleep: the yield itself
-        # consumes a cycle, so Listen(ch, 0) === Listen(ch, 1).
-        return max(1, op.cycles)
+        return listen_window(pid, op)
 
     # ------------------------------------------------------------------
     def _validate_write(self, pid: int, op: CycleOp, cycle: int) -> None:

@@ -38,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Generator, Optional
 
+from .errors import ProtocolError
 from .message import Message
 
 #: Type alias for what `yield` sends back: a Message, EMPTY, or None.
@@ -192,6 +193,34 @@ class Listen:
         if self.until_nonempty:
             return f"Listen({self.channel!r}, until_nonempty=True)"
         return f"Listen({self.channel!r}, {self.cycles!r})"
+
+
+def listen_window(pid: int, op: Listen) -> Optional[int]:
+    """Check a :class:`Listen`'s form; return its window in cycles.
+
+    ``None`` means ``until_nonempty``.  A bounded window obeys the
+    minimum-one-cycle rule, exactly as for :class:`Sleep`: the yield
+    itself consumes a cycle, so ``Listen(ch, 0)`` === ``Listen(ch, 1)``.
+    Every engine and the simulation desugaring share this check, so a
+    malformed listen fails with the same message everywhere.
+    """
+    if op.until_nonempty:
+        if op.cycles is not None:
+            raise ProtocolError(
+                f"P{pid} yielded Listen with both a cycle count and "
+                f"until_nonempty=True; pick one"
+            )
+        return None
+    if op.cycles is None:
+        raise ProtocolError(
+            f"P{pid} yielded Listen without a cycle count "
+            f"(pass cycles or until_nonempty=True)"
+        )
+    if op.cycles < 0:
+        raise ProtocolError(
+            f"P{pid} requested a negative listen window ({op.cycles})"
+        )
+    return max(1, op.cycles)
 
 
 #: A no-op cycle (participate in the round, touch no channel).

@@ -75,7 +75,14 @@ from .errors import (
     ProtocolError,
 )
 from .message import EMPTY, Message
-from .program import CycleOp, Listen, ProcContext, ProgramFn, Sleep
+from .program import (
+    CycleOp,
+    Listen,
+    ProcContext,
+    ProgramFn,
+    Sleep,
+    listen_window,
+)
 from .trace import PhaseStats, RunStats
 
 WritePolicy = Literal["exclusive", "detect", "priority"]
@@ -495,23 +502,7 @@ class ReferenceMCBNetwork(ObservableMixin):
             raise ProtocolError(
                 f"P{pid} listens on invalid channel C{op.channel} (k={self.k})"
             )
-        if op.until_nonempty:
-            if op.cycles is not None:
-                raise ProtocolError(
-                    f"P{pid} yielded Listen with both a cycle count and "
-                    f"until_nonempty=True; pick one"
-                )
-            return None
-        if op.cycles is None:
-            raise ProtocolError(
-                f"P{pid} yielded Listen without a cycle count "
-                f"(pass cycles or until_nonempty=True)"
-            )
-        if op.cycles < 0:
-            raise ProtocolError(
-                f"P{pid} requested a negative listen window ({op.cycles})"
-            )
-        return max(1, op.cycles)
+        return listen_window(pid, op)
 
     def _validate_write(self, pid: int, op: Any, cycle: int) -> None:
         if not 1 <= op.write <= self.k:
@@ -565,7 +556,13 @@ def run_simulated_reference(
     Identical schedule and costs; the writer/reader of each real cycle is
     found by scanning all pending ops instead of a precomputed table.
     """
-    from .simulate import host_index, host_of, real_channel, subslot
+    from .simulate import (
+        desugar_listens,
+        host_index,
+        host_of,
+        real_channel,
+        subslot,
+    )
 
     p, k = net.p, net.k
     if p_virtual < p or k_virtual < k:
@@ -598,7 +595,7 @@ def run_simulated_reference(
                     data=None if data is None else data.get(q),
                 )
                 vctxs[q] = vctx
-                gens[q] = programs[q](vctx)
+                gens[q] = desugar_listens(q, programs[q](vctx))
             inbox: dict[int, Any] = {q: None for q in gens}
             sleeping: dict[int, int] = {}
 
@@ -620,12 +617,6 @@ def run_simulated_reference(
                     if isinstance(op, Sleep):
                         sleeping[q] = max(1, op.cycles) - 1
                         continue
-                    if isinstance(op, Listen):
-                        raise ProtocolError(
-                            f"virtual P{q} yielded {op!r}: Listen is not "
-                            f"supported inside simulated virtual programs; "
-                            f"yield per-cycle CycleOp(read=...) instead"
-                        )
                     if op.write is not None:
                         writes[q] = (op.write, op.payload)
                     if op.read is not None:

@@ -37,12 +37,20 @@ messages per original message.
 from __future__ import annotations
 
 import math
-from typing import Any, Optional
+from typing import Any, Generator, Optional
 
-from .errors import ConfigurationError, ProtocolError
+from .errors import ConfigurationError
 from .message import EMPTY
 from .network import MCBNetwork
-from .program import IDLE, CycleOp, Listen, ProcContext, ProgramFn, Sleep
+from .program import (
+    IDLE,
+    CycleOp,
+    Listen,
+    ProcContext,
+    ProgramFn,
+    Sleep,
+    listen_window,
+)
 
 
 def host_of(q: int, v: int) -> int:
@@ -67,6 +75,44 @@ def simulation_overhead(p_virtual: int, k_virtual: int, p: int, k: int) -> tuple
     v = math.ceil(p_virtual / p)
     s = math.ceil(k_virtual / k)
     return v * v * s, v
+
+
+def desugar_listens(q: int, gen: Generator) -> Generator:
+    """Run virtual program ``gen``, spelling each ``Listen`` as reads.
+
+    The oblivious block schedule moves at most one read per virtual
+    processor per virtual cycle and has no parked readers, so both
+    simulators wrap every virtual program (virtual pid ``q``) in this
+    generator.  A :class:`~repro.mcb.program.Listen` becomes exactly the
+    per-cycle ``CycleOp(read=ch)`` yields that define it
+    (``docs/MODEL.md``), and the program is resumed with the same bulk
+    result an engine would deliver.  Everything else passes through.
+    """
+    got = None
+    while True:
+        try:
+            op = gen.send(got)
+        except StopIteration as stop:
+            return stop.value
+        if not isinstance(op, Listen):
+            got = yield op
+            continue
+        window = listen_window(q, op)
+        read = CycleOp(read=op.channel)
+        if window is None:
+            off = 0
+            got = yield read
+            while got is None or got is EMPTY:
+                off += 1
+                got = yield read
+            got = (off, got)
+        else:
+            heard = []
+            for off in range(window):
+                r = yield read
+                if r is not None and r is not EMPTY:
+                    heard.append((off, r))
+            got = heard
 
 
 def run_simulated(
@@ -115,7 +161,7 @@ def run_simulated(
                     data=None if data is None else data.get(q),
                 )
                 vctxs[q] = vctx
-                gens[q] = programs[q](vctx)
+                gens[q] = desugar_listens(q, programs[q](vctx))
             inbox: dict[int, Any] = {q: None for q in gens}
             sleeping: dict[int, int] = {}  # q -> remaining idle virtual cycles
 
@@ -139,15 +185,6 @@ def run_simulated(
                         # This virtual cycle plus (cycles-1) further ones.
                         sleeping[q] = max(1, op.cycles) - 1
                         continue
-                    if isinstance(op, Listen):
-                        # The oblivious block schedule has no notion of a
-                        # parked reader; virtual programs must spell out
-                        # their per-cycle reads.
-                        raise ProtocolError(
-                            f"virtual P{q} yielded {op!r}: Listen is not "
-                            f"supported inside simulated virtual programs; "
-                            f"yield per-cycle CycleOp(read=...) instead"
-                        )
                     if op.write is not None:
                         writes[q] = (op.write, op.payload)
                     if op.read is not None:

@@ -28,7 +28,7 @@ from typing import Any, Sequence
 
 from ..mcb.message import EMPTY, Message
 from ..mcb.network import MCBNetwork
-from ..mcb.program import CycleOp, ProcContext, Sleep
+from ..mcb.program import CycleOp, Listen, ProcContext, Sleep
 from ..prefix.mcb_partial_sums import mcb_partial_sums, mcb_total_sum
 from ..sort.common import pack_elem, unpack_elem
 from ..sort.ones import sort_ones
@@ -165,11 +165,14 @@ def mcb_select_weighted(
             start = sums[pid].incl
             if start > 0:
                 yield Sleep(start)
-            for _ in range(total_c - start):
-                got = yield CycleOp(read=1)
-                w = got.fields[-1]
-                e = unpack_elem(got.fields[:-1])
-                pool.append((e, w))
+            if total_c > start:
+                # The other survivors fill every cycle of the gather.
+                heard = yield Listen(1, total_c - start)
+                assert len(heard) == total_c - start, "a survivor must send"
+                pool.extend(
+                    (unpack_elem(msg.fields[:-1]), msg.fields[-1])
+                    for _, msg in heard
+                )
             acc = 0
             answer = None
             for e, w in sorted(pool, reverse=True):

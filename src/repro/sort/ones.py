@@ -30,7 +30,7 @@ from typing import Any, Sequence
 from ..columnsort.matrix import max_columns_for
 from ..mcb.message import EMPTY, Message
 from ..mcb.network import MCBNetwork
-from ..mcb.program import CycleOp, ProcContext, Sleep
+from ..mcb.program import CycleOp, Listen, ProcContext, Sleep
 from .common import dummy_like, is_dummy, pack_elem, unpack_elem
 from .even_pk import SortResult, columnsort_program
 
@@ -82,9 +82,11 @@ def sort_ones(
         if is_rep:
             column = []
             ctx.aux_acquire(m_pad)
-            for _ in range(block_size - 1):
-                got = yield CycleOp(read=chan)
-                column.append(unpack_elem(got.fields))
+            if block_size > 1:
+                # Members 0..block_size-2 write one cycle each, back to back.
+                heard = yield Listen(chan, block_size - 1)
+                assert len(heard) == block_size - 1, "a block member must send"
+                column.extend(unpack_elem(msg.fields) for _, msg in heard)
             column.append(mine)
             column.extend(
                 dummy_like(mine, seq=r) for r in range(m_pad - len(column))

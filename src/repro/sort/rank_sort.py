@@ -19,6 +19,14 @@ The implementation keeps the counting incremental (a hit histogram
 bucketed by local insertion position, turned into suffix sums at the end
 of pass 1) so no pass-1 buffering of foreign elements is needed — the
 auxiliary footprint really is ``O(n_i)``.
+
+Both passes park on :class:`~repro.mcb.program.Listen` wherever a member
+only reads: pass 1 around its own write run, pass 2 across its output
+segment.  The aux accounting is unchanged — a heard list is the engine's
+bulk delivery of the per-cycle reads, and pass 1 folds it into the
+histogram one message at a time exactly as the reads would have been.
+Observed runs therefore emit a ``ListenParked``/``ListenWoken`` pair per
+window.
 """
 
 from __future__ import annotations
@@ -26,11 +34,42 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Any, Optional, Sequence
 
-from ..mcb.message import EMPTY, Message
+from ..mcb.message import Message
 from ..mcb.network import MCBNetwork
-from ..mcb.program import CycleOp, ProcContext, Sleep
+from ..mcb.program import CycleOp, Listen, ProcContext, Sleep
 from .common import descending, pack_elem, unpack_elem
 from .even_pk import SortResult
+
+
+def _count_hits(heard: list, window: int, own_asc: list, hits: list) -> None:
+    """Fold one pass-1 listen window into the rank histogram.
+
+    Every cycle of the window carries some member's element, so hearing
+    fewer messages than the window is long means a writer went missing —
+    fail instead of undercounting ranks.
+    """
+    assert len(heard) == window, (
+        f"pass 1 heard {len(heard)} elements in a {window}-cycle window"
+    )
+    for _, msg in heard:
+        hits[bisect_left(own_asc, unpack_elem(msg.fields))] += 1
+
+
+def _write_owned(channel: int, cycles: list, rank_of_own: dict, t: int):
+    """Sub-generator: from cycle ``t``, sleep to and write each owned rank.
+
+    ``cycles`` are the ascending 0-based cycles ``rank - 1`` of ranks I
+    own but must send to another member.  Returns the cycle after the
+    last write (``t`` if there was none).
+    """
+    for c in cycles:
+        if c > t:
+            yield Sleep(c - t)
+        yield CycleOp(
+            write=channel, payload=Message("elem", *pack_elem(rank_of_own[c + 1]))
+        )
+        t = c + 1
+    return t
 
 
 def rank_sort_group(
@@ -101,15 +140,18 @@ def rank_sort_group(
         ctx.aux_acquire(n_i + 1)
 
     # ---- pass 1: broadcast everything, count ranks -----------------------
+    # Members write in group order, one element per cycle, so the channel
+    # carries a message on every cycle: I listen through the runs before
+    # and after my own writes instead of being resumed once per cycle.
     my_start, my_end = prefix[group_index], prefix[group_index + 1]
-    for t in range(n_g):
-        if my_start <= t < my_end:
-            e = my_elems[t - my_start]
-            yield CycleOp(write=channel, payload=Message("elem", *pack_elem(e)))
-        else:
-            got = yield CycleOp(read=channel)
-            x = unpack_elem(got.fields)
-            hits[bisect_left(own_asc, x)] += 1
+    if my_start:
+        heard = yield Listen(channel, my_start)
+        _count_hits(heard, my_start, own_asc, hits)
+    for e in my_elems:
+        yield CycleOp(write=channel, payload=Message("elem", *pack_elem(e)))
+    if n_g > my_end:
+        heard = yield Listen(channel, n_g - my_end)
+        _count_hits(heard, n_g - my_end, own_asc, hits)
 
     # hits[j] counts heard elements whose insertion point into own_asc is
     # j, i.e. elements larger than own_asc[0..j) and smaller than
@@ -136,38 +178,35 @@ def rank_sort_group(
         rank_of_own[rank] = e
 
     # ---- pass 2: broadcast in rank order, targets collect ----------------
+    # The owner of rank r writes in cycle r - 1.  Outside my output
+    # segment I only sleep to my owned cycles and write them; inside it I
+    # listen once, filling the silent cycles whose rank I own myself.
     seg_start, seg_end = out_prefix[group_index], out_prefix[group_index + 1]
     output: list[Any] = []
     if ctx is not None:
         ctx.aux_acquire(out_counts[group_index])
-    t = 0
-    while t < n_g:
-        rank = t + 1
-        i_own = rank in rank_of_own
-        i_target = seg_start <= t < seg_end
-        if not i_own and not i_target:
-            # Fast-forward to my next interesting cycle.
-            nxt = n_g
-            future_owned = [r - 1 for r in rank_of_own if r - 1 > t]
-            if future_owned:
-                nxt = min(nxt, min(future_owned))
-            if t < seg_start:
-                nxt = min(nxt, seg_start)
-            yield Sleep(nxt - t)
-            t = nxt
-            continue
-        if i_own:
-            e = rank_of_own[rank]
-            if i_target:
-                output.append(e)  # already in place; silence on the channel
-                yield Sleep(1)
-            else:
-                yield CycleOp(write=channel, payload=Message("elem", *pack_elem(e)))
-        else:
-            got = yield CycleOp(read=channel)
-            assert got is not EMPTY, "rank owner must broadcast to its target"
+    owned = sorted(r - 1 for r in rank_of_own)
+    t = yield from _write_owned(
+        channel, [c for c in owned if c < seg_start], rank_of_own, 0
+    )
+    if seg_start > t:
+        # Wake at seg_start even for an empty segment: the schedule's
+        # fast_forward_cycles depend on where sleeps break.
+        yield Sleep(seg_start - t)
+    if seg_end > seg_start:
+        heard_at = dict((yield Listen(channel, seg_end - seg_start)))
+        for c in range(seg_start, seg_end):
+            if c + 1 in rank_of_own:
+                output.append(rank_of_own[c + 1])
+                continue
+            got = heard_at.get(c - seg_start)
+            assert got is not None, "rank owner must broadcast to its target"
             output.append(unpack_elem(got.fields))
-        t += 1
+    t = yield from _write_owned(
+        channel, [c for c in owned if c >= seg_end], rank_of_own, seg_end
+    )
+    if n_g > t:
+        yield Sleep(n_g - t)
     if ctx is not None:
         # The counters die with the pass; the output buffer replaces the
         # (same-sized) input list the caller is about to drop, so the

@@ -42,7 +42,7 @@ from typing import Any, Sequence
 from ..columnsort.matrix import max_columns_for
 from ..mcb.message import EMPTY, Message
 from ..mcb.network import MCBNetwork
-from ..mcb.program import CycleOp, ProcContext, Sleep
+from ..mcb.program import CycleOp, Listen, ProcContext, Sleep
 from ..prefix.mcb_partial_sums import mcb_partial_sums, mcb_total_sum
 from .common import dummy_like, is_dummy, pack_elem, unpack_elem
 from .even_pk import SortResult, columnsort_program
@@ -146,9 +146,11 @@ def sort_uneven(
             to_read = group_m[j] - len(mine)
             column = []
             ctx.aux_acquire(m_pad)
-            for _ in range(to_read):
-                got = yield CycleOp(read=chan)
-                column.append(unpack_elem(got.fields))
+            if to_read:
+                # The members stream back to back: park for the whole run.
+                heard = yield Listen(chan, to_read)
+                assert len(heard) == to_read, "a group member must send"
+                column.extend(unpack_elem(msg.fields) for _, msg in heard)
             column.extend(mine)
             column.extend(
                 dummy_like(mine[0], seq=r) for r in range(m_pad - len(column))

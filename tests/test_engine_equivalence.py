@@ -23,6 +23,7 @@ import pytest
 from repro.core import Distribution, kth_largest
 from repro.core.problem import is_sorted_output
 from repro.mcb import (
+    EMPTY,
     CollisionError,
     CycleOp,
     ExtendedNetwork,
@@ -351,17 +352,65 @@ class TestListenEquivalence:
         assert out_fast == out_ref
         assert out_fast[2] == [(0, (1,))]
 
-    def test_listen_rejected_inside_simulation(self):
-        def virt(ctx):
-            yield Listen(1, 2)
+    def test_listen_desugared_inside_simulation(self):
+        # Both simulators spell a virtual program's Listen as the per-cycle
+        # reads that define it: same results and RunStats as the program
+        # written with those reads by hand.
+        def virt(listen):
+            def prog(ctx):
+                if ctx.pid == 1:
+                    yield CycleOp(write=1, payload=Message("a", 1))
+                    yield Sleep(2)
+                    yield CycleOp(write=1, payload=Message("a", 2))
+                    return None
+                if ctx.pid == 2:
+                    yield Sleep(3)
+                    yield CycleOp(write=2, payload=Message("b", 3))
+                    return None
+                if ctx.pid == 3:
+                    if listen:
+                        heard = yield Listen(1, 5)
+                    else:
+                        heard = []
+                        for off in range(5):
+                            got = yield CycleOp(read=1)
+                            if got is not EMPTY:
+                                heard.append((off, got))
+                    return [(off, msg.fields) for off, msg in heard]
+                if listen:
+                    off, msg = yield Listen(2, until_nonempty=True)
+                else:
+                    off = 0
+                    while (msg := (yield CycleOp(read=2))) is EMPTY:
+                        off += 1
+                yield CycleOp(write=1, payload=Message("c", off))
+                return (off, msg.fields)
 
-        programs = {pid: virt for pid in range(1, 5)}
-        fast = MCBNetwork(p=2, k=1)
-        with pytest.raises(ProtocolError, match="Listen"):
-            run_simulated(fast, 4, 2, programs, phase="sim-listen")
-        ref = ReferenceMCBNetwork(p=2, k=1)
-        with pytest.raises(ProtocolError, match="Listen"):
-            run_simulated_reference(ref, 4, 2, programs, phase="sim-listen")
+            return {pid: prog for pid in range(1, 5)}
+
+        outcomes = []
+        for simulate, net_cls in (
+            (run_simulated, MCBNetwork),
+            (run_simulated_reference, ReferenceMCBNetwork),
+        ):
+            for listen in (True, False):
+                net = net_cls(p=2, k=1)
+                res = simulate(net, 4, 2, virt(listen), phase="sim-listen")
+                outcomes.append((res, net.stats.to_dict()))
+        assert all(o == outcomes[0] for o in outcomes)
+        res = outcomes[0][0]
+        assert res[3] == [(0, (1,)), (3, (2,)), (4, (3,))]
+        assert res[4] == (3, (3,))
+
+        def bad(ctx):
+            yield Listen(1, -1)
+
+        for simulate, net_cls in (
+            (run_simulated, MCBNetwork),
+            (run_simulated_reference, ReferenceMCBNetwork),
+        ):
+            with pytest.raises(ProtocolError, match="negative listen window"):
+                simulate(net_cls(p=2, k=1), 4, 2, {1: bad}, phase="bad")
 
 
 class TestListenModelVariants:

@@ -54,6 +54,20 @@ class TestBitAccounting:
     def test_negative_int(self):
         assert scalar_bits(-5) == scalar_bits(5)
 
+    def test_bit_size_matches_scalar_bits(self):
+        # bit_size's exact-int fast path must charge what scalar_bits
+        # charges; bool (an int subclass) keeps its 1 bit.
+        values = [
+            0, 1, -1, 2**70, -(2**70), True, False, None,
+            0.0, -2.5, float("inf"), float("-inf"), "", "abc",
+        ]
+        for v in values:
+            assert Message("k", v).bit_size() == 8 + scalar_bits(v), v
+        assert Message("k", *values).bit_size() == 8 + sum(
+            scalar_bits(v) for v in values
+        )
+        assert Message("k", True).bit_size() == 9
+
 
 class TestEmpty:
     def test_singleton(self):
