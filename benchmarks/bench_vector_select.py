@@ -1,19 +1,21 @@
 """Vector selection benchmark: NumPy candidate plane vs Python lists.
 
-``mcb_select(engine="vector")`` keeps the §8 control plane — median-pair
-sorting, partial sums, announcements — running unchanged on the network
-(identical cycles/messages/bits by construction) and swaps only the
-local candidate *data plane*: medians, ``>= med*`` rank counts and the
-case-2/3 purges run as whole-matrix NumPy operations
+``mcb_select(engine="vector")`` swaps the local candidate *data
+plane*: medians, ``>= med*`` rank counts and the case-2/3 purges run as
+whole-matrix NumPy operations
 (:class:`repro.select.vector.VectorCandidates`) instead of per-element
-list comprehensions.  Two legs, both gated:
+list comprehensions.  On an unobserved network it also replays the §8
+control plane — median-pair sorting, partial sums, announcements — from
+cached schedule tables (:class:`repro.select.vector.ReplayControl`)
+with identical cycles/messages/bits.  Two legs, both gated:
 
 * ``run`` — one full median selection at ``p = 8, k = 2, n = 800k``,
   generator vs vector engine, asserted bit-identical (value, trace,
   ``RunStats.to_dict()``).  The whole-run ratio dilutes the data-plane
-  win with costs both engines share (the duplicate scan, the type scan,
-  the control-plane choreography), so the gate is a conservative
-  **>= 3.5x**; the recorded baseline on this machine is ~5x.
+  win with costs both engines share (the input type scan, the
+  termination gather), so the gate is a conservative **>= 3.5x**; the
+  recorded baseline is ~5x, taken before the control-plane replay and
+  the array duplicate scan (12-14x since, on a 2-core x86 box).
 * ``data_plane`` — the two candidate stores driven through an identical
   filtering-round script (medians -> rank counts -> purge until nearly
   dry), asserted to produce identical round traces and survivors.  This

@@ -102,33 +102,6 @@ class BroadcastSchedule:
 # Birkhoff–von Neumann decomposition of the transfer matrix
 # ---------------------------------------------------------------------------
 
-def _kuhn_matching(adj: list[list[int]], k: int) -> list[int]:
-    """Perfect matching in a bipartite graph via Kuhn's augmenting paths.
-
-    ``adj[s]`` lists the destination columns source ``s`` may match.
-    Returns ``match_dst_to_src`` mapping each destination to its source.
-    Raises if no perfect matching exists (cannot happen for a matrix with
-    equal positive row/column sums, by Hall's theorem).
-    """
-    match_dst = [-1] * k
-
-    def try_augment(s: int, visited: list[bool]) -> bool:
-        for d in adj[s]:
-            if not visited[d]:
-                visited[d] = True
-                if match_dst[d] == -1 or try_augment(match_dst[d], visited):
-                    match_dst[d] = s
-                    return True
-        return False
-
-    for s in range(k):
-        if not try_augment(s, [False] * k):
-            raise AssertionError(
-                "no perfect matching; transfer matrix is not doubly balanced"
-            )
-    return match_dst
-
-
 def bvn_decomposition(t: np.ndarray) -> list[tuple[np.ndarray, int]]:
     """Decompose a doubly balanced non-negative integer matrix.
 

@@ -18,7 +18,11 @@ from ..core.distribution import Distribution
 from ..core.element import has_duplicates, tag_elements
 from ..mcb.network import MCBNetwork
 from ..sort.common import neg_elem
-from .filtering import SelectionResult, mcb_select_descending
+from .filtering import (
+    SelectionResult,
+    mcb_select_descending,
+    select_from_store,
+)
 
 
 def mcb_select(
@@ -46,10 +50,13 @@ def mcb_select(
         Termination threshold ``m*`` (defaults to the paper's ``p/k``).
     engine:
         ``"generator"`` (default) or ``"vector"``: the vector engine
-        keeps the network control plane identical (same cycles,
-        messages, ``RunStats``) but runs the candidate data plane —
-        medians, rank counts, purges — as whole-matrix NumPy operations
-        (:class:`repro.select.vector.VectorCandidates`).
+        runs the candidate data plane — medians, rank counts, purges —
+        as whole-matrix NumPy operations
+        (:class:`repro.select.vector.VectorCandidates`) and, on an
+        unobserved network, replays each filtering round's control
+        stages from cached schedule tables
+        (:class:`repro.select.vector.ReplayControl`).  Cycles, messages
+        and ``RunStats`` are identical to the generator engine's.
 
     Returns
     -------
@@ -64,18 +71,35 @@ def mcb_select(
     if not 1 <= d <= n:
         raise ValueError(f"rank d={d} out of range 1..{n}")
 
-    tagged = has_duplicates(parts)
-    if tagged:
-        parts = tag_elements(parts)
+    store = None
+    if engine == "vector" and sorted(parts) == list(range(1, net.p + 1)):
+        from .vector import VectorCandidates
 
+        store = VectorCandidates(parts, net.p)
+    # A numeric vector store answers the §3 duplicate question on the
+    # matrix it built anyway; other payloads take the set scan.
+    numeric = store is not None and store.numeric
+    tagged = store.has_duplicates() if numeric else has_duplicates(parts)
     reflected = d > (n + 1) // 2
     if reflected:
-        parts = {pid: [neg_elem(e) for e in v] for pid, v in parts.items()}
         d = n - d + 1
 
-    result = mcb_select_descending(
-        net, parts, d, threshold=threshold, phase=phase, engine=engine
-    )
+    # The built store stays valid unless tagging replaces the elements
+    # or an object store would need its elements negated one by one.
+    if store is not None and not tagged and (numeric or not reflected):
+        if reflected:
+            store.negate()
+        result = select_from_store(
+            net, store, d, threshold=threshold, phase=phase
+        )
+    else:
+        if tagged:
+            parts = tag_elements(parts)
+        if reflected:
+            parts = {pid: [neg_elem(e) for e in v] for pid, v in parts.items()}
+        result = mcb_select_descending(
+            net, parts, d, threshold=threshold, phase=phase, engine=engine
+        )
     value = result.value
     if reflected:
         value = neg_elem(value)

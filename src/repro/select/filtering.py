@@ -46,10 +46,10 @@ class _ListCandidates:
     """Candidate store of the generator engine: plain per-pid lists.
 
     The store owns the selection loop's *data plane* — medians,
-    ``>= med*`` counts, purges — all free local computation.  The vector
-    engine swaps in :class:`repro.select.vector.VectorCandidates`, which
-    implements the same surface over a ``(p, cap)`` NumPy matrix; the
-    network control plane is shared by both.
+    ``>= med*`` counts, purges — all free local computation — and picks
+    the control plane that runs the network stages.  The vector engine
+    swaps in :class:`repro.select.vector.VectorCandidates`, which
+    implements the same surface over a ``(p, cap)`` NumPy matrix.
     """
 
     def __init__(self, parts, p: int):
@@ -83,6 +83,54 @@ class _ListCandidates:
                 else [e for e in v if e < med_star]
             )
 
+    def control_plane(self, net: MCBNetwork, pair_sorter: str):
+        return NetworkControl(net, pair_sorter)
+
+
+class NetworkControl:
+    """The four control stages of a filtering round, stepped on ``net``.
+
+    Sorting the ``(med_i, m_i)`` pairs, Partial-Sums over the sorted
+    counts, the one-cycle ``med*`` announcement and the ``m_>=`` total
+    sum each run as one :meth:`MCBNetwork.run` stage.  Vector runs on an
+    unobserved network replay the same stages from cached schedule
+    tables instead (:class:`repro.select.vector.ReplayControl`); both
+    commit identical ``PhaseStats``.
+    """
+
+    def __init__(self, net: MCBNetwork, pair_sorter: str):
+        self.net = net
+        self.pair_sort = sort_ones if pair_sorter == "ones" else sort_uneven
+
+    def sort_pairs(self, pairs: dict[int, list], phase: str) -> dict[int, tuple]:
+        """pid -> [pair] in, pid -> (pair of rank pid,) out."""
+        return self.pair_sort(self.net, pairs, phase=phase).output
+
+    def partial_sums(self, values: dict[int, int], phase: str):
+        """pid -> :class:`~repro.prefix.mcb_partial_sums.PartialSums`."""
+        return mcb_partial_sums(self.net, values, phase=phase)
+
+    def announce(self, my_sorted: dict[int, tuple], sums, half: int, phase: str):
+        """The weighted-median processor broadcasts ``med*``; all learn it."""
+
+        def program(ctx: ProcContext):
+            pid = ctx.pid
+            s = sums[pid]
+            if s.prev < half <= s.incl:
+                med_fields = my_sorted[pid][0][:-2]
+                yield CycleOp(write=1, payload=Message("med", *med_fields))
+                return unpack_elem(med_fields)
+            # Exactly one processor holds the weighted median and writes
+            # in this phase's single cycle; everyone else parks for it.
+            _, got = yield Listen(1, until_nonempty=True)
+            return unpack_elem(got.fields)
+
+        net = self.net
+        return net.run({i: program for i in range(1, net.p + 1)}, phase=phase)[1]
+
+    def total_sum(self, values: dict[int, int], phase: str) -> int:
+        """The sum of ``values``, as every processor learns it."""
+        return mcb_total_sum(self.net, values, phase=phase)[1]
 
 
 @dataclass
@@ -138,11 +186,13 @@ def mcb_select_descending(
         ``"generator"`` (default) keeps candidates in per-pid lists;
         ``"vector"`` stores them in a ``(p, cap)`` matrix and runs the
         data plane (medians, rank counts, purges) as whole-matrix NumPy
-        operations.  The network control plane — and therefore every
-        cycle, message, and ``RunStats`` entry — is identical either
-        way.
+        operations.  On an unobserved network with the ``"ones"`` pair
+        sorter it also replays each round's four control stages from
+        cached per-``(p, k)`` schedule tables instead of stepping them
+        (:class:`repro.select.vector.ReplayControl`).  Every cycle,
+        message and ``RunStats`` entry is identical either way.
     """
-    p, k = net.p, net.k
+    p = net.p
     if sorted(parts) != list(range(1, p + 1)):
         raise ValueError("parts must cover processors 1..p")
     if engine == "vector":
@@ -155,32 +205,48 @@ def mcb_select_descending(
         raise ConfigurationError(
             f"unknown engine {engine!r}; expected 'generator' or 'vector'"
         )
+    return select_from_store(
+        net, store, d, threshold=threshold, pair_sorter=pair_sorter,
+        phase=phase,
+    )
+
+
+def select_from_store(
+    net: MCBNetwork,
+    store: Any,
+    d: int,
+    *,
+    threshold: int | None = None,
+    pair_sorter: str = "ones",
+    phase: str = "select",
+) -> SelectionResult:
+    """The §8 loop over a built candidate store (see
+    :func:`mcb_select_descending`); the store picks the control plane."""
+    p, k = net.p, net.k
     n = store.total()
     if not 1 <= d <= n:
         raise ValueError(f"rank d={d} out of range 1..{n}")
     m_star = threshold if threshold is not None else max(1, p // k)
+    control = store.control_plane(net, pair_sorter)
 
     # Pairs travel as flat lexicographic tuples of uniform arity:
     # (median fields..., tiebreak, count).  A processor whose candidates
-    # ran dry announces a *dummy pair* — all-(-inf) median fields with its
-    # pid as the tiebreak — which sorts below every real pair (real
-    # medians are finite) and carries count 0.
-    nonempty = next((v for v in parts.values() if len(v) > 0), None)
-    if nonempty is None:
-        raise ValueError("no candidates anywhere")
-    med_arity = len(pack_elem(nonempty[0]))
-
-    def flat_pair(i: int) -> tuple:
-        cnt = store.count(i)
-        if cnt:
-            med = store.median(i)
-            return tuple(pack_elem(med)) + (0, cnt)
-        # The leading -inf already sorts the pair below every real
-        # (finite) median; the tail must stay finite, or a tuple-element
-        # dummy pair would satisfy ``is_dummy`` and be dropped as
-        # padding by the pair sorters instead of travelling as a real
-        # element.
-        return (-math.inf,) + (0,) * (med_arity - 1) + (i, 0)
+    # ran dry announces a *dummy pair* — a -inf median head with its pid
+    # as the tiebreak — which sorts below every real pair (real medians
+    # are finite) and carries count 0.  Every round has a live candidate
+    # (m >= 1), so a real median fixes the arity.
+    def flat_pairs() -> dict[int, list]:
+        meds = {i: pack_elem(store.median(i))
+                for i in range(1, p + 1) if store.count(i)}
+        arity = len(next(iter(meds.values())))
+        # The tail must stay finite, or a tuple-element dummy pair would
+        # satisfy ``is_dummy`` and be dropped as padding by the pair
+        # sorters instead of travelling as a real element.
+        return {
+            i: [meds[i] + (0, store.count(i)) if i in meds
+                else (-math.inf,) + (0,) * (arity - 1) + (i, 0)]
+            for i in range(1, p + 1)
+        }
 
     trace = SelectionTrace()
     m = n
@@ -191,37 +257,19 @@ def mcb_select_descending(
         m_before = m
 
         # -- step 1: local medians (free) + step 2: sort the pairs -------
-        flat_pairs = {i: [flat_pair(i)] for i in range(1, p + 1)}
-        pair_sort = sort_ones if pair_sorter == "ones" else sort_uneven
-        sorted_pairs = pair_sort(net, flat_pairs, phase=f"{tag}/sort-medians")
-        my_sorted = sorted_pairs.output  # pid -> ((med..., count),)
+        my_sorted = control.sort_pairs(
+            flat_pairs(), f"{tag}/sort-medians"
+        )  # pid -> ((med..., tiebreak, count),)
         counts_sorted = {i: my_sorted[i][0][-1] for i in my_sorted}
 
         # -- step 3: weighted median processor i* broadcasts med* --------
-        sums = mcb_partial_sums(
-            net, counts_sorted, phase=f"{tag}/count-prefix"
-        )
+        sums = control.partial_sums(counts_sorted, f"{tag}/count-prefix")
         half = (m + 1) // 2
-
-        def announce(ctx: ProcContext):
-            pid = ctx.pid
-            s = sums[pid]
-            if s.prev < half <= s.incl:
-                med_fields = my_sorted[pid][0][:-2]
-                yield CycleOp(write=1, payload=Message("med", *med_fields))
-                return unpack_elem(med_fields)
-            # Exactly one processor holds the weighted median and writes
-            # in this phase's single cycle; everyone else parks for it.
-            _, got = yield Listen(1, until_nonempty=True)
-            return unpack_elem(got.fields)
-
-        med_star = net.run(
-            {i: announce for i in range(1, p + 1)}, phase=f"{tag}/announce"
-        )[1]
+        med_star = control.announce(my_sorted, sums, half, f"{tag}/announce")
 
         # -- step 4: count candidates >= med* -----------------------------
         ge_counts = store.ge_counts(med_star)
-        m_ge = mcb_total_sum(net, ge_counts, phase=f"{tag}/count-ge")[1]
+        m_ge = control.total_sum(ge_counts, f"{tag}/count-ge")
 
         # -- step 5: the three cases (local, synchronized knowledge) ------
         if m_ge == d:

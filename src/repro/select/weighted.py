@@ -97,7 +97,10 @@ def mcb_select_weighted(
             med = local_weighted_median(cand[i])
             w = sum(w for _, w in cand[i])
             return tuple(pack_elem(med)) + (0, w)
-        return (-math.inf,) * arity + (i, 0)
+        # Finite tail, as in ``filtering.py``: an all--inf head of a
+        # tuple element would satisfy ``is_dummy`` and be dropped as
+        # padding by the pair sorter.
+        return (-math.inf,) + (0,) * (arity - 1) + (i, 0)
 
     w_left = total_w
     t_left = target

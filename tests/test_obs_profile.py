@@ -209,7 +209,8 @@ class TestProfileCli:
                    "--json"])
         assert rc == 0
         gen_report = json.loads(capsys.readouterr().out)
-        # The control plane is shared: identical costs and answer.
+        # Profiling observes the network, so the vector engine steps
+        # the generator's control plane: identical costs and answer.
         assert vec_report["totals"] == gen_report["totals"]
         assert vec_report["config"]["selected"] == \
             gen_report["config"]["selected"]

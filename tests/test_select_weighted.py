@@ -120,3 +120,20 @@ class TestWeightedSelection:
         net_h = MCBNetwork(p=p, k=k)
         mcb_select_weighted(net_h, heavy, (tot_h + 1) // 2)
         assert net_h.stats.messages <= 1.2 * net_l.stats.messages
+
+    def test_tuple_elements_survive_an_emptied_processor(self):
+        # P_2 runs dry after the first purge.  Its dummy pair must keep a
+        # finite tail: an all--inf head on tuple elements satisfied
+        # ``is_dummy``, so the pair sorter dropped it as padding and
+        # tripped its "a block member must send" assertion.
+        parts = {
+            1: [((9, 1), 1), ((8, 1), 1), ((7, 1), 1), ((6, 1), 1)],
+            2: [((1, 2), 1), ((0, 2), 1)],
+            3: [((5, 3), 1), ((4, 3), 1), ((3, 3), 1), ((2, 3), 1)],
+            4: [((10, 4), 1), ((11, 4), 1), ((12, 4), 1), ((13, 4), 1)],
+        }
+        flat = [item for v in parts.values() for item in v]
+        for target in (1, 7, len(flat)):
+            net = MCBNetwork(p=4, k=2)
+            res = mcb_select_weighted(net, parts, target, threshold=1)
+            assert res.value == oracle(flat, target)

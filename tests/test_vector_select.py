@@ -1,12 +1,17 @@
 """``mcb_select(engine="vector")`` vs the generator engine: exact parity.
 
-The vector selection keeps the network control plane untouched and swaps
-only the candidate data plane (:class:`repro.select.vector.VectorCandidates`
-for the per-pid lists), so the bar is bit-identity: same selected value
-(type included), same per-phase trace, same ``RunStats.to_dict()``.  The
-sweep covers every rank of small configurations — hitting all three
-pivot cases, the reflection device, §3 tagging via duplicates, and both
-pair sorters — plus float and tuple payloads.
+The vector selection swaps the candidate data plane
+(:class:`repro.select.vector.VectorCandidates` for the per-pid lists)
+and, on an unobserved network, replays each filtering round's control
+stages from cached schedule tables
+(:class:`repro.select.vector.ReplayControl`) instead of stepping them.
+The bar is bit-identity: same selected value (type included), same
+per-phase trace, same ``RunStats`` — every ``PhaseStats`` field,
+per-pid aux peaks included.  The sweeps cover every rank of small
+configurations — hitting all three pivot cases, the reflection device,
+§3 tagging via duplicates, and both pair sorters — plus float and tuple
+payloads, hypothesis-drawn shapes, message-size failures and observed
+networks (which keep stepping the engine).
 """
 
 from __future__ import annotations
@@ -14,9 +19,13 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro.mcb.errors import ConfigurationError
+from repro.core.element import has_duplicates
+from repro.mcb.errors import ConfigurationError, MessageSizeError
 from repro.mcb.network import MCBNetwork
+from repro.obs import EventLog
 from repro.select import mcb_select
 from repro.select.filtering import mcb_select_descending
 from repro.select.vector import VectorCandidates
@@ -31,6 +40,7 @@ def run_both(parts, d, p, k, **kwargs):
     assert type(vec.value) is type(gen.value)
     assert vec.trace.phases == gen.trace.phases
     assert vec_net.stats.to_dict() == gen_net.stats.to_dict()
+    assert vec_net.stats.phases == gen_net.stats.phases
     return gen
 
 
@@ -105,6 +115,157 @@ def test_emptied_processor_dummy_pairs_round_trip():
     for d in (1, n // 2, n):
         res = run_both(parts, d, p, k)
         assert res.value == pool[d - 1], d
+
+
+# ---------------------------------------------------------------------------
+# The replayed control plane
+# ---------------------------------------------------------------------------
+
+EXAMPLES = settings(
+    max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+@st.composite
+def selections(draw):
+    """(parts, d, p, k): p in 1..24, k <= p, uneven int/float/dup rows."""
+    p = draw(st.integers(1, 24))
+    k = draw(st.integers(1, p))
+    n = draw(st.integers(1, 6 * p + 8))
+    kind = draw(st.sampled_from(["int", "float", "dup"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = random.Random(seed)
+    if kind == "int":
+        pool = rng.sample(range(-10 * n - 10, 10 * n + 10), n)
+    elif kind == "float":
+        pool = [rng.uniform(-1e6, 1e6) for _ in range(n)]
+    else:
+        pool = [rng.randrange(max(2, n // 3)) for _ in range(n)]
+    parts = {i: [] for i in range(1, p + 1)}
+    for e in pool:
+        parts[rng.randint(1, p)].append(e)
+    d = draw(st.integers(1, n))  # ranks past the middle are reflected
+    return parts, d, p, k
+
+
+@EXAMPLES
+@given(selections())
+def test_replay_matches_generator(case):
+    parts, d, p, k = case
+    res = run_both(parts, d, p, k)
+    pool = sorted((e for v in parts.values() for e in v), reverse=True)
+    assert res.value == pool[d - 1]
+
+
+def count_runs(monkeypatch):
+    calls = []
+    real = MCBNetwork.run
+
+    def run(self, *args, **kwargs):
+        calls.append(kwargs.get("phase"))
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(MCBNetwork, "run", run)
+    return calls
+
+
+def test_unobserved_vector_select_steps_only_the_termination(monkeypatch):
+    parts = even_parts(64, 8, seed=3)
+    calls = count_runs(monkeypatch)
+    res = mcb_select(MCBNetwork(p=8, k=2), parts, 20, engine="vector")
+    assert res.trace.num_phases > 2
+    assert calls == ["select/termination/prefix", "select/termination"]
+
+
+def test_p1_commits_no_sort_phase():
+    """sort_ones runs no stage for one processor; the replay follows."""
+    parts = {1: [5, 3, 9, 1, 7]}
+    run_both(parts, 2, 1, 1)
+    net = MCBNetwork(p=1, k=1)
+    mcb_select(net, parts, 2, engine="vector")
+    names = net.stats.phase_names()
+    assert "select/filter-1/count-prefix" in names
+    assert not any(name.endswith("sort-medians") for name in names)
+    assert net.stats.phase("select/filter-1/count-prefix").cycles == 0
+
+
+@pytest.mark.parametrize("p,k", [(9, 2), (5, 1), (17, 3)])
+def test_fast_forward_cycles_on_virtual_tree_leaves(p, k):
+    """Non-power-of-two p pads the Partial-Sums tree with virtual leaves;
+    levels where every live processor sleeps are fast-forwarded."""
+    parts = even_parts(6 * p, p, seed=p)
+    run_both(parts, 2 * p, p, k)
+    net = MCBNetwork(p=p, k=k)
+    mcb_select(net, parts, 2 * p, engine="vector")
+    ff = net.stats.phase("select/filter-1/count-prefix").fast_forward_cycles
+    assert ff > 0
+
+
+@pytest.mark.parametrize(
+    "p,k,fields,kind",
+    [
+        (4, 2, 2, "int"),  # the 3-field pair fails in the pair sort
+        (6, 3, 2, "float"),
+        (4, 2, 4, "dup"),  # tagged 5-field pairs
+        (1, 1, 2, "dup"),  # no sort; the 3-field med* announce fails
+        (1, 1, 0, "int"),  # every message is too big
+    ],
+)
+def test_message_size_error_matches_generator(p, k, fields, kind):
+    parts = even_parts(4 * p, p, seed=11, kind=kind)
+    outcomes = []
+    for engine in ("generator", "vector"):
+        net = MCBNetwork(p=p, k=k, max_message_fields=fields)
+        with pytest.raises(MessageSizeError) as info:
+            mcb_select(net, parts, 2, engine=engine)
+        outcomes.append((str(info.value), net.stats.phases))
+    assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize("p,k", [(8, 2), (5, 2)])
+def test_observed_vector_select_emits_the_generator_stream(p, k):
+    parts = even_parts(8 * p, p, seed=5)
+    logs = []
+    for engine in ("generator", "vector"):
+        net = MCBNetwork(p=p, k=k)
+        log = EventLog()
+        net.attach_observer(log)
+        mcb_select(net, parts, 3 * p, engine=engine)
+        logs.append((log.events, net.stats.phases))
+    assert logs[0][0] and logs[0] == logs[1]
+
+
+def test_mixed_int_float_duplicates_match_generator():
+    """``1 == 1.0``: mixed rows make an object store, which keeps the
+    set-based duplicate scan and §3 tagging."""
+    parts = {1: [1, 2.0, 5], 2: [1.0, 3, 4.5], 3: [2, 7, 0.5]}
+    for d in range(1, 10):
+        run_both(parts, d, 3, 2)
+
+
+numeric_rows = st.one_of(
+    st.lists(st.lists(st.integers(-6, 6), max_size=6), min_size=1, max_size=5),
+    st.lists(
+        st.lists(
+            st.one_of(
+                st.sampled_from([0.0, -0.0, 1.0, -2.5]),
+                st.floats(allow_nan=False),
+            ),
+            max_size=6,
+        ),
+        min_size=1,
+        max_size=5,
+    ),
+)
+
+
+@EXAMPLES
+@given(numeric_rows)
+def test_array_duplicate_scan_matches_set_scan(rows):
+    parts = {i + 1: row for i, row in enumerate(rows)}
+    store = VectorCandidates(parts, len(rows))
+    if store.numeric:  # int64/float64 only; the rest keep the set scan
+        assert store.has_duplicates() == has_duplicates(parts)
 
 
 # ---------------------------------------------------------------------------
