@@ -20,7 +20,7 @@ from typing import Any, Sequence
 
 from ..mcb.message import Message
 from ..mcb.network import MCBNetwork
-from ..mcb.program import CycleOp, Listen, ProcContext, Sleep
+from ..mcb.program import Listen, ProcContext, Sleep, emit_from
 from ..sort.common import descending, pack_elem, unpack_elem
 from ..sort.even_pk import SortResult
 
@@ -58,19 +58,18 @@ def gather_sort_scatter(
                 heard = yield Listen(1, n - len(mine))
                 pool.extend(unpack_elem(msg.fields) for _, msg in heard)
             pool = descending(pool)
-            # Scatter every position except my own segment.
-            for pos in range(counts[0], n):
-                yield CycleOp(
-                    write=1, payload=Message("elem", *pack_elem(pool[pos]))
-                )
+            # Scatter every position except my own segment, back to back.
+            rest = pool[counts[0]:]
+            yield from emit_from(
+                1, [Message("elem", *pack_elem(e)) for e in rest], 0
+            )
             ctx.aux_release(n)
             return pool[: counts[0]]
         # Gather: my slot is [prefix[pid-1] - n_1, ...) after P_1's own.
         start = prefix[pid - 1] - counts[0]
-        if start > 0:
-            yield Sleep(start)
-        for e in mine:
-            yield CycleOp(write=1, payload=Message("elem", *pack_elem(e)))
+        yield from emit_from(
+            1, [Message("elem", *pack_elem(e)) for e in mine], start
+        )
         rest = (n - counts[0]) - start - len(mine)
         if rest > 0:
             yield Sleep(rest)

@@ -6,9 +6,12 @@ deterministic for a fixed seed, so a cache hit is exactly as good as a
 re-run — grids can be resumed, extended, or re-plotted without
 re-simulating configurations that already have results on disk.
 
-The file format is stable: keys are sorted, the key tuple is embedded in
-the payload (``"key"``), and a schema tag (``"cache_version"``) guards
-against reading results written by an incompatible harness.
+The file format is stable: one compact JSON line with sorted keys, the
+key tuple embedded in the payload (``"key"``), and a schema tag
+(``"cache_version"``) that guards against reading results written by an
+incompatible harness.  Entries are written without indentation because
+``indent`` switches CPython to its pure-Python encoder; readers parse
+any JSON layout, so older indented entries still hit.
 """
 
 from __future__ import annotations
@@ -136,7 +139,7 @@ class ResultCache:
             "result": result,
         }
         tmp = path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(payload, sort_keys=True, indent=1))
+        tmp.write_text(json.dumps(payload, sort_keys=True))
         tmp.replace(path)
         return path
 

@@ -25,7 +25,7 @@ cost model) — no coordination traffic is needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -67,6 +67,32 @@ class BroadcastSchedule:
     k: int
     cycles: list[list[Optional[Transfer]]]
     reads: list[list[Optional[int]]]
+    _row_sends: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def row_sends(
+        self, col: int, lo: int, hi: int
+    ) -> list[tuple[int, int, Optional[int]]]:
+        """Column ``col``'s sends from rows ``[lo, hi)``, memoized.
+
+        One ``(cycle, row - lo, src)`` triple per cycle in which column
+        ``col`` sends an element from those rows, in cycle order.
+        ``src`` is the 0-based column whose channel column ``col`` reads
+        in that cycle, or ``None`` when the element's destination is its
+        own column.  Computed once per ``(col, lo, hi)`` and schedule.
+        """
+        key = (col, lo, hi)
+        table = self._row_sends.get(key)
+        if table is None:
+            table = []
+            for t, (cycle, rd) in enumerate(zip(self.cycles, self.reads)):
+                tr = cycle[col]
+                if lo <= tr.src_row < hi:
+                    src = None if tr.dst_col == col else rd[col]
+                    table.append((t, tr.src_row - lo, src))
+            self._row_sends[key] = table
+        return table
 
     def num_cycles(self) -> int:
         """Number of cycles the phase takes (= ``m`` for valid dims)."""

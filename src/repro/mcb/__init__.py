@@ -3,8 +3,8 @@
 Public surface:
 
 * :class:`MCBNetwork` — the synchronous MCB(p, k) engine.
-* :class:`CycleOp` / :class:`Sleep` / :class:`Listen` / :class:`ProcContext`
-  — the program protocol.
+* :class:`CycleOp` / :class:`Sleep` / :class:`Listen` / :class:`Emit` /
+  :class:`ProcContext` — the program protocol.
 * :class:`Message` / :data:`EMPTY` — channel payloads.
 * :func:`run_simulated` — Section 2's larger-network-on-smaller simulation.
 * :class:`RunStats` / :class:`PhaseStats` — cost accounting.
@@ -22,10 +22,12 @@ from .network import MCBNetwork
 from .program import (
     IDLE,
     CycleOp,
+    Emit,
     Listen,
     ProcContext,
     ProgramFn,
     Sleep,
+    emit_from,
     read,
     write,
     write_read,
@@ -49,6 +51,7 @@ __all__ = [
     "ConfigurationError",
     "CycleOp",
     "EMPTY",
+    "Emit",
     "IDLE",
     "Listen",
     "MCBError",
@@ -69,6 +72,7 @@ __all__ = [
     "busiest_processors",
     "channel_report",
     "diff_runs",
+    "emit_from",
     "exchange_counts",
     "find_max_bitwise",
     "find_max_exclusive",

@@ -54,7 +54,17 @@ and cost accounting to the straightforward engine preserved in
   their channel.  Observer-subscribed runs take the desugared slow path
   (the listener stays in the active set and the engine synthesizes its
   per-cycle reads) so ``MessageBroadcast.readers`` and all accounting
-  stay bit-identical to the reference engine.
+  stay bit-identical to the reference engine;
+* an :class:`~repro.mcb.program.Emit` is **replayed**: the slot stays
+  in the schedule exactly where its desugared ``Sleep``/``CycleOp`` ops
+  (:func:`~repro.mcb.program.desugar_emit`) would keep it, but the
+  engine spells each cycle's op itself instead of resuming the
+  generator, so a write run costs one resume, not one per write, and
+  every op passes the ordinary op path.  On unobserved runs a **write
+  burst** goes further: while every awake slot is an emitter writing
+  back to back on its own channel and nobody else is due, the engine
+  charges those cycles in one pass — the same validation, messages,
+  bits, channel writes and traffic log, without the per-cycle loop.
 
 On a collision the engine records the aborted phase's partial
 :class:`~repro.mcb.trace.PhaseStats` (costs of all completed cycles,
@@ -87,10 +97,12 @@ from .errors import (
 from .message import EMPTY, Message
 from .program import (
     CycleOp,
+    Emit,
     Listen,
     ProcContext,
     ProgramFn,
     Sleep,
+    emit_schedule,
     listen_window,
 )
 from .trace import PhaseStats, RunStats
@@ -105,6 +117,59 @@ class _ListenState:
     """
 
     __slots__ = ("channel", "window", "start", "log_idx", "elapsed", "buf")
+
+
+class _EmitState:
+    """Engine-internal replay of one :class:`Emit` for one slot.
+
+    Spells the emit's desugared ops (:func:`desugar_emit`) one cycle at a
+    time from its checked offsets, without building the op list: the
+    write due at ``base + at[i]``, or the ``Sleep`` up to it.  ``ok`` is
+    the index of the first message the engine's fast write guard would
+    reject (``len(msgs)`` if none), which bounds write bursts.
+    """
+
+    __slots__ = ("channel", "msgs", "at", "base", "i", "ok")
+
+    def __init__(
+        self, op: Emit, at: Sequence[int], base: int, max_fields: int
+    ):
+        self.channel = op.channel
+        self.msgs = msgs = list(op.messages)
+        self.at = None if op.at is None else at  # None: 0, 1, 2, ...
+        self.base = base
+        self.i = 0
+        self.ok = len(msgs)
+        for j, msg in enumerate(msgs):
+            if msg.__class__ is not Message or len(msg.fields) > max_fields:
+                self.ok = j
+                break
+
+    def next_op(self, cycle: int) -> Any:
+        """The desugared op for ``cycle``; ``None`` once all are written."""
+        i = self.i
+        if i == len(self.msgs):
+            return None
+        due = self.base + (i if self.at is None else self.at[i])
+        if due > cycle:
+            return Sleep(due - cycle)
+        self.i = i + 1
+        return CycleOp(self.channel, self.msgs[i])
+
+    def writes_from(self, cycle: int) -> int:
+        """How many guard-clean writes fall on consecutive cycles from
+        ``cycle`` on (0 if the next op is not a write due then)."""
+        i, ok, at = self.i, self.ok, self.at
+        if i >= ok:
+            return 0
+        if at is None:
+            return ok - i  # back to back: write i is always due now
+        if self.base + at[i] != cycle:
+            return 0
+        j = i + 1
+        while j < ok and at[j] == at[j - 1] + 1:
+            j += 1
+        return j - i
 
 
 class MCBNetwork(ObservableMixin):
@@ -268,15 +333,20 @@ class MCBNetwork(ObservableMixin):
         until_waiters: list[list[int]] = [[] for _ in range(k + 1)]
         bounded_count = [0] * (k + 1)
         chan_log: list[list[tuple[int, Any]]] = [[] for _ in range(k + 1)]
+        # emitting[slot] is an _EmitState while that slot replays an Emit;
+        # emitters counts them.
+        emitting: list[Any] = [None] * m
+        emitters = 0
         parked = 0  # parked listeners (fast path only; 0 on observed runs)
         until_parked = 0  # until_nonempty listeners, parked or desugared
         live = m  # unfinished generators
 
         # Local bindings for the hot loop.
-        CycleOp_, Sleep_, Listen_, Message_, EMPTY_ = (
+        CycleOp_, Sleep_, Listen_, Emit_, Message_, EMPTY_ = (
             CycleOp,
             Sleep,
             Listen,
+            Emit,
             Message,
             EMPTY,
         )
@@ -372,6 +442,45 @@ class MCBNetwork(ObservableMixin):
                     f"stage '{phase}' exceeded max_cycles={max_cycles}"
                 )
 
+            if emitters and dispatch is None and len(ready) <= emitters:
+                # Write burst: every awake slot replays an Emit whose next
+                # ops are writes from this cycle on, on distinct channels
+                # nobody parks until-nonempty on, and no one else wakes
+                # before the span ends — so each of its cycles is exactly
+                # these writes.  Charge them in one pass.  A write the
+                # fast guard rejects ends the span before its cycle; the
+                # per-cycle path below then raises (or admits) it.
+                span = (sleep_heap[0][0] if sleep_heap else max_cycles) - cycle
+                chans: list[int] = []
+                for slot in ready:
+                    est = emitting[slot]
+                    if est is None:
+                        span = 0
+                        break
+                    span = min(span, est.writes_from(cycle))
+                    w = est.channel
+                    if span < 2 or w in chans or until_waiters[w]:
+                        span = 0
+                        break
+                    chans.append(w)
+                if span:
+                    for slot in ready:
+                        est = emitting[slot]
+                        w = est.channel
+                        i = est.i
+                        est.i = i + span
+                        sent = est.msgs[i : i + span]
+                        for msg in sent:
+                            bits_acc += msg.bit_size()
+                        if bounded_count[w]:
+                            chan_log[w].extend(
+                                zip(range(cycle, cycle + span), sent)
+                            )
+                        cw_counts[w] += span
+                        messages += span
+                    cycle += span
+                    continue
+
             # --- collect this cycle's ops from every awake processor -----
             next_ready: list[int] = []
             written: list[int] = []
@@ -431,17 +540,36 @@ class MCBNetwork(ObservableMixin):
                                 heard=len(st.buf),
                             )
                         )
-                try:
-                    op = sends[slot](inbox[slot])
-                except StopIteration as stop:
+                est = emitting[slot]
+                op = None
+                if est is not None:
+                    # Mid-Emit: this cycle's op comes from the replay; the
+                    # generator resumes (with None) once it runs out.
+                    op = est.next_op(cycle)
+                    if op is None:
+                        emitting[slot] = None
+                        emitters -= 1
+                if op is None:
+                    try:
+                        op = sends[slot](inbox[slot])
+                    except StopIteration as stop:
+                        inbox[slot] = None
+                        results[pids[slot]] = stop.value
+                        finished += 1
+                        live -= 1
+                        continue
                     inbox[slot] = None
-                    results[pids[slot]] = stop.value
-                    finished += 1
-                    live -= 1
-                    continue
-                inbox[slot] = None
                 cls = op.__class__
                 if cls is not CycleOp_:
+                    if cls is Emit_ or isinstance(op, Emit_):
+                        est = _EmitState(
+                            op, emit_schedule(pids[slot], op, k), cycle,
+                            max_fields,
+                        )
+                        emitting[slot] = est
+                        emitters += 1
+                        op = est.next_op(cycle)
+                        cls = op.__class__
                     if cls is Sleep_ or isinstance(op, Sleep_):
                         c = op.cycles
                         if c < 0:
@@ -505,7 +633,7 @@ class MCBNetwork(ObservableMixin):
                     if not isinstance(op, CycleOp_):
                         raise ProtocolError(
                             f"P{pids[slot]} yielded {op!r}; expected "
-                            f"CycleOp, Sleep, or Listen"
+                            f"CycleOp, Sleep, Listen, or Emit"
                         )
                 keep(slot)
                 w = op.write

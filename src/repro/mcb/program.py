@@ -27,7 +27,14 @@ Per cycle a program yields either
   is semantically identical to yielding that many ``CycleOp(read=ch)``
   but lets the engine *park* the reader on a per-channel wait-list, so a
   cycle's cost tracks the active writers rather than ``p`` (most of the
-  paper's phases are "few writers, many listeners").
+  paper's phases are "few writers, many listeners"); or
+
+* :class:`Emit` — write a run of messages on one channel at fixed
+  offsets without being resumed per write.  Emitting is semantically
+  identical to yielding the ``Sleep``/``CycleOp(write=ch, payload=m)``
+  sequence that :func:`desugar_emit` spells out, but lets the engine
+  replay that sequence itself (a fixed write schedule, like the
+  writers of Rank-Sort or of the §8 termination gather).
 
 The generator's return value (``return x``) becomes the processor's result
 in :meth:`MCBNetwork.run`'s output.
@@ -36,7 +43,8 @@ in :meth:`MCBNetwork.run`'s output.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Generator, Optional
+from itertools import repeat
+from typing import Any, Callable, Generator, Optional, Sequence
 
 from .errors import ProtocolError
 from .message import Message
@@ -223,6 +231,102 @@ def listen_window(pid: int, op: Listen) -> Optional[int]:
     return max(1, op.cycles)
 
 
+class Emit:
+    """Write ``messages`` on one channel, resumed once after the last write.
+
+    ``Emit(ch, messages, at)`` is *defined* by desugaring: it behaves
+    exactly like yielding the ops of :func:`desugar_emit` — for each
+    ``i``, ``CycleOp(write=ch, payload=messages[i])`` at offset
+    ``at[i]`` from the yield cycle (default ``at = 0, 1, 2, ...``), with
+    every gap spelled as one ``Sleep``.  A 1-cycle gap (``Sleep(1)``) is
+    therefore a participating cycle, while longer gaps are sleeps the
+    engine may fast-forward, exactly as if written by hand.  Every write
+    is validated, collision-checked and charged at its own cycle.  What
+    changes is the *delivery*: the generator is resumed once, with
+    ``None``, in the cycle after the last write::
+
+        yield Emit(channel, [msg_a, msg_b], at=[3, 7])
+        # resumed at offset 8
+
+    ``at`` must be as long as ``messages``, non-negative and strictly
+    increasing, and ``messages`` must not be empty
+    (:func:`emit_schedule` checks this in every engine).
+
+    Like :class:`CycleOp`, a plain ``__slots__`` class; treat instances
+    as immutable.
+    """
+
+    __slots__ = ("channel", "messages", "at")
+
+    def __init__(
+        self,
+        channel: int,
+        messages: Sequence[Message],
+        at: Optional[Sequence[int]] = None,
+    ):
+        self.channel = channel
+        self.messages = messages
+        self.at = at
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"Emit({self.channel!r}, {self.messages!r}, at={self.at!r})"
+
+
+def emit_schedule(pid: int, op: Emit, k: int) -> Sequence[int]:
+    """Check an :class:`Emit`'s form on ``k`` channels; return its offsets.
+
+    Every engine and the simulation desugaring share this check, so a
+    malformed emit fails with the same message everywhere (the
+    counterpart of :func:`listen_window`).  The messages themselves are
+    checked later, each at the cycle it is written.
+    """
+    if not 1 <= op.channel <= k:
+        raise ProtocolError(
+            f"P{pid} emits on invalid channel C{op.channel} (k={k})"
+        )
+    n = len(op.messages)
+    if not n:
+        raise ProtocolError(f"P{pid} yielded an Emit with no messages")
+    if op.at is None:
+        return range(n)
+    at = list(op.at)
+    if len(at) != n:
+        raise ProtocolError(
+            f"P{pid} yielded an Emit with {n} messages but {len(at)} offsets"
+        )
+    if at[0] < 0:
+        raise ProtocolError(f"P{pid} yielded a negative emit offset ({at[0]})")
+    for a, b in zip(at, at[1:]):
+        if b <= a:
+            raise ProtocolError(
+                f"P{pid} yielded emit offsets that do not increase ({a}, {b})"
+            )
+    return at
+
+
+def desugar_emit(pid: int, op: Emit, k: int) -> list:
+    """The ``Sleep``/``CycleOp`` sequence that defines ``op``.
+
+    Each gap before a write becomes one ``Sleep(gap)``; nothing follows
+    the last write.  The reference interpreter and the §2 simulators
+    step this list in place of resuming the generator, one op per cycle
+    it would have yielded; the fast engine spells the same ops one
+    cycle at a time.
+    """
+    at = emit_schedule(pid, op, k)
+    ch = op.channel
+    if op.at is None:
+        return list(map(CycleOp, repeat(ch), op.messages))
+    ops: list = []
+    t = 0
+    for a, msg in zip(at, op.messages):
+        if a > t:
+            ops.append(Sleep(a - t))
+        ops.append(CycleOp(ch, msg))
+        t = a + 1
+    return ops
+
+
 #: A no-op cycle (participate in the round, touch no channel).
 IDLE = CycleOp()
 
@@ -295,3 +399,16 @@ def read(channel: int) -> CycleOp:
 def write_read(wchannel: int, message: Message, rchannel: int) -> CycleOp:
     """Convenience: write one channel and read another in the same cycle."""
     return CycleOp(write=wchannel, payload=message, read=rchannel)
+
+
+def emit_from(channel: int, messages: Sequence[Message], start: int):
+    """Sub-generator: write ``messages`` back to back from offset ``start``.
+
+    The paced stream of the paper's gathers (await your turn by counting
+    cycles, then send): one :class:`Emit` at offsets ``start, start + 1,
+    ...``, or just the ``Sleep(start)`` when there is nothing to send.
+    """
+    if messages:
+        yield Emit(channel, messages, at=range(start, start + len(messages)))
+    elif start > 0:
+        yield Sleep(start)

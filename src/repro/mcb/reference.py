@@ -36,7 +36,9 @@ and is not meant for production use.  It serves as
 interpreter synthesizes one ``CycleOp(read=...)`` per cycle of the
 window without resuming the generator, then resumes it once with the
 bulk result.  The fast engine's parked wait-lists must match this bit
-for bit.
+for bit.  An :class:`~repro.mcb.program.Emit` is stepped as the
+``Sleep``/``CycleOp`` list :func:`~repro.mcb.program.desugar_emit`
+spells out, one op per cycle, before the generator resumes.
 
 Rules shared by every policy (and by the fast engine): ``Sleep(c)``
 with ``c < 0`` raises :class:`ProtocolError`; a message with more than
@@ -77,10 +79,12 @@ from .errors import (
 from .message import EMPTY, Message
 from .program import (
     CycleOp,
+    Emit,
     Listen,
     ProcContext,
     ProgramFn,
     Sleep,
+    desugar_emit,
     listen_window,
 )
 from .trace import PhaseStats, RunStats
@@ -234,6 +238,7 @@ class ReferenceMCBNetwork(ObservableMixin):
         inbox: dict[int, Any] = {pid: None for pid in programs}
         wake: dict[int, int] = {pid: 0 for pid in programs}
         listening: dict[int, _RefListenState] = {}
+        emitting: dict[int, Any] = {}  # pid -> rest of its desugared Emit
         until_parked = 0
         memory: dict[int, Any] = {}  # cell contents (medium "cells")
 
@@ -306,14 +311,23 @@ class ReferenceMCBNetwork(ObservableMixin):
                                 heard=1 if st.window is None else len(done),
                             )
                         )
-                try:
-                    op = gens[pid].send(inbox[pid])
-                except StopIteration as stop:
-                    results[pid] = stop.value
-                    del gens[pid]
-                    continue
-                finally:
-                    inbox[pid] = None
+                op = None
+                if pid in emitting:
+                    op = next(emitting[pid], None)
+                    if op is None:
+                        del emitting[pid]
+                if op is None:
+                    try:
+                        op = gens[pid].send(inbox[pid])
+                    except StopIteration as stop:
+                        results[pid] = stop.value
+                        del gens[pid]
+                        continue
+                    finally:
+                        inbox[pid] = None
+                if isinstance(op, Emit):
+                    emitting[pid] = iter(desugar_emit(pid, op, k))
+                    op = next(emitting[pid])
                 any_op = True
                 if isinstance(op, Sleep):
                     if op.cycles < 0:
@@ -353,7 +367,7 @@ class ReferenceMCBNetwork(ObservableMixin):
                 if not isinstance(op, cycle_ops):
                     raise ProtocolError(
                         f"P{pid} yielded {op!r}; expected "
-                        f"CycleOp, ExtOp, Sleep, or Listen"
+                        f"CycleOp, ExtOp, Sleep, Listen, or Emit"
                     )
                 wake[pid] = cycle + 1
                 w = op.write
@@ -557,7 +571,7 @@ def run_simulated_reference(
     found by scanning all pending ops instead of a precomputed table.
     """
     from .simulate import (
-        desugar_listens,
+        desugar,
         host_index,
         host_of,
         real_channel,
@@ -595,7 +609,7 @@ def run_simulated_reference(
                     data=None if data is None else data.get(q),
                 )
                 vctxs[q] = vctx
-                gens[q] = desugar_listens(q, programs[q](vctx))
+                gens[q] = desugar(q, k_virtual, programs[q](vctx))
             inbox: dict[int, Any] = {q: None for q in gens}
             sleeping: dict[int, int] = {}
 

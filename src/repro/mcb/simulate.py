@@ -45,10 +45,12 @@ from .network import MCBNetwork
 from .program import (
     IDLE,
     CycleOp,
+    Emit,
     Listen,
     ProcContext,
     ProgramFn,
     Sleep,
+    desugar_emit,
     listen_window,
 )
 
@@ -77,16 +79,20 @@ def simulation_overhead(p_virtual: int, k_virtual: int, p: int, k: int) -> tuple
     return v * v * s, v
 
 
-def desugar_listens(q: int, gen: Generator) -> Generator:
-    """Run virtual program ``gen``, spelling each ``Listen`` as reads.
+def desugar(q: int, k: int, gen: Generator) -> Generator:
+    """Run virtual program ``gen``, spelling ``Listen`` and ``Emit`` out.
 
-    The oblivious block schedule moves at most one read per virtual
-    processor per virtual cycle and has no parked readers, so both
-    simulators wrap every virtual program (virtual pid ``q``) in this
-    generator.  A :class:`~repro.mcb.program.Listen` becomes exactly the
-    per-cycle ``CycleOp(read=ch)`` yields that define it
-    (``docs/MODEL.md``), and the program is resumed with the same bulk
-    result an engine would deliver.  Everything else passes through.
+    The oblivious block schedule moves at most one read and one write per
+    virtual processor per virtual cycle and has no parked readers or
+    replayed writers, so both simulators wrap every virtual program
+    (virtual pid ``q`` on ``k`` virtual channels) in this generator.  A
+    :class:`~repro.mcb.program.Listen` becomes exactly the per-cycle
+    ``CycleOp(read=ch)`` yields that define it (``docs/MODEL.md``), and
+    the program is resumed with the same bulk result an engine would
+    deliver; an :class:`~repro.mcb.program.Emit` becomes its
+    :func:`~repro.mcb.program.desugar_emit` ops, and the program is
+    resumed with ``None`` after the last write.  Everything else passes
+    through.
     """
     got = None
     while True:
@@ -94,6 +100,11 @@ def desugar_listens(q: int, gen: Generator) -> Generator:
             op = gen.send(got)
         except StopIteration as stop:
             return stop.value
+        if isinstance(op, Emit):
+            for sub in desugar_emit(q, op, k):
+                yield sub
+            got = None
+            continue
         if not isinstance(op, Listen):
             got = yield op
             continue
@@ -161,7 +172,7 @@ def run_simulated(
                     data=None if data is None else data.get(q),
                 )
                 vctxs[q] = vctx
-                gens[q] = desugar_listens(q, programs[q](vctx))
+                gens[q] = desugar(q, k_virtual, programs[q](vctx))
             inbox: dict[int, Any] = {q: None for q in gens}
             sleeping: dict[int, int] = {}  # q -> remaining idle virtual cycles
 

@@ -34,7 +34,7 @@ from typing import Any, Sequence
 from ..mcb.errors import ConfigurationError
 from ..mcb.message import Message
 from ..mcb.network import MCBNetwork
-from ..mcb.program import CycleOp, Listen, ProcContext, Sleep
+from ..mcb.program import CycleOp, Listen, ProcContext, Sleep, emit_from
 from ..prefix.mcb_partial_sums import mcb_partial_sums, mcb_total_sum
 from ..sort.common import pack_elem, unpack_elem
 from ..sort.ones import sort_ones
@@ -318,10 +318,9 @@ def select_from_store(
             yield CycleOp(write=1, payload=Message("ans", *pack_elem(answer)))
             return answer
         start = sums[pid].prev
-        if start > 0:
-            yield Sleep(start)
-        for e in mine:
-            yield CycleOp(write=1, payload=Message("cand", *pack_elem(e)))
+        yield from emit_from(
+            1, [Message("cand", *pack_elem(e)) for e in mine], start
+        )
         rest = total - start - len(mine)
         if rest > 0:
             yield Sleep(rest)

@@ -28,7 +28,7 @@ from typing import Any, Sequence
 
 from ..mcb.message import EMPTY, Message
 from ..mcb.network import MCBNetwork
-from ..mcb.program import CycleOp, Listen, ProcContext, Sleep
+from ..mcb.program import CycleOp, Listen, ProcContext, Sleep, emit_from
 from ..prefix.mcb_partial_sums import mcb_partial_sums, mcb_total_sum
 from ..sort.common import pack_elem, unpack_elem
 from ..sort.ones import sort_ones
@@ -187,12 +187,8 @@ def mcb_select_weighted(
             yield CycleOp(write=1, payload=Message("ans", *pack_elem(answer)))
             return answer
         start = sums[pid].prev
-        if start > 0:
-            yield Sleep(start)
-        for e, w in mine:
-            yield CycleOp(
-                write=1, payload=Message("cand", *(pack_elem(e) + (w,)))
-            )
+        cands = [Message("cand", *(pack_elem(e) + (w,))) for e, w in mine]
+        yield from emit_from(1, cands, start)
         rest = total_c - start - len(mine)
         if rest > 0:
             yield Sleep(rest)

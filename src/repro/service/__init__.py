@@ -41,6 +41,7 @@ from .app import (
     ServiceApp,
     ServiceClosedError,
     ServiceError,
+    WorkerLostError,
 )
 from .http import ServiceServer
 from .jobs import Job, JobSpec, JobState
@@ -56,4 +57,5 @@ __all__ = [
     "ServiceClosedError",
     "ServiceError",
     "ServiceServer",
+    "WorkerLostError",
 ]

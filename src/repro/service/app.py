@@ -36,6 +36,7 @@ import os
 import time
 from collections import deque
 from concurrent.futures import Executor, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Optional
 
 from ..bench.cache import ResultCache
@@ -73,6 +74,15 @@ EXECUTOR_MODES = ("process", "thread", "sync")
 
 class ServiceError(Exception):
     """Base class for service-level failures."""
+
+
+class WorkerLostError(ServiceError):
+    """A process-pool worker died while running the job.
+
+    The job fails (it may itself have killed the worker, so it is not
+    retried); the broken pool is dropped and the next job starts a fresh
+    one, prewarmed like the first.
+    """
 
 
 class QueueFullError(ServiceError):
@@ -199,6 +209,11 @@ class ServiceApp:
             "service_sink_errors_total",
             "lifecycle events a sink failed to accept",
         )
+        self._m_pool_restarts = reg.counter(
+            "service_pool_restarts_total",
+            "broken process pools dropped for a fresh one",
+        )
+        self._pool_restarts = 0
         self._m_depth.set(0)
         self._m_inflight.set(0)
 
@@ -515,6 +530,26 @@ class ServiceApp:
         loop = asyncio.get_running_loop()
         if self.executor_mode == "thread":
             return await loop.run_in_executor(None, fn, *args)
+        pool = self._process_pool()
+        try:
+            future = loop.run_in_executor(pool, fn, *args)
+        except BrokenProcessPool:
+            # A worker died while the pool was idle: nothing of this job
+            # ran yet, so it goes to a fresh pool.
+            self._drop_pool(pool)
+            pool = self._process_pool()
+            future = loop.run_in_executor(pool, fn, *args)
+        try:
+            return await future
+        except BrokenProcessPool as exc:
+            self._drop_pool(pool)
+            raise WorkerLostError(
+                "a pool worker died while running the job; the pool "
+                "is restarted for the next one"
+            ) from exc
+
+    def _process_pool(self) -> Executor:
+        """The process pool, started (with prewarm) on first use."""
         if self._pool is None:
             pool_kwargs: dict[str, Any] = {}
             if self.prewarm:
@@ -525,7 +560,16 @@ class ServiceApp:
                 mp_context=multiprocessing.get_context("spawn"),
                 **pool_kwargs,
             )
-        return await loop.run_in_executor(self._pool, fn, *args)
+        return self._pool
+
+    def _drop_pool(self, pool: Executor) -> None:
+        """Forget a broken pool, once, however many jobs it failed."""
+        if self._pool is not pool:
+            return  # another job already replaced it
+        self._pool = None
+        pool.shutdown(wait=False, cancel_futures=True)
+        self._pool_restarts += 1
+        self._m_pool_restarts.inc()
 
     # ------------------------------------------------------------------
     # bookkeeping
@@ -573,12 +617,24 @@ class ServiceApp:
         self._m_request_latency.observe(seconds, endpoint=endpoint)
 
     def health(self) -> dict[str, Any]:
-        """The ``GET /healthz`` payload."""
+        """The ``GET /healthz`` payload.
+
+        ``pool`` is ``"up"`` while a process pool is running, ``"down"``
+        before the first process job and after a broken pool was dropped
+        (the next job starts a fresh one), and ``"none"`` for the thread
+        and sync executors; ``pool_restarts`` counts the dropped pools.
+        """
+        if self.executor_mode != "process":
+            pool = "none"
+        else:
+            pool = "up" if self._pool is not None else "down"
         return {
             "status": "closing" if self._closing else "ok",
             "queue_depth": self._queue.qsize() if self._queue else 0,
             "in_flight": int(self._m_inflight.get()),
             "workers": self.workers,
             "executor": self.executor_mode,
+            "pool": pool,
+            "pool_restarts": self._pool_restarts,
             "jobs_retained": len(self._jobs),
         }

@@ -32,14 +32,9 @@ from typing import Any, Sequence
 
 from ..mcb.message import EMPTY, Message
 from ..mcb.network import MCBNetwork
-from ..mcb.program import CycleOp, Listen, ProcContext, Sleep
+from ..mcb.program import CycleOp, Listen, ProcContext, Sleep, emit_from
 from .common import dummy_like, is_dummy, pack_elem, unpack_elem
 from .even_pk import SortResult, columnsort_program
-
-
-def _sleep(t: int):
-    if t > 0:
-        yield Sleep(t)
 
 
 def padded_column_length(n: int, k: int) -> int:
@@ -102,16 +97,18 @@ def sort_even_collect(
                 dummy_like(mine[0], seq=r) for r in range(m_pad - len(column))
             )
         else:
-            yield from _sleep(w * npp)
-            for e in mine:
-                yield CycleOp(write=j, payload=Message("elem", *pack_elem(e)))
-            yield from _sleep(collect_cycles - (w + 1) * npp)
+            yield from emit_from(
+                j, [Message("elem", *pack_elem(e)) for e in mine], w * npp
+            )
+            if collect_cycles > (w + 1) * npp:
+                yield Sleep(collect_cycles - (w + 1) * npp)
 
         # ---- phases 1-9: Columnsort among the representatives ----------
         if is_rep:
             column = yield from columnsort_program(j - 1, column, m_pad, k)
         else:
-            yield from _sleep(4 * m_pad)
+            if m_pad > 0:
+                yield Sleep(4 * m_pad)
 
         # ---- phase 10: redistribute (each element broadcast twice) -----
         # Global sorted position pos (0-based) lives at column pos // m_pad,
@@ -141,7 +138,7 @@ def sort_even_collect(
                     wpay = Message("elem", *pack_elem(column[r]))
                 rd = plan.get(t)
                 if wchan is None and rd is None:
-                    yield from _sleep(1)  # may resume writing next cycle
+                    yield Sleep(1)  # may resume writing next cycle
                     t += 1
                     continue
                 got = yield CycleOp(
@@ -159,13 +156,15 @@ def sort_even_collect(
             for pass_idx, c in enumerate(cols_needed):
                 rows = needs[c]  # ascending (row, slot)
                 start = pass_idx * m_pad + rows[0][0]
-                yield from _sleep(start - t)
+                if start > t:
+                    yield Sleep(start - t)
                 heard = yield Listen(c + 1, len(rows))
                 assert len(heard) == len(rows)
                 for (_, msg), (_, slot) in zip(heard, rows):
                     out[slot] = unpack_elem(msg.fields)
                 t = start + len(rows)
-            yield from _sleep(2 * m_pad - t)
+            if 2 * m_pad > t:
+                yield Sleep(2 * m_pad - t)
         assert all(e is not None for e in out)
         if is_rep:
             ctx.aux_release(m_pad)

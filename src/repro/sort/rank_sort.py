@@ -20,55 +20,73 @@ bucketed by local insertion position, turned into suffix sums at the end
 of pass 1) so no pass-1 buffering of foreign elements is needed — the
 auxiliary footprint really is ``O(n_i)``.
 
-Both passes park on :class:`~repro.mcb.program.Listen` wherever a member
-only reads: pass 1 around its own write run, pass 2 across its output
-segment.  The aux accounting is unchanged — a heard list is the engine's
-bulk delivery of the per-cycle reads, and pass 1 folds it into the
-histogram one message at a time exactly as the reads would have been.
-Observed runs therefore emit a ``ListenParked``/``ListenWoken`` pair per
-window.
+Both passes park readers and writers alike.  A member only reading
+parks on :class:`~repro.mcb.program.Listen` (pass 1 around its own write
+run, pass 2 across its output segment); a member only writing hands the
+engine its whole run as one :class:`~repro.mcb.program.Emit` (pass 1's
+back-to-back elements, pass 2's owned ranks before and after its
+segment, at their fixed cycles).  Each member is therefore resumed a
+handful of times per pass, not once per cycle.  The aux accounting is
+unchanged — a heard list is the engine's bulk delivery of the per-cycle
+reads, and pass 1 folds it into the same histogram the reads would have
+filled.  Observed runs emit a ``ListenParked``/``ListenWoken`` pair per
+listen window; an emit is stepped as its desugared writes and sleeps, so
+it adds no event of its own.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
+from itertools import repeat
+from operator import attrgetter, itemgetter
 from typing import Any, Optional, Sequence
 
 from ..mcb.message import Message
 from ..mcb.network import MCBNetwork
-from ..mcb.program import CycleOp, Listen, ProcContext, Sleep
-from .common import descending, pack_elem, unpack_elem
+from ..mcb.program import Emit, Listen, ProcContext, Sleep
+from .common import pack_elem, unpack_elem
 from .even_pk import SortResult
 
+_msg_of = itemgetter(1)
+_fields_of = attrgetter("fields")
 
-def _count_hits(heard: list, window: int, own_asc: list, hits: list) -> None:
+
+def _count_hits(
+    heard: list, window: int, own_fields: list, hits: list
+) -> None:
     """Fold one pass-1 listen window into the rank histogram.
 
-    Every cycle of the window carries some member's element, so hearing
-    fewer messages than the window is long means a writer went missing —
-    fail instead of undercounting ranks.
+    ``own_fields`` are my elements' message fields, ascending: packing
+    preserves order, so a heard message's fields bisect into them exactly
+    where its element bisects into my elements.  Every cycle of the
+    window carries some member's element, so hearing fewer messages than
+    the window is long means a writer went missing — fail instead of
+    undercounting ranks.
     """
     assert len(heard) == window, (
         f"pass 1 heard {len(heard)} elements in a {window}-cycle window"
     )
-    for _, msg in heard:
-        hits[bisect_left(own_asc, unpack_elem(msg.fields))] += 1
+    fields = map(_fields_of, map(_msg_of, heard))
+    for j, c in Counter(map(bisect_left, repeat(own_fields), fields)).items():
+        hits[j] += c
 
 
-def _write_owned(channel: int, cycles: list, rank_of_own: dict, t: int):
-    """Sub-generator: from cycle ``t``, sleep to and write each owned rank.
+def _emit_owned(channel: int, cycles: list, msg_of_rank: dict, t: int):
+    """Sub-generator: from cycle ``t``, write each owned rank at its cycle.
 
     ``cycles`` are the ascending 0-based cycles ``rank - 1`` of ranks I
-    own but must send to another member.  Returns the cycle after the
-    last write (``t`` if there was none).
+    own but must send to another member; they go out as one
+    :class:`Emit`.  Returns the cycle after the last write (``t`` if
+    there was none).
     """
-    for c in cycles:
-        if c > t:
-            yield Sleep(c - t)
-        yield CycleOp(
-            write=channel, payload=Message("elem", *pack_elem(rank_of_own[c + 1]))
+    if cycles:
+        yield Emit(
+            channel,
+            [msg_of_rank[c + 1] for c in cycles],
+            at=[c - t for c in cycles],
         )
-        t = c + 1
+        t = cycles[-1] + 1
     return t
 
 
@@ -131,7 +149,12 @@ def rank_sort_group(
         prefix_val = out_prefix[-1] + c
         out_prefix.append(prefix_val)
 
-    own_asc = sorted(my_elems)  # ascending: bisect-friendly
+    # My elements ascending (bisect-friendly), each with the message that
+    # carries it: pass 2 resends pass 1's message objects.
+    sent = [Message("elem", *pack_elem(e)) for e in my_elems]
+    order = sorted(range(len(my_elems)), key=my_elems.__getitem__)
+    own_asc = [my_elems[i] for i in order]
+    own_msgs = [sent[i] for i in order]
     n_i = len(own_asc)
     # hits[j] = number of heard elements larger than own_asc[j-1 .. ]:
     # a heard x with insertion point j outranks own_asc[0..j).
@@ -142,16 +165,17 @@ def rank_sort_group(
     # ---- pass 1: broadcast everything, count ranks -----------------------
     # Members write in group order, one element per cycle, so the channel
     # carries a message on every cycle: I listen through the runs before
-    # and after my own writes instead of being resumed once per cycle.
+    # and after my own run, and emit that run in one go.
     my_start, my_end = prefix[group_index], prefix[group_index + 1]
+    own_fields = [msg.fields for msg in own_msgs]
     if my_start:
         heard = yield Listen(channel, my_start)
-        _count_hits(heard, my_start, own_asc, hits)
-    for e in my_elems:
-        yield CycleOp(write=channel, payload=Message("elem", *pack_elem(e)))
+        _count_hits(heard, my_start, own_fields, hits)
+    if sent:
+        yield Emit(channel, sent)
     if n_g > my_end:
         heard = yield Listen(channel, n_g - my_end)
-        _count_hits(heard, n_g - my_end, own_asc, hits)
+        _count_hits(heard, n_g - my_end, own_fields, hits)
 
     # hits[j] counts heard elements whose insertion point into own_asc is
     # j, i.e. elements larger than own_asc[0..j) and smaller than
@@ -170,24 +194,26 @@ def rank_sort_group(
         acc += hits[i]
         heard_smaller[i] = acc
     rank_of_own = {}  # global rank -> element
+    msg_of_rank = {}  # global rank -> its message
     for i, e in enumerate(own_asc):
         if ascending:
             rank = 1 + i + heard_smaller[i]
         else:
             rank = 1 + (n_i - 1 - i) + heard_larger[i]
         rank_of_own[rank] = e
+        msg_of_rank[rank] = own_msgs[i]
 
     # ---- pass 2: broadcast in rank order, targets collect ----------------
     # The owner of rank r writes in cycle r - 1.  Outside my output
-    # segment I only sleep to my owned cycles and write them; inside it I
+    # segment I only emit my owned ranks at their cycles; inside it I
     # listen once, filling the silent cycles whose rank I own myself.
     seg_start, seg_end = out_prefix[group_index], out_prefix[group_index + 1]
     output: list[Any] = []
     if ctx is not None:
         ctx.aux_acquire(out_counts[group_index])
     owned = sorted(r - 1 for r in rank_of_own)
-    t = yield from _write_owned(
-        channel, [c for c in owned if c < seg_start], rank_of_own, 0
+    t = yield from _emit_owned(
+        channel, [c for c in owned if c < seg_start], msg_of_rank, 0
     )
     if seg_start > t:
         # Wake at seg_start even for an empty segment: the schedule's
@@ -202,8 +228,8 @@ def rank_sort_group(
             got = heard_at.get(c - seg_start)
             assert got is not None, "rank owner must broadcast to its target"
             output.append(unpack_elem(got.fields))
-    t = yield from _write_owned(
-        channel, [c for c in owned if c >= seg_end], rank_of_own, seg_end
+    t = yield from _emit_owned(
+        channel, [c for c in owned if c >= seg_end], msg_of_rank, seg_end
     )
     if n_g > t:
         yield Sleep(n_g - t)

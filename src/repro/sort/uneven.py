@@ -42,15 +42,10 @@ from typing import Any, Sequence
 from ..columnsort.matrix import max_columns_for
 from ..mcb.message import EMPTY, Message
 from ..mcb.network import MCBNetwork
-from ..mcb.program import CycleOp, Listen, ProcContext, Sleep
+from ..mcb.program import CycleOp, Listen, ProcContext, Sleep, emit_from
 from ..prefix.mcb_partial_sums import mcb_partial_sums, mcb_total_sum
 from .common import dummy_like, is_dummy, pack_elem, unpack_elem
 from .even_pk import SortResult, columnsort_program
-
-
-def _sleep(t: int):
-    if t > 0:
-        yield Sleep(t)
 
 
 def sort_uneven(
@@ -155,19 +150,25 @@ def sort_uneven(
             column.extend(
                 dummy_like(mine[0], seq=r) for r in range(m_pad - len(column))
             )
-            yield from _sleep(m_pad - to_read)
+            if m_pad > to_read:
+                yield Sleep(m_pad - to_read)
         else:
-            my_start = my_prev - group_base[j]  # revised partial sum wait
-            yield from _sleep(my_start)
-            for e in mine:
-                yield CycleOp(write=chan, payload=Message("elem", *pack_elem(e)))
-            yield from _sleep(m_pad - my_start - len(mine))
+            # Await my turn by counting cycles: the wait is my revised
+            # partial sum.
+            my_start = my_prev - group_base[j]
+            yield from emit_from(
+                chan, [Message("elem", *pack_elem(e)) for e in mine], my_start
+            )
+            my_end = my_start + len(mine)
+            if m_pad > my_end:
+                yield Sleep(m_pad - my_end)
 
         # ---- phases 1-9 among representatives --------------------------
         if is_rep:
             column = yield from columnsort_program(j, column, m_pad, k_used)
         else:
-            yield from _sleep(4 * m_pad)
+            if m_pad > 0:
+                yield Sleep(4 * m_pad)
 
         # ---- phase 10: double broadcast, everyone collects its segment -
         seg_start, seg_end = my_prev, my_incl
@@ -193,7 +194,8 @@ def sort_uneven(
                 nxt = min((u for u in plan if u > t), default=2 * m_pad)
                 if is_rep:
                     nxt = t + 1
-                yield from _sleep(nxt - t)
+                if nxt > t:
+                    yield Sleep(nxt - t)
                 t = nxt
                 continue
             got = yield CycleOp(

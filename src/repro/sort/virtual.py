@@ -48,11 +48,6 @@ from .rank_sort import rank_sort_group
 Sorter = Literal["rank", "merge"]
 
 
-def _sleep(t: int):
-    if t > 0:
-        yield Sleep(t)
-
-
 def virtual_transformation(
     phase_no: int,
     col_idx: int,
@@ -74,32 +69,27 @@ def virtual_transformation(
     block (used when this runs inside a sub-network of a recursive call).
     """
     sched = schedule_for_phase(phase_no, m, k)
-    # Cycles in which I act: my rows are [member*npp, (member+1)*npp).
-    lo, hi = member * npp, (member + 1) * npp
-    my_cycles = [
-        t
-        for t in range(m)
-        if lo <= sched.cycles[t][col_idx].src_row < hi
-    ]
+    # The cycles in which I act: my rows are [member*npp, (member+1)*npp).
+    sends = sched.row_sends(col_idx, member * npp, (member + 1) * npp)
+    wchan = chan_base + col_idx + 1
     out = list(mine)
     t_now = 0
-    for t in my_cycles:
-        yield from _sleep(t - t_now)
-        tr = sched.cycles[t][col_idx]
-        src = sched.reads[t][col_idx]
-        slot = tr.src_row - lo
-        if tr.dst_col == col_idx:
+    for t, slot, src in sends:
+        if t > t_now:
+            yield Sleep(t - t_now)
+        if src is None:
             # Self-transfer: the element stays in my slot this phase.
-            yield from _sleep(1)
+            yield Sleep(1)
         else:
             got = yield CycleOp(
-                write=chan_base + col_idx + 1,
+                write=wchan,
                 payload=Message("elem", *pack_elem(out[slot])),
                 read=chan_base + src + 1,
             )
             out[slot] = unpack_elem(got.fields)  # stored over the one sent
         t_now = t + 1
-    yield from _sleep(m - t_now)
+    if m > t_now:
+        yield Sleep(m - t_now)
     return out
 
 

@@ -32,6 +32,30 @@ class TestResultCache:
         (tmp_path / key.filename()).write_text(json.dumps(payload))
         assert cache.get(key) is None
 
+    def test_entry_is_one_compact_line(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        key = CacheKey("sort", 8, 4, 64, 0)
+        result = {"stats": {"cycles": 42, "phases": [{"b": 1, "a": 2}]}}
+        text = cache.put(key, result).read_text()
+        assert "\n" not in text
+        assert text == json.dumps(json.loads(text), sort_keys=True)
+        assert cache.get(key) == result
+
+    def test_indented_entry_still_hits(self, tmp_path):
+        # Entries written before the compact format are pretty-printed.
+        cache = ResultCache(tmp_path)
+        key = CacheKey("sort", 8, 4, 64, 0)
+        payload = {
+            "cache_version": CACHE_VERSION,
+            "key": list(key),
+            "result": {"stats": {"cycles": 7}},
+        }
+        (tmp_path / key.filename()).write_text(
+            json.dumps(payload, sort_keys=True, indent=1)
+        )
+        assert cache.get(key) == {"stats": {"cycles": 7}}
+        assert cache.hits == 1
+
     def test_corrupt_entry_reads_as_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
         key = CacheKey("sort", 8, 4, 64, 0)

@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import asyncio
 import json
+import multiprocessing
+import os
+import signal
 
 import pytest
 
@@ -440,6 +443,44 @@ class TestCacheMetrics:
         text = app.registry.render_prometheus()
         assert "service_lane_wall_seconds" in text
         assert 'quantile="0.99"' in text
+
+
+class TestDeadWorker:
+    def test_killed_worker_is_replaced(self):
+        """SIGKILL the only pool process between jobs: the service must
+        drop the broken pool, start a fresh one, and say so in health."""
+
+        async def scenario():
+            app = make_app(executor="process", workers=1)
+            await app.start()
+            first = app.submit(JobSpec(**SORT))
+            await app.join()
+            before = app.health()
+            for proc in multiprocessing.active_children():
+                os.kill(proc.pid, signal.SIGKILL)
+                proc.join(10)
+            # The job that meets the broken pool either never reached it
+            # (and runs on the fresh pool) or fails with WorkerLostError;
+            # the one after it must run either way.
+            later = []
+            for seed in (2, 3):
+                later.append(app.submit(JobSpec(**{**SORT, "seed": seed})))
+                await app.join()
+                if later[-1].state is JobState.DONE:
+                    break
+            after = app.health()
+            await app.shutdown()
+            return app, first, later, before, after
+
+        app, first, later, before, after = drive(scenario())
+        assert first.state is JobState.DONE
+        assert later[-1].state is JobState.DONE, later[-1].error
+        for job in later[:-1]:
+            assert job.state is JobState.FAILED
+            assert job.error.startswith("WorkerLostError")
+        assert before["pool"] == after["pool"] == "up"
+        assert (before["pool_restarts"], after["pool_restarts"]) == (0, 1)
+        assert app.registry.get("service_pool_restarts_total").get() == 1
 
 
 class TestWorkerSizing:
