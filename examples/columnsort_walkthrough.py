@@ -9,11 +9,8 @@ network (the §5.2 closed form).
 Run:  python examples/columnsort_walkthrough.py
 """
 
-from repro.columnsort import (
-    columnsort,
-    paper_transpose_schedule,
-    transformations_demo,
-)
+from repro.columnsort import columnsort, transformations_demo
+from repro.mcb.vector import lower_paper_transpose
 
 import numpy as np
 
@@ -43,11 +40,13 @@ def main() -> None:
     print("=" * 64)
     print("cycle j: processor P_i sends row ((i+j) mod m)+1 on channel C_i")
     print("         and reads channel ((i-(j mod k)-2) mod k)+1\n")
-    sched = paper_transpose_schedule(m, k)
-    for j, cycle in enumerate(sched):
+    plan = lower_paper_transpose(m, k)
+    send = {(j, i): row for j, i, _, row in plan.writes}
+    read = {(j, i): chan for j, i, chan, _ in plan.reads}
+    for j in range(m):
         parts = [
-            f"P{i + 1}: send row {row + 1:>2}, read C{ch + 1}"
-            for i, (row, ch) in enumerate(cycle)
+            f"P{i + 1}: send row {send[j, i] + 1:>2}, read C{read[j, i]}"
+            for i in range(k)
         ]
         print(f"cycle {j}:  " + "   ".join(parts))
     print(f"\n{m} cycles, one element per processor per cycle, no collisions")

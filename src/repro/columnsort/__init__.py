@@ -33,7 +33,6 @@ from .schedule import (
     build_schedule,
     bvn_decomposition,
     bvn_for_phase,
-    paper_transpose_schedule,
     schedule_for_phase,
 )
 
@@ -57,7 +56,6 @@ __all__ = [
     "is_columnsorted",
     "is_permutation",
     "max_columns_for",
-    "paper_transpose_schedule",
     "require_valid_dims",
     "schedule_for_phase",
     "to_columns",

@@ -1,13 +1,10 @@
 """Collision-free broadcast schedules for the transformation phases.
 
 §5.2 gives a closed-form schedule for phase 2 (transpose) when ``p = k``
-and notes "similar schemes can be devised for phases 4, 6 and 8".  We
-implement both:
-
-* :func:`paper_transpose_schedule` — the paper's formula verbatim: in
-  cycle ``j`` processor ``P_i`` sends the element in position
-  ``((i + j) mod m) + 1`` of its column and reads channel
-  ``((i - (j mod k) - 2) mod k) + 1``.
+and notes "similar schemes can be devised for phases 4, 6 and 8".  The
+closed form lives with the other columnsort lowerings, as
+:func:`repro.mcb.vector.lower.lower_paper_transpose`; this module holds
+the general scheme:
 
 * :func:`build_schedule` — a general scheduler for *any* of the four
   transformations (indeed any permutation whose k x k column transfer
@@ -315,31 +312,3 @@ def schedule_for_phase(phase: int, m: int, k: int) -> BroadcastSchedule:
             matchings=bvn_for_phase(phase, m, k),
         )
     return _SCHEDULE_CACHE[key]
-
-
-# ---------------------------------------------------------------------------
-# The paper's closed-form phase-2 schedule (for p = k)
-# ---------------------------------------------------------------------------
-
-def paper_transpose_schedule(m: int, k: int) -> list[list[tuple[int, int]]]:
-    """§5.2 verbatim: per cycle, per processor, (send_row, read_channel).
-
-    Both entries 0-based here: in cycle ``j`` processor ``i`` (0-based)
-    broadcasts its column element in row ``(i + 1 + j) mod m`` — the
-    paper's 1-based ``((i + j) mod m) + 1`` — and reads 0-based channel
-    ``(i + 1 - (j mod k) - 2) mod k`` — the paper's
-    ``((i - (j mod k) - 2) mod k) + 1``.
-
-    Returns ``sched[j][i] = (send_row, read_channel)`` for ``j`` in
-    ``0..m-1``.
-    """
-    sched: list[list[tuple[int, int]]] = []
-    for j in range(m):
-        row: list[tuple[int, int]] = []
-        for i0 in range(k):
-            i = i0 + 1  # paper's 1-based processor index
-            send_row = (i + j) % m
-            read_ch = (i - (j % k) - 2) % k
-            row.append((send_row, read_ch))
-        sched.append(row)
-    return sched

@@ -10,7 +10,7 @@ can report total traffic in bits as well as in messages.
 from __future__ import annotations
 
 import math
-from typing import Any
+from typing import Any, Sequence
 
 
 class _Empty:
@@ -58,6 +58,18 @@ def scalar_bits(value: Any) -> int:
     if isinstance(value, str):
         return 8 * max(1, len(value))
     raise TypeError(f"non-scalar message field: {value!r}")
+
+
+def pack_elem(e: Any) -> tuple:
+    """Element -> message fields: a scalar is one field, a tuple element
+    (e.g. the §3 ``(value, pid, idx)`` triple) one field per component."""
+    return tuple(e) if isinstance(e, tuple) else (e,)
+
+
+def unpack_elem(fields: Sequence[Any]) -> Any:
+    """Message fields -> element (scalar or tuple); inverse of
+    :func:`pack_elem`."""
+    return fields[0] if len(fields) == 1 else tuple(fields)
 
 
 class Message:

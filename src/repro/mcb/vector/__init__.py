@@ -39,7 +39,7 @@ from .executor import (
     static_message_bits,
 )
 from .lower import (
-    lower_broadcast_schedule,
+    lower_columnsort_phases,
     lower_paper_transpose,
     lower_phase_columnar,
     lower_rebalance_movement,
@@ -65,7 +65,7 @@ __all__ = [
     "detect_dtype_rows",
     "fuse_phases",
     "load_compiled_phases",
-    "lower_broadcast_schedule",
+    "lower_columnsort_phases",
     "lower_paper_transpose",
     "lower_phase_columnar",
     "lower_rebalance_movement",

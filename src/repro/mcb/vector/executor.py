@@ -36,9 +36,9 @@ from typing import Any, Iterable, Optional, Sequence
 import numpy as np
 
 from ..errors import CollisionError, ConfigurationError
-from ..message import scalar_bits
+from ..message import pack_elem, scalar_bits
 from ..trace import PhaseStats, RunStats
-from .plan import CompiledPhase, SchedulePlan, _pack
+from .plan import CompiledPhase, SchedulePlan
 
 try:  # events only needed when a dispatcher is attached
     from ...obs.events import (
@@ -60,7 +60,7 @@ _INT_LIMIT = 1 << 62
 
 def _object_bits(value: Any) -> int:
     """Exact ``Message("...", *pack_elem(value)).bit_size()``."""
-    return _KIND_BITS + sum(scalar_bits(f) for f in _pack(value))
+    return _KIND_BITS + sum(scalar_bits(f) for f in pack_elem(value))
 
 
 #: Powers of two 2^1..2^62 — the break points of ``max(bit_length, 1)``.
@@ -628,7 +628,7 @@ class VectorRun:
                     writer=w_proc[i] + 1,
                     readers=readers[i],
                     msg_kind=compiled.kind,
-                    fields=_pack(vlist[at]),
+                    fields=pack_elem(vlist[at]),
                     bits=int(bits[at]),
                 )
             )
@@ -666,7 +666,7 @@ class VectorRun:
                             writer=proc + 1,
                             readers=readers.get((cy, chan), ()),
                             msg_kind=plan.kind,
-                            fields=_pack(vlist[i]),
+                            fields=pack_elem(vlist[i]),
                             bits=int(bits[i]),
                         )
                     )

@@ -5,12 +5,21 @@ the property that makes a phase oblivious — and produces the raw event
 lists that :meth:`SchedulePlan.compile` validates into a
 :class:`~repro.mcb.vector.plan.CompiledPhase`:
 
-* :func:`lower_broadcast_schedule` — a §5.2 transformation phase from
-  the Birkhoff–von-Neumann :func:`~repro.columnsort.schedule.build_schedule`
-  output (self-transfers become free local moves, mirroring the
-  generator's "these elements need not be shifted at all").
+* :func:`lower_columnsort_phases` — the four §5.2 transformation phases
+  (2, 4, 6, 8) of one ``(m, k, paper_phase2, wrap_skip)`` variant, built
+  from the three lowerings below.  It is the single source of the
+  columnsort transfer schedules: the vector engine compiles its plans,
+  and :func:`repro.sort.even_pk.columnsort_program` runs them on the
+  generator engines through :meth:`SchedulePlan.as_program`.
+* :func:`lower_phase_columnar` — one transformation phase on the
+  Birkhoff–von-Neumann schedule of
+  :func:`~repro.columnsort.schedule.build_schedule` (self-transfers
+  become free local moves: "these elements need not be shifted at
+  all").
 * :func:`lower_paper_transpose` — the paper's verbatim closed-form
   phase-2 schedule, including its broadcast-even-to-self behaviour.
+* :func:`lower_wrap_skip` — phases 6 and 8 with §5.2's wrap-around
+  traffic parked at column ``k``.
 * :func:`lower_simulation_block` — one virtual cycle of the §2
   simulation lemma as the ``R = v*v*S`` real-cycle ``(rep, wrep, t)``
   block over the hosts.
@@ -26,37 +35,36 @@ from typing import Sequence
 import numpy as np
 
 from ...columnsort.matrix import PHASE_PERMS, downshift_perm, transpose_perm
-from ...columnsort.schedule import BroadcastSchedule, bvn_for_phase
+from ...columnsort.schedule import bvn_for_phase
 from ..errors import ConfigurationError
 from ..routing import alltoall_schedule
 from ..simulate import host_index, host_of, real_channel, subslot
 from .plan import MoveEvent, ReadEvent, SchedulePlan, WriteEvent
 
 
-def lower_broadcast_schedule(sched: BroadcastSchedule) -> SchedulePlan:
-    """One transformation phase (BvN schedule) as a plan over k columns.
+def lower_columnsort_phases(
+    m: int, k: int, paper_phase2: bool = False, wrap_skip: bool = False
+) -> tuple[SchedulePlan, SchedulePlan, SchedulePlan, SchedulePlan]:
+    """The plans of columnsort phases 2, 4, 6 and 8 for one variant.
 
-    Column ``c`` writes channel ``c + 1``; a transfer whose destination
-    is its own column never touches a channel (free local move), exactly
-    like :func:`repro.sort.even_pk.transformation_phase`.
+    The only code that knows which lowering a variant uses: phase 2 is
+    :func:`lower_paper_transpose` with ``paper_phase2``, phases 6 and 8
+    are :func:`lower_wrap_skip` with ``wrap_skip`` (``k >= 2``; their
+    plans then carry ``m // 2`` parking slots past the column), and
+    every other phase is :func:`lower_phase_columnar`.  The free local
+    sorts of phases 1, 3, 5, 7 and 9 stay with the caller.
     """
-    m, k = sched.m, sched.k
-    writes: list[WriteEvent] = []
-    reads: list[ReadEvent] = []
-    moves: list[MoveEvent] = []
-    for j, cycle in enumerate(sched.cycles):
-        for c, tr in enumerate(cycle):
-            if tr is None:
-                continue
-            if tr.dst_col == c:
-                moves.append((c, tr.src_row, tr.dst_row))
-            else:
-                writes.append((j, c, c + 1, tr.src_row))
-                reads.append((j, tr.dst_col, c + 1, tr.dst_row))
-    return SchedulePlan(
-        p=k, k=k, cycles=sched.num_cycles(), slots=m,
-        writes=writes, reads=reads, moves=moves,
+    first = (
+        lower_paper_transpose(m, k)
+        if paper_phase2
+        else lower_phase_columnar(2, m, k)
     )
+    if wrap_skip:
+        plan6, plan8 = lower_wrap_skip(m, k)
+    else:
+        plan6 = lower_phase_columnar(6, m, k)
+        plan8 = lower_phase_columnar(8, m, k)
+    return first, lower_phase_columnar(4, m, k), plan6, plan8
 
 
 def _phase_event_arrays(
@@ -66,10 +74,8 @@ def _phase_event_arrays(
     intermediate :class:`~repro.columnsort.schedule.BroadcastSchedule`.
 
     Returns ``(cycle, src_col, src_row, dst_col, dst_row)`` int64 arrays,
-    one entry per element, in ``(cycle, src_col)`` order — exactly the
-    scan order of :func:`lower_broadcast_schedule` over
-    :func:`~repro.columnsort.schedule.build_schedule`'s output, which the
-    event-stream parity with the generator engines depends on.
+    one entry per element, in ``(cycle, src_col)`` order — the scan order
+    of :func:`~repro.columnsort.schedule.build_schedule`'s cycles.
 
     The cycle assignment replicates ``build_schedule``: each
     ``(src, dst)`` column pair's transfers are queued in ascending
@@ -105,17 +111,26 @@ def _phase_event_arrays(
 
 
 def _tuples(arr: np.ndarray) -> list[tuple]:
-    return [tuple(row) for row in arr.tolist()]
+    """Rows of a non-negative int array as tuples of Python ints.
+
+    Equal values share one int object: a plan cached for the generator
+    engines then holds one tuple per event, not fresh ints per field.
+    """
+    if not arr.size:
+        return []
+    ints = np.array(range(int(arr.max()) + 1), dtype=object)
+    return list(map(tuple, ints[arr].tolist()))
 
 
 def lower_phase_columnar(phase: int, m: int, k: int) -> SchedulePlan:
-    """One transformation phase lowered columnar — no per-event Python.
+    """One transformation phase as a plan over ``k`` columns.
 
-    Produces a plan with event lists identical to
-    ``lower_broadcast_schedule(schedule_for_phase(phase, m, k))`` (same
-    events, same order) at a fraction of the cost: the per-``Transfer``
-    dataclass construction and queue bookkeeping become a pair of
-    ``np.lexsort`` calls over the whole phase.
+    Column ``c`` writes channel ``c + 1`` in the cycle
+    :func:`~repro.columnsort.schedule.build_schedule` assigns each
+    transfer; a transfer whose destination is its own column never
+    touches a channel (a free local move).  Lowered columnar: the
+    per-``Transfer`` bookkeeping becomes a pair of ``np.lexsort`` calls
+    over the whole phase.
     """
     cyc, sc, sr, dc, dr = _phase_event_arrays(phase, m, k)
     self_t = sc == dc
@@ -134,19 +149,17 @@ def lower_wrap_skip(m: int, k: int) -> tuple[SchedulePlan, SchedulePlan]:
     Column ``k`` *parks* its wrap-around elements in ``half = m // 2``
     extra local slots ``m .. m + half - 1`` during the up-shift (no
     broadcast) and *unparks* them during the down-shift in place of the
-    column-1 -> column-``k`` traffic, mirroring
-    :func:`repro.sort.even_pk.shift_phases_with_wrap_skip` exactly — the
-    same broadcasts, the same reads, the same final rows — saving
-    ``2 * floor(m/2)`` messages per sort.  Both plans use
-    ``slots = m + half``; the local sort between them (phase 7, columns
-    2..k over slots ``0 .. m-1`` only) stays with the caller.
+    column-1 -> column-``k`` traffic — §5.2's "these elements need not
+    be shifted at all" — saving ``2 * floor(m/2)`` messages per sort.
+    Both plans use ``slots = m + half``; the local sort between them
+    (phase 7, columns 2..k over slots ``0 .. m-1`` only) stays with the
+    caller.
 
     Ghost rows of column 1 (rows ``0 .. half-1`` after the up-shift,
-    whose elements stayed parked at column ``k``) keep *stale* values in
-    the plan where the generator tracks ``None``: they are never
-    broadcast — their phase-8 transfers target column ``k`` and are
-    dropped here — and phase 8 overwrites every column-1 row, so the
-    plan outputs match the generator bit for bit.
+    whose elements stayed parked at column ``k``) keep *stale* values:
+    they are never broadcast — their phase-8 transfers target column
+    ``k`` and are dropped here — and phase 8 overwrites every column-1
+    row, so the stale values never reach the output.
     """
     if k < 2:
         raise ConfigurationError(
@@ -221,10 +234,14 @@ def lower_wrap_skip(m: int, k: int) -> tuple[SchedulePlan, SchedulePlan]:
 def lower_paper_transpose(m: int, k: int) -> SchedulePlan:
     """§5.2's closed-form phase-2 schedule as a plan (``p = k``).
 
-    Every processor broadcasts every cycle — including the cycles in
-    which it reads its own channel — matching
-    :func:`repro.sort.even_pk.paper_transpose_transformation`'s message
-    count of exactly ``m * k``.
+    "During cycle j, processor P_i sends the element in position
+    ((i+j) mod m)+1 in its column, and reads channel
+    ((i-(j mod k)-2) mod k)+1."  The reader recovers the destination row
+    from global knowledge: the cycle tells it which row the heard column
+    sent, and the transpose permutation where that row lands.  Every
+    processor broadcasts every cycle — including the cycles in which it
+    reads its own channel — so the phase sends exactly ``m * k``
+    messages in ``m`` cycles.
     """
     perm = np.asarray(transpose_perm(m, k), dtype=np.int64)
     j = np.arange(m, dtype=np.int64)[:, None]

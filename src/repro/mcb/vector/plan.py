@@ -17,7 +17,8 @@ Two layers:
   :meth:`~SchedulePlan.as_programs` renders the plan back into ordinary
   per-processor generator programs, so any plan can also be run on the
   generator engines — that interpreter is the parity oracle the vector
-  executor is tested against.
+  executor is tested against, and the generator path of columnsort and
+  of the comparator-network backends.
 
 * :class:`CompiledPhase` — the validated columnar form produced by
   :meth:`SchedulePlan.compile`: flat int64 index arrays, one row per
@@ -45,7 +46,7 @@ from typing import Any, Optional, Sequence
 import numpy as np
 
 from ..errors import CollisionError, ConfigurationError
-from ..message import EMPTY, Message
+from ..message import EMPTY, Message, pack_elem, unpack_elem
 from ..program import IDLE, CycleOp, ProcContext
 
 #: (cycle, proc0, channel, src_slot) — proc0 is 0-based, channel 1-based.
@@ -54,16 +55,6 @@ WriteEvent = tuple[int, int, int, int]
 ReadEvent = tuple[int, int, int, int]
 #: (proc0, src_slot, dst_slot) — a free local permutation step.
 MoveEvent = tuple[int, int, int]
-
-
-def _pack(value: Any) -> tuple:
-    """Element -> message fields (mirrors :func:`repro.sort.common.pack_elem`)."""
-    return tuple(value) if isinstance(value, tuple) else (value,)
-
-
-def _unpack(fields: tuple) -> Any:
-    """Message fields -> element (mirrors ``repro.sort.common.unpack_elem``)."""
-    return fields[0] if len(fields) == 1 else tuple(fields)
 
 
 class CompiledPhase:
@@ -288,7 +279,8 @@ class SchedulePlan:
         dest_keys = np.concatenate(
             [mr[:, 1] * slots + mr[:, 3], mv[:, 0] * slots + mv[:, 2]]
         )
-        if len(np.unique(dest_keys)) != len(dest_keys):
+        dest_keys.sort()
+        if (np.diff(dest_keys) == 0).any():
             return None  # two events deliver into one slot
 
         return CompiledPhase(
@@ -503,52 +495,71 @@ class SchedulePlan:
         }
 
     def _program_maps(self):
-        """Per-processor event maps for the program renderers, cached —
+        """Per-processor step tables for the program renderers, cached —
         a pure function of the plan's event lists, shared by every
-        :meth:`as_program` call instead of rebuilt per processor."""
+        :meth:`as_program` call instead of rebuilt per processor.
+
+        ``steps[proc][cy]`` is ``(write_chan, src_slot, read_chan,
+        dst_slot)``, with ``None`` for the half that does not happen, or
+        ``None`` for an idle cycle; events outside ``0..cycles-1`` never
+        run.  One list per processor keeps the cache small: plans stay
+        cached for the generator engines' columnsort and network paths.
+        """
         maps = getattr(self, "_prog_maps", None)
         if maps is None:
-            per_w: dict[int, dict[int, tuple[int, int]]] = {}
+            cycles = self.cycles
+            steps: dict[int, list] = {}
+
+            def table(proc: int) -> list:
+                t = steps.get(proc)
+                if t is None:
+                    t = steps[proc] = [None] * cycles
+                return t
+
             for cy, proc, chan, src in self.writes:
-                per_w.setdefault(proc, {})[cy] = (chan, src)
-            per_r: dict[int, dict[int, tuple[int, int]]] = {}
+                if 0 <= cy < cycles:
+                    table(proc)[cy] = (chan, src, None, None)
             for cy, proc, chan, dst in self.reads:
-                per_r.setdefault(proc, {})[cy] = (chan, dst)
+                if 0 <= cy < cycles:
+                    t = table(proc)
+                    w = t[cy]
+                    t[cy] = (
+                        (None, None, chan, dst) if w is None
+                        else (w[0], w[1], chan, dst)
+                    )
             per_m: dict[int, list[tuple[int, int]]] = {}
             for proc, src, dst in self.moves:
                 per_m.setdefault(proc, []).append((src, dst))
-            maps = self._prog_maps = (per_w, per_r, per_m)
+            maps = self._prog_maps = (steps, per_m)
         return maps
 
     def as_program(self, proc: int, row: Sequence[Any]):
         """One processor's program over its initial ``row`` — the
         single-processor form of :meth:`as_programs`, sharing the cached
-        event maps so per-processor rendering costs O(own events)."""
-        per_w, per_r, per_m = self._program_maps()
-        cycles, kind = self.cycles, self.kind
+        step tables so per-processor rendering costs O(own events)."""
+        steps, per_m = self._program_maps()
+        kind = self.kind
         row = list(row)
-        wmap = per_w.get(proc, {})
-        rmap = per_r.get(proc, {})
+        table = steps.get(proc) or [None] * self.cycles
         moves = per_m.get(proc, [])
 
         def program(ctx: ProcContext):
             out = list(row)
             for src, dst in moves:
                 out[dst] = row[src]
-            for cy in range(cycles):
-                w = wmap.get(cy)
-                r = rmap.get(cy)
-                if w is None and r is None:
+            for step in table:
+                if step is None:
                     yield IDLE
                     continue
+                wchan, src, rchan, dst = step
                 got = yield CycleOp(
-                    write=None if w is None else w[0],
-                    payload=None if w is None
-                    else Message(kind, *_pack(row[w[1]])),
-                    read=None if r is None else r[0],
+                    write=wchan,
+                    payload=None if wchan is None
+                    else Message(kind, *pack_elem(row[src])),
+                    read=rchan,
                 )
-                if r is not None and got is not EMPTY and got is not None:
-                    out[r[1]] = _unpack(got.fields)
+                if rchan is not None and got is not EMPTY and got is not None:
+                    out[dst] = unpack_elem(got.fields)
             return out
 
         return program

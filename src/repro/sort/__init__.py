@@ -3,7 +3,7 @@
 from .common import DUMMY, is_dummy, neg_elem, pack_elem, segment_owner, unpack_elem
 from .dispatch import Strategy, choose_strategy, mcb_sort
 from .even_collect import padded_column_length, sort_even_collect
-from .even_pk import SortResult, columnsort_program, sort_even_pk, transformation_phase
+from .even_pk import SortResult, columnsort_program, sort_even_pk
 from .merge_sort import merge_sort, merge_sort_group
 from .merging import mcb_merge, merge_streams
 from .rank_sort import rank_sort, rank_sort_group
@@ -66,7 +66,6 @@ __all__ = [
     "sort_uneven",
     "static_plan_stats",
     "sort_virtual",
-    "transformation_phase",
     "unpack_elem",
     "virtual_transformation",
 ]

@@ -3,7 +3,8 @@
 Elements travel the channels as message fields.  A plain scalar is one
 field; a tagged triple ``(value, pid, idx)`` (the §3 distinctness device)
 is three fields — still ``O(log beta)`` bits.  ``pack_elem`` /
-``unpack_elem`` convert between the two forms.
+``unpack_elem`` (defined in :mod:`repro.mcb.message`, re-exported here)
+convert between the two forms.
 
 ``DUMMY`` is the padding element (§5.2/§7.2: columns are "padded with
 dummy elements").  Sorting order is descending throughout, so the dummy
@@ -16,18 +17,10 @@ from __future__ import annotations
 import math
 from typing import Any, Sequence
 
+from ..mcb.message import pack_elem, unpack_elem
+
 #: Scalar padding element: strictly smaller than any real element.
 DUMMY = -math.inf
-
-
-def pack_elem(e: Any) -> tuple:
-    """Element -> message fields (scalars)."""
-    return tuple(e) if isinstance(e, tuple) else (e,)
-
-
-def unpack_elem(fields: Sequence[Any]) -> Any:
-    """Message fields -> element (scalar or tuple)."""
-    return fields[0] if len(fields) == 1 else tuple(fields)
 
 
 def dummy_like(sample: Any, seq: int = 0) -> Any:

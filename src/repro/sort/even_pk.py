@@ -25,19 +25,17 @@ Implementation notes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from functools import lru_cache
 
-from ..columnsort.matrix import downshift_perm, require_valid_dims, transpose_perm
-from ..columnsort.schedule import (
-    BroadcastSchedule,
-    paper_transpose_schedule,
-    schedule_for_phase,
-)
+import numpy as np
+
+from ..columnsort.matrix import require_valid_dims
 from ..mcb.errors import ConfigurationError
-from ..mcb.message import Message
 from ..mcb.network import MCBNetwork
-from ..mcb.program import CycleOp, ProcContext
-from .common import descending, pack_elem, unpack_elem
+from ..mcb.program import ProcContext
+from ..mcb.vector.lower import lower_columnsort_phases
+from ..mcb.vector.plan import SchedulePlan
+from .common import descending
 
 
 @dataclass
@@ -51,153 +49,30 @@ class SortResult:
         return {pid: list(v) for pid, v in self.output.items()}
 
 
-def transformation_phase(
-    col_idx: int, column: list, sched: BroadcastSchedule
-):
-    """Sub-generator: run one transformation phase for 0-based column
-    ``col_idx`` whose current (sorted) contents are ``column``.
+@lru_cache(maxsize=64)
+def _generator_plans(
+    m: int, k: int, paper_phase2: bool, wrap_skip: bool
+) -> tuple[SchedulePlan, ...]:
+    """The four transfer-phase plans the generator path runs, cached.
 
-    Yields one :class:`CycleOp` per schedule cycle and returns the new
-    column contents (positionally exact).
+    Each plan is checked once, statically: :meth:`SchedulePlan.compile`
+    enforces collision-freedom, matched reads and unique destinations,
+    and its reads plus moves must refill rows ``0..m-1`` of every
+    column — except column 1's wrap-skip ghost rows after phase 6,
+    whose elements stay parked at column ``k`` until phase 8 refills
+    them.
     """
-    m = sched.m
-    new_col: list = [None] * m
-    for j in range(sched.num_cycles()):
-        tr = sched.cycles[j][col_idx]
-        src = sched.reads[j][col_idx]
-        wchan = None
-        payload = None
-        rchan = None
-        if tr is not None:
-            if tr.dst_col == col_idx:
-                # Self-transfer: keep the element locally, no broadcast.
-                new_col[tr.dst_row] = column[tr.src_row]
-            else:
-                wchan = col_idx + 1
-                payload = Message("elem", *pack_elem(column[tr.src_row]))
-        if src is not None and src != col_idx:
-            rchan = src + 1
-        got = yield CycleOp(write=wchan, payload=payload, read=rchan)
-        if rchan is not None:
-            incoming = sched.cycles[j][src]
-            new_col[incoming.dst_row] = unpack_elem(got.fields)
-    assert all(e is not None for e in new_col)
-    return new_col
-
-
-def shift_phases_with_wrap_skip(col_idx: int, column: list, m: int, k: int):
-    """Sub-generator: phases 6-8 with the paper's wrap-around optimization.
-
-    §5.2: the elements shifted from column ``k`` into column 1 by the
-    up-shift are shifted straight back by the down-shift, so
-    "alternatively, these elements need not be shifted at all".  Here
-    column ``k`` *parks* its wrapped elements locally during phase 6
-    (no broadcast), phase 7 sorts columns 2..k's real contents, and
-    phase 8 *unparks* them in place of the col-1 -> col-k transfers —
-    saving ``2 * floor(m/2)`` messages per sort.
-
-    Runs phases 6, 7 and 8; returns the column going into phase 9.
-    Ghost rows in column 1 (never filled because their elements stayed
-    parked at column k) are tracked as ``None`` and never broadcast.
-    """
-    half = m // 2
-    last = k - 1
-
-    # ---- phase 6: up-shift, parking the wrap-around ----------------------
-    sched6 = schedule_for_phase(6, m, k)
-    new_col: list = [None] * m
-    parked: list = []
-    for j in range(sched6.num_cycles()):
-        tr = sched6.cycles[j][col_idx]
-        src = sched6.reads[j][col_idx]
-        wchan = payload = rchan = None
-        if tr is not None:
-            if tr.dst_col == col_idx:
-                new_col[tr.dst_row] = column[tr.src_row]
-            elif col_idx == last and tr.dst_col == 0:
-                parked.append((tr.src_row, column[tr.src_row]))
-            else:
-                wchan = col_idx + 1
-                payload = Message("elem", *pack_elem(column[tr.src_row]))
-        if src is not None and src != col_idx:
-            if not (col_idx == 0 and src == last):
-                rchan = src + 1
-        got = yield CycleOp(write=wchan, payload=payload, read=rchan)
-        if rchan is not None:
-            incoming = sched6.cycles[j][src]
-            new_col[incoming.dst_row] = unpack_elem(got.fields)
-    col = new_col
-
-    # ---- phase 7: sort real contents (column 1 skipped per the paper) ----
-    if col_idx != 0:
-        col = descending(col)
-
-    # ---- phase 8: down-shift, unparking instead of col1->colk traffic ----
-    sched8 = schedule_for_phase(8, m, k)
-    perm8 = downshift_perm(m, k)
-    new_col = [None] * m
-    if col_idx == last:
-        # my wrapped elements come home: phase-6 position (col 1, row r)
-        # with r < half maps under the down-shift back to my rows.
-        for src_row6, e in parked:
-            # position after up-shift: (0, (src_row6 + half) % m) — the
-            # wrap sent rows [m-half, m) of column k to rows [0, half).
-            row1 = (last * m + src_row6 + half) % (m * k) % m
-            dest = int(perm8[0 * m + row1])
-            assert dest // m == last
-            new_col[dest % m] = e
-    for j in range(sched8.num_cycles()):
-        tr = sched8.cycles[j][col_idx]
-        src = sched8.reads[j][col_idx]
-        wchan = payload = rchan = None
-        if tr is not None:
-            if tr.dst_col == col_idx:
-                if col[tr.src_row] is not None:
-                    new_col[tr.dst_row] = col[tr.src_row]
-            elif col_idx == 0 and tr.dst_col == last:
-                pass  # ghost row: its element never left column k
-            else:
-                wchan = col_idx + 1
-                payload = Message("elem", *pack_elem(col[tr.src_row]))
-        if src is not None and src != col_idx:
-            if not (col_idx == last and src == 0):
-                rchan = src + 1
-        got = yield CycleOp(write=wchan, payload=payload, read=rchan)
-        if rchan is not None:
-            incoming = sched8.cycles[j][src]
-            new_col[incoming.dst_row] = unpack_elem(got.fields)
-    assert all(e is not None for e in new_col)
-    return new_col
-
-
-def paper_transpose_transformation(col_idx: int, column: list, m: int, k: int):
-    """Sub-generator: phase 2 using the paper's verbatim §5.2 schedule.
-
-    "During cycle j, processor P_i sends the element in position
-    ((i+j) mod m)+1 in its column, and reads channel
-    ((i-(j mod k)-2) mod k)+1."  The receiver recovers the destination
-    row from global knowledge: it knows which cycle it is, hence which
-    row the sender transmitted, hence where the transpose permutation
-    places it.  ``m`` cycles, exactly like the general schedule.
-    """
-    sched = paper_transpose_schedule(m, k)
-    perm = transpose_perm(m, k)
-    new_col: list = [None] * m
-    for j in range(m):
-        send_row, read_ch = sched[j][col_idx]
-        # I broadcast my element and read the scheduled channel — the
-        # schedule may tell me to read my own channel (keep my element).
-        got = yield CycleOp(
-            write=col_idx + 1,
-            payload=Message("elem", *pack_elem(column[send_row])),
-            read=read_ch + 1,
-        )
-        src_row = sched[j][read_ch][0]  # what the heard column sent
-        dest = int(perm[read_ch * m + src_row])
-        assert dest // m == col_idx, "paper schedule delivers to my column"
-        new_col[dest % m] = unpack_elem(got.fields)
-    assert all(e is not None for e in new_col)
-    return new_col
+    plans = lower_columnsort_phases(m, k, paper_phase2, wrap_skip)
+    for phase, plan in zip((2, 4, 6, 8), plans):
+        compiled = plan.compile()
+        filled = np.zeros((k, plan.slots), dtype=bool)
+        filled[compiled.r_proc, compiled.r_dst] = True
+        filled[compiled.m_proc, compiled.m_dst] = True
+        want = np.ones((k, m), dtype=bool)
+        if wrap_skip and phase == 6:
+            want[0, : m // 2] = False
+        assert (filled[:, :m] == want).all(), f"phase {phase} leaves a hole"
+    return plans
 
 
 def columnsort_program(
@@ -215,33 +90,33 @@ def columnsort_program(
     ``m``).  Returns the final sorted column (a descending list).  All
     ``k`` columns must run this concurrently, each writing its own
     channel ``col_idx + 1``.  With ``paper_phase2`` the transpose runs on
-    the paper's closed-form schedule instead of the general one.
+    the paper's closed-form schedule instead of the general one; with
+    ``wrap_skip`` (``k >= 2``) phases 6 and 8 park the wrap-around
+    traffic at column ``k`` instead of shifting it.
+
+    The transfer phases 2, 4, 6 and 8 run the plans of
+    :func:`~repro.mcb.vector.lower.lower_columnsort_phases` — the plans
+    the vector engine compiles — through
+    :meth:`~repro.mcb.vector.plan.SchedulePlan.as_program`; the local
+    sorts between them only touch rows ``0..m-1``.
     """
-    col = descending(column)  # phase 1
-    if paper_phase2:
-        col = yield from paper_transpose_transformation(col_idx, col, m, k)
-    else:
-        col = yield from transformation_phase(
-            col_idx, col, schedule_for_phase(2, m, k)
-        )
-    col = descending(col)  # phase 3
-    col = yield from transformation_phase(col_idx, col, schedule_for_phase(4, m, k))
-    col = descending(col)  # phase 5
-    if wrap_skip and k > 1:
-        # §5.2: "these elements need not be shifted at all" — phases 6-8
-        # with the wrap-around traffic parked at column k.
-        col = yield from shift_phases_with_wrap_skip(col_idx, col, m, k)
-    else:
-        col = yield from transformation_phase(
-            col_idx, col, schedule_for_phase(6, m, k)
-        )
-        if col_idx != 0:
-            col = descending(col)  # phase 7: sort all columns except 1
-        col = yield from transformation_phase(
-            col_idx, col, schedule_for_phase(8, m, k)
-        )
-    col = descending(col)  # phase 9
-    return col
+    if m == 0:
+        return []  # every phase is zero cycles long
+    wrap = wrap_skip and k > 1
+    p2, p4, p6, p8 = _generator_plans(m, k, bool(paper_phase2), wrap)
+    row = descending(column)  # phase 1
+    if wrap:
+        row += [None] * (m // 2)  # parking slots for column k's wrap
+    # Plan programs never look at their context, hence ``(None)``.
+    row = yield from p2.as_program(col_idx, row)(None)  # phase 2
+    row[:m] = descending(row[:m])  # phase 3
+    row = yield from p4.as_program(col_idx, row)(None)  # phase 4
+    row[:m] = descending(row[:m])  # phase 5
+    row = yield from p6.as_program(col_idx, row)(None)  # phase 6
+    if col_idx != 0:
+        row[:m] = descending(row[:m])  # phase 7: all columns except 1
+    row = yield from p8.as_program(col_idx, row)(None)  # phase 8
+    return descending(row[:m])  # phase 9
 
 
 def sort_even_pk(

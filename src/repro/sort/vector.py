@@ -2,7 +2,10 @@
 
 The even ``p = k`` columnsort is fully oblivious: phases 2/4/6/8 follow
 fixed broadcast schedules and phases 1/3/5/7/9 are free local sorts.
-This module compiles the four transformation schedules once per
+This module compiles the four transformation plans of
+:func:`repro.mcb.vector.lower.lower_columnsort_phases` — the same plans
+the generator engines run through
+:func:`repro.sort.even_pk.columnsort_program` — once per
 ``(m, k, paper_phase2, wrap_skip)`` (cached, with hit/miss and
 compile-time counters on the global metrics registry) and executes a
 whole sort as nine whole-matrix NumPy operations instead of ``4m``
@@ -13,8 +16,8 @@ generator dispatch rounds — with bit-identical outputs and identical
 ``wrap_skip=True`` compiles too: the §5.2 wrap-around optimization is a
 *static* permutation once column ``k``'s wrapped elements are given
 ``floor(m/2)`` parking slots beyond the column
-(:func:`repro.mcb.vector.lower.lower_wrap_skip`), so the vector engine
-runs it with the generator's exact message savings.  Only the adaptive
+(:func:`repro.mcb.vector.lower.lower_wrap_skip`), so both engines run
+it with the same message savings.  Only the adaptive
 ``mcb_sort`` strategies (merge_sort, sample_partition, ...) remain
 generator-only — their traffic depends on run-time data.
 
@@ -40,9 +43,7 @@ from ..mcb.vector import (
     VectorRun,
     build_batched_state,
     build_state,
-    lower_paper_transpose,
-    lower_phase_columnar,
-    lower_wrap_skip,
+    lower_columnsort_phases,
 )
 from ..mcb.vector.cache import (
     columnsort_plan_stem,
@@ -74,20 +75,9 @@ def compiled_columnsort_phases(
     wrap_skip = bool(wrap_skip)
 
     def build() -> tuple[CompiledPhase, ...]:
-        first = (
-            lower_paper_transpose(m, k)
-            if paper_phase2
-            else lower_phase_columnar(2, m, k)
-        )
-        fourth = lower_phase_columnar(4, m, k)
-        if wrap_skip:
-            plan6, plan8 = lower_wrap_skip(m, k)
-        else:
-            plan6 = lower_phase_columnar(6, m, k)
-            plan8 = lower_phase_columnar(8, m, k)
-        return (
-            first.compile(), fourth.compile(),
-            plan6.compile(), plan8.compile(),
+        return tuple(
+            plan.compile()
+            for plan in lower_columnsort_phases(m, k, paper_phase2, wrap_skip)
         )
 
     return plan_registry().lookup(

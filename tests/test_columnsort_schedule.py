@@ -7,11 +7,11 @@ from repro.columnsort import (
     PHASE_PERMS,
     build_schedule,
     bvn_decomposition,
-    paper_transpose_schedule,
     schedule_for_phase,
     transfer_matrix,
     transpose_perm,
 )
+from repro.mcb.vector import lower_paper_transpose
 
 
 class TestBvnDecomposition:
@@ -101,38 +101,41 @@ class TestBuildSchedule:
 
 
 class TestPaperFormula:
+    """§5.2's closed-form phase-2 schedule, as the one lowering both
+    engines run, checked against the matrix-level transpose."""
+
     @pytest.mark.parametrize("m,k", [(2, 2), (6, 3), (12, 4), (20, 5), (25, 5)])
     def test_paper_transpose_schedule_delivers_transpose(self, m, k):
         """§5.2's closed-form schedule implements the transpose.
 
-        Simulate the schedule abstractly: channel i carries the element
-        processor i sends; verify each processor receives exactly the
-        elements destined to its column.
+        Simulate the plan abstractly: channel ``c`` carries the element
+        its writer sends that cycle; every read lands that element in
+        the destination the transpose permutation gives it.
         """
-        sched = paper_transpose_schedule(m, k)
+        plan = lower_paper_transpose(m, k)
         perm = transpose_perm(m, k)
-        got = [set() for _ in range(k)]
-        for j in range(m):
-            on_channel = {i: (i, sched[j][i][0]) for i in range(k)}
-            for i in range(k):
-                got[i].add(on_channel[sched[j][i][1]])
-        want = [set() for _ in range(k)]
-        for g in range(m * k):
-            src = divmod(g, m)
-            want[int(perm[g]) // m].add(src)
+        on_channel = {
+            (cy, chan): (proc, src) for cy, proc, chan, src in plan.writes
+        }
+        got = {}
+        for cy, proc, chan, dst in plan.reads:
+            got[proc * m + dst] = on_channel[(cy, chan)]
+        want = {int(perm[g]): divmod(g, m) for g in range(m * k)}
         assert got == want
+        assert not plan.moves
 
     def test_each_processor_sends_each_row_once(self):
         m, k = 12, 4
-        sched = paper_transpose_schedule(m, k)
+        plan = lower_paper_transpose(m, k)
         for i in range(k):
-            rows = [sched[j][i][0] for j in range(m)]
+            rows = [src for cy, proc, _, src in plan.writes if proc == i]
             assert sorted(rows) == list(range(m))
 
     def test_schedule_is_collision_free_by_construction(self):
         # Every processor writes its own channel; reads can overlap freely.
         m, k = 6, 3
-        sched = paper_transpose_schedule(m, k)
-        for j in range(m):
-            reads = [sched[j][i][1] for i in range(k)]
-            assert all(0 <= r < k for r in reads)
+        plan = lower_paper_transpose(m, k)
+        assert all(chan == proc + 1 for _, proc, chan, _ in plan.writes)
+        assert all(1 <= chan <= k for _, _, chan, _ in plan.reads)
+        assert len(plan.reads) == m * k
+        assert plan.compile().messages == m * k

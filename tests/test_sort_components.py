@@ -1,4 +1,4 @@
-"""Unit tests for sorting sub-components: transformation sub-generators,
+"""Unit tests for sorting sub-components: transformation-phase plans,
 element packing, dummies, segment arithmetic."""
 
 import math
@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from repro.columnsort import PHASE_PERMS, apply_perm, schedule_for_phase
+from repro.columnsort import PHASE_PERMS, apply_perm
 from repro.mcb import MCBNetwork
+from repro.mcb.vector import lower_columnsort_phases
 from repro.sort.common import (
     DUMMY,
     descending,
@@ -18,7 +19,6 @@ from repro.sort.common import (
     segment_owner,
     unpack_elem,
 )
-from repro.sort.even_pk import transformation_phase
 from repro.sort.virtual import virtual_transformation
 
 
@@ -85,22 +85,20 @@ class TestSegmentOwner:
         assert segment_owner(5, [0, 10]) == 1
 
 
+def transformation_plan(phase: int, m: int, k: int):
+    """The plain-variant plan of one transformation phase."""
+    return lower_columnsort_phases(m, k)[(2, 4, 6, 8).index(phase)]
+
+
 class TestTransformationSubgenerators:
     @pytest.mark.parametrize("phase", [2, 4, 6, 8])
     def test_even_pk_phase_realizes_permutation(self, phase, rng):
         m, k = 12, 3
         cols = [rng.permutation(100)[: m].tolist() for _ in range(k)]
-        sched = schedule_for_phase(phase, m, k)
-
-        def make_prog(c):
-            def prog(ctx):
-                out = yield from transformation_phase(c, list(cols[c]), sched)
-                return out
-
-            return prog
+        plan = transformation_plan(phase, m, k)
 
         net = MCBNetwork(p=k, k=k)
-        res = net.run({c + 1: make_prog(c) for c in range(k)})
+        res = net.run(plan.as_programs(cols))
         got = np.concatenate([res[c + 1] for c in range(k)]).astype(float)
         want = apply_perm(
             np.concatenate([np.asarray(c, dtype=float) for c in cols]),
@@ -111,18 +109,49 @@ class TestTransformationSubgenerators:
     def test_even_pk_phase_cycle_count(self, rng):
         m, k = 12, 3
         cols = [list(range(i * m, (i + 1) * m)) for i in range(k)]
-        sched = schedule_for_phase(2, m, k)
-
-        def make_prog(c):
-            def prog(ctx):
-                out = yield from transformation_phase(c, cols[c], sched)
-                return out
-
-            return prog
+        plan = transformation_plan(2, m, k)
 
         net = MCBNetwork(p=k, k=k)
-        net.run({c + 1: make_prog(c) for c in range(k)})
+        net.run(plan.as_programs(cols))
         assert net.stats.cycles == m
+
+    def test_wrap_skip_shift_pair_realizes_both_shifts(self, rng):
+        # Phases 6 then 8 with the wrap-around parked (no sort between)
+        # move every element exactly as the up-shift then the down-shift
+        # do, and save 2 * floor(m/2) broadcasts over the plain plans.
+        m, k = 12, 3
+        half = m // 2
+        cols = [rng.permutation(100)[: m].tolist() for _ in range(k)]
+        _, _, plan6, plan8 = lower_columnsort_phases(m, k, wrap_skip=True)
+        net = MCBNetwork(p=k, k=k)
+        rows = net.run(plan6.as_programs([c + [None] * half for c in cols]))
+        rows = net.run(plan8.as_programs([rows[c + 1] for c in range(k)]))
+        got = np.concatenate([rows[c + 1][:m] for c in range(k)])
+        flat = np.concatenate([np.asarray(c, dtype=float) for c in cols])
+        want = apply_perm(
+            apply_perm(flat, PHASE_PERMS[6](m, k)), PHASE_PERMS[8](m, k)
+        )
+        assert np.array_equal(got.astype(float), want)
+        plain = sum(len(p.writes) for p in lower_columnsort_phases(m, k)[2:])
+        assert net.stats.messages == plain - 2 * half
+
+    def test_generator_plans_reject_a_hole(self, monkeypatch):
+        # The generator path's static check: every phase's reads and
+        # moves must refill each column's rows 0..m-1.
+        from repro.sort import even_pk
+
+        def holed(m, k, paper_phase2, wrap_skip):
+            plans = lower_columnsort_phases(m, k, paper_phase2, wrap_skip)
+            plans[1].reads.pop()  # one phase-4 delivery goes missing
+            return plans
+
+        monkeypatch.setattr(even_pk, "lower_columnsort_phases", holed)
+        even_pk._generator_plans.cache_clear()
+        try:
+            with pytest.raises(AssertionError, match="phase 4"):
+                even_pk._generator_plans(12, 3, False, False)
+        finally:
+            even_pk._generator_plans.cache_clear()
 
     @pytest.mark.parametrize("phase", [2, 4, 6, 8])
     def test_virtual_phase_preserves_column_sets(self, phase, rng):

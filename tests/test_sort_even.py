@@ -37,6 +37,12 @@ class TestEvenPK:
         with pytest.raises(ValueError):
             sort_even_pk(net, {1: [1, 2]})
 
+    def test_empty_single_column(self):
+        # m = 0 passes the dimension rule at k = 1: every phase is empty.
+        net = MCBNetwork(p=1, k=1)
+        assert sort_even_pk(net, {1: []}).output == {1: ()}
+        assert net.stats.cycles == 0
+
     def test_cycles_exactly_4m(self, rng):
         m, k = 12, 4
         d = Distribution.even(m * k, k, seed=3)

@@ -116,7 +116,8 @@ class Recorder(Observer):
         self.events.append(ev)
 
 
-def test_vector_event_stream_matches_generator():
+@pytest.mark.parametrize("paper_phase2", [False, True])
+def test_vector_event_stream_matches_generator(paper_phase2):
     """Observers see the identical event sequence from either engine:
     same phases, same per-message (cycle, channel, writer, readers,
     fields, bits), in the same order."""
@@ -124,11 +125,15 @@ def test_vector_event_stream_matches_generator():
     gen_rec, vec_rec = Recorder(), Recorder()
     gen_net = ReferenceMCBNetwork(p=K, k=K)
     gen_net.attach_observer(gen_rec)
-    sort_even_pk(gen_net, {p: list(v) for p, v in columns.items()})
+    sort_even_pk(
+        gen_net, {p: list(v) for p, v in columns.items()},
+        paper_phase2=paper_phase2,
+    )
     vec_net = ReferenceMCBNetwork(p=K, k=K)
     vec_net.attach_observer(vec_rec)
     sort_even_pk(
-        vec_net, {p: list(v) for p, v in columns.items()}, engine="vector"
+        vec_net, {p: list(v) for p, v in columns.items()},
+        paper_phase2=paper_phase2, engine="vector",
     )
     assert len(gen_rec.events) == len(vec_rec.events)
     assert gen_rec.events == vec_rec.events
