@@ -1,22 +1,23 @@
-"""Vector-engine benchmark: compiled NumPy execution vs generator stepping.
+"""Vector-engine benchmark: compiled NumPy execution vs the generator engine.
 
 The §5.2 columnsort transformation phases are oblivious, so the vector
 engine (:mod:`repro.mcb.vector`) compiles each one to columnar index
-arrays and executes it as a single NumPy gather/scatter instead of the
-generator engines' ``m`` per-cycle dispatch rounds.  Two legs, both
-gated:
+arrays and executes it as a single NumPy gather/scatter.  Two legs,
+both gated:
 
 * ``transform`` — the four transformation phases (2/4/6/8) back to back
-  at ``p = k = 32, m = 1024``: per-processor generator programs stepped
-  by the fast engine vs four compiled ``VectorRun.execute`` calls on the
-  same state.  Required: **>= 5x**.
+  at ``p = k = 32, m = 1024``: per-processor generator programs
+  (``SchedulePlan.as_program``) stepped by the fast engine, ``m``
+  per-cycle dispatch rounds per phase, vs four compiled
+  ``VectorRun.execute`` calls on the same state.  Required: **>= 5x**.
 * ``batch`` — aggregate sort throughput (instances/second): the vector
   engine sorts ``B = 64`` independent instances as one ``(k, m, B)``
   pass (warmed, best of three — sub-second walls are noisy), compared
-  against full generator ``sort_even_pk`` runs (sampled at
-  ``GEN_SAMPLE`` instances — one generator instance costs ~1s at
-  this size, so timing all 64 would only slow the suite without
-  changing the per-instance rate).  Required: **>= 40x**.
+  against full generator ``sort_even_pk`` runs, whose transfer phases
+  are ``RunPlan`` ops that the fast engine runs as one collective list
+  gather each (sampled at ``GEN_SAMPLE`` instances, so timing all 64
+  would only slow the suite without changing the per-instance rate).
+  Required: **>= 40x**.
 
 The speedup is not allowed to buy accounting drift: both legs assert
 bit-identical outputs and identical per-phase stats between engines,
@@ -264,7 +265,7 @@ def test_vector_engine_speedup(benchmark, emit, record, tmp_path, monkeypatch):
     )
 
     emit(
-        "Vector engine — compiled NumPy execution vs generator stepping "
+        "Vector engine — compiled NumPy execution vs the generator engine "
         f"at p=k={K}, m={M} (transform ≥{REQUIRED_TRANSFORM_SPEEDUP:.0f}x, "
         f"B={B} batch throughput ≥{REQUIRED_BATCH_SPEEDUP:.0f}x, cold "
         f"compile ≥{REQUIRED_COMPILE_SPEEDUP:.0f}x, warm load "

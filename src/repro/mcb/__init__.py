@@ -4,7 +4,7 @@ Public surface:
 
 * :class:`MCBNetwork` — the synchronous MCB(p, k) engine.
 * :class:`CycleOp` / :class:`Sleep` / :class:`Listen` / :class:`Emit` /
-  :class:`ProcContext` — the program protocol.
+  :class:`RunPlan` / :class:`ProcContext` — the program protocol.
 * :class:`Message` / :data:`EMPTY` — channel payloads.
 * :func:`run_simulated` — Section 2's larger-network-on-smaller simulation.
 * :class:`RunStats` / :class:`PhaseStats` — cost accounting.
@@ -26,6 +26,7 @@ from .program import (
     Listen,
     ProcContext,
     ProgramFn,
+    RunPlan,
     Sleep,
     emit_from,
     read,
@@ -64,6 +65,7 @@ __all__ = [
     "ProcContext",
     "ProgramFn",
     "ProtocolError",
+    "RunPlan",
     "RunStats",
     "Sleep",
     "TraceEvent",

@@ -64,7 +64,16 @@ and cost accounting to the straightforward engine preserved in
   burst** goes further: while every awake slot is an emitter writing
   back to back on its own channel and nobody else is due, the engine
   charges those cycles in one pass — the same validation, messages,
-  bits, channel writes and traffic log, without the per-cycle loop.
+  bits, channel writes and traffic log, without the per-cycle loop;
+* a :class:`~repro.mcb.program.RunPlan` that all of its plan's
+  processors enter in one cycle, with nobody else awake or parked
+  until it ends, runs as one **collective step** on unobserved runs:
+  a list gather over the plan's compiled index lists moves every
+  element, the counters are charged from plan constants, and each
+  program is resumed once, ``plan.cycles`` later
+  (:func:`_collective_plan`).  Otherwise each slot steps the plan
+  program (:meth:`SchedulePlan.as_program
+  <repro.mcb.vector.plan.SchedulePlan.as_program>`) that defines the op.
 
 On a collision the engine records the aborted phase's partial
 :class:`~repro.mcb.trace.PhaseStats` (costs of all completed cycles,
@@ -75,6 +84,7 @@ lower-bound experiments keep their cost data.
 from __future__ import annotations
 
 from heapq import heappop, heappush
+from itertools import chain
 from typing import Any, Optional, Sequence
 
 from ..obs.events import (
@@ -88,22 +98,27 @@ from ..obs.events import (
     ProcessorSlept,
 )
 from ..obs.hooks import ObservableMixin
+from ..obs.metrics import global_registry
 from .errors import (
     CollisionError,
     ConfigurationError,
+    MCBError,
     MessageSizeError,
     ProtocolError,
 )
-from .message import EMPTY, Message
+from .message import EMPTY, Message, pack_elem, unpack_elem
 from .program import (
     CycleOp,
     Emit,
     Listen,
     ProcContext,
     ProgramFn,
+    RunPlan,
     Sleep,
+    check_run_plan,
     emit_schedule,
     listen_window,
+    run_plan_program,
 )
 from .trace import PhaseStats, RunStats
 
@@ -170,6 +185,174 @@ class _EmitState:
         while j < ok and at[j] == at[j - 1] + 1:
             j += 1
         return j - i
+
+
+class _PlanGather:
+    """A compiled :class:`~repro.mcb.vector.plan.SchedulePlan` as index
+    lists for one collective step (see :func:`_collective_plan`).
+
+    With ``flat`` the plan's initial rows concatenated (``slots``
+    entries per processor) and ``got`` the value each write delivers,
+    in compiled write order, processor ``proc``'s final row is
+    ``(got + flat)[i]`` for ``i`` in ``out_idx[proc]``: a matched
+    read's write, a local move's source, or the slot's own entry.
+    ``w_flat[i]`` is write ``i``'s source in ``flat``; ``cw`` holds the
+    plan's ``(channel, writes)`` pairs.
+    """
+
+    __slots__ = ("w_flat", "out_idx", "cw")
+
+    def __init__(self, ph: Any):  # a CompiledPhase
+        slots = ph.slots
+        nw = ph.messages
+        self.w_flat = [
+            proc * slots + src
+            for proc, src in zip(ph.w_proc.tolist(), ph.w_src.tolist())
+        ]
+        out_idx = [
+            list(range(nw + proc * slots, nw + (proc + 1) * slots))
+            for proc in range(ph.p)
+        ]
+        for proc, src, dst in zip(
+            ph.m_proc.tolist(), ph.m_src.tolist(), ph.m_dst.tolist()
+        ):
+            out_idx[proc][dst] = nw + proc * slots + src
+        for proc, dst, widx in zip(
+            ph.r_proc.tolist(), ph.r_dst.tolist(), ph.r_widx.tolist()
+        ):
+            out_idx[proc][dst] = widx
+        self.out_idx = out_idx
+        self.cw = [
+            (ch, n) for ch, n in enumerate(ph.channel_write_counts().tolist())
+            if n
+        ]
+
+
+def _plan_gather(plan: Any) -> Optional[_PlanGather]:
+    """``plan``'s gather tables, cached on the plan; ``None`` if the plan
+    does not compile (then every RunPlan of it is stepped)."""
+    try:
+        return plan._run_gather
+    except AttributeError:
+        pass
+    try:
+        compiled = plan.compile()
+    except MCBError:
+        gather = None
+    else:
+        gather = _PlanGather(compiled)
+    plan._run_gather = gather
+    return gather
+
+
+def _collective_plan(
+    plan_ops: list[tuple[int, RunPlan]],
+    acting: int,
+    cycle: int,
+    limit: int,
+    max_fields: int,
+) -> Optional[tuple[list[list], int, list[tuple[int, int]], int]]:
+    """Run a whole plan in one step, or return ``None`` to step it.
+
+    ``plan_ops`` are the ``(slot, RunPlan)`` ops yielded in ``cycle``;
+    ``acting`` slots stay awake after it (every plan slot does), and
+    nobody else wakes before ``limit``.  The plan runs collectively
+    only if those ops are exactly its ``p`` processors and nobody else
+    is awake, it ends by ``limit``, it compiles, and every write
+    passes the engine's write guard.  The result is what the desugared
+    ops compute: each processor's final row (indexed by plan
+    processor), the bits charged (``Message(plan.kind,
+    *pack_elem(v)).bit_size()`` per write), the ``(channel, writes)``
+    pairs and the plan's cycle count.
+    """
+    plan = plan_ops[0][1].plan
+    p = plan.p
+    if len(plan_ops) != p or acting != p or cycle + plan.cycles > limit:
+        return None
+    rows: list[Any] = [None] * p
+    for _, op in plan_ops:
+        if op.plan is not plan:
+            return None
+        rows[op.proc] = op.row
+    if len({op.proc for _, op in plan_ops}) != p:
+        return None
+    gather = _plan_gather(plan)
+    if gather is None:
+        return None
+    slots = plan.slots
+    if any(len(row) < slots for row in rows):
+        return None
+    flat = list(
+        chain.from_iterable(
+            row if len(row) == slots else row[:slots] for row in rows
+        )
+    )
+    sent = _delivered(
+        list(map(flat.__getitem__, gather.w_flat)), plan.kind, max_fields
+    )
+    if sent is None:
+        return None
+    got, bits = sent
+    src = got + flat
+    outs = []
+    for row, idx in zip(rows, gather.out_idx):
+        out = list(map(src.__getitem__, idx))
+        if len(row) > slots:
+            out += row[slots:]
+        outs.append(out)
+    return outs, bits, gather.cw, plan.cycles
+
+
+def _delivered(
+    vals: list, kind: str, max_fields: int
+) -> Optional[tuple[list, int]]:
+    """What writing each of ``vals`` delivers, and the bits charged.
+
+    A write of ``v`` sends ``Message(kind, *pack_elem(v))``, and its
+    reader stores ``unpack_elem`` of the fields.  Returns ``None`` if
+    some write would fail the engine's write guard or its bit sizing,
+    so that stepping raises the error at its cycle.  Elements that are
+    all exact ints, or all plain tuples of exact ints (none of length
+    1), arrive unchanged and are sized in bulk.
+    """
+    fields = vals
+    types = set(map(type, vals))
+    if types == {tuple}:
+        lens = set(map(len, vals))
+        if max(lens) > max_fields:
+            return None
+        if 1 not in lens:
+            fields = list(chain.from_iterable(vals))
+            types = set(map(type, fields))
+    elif max_fields < 1:
+        return None
+    if types <= {int}:
+        # As bit_size(): 8 bits of kind per message, and per field a
+        # sign bit plus the magnitude's width (zero takes one bit).
+        bits = (
+            8 * len(vals) + len(fields)
+            + sum(map(int.bit_length, fields)) + fields.count(0)
+        )
+        return vals, bits
+    got = []
+    bits = 0
+    for v in vals:
+        packed = pack_elem(v)
+        if len(packed) > max_fields:
+            return None  # stepping raises MessageSizeError
+        try:
+            bits += Message(kind, *packed).bit_size()
+        except TypeError:
+            return None  # a non-scalar field: stepping raises it
+        got.append(unpack_elem(packed))
+    return got, bits
+
+
+def _plan_runs(path: str, n: int) -> None:
+    global_registry().counter(
+        "network_plan_runs_total",
+        "RunPlan ops the fast engine ran, by path (collective or stepped)",
+    ).inc(n, path=path)
 
 
 class MCBNetwork(ObservableMixin):
@@ -337,16 +520,20 @@ class MCBNetwork(ObservableMixin):
         # emitters counts them.
         emitting: list[Any] = [None] * m
         emitters = 0
+        # plan_outer[slot] is the program's own send while that slot steps
+        # a RunPlan's desugared plan program (sends[slot] is the plan's).
+        plan_outer: list[Any] = [None] * m
         parked = 0  # parked listeners (fast path only; 0 on observed runs)
         until_parked = 0  # until_nonempty listeners, parked or desugared
         live = m  # unfinished generators
 
         # Local bindings for the hot loop.
-        CycleOp_, Sleep_, Listen_, Emit_, Message_, EMPTY_ = (
+        CycleOp_, Sleep_, Listen_, Emit_, RunPlan_, Message_, EMPTY_ = (
             CycleOp,
             Sleep,
             Listen,
             Emit,
+            RunPlan,
             Message,
             EMPTY,
         )
@@ -487,6 +674,7 @@ class MCBNetwork(ObservableMixin):
             read_slots: list[int] = []
             read_chans: list[int] = []
             collided: Optional[dict[int, list[int]]] = None
+            plan_ops: Optional[list[tuple[int, RunPlan]]] = None
             keep = next_ready.append
             add_read_slot = read_slots.append
             add_read_chan = read_chans.append
@@ -553,11 +741,25 @@ class MCBNetwork(ObservableMixin):
                     try:
                         op = sends[slot](inbox[slot])
                     except StopIteration as stop:
-                        inbox[slot] = None
-                        results[pids[slot]] = stop.value
-                        finished += 1
-                        live -= 1
-                        continue
+                        value = stop.value
+                        outer = plan_outer[slot]
+                        ended = True
+                        if outer is not None:
+                            # A stepped RunPlan ended: its returned row
+                            # resumes the program that yielded it.
+                            plan_outer[slot] = None
+                            sends[slot] = outer
+                            try:
+                                op = outer(value)
+                                ended = False
+                            except StopIteration as stop2:
+                                value = stop2.value
+                        if ended:
+                            inbox[slot] = None
+                            results[pids[slot]] = value
+                            finished += 1
+                            live -= 1
+                            continue
                     inbox[slot] = None
                 cls = op.__class__
                 if cls is not CycleOp_:
@@ -630,10 +832,20 @@ class MCBNetwork(ObservableMixin):
                                 )
                             )
                         continue
+                    if cls is RunPlan_ or isinstance(op, RunPlan_):
+                        # Register the plan's first op in slot order, as
+                        # its desugared program would yield it.  After
+                        # the pass the whole plan either runs in one step
+                        # (taking these ops back) or is stepped.
+                        check_run_plan(pids[slot], op, k)
+                        if plan_ops is None:
+                            plan_ops = []
+                        plan_ops.append((slot, op))
+                        op = op.plan.first_op(op.proc, op.row)
                     if not isinstance(op, CycleOp_):
                         raise ProtocolError(
                             f"P{pids[slot]} yielded {op!r}; expected "
-                            f"CycleOp, Sleep, Listen, or Emit"
+                            f"CycleOp, Sleep, Listen, Emit, or RunPlan"
                         )
                 keep(slot)
                 w = op.write
@@ -672,6 +884,45 @@ class MCBNetwork(ObservableMixin):
                         )
                     add_read_slot(slot)
                     add_read_chan(r)
+
+            if plan_ops is not None:
+                done = None
+                if dispatch is None and not parked:
+                    done = _collective_plan(
+                        plan_ops,
+                        len(next_ready),
+                        cycle,
+                        min(sleep_heap[0][0] if sleep_heap else max_cycles,
+                            max_cycles),
+                        max_fields,
+                    )
+                if done is None:
+                    # Step each plan program; its first op is the one
+                    # registered above.
+                    for slot, op in plan_ops:
+                        sub = run_plan_program(pids[slot], op, k)
+                        sub.send(None)
+                        plan_outer[slot] = sends[slot]
+                        sends[slot] = sub.send
+                    _plan_runs("stepped", len(plan_ops))
+                else:
+                    # Every op registered this cycle is a plan's first op:
+                    # take them back, hand each program its final row and
+                    # charge the whole plan.
+                    outs, bits, cw, cycles = done
+                    for w in written:
+                        chan_writer[w] = 0
+                        chan_msg[w] = None
+                    for slot, op in plan_ops:
+                        inbox[slot] = outs[op.proc]
+                    for ch, n in cw:
+                        cw_counts[ch] += n
+                        messages += n
+                    bits_acc += bits
+                    _plan_runs("collective", len(plan_ops))
+                    cycle += cycles
+                    ready = next_ready
+                    continue
 
             if collided is not None:
                 channel, writers = next(iter(collided.items()))

@@ -34,7 +34,15 @@ Per cycle a program yields either
   identical to yielding the ``Sleep``/``CycleOp(write=ch, payload=m)``
   sequence that :func:`desugar_emit` spells out, but lets the engine
   replay that sequence itself (a fixed write schedule, like the
-  writers of Rank-Sort or of the §8 termination gather).
+  writers of Rank-Sort or of the §8 termination gather); or
+
+* :class:`RunPlan` — run one processor's part of an oblivious
+  :class:`~repro.mcb.vector.plan.SchedulePlan` (a §5.2 columnsort
+  transfer phase, a comparator-network round).  ``row = yield
+  RunPlan(plan, proc, row)`` is semantically identical to ``row =
+  yield from plan.as_program(proc, row)(ctx)``, but when all of the
+  plan's processors enter it together the engine may run the whole
+  phase as one step.
 
 The generator's return value (``return x``) becomes the processor's result
 in :meth:`MCBNetwork.run`'s output.
@@ -325,6 +333,70 @@ def desugar_emit(pid: int, op: Emit, k: int) -> list:
         ops.append(CycleOp(ch, msg))
         t = a + 1
     return ops
+
+
+class RunPlan:
+    """Run processor ``proc``'s part of ``plan`` from ``row``; resumed
+    once, with the final row, when the plan's ``plan.cycles`` are over.
+
+    ``row = yield RunPlan(plan, proc, row)`` is *defined* by
+    desugaring: it behaves exactly like ``row = yield from
+    plan.as_program(proc, row)(ctx)``
+    (:meth:`~repro.mcb.vector.plan.SchedulePlan.as_program`, the one
+    generator-side spelling of a plan) — the same ops in the same
+    cycles, validated, collision-checked and charged as those ops.
+    What changes is who spells them: when every processor of the plan
+    yields its ``RunPlan`` in the same cycle and nothing else can
+    touch the channels until the plan ends, the fast engine's
+    unobserved path moves the elements by the plan's compiled form in
+    one step (see ``docs/MODEL.md``, "Collective plan phases").
+    Everywhere else — the reference interpreter, the §2 simulators,
+    observed runs and every fallback — the desugared ops are stepped.
+
+    :func:`check_run_plan` checks the op's form in every engine.
+    Like :class:`CycleOp`, a plain ``__slots__`` class; treat instances
+    as immutable.
+    """
+
+    __slots__ = ("plan", "proc", "row")
+
+    def __init__(self, plan: Any, proc: int, row: Sequence[Any]):
+        self.plan = plan
+        self.proc = proc
+        self.row = row
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"RunPlan({self.plan!r}, {self.proc!r}, <row>)"
+
+
+def check_run_plan(pid: int, op: RunPlan, k: int) -> None:
+    """Check a :class:`RunPlan`'s form on ``k`` channels.
+
+    Every engine and the simulation desugaring share this check, so a
+    malformed op fails with the same message everywhere (the
+    counterpart of :func:`emit_schedule`).  The ops themselves are
+    checked later, each at the cycle it runs.
+    """
+    plan = op.plan
+    if not 0 <= op.proc < plan.p:
+        raise ProtocolError(
+            f"P{pid} yielded RunPlan for plan processor {op.proc} "
+            f"outside 0..{plan.p - 1}"
+        )
+    if plan.k > k:
+        raise ProtocolError(
+            f"P{pid} yielded RunPlan for a plan on {plan.k} channels (k={k})"
+        )
+    if plan.cycles < 1:
+        raise ProtocolError(f"P{pid} yielded RunPlan for a zero-cycle plan")
+
+
+def run_plan_program(pid: int, op: RunPlan, k: int) -> Generator:
+    """Check ``op`` (:func:`check_run_plan`); return the generator of
+    desugared ops that defines it."""
+    check_run_plan(pid, op, k)
+    # Plan programs never look at their context.
+    return op.plan.as_program(op.proc, op.row)(None)
 
 
 #: A no-op cycle (participate in the round, touch no channel).

@@ -38,7 +38,10 @@ window without resuming the generator, then resumes it once with the
 bulk result.  The fast engine's parked wait-lists must match this bit
 for bit.  An :class:`~repro.mcb.program.Emit` is stepped as the
 ``Sleep``/``CycleOp`` list :func:`~repro.mcb.program.desugar_emit`
-spells out, one op per cycle, before the generator resumes.
+spells out, one op per cycle, before the generator resumes, and a
+:class:`~repro.mcb.program.RunPlan` as the plan program
+(:func:`~repro.mcb.program.run_plan_program`) it stands for, whose
+returned row resumes the generator.
 
 Rules shared by every policy (and by the fast engine): ``Sleep(c)``
 with ``c < 0`` raises :class:`ProtocolError`; a message with more than
@@ -83,9 +86,11 @@ from .program import (
     Listen,
     ProcContext,
     ProgramFn,
+    RunPlan,
     Sleep,
     desugar_emit,
     listen_window,
+    run_plan_program,
 )
 from .trace import PhaseStats, RunStats
 
@@ -239,6 +244,25 @@ class ReferenceMCBNetwork(ObservableMixin):
         wake: dict[int, int] = {pid: 0 for pid in programs}
         listening: dict[int, _RefListenState] = {}
         emitting: dict[int, Any] = {}  # pid -> rest of its desugared Emit
+        plan_outer: dict[int, Any] = {}  # pid -> program inside a RunPlan
+
+        def resume(pid: int, got: Any) -> Any:
+            """``pid``'s next op, stepping a RunPlan as its plan program;
+            raises StopIteration only when the program itself ends."""
+            while True:
+                try:
+                    op = gens[pid].send(got)
+                except StopIteration as stop:
+                    if pid not in plan_outer:
+                        raise
+                    gens[pid] = plan_outer.pop(pid)
+                    got = stop.value
+                    continue
+                if not isinstance(op, RunPlan):
+                    return op
+                plan_outer[pid] = gens[pid]
+                gens[pid] = run_plan_program(pid, op, k)
+                got = None
         until_parked = 0
         memory: dict[int, Any] = {}  # cell contents (medium "cells")
 
@@ -318,7 +342,7 @@ class ReferenceMCBNetwork(ObservableMixin):
                         del emitting[pid]
                 if op is None:
                     try:
-                        op = gens[pid].send(inbox[pid])
+                        op = resume(pid, inbox[pid])
                     except StopIteration as stop:
                         results[pid] = stop.value
                         del gens[pid]
@@ -367,7 +391,7 @@ class ReferenceMCBNetwork(ObservableMixin):
                 if not isinstance(op, cycle_ops):
                     raise ProtocolError(
                         f"P{pid} yielded {op!r}; expected "
-                        f"CycleOp, ExtOp, Sleep, Listen, or Emit"
+                        f"CycleOp, ExtOp, Sleep, Listen, Emit, or RunPlan"
                     )
                 wake[pid] = cycle + 1
                 w = op.write

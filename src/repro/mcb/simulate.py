@@ -49,9 +49,11 @@ from .program import (
     Listen,
     ProcContext,
     ProgramFn,
+    RunPlan,
     Sleep,
     desugar_emit,
     listen_window,
+    run_plan_program,
 )
 
 
@@ -80,19 +82,22 @@ def simulation_overhead(p_virtual: int, k_virtual: int, p: int, k: int) -> tuple
 
 
 def desugar(q: int, k: int, gen: Generator) -> Generator:
-    """Run virtual program ``gen``, spelling ``Listen`` and ``Emit`` out.
+    """Run virtual program ``gen``, spelling ``Listen``, ``Emit`` and
+    ``RunPlan`` out.
 
     The oblivious block schedule moves at most one read and one write per
-    virtual processor per virtual cycle and has no parked readers or
-    replayed writers, so both simulators wrap every virtual program
-    (virtual pid ``q`` on ``k`` virtual channels) in this generator.  A
-    :class:`~repro.mcb.program.Listen` becomes exactly the per-cycle
-    ``CycleOp(read=ch)`` yields that define it (``docs/MODEL.md``), and
-    the program is resumed with the same bulk result an engine would
-    deliver; an :class:`~repro.mcb.program.Emit` becomes its
-    :func:`~repro.mcb.program.desugar_emit` ops, and the program is
-    resumed with ``None`` after the last write.  Everything else passes
-    through.
+    virtual processor per virtual cycle and has no parked readers,
+    replayed writers or collective phases, so both simulators wrap every
+    virtual program (virtual pid ``q`` on ``k`` virtual channels) in this
+    generator.  A :class:`~repro.mcb.program.Listen` becomes exactly the
+    per-cycle ``CycleOp(read=ch)`` yields that define it
+    (``docs/MODEL.md``), and the program is resumed with the same bulk
+    result an engine would deliver; an :class:`~repro.mcb.program.Emit`
+    becomes its :func:`~repro.mcb.program.desugar_emit` ops, and the
+    program is resumed with ``None`` after the last write; a
+    :class:`~repro.mcb.program.RunPlan` becomes its plan program, whose
+    returned row resumes the program — so a virtual plan never runs on
+    the physical channels.  Everything else passes through.
     """
     got = None
     while True:
@@ -104,6 +109,9 @@ def desugar(q: int, k: int, gen: Generator) -> Generator:
             for sub in desugar_emit(q, op, k):
                 yield sub
             got = None
+            continue
+        if isinstance(op, RunPlan):
+            got = yield from run_plan_program(q, op, k)
             continue
         if not isinstance(op, Listen):
             got = yield op

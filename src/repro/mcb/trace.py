@@ -74,6 +74,27 @@ class PhaseStats:
         }
 
 
+def _merge_into(merged: PhaseStats, ph: PhaseStats) -> None:
+    """Fold ``ph`` into ``merged``: sum the counters and per-channel
+    writes, keep the widest ``k`` and each processor's highest peak."""
+    merged.cycles += ph.cycles
+    merged.messages += ph.messages
+    merged.bits += ph.bits
+    merged.fast_forward_cycles += ph.fast_forward_cycles
+    merged.collisions += ph.collisions
+    if ph.k > merged.k:
+        merged.k = ph.k
+    if ph.extra:
+        merged.extra.update(ph.extra)
+    writes = merged.channel_writes
+    for c, w in ph.channel_writes.items():
+        writes[c] = writes.get(c, 0) + w
+    peaks = merged.aux_peak
+    for pid, peak in ph.aux_peak.items():
+        old = peaks.get(pid, 0)
+        peaks[pid] = peak if peak > old else old
+
+
 @dataclass
 class RunStats:
     """Accumulated costs across all phases run on a network so far."""
@@ -105,26 +126,23 @@ class RunStats:
         merged = PhaseStats(name=name)
         for ph in self.phases:
             if ph.name == name:
-                merged.cycles += ph.cycles
-                merged.messages += ph.messages
-                merged.bits += ph.bits
-                merged.fast_forward_cycles += ph.fast_forward_cycles
-                merged.collisions += ph.collisions
-                merged.k = max(merged.k, ph.k)
-                merged.extra.update(ph.extra)
-                for c, w in ph.channel_writes.items():
-                    merged.channel_writes[c] = merged.channel_writes.get(c, 0) + w
-                for pid, peak in ph.aux_peak.items():
-                    merged.aux_peak[pid] = max(merged.aux_peak.get(pid, 0), peak)
+                _merge_into(merged, ph)
         return merged
+
+    def merged_phases(self) -> list[PhaseStats]:
+        """:meth:`phase` of every distinct name, in first-seen order,
+        grouped in one pass over the phases."""
+        merged: dict[str, PhaseStats] = {}
+        for ph in self.phases:
+            into = merged.get(ph.name)
+            if into is None:
+                into = merged[ph.name] = PhaseStats(name=ph.name)
+            _merge_into(into, ph)
+        return list(merged.values())
 
     def phase_names(self) -> list[str]:
         """Distinct phase names in first-seen order."""
-        seen: list[str] = []
-        for ph in self.phases:
-            if ph.name not in seen:
-                seen.append(ph.name)
-        return seen
+        return list(dict.fromkeys(ph.name for ph in self.phases))
 
     def to_dict(self) -> dict:
         """JSON-friendly projection: totals + per-phase dicts in order."""
@@ -135,18 +153,15 @@ class RunStats:
                 "bits": self.bits,
                 "max_aux_peak": self.max_aux_peak,
             },
-            "phases": [
-                self.phase(name).to_dict() for name in self.phase_names()
-            ],
+            "phases": [ph.to_dict() for ph in self.merged_phases()],
         }
 
     def breakdown(self) -> str:
         """Human-readable per-phase table (used by examples and benches)."""
         lines = [f"{'phase':<28}{'cycles':>10}{'messages':>10}{'bits':>12}"]
-        for name in self.phase_names():
-            ph = self.phase(name)
+        for ph in self.merged_phases():
             lines.append(
-                f"{name:<28}{ph.cycles:>10}{ph.messages:>10}{ph.bits:>12}"
+                f"{ph.name:<28}{ph.cycles:>10}{ph.messages:>10}{ph.bits:>12}"
             )
         lines.append(
             f"{'TOTAL':<28}{self.cycles:>10}{self.messages:>10}{self.bits:>12}"

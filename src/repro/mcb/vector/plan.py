@@ -17,8 +17,11 @@ Two layers:
   :meth:`~SchedulePlan.as_programs` renders the plan back into ordinary
   per-processor generator programs, so any plan can also be run on the
   generator engines — that interpreter is the parity oracle the vector
-  executor is tested against, and the generator path of columnsort and
-  of the comparator-network backends.
+  executor is tested against, and it defines the
+  :class:`~repro.mcb.program.RunPlan` op through which columnsort and
+  the comparator-network backends run their plans on the generator
+  engines (the fast engine may run such a phase in one collective
+  step).
 
 * :class:`CompiledPhase` — the validated columnar form produced by
   :meth:`SchedulePlan.compile`: flat int64 index arrays, one row per
@@ -548,18 +551,39 @@ class SchedulePlan:
             for src, dst in moves:
                 out[dst] = row[src]
             for step in table:
-                if step is None:
-                    yield IDLE
-                    continue
-                wchan, src, rchan, dst = step
-                got = yield CycleOp(
-                    write=wchan,
-                    payload=None if wchan is None
-                    else Message(kind, *pack_elem(row[src])),
-                    read=rchan,
-                )
-                if rchan is not None and got is not EMPTY and got is not None:
-                    out[dst] = unpack_elem(got.fields)
+                got = yield _step_op(kind, row, step)
+                if (
+                    step is not None
+                    and step[2] is not None
+                    and got is not EMPTY
+                    and got is not None
+                ):
+                    out[step[3]] = unpack_elem(got.fields)
             return out
 
         return program
+
+    def first_op(self, proc: int, row: Sequence[Any]) -> CycleOp:
+        """The op ``as_program(proc, row)`` yields in its first cycle.
+
+        The fast engine registers it for a
+        :class:`~repro.mcb.program.RunPlan` before it knows whether the
+        whole plan will run in one step, without building the program.
+        """
+        table = self._program_maps()[0].get(proc)
+        return _step_op(self.kind, row, table[0] if table else None)
+
+
+def _step_op(kind: str, row: Sequence[Any], step: Any) -> CycleOp:
+    """A plan program's op for one cycle: ``step`` is the processor's
+    ``(write_chan, src_slot, read_chan, dst_slot)`` for the cycle (see
+    :meth:`SchedulePlan._program_maps`), or ``None`` for an idle one."""
+    if step is None:
+        return IDLE
+    wchan, src, rchan, _ = step
+    return CycleOp(
+        write=wchan,
+        payload=None if wchan is None
+        else Message(kind, *pack_elem(row[src])),
+        read=rchan,
+    )

@@ -297,12 +297,14 @@ class Profiler:
         stats = self.net.stats
         k = getattr(self.net, "k", 0)
 
-        names = stats.phase_names()
-        predictions, run_pred = self._predictions(names, k)
+        merged = stats.merged_phases()
+        predictions, run_pred = self._predictions(
+            [ph.name for ph in merged], k
+        )
 
         phases: list[PhaseProfile] = []
-        for name in names:
-            ph = stats.phase(name)
+        for ph in merged:
+            name = ph.name
             if ph.channel_writes:
                 hot = max(ph.channel_writes, key=lambda c: (ph.channel_writes[c], -c))
                 hot_writes = ph.channel_writes[hot]

@@ -8,11 +8,13 @@ free sorts — is data-dependent but costs nothing in the MCB model, so
 it runs as whole-matrix NumPy on the vector engine and as plain Python
 inside per-processor programs on the generator engine.
 
-The generator driver is the vector driver's parity oracle: every round
-plan is rendered through ``SchedulePlan.as_programs`` (the same literal
-event stream the executor gathers), and the combine applies the same
-merge rule to the same values, so outputs *and* ``RunStats.to_dict()``
-accounting agree bit-for-bit (``tests/test_cnet_backends.py``).
+On the generator engine every round plan runs as one
+:class:`~repro.mcb.program.RunPlan` op, which stands for
+``SchedulePlan.as_program``'s literal event stream (the same stream
+the executor gathers), and the combine applies the same merge rule to
+the same values, so outputs *and* ``RunStats.to_dict()`` accounting
+agree bit-for-bit between the two drivers and the reference
+interpreter (``tests/test_cnet_backends.py``).
 
 Compiled round plans live in the shared
 :class:`~repro.mcb.vector.cache.PlanRegistry` under a network-keyed
@@ -37,6 +39,7 @@ from ..mcb.cnet import (
 )
 from ..mcb.errors import ConfigurationError
 from ..mcb.network import MCBNetwork
+from ..mcb.program import RunPlan
 from ..mcb.vector import CompiledPhase, VectorRun, build_state
 from ..mcb.vector.cache import cnet_plan_stem, plan_registry
 from .even_pk import SortResult
@@ -222,13 +225,17 @@ def sort_cnet_generator(
     *,
     phase: str = "sort",
 ) -> SortResult:
-    """Run ``network`` on the generator engine (the parity oracle).
+    """Run ``network`` on the generator engine.
 
-    Each processor's program chains the round plans' literal
-    ``as_programs`` event streams (all programs advance in lockstep —
-    a plan's cycle count is global) and applies the identical local
-    merge rule between rounds, so this is exactly what the vector
-    driver computes, message for message.
+    Each processor's program yields one
+    :class:`~repro.mcb.program.RunPlan` per round plan — the plan's
+    literal ``as_program`` event stream, which the fast engine runs as
+    one collective step when all ``k`` processors enter it together
+    (they advance in lockstep: a plan's cycle count is global) — and
+    applies the identical local merge rule between rounds, so this is
+    exactly what the vector driver computes, message for message.  The
+    reference interpreter steps the same ops and is the oracle both
+    drivers are checked against.
     """
     k = net.k
     m = _validated(net, columns, network)
@@ -243,8 +250,7 @@ def sort_cnet_generator(
             row = col + col if double else list(col)
             for step in steps:
                 if step[0] == "plan":
-                    prog = plans[step[1]].as_program(ctx.pid - 1, row)
-                    row = yield from prog(ctx)
+                    row = yield RunPlan(plans[step[1]], ctx.pid - 1, row)
                 elif step[0] == "sort":
                     if not (step[1] and ctx.pid == 1):
                         row[:m] = sorted(row[:m], reverse=True)

@@ -32,7 +32,7 @@ import numpy as np
 from ..columnsort.matrix import require_valid_dims
 from ..mcb.errors import ConfigurationError
 from ..mcb.network import MCBNetwork
-from ..mcb.program import ProcContext
+from ..mcb.program import ProcContext, RunPlan
 from ..mcb.vector.lower import lower_columnsort_phases
 from ..mcb.vector.plan import SchedulePlan
 from .common import descending
@@ -96,8 +96,11 @@ def columnsort_program(
 
     The transfer phases 2, 4, 6 and 8 run the plans of
     :func:`~repro.mcb.vector.lower.lower_columnsort_phases` — the plans
-    the vector engine compiles — through
-    :meth:`~repro.mcb.vector.plan.SchedulePlan.as_program`; the local
+    the vector engine compiles — each as one
+    :class:`~repro.mcb.program.RunPlan` op, which stands for the plan's
+    :meth:`~repro.mcb.vector.plan.SchedulePlan.as_program` ops: the fast
+    engine runs a phase that all ``k`` columns enter together in one
+    collective step, and every other engine steps those ops.  The local
     sorts between them only touch rows ``0..m-1``.
     """
     if m == 0:
@@ -107,15 +110,14 @@ def columnsort_program(
     row = descending(column)  # phase 1
     if wrap:
         row += [None] * (m // 2)  # parking slots for column k's wrap
-    # Plan programs never look at their context, hence ``(None)``.
-    row = yield from p2.as_program(col_idx, row)(None)  # phase 2
+    row = yield RunPlan(p2, col_idx, row)  # phase 2
     row[:m] = descending(row[:m])  # phase 3
-    row = yield from p4.as_program(col_idx, row)(None)  # phase 4
+    row = yield RunPlan(p4, col_idx, row)  # phase 4
     row[:m] = descending(row[:m])  # phase 5
-    row = yield from p6.as_program(col_idx, row)(None)  # phase 6
+    row = yield RunPlan(p6, col_idx, row)  # phase 6
     if col_idx != 0:
         row[:m] = descending(row[:m])  # phase 7: all columns except 1
-    row = yield from p8.as_program(col_idx, row)(None)  # phase 8
+    row = yield RunPlan(p8, col_idx, row)  # phase 8
     return descending(row[:m])  # phase 9
 
 

@@ -1,0 +1,89 @@
+"""Differential harness: every engine path gives the same answer and cost.
+
+One hypothesis property draws a query — algorithm, network shape, input
+size, distribution and even-sort backend — and runs it on the fast
+engine unobserved (where ``RunPlan`` phases run as collective steps and
+``Listen``/``Emit`` park), on the fast engine with an observer attached
+(every op stepped), and on the reference interpreter.  All three must
+return the same output and the same ``RunStats.to_dict()``.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.mcb import MCBNetwork
+from repro.mcb.reference import ReferenceMCBNetwork
+from repro.obs import EventLog
+from repro.select import mcb_select
+from repro.sort import mcb_sort
+
+
+@st.composite
+def queries(draw):
+    """``(algorithm, p, k, parts, backend, rank)`` for one query.
+
+    ``sort_pk`` runs on ``p == k``; ``sort_uneven`` and ``select`` on
+    ``k < p``.  ``even`` inputs hold ``n / p`` distinct values per
+    processor, ``duplicates`` the same sizes from eight values, and
+    ``skewed`` uneven sizes.  The backend applies where the query has a
+    choice: a ``sort_pk`` query on an even-sized input.
+    """
+    algorithm = draw(st.sampled_from(["sort_pk", "sort_uneven", "select"]))
+    distribution = draw(st.sampled_from(["even", "skewed", "duplicates"]))
+    backend = draw(st.sampled_from(["columnsort", "batcher"]))
+    if algorithm == "sort_pk":
+        k = draw(st.sampled_from([2, 4]))
+        p = k
+        if backend == "columnsort":
+            # Columnsort's dimension rule: k | m and m >= k(k - 1).
+            m = k * draw(st.integers(max(1, k - 1), k + 2))
+        else:
+            m = draw(st.integers(1, 9))
+    else:
+        p = draw(st.sampled_from([4, 8]))
+        k = draw(st.sampled_from([kk for kk in (1, 2, 4) if kk < p]))
+        m = draw(st.integers(1, 8))
+    n = m * p
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if distribution == "duplicates":
+        values = rng.choice(np.arange(1, 9) * 100, size=n).tolist()
+    else:
+        values = rng.choice(4 * n, size=n, replace=False).tolist()
+    if distribution == "skewed":
+        cuts = sorted(rng.choice(np.arange(1, n), size=p - 1, replace=False))
+        sizes = np.diff([0, *cuts, n]).tolist()
+    else:
+        sizes = [m] * p
+    parts, at = {}, 0
+    for pid, size in enumerate(sizes, start=1):
+        parts[pid] = values[at:at + size]
+        at += size
+    if algorithm != "sort_pk" or distribution == "skewed":
+        backend = "columnsort"
+    rank = draw(st.integers(1, n))
+    return algorithm, p, k, parts, backend, rank
+
+
+def run(net, query):
+    algorithm, _, _, parts, backend, rank = query
+    if algorithm == "select":
+        answer = mcb_select(net, parts, rank).value
+    else:
+        answer = mcb_sort(net, parts, backend=backend).output
+    return answer, net.stats.to_dict()
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(query=queries())
+def test_engines_agree(query):
+    _, p, k, *_ = query
+    observed = MCBNetwork(p, k)
+    observed.attach_observer(EventLog())
+    fast = run(MCBNetwork(p, k), query)
+    assert run(observed, query) == fast
+    assert run(ReferenceMCBNetwork(p, k), query) == fast

@@ -68,6 +68,29 @@ class TestStatsEdges:
         merged = st.phase("s")
         assert merged.aux_peak == {1: 9, 2: 1}
 
+    def test_to_dict_groups_phases_by_first_seen_name(self):
+        st = RunStats()
+        st.add(PhaseStats(name="b", cycles=2, messages=1, bits=9, k=2,
+                          channel_writes={2: 1}, aux_peak={1: 3}))
+        st.add(PhaseStats(name="a", cycles=1, k=1, extra={"x": 1}))
+        st.add(PhaseStats(name="b", cycles=5, messages=4, bits=30, k=4,
+                          channel_writes={1: 3, 2: 1}, aux_peak={1: 2, 2: 7},
+                          fast_forward_cycles=2, collisions=1,
+                          extra={"y": 2}))
+        phases = st.to_dict()["phases"]
+        assert [ph["name"] for ph in phases] == st.phase_names() == ["b", "a"]
+        assert phases == [st.phase(name).to_dict() for name in ("b", "a")]
+        assert phases[0] == {
+            "name": "b", "cycles": 7, "messages": 5, "bits": 39, "k": 4,
+            "channel_writes": {1: 3, 2: 2}, "max_aux_peak": 7,
+            "fast_forward_cycles": 2, "collisions": 1,
+            "utilization": 5 / (7 * 4), "extra": {"y": 2},
+        }
+        rows = st.breakdown().splitlines()[1:3]
+        assert [row.split() for row in rows] == [
+            ["b", "7", "5", "39"], ["a", "1", "0", "0"]
+        ]
+
 
 class TestErrorMessages:
     def test_collision_error_fields(self):
