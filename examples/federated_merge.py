@@ -15,6 +15,7 @@ import numpy as np
 
 from repro import Distribution, MCBNetwork
 from repro.mcb import render_gantt, channel_report
+from repro.obs import EventLog
 from repro.select import mcb_quantiles
 from repro.sort import mcb_merge, mcb_sort
 
@@ -38,7 +39,9 @@ def main() -> None:
         [[v - 9_500 - 0.5 for v in epoch_b.parts[i]] for i in range(1, p + 1)]
     )
 
-    net = MCBNetwork(p=p, k=k, record_trace=True)
+    net = MCBNetwork(p=p, k=k)
+    log = EventLog()
+    net.attach_observer(log)
     merged = mcb_merge(net, epoch_a, epoch_b, phase="compaction")
     flat = [e for i in range(1, p + 1) for e in merged.output[i]]
     assert flat == sorted(epoch_a.all_elements() + epoch_b.all_elements(),
@@ -66,7 +69,7 @@ def main() -> None:
 
     # channel observability
     print("\nchannel activity during the compaction:")
-    print(render_gantt(net.events, k, width=64))
+    print(render_gantt(log.events, k, width=64))
     print()
     print(channel_report(net.stats, k))
 

@@ -16,6 +16,7 @@ any JSON layout, so older indented entries still hit.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from pathlib import Path
@@ -44,18 +45,19 @@ def default_cache_root() -> Path:
     return root / "repro"
 
 
-def _cache_counter(hit: bool) -> None:
+def _cache_counter(result: str) -> None:
     # Same observability pattern as the columnsort schedule caches
-    # (src/repro/columnsort/schedule.py): every lookup lands on one
-    # global counter with a result label, so any consumer — the bench
-    # harness or the job service's /metrics endpoint — sees hit rates
-    # without plumbing a registry through.
+    # (src/repro/columnsort/schedule.py): every lookup and every failed
+    # write lands on one global counter with a result label, so any
+    # consumer — the bench harness or the job service's /metrics
+    # endpoint — sees hit rates without plumbing a registry through.
     from ..obs.metrics import global_registry
 
     global_registry().counter(
         "bench_result_cache_total",
-        "bench result-cache lookups by result",
-    ).inc(result="hit" if hit else "miss")
+        "bench result-cache lookups (hit, miss) and failed writes "
+        "(write_error)",
+    ).inc(result=result)
 
 
 class CacheKey(NamedTuple):
@@ -84,7 +86,8 @@ class ResultCache:
     counter of :func:`repro.obs.metrics.global_registry` with a
     ``result=hit|miss`` label (in addition to the per-instance
     ``hits``/``misses`` attributes), so cache efficiency shows up in any
-    Prometheus exposition for free.
+    Prometheus exposition for free; a :meth:`put` that fails counts as
+    ``result=write_error``.
 
     Parameters
     ----------
@@ -111,7 +114,7 @@ class ResultCache:
             payload = json.loads(path.read_text())
         except (OSError, ValueError):
             self.misses += 1
-            _cache_counter(hit=False)
+            _cache_counter("miss")
             return None
         if (
             not isinstance(payload, dict)
@@ -119,28 +122,38 @@ class ResultCache:
             or payload.get("key") != list(key)
         ):
             self.misses += 1
-            _cache_counter(hit=False)
+            _cache_counter("miss")
             return None
         self.hits += 1
-        _cache_counter(hit=True)
+        _cache_counter("hit")
         return payload["result"]
 
-    def put(self, key: CacheKey, result: dict[str, Any]) -> Path:
-        """Store ``result`` for ``key``; returns the file written.
+    def put(self, key: CacheKey, result: dict[str, Any]) -> Optional[Path]:
+        """Store ``result`` for ``key``; returns the file written, or
+        ``None`` if the write failed.
 
         The write is atomic (temp file + rename) so a crashed run never
-        leaves a half-written entry for later runs to trip over.
+        leaves a half-written entry for later runs to trip over.  A
+        write that fails with ``OSError`` (an unwritable or full
+        directory) removes its temp file, counts ``result=write_error``
+        and returns ``None``: the cache only saves recomputation, so the
+        caller keeps the result it already has.
         """
-        self.root.mkdir(parents=True, exist_ok=True)
         path = self._path(key)
-        payload = {
-            "cache_version": CACHE_VERSION,
-            "key": list(key),
-            "result": result,
-        }
+        text = json.dumps(
+            {"cache_version": CACHE_VERSION, "key": list(key), "result": result},
+            sort_keys=True,
+        )
         tmp = path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(payload, sort_keys=True))
-        tmp.replace(path)
+        try:
+            self.root.mkdir(parents=True, exist_ok=True)
+            tmp.write_text(text)
+            tmp.replace(path)
+        except OSError:
+            with contextlib.suppress(OSError):
+                tmp.unlink()
+            _cache_counter("write_error")
+            return None
         return path
 
     def __len__(self) -> int:

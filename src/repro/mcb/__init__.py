@@ -44,7 +44,7 @@ from .extensions import (
 )
 from .routing import alltoall, alltoall_schedule, exchange_counts, greedy_edge_coloring
 from .simulate import run_simulated, simulation_overhead
-from .trace import PhaseStats, RunStats, TraceEvent, format_events
+from .trace import PhaseStats, RunStats
 
 __all__ = [
     "COLLISION",
@@ -68,7 +68,6 @@ __all__ = [
     "RunPlan",
     "RunStats",
     "Sleep",
-    "TraceEvent",
     "alltoall",
     "alltoall_schedule",
     "busiest_processors",
@@ -78,7 +77,6 @@ __all__ = [
     "exchange_counts",
     "find_max_bitwise",
     "find_max_exclusive",
-    "format_events",
     "gossip",
     "greedy_edge_coloring",
     "log2ceil",

@@ -61,13 +61,13 @@ class CREWMemory(ReferenceMCBNetwork):
 
     policy = ChannelPolicy(medium="cells")
 
-    def __init__(self, p: int, cells: int, *, record_trace: bool = False):
+    def __init__(self, p: int, cells: int):
         if p < 1 or cells < 1:
             raise ConfigurationError(f"invalid CREW shape p={p}, cells={cells}")
         self.cells = cells
         #: Every cell written since construction or :meth:`reset_stats`.
         self.cells_used: set[int] = set()
-        self._setup(p, cells, record_trace)
+        self._setup(p, cells)
 
     def reset_stats(self) -> None:
         """Forget accumulated statistics/cells and detach every observer."""

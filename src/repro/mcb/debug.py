@@ -2,8 +2,8 @@
 
 Algorithm debugging on a synchronous broadcast network is mostly about
 *when* things happened on *which* channel.  These helpers turn the
-engine's accounting (and, when ``record_trace=True``, its event stream)
-into terminal-friendly views:
+engine's accounting (and the event stream an
+:class:`~repro.obs.hooks.EventLog` records) into terminal-friendly views:
 
 * :func:`render_gantt` — an ASCII channel-activity timeline;
 * :func:`channel_report` — per-channel write counts and utilization;
@@ -13,13 +13,18 @@ into terminal-friendly views:
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .trace import PhaseStats, RunStats, TraceEvent
+from ..obs.events import MessageBroadcast, ObsEvent
+from .trace import PhaseStats, RunStats
+
+
+def _broadcasts(events: Iterable[ObsEvent]) -> list[MessageBroadcast]:
+    return [ev for ev in events if isinstance(ev, MessageBroadcast)]
 
 
 def render_gantt(
-    events: Iterable[TraceEvent],
+    events: Iterable[ObsEvent],
     k: int,
     *,
     width: int = 72,
@@ -28,16 +33,19 @@ def render_gantt(
 ) -> str:
     """ASCII timeline: one row per channel, time left to right.
 
-    Cycles are bucketed so the timeline fits in ``width`` columns; a
-    bucket is busy if any of its cycles carried a message on that
-    channel.  Returns a drawing like::
+    ``events`` is an event stream, such as an
+    :class:`~repro.obs.hooks.EventLog`'s ``events``; only its
+    :class:`~repro.obs.events.MessageBroadcast` events are drawn.  Cycles
+    are bucketed so the timeline fits in ``width`` columns; a bucket is
+    busy if any of its cycles carried a message on that channel.
+    Returns a drawing like::
 
         C1 |####..##########....####|
         C2 |....####........####....|
     """
-    events = list(events)
+    events = _broadcasts(events)
     if not events:
-        return "(no events recorded — construct the network with record_trace=True)"
+        return "(no events recorded — attach an EventLog to the network)"
     last = max(ev.cycle for ev in events) + 1
     width = min(width, last)
     bucket = max(1, -(-last // width))  # ceil division
@@ -102,10 +110,11 @@ def diff_runs(a: RunStats, b: RunStats, *, label_a: str = "A", label_b: str = "B
 
 
 def busiest_processors(
-    events: Iterable[TraceEvent], top: int = 5
+    events: Iterable[ObsEvent], top: int = 5
 ) -> list[tuple[int, int]]:
-    """(pid, messages written) for the most talkative processors."""
+    """(pid, messages written) for the most talkative processors, from
+    the :class:`~repro.obs.events.MessageBroadcast` events of a stream."""
     counts: dict[int, int] = {}
-    for ev in events:
+    for ev in _broadcasts(events):
         counts[ev.writer] = counts.get(ev.writer, 0) + 1
     return sorted(counts.items(), key=lambda kv: -kv[1])[:top]

@@ -111,12 +111,11 @@ class ExtendedNetwork(ReferenceMCBNetwork):
         *,
         write_policy: WritePolicy = "exclusive",
         read_policy: ReadPolicy = "single",
-        record_trace: bool = False,
     ):
         if p < 1 or k < 1 or k > p:
             raise ConfigurationError(f"invalid network shape p={p}, k={k}")
         self.policy = ChannelPolicy(write=write_policy, read=read_policy)
-        self._setup(p, k, record_trace)
+        self._setup(p, k)
 
     @property
     def write_policy(self) -> WritePolicy:

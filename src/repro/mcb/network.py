@@ -17,13 +17,24 @@ Programs are generators (see :mod:`repro.mcb.program`); an algorithm is a
 sequence of ``run()`` calls (stages), matching the paper's use of globally
 known synchronization points between phases.
 
-Implementation notes (the hot path)
------------------------------------
+Observed stages
+---------------
+A stage with an observer attached (see :mod:`repro.obs`) runs on the
+reference interpreter's loop (:meth:`ReferenceMCBNetwork.run
+<repro.mcb.reference.ReferenceMCBNetwork.run>`), which steps every op
+cycle by cycle and emits the event stream.  :class:`MCBNetwork` is that
+interpreter's subclass: it shares its constructor checks and its write
+and listen validation, and only replaces ``run`` for unobserved stages.
+It accepts the paper's :class:`~repro.mcb.program.CycleOp` only, not
+the §9 ``ExtOp``, on both paths.
+
+Implementation notes (the unobserved hot path)
+----------------------------------------------
 Every theorem check funnels through :meth:`MCBNetwork.run`, so its inner
 loop is written for throughput while staying *bit-identical* in results
-and cost accounting to the straightforward engine preserved in
-:mod:`repro.mcb.reference` (the equivalence battery in
-``tests/test_engine_equivalence.py`` enforces this):
+and cost accounting to the reference interpreter (the equivalence
+battery in ``tests/test_engine_equivalence.py`` enforces this).  The
+cycle loop has no observer branch:
 
 * participating processors live in a dense **slot arena** (lists indexed
   by slot, assigned in program order) instead of dicts keyed by pid —
@@ -43,36 +54,31 @@ and cost accounting to the straightforward engine preserved in
   phase end (ascending channel order);
 * write **validation is hoisted** to a single fast guard per write (the
   slow ``_validate_write`` path only runs to raise the precise error, or
-  to admit ``Message`` subclasses), and **observer dispatch** never
-  constructs event objects unless an observer is attached;
+  to admit ``Message`` subclasses);
 * :class:`~repro.mcb.program.Listen` readers **park** on per-channel
   wait-lists with a bounded traffic log instead of being resumed every
   cycle, so a cycle's cost is O(active writers/readers + wakeups) rather
   than O(live processors).  Bounded listeners wake through the ordinary
   wake heap at their deadline and receive the buffered non-empty reads
   in bulk; ``until_nonempty`` listeners are woken by the first write to
-  their channel.  Observer-subscribed runs take the desugared slow path
-  (the listener stays in the active set and the engine synthesizes its
-  per-cycle reads) so ``MessageBroadcast.readers`` and all accounting
-  stay bit-identical to the reference engine;
+  their channel;
 * an :class:`~repro.mcb.program.Emit` is **replayed**: the slot stays
   in the schedule exactly where its desugared ``Sleep``/``CycleOp`` ops
   (:func:`~repro.mcb.program.desugar_emit`) would keep it, but the
   engine spells each cycle's op itself instead of resuming the
   generator, so a write run costs one resume, not one per write, and
-  every op passes the ordinary op path.  On unobserved runs a **write
-  burst** goes further: while every awake slot is an emitter writing
-  back to back on its own channel and nobody else is due, the engine
-  charges those cycles in one pass — the same validation, messages,
-  bits, channel writes and traffic log, without the per-cycle loop;
+  every op passes the ordinary op path.  A **write burst** goes
+  further: while every awake slot is an emitter writing back to back
+  on its own channel and nobody else is due, the engine charges those
+  cycles in one pass — the same validation, messages, bits, channel
+  writes and traffic log, without the per-cycle loop;
 * a :class:`~repro.mcb.program.RunPlan` that all of its plan's
   processors enter in one cycle, with nobody else awake or parked
-  until it ends, runs as one **collective step** on unobserved runs:
-  a list gather over the plan's compiled index lists moves every
-  element, the counters are charged from plan constants, and each
-  program is resumed once, ``plan.cycles`` later
-  (:func:`_collective_plan`).  Otherwise each slot steps the plan
-  program (:meth:`SchedulePlan.as_program
+  until it ends, runs as one **collective step**: a list gather over
+  the plan's compiled index lists moves every element, the counters
+  are charged from plan constants, and each program is resumed once,
+  ``plan.cycles`` later (:func:`_collective_plan`).  Otherwise each
+  slot steps the plan program (:meth:`SchedulePlan.as_program
   <repro.mcb.vector.plan.SchedulePlan.as_program>`) that defines the op.
 
 On a collision the engine records the aborted phase's partial
@@ -87,25 +93,8 @@ from heapq import heappop, heappush
 from itertools import chain
 from typing import Any, Optional, Sequence
 
-from ..obs.events import (
-    CollisionDetected,
-    FastForward,
-    ListenParked,
-    ListenWoken,
-    MessageBroadcast,
-    PhaseEnded,
-    PhaseStarted,
-    ProcessorSlept,
-)
-from ..obs.hooks import ObservableMixin
 from ..obs.metrics import global_registry
-from .errors import (
-    CollisionError,
-    ConfigurationError,
-    MCBError,
-    MessageSizeError,
-    ProtocolError,
-)
+from .errors import CollisionError, MCBError, ProtocolError
 from .message import EMPTY, Message, pack_elem, unpack_elem
 from .program import (
     CycleOp,
@@ -117,21 +106,21 @@ from .program import (
     Sleep,
     check_run_plan,
     emit_schedule,
-    listen_window,
     run_plan_program,
 )
-from .trace import PhaseStats, RunStats
+from .reference import ReferenceMCBNetwork
+from .trace import PhaseStats
 
 
 class _ListenState:
-    """Engine-internal per-slot bookkeeping for one :class:`Listen` op.
+    """Engine-internal per-slot bookkeeping for one parked :class:`Listen`.
 
-    ``window is None`` marks an ``until_nonempty`` listen.  The parked
-    fast path uses ``start``/``log_idx`` (a cursor into the channel's
-    traffic log); the desugared observed path uses ``elapsed``/``buf``.
+    ``window is None`` marks an ``until_nonempty`` listen.  ``start`` is
+    the cycle it parked in and ``log_idx`` a cursor into the channel's
+    traffic log (bounded listens only).
     """
 
-    __slots__ = ("channel", "window", "start", "log_idx", "elapsed", "buf")
+    __slots__ = ("channel", "window", "start", "log_idx")
 
 
 class _EmitState:
@@ -351,11 +340,12 @@ def _delivered(
 def _plan_runs(path: str, n: int) -> None:
     global_registry().counter(
         "network_plan_runs_total",
-        "RunPlan ops the fast engine ran, by path (collective or stepped)",
+        "RunPlan ops the fast engine's unobserved loop ran, by path "
+        "(collective or stepped)",
     ).inc(n, path=path)
 
 
-class MCBNetwork(ObservableMixin):
+class MCBNetwork(ReferenceMCBNetwork):
     """A multi-channel broadcast network MCB(p, k).
 
     Parameters
@@ -368,14 +358,11 @@ class MCBNetwork(ObservableMixin):
         Upper bound on scalar fields per message, enforcing the model's
         O(log beta)-bit messages.  The paper's algorithms need at most a
         few fields (an element triple, a (median, count) pair, ...).
-    record_trace:
-        If true, every delivered message is recorded as a
-        :class:`~repro.mcb.trace.TraceEvent` in :attr:`events` (this is
-        implemented as a built-in :class:`~repro.obs.hooks.TraceObserver`
-        on the observability hooks; attach your own observers with
-        :meth:`attach_observer` for structured events, metrics, or an
-        :class:`~repro.obs.hooks.EventLog` to write through a sink — see
-        :mod:`repro.obs`).
+
+    Attach observers with :meth:`attach_observer` for structured events,
+    metrics, or an :class:`~repro.obs.hooks.EventLog` to write through a
+    sink (see :mod:`repro.obs`); an observed stage runs on the reference
+    interpreter's loop.
 
     Examples
     --------
@@ -391,39 +378,7 @@ class MCBNetwork(ObservableMixin):
     1
     """
 
-    def __init__(
-        self,
-        p: int,
-        k: int,
-        *,
-        max_message_fields: int = 8,
-        record_trace: bool = False,
-    ):
-        if p < 1:
-            raise ConfigurationError(f"need at least one processor, got p={p}")
-        if k < 1:
-            raise ConfigurationError(f"need at least one channel, got k={k}")
-        if k > p:
-            raise ConfigurationError(
-                f"the model requires k <= p, got p={p}, k={k}"
-            )
-        self.p = p
-        self.k = k
-        self.max_message_fields = max_message_fields
-        self.stats = RunStats()
-        self._init_observability(record_trace=record_trace)
-
-    # ------------------------------------------------------------------
-    def reset_stats(self) -> None:
-        """Forget all accumulated statistics and detach every observer.
-
-        Trace events are cleared and externally attached observers are
-        dropped (the built-in trace observer survives iff the network
-        was constructed with ``record_trace=True``), so a reused network
-        starts observationally fresh.
-        """
-        self.stats = RunStats()
-        self._reset_observability()
+    accepts_ext_op = False
 
     # ------------------------------------------------------------------
     def run(
@@ -455,17 +410,11 @@ class MCBNetwork(ObservableMixin):
             ``pid -> value`` returned by each program (``None`` if the
             generator returned nothing).
         """
-        if not isinstance(programs, dict):
-            if len(programs) != self.p:
-                raise ConfigurationError(
-                    f"expected {self.p} programs, got {len(programs)}"
-                )
-            programs = {i + 1: fn for i, fn in enumerate(programs)}
-        for pid in programs:
-            if not 1 <= pid <= self.p:
-                raise ConfigurationError(
-                    f"program assigned to nonexistent processor P{pid}"
-                )
+        if self._dispatch is not None:
+            return super().run(
+                programs, phase=phase, data=data, max_cycles=max_cycles
+            )
+        programs = self._check_programs(programs)
 
         # --- dense slot arena: slot order == program order ---------------
         pids: list[int] = list(programs)
@@ -488,9 +437,6 @@ class MCBNetwork(ObservableMixin):
         k = self.k
         max_fields = self.max_message_fields
         ph = PhaseStats(name=phase, k=k)
-        dispatch = self._dispatch
-        if dispatch is not None:
-            dispatch.dispatch(PhaseStarted(phase=phase, p=self.p, k=k))
 
         # Channel arena, 1-based (slot 0 unused).  writer 0 = silent,
         # writer -1 = collided this cycle.
@@ -505,13 +451,10 @@ class MCBNetwork(ObservableMixin):
         cycle = 0
 
         # --- sparse-cycle (Listen) bookkeeping ---------------------------
-        # listening[slot] is a _ListenState while that slot is inside a
-        # Listen window.  Fast path (no observer): bounded listeners park
-        # with a deadline in the wake heap and a cursor into their
-        # channel's traffic log; until_nonempty listeners park on the
-        # channel's wait-list.  Observed path: the slot stays in `ready`
-        # and the engine synthesizes its per-cycle reads (desugaring), so
-        # event streams match the reference engine bit for bit.
+        # listening[slot] is a _ListenState while that slot is parked in
+        # a Listen window.  Bounded listeners park with a deadline in the
+        # wake heap and a cursor into their channel's traffic log;
+        # until_nonempty listeners park on the channel's wait-list.
         listening: list[Any] = [None] * m
         until_waiters: list[list[int]] = [[] for _ in range(k + 1)]
         bounded_count = [0] * (k + 1)
@@ -523,8 +466,8 @@ class MCBNetwork(ObservableMixin):
         # plan_outer[slot] is the program's own send while that slot steps
         # a RunPlan's desugared plan program (sends[slot] is the plan's).
         plan_outer: list[Any] = [None] * m
-        parked = 0  # parked listeners (fast path only; 0 on observed runs)
-        until_parked = 0  # until_nonempty listeners, parked or desugared
+        parked = 0  # parked listeners
+        until_parked = 0  # parked until_nonempty listeners
         live = m  # unfinished generators
 
         # Local bindings for the hot loop.
@@ -552,28 +495,13 @@ class MCBNetwork(ObservableMixin):
                 # Every still-live processor waits for a broadcast that can
                 # never come: end the phase, closing the orphaned listeners
                 # (their results stay None in every engine, regardless of
-                # what close() returns on newer Pythons).  On the observed
-                # (desugared) path a listener whose last synthesized read
-                # already delivered a message is about to complete — and
-                # may write — so it is not orphaned; parked listeners
-                # never hold a pending inbox (waking clears the state).
-                pending = False
+                # what close() returns on newer Pythons).  A woken listener
+                # is no longer counted, so none of these holds a message.
                 for slot in range(m):
                     st = listening[slot]
-                    if (
-                        st is not None
-                        and st.window is None
-                        and inbox[slot] is not None
-                        and inbox[slot] is not EMPTY_
-                    ):
-                        pending = True
-                        break
-                if not pending:
-                    for slot in range(m):
-                        st = listening[slot]
-                        if st is not None and st.window is None:
-                            sends[slot].__self__.close()
-                    break
+                    if st is not None and st.window is None:
+                        sends[slot].__self__.close()
+                break
             if sleep_heap and sleep_heap[0][0] <= cycle:
                 memo: Optional[dict[tuple[int, int, int], list]] = None
                 while sleep_heap and sleep_heap[0][0] <= cycle:
@@ -616,12 +544,6 @@ class MCBNetwork(ObservableMixin):
                 target = sleep_heap[0][0]
                 if not parked:
                     ph.fast_forward_cycles += target - cycle
-                    if dispatch is not None:
-                        dispatch.dispatch(
-                            FastForward(
-                                phase=phase, from_cycle=cycle, to_cycle=target
-                            )
-                        )
                 cycle = target
                 continue
             if cycle >= max_cycles:
@@ -629,7 +551,7 @@ class MCBNetwork(ObservableMixin):
                     f"stage '{phase}' exceeded max_cycles={max_cycles}"
                 )
 
-            if emitters and dispatch is None and len(ready) <= emitters:
+            if emitters and len(ready) <= emitters:
                 # Write burst: every awake slot replays an Emit whose next
                 # ops are writes from this cycle on, on distinct channels
                 # nobody parks until-nonempty on, and no one else wakes
@@ -680,54 +602,6 @@ class MCBNetwork(ObservableMixin):
             add_read_chan = read_chans.append
             finished = 0
             for slot in ready:
-                st = listening[slot]
-                if st is not None:
-                    # Desugared listen (observed runs only): fold the read
-                    # delivered last cycle, then either synthesize the next
-                    # read or resume the generator with the bulk result.
-                    got = inbox[slot]
-                    inbox[slot] = None
-                    off = st.elapsed - 1
-                    if st.window is None:
-                        if got is EMPTY_ or got is None:
-                            st.elapsed += 1
-                            keep(slot)
-                            add_read_slot(slot)
-                            add_read_chan(st.channel)
-                            continue
-                        listening[slot] = None
-                        until_parked -= 1
-                        inbox[slot] = (off, got)
-                        # Desugaring only runs observed, so dispatch is set.
-                        dispatch.dispatch(
-                            ListenWoken(
-                                phase=phase,
-                                cycle=cycle,
-                                pid=pids[slot],
-                                channel=st.channel,
-                                heard=1,
-                            )
-                        )
-                    else:
-                        if got is not EMPTY_ and got is not None:
-                            st.buf.append((off, got))
-                        if st.elapsed < st.window:
-                            st.elapsed += 1
-                            keep(slot)
-                            add_read_slot(slot)
-                            add_read_chan(st.channel)
-                            continue
-                        listening[slot] = None
-                        inbox[slot] = st.buf
-                        dispatch.dispatch(
-                            ListenWoken(
-                                phase=phase,
-                                cycle=cycle,
-                                pid=pids[slot],
-                                channel=st.channel,
-                                heard=len(st.buf),
-                            )
-                        )
                 est = emitting[slot]
                 op = None
                 if est is not None:
@@ -785,52 +659,24 @@ class MCBNetwork(ObservableMixin):
                             keep(slot)
                         else:
                             heappush(sleep_heap, (cycle + c, slot))
-                            if dispatch is not None:
-                                dispatch.dispatch(
-                                    ProcessorSlept(
-                                        phase=phase,
-                                        cycle=cycle,
-                                        pid=pids[slot],
-                                        until_cycle=cycle + c,
-                                    )
-                                )
                         continue
                     if cls is Listen_ or isinstance(op, Listen_):
                         ch = op.channel
                         window = self._validate_listen(pids[slot], op)
+                        # Park: leave the active set entirely.
                         st = _ListenState()
                         st.channel = ch
                         st.window = window
+                        st.start = cycle
                         listening[slot] = st
+                        parked += 1
                         if window is None:
                             until_parked += 1
-                        if dispatch is None:
-                            # Park: leave the active set entirely.
-                            st.start = cycle
-                            parked += 1
-                            if window is None:
-                                until_waiters[ch].append(slot)
-                            else:
-                                st.log_idx = len(chan_log[ch])
-                                bounded_count[ch] += 1
-                                heappush(sleep_heap, (cycle + window, slot))
+                            until_waiters[ch].append(slot)
                         else:
-                            # Observed: desugar into per-cycle reads so the
-                            # event stream matches the reference engine.
-                            st.elapsed = 1
-                            st.buf = []
-                            keep(slot)
-                            add_read_slot(slot)
-                            add_read_chan(ch)
-                            dispatch.dispatch(
-                                ListenParked(
-                                    phase=phase,
-                                    cycle=cycle,
-                                    pid=pids[slot],
-                                    channel=ch,
-                                    window=window,
-                                )
-                            )
+                            st.log_idx = len(chan_log[ch])
+                            bounded_count[ch] += 1
+                            heappush(sleep_heap, (cycle + window, slot))
                         continue
                     if cls is RunPlan_ or isinstance(op, RunPlan_):
                         # Register the plan's first op in slot order, as
@@ -887,7 +733,7 @@ class MCBNetwork(ObservableMixin):
 
             if plan_ops is not None:
                 done = None
-                if dispatch is None and not parked:
+                if not parked:
                     done = _collective_plan(
                         plan_ops,
                         len(next_ready),
@@ -926,16 +772,6 @@ class MCBNetwork(ObservableMixin):
 
             if collided is not None:
                 channel, writers = next(iter(collided.items()))
-                if dispatch is not None:
-                    dispatch.dispatch(
-                        CollisionDetected(
-                            phase=phase,
-                            cycle=cycle,
-                            channel=channel,
-                            writers=tuple(writers),
-                            resolution="abort",
-                        )
-                    )
                 # Preserve the aborted phase's cost data: all completed
                 # cycles are recorded, stamped with collisions=1, so
                 # adversary/lower-bound experiments keep their stats.
@@ -946,60 +782,34 @@ class MCBNetwork(ObservableMixin):
                 raise CollisionError(cycle, channel, writers)
 
             # --- deliver reads -------------------------------------------
-            if dispatch is None:
-                if written:
-                    for slot, ch in zip(read_slots, read_chans):
-                        inbox[slot] = chan_msg[ch] if chan_writer[ch] else EMPTY_
-                    for ch in written:
-                        msg = chan_msg[ch]
-                        messages += 1
-                        bits_acc += msg.bit_size()
-                        cw_counts[ch] += 1
-                        if bounded_count[ch]:
-                            chan_log[ch].append((cycle, msg))
-                        waiters = until_waiters[ch]
-                        if waiters:
-                            # First non-empty broadcast on this channel:
-                            # wake every parked until_nonempty listener;
-                            # they rejoin the active set next cycle.
-                            for ws in waiters:
-                                inbox[ws] = (cycle - listening[ws].start, msg)
-                                listening[ws] = None
-                                heappush(sleep_heap, (cycle + 1, ws))
-                            n = len(waiters)
-                            parked -= n
-                            until_parked -= n
-                            until_waiters[ch] = []
-                        chan_writer[ch] = 0
-                        chan_msg[ch] = None
-                else:
-                    for slot in read_slots:
-                        inbox[slot] = EMPTY_
-            else:
-                readers_by_channel: dict[int, list[int]] = {}
+            if written:
                 for slot, ch in zip(read_slots, read_chans):
                     inbox[slot] = chan_msg[ch] if chan_writer[ch] else EMPTY_
-                    readers_by_channel.setdefault(ch, []).append(pids[slot])
                 for ch in written:
                     msg = chan_msg[ch]
-                    bits = msg.bit_size()
                     messages += 1
-                    bits_acc += bits
+                    bits_acc += msg.bit_size()
                     cw_counts[ch] += 1
-                    dispatch.dispatch(
-                        MessageBroadcast(
-                            phase=phase,
-                            cycle=cycle,
-                            channel=ch,
-                            writer=chan_writer[ch],
-                            readers=tuple(readers_by_channel.get(ch, ())),
-                            msg_kind=msg.kind,
-                            fields=msg.fields,
-                            bits=bits,
-                        )
-                    )
+                    if bounded_count[ch]:
+                        chan_log[ch].append((cycle, msg))
+                    waiters = until_waiters[ch]
+                    if waiters:
+                        # First non-empty broadcast on this channel: wake
+                        # every parked until_nonempty listener; they rejoin
+                        # the active set next cycle.
+                        for ws in waiters:
+                            inbox[ws] = (cycle - listening[ws].start, msg)
+                            listening[ws] = None
+                            heappush(sleep_heap, (cycle + 1, ws))
+                        n = len(waiters)
+                        parked -= n
+                        until_parked -= n
+                        until_waiters[ch] = []
                     chan_writer[ch] = 0
                     chan_msg[ch] = None
+            else:
+                for slot in read_slots:
+                    inbox[slot] = EMPTY_
             if finished < len(ready) or parked:
                 # A cycle elapsed only if some processor participated in the
                 # round (yielded anything); rounds in which every serviced
@@ -1013,49 +823,4 @@ class MCBNetwork(ObservableMixin):
         _commit_counters()
         ph.cycles = cycle
         self.stats.add(ph)
-        if dispatch is not None:
-            dispatch.dispatch(
-                PhaseEnded(
-                    phase=phase,
-                    p=self.p,
-                    k=k,
-                    cycles=ph.cycles,
-                    messages=ph.messages,
-                    bits=ph.bits,
-                    channel_writes=dict(ph.channel_writes),
-                    max_aux_peak=ph.max_aux_peak,
-                    fast_forward_cycles=ph.fast_forward_cycles,
-                    collisions=ph.collisions,
-                    utilization=ph.channel_utilization(),
-                )
-            )
         return results
-
-    # ------------------------------------------------------------------
-    def _validate_listen(self, pid: int, op: Listen) -> Optional[int]:
-        """Check a Listen op; return its window (None = until_nonempty)."""
-        if not 1 <= op.channel <= self.k:
-            raise ProtocolError(
-                f"P{pid} listens on invalid channel C{op.channel} (k={self.k})"
-            )
-        return listen_window(pid, op)
-
-    # ------------------------------------------------------------------
-    def _validate_write(self, pid: int, op: CycleOp, cycle: int) -> None:
-        if not 1 <= op.write <= self.k:
-            raise ProtocolError(
-                f"P{pid} wrote invalid channel C{op.write} (k={self.k}) "
-                f"at cycle {cycle}"
-            )
-        if not isinstance(op.payload, Message):
-            raise ProtocolError(
-                f"P{pid} wrote channel C{op.write} without a Message payload"
-            )
-        if len(op.payload.fields) > self.max_message_fields:
-            raise MessageSizeError(
-                f"P{pid} sent a {len(op.payload.fields)}-field message; "
-                f"limit is {self.max_message_fields} (O(log beta) bits)"
-            )
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"MCBNetwork(p={self.p}, k={self.k})"

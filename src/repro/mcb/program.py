@@ -350,8 +350,9 @@ class RunPlan:
     touch the channels until the plan ends, the fast engine's
     unobserved path moves the elements by the plan's compiled form in
     one step (see ``docs/MODEL.md``, "Collective plan phases").
-    Everywhere else — the reference interpreter, the §2 simulators,
-    observed runs and every fallback — the desugared ops are stepped.
+    Everywhere else — the reference interpreter (and so every observed
+    stage), the §2 simulators and every fallback — the desugared ops
+    are stepped.
 
     :func:`check_run_plan` checks the op's form in every engine.
     Like :class:`CycleOp`, a plain ``__slots__`` class; treat instances

@@ -2,15 +2,18 @@
 
 :class:`ReferenceMCBNetwork` runs the same generator programs as the
 optimized :class:`~repro.mcb.network.MCBNetwork`, one cycle at a time
-with plain dicts and lists.  It is not exported from :mod:`repro.mcb`
-and is not meant for production use.  It serves as
+with plain dicts and lists.  It is not exported from :mod:`repro.mcb`.
+It serves as
 
 * the correctness oracle: the equivalence battery
-  (``tests/test_engine_equivalence.py``) demands that the fast engine
-  produce bit-identical per-processor results, ``RunStats`` (cycles,
-  messages, bits, channel_writes, aux_peak, fast_forward_cycles) and
-  observer event streams on the sort, select, bounds and scheduler
+  (``tests/test_engine_equivalence.py``) demands that the fast engine's
+  unobserved path produce bit-identical per-processor results and
+  ``RunStats`` (cycles, messages, bits, channel_writes, aux_peak,
+  fast_forward_cycles) on the sort, select, bounds and scheduler
   suites;
+* the only loop that emits observer events: ``MCBNetwork`` is its
+  subclass and runs every stage with an observer attached here, so
+  there is one event stream per program, not one per engine;
 * the baseline of the hot-path microbenchmark
   (``benchmarks/bench_engine_hotpath.py``);
 * the one engine behind the paper's §9 model variants.  A frozen
@@ -153,15 +156,18 @@ class _RefListenState:
 
 
 class ReferenceMCBNetwork(ObservableMixin):
-    """The per-cycle dict-scan MCB(p, k) interpreter (oracle only).
+    """The per-cycle dict-scan MCB(p, k) interpreter.
 
     Runs under :attr:`policy`, the paper's model unless a subclass fixes
-    another one.  ``run`` accepts ``CycleOp`` and ``ExtOp`` under every
-    policy.
+    another one.  ``run`` accepts ``CycleOp`` and, if
+    :attr:`accepts_ext_op`, ``ExtOp`` under every policy.
     """
 
     policy: ChannelPolicy = ChannelPolicy()
     max_message_fields: int = 8
+    #: Whether ``run`` accepts the §9 ``ExtOp``.  The fast engine, whose
+    #: observed stages run on this loop, accepts ``CycleOp`` only.
+    accepts_ext_op: bool = True
 
     def __init__(
         self,
@@ -169,7 +175,6 @@ class ReferenceMCBNetwork(ObservableMixin):
         k: int,
         *,
         max_message_fields: int = 8,
-        record_trace: bool = False,
     ):
         if p < 1:
             raise ConfigurationError(f"need at least one processor, got p={p}")
@@ -180,13 +185,13 @@ class ReferenceMCBNetwork(ObservableMixin):
                 f"the model requires k <= p, got p={p}, k={k}"
             )
         self.max_message_fields = max_message_fields
-        self._setup(p, k, record_trace)
+        self._setup(p, k)
 
-    def _setup(self, p: int, k: int, record_trace: bool) -> None:
+    def _setup(self, p: int, k: int) -> None:
         self.p = p
         self.k = k
         self.stats = RunStats()
-        self._init_observability(record_trace=record_trace)
+        self._init_observability()
 
     # ------------------------------------------------------------------
     def reset_stats(self) -> None:
@@ -215,17 +220,7 @@ class ReferenceMCBNetwork(ObservableMixin):
             self.cells_used if policy.medium == "cells" else None
         )
         k = self.k
-        if not isinstance(programs, dict):
-            if len(programs) != self.p:
-                raise ConfigurationError(
-                    f"expected {self.p} programs, got {len(programs)}"
-                )
-            programs = {i + 1: fn for i, fn in enumerate(programs)}
-        for pid in programs:
-            if not 1 <= pid <= self.p:
-                raise ConfigurationError(
-                    f"program assigned to nonexistent processor P{pid}"
-                )
+        programs = self._check_programs(programs)
 
         contexts: dict[int, ProcContext] = {}
         gens: dict[int, Any] = {}
@@ -270,7 +265,7 @@ class ReferenceMCBNetwork(ObservableMixin):
         dispatch = self._dispatch
         if dispatch is not None:
             dispatch.dispatch(PhaseStarted(phase=phase, p=self.p, k=k))
-        cycle_ops = (CycleOp, ExtOp)
+        cycle_ops = (CycleOp, ExtOp) if self.accepts_ext_op else (CycleOp,)
         cycle = 0
         while gens:
             if until_parked and until_parked == len(gens) and not any(
@@ -391,7 +386,8 @@ class ReferenceMCBNetwork(ObservableMixin):
                 if not isinstance(op, cycle_ops):
                     raise ProtocolError(
                         f"P{pid} yielded {op!r}; expected "
-                        f"CycleOp, ExtOp, Sleep, Listen, Emit, or RunPlan"
+                        f"{', '.join(c.__name__ for c in cycle_ops)}, "
+                        f"Sleep, Listen, Emit, or RunPlan"
                     )
                 wake[pid] = cycle + 1
                 w = op.write
@@ -525,6 +521,23 @@ class ReferenceMCBNetwork(ObservableMixin):
         return results
 
     # ------------------------------------------------------------------
+    def _check_programs(
+        self, programs: dict[int, ProgramFn] | Sequence[ProgramFn]
+    ) -> dict[int, ProgramFn]:
+        """``run``'s programs as a dict ``pid -> program``, checked."""
+        if not isinstance(programs, dict):
+            if len(programs) != self.p:
+                raise ConfigurationError(
+                    f"expected {self.p} programs, got {len(programs)}"
+                )
+            programs = {i + 1: fn for i, fn in enumerate(programs)}
+        for pid in programs:
+            if not 1 <= pid <= self.p:
+                raise ConfigurationError(
+                    f"program assigned to nonexistent processor P{pid}"
+                )
+        return programs
+
     def _close_phase(
         self, ph: PhaseStats, cycle: int, contexts: dict[int, ProcContext]
     ) -> None:

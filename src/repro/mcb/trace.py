@@ -10,7 +10,6 @@ Section 6 experiments compare implementations along those axes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
 
 
 @dataclass
@@ -167,33 +166,3 @@ class RunStats:
             f"{'TOTAL':<28}{self.cycles:>10}{self.messages:>10}{self.bits:>12}"
         )
         return "\n".join(lines)
-
-
-@dataclass(frozen=True)
-class TraceEvent:
-    """One recorded channel event (optional fine-grained tracing)."""
-
-    cycle: int
-    channel: int
-    writer: int
-    readers: tuple[int, ...]
-    kind: str
-    fields: tuple
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        rd = ",".join(f"P{r}" for r in self.readers) or "-"
-        return (
-            f"t={self.cycle:<5} C{self.channel}: P{self.writer} -> [{rd}] "
-            f"{self.kind}{self.fields}"
-        )
-
-
-def format_events(events: Iterable[TraceEvent], limit: Optional[int] = None) -> str:
-    """Render a trace excerpt, optionally truncated to ``limit`` events."""
-    out = []
-    for i, ev in enumerate(events):
-        if limit is not None and i >= limit:
-            out.append(f"... ({i}+ events)")
-            break
-        out.append(str(ev))
-    return "\n".join(out)

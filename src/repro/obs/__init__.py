@@ -8,7 +8,7 @@ Observers are the only way events are delivered; sinks only write:
 
 * :mod:`repro.obs.events` — typed run/phase/message/collision events;
 * :mod:`repro.obs.hooks` — the observer API the engines dispatch into,
-  plus the built-in observers (metrics, trace rows, the recording
+  plus the built-in observers (metrics and the recording
   :class:`~repro.obs.hooks.EventLog`);
 * :mod:`repro.obs.sinks` — memory / JSONL / CSV writers for events;
 * :mod:`repro.obs.metrics` — counters/gauges/histograms + snapshots;
@@ -56,7 +56,6 @@ from .hooks import (
     MetricsObserver,
     ObservableMixin,
     Observer,
-    TraceObserver,
 )
 from .metrics import (
     Counter,
@@ -112,7 +111,6 @@ __all__ = [
     "ProfileReport",
     "Sink",
     "TraceBuilder",
-    "TraceObserver",
     "chrome_trace_phase_totals",
     "chrome_trace_query_totals",
     "from_dict",

@@ -35,7 +35,7 @@ from .profile import Profiler
 from .sinks import CsvSink, JsonlSink
 from .trace import TraceBuilder, render_lane_summary, to_chrome_trace
 
-_ENGINES = ("fast", "reference", "vector")
+_ENGINES = ("fast", "vector")
 
 
 def _add_run_arguments(sp) -> None:
@@ -53,9 +53,10 @@ def _add_run_arguments(sp) -> None:
     sp.add_argument("--rank", type=int, default=None,
                     help="selection rank (default: median)")
     sp.add_argument("--engine", choices=_ENGINES, default="fast",
-                    help="execution engine: fast (generator), reference "
-                    "(per-cycle oracle), vector (compiled columnsort for "
-                    "sort, vectorized data plane for select)")
+                    help="execution engine: fast (generator; an observed "
+                    "run steps on the reference interpreter's loop), vector "
+                    "(compiled columnsort for sort, vectorized data plane "
+                    "for select)")
 
 
 def add_profile_parser(sub) -> None:
@@ -96,17 +97,6 @@ def add_timeline_parser(sub) -> None:
     sp.add_argument("--summary-width", type=int, default=64,
                     help="bucket count of the terminal channel sparklines")
     sp.set_defaults(fn=cmd_timeline)
-
-
-def _make_network(args):
-    """Build the network matching ``--engine`` (vector runs on the fast
-    engine's network; only the sort call differs)."""
-    from ..mcb import MCBNetwork
-    from ..mcb.reference import ReferenceMCBNetwork
-
-    if args.engine == "reference":
-        return ReferenceMCBNetwork(p=args.p, k=args.k)
-    return MCBNetwork(p=args.p, k=args.k)
 
 
 def _run_algorithm(net, dist, args, config: dict[str, Any]):
@@ -151,9 +141,10 @@ def cmd_profile(args) -> int:
     # Imported lazily: repro.cli imports this module at startup and these
     # pull in numpy + the full algorithm stack.
     from ..cli import _make_distribution
+    from ..mcb import MCBNetwork
 
     dist = _make_distribution(args)
-    net = _make_network(args)
+    net = MCBNetwork(p=args.p, k=args.k)
 
     config: dict[str, Any] = {
         "algorithm": args.algorithm,
@@ -219,9 +210,10 @@ def cmd_timeline(args) -> int:
     """Execute the timeline subcommand; returns the process exit code."""
     from ..bounds.overlay import overlay_phases
     from ..cli import _make_distribution
+    from ..mcb import MCBNetwork
 
     dist = _make_distribution(args)
-    net = _make_network(args)
+    net = MCBNetwork(p=args.p, k=args.k)
 
     config: dict[str, Any] = {
         "algorithm": args.algorithm,

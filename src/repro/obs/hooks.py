@@ -16,15 +16,14 @@ Design constraints, in order:
 
 1. **Zero overhead when nobody listens.**  Engines keep a single
    ``_dispatch`` slot that is ``None`` until the first observer is
-   attached; the hot loop pays one ``is not None`` test per message and
-   constructs no event objects.
+   attached.  :class:`~repro.mcb.network.MCBNetwork` tests it once per
+   stage: an unobserved stage runs the fast loop, which has no observer
+   branch at all, and an observed one runs on the reference
+   interpreter's loop, the only generator loop that builds events.
 2. **Observers cannot corrupt a run.**  The dispatcher isolates every
    callback: an observer that raises is counted (``Dispatcher.errors``)
    and skipped for the rest of the phase, and the network's own cycle
    accounting proceeds untouched.
-3. **`record_trace` is just an observer.**  The engine flag now attaches
-   a :class:`TraceObserver` that appends the familiar
-   :class:`~repro.mcb.trace.TraceEvent` rows to ``net.events``.
 """
 
 from __future__ import annotations
@@ -118,20 +117,14 @@ class ObservableMixin:
     """Observer management shared by the MCB engines.
 
     Engines call :meth:`_init_observability` from ``__init__`` and test
-    ``self._dispatch is not None`` in their hot loops — the slot stays
-    ``None`` until the first observer is attached, so an unobserved run
-    constructs no event objects and pays one pointer test per site.
+    ``self._dispatch is not None`` before building events — the slot
+    stays ``None`` until the first observer is attached, so an
+    unobserved run constructs no event objects.
     """
 
-    def _init_observability(self, record_trace: bool = False) -> None:
+    def _init_observability(self) -> None:
         self._observers: list[Observer] = []
         self._dispatch: Optional[Dispatcher] = None
-        self.record_trace = record_trace
-        #: Recorded :class:`~repro.mcb.trace.TraceEvent` rows (filled by
-        #: the built-in :class:`TraceObserver` when ``record_trace``).
-        self.events: list = []
-        if record_trace:
-            self.attach_observer(TraceObserver(self))
 
     def attach_observer(self, observer: Observer) -> None:
         """Subscribe an observer to this engine's lifecycle events."""
@@ -152,44 +145,13 @@ class ObservableMixin:
         return tuple(self._observers)
 
     def _reset_observability(self) -> None:
-        """Detach every observer and clear recorded trace events.
+        """Detach every observer.
 
         ``reset_stats()`` calls this so a reused network starts from a
-        clean slate; the built-in trace observer is re-attached when the
-        engine was constructed with ``record_trace=True``.
+        clean slate.
         """
         self._observers = []
         self._dispatch = None
-        self.events = []
-        if self.record_trace:
-            self.attach_observer(TraceObserver(self))
-
-
-class TraceObserver(Observer):
-    """The legacy ``record_trace=True`` behaviour as an observer.
-
-    Appends a :class:`~repro.mcb.trace.TraceEvent` per delivered message
-    to the owning network's ``events`` list (resolved at call time, so
-    ``reset_stats()`` swapping the list is honoured).
-    """
-
-    def __init__(self, net: Any):
-        self._net = net
-
-    def on_message(self, event: MessageBroadcast) -> None:
-        """Append a TraceEvent row for the delivered broadcast."""
-        from ..mcb.trace import TraceEvent
-
-        self._net.events.append(
-            TraceEvent(
-                cycle=event.cycle,
-                channel=event.channel,
-                writer=event.writer,
-                readers=event.readers,
-                kind=event.msg_kind,
-                fields=event.fields,
-            )
-        )
 
 
 class MetricsObserver(Observer):

@@ -41,6 +41,16 @@ class TestResultCache:
         assert text == json.dumps(json.loads(text), sort_keys=True)
         assert cache.get(key) == result
 
+    def test_failed_write_removes_temp_file(self, tmp_path):
+        # The entry's path is a directory, so the rename fails after the
+        # temp file is written: put reports it and leaves nothing behind.
+        cache = ResultCache(tmp_path)
+        key = CacheKey("sort", 8, 4, 64, 0)
+        (tmp_path / key.filename()).mkdir()
+        assert cache.put(key, {"x": 1}) is None
+        assert [p.name for p in tmp_path.iterdir()] == [key.filename()]
+        assert cache.get(key) is None
+
     def test_indented_entry_still_hits(self, tmp_path):
         # Entries written before the compact format are pretty-printed.
         cache = ResultCache(tmp_path)

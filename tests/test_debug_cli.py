@@ -11,12 +11,15 @@ from repro.mcb import (
     diff_runs,
     render_gantt,
 )
+from repro.obs import EventLog
 from repro.sort import mcb_sort
 
 
 @pytest.fixture
 def traced_run():
-    net = MCBNetwork(p=8, k=4, record_trace=True)
+    net = MCBNetwork(p=8, k=4)
+    net.log = EventLog()
+    net.attach_observer(net.log)
     d = Distribution.even(256, 8, seed=1)
     mcb_sort(net, d, phase="sort")
     return net
@@ -24,14 +27,14 @@ def traced_run():
 
 class TestGantt:
     def test_renders_all_channels(self, traced_run):
-        art = render_gantt(traced_run.events, traced_run.k)
+        art = render_gantt(traced_run.log.events, traced_run.k)
         lines = art.splitlines()
         assert lines[0].startswith("C1 |")
         assert lines[3].startswith("C4 |")
         assert "#" in art
 
     def test_width_respected(self, traced_run):
-        art = render_gantt(traced_run.events, traced_run.k, width=40)
+        art = render_gantt(traced_run.log.events, traced_run.k, width=40)
         row = art.splitlines()[0]
         assert len(row) <= 48
 
@@ -39,7 +42,7 @@ class TestGantt:
         assert "no events" in render_gantt([], 2)
 
     def test_busiest_processors(self, traced_run):
-        top = busiest_processors(traced_run.events, top=3)
+        top = busiest_processors(traced_run.log.events, top=3)
         assert len(top) == 3
         assert top[0][1] >= top[1][1] >= top[2][1]
 

@@ -1,11 +1,18 @@
 """Differential harness: every engine path gives the same answer and cost.
 
 One hypothesis property draws a query — algorithm, network shape, input
-size, distribution and even-sort backend — and runs it on the fast
-engine unobserved (where ``RunPlan`` phases run as collective steps and
-``Listen``/``Emit`` park), on the fast engine with an observer attached
-(every op stepped), and on the reference interpreter.  All three must
-return the same output and the same ``RunStats.to_dict()``.
+size, distribution and even-sort backend — and runs it on three paths:
+
+* the fast engine unobserved (``RunPlan`` phases run as collective
+  steps, ``Listen``/``Emit`` park);
+* the reference interpreter with an observer attached (every op
+  stepped; an observed ``MCBNetwork`` stage runs on this same loop);
+* the vector engine (``engine="vector"``), wherever it applies: a
+  ``sort_pk`` query on an even-sized input, with either backend, and
+  every ``select`` query.
+
+All of them must return the same output and the same
+``RunStats.to_dict()``.
 """
 
 from __future__ import annotations
@@ -23,7 +30,8 @@ from repro.sort import mcb_sort
 
 @st.composite
 def queries(draw):
-    """``(algorithm, p, k, parts, backend, rank)`` for one query.
+    """``(algorithm, distribution, p, k, parts, backend, rank)`` for one
+    query.
 
     ``sort_pk`` runs on ``p == k``; ``sort_uneven`` and ``select`` on
     ``k < p``.  ``even`` inputs hold ``n / p`` distinct values per
@@ -64,16 +72,25 @@ def queries(draw):
     if algorithm != "sort_pk" or distribution == "skewed":
         backend = "columnsort"
     rank = draw(st.integers(1, n))
-    return algorithm, p, k, parts, backend, rank
+    return algorithm, distribution, p, k, parts, backend, rank
 
 
-def run(net, query):
-    algorithm, _, _, parts, backend, rank = query
+def run(net, query, engine="generator"):
+    algorithm, _, _, _, parts, backend, rank = query
     if algorithm == "select":
-        answer = mcb_select(net, parts, rank).value
+        answer = mcb_select(net, parts, rank, engine=engine).value
     else:
-        answer = mcb_sort(net, parts, backend=backend).output
+        answer = mcb_sort(net, parts, backend=backend, engine=engine).output
     return answer, net.stats.to_dict()
+
+
+def vector_applies(query) -> bool:
+    """The vector engine runs ``sort_pk`` on even or duplicate inputs and
+    every ``select``; other sorts raise ``ConfigurationError``."""
+    algorithm, distribution, *_ = query
+    return algorithm == "select" or (
+        algorithm == "sort_pk" and distribution != "skewed"
+    )
 
 
 @settings(
@@ -81,9 +98,10 @@ def run(net, query):
 )
 @given(query=queries())
 def test_engines_agree(query):
-    _, p, k, *_ = query
-    observed = MCBNetwork(p, k)
+    _, _, p, k, *_ = query
+    observed = ReferenceMCBNetwork(p, k)
     observed.attach_observer(EventLog())
     fast = run(MCBNetwork(p, k), query)
     assert run(observed, query) == fast
-    assert run(ReferenceMCBNetwork(p, k), query) == fast
+    if vector_applies(query):
+        assert run(MCBNetwork(p, k), query, engine="vector") == fast

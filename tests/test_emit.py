@@ -33,6 +33,7 @@ from repro.mcb import (
 )
 from repro.mcb.reference import ReferenceMCBNetwork, run_simulated_reference
 from repro.mcb.simulate import run_simulated
+from repro.obs import EventLog
 
 EXAMPLES = settings(
     max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -138,8 +139,9 @@ def scripts(draw, *, until: bool = True):
     }
 
 
-def outcome(net, run):
-    """Everything the two forms must agree on, or the error they raise."""
+def outcome(net, log, run):
+    """Everything the two forms must agree on, or the error they raise,
+    plus the observed event stream."""
     try:
         res = run()
     except Exception as exc:  # compared, not swallowed
@@ -148,15 +150,25 @@ def outcome(net, run):
         res,
         net.stats.to_dict(),
         [dict(ph.aux_peak) for ph in net.stats.phases],
-        list(net.events),
+        None if log is None else log.events,
     )
 
 
+def observe(net, observed):
+    """``net`` with an ``EventLog`` attached if ``observed``; the log."""
+    if not observed:
+        return None
+    log = EventLog()
+    net.attach_observer(log)
+    return log
+
+
 def run_engine(engine, observed, p, k, programs, prelude=None):
-    net = engine(p=p, k=k, record_trace=observed)
+    net = engine(p=p, k=k)
+    log = observe(net, observed)
     if prelude is not None:
         net.run(prelude, phase="prelude")
-    return outcome(net, lambda: net.run(programs, phase="emit"))
+    return outcome(net, log, lambda: net.run(programs, phase="emit"))
 
 
 def run_everywhere(p, k, programs, prelude=None):
@@ -207,7 +219,7 @@ class TestEmitMatchesDesugaring:
                 net = cls(p=real_p, k=1)
                 programs = script_program(steps, form)
                 outcomes.append(
-                    outcome(net, lambda: simulate(net, p, p, programs))
+                    outcome(net, None, lambda: simulate(net, p, p, programs))
                 )
         assert all(o == outcomes[0] for o in outcomes)
 
@@ -359,7 +371,9 @@ class TestEmitErrorsMatchDesugaring:
         errors = []
         for cls, observed in ENGINES:
             with pytest.raises(ProtocolError, match=message) as err:
-                cls(p=2, k=2, record_trace=observed).run({1: bad})
+                net = cls(p=2, k=2)
+                observe(net, observed)
+                net.run({1: bad})
             errors.append(str(err.value))
         for simulate, cls in SIMULATORS:
             with pytest.raises(ProtocolError, match=message) as err:

@@ -1,7 +1,8 @@
 """The fast engine must be bit-identical to the reference interpreter.
 
 ``MCBNetwork.run`` is written for throughput (slot-indexed arena, wake
-heap, hoisted dispatch — see docs/MODEL.md "Engine performance");
+heap, parked listeners — see docs/MODEL.md "Engine performance") and
+runs any stage with an observer attached on the interpreter's loop;
 ``repro.mcb.reference.ReferenceMCBNetwork`` is the plain per-cycle
 interpreter kept as the equivalence oracle, and ``ExtendedNetwork`` is
 that interpreter under an explicit policy.  These tests drive the fast
@@ -38,6 +39,7 @@ from repro.mcb import (
 from repro.mcb.crew import CREWMemory
 from repro.mcb.reference import ReferenceMCBNetwork, run_simulated_reference
 from repro.mcb.simulate import run_simulated
+from repro.obs import EventLog
 from repro.obs.profile import Profiler
 from repro.select import mcb_select
 from repro.sort import mcb_sort
@@ -292,14 +294,16 @@ class TestListenEquivalence:
 
         out_fast, out_ref = run_both(2, 1, drive)
         assert out_fast == out_ref == {1: "wrote", 2: (0, (5,))}
-        # Same outcome on the observed (desugared) fast path.
-        observed = MCBNetwork(p=2, k=1, record_trace=True)
+        # Same outcome on an observed stage (the interpreter's loop).
+        observed = MCBNetwork(p=2, k=1)
+        observed.attach_observer(EventLog())
         assert observed.run({1: prog, 2: prog}, phase="last-cycle") == out_fast
 
     def test_observed_run_event_streams_identical(self):
-        # With an observer attached the fast engine desugars listens so
-        # MessageBroadcast.readers includes every parked listener; the
-        # recorded trace must match the reference engine event for event.
+        # An observed stage runs on the interpreter's loop, which desugars
+        # listens, so MessageBroadcast.readers includes every parked
+        # listener; the event stream must match the reference engine's
+        # event for event.
         def prog(ctx):
             if ctx.pid == 1:
                 for r in range(4):
@@ -311,15 +315,21 @@ class TestListenEquivalence:
             off, msg = yield Listen(1, until_nonempty=True)
             return (off, msg.fields)
 
-        fast = MCBNetwork(p=3, k=1, record_trace=True)
-        ref = ReferenceMCBNetwork(p=3, k=1, record_trace=True)
+        fast, ref = MCBNetwork(p=3, k=1), ReferenceMCBNetwork(p=3, k=1)
+        fast_log, ref_log = EventLog(), EventLog()
+        fast.attach_observer(fast_log)
+        ref.attach_observer(ref_log)
         res_fast = fast.run({pid: prog for pid in (1, 2, 3)}, phase="obs")
         res_ref = ref.run({pid: prog for pid in (1, 2, 3)}, phase="obs")
         assert res_fast == res_ref
         assert fast.stats.to_dict() == ref.stats.to_dict()
-        assert fast.events == ref.events
+        assert fast_log.events == ref_log.events
         # Parked listeners appear as readers of the broadcasts they heard.
-        assert any(len(ev.readers) == 2 for ev in fast.events)
+        assert any(
+            len(ev.readers) == 2
+            for ev in fast_log.events
+            if ev.kind == "message"
+        )
 
     def test_listen_protocol_errors_identical(self):
         cases = [
@@ -609,9 +619,30 @@ class TestSharedRules:
         res = make(2, 1).run({1: prog, 2: prog}, data={1: "a", 2: "b"})
         assert res == {1: "a", 2: "b"}
 
+    def test_extop_rule_holds_observed_and_not(self, make):
+        # An observer never changes which ops an engine accepts: the fast
+        # engine rejects ExtOp on both of its paths, the interpreter-backed
+        # engines run it on both.
+        def prog(ctx):
+            if ctx.pid == 1:
+                yield ExtOp(write=1, payload=Message("x", 7))
+                return None
+            got = yield ExtOp(read=1)
+            return got.fields
+
+        for observed in (False, True):
+            net = make(2, 1)
+            if observed:
+                net.attach_observer(EventLog())
+            if type(net) is MCBNetwork:
+                with pytest.raises(ProtocolError, match="expected CycleOp, Sleep"):
+                    net.run({1: prog, 2: prog})
+            else:
+                assert net.run({1: prog, 2: prog}) == {1: None, 2: (7,)}
+
 
 class TestPolicyInterpreter:
-    """``ExtOp`` runs on every interpreter-backed engine."""
+    """``ExtOp`` runs on the interpreter engines (reference, CREW)."""
 
     @pytest.mark.parametrize(
         "make", [ENGINES["reference"], ENGINES["crew"]],

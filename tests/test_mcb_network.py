@@ -13,6 +13,7 @@ from repro.mcb import (
     ProtocolError,
     Sleep,
 )
+from repro.obs import EventLog
 
 
 def _writer(channel, *fields, kind="t"):
@@ -346,11 +347,13 @@ class TestAccounting:
         assert res == {1: 20, 2: 40}
 
     def test_trace_recording(self):
-        net = MCBNetwork(p=2, k=1, record_trace=True)
+        net = MCBNetwork(p=2, k=1)
+        log = EventLog()
+        net.attach_observer(log)
         net.run({1: _writer(1, 5, kind="hello"), 2: _reader(1)})
-        assert len(net.events) == 1
-        ev = net.events[0]
-        assert ev.writer == 1 and ev.readers == (2,) and ev.kind == "hello"
+        (ev,) = [ev for ev in log.events if ev.kind == "message"]
+        assert ev.writer == 1 and ev.readers == (2,) and ev.msg_kind == "hello"
+        assert ev.fields == (5,)
 
 
 class TestStagger:

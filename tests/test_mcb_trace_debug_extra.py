@@ -1,4 +1,4 @@
-"""Additional coverage: trace formatting, stats edge cases, sleeps,
+"""Additional coverage: stats edge cases, sleeps,
 error stringification, and small engine corners."""
 
 import pytest
@@ -10,41 +10,8 @@ from repro.mcb import (
     MCBNetwork,
     Message,
     Sleep,
-    TraceEvent,
-    format_events,
 )
 from repro.mcb.trace import PhaseStats, RunStats
-
-
-class TestTraceEvents:
-    def test_event_str(self):
-        ev = TraceEvent(cycle=3, channel=1, writer=2, readers=(1, 4),
-                        kind="elem", fields=(7,))
-        s = str(ev)
-        assert "t=3" in s and "C1" in s and "P2" in s and "P1,P4" in s
-
-    def test_event_str_no_readers(self):
-        ev = TraceEvent(cycle=0, channel=2, writer=1, readers=(),
-                        kind="x", fields=())
-        assert "[-]" in str(ev)
-
-    def test_format_events_limit(self):
-        evs = [
-            TraceEvent(cycle=i, channel=1, writer=1, readers=(), kind="x",
-                       fields=())
-            for i in range(10)
-        ]
-        out = format_events(evs, limit=3)
-        assert out.count("t=") == 3
-        assert "+ events" in out
-
-    def test_format_events_unlimited(self):
-        evs = [
-            TraceEvent(cycle=i, channel=1, writer=1, readers=(), kind="x",
-                       fields=())
-            for i in range(4)
-        ]
-        assert format_events(evs).count("t=") == 4
 
 
 class TestStatsEdges:

@@ -16,7 +16,6 @@ from repro.obs import (
     EventLog,
     MetricsObserver,
     Observer,
-    TraceObserver,
 )
 
 
@@ -85,16 +84,13 @@ class TestNetworkHooks:
         assert end.utilization == ph.channel_utilization()
 
     def test_message_event_with_zero_readers(self):
-        net = MCBNetwork(p=2, k=1, record_trace=True)
+        net = MCBNetwork(p=2, k=1)
         rec = Recorder()
         net.attach_observer(rec)
         net.run({1: _writer(1, 5)})  # nobody listens
         msgs = [ev for ev in rec.calls if ev.kind == "message"]
         assert len(msgs) == 1
         assert msgs[0].readers == ()
-        # the built-in trace observer records it identically
-        assert len(net.events) == 1
-        assert net.events[0].readers == ()
 
     def test_collision_event_before_abort(self):
         net = MCBNetwork(p=2, k=1)
@@ -146,25 +142,6 @@ class TestNetworkHooks:
         assert net._dispatch is None
         net.run({1: _writer(1, 1), 2: _reader(1)})
         assert rec.calls == []
-
-    def test_reset_stats_keeps_builtin_trace_observer(self):
-        net = MCBNetwork(p=2, k=1, record_trace=True)
-        rec = Recorder()
-        net.attach_observer(rec)
-        net.reset_stats()
-        assert len(net.observers) == 1
-        assert isinstance(net.observers[0], TraceObserver)
-        net.run({1: _writer(1, 3), 2: _reader(1)})
-        assert len(net.events) == 1  # trace still recorded after reset
-        assert rec.calls == []
-
-    def test_record_trace_is_an_observer_now(self):
-        net = MCBNetwork(p=2, k=1, record_trace=True)
-        assert len(net.observers) == 1
-        net.run({1: _writer(1, 5, kind="hello"), 2: _reader(1)})
-        ev = net.events[0]
-        assert ev.writer == 1 and ev.readers == (2,) and ev.kind == "hello"
-        assert ev.fields == (5,)
 
     def test_raising_observer_does_not_corrupt_run(self):
         class Bad(Observer):

@@ -249,16 +249,15 @@ class TestTimelineCli:
         )
         assert "predicted_cycles" in phase_ev["args"]
 
-    def test_cli_select_with_reference_engine(self, tmp_path, capsys):
+    def test_cli_select_skewed(self, tmp_path, capsys):
         from repro.cli import main
 
         out = tmp_path / "sel.trace.json"
         rc = main(
             ["timeline", "select", "--n", "100", "--p", "4", "--k", "2",
-             "--skew", "1.0", "--rank", "40", "--engine", "reference",
-             "--out", str(out)]
+             "--skew", "1.0", "--rank", "40", "--out", str(out)]
         )
         assert rc == 0
         assert "OK (exact)" in capsys.readouterr().out
         doc = json.loads(out.read_text())
-        assert doc["otherData"]["config"]["engine"] == "reference"
+        assert doc["otherData"]["config"]["engine"] == "fast"

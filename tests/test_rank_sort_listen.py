@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from repro.core import Distribution
 from repro.mcb import EMPTY, CycleOp, MCBNetwork, Message, Sleep
 from repro.mcb.reference import ReferenceMCBNetwork
-from repro.obs import MessageBroadcast
+from repro.obs import EventLog, MessageBroadcast
 from repro.sort import virtual
 from repro.sort.common import pack_elem, unpack_elem
 from repro.sort.rank_sort import rank_sort_group
@@ -116,10 +116,14 @@ def per_cycle_rank_sort_group(
     return output
 
 
-def observed_run(net, programs):
-    """Run a phase; return everything the rewrite must leave unchanged."""
+def observed_run(net, observed, programs):
+    """Run a phase (with an ``EventLog`` attached if ``observed``);
+    return everything the rewrite must leave unchanged."""
+    log = EventLog()
+    if observed:
+        net.attach_observer(log)
     out = net.run(programs, phase="rank")
-    broadcasts = [ev for ev in net.events if isinstance(ev, MessageBroadcast)]
+    broadcasts = [ev for ev in log.events if isinstance(ev, MessageBroadcast)]
     return (
         out,
         net.stats.to_dict(),
@@ -181,11 +185,10 @@ class TestRankSortMatchesPerCycleSchedule:
             return {q: prog for q in parts}
 
         new = observed_run(
-            engine(p=g, k=1, record_trace=observed), programs(rank_sort_group)
+            engine(p=g, k=1), observed, programs(rank_sort_group)
         )
         old = observed_run(
-            engine(p=g, k=1, record_trace=observed),
-            programs(per_cycle_rank_sort_group),
+            engine(p=g, k=1), observed, programs(per_cycle_rank_sort_group)
         )
         assert new == old
         out = new[0]

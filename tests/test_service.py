@@ -395,6 +395,31 @@ class TestCacheMetrics:
         assert counter.get(result="miss") == 1
         assert counter.get(result="hit") == 1
 
+    def test_unwritable_cache_does_not_fail_the_job(self, tmp_path):
+        # The cache root sits under a regular file, so every write fails
+        # (even for root, which chmod would not stop).  The lane result is
+        # already computed: the job must finish with it and the failed
+        # write must show on the cache counter.
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("")
+        reg = global_registry()
+        reg.reset()
+
+        async def scenario():
+            app = make_app(cache=ResultCache(blocker / "cache"))
+            await app.start()
+            job = app.submit(JobSpec(**SORT))
+            await app.join()
+            await app.shutdown()
+            return job
+
+        job = drive(scenario())
+        assert job.state is JobState.DONE
+        assert job.result["stats"] == run_config(BenchSpec(**SORT))["stats"]
+        counter = reg.counter("bench_result_cache_total")
+        assert counter.get(result="miss") == 1
+        assert counter.get(result="write_error") == 1
+
     def test_process_workers_fold_plan_metrics(self, monkeypatch):
         """A spawn worker's plan-cache traffic must land on the app's
         registry (the worker mutates its *own* global registry, which
