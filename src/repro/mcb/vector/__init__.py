@@ -44,6 +44,7 @@ from .lower import (
     lower_phase_columnar,
     lower_rebalance_movement,
     lower_simulation_block,
+    lower_virtual_phase,
     lower_wrap_skip,
 )
 from .optimize import FusedPhase, fuse_phases
@@ -70,6 +71,7 @@ __all__ = [
     "lower_phase_columnar",
     "lower_rebalance_movement",
     "lower_simulation_block",
+    "lower_virtual_phase",
     "lower_wrap_skip",
     "masked_reduce",
     "message_bits",

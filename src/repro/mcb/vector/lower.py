@@ -20,6 +20,9 @@ lists that :meth:`SchedulePlan.compile` validates into a
   phase-2 schedule, including its broadcast-even-to-self behaviour.
 * :func:`lower_wrap_skip` — phases 6 and 8 with §5.2's wrap-around
   traffic parked at column ``k``.
+* :func:`lower_virtual_phase` — one §6.1 virtual-column transformation
+  phase over the ``g * k`` group members, each sender storing what it
+  reads over the element it just sent.
 * :func:`lower_simulation_block` — one virtual cycle of the §2
   simulation lemma as the ``R = v*v*S`` real-cycle ``(rep, wrep, t)``
   block over the hosts.
@@ -35,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from ...columnsort.matrix import PHASE_PERMS, downshift_perm, transpose_perm
-from ...columnsort.schedule import bvn_for_phase
+from ...columnsort.schedule import bvn_for_phase, schedule_for_phase
 from ..errors import ConfigurationError
 from ..routing import alltoall_schedule
 from ..simulate import host_index, host_of, real_channel, subslot
@@ -262,6 +265,43 @@ def lower_paper_transpose(m: int, k: int) -> SchedulePlan:
         reads=_tuples(
             np.stack([jj, ii, read_ch + 1, dest % m], axis=2).reshape(-1, 4)
         ),
+    )
+
+
+def lower_virtual_phase(
+    phase: int, m: int, k: int, g: int, blocks: int = 1
+) -> SchedulePlan:
+    """One §6.1 transformation phase on ``k`` virtual columns of ``g``
+    processors each, as a plan with ``p = g * k`` and ``n/p`` slots.
+
+    Processor ``c * g + w`` is member ``w`` of column ``c`` and holds its
+    rows ``w * npp .. (w + 1) * npp - 1`` (``npp = m // g``) in slots
+    ``0 .. npp - 1``.  In cycle ``t`` of :func:`schedule_for_phase`'s
+    schedule, the member holding the row column ``c`` sends writes it on
+    channel ``c + 1`` and, in the same cycle, reads the channel of the
+    column sending to ``c`` into that same slot — "the element received
+    during the cycle can be stored over the one just sent".  A
+    self-transfer has no event, so its element stays where it is.
+
+    ``blocks > 1`` tiles ``blocks`` copies side by side in the same
+    cycles (§6.2's parallel base-case calls): block ``b`` is processors
+    ``b * g * k ..`` and channels ``b * k + 1 ..``.
+    """
+    npp, p = m // g, g * k
+    sched = schedule_for_phase(phase, m, k)
+    writes: list[WriteEvent] = []
+    reads: list[ReadEvent] = []
+    for b in range(blocks):
+        for t, (sends, rd) in enumerate(zip(sched.cycles, sched.reads)):
+            for c, tr in enumerate(sends):
+                if tr.dst_col != c:
+                    w, slot = divmod(tr.src_row, npp)
+                    proc, chan = b * p + c * g + w, b * k + c + 1
+                    writes.append((t, proc, chan, slot))
+                    reads.append((t, proc, b * k + rd[c] + 1, slot))
+    return SchedulePlan(
+        p=p * blocks, k=k * blocks, cycles=m, slots=npp,
+        writes=writes, reads=reads,
     )
 
 

@@ -32,6 +32,9 @@ from .jobs import JobSpec
 
 MAX_HEADER_BYTES = 16 * 1024
 MAX_BODY_BYTES = 1024 * 1024
+#: Seconds a client gets to send its whole request (head and body); a
+#: connection still incomplete after that is closed unanswered.
+READ_TIMEOUT_S = 30.0
 
 _STATUS_TEXT = {
     200: "OK",
@@ -105,6 +108,10 @@ class ServiceServer:
         self.drain_deadline = drain_deadline
         self._server: Optional[asyncio.base_events.Server] = None
         self._shutdown_requested = asyncio.Event()
+        self._m_read_timeouts = app.registry.counter(
+            "service_http_read_timeouts_total",
+            "connections closed because the request did not arrive in time",
+        )
 
     @property
     def port(self) -> int:
@@ -148,9 +155,23 @@ class ServiceServer:
         start = time.perf_counter()
         endpoint = "unparsed"
         code = 500
+        timed_out = False
+
+        def drop_stalled() -> None:
+            nonlocal timed_out
+            timed_out = True
+            writer.transport.abort()  # ends the pending read
+
+        # One timer per connection bounds the whole read (head and body).
+        timer = asyncio.get_running_loop().call_later(
+            READ_TIMEOUT_S, drop_stalled
+        )
         try:
             try:
-                method, path, body = await self._read_request(reader)
+                try:
+                    method, path, body = await self._read_request(reader)
+                finally:
+                    timer.cancel()
                 endpoint, payload = self._route(method, path, body)
                 code, response = payload
             except _HttpError as exc:
@@ -161,6 +182,10 @@ class ServiceServer:
                 response = _json_response(
                     500, {"error": f"{type(exc).__name__}: {exc}"}
                 )
+            if timed_out:
+                code = 408
+                self._m_read_timeouts.inc()
+                return  # a stalled client: its connection is gone
             writer.write(response)
             await writer.drain()
         except (ConnectionError, asyncio.IncompleteReadError):

@@ -26,7 +26,7 @@ from .backends import (
     static_plan_stats,
 )
 from .cnet_sort import compiled_cnet_phases, sort_cnet
-from .virtual import sort_virtual, virtual_transformation
+from .virtual import sort_virtual
 
 __all__ = [
     "BACKENDS",
@@ -67,5 +67,4 @@ __all__ = [
     "static_plan_stats",
     "sort_virtual",
     "unpack_elem",
-    "virtual_transformation",
 ]

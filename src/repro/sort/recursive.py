@@ -61,7 +61,7 @@ from ..mcb.program import CycleOp, ProcContext, Sleep
 from .common import neg_elem, pack_elem, unpack_elem
 from .even_pk import SortResult
 from .rank_sort import rank_sort_group
-from .virtual import virtual_transformation
+from .virtual import virtual_columnsort, virtual_plans
 
 
 def _is_pow2(x: int) -> bool:
@@ -214,32 +214,28 @@ def _rec_program(
     ``chan_base+1 .. chan_base+big_k``.  ``idx`` is my 0-based position;
     returns my canonical descending segment."""
     npp = big_n // big_p
+    if big_k > 1 and big_n >= big_k ** 3:
+        # Base: the §6.1 virtual-column Columnsort with big_k columns.
+        # Every base-case call of this level runs in lockstep on its own
+        # block — processors b*big_p.. and channels b*big_k+1.. — so the
+        # transfer phases are one block-diagonal plan over the network,
+        # which the fast engine runs collectively.
+        block, rest = divmod(ctx.pid - 1, big_p)
+        assert rest == idx and chan_base == block * big_k, "blocks tile"
+        g = big_p // big_k
+        col, w = divmod(idx, g)
+        plans = virtual_plans(big_n // big_k, big_k, g, ctx.p // big_p)
+        return (yield from virtual_columnsort(
+            ctx, plans, col == 0, w, chan_base + col + 1, [npp] * g, mine
+        ))
 
-    if big_k == 1:
-        out = yield from rank_sort_group(
+    kprime = big_k // 2
+    while kprime >= 2 and big_n < kprime ** 3:
+        kprime //= 2
+    if kprime < 2:  # one channel, or a tiny input: single-channel sort
+        return (yield from rank_sort_group(
             chan_base + 1, idx, [npp] * big_p, mine, ctx=ctx
-        )
-        return out
-
-    kprime = 0
-    if big_n < big_k ** 3:
-        kprime = big_k // 2
-        while kprime >= 2 and big_n < kprime ** 3:
-            kprime //= 2
-        if kprime < 2:
-            kprime = 0  # tiny input: single-channel fallback below
-
-    if big_n >= big_k ** 3 or kprime == 0:
-        if big_n >= big_k ** 3:
-            # base: §6.1 virtual-column Columnsort with big_k columns
-            out = yield from _virtual_subgen(
-                ctx, idx, big_p, chan_base, big_k, big_n, mine
-            )
-        else:
-            out = yield from rank_sort_group(
-                chan_base + 1, idx, [npp] * big_p, mine, ctx=ctx
-            )
-        return out
+        ))
 
     s_per_col = big_k // kprime
     m = big_n // kprime
@@ -256,60 +252,14 @@ def _rec_program(
             res = [neg_elem(e) for e in res]
         return res
 
-    mine = yield from recurse(mine)  # phase 1
-    mine = yield from segment_transformation(
-        2, col, w, npp, m, kprime, s_per_col, chan_base, mine
-    )
-    mine = yield from recurse(mine)  # phase 3
-    mine = yield from segment_transformation(
-        4, col, w, npp, m, kprime, s_per_col, chan_base, mine
-    )
-    mine = yield from recurse(mine)  # phase 5
-    mine = yield from segment_transformation(
-        6, col, w, npp, m, kprime, s_per_col, chan_base, mine
-    )
-    mine = yield from recurse(mine, ascending=(col == 0))  # phase 7
-    mine = yield from segment_transformation(
-        8, col, w, npp, m, kprime, s_per_col, chan_base, mine
-    )
-    mine = yield from recurse(mine)  # phase 9
-    return mine
-
-
-def _virtual_subgen(ctx, idx, big_p, chan_base, big_k, big_n, mine):
-    """The §6.1 virtual-column Columnsort as a sub-generator (base case)."""
-    npp = big_n // big_p
-    g = big_p // big_k
-    m = big_n // big_k
-    col = idx // g
-    w = idx % g
-    counts = [npp] * g
-    chan = chan_base + col + 1
-
-    def sort_col(elems, ascending=False):
-        res = yield from rank_sort_group(
-            chan, w, counts, elems, ascending=ascending, ctx=ctx
+    # Sorting phases 1, 3, 5 and 7 (column 1 ascending in phase 7), each
+    # followed by transformation phase 2, 4, 6 or 8.
+    for ph, ascending in ((2, False), (4, False), (6, False), (8, col == 0)):
+        mine = yield from recurse(mine, ascending)
+        mine = yield from segment_transformation(
+            ph, col, w, npp, m, kprime, s_per_col, chan_base, mine
         )
-        return res
-
-    mine = yield from sort_col(mine)
-    mine = yield from virtual_transformation(
-        2, col, w, npp, m, big_k, mine, chan_base=chan_base
-    )
-    mine = yield from sort_col(mine)
-    mine = yield from virtual_transformation(
-        4, col, w, npp, m, big_k, mine, chan_base=chan_base
-    )
-    mine = yield from sort_col(mine)
-    mine = yield from virtual_transformation(
-        6, col, w, npp, m, big_k, mine, chan_base=chan_base
-    )
-    mine = yield from sort_col(mine, ascending=(col == 0))
-    mine = yield from virtual_transformation(
-        8, col, w, npp, m, big_k, mine, chan_base=chan_base
-    )
-    mine = yield from sort_col(mine)
-    return mine
+    return (yield from recurse(mine))  # phase 9
 
 
 def sort_recursive(

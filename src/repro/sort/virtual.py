@@ -13,8 +13,12 @@ canonical layout); the group's channel carries all its traffic.
   schedule, but "all the work of a virtual processor during a given
   cycle is carried out by the processor containing the element to be
   broadcast in that cycle.  The element received during the cycle can be
-  stored over the one just sent" — O(1) extra storage.  This scatters
-  the column's contents across the group, which is harmless because the
+  stored over the one just sent" — O(1) extra storage.  That schedule is
+  oblivious, so each phase is one plan,
+  :func:`~repro.mcb.vector.lower.lower_virtual_phase`, which every member
+  runs as a :class:`~repro.mcb.program.RunPlan` op (the fast engine
+  moves the whole phase in one collective step).  This scatters the
+  column's contents across the group, which is harmless because the
   next sorting phase redistributes canonically.
 
 Resolution of a paper-implicit point: phase 7 must *not* leave column 1
@@ -33,64 +37,91 @@ measures.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Any, Literal, Sequence
 
 from ..columnsort.matrix import require_valid_dims
-from ..columnsort.schedule import schedule_for_phase
-from ..mcb.message import Message
 from ..mcb.network import MCBNetwork
-from ..mcb.program import CycleOp, ProcContext, Sleep
+from ..mcb.program import ProcContext, RunPlan
+from ..mcb.vector.lower import lower_virtual_phase
+from ..mcb.vector.plan import SchedulePlan
+from .common import neg_elem
 from .even_pk import SortResult
-from .common import neg_elem, pack_elem, unpack_elem
 from .merge_sort import merge_sort_group
 from .rank_sort import rank_sort_group
 
 Sorter = Literal["rank", "merge"]
 
 
-def virtual_transformation(
-    phase_no: int,
-    col_idx: int,
-    member: int,
-    npp: int,
-    m: int,
-    k: int,
-    mine: list[Any],
-    *,
-    chan_base: int = 0,
-):
-    """Sub-generator: one transformation phase for group member ``member``
-    of virtual column ``col_idx`` (0-based), canonical layout.
+@lru_cache(maxsize=64)
+def virtual_plans(
+    m: int, k: int, g: int, blocks: int = 1
+) -> tuple[SchedulePlan, ...]:
+    """The :func:`~repro.mcb.vector.lower.lower_virtual_phase` plans of
+    transformation phases 2, 4, 6 and 8, cached.
 
-    ``mine`` holds my ``npp`` canonical rows (descending within the
-    column's sorted order, or ascending for column 1 in phase 8 — the
-    schedule only cares about row indices).  Returns my new (scattered)
-    elements; the count is preserved.  ``chan_base`` offsets the channel
-    block (used when this runs inside a sub-network of a recursive call).
+    Each plan is checked once, statically: it compiles (collision-free,
+    matched reads, unique destinations), and each processor's reads
+    refill exactly the slots it writes.
     """
-    sched = schedule_for_phase(phase_no, m, k)
-    # The cycles in which I act: my rows are [member*npp, (member+1)*npp).
-    sends = sched.row_sends(col_idx, member * npp, (member + 1) * npp)
-    wchan = chan_base + col_idx + 1
-    out = list(mine)
-    t_now = 0
-    for t, slot, src in sends:
-        if t > t_now:
-            yield Sleep(t - t_now)
-        if src is None:
-            # Self-transfer: the element stays in my slot this phase.
-            yield Sleep(1)
-        else:
-            got = yield CycleOp(
-                write=wchan,
-                payload=Message("elem", *pack_elem(out[slot])),
-                read=chan_base + src + 1,
+    plans = tuple(
+        lower_virtual_phase(phase, m, k, g, blocks) for phase in (2, 4, 6, 8)
+    )
+    for phase, plan in zip((2, 4, 6, 8), plans):
+        compiled = plan.compile()
+        sent = zip(compiled.w_proc.tolist(), compiled.w_src.tolist())
+        got = zip(compiled.r_proc.tolist(), compiled.r_dst.tolist())
+        assert sorted(sent) == sorted(got), f"phase {phase} leaves a hole"
+    return plans
+
+
+def virtual_columnsort(
+    ctx: ProcContext,
+    plans: Sequence[SchedulePlan],
+    first: bool,
+    member: int,
+    channel: int,
+    counts: Sequence[int],
+    mine: list[Any],
+    sorter: Sorter = "rank",
+):
+    """Sub-generator: phases 1-9 for group member ``member`` of a virtual
+    column sorted on ``channel``; returns my canonical descending segment.
+
+    ``plans`` are the column's :func:`virtual_plans` (``None`` each for
+    an empty column), in which I am processor ``ctx.pid - 1``; ``first``
+    marks column 1.
+    """
+
+    def sort_phase(elems, ascending=False):
+        # The group sort's own generator where possible: each of its
+        # cycles then resumes through one frame fewer.
+        if sorter == "rank":
+            return rank_sort_group(
+                channel, member, counts, elems, ascending=ascending, ctx=ctx
             )
-            out[slot] = unpack_elem(got.fields)  # stored over the one sent
-        t_now = t + 1
-    if m > t_now:
-        yield Sleep(m - t_now)
-    return out
+        if not ascending:
+            return merge_sort_group(channel, member, counts, elems, ctx=ctx)
+        # Merge-Sort has no ascending mode; a descending Merge-Sort of the
+        # order-negated elements is the same thing (and keeps the O(1)
+        # memory footprint and cycle alignment).
+        return _negated(merge_sort_group(
+            channel, member, counts, [neg_elem(e) for e in elems], ctx=ctx
+        ))
+
+    # Sorting phases 1, 3, 5 and 7, each followed by transfer phase 2, 4,
+    # 6 or 8.  Phase 7 sorts column 1 ascending (the wrapped elements go
+    # to the top rows).
+    for ascending, plan in zip((False, False, False, first), plans):
+        mine = yield from sort_phase(mine, ascending)
+        if plan is not None:  # None: an empty column, no cycle to run
+            mine = yield RunPlan(plan, ctx.pid - 1, mine)
+    return (yield from sort_phase(mine))  # phase 9
+
+
+def _negated(sort):
+    """Sub-generator: run ``sort``; return its result order-negated."""
+    return [neg_elem(e) for e in (yield from sort)]
 
 
 def sort_virtual(
@@ -126,42 +157,14 @@ def sort_virtual(
     g = p // k
     m = g * npp  # virtual column length
     require_valid_dims(m, k)
-    group_sort = rank_sort_group if sorter == "rank" else merge_sort_group
-    counts = [npp] * g
+    plans = virtual_plans(m, k, g) if m else (None,) * 4
 
     def program(ctx: ProcContext):
-        pid = ctx.pid
-        col = (pid - 1) // g  # 0-based virtual column / channel col+1
-        w = (pid - 1) % g  # my index within the group
-        mine = list(parts[pid])
-
-        def sort_phase(elems, ascending=False):
-            kwargs = {"ctx": ctx}
-            if ascending:
-                kwargs["ascending"] = True
-            return group_sort(col + 1, w, counts, elems, **kwargs)
-
-        mine = yield from sort_phase(mine)  # phase 1
-        mine = yield from virtual_transformation(2, col, w, npp, m, k, mine)
-        mine = yield from sort_phase(mine)  # phase 3
-        mine = yield from virtual_transformation(4, col, w, npp, m, k, mine)
-        mine = yield from sort_phase(mine)  # phase 5
-        mine = yield from virtual_transformation(6, col, w, npp, m, k, mine)
-        # phase 7: column 1 ascending (wrapped elements to the top rows)
-        if sorter == "merge" and col == 0:
-            # Merge-Sort has no ascending mode; a descending Merge-Sort
-            # of the order-negated elements is the same thing (and keeps
-            # the O(1) memory footprint and cycle alignment).
-            negated = [neg_elem(e) for e in mine]
-            negated = yield from merge_sort_group(
-                col + 1, w, counts, negated, ctx=ctx
-            )
-            mine = [neg_elem(e) for e in negated]
-        else:
-            mine = yield from sort_phase(mine, ascending=(col == 0))
-        mine = yield from virtual_transformation(8, col, w, npp, m, k, mine)
-        mine = yield from sort_phase(mine)  # phase 9
-        return mine
+        col, w = divmod(ctx.pid - 1, g)  # my 0-based column, group index
+        return virtual_columnsort(
+            ctx, plans, col == 0, w, col + 1, [npp] * g,
+            list(parts[ctx.pid]), sorter,
+        )
 
     out = net.run({i: program for i in range(1, p + 1)}, phase=phase)
     return SortResult(output={pid: tuple(v) for pid, v in out.items()})

@@ -12,10 +12,15 @@ size, distribution and even-sort backend — and runs it on three paths:
   every ``select`` query.
 
 All of them must return the same output and the same
-``RunStats.to_dict()``.
+``RunStats.to_dict()``.  A second property does the same for the §6.1
+virtual-column sort (both sorters, several group sizes ``g = p/k``) and
+the §6.2 recursion, whose transfer phases are collective plans on the
+fast engine; the vector engine does not run them.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
@@ -25,7 +30,8 @@ from repro.mcb import MCBNetwork
 from repro.mcb.reference import ReferenceMCBNetwork
 from repro.obs import EventLog
 from repro.select import mcb_select
-from repro.sort import mcb_sort
+from repro.sort import mcb_sort, sort_virtual
+from repro.sort.recursive import sort_recursive
 
 
 @st.composite
@@ -105,3 +111,60 @@ def test_engines_agree(query):
     assert run(observed, query) == fast
     if vector_applies(query):
         assert run(MCBNetwork(p, k), query, engine="vector") == fast
+
+
+@st.composite
+def columnsort_queries(draw):
+    """``(algorithm, p, k, parts, sorter)`` for one §6.1 or §6.2 sort.
+
+    ``sort_virtual`` draws ``k`` columns of ``g`` processors, with the
+    column length ``m = g * n/p`` a multiple of ``k`` and at least
+    ``k(k - 1)``; ``sort_recursive`` draws powers of two.  Elements are
+    distinct values, or ``(value, pid, index)`` triples over eight
+    values.
+    """
+    algorithm = draw(st.sampled_from(["sort_virtual", "sort_recursive"]))
+    sorter = draw(st.sampled_from(["rank", "merge"]))
+    if algorithm == "sort_virtual":
+        k = draw(st.integers(1, 4))
+        g = draw(st.integers(1, 4))
+        p = g * k
+        step = k // math.gcd(k, g)  # smallest n/p making k | m
+        low = -(-max(1, k * (k - 1)) // (g * step)) * step
+        npp = draw(st.sampled_from([low, low + step, 2 * low]))
+    else:
+        p = draw(st.sampled_from([2, 4, 8, 16, 32]))
+        k = draw(st.sampled_from([kk for kk in (1, 2, 4, 8, 16) if kk <= p]))
+        npp = draw(st.sampled_from([1, 2, 4]))
+    n = p * npp
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        values = rng.choice(4 * n, size=n, replace=False).tolist()
+    else:
+        values = [
+            (v, i // npp + 1, i % npp)
+            for i, v in enumerate(rng.choice(8, size=n).tolist())
+        ]
+    parts = {pid: values[(pid - 1) * npp: pid * npp] for pid in range(1, p + 1)}
+    return algorithm, p, k, parts, sorter
+
+
+def run_columnsort(net, query):
+    algorithm, _, _, parts, sorter = query
+    if algorithm == "sort_virtual":
+        answer = sort_virtual(net, parts, sorter=sorter).output
+    else:
+        answer = sort_recursive(net, parts).output
+    return answer, net.stats.to_dict()
+
+
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(query=columnsort_queries())
+def test_virtual_and_recursive_engines_agree(query):
+    _, p, k, *_ = query
+    observed = ReferenceMCBNetwork(p, k)
+    observed.attach_observer(EventLog())
+    fast = run_columnsort(MCBNetwork(p, k), query)
+    assert run_columnsort(observed, query) == fast

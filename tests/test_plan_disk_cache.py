@@ -15,6 +15,7 @@ import pytest
 
 from repro.mcb.vector import SchedulePlan
 from repro.mcb.vector.cache import (
+    PlanRegistry,
     PLAN_SCHEMA_VERSION,
     _ARRAY_FIELDS,
     columnsort_plan_path,
@@ -116,3 +117,28 @@ def test_plan_cache_dir_default_honours_xdg(monkeypatch, tmp_path):
     monkeypatch.delenv("REPRO_PLAN_CACHE", raising=False)
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
     assert plan_cache_dir() == Path(tmp_path / "xdg") / "repro" / "plans"
+
+
+def test_unwritable_cache_root_still_returns_compiled_phases(
+    monkeypatch, tmp_path
+):
+    # The cache root sits under a regular file, so the save fails (even
+    # for root, which chmod would not stop).  The lookup must hand back
+    # the phases it built, keep them in memory, and leave no file.
+    blocker = tmp_path / "not-a-dir"
+    blocker.write_text("")
+    monkeypatch.setenv("REPRO_PLAN_CACHE", str(blocker / "plans"))
+    registry = PlanRegistry()
+    phases = _sample_phases()
+    built = []
+
+    def build():
+        built.append(1)
+        return phases
+
+    got = registry.lookup("unwritable", backend="test", build=build)
+    assert got == phases
+    assert registry.lookup("unwritable", backend="test", build=build) == got
+    assert built == [1]
+    assert "unwritable" in registry
+    assert blocker.read_text() == ""

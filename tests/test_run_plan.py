@@ -21,6 +21,7 @@ from functools import partial
 
 import pytest
 
+from repro import Distribution
 from repro.mcb import (
     CollisionError,
     CycleOp,
@@ -38,6 +39,8 @@ from repro.mcb.vector import SchedulePlan
 from repro.mcb.vector.lower import lower_columnsort_phases
 from repro.obs import EventLog
 from repro.obs.metrics import global_registry
+from repro.sort import sort_virtual
+from repro.sort.recursive import sort_recursive
 
 #: Every (engine, observed) pair a phase can run on.
 ENGINES = [
@@ -206,6 +209,26 @@ class TestRunPlanIsItsPlanProgram:
         (res, *_), paths = run_everywhere(4, 2, programs)
         assert res[3] == "slept" and res[4] == "idle"
         assert paths == {"collective": 8, "stepped": 0}
+
+
+class TestVirtualColumnsortRunsCollectively:
+    """§6.1's transfer phases are plans over all ``p`` members; they
+    enter each phase together, so none may fall back to stepping."""
+
+    def test_sort_virtual(self):
+        parts = Distribution.even(1024, 16, seed=0).parts
+        before = plan_runs()
+        sort_virtual(MCBNetwork(16, 4), parts, sorter="rank")
+        assert runs_since(before) == {"collective": 4 * 16, "stepped": 0}
+
+    def test_sort_recursive_base_case_blocks(self):
+        # n=256 on k=8 recurses once on 4 columns; each of their 5
+        # sorting phases runs the §6.1 base case on 4 blocks of 16
+        # processors as one block-diagonal plan per transfer phase.
+        parts = Distribution.even(256, 64, seed=0).parts
+        before = plan_runs()
+        sort_recursive(MCBNetwork(64, 8), parts)
+        assert runs_since(before) == {"collective": 5 * 4 * 64, "stepped": 0}
 
 
 def single_plan(m: int = 8, k: int = 4) -> SchedulePlan:

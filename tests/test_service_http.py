@@ -240,3 +240,76 @@ class TestOps:
         app = ServiceApp(executor="sync", workers=1)
         assert app.registry is global_registry()
         assert "service_queue_depth" in global_registry().names()
+
+
+class TestStalledClients:
+    """A client that stops mid-request is dropped after
+    ``READ_TIMEOUT_S`` instead of holding its connection for good."""
+
+    def stalled(self, monkeypatch, sent: bytes):
+        """Send ``sent`` and stop; return what the client reads back,
+        the timeout count and a later ``/healthz`` status."""
+        from repro.service import http
+
+        monkeypatch.setattr(http, "READ_TIMEOUT_S", 0.2)
+
+        async def scenario():
+            server = make_server()
+            await server.start()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            writer.write(sent)
+            await writer.drain()
+            answer = await asyncio.wait_for(reader.read(), timeout=10)
+            writer.close()
+            health, _, _ = await request(server.port, "GET", "/healthz")
+            registry = server.app.registry
+            timeouts = registry.counter("service_http_read_timeouts_total")
+            recorded = registry.counter("service_http_requests_total").get(
+                endpoint="unparsed", code=408
+            )
+            await server.stop(0)
+            assert recorded == 1  # the dropped request's 408 record
+            return answer, timeouts.get(), health
+
+        return drive(scenario())
+
+    def test_partial_head_is_closed(self, monkeypatch):
+        answer, timeouts, health = self.stalled(monkeypatch, b"GET /hea")
+        assert answer == b""
+        assert timeouts == 1
+        assert health == 200
+
+    def test_short_body_is_closed(self, monkeypatch):
+        sent = (
+            b"POST /jobs HTTP/1.1\r\nHost: test\r\n"
+            b"Content-Length: 40\r\n\r\n{\"alg"
+        )
+        answer, timeouts, health = self.stalled(monkeypatch, sent)
+        assert answer == b""
+        assert timeouts == 1
+        assert health == 200
+
+    def test_timeout_while_routing_is_a_500(self, monkeypatch):
+        """Only the read is under the deadline: a ``TimeoutError`` raised
+        while handling a complete request is answered, not dropped."""
+
+        def boom(method, path, body):
+            raise TimeoutError("backend timed out")
+
+        async def scenario():
+            server = make_server()
+            await server.start()
+            monkeypatch.setattr(server, "_route", boom)
+            status, _, body = await request(server.port, "GET", "/healthz")
+            counter = server.app.registry.counter(
+                "service_http_read_timeouts_total"
+            )
+            await server.stop(0)
+            return status, body, counter.get()
+
+        status, body, timeouts = drive(scenario())
+        assert status == 500
+        assert body["error"].startswith("TimeoutError")
+        assert timeouts == 0

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from repro.columnsort import PHASE_PERMS, apply_perm
-from repro.mcb import MCBNetwork
-from repro.mcb.vector import lower_columnsort_phases
+from repro.mcb import MCBNetwork, RunPlan
+from repro.mcb.vector import lower_columnsort_phases, lower_virtual_phase
 from repro.sort.common import (
     DUMMY,
     descending,
@@ -19,7 +19,6 @@ from repro.sort.common import (
     segment_owner,
     unpack_elem,
 )
-from repro.sort.virtual import virtual_transformation
 
 
 class TestElementPacking:
@@ -162,15 +161,14 @@ class TestTransformationSubgenerators:
         npp = m // g
         flat = rng.permutation(1000)[: m * k].astype(float)
         perm = PHASE_PERMS[phase](m, k)
+        plan = lower_virtual_phase(phase, m, k, g)
 
         def make_prog(pid):
             def prog(ctx):
                 col = (pid - 1) // g
                 w = (pid - 1) % g
                 mine = flat[col * m + w * npp: col * m + (w + 1) * npp].tolist()
-                out = yield from virtual_transformation(
-                    phase, col, w, npp, m, k, mine
-                )
+                out = yield RunPlan(plan, pid - 1, mine)
                 return out
 
             return prog
@@ -192,13 +190,14 @@ class TestTransformationSubgenerators:
         p = k * g
         npp = m // g
         flat = rng.permutation(100)[: m * k].astype(float)
+        plan = lower_virtual_phase(6, m, k, g)
 
         def make_prog(pid):
             def prog(ctx):
                 col = (pid - 1) // g
                 w = (pid - 1) % g
                 mine = flat[col * m + w * npp: col * m + (w + 1) * npp].tolist()
-                out = yield from virtual_transformation(6, col, w, npp, m, k, mine)
+                out = yield RunPlan(plan, pid - 1, mine)
                 return out
 
             return prog

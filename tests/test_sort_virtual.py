@@ -70,6 +70,16 @@ class TestVirtualMerge:
         assert peaks[0] == peaks[-1]
 
 
+class TestEmptyInput:
+    def test_empty_columns_take_no_cycles(self):
+        # k = 1 admits a column of length 0: there is no transfer plan to
+        # run, and the sort commits one zero-cycle phase.
+        net = MCBNetwork(p=2, k=1)
+        res = sort_virtual(net, {1: [], 2: []}, sorter="rank")
+        assert res.output == {1: (), 2: ()}
+        assert [ph.cycles for ph in net.stats.phases] == [0]
+
+
 class TestValidation:
     def test_requires_k_divides_p(self):
         net = MCBNetwork(p=5, k=2)
