@@ -1,7 +1,7 @@
 """repro.mcb.vector — vectorized execution of oblivious schedules.
 
-The paper's hot phases (§5.2 transformation schedules, §2 simulation
-blocks, §7.2 all-to-all movement) are *oblivious*: every message is a
+The paper's hot phases (§5.2 transformation schedules, §6.1
+virtual-column transfers) are *oblivious*: every message is a
 pure function of globally-known parameters.  This package compiles them
 into columnar index arrays (:mod:`~repro.mcb.vector.plan`), lowers the
 repo's existing schedule sources into that form
@@ -42,8 +42,6 @@ from .lower import (
     lower_columnsort_phases,
     lower_paper_transpose,
     lower_phase_columnar,
-    lower_rebalance_movement,
-    lower_simulation_block,
     lower_virtual_phase,
     lower_wrap_skip,
 )
@@ -69,8 +67,6 @@ __all__ = [
     "lower_columnsort_phases",
     "lower_paper_transpose",
     "lower_phase_columnar",
-    "lower_rebalance_movement",
-    "lower_simulation_block",
     "lower_virtual_phase",
     "lower_wrap_skip",
     "masked_reduce",

@@ -76,15 +76,6 @@ def plan_entry_path(root: Path, stem: str) -> Path:
     return root / f"{stem}_v{PLAN_SCHEMA_VERSION}.npz"
 
 
-def columnsort_plan_path(
-    root: Path, m: int, k: int, paper_phase2: bool, wrap_skip: bool
-) -> Path:
-    """Deterministic entry path for one columnsort configuration."""
-    return plan_entry_path(root, columnsort_plan_stem(
-        m, k, paper_phase2, wrap_skip
-    ))
-
-
 def columnsort_plan_stem(
     m: int, k: int, paper_phase2: bool, wrap_skip: bool
 ) -> str:

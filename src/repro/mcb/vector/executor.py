@@ -24,8 +24,7 @@ per lane.
 :class:`VectorRun` accumulates one phase's worth of accounting across
 any number of ``execute`` calls and finishes into the same
 :class:`~repro.mcb.trace.PhaseStats` a generator engine would commit,
-including the partial-stats-then-raise contract on a collision and the
-obs-pipeline event stream when a dispatcher is attached.
+plus the obs-pipeline event stream when a dispatcher is attached.
 """
 
 from __future__ import annotations
@@ -35,20 +34,15 @@ from typing import Any, Iterable, Optional, Sequence
 
 import numpy as np
 
-from ..errors import CollisionError, ConfigurationError
+from ..errors import ConfigurationError
 from ..message import pack_elem, scalar_bits
 from ..trace import PhaseStats, RunStats
-from .plan import CompiledPhase, SchedulePlan
+from .plan import CompiledPhase
 
 try:  # events only needed when a dispatcher is attached
-    from ...obs.events import (
-        CollisionDetected,
-        MessageBroadcast,
-        PhaseEnded,
-        PhaseStarted,
-    )
+    from ...obs.events import MessageBroadcast, PhaseEnded, PhaseStarted
 except ImportError:  # pragma: no cover - obs is part of the package
-    CollisionDetected = MessageBroadcast = PhaseEnded = PhaseStarted = None
+    MessageBroadcast = PhaseEnded = PhaseStarted = None
 
 #: Message kind tag cost (mirrors ``Message.bit_size``'s constant).
 _KIND_BITS = 8
@@ -281,13 +275,13 @@ class VectorRun:
         cannot be observed — per-lane event streams would interleave —
         so ``batch`` and ``dispatch`` are mutually exclusive.
     stats:
-        Optional :class:`RunStats` to commit the finished (or aborted)
-        phase into, like an engine commits into ``net.stats``.
+        Optional :class:`RunStats` to commit the finished phase into,
+        like an engine commits into ``net.stats``.
     dispatch:
         Optional obs dispatcher (``net._dispatch``) to emit the engine
         event stream into: ``PhaseStarted`` at construction, one
         ``MessageBroadcast`` per write in ``(cycle, writer)`` order,
-        ``CollisionDetected`` before an abort, ``PhaseEnded`` on finish.
+        ``PhaseEnded`` on finish.
     """
 
     def __init__(
@@ -314,12 +308,11 @@ class VectorRun:
         self.batch = batch
         self.cycle = 0
         self._lanes = 1 if batch is None else batch
-        # Structural counters are per lane: identical across lanes for
-        # unmasked and uniformly-masked phases, divergent only under a
-        # per-lane (W, B) write mask.
-        self._messages = np.zeros(self._lanes, dtype=np.int64)
+        # Every lane runs the same schedule, so messages and channel
+        # writes are shared; only bits depend on the payload values.
+        self._messages = 0
         self._bits = np.zeros(self._lanes, dtype=np.int64)
-        self._cw = np.zeros((self.k + 1, self._lanes), dtype=np.int64)
+        self._cw = np.zeros(self.k + 1, dtype=np.int64)
         self._stats = stats
         self._dispatch = dispatch
         if dispatch is not None:
@@ -330,19 +323,9 @@ class VectorRun:
         self,
         compiled: CompiledPhase,
         state: np.ndarray,
-        write_mask: Optional[np.ndarray] = None,
         donate: bool = False,
     ) -> np.ndarray:
         """Run one compiled phase; returns the new state matrix.
-
-        ``write_mask`` predicates the phase's write events (boolean,
-        aligned to the compiled write order — ``(cycle, proc)``): a
-        masked-out write broadcasts nothing, so its matched reads keep
-        the destination slot's prior contents and no message/bit/
-        channel-write is accounted.  Shape ``(W,)`` masks all lanes
-        uniformly; shape ``(W, B)`` masks per lane (batched runs only),
-        in which case the message and channel-write counters diverge per
-        lane exactly as the bits already do.
 
         ``donate=True`` lets the executor mutate ``state`` in place and
         return it (no defensive copy) — callers that discard the input
@@ -363,26 +346,6 @@ class VectorRun:
                 f"not fit the run (p={state.shape[0]}, k={self.k})"
             )
         n_writes = len(compiled.w_cycle)
-        mask = None
-        if write_mask is not None:
-            mask = np.asarray(write_mask, dtype=bool)
-            if mask.shape == (n_writes,):
-                pass
-            elif (
-                self.batch is not None
-                and mask.shape == (n_writes, self._lanes)
-            ):
-                pass
-            else:
-                want = (
-                    f"({n_writes},)"
-                    if self.batch is None
-                    else f"({n_writes},) or ({n_writes}, {self._lanes})"
-                )
-                raise ConfigurationError(
-                    f"write_mask shape {mask.shape} does not match the "
-                    f"phase ({n_writes} writes); expected {want}"
-                )
         # Write values source the *input* state (update semantics), so
         # gather them before any mutation — mandatory when ``out`` will
         # alias ``state`` under donation.
@@ -393,12 +356,30 @@ class VectorRun:
                 compiled.m_proc, compiled.m_src
             ]
         if n_writes:
-            if mask is None:
-                self._account_unmasked(compiled, vals, out)
-            elif mask.ndim == 1:
-                self._account_masked_uniform(compiled, vals, out, mask)
+            if len(compiled.r_proc):
+                out[compiled.r_proc, compiled.r_dst] = vals[compiled.r_widx]
+            # Phases on value-independent dtypes need no runtime
+            # accounting at all: messages and channel writes are plan
+            # constants, and the bit total is messages * static cost.
+            # The dynamic path stays for int/object payloads (exact
+            # per-value bit lengths) and for observed runs (events carry
+            # per-message bits).
+            static = (
+                None if self._dispatch is not None
+                else static_message_bits(vals.dtype)
+            )
+            if static is not None:
+                self._bits += n_writes * static
             else:
-                self._account_masked_lanes(compiled, vals, out, mask)
+                bits = message_bits(vals)
+                if self.batch is None:
+                    self._bits[0] += int(bits.sum())
+                else:
+                    self._bits += bits.sum(axis=0)
+            self._messages += n_writes
+            self._cw += compiled.channel_write_counts()
+            if self._dispatch is not None:
+                self._emit_messages(compiled, vals, bits)
         self.cycle += compiled.cycles
         return out
 
@@ -418,8 +399,8 @@ class VectorRun:
         slots).
 
         Fused phases cannot be observed (the per-message event stream of
-        the constituents is not reconstructed) and take no write mask —
-        masked or observed phases stay on :meth:`execute`.
+        the constituents is not reconstructed) — observed phases stay on
+        :meth:`execute`.
         """
         if self._dispatch is not None:
             raise ConfigurationError(
@@ -453,107 +434,9 @@ class VectorRun:
             else:
                 self._bits += bits.sum(axis=0)
         self._messages += fused.messages
-        self._cw += fused.channel_write_counts()[:, None]
+        self._cw += fused.channel_write_counts()
         self.cycle += fused.cycles
         return out
-
-    def _account_unmasked(
-        self, compiled: CompiledPhase, vals: np.ndarray, out: np.ndarray
-    ) -> None:
-        if len(compiled.r_proc):
-            out[compiled.r_proc, compiled.r_dst] = vals[compiled.r_widx]
-        # Unmasked phases on value-independent dtypes need no runtime
-        # accounting at all: messages and channel writes are plan
-        # constants, and the bit total is messages * static cost.  The
-        # dynamic path stays for int/object payloads (exact per-value
-        # bit lengths) and for observed runs (events carry per-message
-        # bits).
-        static = (
-            None if self._dispatch is not None
-            else static_message_bits(vals.dtype)
-        )
-        if static is not None:
-            self._bits += compiled.messages * static
-        else:
-            bits = message_bits(vals)
-            if self.batch is None:
-                self._bits[0] += int(bits.sum())
-            else:
-                self._bits += bits.sum(axis=0)
-        self._messages += len(compiled.w_cycle)
-        self._cw += compiled.channel_write_counts()[:, None]
-        if self._dispatch is not None:
-            self._emit_messages(compiled, vals, bits)
-
-    def _account_masked_uniform(
-        self,
-        compiled: CompiledPhase,
-        vals: np.ndarray,
-        out: np.ndarray,
-        mask: np.ndarray,
-    ) -> None:
-        """A ``(W,)`` mask: the phase restricted to the active writes."""
-        active = np.flatnonzero(mask)
-        if not len(active):
-            return
-        vals = vals[active]
-        if len(compiled.r_proc):
-            live = mask[compiled.r_widx]
-            # Renumber surviving write indices into the gathered subset.
-            renum = np.cumsum(mask) - 1
-            out[compiled.r_proc[live], compiled.r_dst[live]] = vals[
-                renum[compiled.r_widx[live]]
-            ]
-        bits = message_bits(vals)
-        if self.batch is None:
-            self._bits[0] += int(bits.sum())
-        else:
-            self._bits += bits.sum(axis=0)
-        self._messages += len(active)
-        self._cw += np.bincount(
-            compiled.w_chan[active], minlength=self.k + 1
-        ).astype(np.int64)[:, None]
-        if self._dispatch is not None:
-            self._emit_messages(compiled, vals, bits, active=active)
-
-    def _account_masked_lanes(
-        self,
-        compiled: CompiledPhase,
-        vals: np.ndarray,
-        out: np.ndarray,
-        mask: np.ndarray,
-    ) -> None:
-        """A ``(W, B)`` mask: each lane runs its own predicated phase.
-
-        ``vals`` is the pre-gathered ``(W, B)`` write-value matrix."""
-        if len(compiled.r_proc):
-            live = mask[compiled.r_widx]  # (R, B)
-            dest = out[compiled.r_proc, compiled.r_dst]
-            out[compiled.r_proc, compiled.r_dst] = np.where(
-                live, vals[compiled.r_widx], dest
-            )
-        bits = message_bits(vals)
-        self._bits += np.where(mask, bits, 0).sum(axis=0)
-        self._messages += mask.sum(axis=0)
-        np.add.at(self._cw, compiled.w_chan, mask.astype(np.int64))
-        # Batched runs are never observed (batch and dispatch are
-        # mutually exclusive), so there is no per-lane event stream.
-
-    def execute_plan(self, plan: SchedulePlan, state: np.ndarray) -> np.ndarray:
-        """Compile and run a plan, with the engines' collision contract.
-
-        A collision is detected at *compile* time, before any element
-        moves; the partial phase (costs of the cycles before the
-        collision) is committed to ``stats`` and a
-        :class:`CollisionError` carrying the absolute cycle is raised —
-        bit-for-bit what a generator engine does when the equivalent
-        programs collide mid-run.
-        """
-        try:
-            compiled = plan.compile()
-        except CollisionError as err:
-            raise self._collision_abort(plan, state, err) from None
-        return self.execute(compiled, state)
 
     # ------------------------------------------------------------------
     def finish(self) -> list[PhaseStats]:
@@ -564,13 +447,16 @@ class VectorRun:
         ``stats`` when one was given (single-instance runs pass
         ``net.stats``; batched callers distribute the list themselves).
         """
+        channel_writes = {
+            ch: n for ch, n in enumerate(self._cw.tolist()) if ch and n
+        }
         phases = [
             PhaseStats(
                 name=self.phase,
                 cycles=self.cycle,
-                messages=int(self._messages[lane]),
+                messages=self._messages,
                 bits=int(self._bits[lane]),
-                channel_writes=self._channel_writes(lane),
+                channel_writes=dict(channel_writes),
                 k=self.k,
             )
             for lane in range(self._lanes)
@@ -597,29 +483,20 @@ class VectorRun:
         return phases
 
     # ------------------------------------------------------------------
-    def _channel_writes(self, lane: int = 0) -> dict[int, int]:
-        return {
-            int(ch): int(n)
-            for ch, n in enumerate(self._cw[:, lane])
-            if ch and n
-        }
-
     def _emit_messages(
         self,
         compiled: CompiledPhase,
         vals: np.ndarray,
         bits: np.ndarray,
-        active: Optional[np.ndarray] = None,
     ) -> None:
         dispatch = self._dispatch
         readers = compiled.readers_by_write()
         base = self.cycle
         vlist = vals.tolist()
-        idx = range(len(vlist)) if active is None else active.tolist()
         w_cycle = compiled.w_cycle.tolist()
         w_proc = compiled.w_proc.tolist()
         w_chan = compiled.w_chan.tolist()
-        for at, i in enumerate(idx):
+        for i, value in enumerate(vlist):
             dispatch.dispatch(
                 MessageBroadcast(
                     phase=self.phase,
@@ -628,74 +505,10 @@ class VectorRun:
                     writer=w_proc[i] + 1,
                     readers=readers[i],
                     msg_kind=compiled.kind,
-                    fields=pack_elem(vlist[at]),
-                    bits=int(bits[at]),
+                    fields=pack_elem(value),
+                    bits=int(bits[i]),
                 )
             )
-
-    def _collision_abort(
-        self, plan: SchedulePlan, state: np.ndarray, err: CollisionError
-    ) -> CollisionError:
-        """Account the cycles before the collision; build the final error."""
-        clash = err.cycle
-        pre = sorted(
-            (w for w in plan.writes if w[0] < clash),
-            key=lambda w: (w[0], w[1]),
-        )
-        if pre:
-            procs = np.array([w[1] for w in pre], dtype=np.int64)
-            srcs = np.array([w[3] for w in pre], dtype=np.int64)
-            vals = state[procs, srcs]
-            bits = message_bits(vals)
-            if self.batch is None:
-                self._bits[0] += int(bits.sum())
-            else:
-                self._bits += bits.sum(axis=0)
-            self._messages += len(pre)
-            for _, _, chan, _ in pre:
-                self._cw[chan] += 1  # all lanes: pre-collision writes land
-            if self._dispatch is not None:
-                readers = plan.matched_readers()
-                vlist = vals.tolist()
-                for i, (cy, proc, chan, _) in enumerate(pre):
-                    self._dispatch.dispatch(
-                        MessageBroadcast(
-                            phase=self.phase,
-                            cycle=self.cycle + cy,
-                            channel=chan,
-                            writer=proc + 1,
-                            readers=readers.get((cy, chan), ()),
-                            msg_kind=plan.kind,
-                            fields=pack_elem(vlist[i]),
-                            bits=int(bits[i]),
-                        )
-                    )
-        absolute = self.cycle + clash
-        if self._dispatch is not None:
-            self._dispatch.dispatch(
-                CollisionDetected(
-                    phase=self.phase,
-                    cycle=absolute,
-                    channel=err.channel,
-                    writers=tuple(err.writers),
-                    resolution="abort",
-                )
-            )
-        if self._stats is not None:
-            self._stats.add(
-                PhaseStats(
-                    name=self.phase,
-                    cycles=absolute,
-                    messages=int(self._messages[0]),
-                    bits=int(self._bits[0]),
-                    channel_writes=self._channel_writes(),
-                    k=self.k,
-                    collisions=1,
-                )
-            )
-        if absolute == err.cycle:
-            return err
-        return CollisionError(absolute, err.channel, err.writers)
 
 
 # ----------------------------------------------------------------------

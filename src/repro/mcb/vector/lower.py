@@ -22,27 +22,22 @@ lists that :meth:`SchedulePlan.compile` validates into a
   traffic parked at column ``k``.
 * :func:`lower_virtual_phase` — one §6.1 virtual-column transformation
   phase over the ``g * k`` group members, each sender storing what it
-  reads over the element it just sent.
-* :func:`lower_simulation_block` — one virtual cycle of the §2
-  simulation lemma as the ``R = v*v*S`` real-cycle ``(rep, wrep, t)``
-  block over the hosts.
-* :func:`lower_rebalance_movement` — the §7.2-style all-to-all element
-  movement of :func:`repro.sort.rebalance.rebalance`, on the
-  :func:`~repro.mcb.routing.alltoall_schedule` edge-coloured plan.
+  reads over the element it just sent; ``sort_virtual`` and §6.2's
+  base case run it on the generator engines as a
+  :class:`~repro.mcb.program.RunPlan`.
+
+The comparator-network backends lower their compare rounds with
+:func:`repro.mcb.cnet.cnet_to_schedule`.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 
 from ...columnsort.matrix import PHASE_PERMS, downshift_perm, transpose_perm
 from ...columnsort.schedule import bvn_for_phase, schedule_for_phase
 from ..errors import ConfigurationError
-from ..routing import alltoall_schedule
-from ..simulate import host_index, host_of, real_channel, subslot
-from .plan import MoveEvent, ReadEvent, SchedulePlan, WriteEvent
+from .plan import ReadEvent, SchedulePlan, WriteEvent
 
 
 def lower_columnsort_phases(
@@ -302,152 +297,4 @@ def lower_virtual_phase(
     return SchedulePlan(
         p=p * blocks, k=k * blocks, cycles=m, slots=npp,
         writes=writes, reads=reads,
-    )
-
-
-def lower_simulation_block(
-    p: int,
-    k: int,
-    v: int,
-    s: int,
-    writes: Sequence[tuple[int, int, int]],
-    reads: Sequence[tuple[int, int, int]],
-    *,
-    slots: int,
-    kind: str = "elem",
-) -> SchedulePlan:
-    """One virtual cycle of the §2 simulation lemma as a real-cycle plan.
-
-    ``writes`` are ``(q, vchan, src_slot)`` and ``reads`` are
-    ``(q, vchan, dst_slot)`` over *virtual* 1-based pids ``q`` and
-    virtual 1-based channels; the plan spans the ``R = v * v * s`` real
-    cycles of one ``(rep, wrep, t)`` block on the ``p`` hosts, exactly
-    as :func:`repro.mcb.simulate.run_simulated` schedules it: the writer
-    of virtual channel ``c'`` (within-host index ``h``) repeats its
-    message in every reader round (``v`` messages per virtual message)
-    at sub-slot ``t(c')``, and a virtual reader scans all ``v`` writer
-    sub-rounds of its round, keeping the unique non-empty hit — hence
-    ``allow_empty_reads=True``.
-    """
-    p_virtual = p * v
-    cycles = v * v * s
-    plan_writes: list[WriteEvent] = []
-    plan_reads: list[ReadEvent] = []
-    for q, vchan, src in writes:
-        if not 1 <= q <= p_virtual:
-            raise ConfigurationError(
-                f"virtual pid {q} out of range 1..{p_virtual}"
-            )
-        if not 1 <= vchan <= k * s:
-            raise ConfigurationError(
-                f"virtual channel {vchan} out of range 1..{k * s}"
-            )
-        host = host_of(q, v) - 1
-        h = host_index(q, v)
-        rc = real_channel(vchan, k)
-        t = subslot(vchan, k)
-        for rep in range(v):
-            plan_writes.append(((rep * v + h) * s + t, host, rc, src))
-    for q, vchan, dst in reads:
-        if not 1 <= q <= p_virtual:
-            raise ConfigurationError(
-                f"virtual pid {q} out of range 1..{p_virtual}"
-            )
-        if not 1 <= vchan <= k * s:
-            raise ConfigurationError(
-                f"virtual channel {vchan} out of range 1..{k * s}"
-            )
-        host = host_of(q, v) - 1
-        h = host_index(q, v)
-        rc = real_channel(vchan, k)
-        t = subslot(vchan, k)
-        for wrep in range(v):
-            plan_reads.append(((h * v + wrep) * s + t, host, rc, dst))
-    return SchedulePlan(
-        p=p, k=k, cycles=cycles, slots=slots,
-        writes=plan_writes, reads=plan_reads,
-        kind=kind, allow_empty_reads=True,
-    )
-
-
-def lower_rebalance_movement(
-    lengths: Sequence[int], k: int, *, kind: str = "elem"
-) -> tuple[SchedulePlan, list[int]]:
-    """The all-to-all element movement of a rebalance as a plan.
-
-    ``lengths[i]`` is the element count held by processor ``i + 1``; the
-    target layout is the canonical even split and elements keep the
-    global pid-concatenation order, exactly like
-    :func:`repro.sort.rebalance.rebalance`'s movement stage (whose
-    receivers stable-sort arrivals by source pid — here destination
-    slots are assigned in that order up front).  Returns the plan plus
-    the per-processor target counts; state rows must hold each
-    processor's elements in slots ``0..lengths[i]-1`` (``slots`` is
-    sized to fit both layouts).
-
-    Only the *data movement* is lowered — the prefix/total counting
-    rounds that make ``lengths`` globally known stay on the generator
-    engine, where they belong (their traffic depends on run-time data).
-    """
-    p = len(lengths)
-    n = sum(lengths)
-    base, extra = divmod(n, p)
-    targets = [base + (1 if i < extra else 0) for i in range(p)]
-    bounds = [0]
-    for t in targets:
-        bounds.append(bounds[-1] + t)
-    starts = [0]
-    for length in lengths:
-        starts.append(starts[-1] + length)
-
-    def owner(pos: int) -> int:
-        """0-based target owner of global position ``pos``."""
-        return min(np.searchsorted(bounds, pos, side="right") - 1, p - 1)
-
-    counts = np.zeros((p, p), dtype=np.int64)
-    for src in range(p):
-        for off in range(lengths[src]):
-            counts[src, owner(starts[src] + off)] += 1
-    # Destination layout: concatenation by source pid (FIFO within one
-    # source), matching the rebalance receivers' stable sort.
-    dst_base = np.zeros((p, p), dtype=np.int64)
-    for d in range(p):
-        running = 0
-        for s in range(p):
-            dst_base[s, d] = running
-            running += counts[s, d]
-    next_dst = dst_base.copy()
-    moves: list[MoveEvent] = []
-    src_queues: dict[tuple[int, int], list[int]] = {}
-    pair_dsts: dict[tuple[int, int], list[int]] = {}
-    for src in range(p):
-        for off in range(lengths[src]):
-            d = owner(starts[src] + off)
-            dst = int(next_dst[src, d])
-            next_dst[src, d] += 1
-            if d == src:
-                moves.append((src, off, dst))
-            else:
-                src_queues.setdefault((src, d), []).append(off)
-                pair_dsts.setdefault((src, d), []).append(dst)
-
-    routed = counts.copy()
-    np.fill_diagonal(routed, 0)
-    plan = alltoall_schedule(routed, k)
-    pair_pos: dict[tuple[int, int], int] = {}
-    writes: list[WriteEvent] = []
-    reads: list[ReadEvent] = []
-    for cyc, transfers in enumerate(plan):
-        for src, d, chan in transfers:
-            at = pair_pos.get((src, d), 0)
-            pair_pos[(src, d)] = at + 1
-            writes.append((cyc, src, chan + 1, src_queues[(src, d)][at]))
-            reads.append((cyc, d, chan + 1, pair_dsts[(src, d)][at]))
-    slots = max([1, *lengths, *targets])
-    return (
-        SchedulePlan(
-            p=p, k=k, cycles=len(plan), slots=slots,
-            writes=writes, reads=reads, moves=moves, kind=kind,
-        ),
-        targets,
     )

@@ -3,8 +3,8 @@
 An *oblivious* phase is one in which every message's (writer, channel,
 reader, payload position) is a pure function of ``(p, k, m, cycle)``
 known before the run starts — the §5.2 columnsort transformation
-schedules, the §2 simulation-lemma ``(rep, wrep, t)`` blocks, the §7.2
-all-to-all element movement.  Such a phase needs no per-cycle generator
+schedules, §6.1's virtual-column transfers, a comparator network's
+compare rounds.  Such a phase needs no per-cycle generator
 dispatch at all: it is a fixed permutation-with-fanout from an input
 state matrix to an output state matrix, and can be validated *before*
 execution and executed as a handful of NumPy gather/scatter operations
@@ -183,9 +183,8 @@ class SchedulePlan:
     moves: list[MoveEvent] = field(default_factory=list)
     kind: str = "elem"
     #: Reads of a channel nobody writes that cycle are dropped (the
-    #: generator semantics deliver EMPTY) instead of rejected.  The
-    #: simulation-lemma blocks need this: a virtual reader scans every
-    #: writer sub-round of its slot and keeps the unique non-empty hit.
+    #: generator semantics deliver EMPTY) instead of rejected — for a
+    #: schedule whose reader scans for a possibly-absent writer.
     allow_empty_reads: bool = False
 
     # ------------------------------------------------------------------
@@ -420,64 +419,6 @@ class SchedulePlan:
             if collided:
                 channel, pids = next(iter(collided.items()))
                 raise CollisionError(cy, channel, pids)
-
-    def masked(self, write_mask: Sequence[bool]) -> "SchedulePlan":
-        """The plan with masked-out writes (and their reads) removed.
-
-        ``write_mask`` aligns with the *compiled* write order — writes
-        sorted by ``(cycle, proc)``, the same convention
-        :meth:`VectorRun.execute <repro.mcb.vector.executor.VectorRun.execute>`
-        applies to its ``write_mask`` argument.  A masked-out write
-        broadcasts nothing, so any read matched to it is dropped too
-        (its destination slot keeps the prior contents — the generator
-        programs of the masked plan simply never touch it).  This is the
-        parity oracle for predicated execution: running
-        ``plan.masked(mask).as_programs(state)`` on a generator engine
-        must equal ``VectorRun.execute(plan.compile(), state, mask)``
-        up to the dropped cycles' silence.
-
-        Masking never *introduces* collisions (it only removes writers),
-        so a compilable plan stays compilable under any mask.
-        """
-        writes = sorted(self.writes, key=lambda w: (w[0], w[1]))
-        if len(write_mask) != len(writes):
-            raise ConfigurationError(
-                f"write_mask has {len(write_mask)} entries for "
-                f"{len(writes)} write events"
-            )
-        kept = [w for w, keep in zip(writes, write_mask) if keep]
-        live = {(cy, chan) for cy, _, chan, _ in kept}
-        if self.allow_empty_reads:
-            # Reads of channels silent in the *unmasked* plan stay (the
-            # schedule scans for possibly-absent writers); reads whose
-            # writer was masked out are dropped — the executor delivers
-            # nothing for them either.
-            written = {(cy, chan) for cy, _, chan, _ in writes}
-            reads = [
-                r for r in self.reads
-                if (r[0], r[2]) in live or (r[0], r[2]) not in written
-            ]
-        else:
-            reads = [r for r in self.reads if (r[0], r[2]) in live]
-        return SchedulePlan(
-            p=self.p, k=self.k, cycles=self.cycles, slots=self.slots,
-            writes=kept, reads=reads, moves=list(self.moves),
-            kind=self.kind, allow_empty_reads=self.allow_empty_reads,
-        )
-
-    def matched_readers(self) -> dict[tuple[int, int], tuple[int, ...]]:
-        """1-based reader pids per written ``(cycle, channel)`` (lenient).
-
-        Used for event emission on the partial-stats abort path, where
-        the plan as a whole failed :meth:`compile`'s collision check but
-        the cycles *before* the collision still delivered normally.
-        """
-        written = {(cy, chan) for cy, _, chan, _ in self.writes}
-        out: dict[tuple[int, int], list[int]] = {}
-        for cy, proc, chan, _ in self.reads:
-            if (cy, chan) in written:
-                out.setdefault((cy, chan), []).append(proc + 1)
-        return {key: tuple(sorted(pids)) for key, pids in out.items()}
 
     # ------------------------------------------------------------------
     def as_programs(self, state: Sequence[Sequence[Any]]):

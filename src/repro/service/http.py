@@ -188,8 +188,8 @@ class ServiceServer:
                 return  # a stalled client: its connection is gone
             writer.write(response)
             await writer.drain()
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass  # client went away mid-request; nothing to answer
+        except ConnectionError:
+            pass  # client went away before the answer; nothing to send
         finally:
             writer.close()
             try:
@@ -207,6 +207,8 @@ class ServiceServer:
             head = await reader.readuntil(b"\r\n\r\n")
         except asyncio.LimitOverrunError:
             raise _HttpError(413, "request head too large")
+        except asyncio.IncompleteReadError:
+            raise _HttpError(400, "incomplete request")
         if len(head) > MAX_HEADER_BYTES:
             raise _HttpError(413, "request head too large")
         lines = head.decode("latin-1").split("\r\n")
@@ -224,11 +226,10 @@ class ServiceServer:
                     raise _HttpError(400, "malformed Content-Length")
         if content_length > MAX_BODY_BYTES:
             raise _HttpError(413, "request body too large")
-        body = (
-            await reader.readexactly(content_length)
-            if content_length
-            else b""
-        )
+        try:
+            body = await reader.readexactly(content_length)
+        except asyncio.IncompleteReadError:
+            raise _HttpError(400, "incomplete request")
         return method.upper(), target.split("?", 1)[0], body
 
     def _route(

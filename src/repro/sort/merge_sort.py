@@ -30,7 +30,10 @@ Resolutions of corner cases the paper leaves implicit (see DESIGN.md):
   shedding it would invalidate the target's own linked-list entry; the
   transient cost is one extra slot, still O(1);
 * an extractor whose input ran dry stays silent at re-insertion time and
-  simply leaves the list.
+  simply leaves the list;
+* a member with no input has no top to insert: its construction slot
+  is silent, and it never joins the list;
+* an all-empty group has nothing to sort and runs zero cycles.
 
 Each extraction takes a fixed 5-cycle round (plus ``3g`` construction
 cycles), so the algorithm runs in ``O(n)`` cycles and messages on one
@@ -67,7 +70,8 @@ def merge_sort_group(
 
     Same contract as :func:`repro.sort.rank_sort.rank_sort_group`;
     returns my descending output segment after exactly
-    ``3g + 5 * sum(counts)`` cycles for every member.
+    ``3g + 5 * sum(counts)`` cycles for every member — or after zero
+    cycles when ``sum(counts) == 0``, like Rank-Sort.
     """
     counts = list(counts)
     out_counts = list(out_counts) if out_counts is not None else counts
@@ -78,6 +82,8 @@ def merge_sort_group(
     out_prefix = [0]
     for c in out_counts:
         out_prefix.append(out_prefix[-1] + c)
+    if not n_g:
+        return []
 
     me = group_index
     # Ascending internal list: [-1] is the top (largest), insort-friendly.
@@ -110,6 +116,9 @@ def merge_sort_group(
 
     # ---- linked-list construction: members insert their tops in order ---
     for i in range(g):
+        if not counts[i]:
+            yield Listen(channel, CONSTRUCT_CYCLES)
+            continue
         # cycle 1: member i announces its top
         if i == me:
             yield CycleOp(

@@ -128,7 +128,8 @@ def rank_sort_group(
     -------
     list
         My output segment, descending (or ascending if requested).
-        Takes exactly ``2 * sum(counts)`` cycles for every member.
+        Takes exactly ``2 * sum(counts)`` cycles for every member; an
+        all-empty group returns at once, without charging any aux memory.
     """
     counts = list(counts)
     out_counts = list(out_counts) if out_counts is not None else counts
@@ -141,6 +142,8 @@ def rank_sort_group(
             f"member {group_index} announced {counts[group_index]} elements "
             f"but holds {len(my_elems)}"
         )
+    if not n_g:
+        return []
     prefix = [0]
     for c in counts:
         prefix.append(prefix[-1] + c)

@@ -13,8 +13,7 @@ Layers covered:
   (p <= 16, k in {1, 2, 4}) across all backends including ``"auto"``.
 * The columnsort extraction — the IR's ``columnsort`` network runs the
   identical plans as :func:`repro.sort.vector.sort_even_pk_vector`.
-* Executor features — fused execution and write masks on cnet plans,
-  the batch axis.
+* Executor features — fused execution of cnet plans, the batch axis.
 * The cost model — closed forms equal static plan stats; the tuner
   returns an available backend everywhere; overlay predictions match.
 * Service admission — ``backend`` in JobSpec with 400-style rejection,
@@ -271,9 +270,9 @@ def test_duplicate_values_sort_identically():
 # ----------------------------------------- executor feature coverage --
 
 
-def test_cnet_plan_runs_fused_and_masked():
-    """A compare-round plan survives execute_fused and a write mask
-    with identical results — cnet plans are ordinary compiled phases."""
+def test_cnet_plan_runs_fused():
+    """A compare-round plan survives execute_fused with identical
+    results — cnet plans are ordinary compiled phases."""
     network = build_network("batcher", 4)
     m = 2
     compiled = compiled_cnet_phases("batcher", m, 4)
@@ -292,15 +291,6 @@ def test_cnet_plan_runs_fused_and_masked():
     fused_stats = fused_run.finish()[0]
     assert np.array_equal(plain, fused)
     assert plain_stats.to_dict() == fused_stats.to_dict()
-
-    masked_run = VectorRun(4, 4, phase="plain")
-    mask = np.ones(compiled[0].messages, dtype=bool)
-    masked = masked_run.execute(
-        compiled[0], build_state([list(r) for r in rows]), write_mask=mask
-    )
-    masked_stats = masked_run.finish()[0]
-    assert np.array_equal(plain, masked)
-    assert plain_stats.to_dict() == masked_stats.to_dict()
     assert network.slot_factor == 2
 
 

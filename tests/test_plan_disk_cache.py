@@ -18,9 +18,10 @@ from repro.mcb.vector.cache import (
     PlanRegistry,
     PLAN_SCHEMA_VERSION,
     _ARRAY_FIELDS,
-    columnsort_plan_path,
+    columnsort_plan_stem,
     load_compiled_phases,
     plan_cache_dir,
+    plan_entry_path,
     save_compiled_phases,
 )
 
@@ -91,12 +92,14 @@ def test_schema_mismatch_loads_as_none(tmp_path):
 
 
 def test_plan_path_carries_config_and_version(tmp_path):
-    path = columnsort_plan_path(tmp_path, 20, 5, True, False)
+    path = plan_entry_path(tmp_path, columnsort_plan_stem(20, 5, True, False))
     assert path.parent == tmp_path
     assert path.name == (
         f"columnsort_m20_k5_paper1_wrap0_v{PLAN_SCHEMA_VERSION}.npz"
     )
-    other = columnsort_plan_path(tmp_path, 20, 5, False, True)
+    other = plan_entry_path(
+        tmp_path, columnsort_plan_stem(20, 5, False, True)
+    )
     assert other != path
 
 

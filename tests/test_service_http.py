@@ -313,3 +313,44 @@ class TestStalledClients:
         assert status == 500
         assert body["error"].startswith("TimeoutError")
         assert timeouts == 0
+
+
+class TestHalfClosedClients:
+    """A client that half-closes (``write_eof``) before its request is
+    complete gets a 400, counted as a client error, not a 500."""
+
+    def half_closed(self, sent: bytes):
+        async def scenario():
+            server = make_server()
+            await server.start()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            writer.write(sent)
+            writer.write_eof()
+            answer = await asyncio.wait_for(reader.read(), timeout=10)
+            writer.close()
+            requests = server.app.registry.counter(
+                "service_http_requests_total"
+            )
+            counts = {
+                code: requests.get(endpoint="unparsed", code=code)
+                for code in (400, 500)
+            }
+            await server.stop(0)
+            return answer, counts
+
+        answer, counts = drive(scenario())
+        head, _, body = answer.partition(b"\r\n\r\n")
+        assert head.split(b" ")[1] == b"400"
+        assert json.loads(body) == {"error": "incomplete request"}
+        assert counts == {400: 1, 500: 0}
+
+    def test_partial_head(self):
+        self.half_closed(b"GET /hea")
+
+    def test_short_body(self):
+        self.half_closed(
+            b"POST /jobs HTTP/1.1\r\nHost: test\r\n"
+            b"Content-Length: 40\r\n\r\n{\"alg"
+        )

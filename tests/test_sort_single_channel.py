@@ -112,6 +112,21 @@ class TestMergeSort:
         res = merge_sort(net, d.parts)
         assert sorting_violations(d, res.output) == []
 
+    def test_members_without_input(self):
+        # An empty member's construction slot is silent; the cycle count
+        # keeps its 3g + 5n form.
+        parts = {1: [], 2: [5, 1], 3: [], 4: [9, 3, 7], 5: []}
+        net = MCBNetwork(p=5, k=1)
+        res = merge_sort(net, parts)
+        assert res.output == {1: (), 2: (9, 7), 3: (), 4: (5, 3, 1), 5: ()}
+        assert net.stats.cycles == CONSTRUCT_CYCLES * 5 + ROUND_CYCLES * 5
+
+    def test_all_empty_takes_no_cycles(self):
+        net = MCBNetwork(p=3, k=1)
+        res = merge_sort(net, {1: [], 2: [], 3: []})
+        assert res.output == {1: (), 2: (), 3: ()}
+        assert net.stats.cycles == 0
+
     def test_rejects_partial_coverage(self):
         net = MCBNetwork(p=3, k=1)
         with pytest.raises(ValueError):

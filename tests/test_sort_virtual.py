@@ -5,6 +5,7 @@ import pytest
 from repro.core import Distribution
 from repro.core.problem import sorting_violations
 from repro.mcb import MCBNetwork
+from repro.mcb.reference import ReferenceMCBNetwork
 from repro.sort import sort_even_collect, sort_virtual
 
 
@@ -78,6 +79,17 @@ class TestEmptyInput:
         res = sort_virtual(net, {1: [], 2: []}, sorter="rank")
         assert res.output == {1: (), 2: ()}
         assert [ph.cycles for ph in net.stats.phases] == [0]
+
+    @pytest.mark.parametrize("engine", [MCBNetwork, ReferenceMCBNetwork])
+    def test_empty_input_same_for_both_sorters(self, engine):
+        runs = []
+        for sorter in ("rank", "merge"):
+            net = engine(p=2, k=1)
+            res = sort_virtual(net, {1: [], 2: []}, sorter=sorter)
+            runs.append((res.output, net.stats.to_dict()))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == {1: (), 2: ()}
+        assert runs[0][1]["totals"]["cycles"] == 0
 
 
 class TestValidation:

@@ -6,13 +6,11 @@ final states and identical ``RunStats.to_dict()`` accounting to the
 reference engine running the same plan rendered as generator programs
 (:meth:`SchedulePlan.as_programs`, the parity oracle).  Hypothesis
 drives random plans — random writer/channel assignments per cycle,
-random matched reads, random local moves — plus random §2
-simulation-lemma blocks, through both engines.
+random matched reads, random local moves — through both engines.
 
 Collision-freedom is a *static* property of an oblivious schedule, so
 the vector engine checks it at compile time, before any element moves;
-the pinned test asserts the error message and the partial-stats commit
-match the generator engine's runtime behaviour exactly.
+the pinned tests assert the error's message, cycle, channel and writers.
 """
 
 from __future__ import annotations
@@ -31,11 +29,8 @@ from repro.mcb.vector import (
     VectorRun,
     build_batched_state,
     build_state,
-    lower_rebalance_movement,
-    lower_simulation_block,
     message_bits,
 )
-from repro.sort.rebalance import rebalance
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +91,7 @@ def run_reference(plan: SchedulePlan, rows):
 def run_vector(plan: SchedulePlan, rows):
     stats = RunStats()
     run = VectorRun(plan.p, plan.k, phase="plan", stats=stats)
-    state = run.execute_plan(plan, build_state(rows))
+    state = run.execute(plan.compile(), build_state(rows))
     run.finish()
     return state, stats.to_dict()
 
@@ -141,63 +136,7 @@ def test_batched_execution_matches_solo_reference_runs(plan, b, data):
 
 
 # ---------------------------------------------------------------------------
-# §2 simulation-lemma blocks
-# ---------------------------------------------------------------------------
-
-@st.composite
-def simulation_blocks(draw):
-    """One random virtual cycle: virtual-collision-free writes (distinct
-    virtual channels, one op per virtual processor) plus random reads.
-
-    Destination slots are host-local in the lowering, so co-hosted
-    virtual readers draw from a per-host pool of distinct slots."""
-    p = draw(st.integers(1, 3))
-    k = draw(st.integers(1, min(2, p)))
-    v = draw(st.integers(1, 3))
-    s = draw(st.integers(1, 3))
-    slots = draw(st.integers(1, 3))
-    vprocs = list(range(1, p * v + 1))
-    vchans = list(range(1, k * s + 1))
-    n_writes = draw(st.integers(0, min(len(vprocs), len(vchans))))
-    wq = draw(st.permutations(vprocs))[:n_writes]
-    wc = draw(st.permutations(vchans))[:n_writes]
-    writes = [
-        (q, c, draw(st.integers(0, slots - 1))) for q, c in zip(wq, wc)
-    ]
-    n_reads = draw(st.integers(0, len(vprocs)))
-    rq = draw(st.permutations(vprocs))[:n_reads]
-    dst_pool = {host: list(range(slots)) for host in range(1, p + 1)}
-    reads = []
-    for q in rq:
-        pool = dst_pool[(q - 1) // v + 1]
-        if not pool:
-            continue
-        at = draw(st.integers(0, len(pool) - 1))
-        reads.append((q, draw(st.sampled_from(vchans)), pool.pop(at)))
-    return p, k, v, s, slots, writes, reads
-
-
-@settings(max_examples=50)
-@given(simulation_blocks(), st.data())
-def test_simulation_block_matches_reference(block, data):
-    p, k, v, s, slots, writes, reads = block
-    plan = lower_simulation_block(p, k, v, s, writes, reads, slots=slots)
-    assert plan.cycles == v * v * s
-    assert len(plan.writes) == v * len(writes)
-    rows = [
-        data.draw(st.lists(elements, min_size=slots, max_size=slots))
-        for _ in range(p)
-    ]
-    ref_out, ref_stats = run_reference(plan, rows)
-    state, vec_stats = run_vector(plan, rows)
-    assert vec_stats == ref_stats
-    got = state.tolist()
-    for proc in range(p):
-        assert got[proc] == ref_out[proc + 1], proc
-
-
-# ---------------------------------------------------------------------------
-# Compile-time collision detection (satellite: pinned error + partial stats)
+# Compile-time collision detection (pinned error)
 # ---------------------------------------------------------------------------
 
 COLLIDING = SchedulePlan(
@@ -217,29 +156,6 @@ def test_collision_detected_at_compile_time():
     assert err.value.cycle == 2
     assert err.value.channel == 2
     assert err.value.writers == [2, 3]
-
-
-def test_collision_partial_stats_match_reference():
-    """The vector abort commits exactly the partial phase the generator
-    engine commits: costs of the cycles before the collision only."""
-    rows = [[5, 9], [7, 1], [3, 4]]
-
-    ref = ReferenceMCBNetwork(p=3, k=2)
-    with pytest.raises(CollisionError) as ref_err:
-        ref.run(COLLIDING.as_programs(rows), phase="plan")
-
-    stats = RunStats()
-    run = VectorRun(3, 2, phase="plan", stats=stats)
-    with pytest.raises(CollisionError) as vec_err:
-        run.execute_plan(COLLIDING, build_state(rows))
-
-    assert str(vec_err.value) == str(ref_err.value) == COLLISION_MSG
-    assert stats.to_dict() == ref.stats.to_dict()
-    ph = stats.phases[-1]
-    assert ph.cycles == 2
-    assert ph.collisions == 1
-    assert ph.messages == 1  # only the cycle-0 write delivered
-    assert ph.bits == Message("elem", 5).bit_size()
 
 
 INVALID_PLANS = [
@@ -375,36 +291,3 @@ def test_message_bits_numeric_dtypes():
     assert (message_bits(floats) == Message("elem", 0.5).bit_size()).all()
     bools = np.array([True, False])
     assert (message_bits(bools) == Message("elem", True).bit_size()).all()
-
-
-# ---------------------------------------------------------------------------
-# Rebalance lowering: same layout as the generator rebalance
-# ---------------------------------------------------------------------------
-
-def test_rebalance_lowering_matches_generator_layout():
-    lengths = [5, 1, 0, 2]
-    k = 2
-    plan, targets = lower_rebalance_movement(lengths, k)
-    assert sum(targets) == sum(lengths)
-
-    rows = []
-    for src, length in enumerate(lengths):
-        row = [src * 100 + off for off in range(length)]
-        row += [-1] * (plan.slots - length)
-        rows.append(row)
-    stats = RunStats()
-    run = VectorRun(plan.p, k, phase="move", stats=stats)
-    state = run.execute_plan(plan, build_state(rows))
-    run.finish()
-
-    net = ReferenceMCBNetwork(p=len(lengths), k=k)
-    res = rebalance(
-        net,
-        {
-            src + 1: [src * 100 + off for off in range(length)]
-            for src, length in enumerate(lengths)
-        },
-    )
-    got = state.tolist()
-    for d in range(plan.p):
-        assert tuple(got[d][: targets[d]]) == res.output[d + 1], d

@@ -1,265 +1,20 @@
-"""Predicated (masked) vector phases vs the generator oracle.
+"""The vector engine's lane-local primitives vs plain Python.
 
-A masked phase is the vector engine's form of data-dependent glue: the
-schedule is still oblivious, but a per-write boolean predicate silences
-some broadcasts at run time.  The contract under test is the one
-:meth:`SchedulePlan.masked` documents — for any collision-free plan and
-any mask, ``VectorRun.execute(plan.compile(), state, mask)`` must be
-bit-identical (final state *and* ``RunStats``) to the reference engine
-running ``plan.masked(mask).as_programs(state)``, where the masked-out
-writes simply never happen.
-
-The same file covers the lane-local primitives the masked data plane is
-built from (:func:`compact_rows`, :func:`masked_reduce`) against their
-plain-Python definitions.
+:func:`compact_rows` and :func:`masked_reduce` are the predicated bulk
+operations of the vector data plane (purge/compact rounds, lane-local
+reductions over live candidates); each is checked against its
+plain-Python definition, on degenerate shapes and on strided views.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.mcb.errors import ConfigurationError
-from repro.mcb.reference import ReferenceMCBNetwork
-from repro.mcb.trace import RunStats
-from repro.mcb.vector import (
-    SchedulePlan,
-    VectorRun,
-    build_batched_state,
-    build_state,
-    compact_rows,
-    masked_reduce,
-)
-
-
-@st.composite
-def plans(draw) -> SchedulePlan:
-    """A random valid plan (same shape family as test_vector_engine)."""
-    p = draw(st.integers(2, 5))
-    k = draw(st.integers(1, min(3, p)))
-    slots = draw(st.integers(2, 4))
-    cycles = draw(st.integers(1, 4))
-    writes, reads, moves = [], [], []
-    dst_pool = {proc: list(range(slots)) for proc in range(p)}
-    for cy in range(cycles):
-        n_writers = draw(st.integers(0, min(p, k)))
-        writers = draw(st.permutations(range(p)))[:n_writers]
-        chans = draw(st.permutations(range(1, k + 1)))[:n_writers]
-        written = []
-        for proc, chan in zip(writers, chans):
-            src = draw(st.integers(0, slots - 1))
-            writes.append((cy, proc, chan, src))
-            written.append(chan)
-        if written:
-            n_readers = draw(st.integers(0, 2))
-            readers = draw(st.permutations(range(p)))[:n_readers]
-            for proc in readers:
-                if not dst_pool[proc]:
-                    continue
-                chan = draw(st.sampled_from(written))
-                at = draw(st.integers(0, len(dst_pool[proc]) - 1))
-                reads.append((cy, proc, chan, dst_pool[proc].pop(at)))
-    for _ in range(draw(st.integers(0, 2))):
-        proc = draw(st.integers(0, p - 1))
-        if not dst_pool[proc]:
-            continue
-        src = draw(st.integers(0, slots - 1))
-        at = draw(st.integers(0, len(dst_pool[proc]) - 1))
-        moves.append((proc, src, dst_pool[proc].pop(at)))
-    return SchedulePlan(
-        p=p, k=k, cycles=cycles, slots=slots,
-        writes=writes, reads=reads, moves=moves,
-    )
-
-
-elements = st.integers(-(10 ** 9), 10 ** 9)
-
-
-def draw_rows(data, plan):
-    return [
-        data.draw(
-            st.lists(elements, min_size=plan.slots, max_size=plan.slots)
-        )
-        for _ in range(plan.p)
-    ]
-
-
-def draw_mask(data, plan) -> np.ndarray:
-    n = len(plan.writes)
-    return np.array(
-        data.draw(st.lists(st.booleans(), min_size=n, max_size=n)),
-        dtype=bool,
-    )
-
-
-def run_masked_oracle(plan: SchedulePlan, mask: np.ndarray, rows):
-    """Reference engine on the statically-masked plan's programs."""
-    net = ReferenceMCBNetwork(p=plan.p, k=plan.k)
-    out = net.run(plan.masked(mask.tolist()).as_programs(rows), phase="plan")
-    return out, net.stats.to_dict()
-
-
-def run_masked_vector(plan: SchedulePlan, mask: np.ndarray, rows):
-    stats = RunStats()
-    run = VectorRun(plan.p, plan.k, phase="plan", stats=stats)
-    state = run.execute(plan.compile(), build_state(rows), write_mask=mask)
-    run.finish()
-    return state, stats.to_dict()
-
-
-# ---------------------------------------------------------------------------
-# The core parity battery
-# ---------------------------------------------------------------------------
-
-@given(plans(), st.data())
-def test_masked_execution_matches_masked_oracle(plan, data):
-    rows = draw_rows(data, plan)
-    mask = draw_mask(data, plan)
-    ref_out, ref_stats = run_masked_oracle(plan, mask, rows)
-    state, vec_stats = run_masked_vector(plan, mask, rows)
-    assert vec_stats == ref_stats
-    got = state.tolist()
-    for proc in range(plan.p):
-        assert got[proc] == ref_out[proc + 1], proc
-
-
-@given(plans(), st.data())
-def test_masking_never_breaks_compilability(plan, data):
-    """Masking only removes writers, so a compilable plan stays
-    compilable under any mask — and compiling the statically masked plan
-    is equivalent to predicating the full compiled plan."""
-    rows = draw_rows(data, plan)
-    mask = draw_mask(data, plan)
-    static = plan.masked(mask.tolist())
-    stats = RunStats()
-    run = VectorRun(plan.p, plan.k, phase="plan", stats=stats)
-    static_state = run.execute(static.compile(), build_state(rows))
-    run.finish()
-    dyn_state, dyn_stats = run_masked_vector(plan, mask, rows)
-    assert dyn_stats == stats.to_dict()
-    assert dyn_state.tolist() == static_state.tolist()
-
-
-@settings(max_examples=25)
-@given(plans(), st.integers(1, 3), st.data())
-def test_per_lane_masks_match_solo_masked_runs(plan, b, data):
-    """A ``(W, B)`` mask runs lane ``b`` exactly as a solo run under the
-    mask's column ``b`` — outputs and per-lane PhaseStats both."""
-    lanes = [draw_rows(data, plan) for _ in range(b)]
-    lane_masks = [draw_mask(data, plan) for _ in range(b)]
-    mask = np.stack(lane_masks, axis=1) if len(plan.writes) else np.zeros(
-        (0, b), dtype=bool
-    )
-    run = VectorRun(plan.p, plan.k, phase="plan", batch=b)
-    state = run.execute(
-        plan.compile(), build_batched_state(lanes), write_mask=mask
-    )
-    lane_phases = run.finish()
-    for lane in range(b):
-        solo_state, solo_stats = run_masked_vector(
-            plan, lane_masks[lane], lanes[lane]
-        )
-        assert RunStats(phases=[lane_phases[lane]]).to_dict() == solo_stats
-        assert state[:, :, lane].tolist() == solo_state.tolist(), lane
-
-
-@settings(max_examples=25)
-@given(plans(), st.integers(1, 3), st.data())
-def test_uniform_mask_on_batch_matches_every_lane(plan, b, data):
-    lanes = [draw_rows(data, plan) for _ in range(b)]
-    mask = draw_mask(data, plan)
-    run = VectorRun(plan.p, plan.k, phase="plan", batch=b)
-    state = run.execute(
-        plan.compile(), build_batched_state(lanes), write_mask=mask
-    )
-    lane_phases = run.finish()
-    for lane in range(b):
-        solo_state, solo_stats = run_masked_vector(plan, mask, lanes[lane])
-        assert RunStats(phases=[lane_phases[lane]]).to_dict() == solo_stats
-        assert state[:, :, lane].tolist() == solo_state.tolist(), lane
-
-
-# ---------------------------------------------------------------------------
-# Edge semantics, pinned
-# ---------------------------------------------------------------------------
-
-PLAN = SchedulePlan(
-    p=2, k=1, cycles=2, slots=2,
-    writes=[(0, 0, 1, 0), (1, 1, 1, 1)],
-    reads=[(0, 1, 1, 0), (1, 0, 1, 0)],
-    moves=[(1, 0, 1)],
-)
-
-
-def test_all_false_mask_is_pure_local_motion():
-    rows = [[3, 4], [5, 6]]
-    stats = RunStats()
-    run = VectorRun(2, 1, phase="plan", stats=stats)
-    state = run.execute(
-        PLAN.compile(), build_state(rows),
-        write_mask=np.zeros(2, dtype=bool),
-    )
-    run.finish()
-    # No broadcast lands: only the local move applies.
-    assert state.tolist() == [[3, 4], [5, 5]]
-    ph = stats.phases[-1]
-    assert ph.messages == 0 and ph.bits == 0
-    assert ph.cycles == 2  # masked cycles still tick
-
-
-def test_masked_write_leaves_reader_slot_untouched():
-    rows = [[3, 4], [5, 6]]
-    state, _ = run_masked_vector(
-        PLAN, np.array([False, True]), rows
-    )
-    # P2's cycle-0 read is dropped (writer masked); P1's cycle-1 read
-    # still lands: P2 broadcasts its *initial* slot 1 (update
-    # semantics — writes source the input state, not the moved one).
-    assert state.tolist() == [[6, 4], [5, 5]]
-
-
-def test_masked_rejects_wrong_length():
-    with pytest.raises(ConfigurationError, match="write_mask"):
-        PLAN.masked([True])
-    run = VectorRun(2, 1, phase="plan")
-    with pytest.raises(ConfigurationError, match="write_mask"):
-        run.execute(
-            PLAN.compile(), build_state([[1, 2], [3, 4]]),
-            write_mask=np.array([True]),
-        )
-
-
-def test_lane_mask_requires_batched_run():
-    run = VectorRun(2, 1, phase="plan")
-    with pytest.raises(ConfigurationError, match="write_mask"):
-        run.execute(
-            PLAN.compile(), build_state([[1, 2], [3, 4]]),
-            write_mask=np.zeros((2, 3), dtype=bool),
-        )
-
-
-def test_allow_empty_reads_mask_drops_only_masked_writers():
-    """With ``allow_empty_reads``, reads of channels silent in the
-    *unmasked* plan survive masking (the schedule scans for an absent
-    writer); reads whose scheduled writer got masked are dropped."""
-    plan = SchedulePlan(
-        p=2, k=2, cycles=1, slots=2,
-        writes=[(0, 0, 1, 0)],
-        reads=[(0, 1, 1, 0), (0, 0, 2, 1)],  # C2 has no writer at all
-        allow_empty_reads=True,
-    )
-    masked = plan.masked([False])
-    assert masked.writes == []
-    assert masked.reads == [(0, 0, 2, 1)]
-    rows = [[7, 8], [9, 10]]
-    ref_out, ref_stats = run_masked_oracle(
-        plan, np.array([False]), rows
-    )
-    state, vec_stats = run_masked_vector(plan, np.array([False]), rows)
-    assert vec_stats == ref_stats
-    assert state.tolist() == [ref_out[1], ref_out[2]]
+from repro.mcb.vector import build_batched_state, compact_rows, masked_reduce
 
 
 # ---------------------------------------------------------------------------

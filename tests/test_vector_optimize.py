@@ -1,7 +1,7 @@
 """Phase fusion: composed gathers vs sequential execution, by property.
 
-:func:`repro.mcb.vector.fuse_phases` composes consecutive unmasked
-compiled phases into one origin-map gather.  Its contract is exact
+:func:`repro.mcb.vector.fuse_phases` composes consecutive compiled
+phases into one origin-map gather.  Its contract is exact
 equivalence: for any sequence of valid same-shape plans, executing the
 fused phase must produce a bit-identical final state and an identical
 ``RunStats.to_dict()`` to executing the constituents one by one — and,
