@@ -61,7 +61,7 @@ from repro.mcb.trace import RunStats
 from repro.mcb.vector import VectorRun, build_state, fuse_phases
 from repro.mcb.vector.cache import _ARRAY_FIELDS
 from repro.sort import sort_even_pk, sort_even_pk_batch
-from repro.sort.even_pk import _generator_plans
+from repro.sort.cnet_sort import _generator_plans
 from repro.sort.vector import compiled_columnsort_phases
 
 RESULTS = Path(__file__).resolve().parent / "results"
@@ -115,7 +115,7 @@ def run_generator_transforms(columns: dict[int, list[int]]):
     (with their program event maps) before the clock starts — which
     also leaves the batch leg's generator sorts warm.
     """
-    plans = _generator_plans(M, K, False, False)
+    plans, _ = _generator_plans("columnsort", M, K, False, False)
     for plan in plans:
         plan.as_program(0, columns[1])  # builds the event maps, untimed
 
@@ -173,11 +173,9 @@ def test_vector_engine_speedup(benchmark, emit, record, tmp_path, monkeypatch):
     assert len(warm_phases) == len(phases)
     for fresh, loaded in zip(phases, warm_phases):
         assert (
-            fresh.p, fresh.k, fresh.cycles, fresh.slots,
-            fresh.kind, fresh.allow_empty_reads,
+            fresh.p, fresh.k, fresh.cycles, fresh.slots, fresh.kind,
         ) == (
-            loaded.p, loaded.k, loaded.cycles, loaded.slots,
-            loaded.kind, loaded.allow_empty_reads,
+            loaded.p, loaded.k, loaded.cycles, loaded.slots, loaded.kind,
         )
         for name in _ARRAY_FIELDS:
             assert np.array_equal(

@@ -14,8 +14,10 @@ sorted column of ``m`` elements.  Three round kinds exist:
   sorting network lifts to an MCB sort whose round structure is the
   network's round structure.
 * :class:`PermuteRound` — one of the §5.2 columnsort transformation
-  phases (2/4/6/8), so the existing columnsort pipeline is expressible
-  in the same IR (see :func:`columnsort_network`).
+  phases (2/4/6/8), so the columnsort pipeline is a network in the
+  same IR (see :func:`columnsort_network`) and ``sort_even_pk`` runs it
+  through the same drivers as Batcher
+  (:mod:`repro.sort.cnet_sort`).
 * :class:`SortRound` — a free local sort of every column (descending;
   ``P_1`` ends with the largest elements, matching the repo's order).
 
@@ -36,9 +38,14 @@ into one collision-validated
 channel ``i + 1``, so a compare round's ``2 * |pairs| <= width <= k``
 endpoints each broadcast their column slot-by-slot in ``m`` cycles
 (``ceil(2 * |pairs| * m / k) = m`` when every line is paired), with the
-partner column landing in scratch slots ``m .. 2m-1``.  The plans run
-unchanged on the generator engine (``SchedulePlan.as_programs``), the
-vector executor (fused, masked, batched) and the persistent plan cache.
+partner column landing in scratch slots ``m .. 2m-1``.  (Columnsort's
+permute plans come from
+:func:`~repro.mcb.vector.lower.lower_columnsort_phases` instead, which
+also knows its ``paper_phase2``/``wrap_skip`` variants.)  The plans run
+unchanged on the generator engines (one
+:class:`~repro.mcb.program.RunPlan` op per round, standing for
+``SchedulePlan.as_program``), the vector executor (sequential, fused
+or batched) and the persistent plan cache.
 """
 
 from __future__ import annotations

@@ -51,7 +51,7 @@ from .plan import CompiledPhase
 #: Bump whenever the on-disk representation changes incompatibly — a
 #: CompiledPhase layout change, a lowering-output change, anything that
 #: would make a stale entry wrong.  Mismatched entries read as misses.
-PLAN_SCHEMA_VERSION = 1
+PLAN_SCHEMA_VERSION = 2
 
 _ARRAY_FIELDS = (
     "w_cycle", "w_proc", "w_chan", "w_src",
@@ -185,8 +185,7 @@ def save_compiled_phases(
     }
     for i, ph in enumerate(phases):
         arrays[f"p{i}_meta"] = np.array(
-            [ph.p, ph.k, ph.cycles, ph.slots, int(ph.allow_empty_reads)],
-            dtype=np.int64,
+            [ph.p, ph.k, ph.cycles, ph.slots], dtype=np.int64
         )
         arrays[f"p{i}_kind"] = np.array(ph.kind)
         for name in _ARRAY_FIELDS:
@@ -229,7 +228,6 @@ def load_compiled_phases(
                     CompiledPhase(
                         p=int(meta[0]), k=int(meta[1]),
                         cycles=int(meta[2]), slots=int(meta[3]),
-                        allow_empty_reads=bool(meta[4]),
                         kind=str(data[f"p{i}_kind"]),
                         **arrays,
                     )

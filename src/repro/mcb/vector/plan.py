@@ -74,7 +74,7 @@ class CompiledPhase:
     """
 
     __slots__ = (
-        "p", "k", "cycles", "slots", "kind", "allow_empty_reads",
+        "p", "k", "cycles", "slots", "kind",
         "w_cycle", "w_proc", "w_chan", "w_src",
         "r_proc", "r_dst", "r_widx",
         "m_proc", "m_src", "m_dst",
@@ -89,7 +89,6 @@ class CompiledPhase:
         cycles: int,
         slots: int,
         kind: str,
-        allow_empty_reads: bool,
         w_cycle: np.ndarray,
         w_proc: np.ndarray,
         w_chan: np.ndarray,
@@ -106,7 +105,6 @@ class CompiledPhase:
         self.cycles = cycles
         self.slots = slots
         self.kind = kind
-        self.allow_empty_reads = allow_empty_reads
         self.w_cycle = w_cycle
         self.w_proc = w_proc
         self.w_chan = w_chan
@@ -182,10 +180,6 @@ class SchedulePlan:
     reads: list[ReadEvent]
     moves: list[MoveEvent] = field(default_factory=list)
     kind: str = "elem"
-    #: Reads of a channel nobody writes that cycle are dropped (the
-    #: generator semantics deliver EMPTY) instead of rejected — for a
-    #: schedule whose reader scans for a possibly-absent writer.
-    allow_empty_reads: bool = False
 
     # ------------------------------------------------------------------
     def compile(self) -> CompiledPhase:
@@ -201,7 +195,7 @@ class SchedulePlan:
         ConfigurationError
             Any other violation of the model's access rules: a processor
             writing or reading twice in one cycle, out-of-range indices,
-            a read of a silent channel (unless ``allow_empty_reads``), or
+            a read of a silent channel, or
             two events landing in one destination slot.
         """
         p, k, cycles, slots = self.p, self.k, self.cycles, self.slots
@@ -270,10 +264,10 @@ class SchedulePlan:
                 found = wc_sorted[np.minimum(pos, len(wc_sorted) - 1)] == rc_key
             else:
                 found = np.zeros(len(r), dtype=bool)
-            if not found.all() and not self.allow_empty_reads:
+            if not found.all():
                 return None  # read of a silent channel
-            mr = r[found]
-            r_widx = wc_order[pos[found]]
+            mr = r
+            r_widx = wc_order[pos]
         else:
             mr = r
             r_widx = np.empty(0, dtype=np.int64)
@@ -287,7 +281,6 @@ class SchedulePlan:
 
         return CompiledPhase(
             p=p, k=k, cycles=cycles, slots=slots, kind=self.kind,
-            allow_empty_reads=self.allow_empty_reads,
             w_cycle=w[:, 0].copy(), w_proc=w[:, 1].copy(),
             w_chan=w[:, 2].copy(), w_src=w[:, 3].copy(),
             r_proc=mr[:, 1].copy(), r_dst=mr[:, 3].copy(),
@@ -332,13 +325,9 @@ class SchedulePlan:
         for cy, proc, chan, dst in reads:
             widx = write_at.get((cy, chan))
             if widx is None:
-                if self.allow_empty_reads:
-                    continue  # generator semantics: EMPTY, nothing stored
                 raise ConfigurationError(
                     f"P{proc + 1} reads silent channel C{chan} in cycle "
-                    f"{cy} (no writer scheduled); pass "
-                    f"allow_empty_reads=True if the schedule scans for "
-                    f"a possibly-absent writer"
+                    f"{cy} (no writer scheduled)"
                 )
             matched.append((proc, dst, widx))
 
@@ -366,7 +355,6 @@ class SchedulePlan:
 
         return CompiledPhase(
             p=p, k=k, cycles=cycles, slots=slots, kind=self.kind,
-            allow_empty_reads=self.allow_empty_reads,
             w_cycle=col([w[0] for w in writes]),
             w_proc=col([w[1] for w in writes]),
             w_chan=col([w[2] for w in writes]),

@@ -15,7 +15,6 @@ from .vector import (
     compiled_columnsort_phases,
     prewarm_plan_cache,
     sort_even_pk_batch,
-    sort_even_pk_vector,
 )
 from .backends import (
     BACKENDS,
@@ -61,7 +60,6 @@ __all__ = [
     "sort_even_collect",
     "sort_even_pk",
     "sort_even_pk_batch",
-    "sort_even_pk_vector",
     "sort_ones",
     "sort_uneven",
     "static_plan_stats",

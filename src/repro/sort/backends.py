@@ -38,7 +38,12 @@ from typing import Optional
 import numpy as np
 
 from ..columnsort.matrix import dims_valid
-from ..mcb.cnet import CompareRound, ComparatorNetwork, build_network
+from ..mcb.cnet import (
+    CompareRound,
+    ComparatorNetwork,
+    PermuteRound,
+    build_network,
+)
 from ..mcb.errors import ConfigurationError
 
 #: Preference-ordered backend names (ties in cost break left-to-right,
@@ -103,7 +108,7 @@ def predicted_cost(backend: str, k: int, m: int) -> dict:
         if isinstance(rnd, CompareRound):
             cycles += m
             messages += 2 * m * len(rnd.pairs)
-        elif not hasattr(rnd, "skip_first"):  # PermuteRound
+        elif isinstance(rnd, PermuteRound):
             cycles += m
             messages += _permute_messages(rnd.phase, m, k)
     return {

@@ -1,26 +1,41 @@
-"""Comparator-network sorting on MCB(k, k): vector + generator drivers.
+"""Comparator-network sorting on MCB(k, k): one driver per engine.
 
 :func:`sort_cnet` runs any :class:`~repro.mcb.cnet.ComparatorNetwork`
-on an even ``p = k`` distribution.  Each communication round executes
-its lowered :class:`~repro.mcb.vector.plan.SchedulePlan`; the local
-work between rounds — the merge-split combine of a compare round, the
-free sorts — is data-dependent but costs nothing in the MCB model, so
-it runs as whole-matrix NumPy on the vector engine and as plain Python
-inside per-processor programs on the generator engine.
+on an even ``p = k`` distribution: Batcher's odd-even merge network,
+and the §5.2 columnsort pipeline, which
+:func:`~repro.sort.even_pk.sort_even_pk` routes here for every backend.
+Each communication round executes its lowered
+:class:`~repro.mcb.vector.plan.SchedulePlan`; the local work between
+rounds — the merge-split combine of a compare round, the free sorts —
+is data-dependent but costs nothing in the MCB model, so it runs as
+whole-matrix NumPy on the vector engine (:func:`_cnet_pipeline`) and as
+plain Python inside one per-processor sub-generator on the generator
+engines (:func:`cnet_program`, which is also
+:func:`~repro.sort.even_pk.columnsort_program` inside the collect,
+uneven, ones and CREW sorts).
 
-On the generator engine every round plan runs as one
+Columnsort's round plans come from
+:func:`~repro.mcb.vector.lower.lower_columnsort_phases`, the one place
+that picks the lowering of each ``paper_phase2``/``wrap_skip``
+variant; every other network's come from
+:func:`~repro.mcb.cnet.cnet_to_schedule`.  A line's state holds its
+column in slots ``0..m-1`` plus the plans' extra slots — Batcher's
+merge scratch, wrap-skip's ``m // 2`` parking slots — and every plan
+writes an extra slot before anything reads it.
+
+On the generator engines every round plan runs as one
 :class:`~repro.mcb.program.RunPlan` op, which stands for
 ``SchedulePlan.as_program``'s literal event stream (the same stream
-the executor gathers), and the combine applies the same merge rule to
-the same values, so outputs *and* ``RunStats.to_dict()`` accounting
-agree bit-for-bit between the two drivers and the reference
-interpreter (``tests/test_cnet_backends.py``).
+the executor gathers), and the local steps apply the same rules to the
+same values, so outputs *and* ``RunStats.to_dict()`` agree bit for bit
+between the two drivers and the reference interpreter
+(``tests/test_cnet_backends.py``, ``tests/test_differential.py``).
 
 Compiled round plans live in the shared
-:class:`~repro.mcb.vector.cache.PlanRegistry` under a network-keyed
-stem (``cnet_<name>_m<m>_k<k>``), so Batcher plans get the same
-memory/disk caching, prewarming, and ``vector_plan_cache_total``
-accounting (labelled ``backend=<name>``) as the columnsort phases.
+:class:`~repro.mcb.vector.cache.PlanRegistry`: columnsort under its
+variant-keyed stem, other networks under ``cnet_<name>_m<m>_k<k>``, so
+every backend gets the same memory/disk caching, prewarming and
+``vector_plan_cache_total`` accounting (labelled ``backend=<name>``).
 """
 
 from __future__ import annotations
@@ -34,6 +49,7 @@ from ..mcb.cnet import (
     CompareRound,
     ComparatorNetwork,
     PermuteRound,
+    SortRound,
     build_network,
     cnet_to_schedule,
 )
@@ -42,29 +58,80 @@ from ..mcb.network import MCBNetwork
 from ..mcb.program import RunPlan
 from ..mcb.vector import CompiledPhase, VectorRun, build_state
 from ..mcb.vector.cache import cnet_plan_stem, plan_registry
-from .even_pk import SortResult
-from .vector import _ascending, _descending, _validated_columns
+from ..mcb.vector.lower import lower_columnsort_phases
+from .common import SortResult
+from .vector import compiled_columnsort_phases
+
+
+def _variant(
+    backend: str, k: int, paper_phase2: bool, wrap_skip: bool
+) -> tuple[bool, bool]:
+    """The normalized ``(paper_phase2, wrap_skip)`` schedule variant.
+
+    Only columnsort has variants; ``wrap_skip`` needs ``k >= 2`` (with
+    one column there is no wrap-around to skip).
+    """
+    if backend != "columnsort":
+        if paper_phase2 or wrap_skip:
+            raise ConfigurationError(
+                "paper_phase2/wrap_skip are columnsort schedule variants; "
+                f"backend {backend!r} has no such knobs"
+            )
+        return False, False
+    return bool(paper_phase2), bool(wrap_skip) and k > 1
+
+
+def _column_length(k: int, columns: dict[int, list], backend: str) -> int:
+    """Validate an even ``p = k`` input for ``backend``; returns ``m``.
+
+    Columnsort needs its §5.2 dimension rule (which admits ``m = 0`` at
+    ``k = 1``: every phase is then empty); every other network needs
+    ``m >= 1``.
+    """
+    if sorted(columns) != list(range(1, k + 1)):
+        raise ValueError("columns must be given for every processor 1..k")
+    lengths = {len(c) for c in columns.values()}
+    if len(lengths) != 1:
+        raise ValueError(
+            f"distribution is not even: lengths {sorted(lengths)}"
+        )
+    m = lengths.pop()
+    if backend == "columnsort":
+        require_valid_dims(m, k)
+    elif m < 1:
+        raise ConfigurationError(f"need m >= 1 elements per line, got {m}")
+    return m
+
+
+def _phase_label(backend: str, phase: str) -> str:
+    """The phase a sort records: ``phase`` for columnsort, the paper's
+    own pipeline; ``f"{phase}/cnet-{backend}"`` for any other network
+    (:mod:`repro.bounds.overlay` predicts those phases by name)."""
+    return phase if backend == "columnsort" else f"{phase}/cnet-{backend}"
 
 
 def compiled_cnet_phases(
-    name: str, m: int, k: int
+    name: str,
+    m: int,
+    k: int,
+    paper_phase2: bool = False,
+    wrap_skip: bool = False,
 ) -> tuple[CompiledPhase, ...]:
     """Compiled plans for the named network's communication rounds.
 
     One entry per compare/permute round, in round order.  The
-    ``"columnsort"`` network shares the plain columnsort phase entries
-    (same plans, same disk files, same ``backend="columnsort"`` label);
-    other networks cache under their own network-keyed stem.
+    ``"columnsort"`` network's entries are the columnsort phase entries
+    of the variant (same plans, same disk files, same
+    ``backend="columnsort"`` label); other networks cache under their
+    own network-keyed stem.
     """
     if name == "columnsort":
-        from .vector import compiled_columnsort_phases
-
-        return compiled_columnsort_phases(m, k)
-    network = build_network(name, k)
+        return compiled_columnsort_phases(m, k, paper_phase2, wrap_skip)
 
     def build() -> tuple[CompiledPhase, ...]:
         return tuple(
-            plan.compile() for plan in cnet_to_schedule(network, k, k, m)
+            plan.compile()
+            for plan in cnet_to_schedule(build_network(name, k), k, k, m)
         )
 
     return plan_registry().lookup(
@@ -72,18 +139,48 @@ def compiled_cnet_phases(
     )
 
 
-@lru_cache(maxsize=512)
-def _generator_plans(name: str, m: int, k: int) -> tuple:
-    """Uncompiled round plans for the generator driver, cached — the
-    plans (and their program event maps) are pure functions of the
-    configuration, so repeated small sorts skip the lowering."""
-    return cnet_to_schedule(build_network(name, k), k, k, m)
+@lru_cache(maxsize=64)
+def _generator_plans(
+    name: str, m: int, k: int, paper_phase2: bool, wrap_skip: bool
+) -> tuple[tuple, tuple[tuple, ...]]:
+    """The round plans and :func:`cnet_steps` the generator engines run.
+
+    Both are pure functions of the configuration, so they are cached:
+    repeated small sorts skip the lowering (and the plans keep their
+    program event maps), and every processor of a sort shares them.  Each
+    plan is checked once, statically: :meth:`SchedulePlan.compile`
+    enforces collision-freedom, matched reads and unique destinations,
+    and a permute plan's reads plus moves must refill rows ``0..m-1``
+    of every column — except column 1's wrap-skip ghost rows after
+    phase 6, whose elements stay parked at column ``k`` until phase 8
+    refills them.
+    """
+    network = build_network(name, k)
+    if name == "columnsort":
+        plans = lower_columnsort_phases(m, k, paper_phase2, wrap_skip)
+    else:
+        plans = cnet_to_schedule(network, k, k, m)
+    comm = [rnd for rnd in network.rounds if not isinstance(rnd, SortRound)]
+    for rnd, plan in zip(comm, plans):
+        compiled = plan.compile()
+        if not isinstance(rnd, PermuteRound):
+            continue
+        filled = np.zeros((k, plan.slots), dtype=bool)
+        filled[compiled.r_proc, compiled.r_dst] = True
+        filled[compiled.m_proc, compiled.m_dst] = True
+        want = np.ones((k, m), dtype=bool)
+        if wrap_skip and rnd.phase == 6:
+            want[0, : m // 2] = False
+        assert (filled[:, :m] == want).all(), (
+            f"phase {rnd.phase} leaves a hole"
+        )
+    return plans, cnet_steps(network)
 
 
-def cnet_steps(network: ComparatorNetwork) -> list[tuple]:
+def cnet_steps(network: ComparatorNetwork) -> tuple[tuple, ...]:
     """The driver's step list: one entry per plan execution/local op.
 
-    ``("plan", i)`` executes the ``i``-th compiled communication plan;
+    ``("plan", i)`` executes the ``i``-th communication plan;
     ``("merge", his, los)`` applies the merge-split combine to that
     round's endpoints; ``("sort", skip_first)`` is a free local sort.
     """
@@ -103,7 +200,69 @@ def cnet_steps(network: ComparatorNetwork) -> list[tuple]:
             comm += 1
         else:
             steps.append(("sort", rnd.skip_first))
-    return steps
+    return tuple(steps)
+
+
+def cnet_program(
+    name: str,
+    line: int,
+    column: list,
+    m: int,
+    k: int,
+    variant: tuple[bool, bool],
+):
+    """Sub-generator running the named network for one processor line.
+
+    ``line`` is 0-based; ``column`` is the line's initial column
+    (length ``m``).  Returns the final sorted column (a descending
+    list).  All ``k`` lines must run this concurrently, line ``i``
+    writing channel ``i + 1``; ``variant`` is :func:`_variant`'s
+    normalized ``(paper_phase2, wrap_skip)``.
+
+    Each round plan runs as one :class:`~repro.mcb.program.RunPlan`
+    op: the fast engine runs a plan that all ``k`` lines enter together
+    in one collective step, and every other engine steps its
+    ``as_program`` ops.  The local sorts and merge-splits between them
+    only touch rows ``0..m-1`` (a merge also reads the partner's
+    column from scratch slots ``m..2m-1``).
+    """
+    if m == 0:
+        return []  # every round is zero cycles long
+    plans, steps = _generator_plans(name, m, k, *variant)
+    slots = max((plan.slots for plan in plans), default=m)
+    row = list(column)
+    row += row[: slots - m]  # extra slots; every plan writes them first
+    for step in steps:
+        if step[0] == "plan":
+            row = yield RunPlan(plans[step[1]], line, row)
+        elif step[0] == "sort":
+            if not (step[1] and line == 0):
+                row[:m] = sorted(row[:m], reverse=True)
+        elif line in step[1] or line in step[2]:
+            merged = sorted(row[: 2 * m], reverse=True)
+            row[:m] = merged[:m] if line in step[1] else merged[m:]
+    return row[:m]
+
+
+def _sort_slots(view: np.ndarray, descending: bool) -> None:
+    """Sort ``view`` along its slot axis (axis 1), in place.
+
+    Ties carry no hidden order: equal values are equal elements (bit
+    accounting is a function of the value), so this matches the
+    generator's ``sorted(..., reverse=True)`` exactly.  Works on the
+    batch axis too.  ``descending=False`` serves the negated numeric
+    pipeline, where a plain ascending sort is the descending one.
+    Numeric descending sorts go negate/sort/negate, which stays in
+    place instead of materializing a reversed-stride copy.
+    """
+    if not descending:
+        view.sort(axis=1)
+    elif view.dtype == object:
+        view[...] = np.sort(view, axis=1)[:, ::-1]
+    else:
+        np.negative(view, out=view)
+        view.sort(axis=1)
+        np.negative(view, out=view)
 
 
 def _merge_split(
@@ -119,21 +278,11 @@ def _merge_split(
     in slots ``0..m-1`` and its partner's in ``m..2m-1`` — the same
     multiset on both endpoints of a pair, so one sort of the ``hi``
     rows serves both: ``hi`` keeps the top half, ``lo`` the bottom.
-    ``descending=False`` is the globally-negated numeric pipeline,
-    where "top" is the ascending front.  Works on the batch axis (axis
-    1 is the slot axis either way).
     """
     hi_idx = np.asarray(his, dtype=np.intp)
     lo_idx = np.asarray(los, dtype=np.intp)
     seg = state[hi_idx, : 2 * m]  # fancy index -> private copy
-    if not descending:
-        seg.sort(axis=1)
-    elif seg.dtype == object:
-        seg = np.sort(seg, axis=1)[:, ::-1]
-    else:
-        np.negative(seg, out=seg)
-        seg.sort(axis=1)
-        np.negative(seg, out=seg)
+    _sort_slots(seg, descending)
     state[hi_idx, :m] = seg[:, :m]
     state[lo_idx, :m] = seg[:, m:]
 
@@ -142,137 +291,40 @@ def _cnet_pipeline(
     run: VectorRun,
     state: np.ndarray,
     network: ComparatorNetwork,
-    compiled: tuple[CompiledPhase, ...],
     m: int,
+    variant: tuple[bool, bool],
 ) -> np.ndarray:
-    """Execute every round of ``network`` on the vector engine."""
-    steps = cnet_steps(network)
-    if state.dtype == object or run._dispatch is not None:
-        for step in steps:
-            if step[0] == "plan":
-                state = run.execute(compiled[step[1]], state, donate=True)
-            elif step[0] == "sort":
-                _descending(state, skip_first=step[1], width=m)
-            else:
-                _merge_split(state, step[1], step[2], m, descending=True)
-        return state
-    # Numeric, unobserved runs: bracket with one global negation and do
-    # every local sort/merge ascending — the same sign-invariant-bits
-    # trick the columnsort pipeline uses (see _columnsort_pipeline).
-    np.negative(state, out=state)
-    for step in steps:
+    """Execute every round of ``network`` on the vector engine.
+
+    ``state`` holds each line's column in slots ``0..m-1`` (axis 1,
+    batched or not); it is padded to the compiled plans' slot count
+    first, and the local sorts stay within the first ``m`` slots.
+    Every plan discards its input, so each donates its state buffer to
+    the executor (no per-phase defensive copy).
+
+    Numeric, unobserved runs bracket the whole run with one global
+    negation and sort plain ascending in between: bit accounting is
+    sign-invariant (ints charge ``bit_length(abs(v))``, floats a flat
+    64).  Observed runs sort descending, since dispatch events carry
+    the actual values.
+    """
+    compiled = compiled_cnet_phases(network.name, m, network.width, *variant)
+    extra = max((ph.slots for ph in compiled), default=m) - m
+    if extra:
+        state = np.concatenate([state, state[:, :extra]], axis=1)
+    descending = state.dtype == object or run._dispatch is not None
+    if not descending:
+        np.negative(state, out=state)
+    for step in cnet_steps(network):
         if step[0] == "plan":
             state = run.execute(compiled[step[1]], state, donate=True)
         elif step[0] == "sort":
-            _ascending(state, skip_first=step[1], width=m)
+            _sort_slots(state[1 if step[1] else 0:, :m], descending)
         else:
-            _merge_split(state, step[1], step[2], m, descending=False)
-    np.negative(state, out=state)
+            _merge_split(state, step[1], step[2], m, descending)
+    if not descending:
+        np.negative(state, out=state)
     return state
-
-
-def _validated(
-    net: MCBNetwork, columns: dict[int, list], network: ComparatorNetwork
-) -> int:
-    k = net.k
-    if net.p != k or network.width != k:
-        raise ConfigurationError(
-            "comparator-network sorts run on p == k == width; got "
-            f"p={net.p}, k={k}, width={network.width}"
-        )
-    m = _validated_columns(k, columns, require_dims=False)
-    if network.name == "columnsort":
-        # The columnsort extraction is still columnsort: its
-        # correctness needs the §5.2 dimension rule.
-        require_valid_dims(m, k)
-    return m
-
-
-def sort_cnet_vector(
-    net: MCBNetwork,
-    columns: dict[int, list],
-    network: ComparatorNetwork,
-    *,
-    phase: str = "sort",
-) -> SortResult:
-    """Run ``network`` on the vector engine; costs land in ``net.stats``."""
-    k = net.k
-    m = _validated(net, columns, network)
-    compiled = compiled_cnet_phases(network.name, m, k)
-    rows = [list(columns[pid]) for pid in range(1, k + 1)]
-    if network.slot_factor == 2:
-        # Scratch slots m..2m-1 start as a copy of the own column: they
-        # are fully overwritten by the first round's reads before any
-        # use, and duplicating keeps the state's dtype untouched.
-        rows = [row + row for row in rows]
-    state = build_state(rows)
-    run = VectorRun(
-        net.p, k, phase=f"{phase}/cnet-{network.name}",
-        stats=net.stats, dispatch=net._dispatch,
-    )
-    state = _cnet_pipeline(run, state, network, compiled, m)
-    run.finish()
-    out = state[:, :m].tolist()
-    return SortResult(
-        output={pid: tuple(out[pid - 1]) for pid in range(1, k + 1)}
-    )
-
-
-def sort_cnet_generator(
-    net: MCBNetwork,
-    columns: dict[int, list],
-    network: ComparatorNetwork,
-    *,
-    phase: str = "sort",
-) -> SortResult:
-    """Run ``network`` on the generator engine.
-
-    Each processor's program yields one
-    :class:`~repro.mcb.program.RunPlan` per round plan — the plan's
-    literal ``as_program`` event stream, which the fast engine runs as
-    one collective step when all ``k`` processors enter it together
-    (they advance in lockstep: a plan's cycle count is global) — and
-    applies the identical local merge rule between rounds, so this is
-    exactly what the vector driver computes, message for message.  The
-    reference interpreter steps the same ops and is the oracle both
-    drivers are checked against.
-    """
-    k = net.k
-    m = _validated(net, columns, network)
-    plans = _generator_plans(network.name, m, k)
-    steps = cnet_steps(network)
-    double = network.slot_factor == 2
-
-    def make(pid: int):
-        col = list(columns[pid])
-
-        def program(ctx):
-            row = col + col if double else list(col)
-            for step in steps:
-                if step[0] == "plan":
-                    row = yield RunPlan(plans[step[1]], ctx.pid - 1, row)
-                elif step[0] == "sort":
-                    if not (step[1] and ctx.pid == 1):
-                        row[:m] = sorted(row[:m], reverse=True)
-                else:
-                    _, his, los = step
-                    line = ctx.pid - 1
-                    if line in his or line in los:
-                        merged = sorted(row[: 2 * m], reverse=True)
-                        row[:m] = (
-                            merged[:m] if line in his else merged[m:]
-                        )
-            return row[:m]
-
-        return program
-
-    out = net.run(
-        {pid: make(pid) for pid in range(1, k + 1)},
-        phase=f"{phase}/cnet-{network.name}",
-    )
-    return SortResult(
-        output={pid: tuple(out[pid]) for pid in range(1, k + 1)}
-    )
 
 
 def sort_cnet(
@@ -282,13 +334,51 @@ def sort_cnet(
     *,
     phase: str = "sort",
     engine: str = "generator",
+    paper_phase2: bool = False,
+    wrap_skip: bool = False,
 ) -> SortResult:
-    """Sort an even ``p = k`` distribution with the named network."""
+    """Sort an even ``p = k`` distribution with the named network.
+
+    ``engine="generator"`` runs :func:`cnet_program` on every
+    processor; ``"vector"`` runs :func:`_cnet_pipeline` on the network's
+    stats and observers; the phase is recorded as
+    :func:`_phase_label` names it.  Only columnsort takes
+    ``paper_phase2``/``wrap_skip``.
+    """
+    variant = _variant(backend, net.k, paper_phase2, wrap_skip)
     network = build_network(backend, net.k)
-    if engine == "vector":
-        return sort_cnet_vector(net, columns, network, phase=phase)
-    if engine != "generator":
+    if engine not in ("generator", "vector"):
         raise ConfigurationError(
             f"unknown engine {engine!r}; expected 'generator' or 'vector'"
         )
-    return sort_cnet_generator(net, columns, network, phase=phase)
+    k = net.k
+    if net.p != k:
+        raise ConfigurationError(
+            "comparator-network sorts run on p == k == width; got "
+            f"p={net.p}, k={k}, width={network.width}"
+        )
+    m = _column_length(k, columns, backend)
+    label = _phase_label(backend, phase)
+    pids = range(1, k + 1)
+    if engine == "vector":
+        run = VectorRun(
+            net.p, k, phase=label, stats=net.stats, dispatch=net._dispatch
+        )
+        state = build_state([list(columns[pid]) for pid in pids])
+        state = _cnet_pipeline(run, state, network, m, variant)
+        run.finish()
+        rows = state[:, :m].tolist()
+        return SortResult(
+            output={pid: tuple(rows[pid - 1]) for pid in pids}
+        )
+
+    def make(pid: int):
+        def program(ctx):
+            return (yield from cnet_program(
+                backend, pid - 1, columns[pid], m, k, variant
+            ))
+
+        return program
+
+    out = net.run({pid: make(pid) for pid in pids}, phase=label)
+    return SortResult(output={pid: tuple(out[pid]) for pid in pids})

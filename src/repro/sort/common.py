@@ -15,9 +15,22 @@ tail of the sorted list.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Any, Sequence
 
 from ..mcb.message import pack_elem, unpack_elem
+
+
+@dataclass
+class SortResult:
+    """Output of a distributed sort: final per-processor contents."""
+
+    output: dict[int, tuple]
+
+    def as_lists(self) -> dict[int, list]:
+        """The output as mutable lists (convenience for callers)."""
+        return {pid: list(v) for pid, v in self.output.items()}
+
 
 #: Scalar padding element: strictly smaller than any real element.
 DUMMY = -math.inf

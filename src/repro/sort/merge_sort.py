@@ -45,6 +45,7 @@ from __future__ import annotations
 from bisect import insort
 from typing import Any, Optional, Sequence
 
+from ..core.element import has_duplicates
 from ..mcb.message import EMPTY, Message
 from ..mcb.network import MCBNetwork
 from ..mcb.program import CycleOp, Listen, ProcContext
@@ -274,10 +275,19 @@ def merge_sort(
     The §9 remark: on a single channel this achieves the same complexity
     as the IPBAM sorting algorithm of [Dech84] — without concurrent
     write.
+
+    Keys must be distinct (the §3 assumption the linked list relies
+    on); :func:`repro.sort.dispatch.mcb_sort` lifts repeated values to
+    distinct ``(value, pid, index)`` triples first.
     """
     pids = sorted(parts)
     if pids != list(range(1, net.p + 1)):
         raise ValueError("parts must cover processors 1..p")
+    if has_duplicates(parts):
+        raise ValueError(
+            "merge_sort needs distinct keys (§3); sort repeated values "
+            "with mcb_sort, which lifts them to distinct triples"
+        )
     counts = [len(parts[i]) for i in pids]
 
     def program(ctx: ProcContext):

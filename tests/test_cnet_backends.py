@@ -11,8 +11,9 @@ Layers covered:
   outputs *and* ``RunStats.to_dict()`` equal the ``as_program``
   generator oracle's, plus an exhaustive small-config sweep
   (p <= 16, k in {1, 2, 4}) across all backends including ``"auto"``.
-* The columnsort extraction — the IR's ``columnsort`` network runs the
-  identical plans as :func:`repro.sort.vector.sort_even_pk_vector`.
+* The columnsort network — ``sort_cnet(..., "columnsort")`` is what
+  ``sort_even_pk`` runs (its variants and batch lanes are checked in
+  ``tests/test_differential.py``); it keeps the §5.2 dimension rule.
 * Executor features — fused execution of cnet plans, the batch axis.
 * The cost model — closed forms equal static plan stats; the tuner
   returns an available backend everywhere; overlay predictions match.
@@ -219,21 +220,6 @@ def test_exhaustive_small_config_sweep():
                             net, cols, backend=backend, engine=engine
                         ).output
                         assert got == want, (backend, engine, p, k, m)
-
-
-def test_columnsort_extraction_matches_vector_pipeline():
-    """The IR's 'columnsort' network runs the same compiled plans as
-    sort_even_pk_vector: identical outputs and identical stats."""
-    k, m = 4, 12
-    cols = make_columns(k, m, seed=3)
-    a_net = MCBNetwork(p=k, k=k)
-    a = sort_cnet(a_net, cols, "columnsort", engine="vector", phase="x")
-    b_net = MCBNetwork(p=k, k=k)
-    from repro.sort.vector import sort_even_pk_vector
-
-    b = sort_even_pk_vector(b_net, cols, phase="x/cnet-columnsort")
-    assert a.output == b.output
-    assert a_net.stats.to_dict() == b_net.stats.to_dict()
 
 
 def test_columnsort_backend_enforces_dimension_rule():

@@ -12,7 +12,11 @@ size, distribution and even-sort backend — and runs it on three paths:
   every ``select`` query.
 
 All of them must return the same output and the same
-``RunStats.to_dict()``.  A second property does the same for the §6.1
+``RunStats.to_dict()``.  A second property draws ``sort_even_pk``'s
+columnsort variants (``paper_phase2`` x ``wrap_skip``, k up to 8) on
+the same three paths, and a third checks every lane of a
+``sort_even_pk_batch`` run, either backend, against its solo run on the
+generator engine.  A last property does the same for the §6.1
 virtual-column sort (both sorters, several group sizes ``g = p/k``) and
 the §6.2 recursion, whose transfer phases are collective plans on the
 fast engine; the vector engine does not run them.
@@ -30,7 +34,12 @@ from repro.mcb import MCBNetwork
 from repro.mcb.reference import ReferenceMCBNetwork
 from repro.obs import EventLog
 from repro.select import mcb_select
-from repro.sort import mcb_sort, sort_virtual
+from repro.sort import (
+    mcb_sort,
+    sort_even_pk,
+    sort_even_pk_batch,
+    sort_virtual,
+)
 from repro.sort.recursive import sort_recursive
 
 
@@ -111,6 +120,87 @@ def test_engines_agree(query):
     assert run(observed, query) == fast
     if vector_applies(query):
         assert run(MCBNetwork(p, k), query, engine="vector") == fast
+
+
+def draw_columns(draw, k: int, m: int) -> dict[int, list]:
+    """``k`` columns of ``m`` distinct values, or of eight values."""
+    n = k * m
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        values = rng.choice(4 * n + 1, size=n, replace=False).tolist()
+    else:
+        values = rng.choice(np.arange(1, 9) * 100, size=n).tolist()
+    return {pid: values[(pid - 1) * m: pid * m] for pid in range(1, k + 1)}
+
+
+@st.composite
+def even_pk_variants(draw):
+    """``(k, columns, paper_phase2, wrap_skip)`` for one §5.2 sort whose
+    column length ``m`` meets the dimension rule (``k | m``,
+    ``m >= k(k - 1)``)."""
+    k = draw(st.sampled_from([1, 2, 3, 4, 8]))
+    m = k * draw(st.integers(max(1, k - 1), k + 1))
+    return k, draw_columns(draw, k, m), draw(st.booleans()), draw(st.booleans())
+
+
+def run_even_pk(net, query, engine="generator"):
+    k, columns, paper_phase2, wrap_skip = query
+    answer = sort_even_pk(
+        net, {pid: list(v) for pid, v in columns.items()},
+        paper_phase2=paper_phase2, wrap_skip=wrap_skip, engine=engine,
+    ).output
+    return answer, net.stats.to_dict()
+
+
+@settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(query=even_pk_variants())
+def test_even_pk_variants_agree(query):
+    k, columns, *_ = query
+    observed = ReferenceMCBNetwork(k, k)
+    observed.attach_observer(EventLog())
+    fast = run_even_pk(MCBNetwork(k, k), query)
+    assert run_even_pk(observed, query) == fast
+    assert run_even_pk(MCBNetwork(k, k), query, engine="vector") == fast
+    flat = sorted((v for col in columns.values() for v in col), reverse=True)
+    assert [v for pid in range(1, k + 1) for v in fast[0][pid]] == flat
+
+
+@st.composite
+def batch_queries(draw):
+    """``(k, lanes, backend, paper_phase2, wrap_skip)`` for one batched
+    sort; the variants apply to columnsort only."""
+    backend = draw(st.sampled_from(["columnsort", "batcher"]))
+    k = draw(st.sampled_from([1, 2, 3, 4]))
+    if backend == "columnsort":
+        m = k * draw(st.integers(max(1, k - 1), k + 1))
+        paper_phase2, wrap_skip = draw(st.booleans()), draw(st.booleans())
+    else:
+        m = draw(st.integers(1, 6))
+        paper_phase2 = wrap_skip = False
+    lanes = [draw_columns(draw, k, m) for _ in range(draw(st.integers(1, 4)))]
+    return k, lanes, backend, paper_phase2, wrap_skip
+
+
+@settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(query=batch_queries())
+def test_batch_lanes_match_solo_runs(query):
+    k, lanes, backend, paper_phase2, wrap_skip = query
+    batch = sort_even_pk_batch(
+        k, lanes, paper_phase2=paper_phase2, wrap_skip=wrap_skip,
+        backend=backend,
+    )
+    for lane, result, stats in zip(lanes, batch.results, batch.stats):
+        net = MCBNetwork(k, k)
+        solo = sort_even_pk(
+            net, {pid: list(v) for pid, v in lane.items()},
+            paper_phase2=paper_phase2, wrap_skip=wrap_skip, backend=backend,
+        )
+        assert result.output == solo.output
+        assert stats.to_dict() == net.stats.to_dict()
 
 
 @st.composite

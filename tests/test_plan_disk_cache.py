@@ -30,9 +30,8 @@ def _sample_phases():
     a = SchedulePlan(
         p=3, k=2, cycles=2, slots=3,
         writes=[(0, 0, 1, 0), (0, 1, 2, 1), (1, 2, 1, 2)],
-        reads=[(0, 2, 1, 0), (1, 0, 2, 1)],
+        reads=[(0, 2, 1, 0), (1, 0, 1, 1)],
         moves=[(1, 0, 2)],
-        allow_empty_reads=True,
     ).compile()
     b = SchedulePlan(
         p=3, k=2, cycles=1, slots=3,
@@ -51,11 +50,9 @@ def test_round_trip_is_exact(tmp_path):
     assert len(loaded) == len(phases)
     for fresh, back in zip(phases, loaded):
         assert (
-            fresh.p, fresh.k, fresh.cycles, fresh.slots,
-            fresh.kind, fresh.allow_empty_reads,
+            fresh.p, fresh.k, fresh.cycles, fresh.slots, fresh.kind,
         ) == (
-            back.p, back.k, back.cycles, back.slots,
-            back.kind, back.allow_empty_reads,
+            back.p, back.k, back.cycles, back.slots, back.kind,
         )
         for name in _ARRAY_FIELDS:
             got = getattr(back, name)

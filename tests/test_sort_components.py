@@ -137,20 +137,20 @@ class TestTransformationSubgenerators:
     def test_generator_plans_reject_a_hole(self, monkeypatch):
         # The generator path's static check: every phase's reads and
         # moves must refill each column's rows 0..m-1.
-        from repro.sort import even_pk
+        from repro.sort import cnet_sort
 
         def holed(m, k, paper_phase2, wrap_skip):
             plans = lower_columnsort_phases(m, k, paper_phase2, wrap_skip)
             plans[1].reads.pop()  # one phase-4 delivery goes missing
             return plans
 
-        monkeypatch.setattr(even_pk, "lower_columnsort_phases", holed)
-        even_pk._generator_plans.cache_clear()
+        monkeypatch.setattr(cnet_sort, "lower_columnsort_phases", holed)
+        cnet_sort._generator_plans.cache_clear()
         try:
             with pytest.raises(AssertionError, match="phase 4"):
-                even_pk._generator_plans(12, 3, False, False)
+                cnet_sort._generator_plans("columnsort", 12, 3, False, False)
         finally:
-            even_pk._generator_plans.cache_clear()
+            cnet_sort._generator_plans.cache_clear()
 
     @pytest.mark.parametrize("phase", [2, 4, 6, 8])
     def test_virtual_phase_preserves_column_sets(self, phase, rng):

@@ -6,7 +6,7 @@ from helpers import make_uneven
 from repro.core import Distribution
 from repro.core.problem import sorting_violations
 from repro.mcb import MCBNetwork
-from repro.sort import merge_sort, rank_sort
+from repro.sort import mcb_sort, merge_sort, rank_sort
 from repro.sort.merge_sort import CONSTRUCT_CYCLES, ROUND_CYCLES
 
 
@@ -131,6 +131,15 @@ class TestMergeSort:
         net = MCBNetwork(p=3, k=1)
         with pytest.raises(ValueError):
             merge_sort(net, {1: [1], 3: [2]})
+
+    def test_rejects_duplicate_keys(self):
+        # The linked list assumes distinct keys: run as-is, this input
+        # collides in cycle 16.  mcb_sort sorts it through triples.
+        parts = {1: [4, 4], 2: [7, 6]}
+        with pytest.raises(ValueError, match="§3.*mcb_sort"):
+            merge_sort(MCBNetwork(p=2, k=1), parts)
+        out = mcb_sort(MCBNetwork(p=2, k=1), parts, strategy="merge")
+        assert out.output == {1: (7, 6), 2: (4, 4)}
 
     def test_agrees_with_rank_sort(self, rng):
         d = make_uneven(rng, 4, 25)

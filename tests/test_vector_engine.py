@@ -210,7 +210,7 @@ def test_compile_rejects_invalid_plans(plan, fragment):
 # Vectorized compile fast path == per-event slow path
 # ---------------------------------------------------------------------------
 
-_COMPILED_SCALARS = ("p", "k", "cycles", "slots", "kind", "allow_empty_reads")
+_COMPILED_SCALARS = ("p", "k", "cycles", "slots", "kind")
 _COMPILED_ARRAYS = (
     "w_cycle", "w_proc", "w_chan", "w_src",
     "r_proc", "r_dst", "r_widx",
