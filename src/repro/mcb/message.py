@@ -10,7 +10,8 @@ can report total traffic in bits as well as in messages.
 from __future__ import annotations
 
 import math
-from typing import Any, Sequence
+from itertools import chain
+from typing import Any, Optional, Sequence
 
 
 class _Empty:
@@ -70,6 +71,68 @@ def unpack_elem(fields: Sequence[Any]) -> Any:
     """Message fields -> element (scalar or tuple); inverse of
     :func:`pack_elem`."""
     return fields[0] if len(fields) == 1 else tuple(fields)
+
+
+def plain_fields(vals: list, max_fields: int) -> Optional[list]:
+    """The message fields of elements ``vals``, flattened, if they are
+    all exact ints or all plain tuples of exact ints (none of length 1)
+    of at most ``max_fields`` fields; ``None`` otherwise.
+
+    Such elements arrive unchanged (``unpack_elem(pack_elem(v)) == v``,
+    same type), order like their fields and are sized by
+    :func:`bulk_bits`.
+    """
+    if max_fields < 1:
+        return None
+    types = set(map(type, vals))
+    fields = vals
+    if types == {tuple}:
+        lens = set(map(len, vals))
+        if max(lens) > max_fields or 1 in lens:
+            return None
+        fields = list(chain.from_iterable(vals))
+        types = set(map(type, fields))
+    return fields if types <= {int} else None
+
+
+def bulk_bits(messages: int, fields: list) -> int:
+    """:meth:`Message.bit_size` summed over ``messages`` messages whose
+    fields, all exact ints, are ``fields`` (see :func:`plain_fields`):
+    8 bits of kind per message, and per field a sign bit plus the
+    magnitude's width (zero takes one bit)."""
+    return (
+        8 * messages + len(fields)
+        + sum(map(int.bit_length, fields)) + fields.count(0)
+    )
+
+
+def delivered(
+    vals: list, kind: str, max_fields: int
+) -> Optional[tuple[list, int]]:
+    """What writing each of ``vals`` delivers, and the bits charged.
+
+    A write of ``v`` sends ``Message(kind, *pack_elem(v))``, and its
+    reader stores ``unpack_elem`` of the fields.  Returns ``None`` if
+    some write would fail an engine's write guard (more than
+    ``max_fields`` fields) or its bit sizing, so that stepping raises
+    the error at its cycle.  :func:`plain_fields` elements are sized in
+    bulk.
+    """
+    fields = plain_fields(vals, max_fields)
+    if fields is not None:
+        return vals, bulk_bits(len(vals), fields)
+    got = []
+    bits = 0
+    for v in vals:
+        packed = pack_elem(v)
+        if len(packed) > max_fields:
+            return None  # stepping raises MessageSizeError
+        try:
+            bits += Message(kind, *packed).bit_size()
+        except TypeError:
+            return None  # a non-scalar field: stepping raises it
+        got.append(unpack_elem(packed))
+    return got, bits
 
 
 class Message:

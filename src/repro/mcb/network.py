@@ -72,14 +72,18 @@ cycle loop has no observer branch:
   on its own channel and nobody else is due, the engine charges those
   cycles in one pass — the same validation, messages, bits, channel
   writes and traffic log, without the per-cycle loop;
-* a :class:`~repro.mcb.program.RunPlan` that all of its plan's
-  processors enter in one cycle, with nobody else awake or parked
-  until it ends, runs as one **collective step**: a list gather over
-  the plan's compiled index lists moves every element, the counters
-  are charged from plan constants, and each program is resumed once,
-  ``plan.cycles`` later (:func:`_collective_plan`).  Otherwise each
-  slot steps the plan program (:meth:`SchedulePlan.as_program
-  <repro.mcb.vector.plan.SchedulePlan.as_program>`) that defines the op.
+* a :class:`~repro.mcb.program.CollectiveOp` is set aside until the
+  cycle's other ops are collected.  If every awake slot yielded one,
+  all of one class, and nobody else is awake or parked, the class's
+  ``collective`` may run them all as one **collective step** — the
+  counters charged in bulk, each program resumed once with its result
+  when the step ends (a ``RunPlan`` is a list gather over its plan's
+  compiled index lists; Rank-Sort's ``SortGroup`` one sort per group).
+  Otherwise each slot steps the op's desugared program from this
+  cycle on; its first op is collected after the others', so the
+  survivors are put back in slot order and a collision lists its
+  writers in slot order, as the reference interpreter finds them.
+  ``network_plan_runs_total{op, path}`` counts both outcomes.
 
 On a collision the engine records the aborted phase's partial
 :class:`~repro.mcb.trace.PhaseStats` (costs of all completed cycles,
@@ -90,23 +94,20 @@ lower-bound experiments keep their cost data.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from itertools import chain
 from typing import Any, Optional, Sequence
 
 from ..obs.metrics import global_registry
-from .errors import CollisionError, MCBError, ProtocolError
-from .message import EMPTY, Message, pack_elem, unpack_elem
+from .errors import CollisionError, ProtocolError
+from .message import EMPTY, Message
 from .program import (
+    CollectiveOp,
     CycleOp,
     Emit,
     Listen,
     ProcContext,
     ProgramFn,
-    RunPlan,
     Sleep,
-    check_run_plan,
     emit_schedule,
-    run_plan_program,
 )
 from .reference import ReferenceMCBNetwork
 from .trace import PhaseStats
@@ -176,173 +177,12 @@ class _EmitState:
         return j - i
 
 
-class _PlanGather:
-    """A compiled :class:`~repro.mcb.vector.plan.SchedulePlan` as index
-    lists for one collective step (see :func:`_collective_plan`).
-
-    With ``flat`` the plan's initial rows concatenated (``slots``
-    entries per processor) and ``got`` the value each write delivers,
-    in compiled write order, processor ``proc``'s final row is
-    ``(got + flat)[i]`` for ``i`` in ``out_idx[proc]``: a matched
-    read's write, a local move's source, or the slot's own entry.
-    ``w_flat[i]`` is write ``i``'s source in ``flat``; ``cw`` holds the
-    plan's ``(channel, writes)`` pairs.
-    """
-
-    __slots__ = ("w_flat", "out_idx", "cw")
-
-    def __init__(self, ph: Any):  # a CompiledPhase
-        slots = ph.slots
-        nw = ph.messages
-        self.w_flat = [
-            proc * slots + src
-            for proc, src in zip(ph.w_proc.tolist(), ph.w_src.tolist())
-        ]
-        out_idx = [
-            list(range(nw + proc * slots, nw + (proc + 1) * slots))
-            for proc in range(ph.p)
-        ]
-        for proc, src, dst in zip(
-            ph.m_proc.tolist(), ph.m_src.tolist(), ph.m_dst.tolist()
-        ):
-            out_idx[proc][dst] = nw + proc * slots + src
-        for proc, dst, widx in zip(
-            ph.r_proc.tolist(), ph.r_dst.tolist(), ph.r_widx.tolist()
-        ):
-            out_idx[proc][dst] = widx
-        self.out_idx = out_idx
-        self.cw = [
-            (ch, n) for ch, n in enumerate(ph.channel_write_counts().tolist())
-            if n
-        ]
-
-
-def _plan_gather(plan: Any) -> Optional[_PlanGather]:
-    """``plan``'s gather tables, cached on the plan; ``None`` if the plan
-    does not compile (then every RunPlan of it is stepped)."""
-    try:
-        return plan._run_gather
-    except AttributeError:
-        pass
-    try:
-        compiled = plan.compile()
-    except MCBError:
-        gather = None
-    else:
-        gather = _PlanGather(compiled)
-    plan._run_gather = gather
-    return gather
-
-
-def _collective_plan(
-    plan_ops: list[tuple[int, RunPlan]],
-    acting: int,
-    cycle: int,
-    limit: int,
-    max_fields: int,
-) -> Optional[tuple[list[list], int, list[tuple[int, int]], int]]:
-    """Run a whole plan in one step, or return ``None`` to step it.
-
-    ``plan_ops`` are the ``(slot, RunPlan)`` ops yielded in ``cycle``;
-    ``acting`` slots stay awake after it (every plan slot does), and
-    nobody else wakes before ``limit``.  The plan runs collectively
-    only if those ops are exactly its ``p`` processors and nobody else
-    is awake, it ends by ``limit``, it compiles, and every write
-    passes the engine's write guard.  The result is what the desugared
-    ops compute: each processor's final row (indexed by plan
-    processor), the bits charged (``Message(plan.kind,
-    *pack_elem(v)).bit_size()`` per write), the ``(channel, writes)``
-    pairs and the plan's cycle count.
-    """
-    plan = plan_ops[0][1].plan
-    p = plan.p
-    if len(plan_ops) != p or acting != p or cycle + plan.cycles > limit:
-        return None
-    rows: list[Any] = [None] * p
-    for _, op in plan_ops:
-        if op.plan is not plan:
-            return None
-        rows[op.proc] = op.row
-    if len({op.proc for _, op in plan_ops}) != p:
-        return None
-    gather = _plan_gather(plan)
-    if gather is None:
-        return None
-    slots = plan.slots
-    if any(len(row) < slots for row in rows):
-        return None
-    flat = list(
-        chain.from_iterable(
-            row if len(row) == slots else row[:slots] for row in rows
-        )
-    )
-    sent = _delivered(
-        list(map(flat.__getitem__, gather.w_flat)), plan.kind, max_fields
-    )
-    if sent is None:
-        return None
-    got, bits = sent
-    src = got + flat
-    outs = []
-    for row, idx in zip(rows, gather.out_idx):
-        out = list(map(src.__getitem__, idx))
-        if len(row) > slots:
-            out += row[slots:]
-        outs.append(out)
-    return outs, bits, gather.cw, plan.cycles
-
-
-def _delivered(
-    vals: list, kind: str, max_fields: int
-) -> Optional[tuple[list, int]]:
-    """What writing each of ``vals`` delivers, and the bits charged.
-
-    A write of ``v`` sends ``Message(kind, *pack_elem(v))``, and its
-    reader stores ``unpack_elem`` of the fields.  Returns ``None`` if
-    some write would fail the engine's write guard or its bit sizing,
-    so that stepping raises the error at its cycle.  Elements that are
-    all exact ints, or all plain tuples of exact ints (none of length
-    1), arrive unchanged and are sized in bulk.
-    """
-    fields = vals
-    types = set(map(type, vals))
-    if types == {tuple}:
-        lens = set(map(len, vals))
-        if max(lens) > max_fields:
-            return None
-        if 1 not in lens:
-            fields = list(chain.from_iterable(vals))
-            types = set(map(type, fields))
-    elif max_fields < 1:
-        return None
-    if types <= {int}:
-        # As bit_size(): 8 bits of kind per message, and per field a
-        # sign bit plus the magnitude's width (zero takes one bit).
-        bits = (
-            8 * len(vals) + len(fields)
-            + sum(map(int.bit_length, fields)) + fields.count(0)
-        )
-        return vals, bits
-    got = []
-    bits = 0
-    for v in vals:
-        packed = pack_elem(v)
-        if len(packed) > max_fields:
-            return None  # stepping raises MessageSizeError
-        try:
-            bits += Message(kind, *packed).bit_size()
-        except TypeError:
-            return None  # a non-scalar field: stepping raises it
-        got.append(unpack_elem(packed))
-    return got, bits
-
-
-def _plan_runs(path: str, n: int) -> None:
+def _collective_runs(op: str, path: str, n: int) -> None:
     global_registry().counter(
         "network_plan_runs_total",
-        "RunPlan ops the fast engine's unobserved loop ran, by path "
-        "(collective or stepped)",
-    ).inc(n, path=path)
+        "Collective ops the fast engine's unobserved loop ran, by op "
+        "(run_plan or rank_sort) and path (collective or stepped)",
+    ).inc(n, op=op, path=path)
 
 
 class MCBNetwork(ReferenceMCBNetwork):
@@ -463,20 +303,20 @@ class MCBNetwork(ReferenceMCBNetwork):
         # emitters counts them.
         emitting: list[Any] = [None] * m
         emitters = 0
-        # plan_outer[slot] is the program's own send while that slot steps
-        # a RunPlan's desugared plan program (sends[slot] is the plan's).
-        plan_outer: list[Any] = [None] * m
+        # coll_outer[slot] is the program's own send while that slot steps
+        # a collective op's desugared program (sends[slot] is the op's).
+        coll_outer: list[Any] = [None] * m
         parked = 0  # parked listeners
         until_parked = 0  # parked until_nonempty listeners
         live = m  # unfinished generators
 
         # Local bindings for the hot loop.
-        CycleOp_, Sleep_, Listen_, Emit_, RunPlan_, Message_, EMPTY_ = (
+        CycleOp_, Sleep_, Listen_, Emit_, Collective_, Message_, EMPTY_ = (
             CycleOp,
             Sleep,
             Listen,
             Emit,
-            RunPlan,
+            CollectiveOp,
             Message,
             EMPTY,
         )
@@ -596,182 +436,215 @@ class MCBNetwork(ReferenceMCBNetwork):
             read_slots: list[int] = []
             read_chans: list[int] = []
             collided: Optional[dict[int, list[int]]] = None
-            plan_ops: Optional[list[tuple[int, RunPlan]]] = None
             keep = next_ready.append
             add_read_slot = read_slots.append
             add_read_chan = read_chans.append
             finished = 0
-            for slot in ready:
-                est = emitting[slot]
-                op = None
-                if est is not None:
-                    # Mid-Emit: this cycle's op comes from the replay; the
-                    # generator resumes (with None) once it runs out.
-                    op = est.next_op(cycle)
-                    if op is None:
-                        emitting[slot] = None
-                        emitters -= 1
-                if op is None:
-                    try:
-                        op = sends[slot](inbox[slot])
-                    except StopIteration as stop:
-                        value = stop.value
-                        outer = plan_outer[slot]
-                        ended = True
-                        if outer is not None:
-                            # A stepped RunPlan ended: its returned row
-                            # resumes the program that yielded it.
-                            plan_outer[slot] = None
-                            sends[slot] = outer
-                            try:
-                                op = outer(value)
-                                ended = False
-                            except StopIteration as stop2:
-                                value = stop2.value
-                        if ended:
-                            inbox[slot] = None
-                            results[pids[slot]] = value
-                            finished += 1
-                            live -= 1
-                            continue
-                    inbox[slot] = None
-                cls = op.__class__
-                if cls is not CycleOp_:
-                    if cls is Emit_ or isinstance(op, Emit_):
-                        est = _EmitState(
-                            op, emit_schedule(pids[slot], op, k), cycle,
-                            max_fields,
-                        )
-                        emitting[slot] = est
-                        emitters += 1
+            # coll_ops holds the cycle's collective ops, set aside until
+            # every awake slot has yielded; if they do not run in one
+            # step, batch is their slots, which step their desugared
+            # programs through this same pass (stepping counts them once
+            # their first ops pass).
+            coll_ops: Optional[list[tuple[int, Any]]] = None
+            stepping: Optional[list[tuple[int, Any]]] = None
+            batch = ready
+            while True:
+                for slot in batch:
+                    est = emitting[slot]
+                    op = None
+                    if est is not None:
+                        # Mid-Emit: this cycle's op comes from the replay;
+                        # the generator resumes (with None) once it runs
+                        # out.
                         op = est.next_op(cycle)
-                        cls = op.__class__
-                    if cls is Sleep_ or isinstance(op, Sleep_):
-                        c = op.cycles
-                        if c < 0:
-                            raise ProtocolError(
-                                f"P{pids[slot]} requested a negative sleep ({c})"
+                        if op is None:
+                            emitting[slot] = None
+                            emitters -= 1
+                    if op is None:
+                        try:
+                            op = sends[slot](inbox[slot])
+                        except StopIteration as stop:
+                            value = stop.value
+                            outer = coll_outer[slot]
+                            ended = True
+                            if outer is not None:
+                                # A stepped collective op ended: its
+                                # returned value resumes the program that
+                                # yielded it.
+                                coll_outer[slot] = None
+                                sends[slot] = outer
+                                try:
+                                    op = outer(value)
+                                    ended = False
+                                except StopIteration as stop2:
+                                    value = stop2.value
+                            if ended:
+                                inbox[slot] = None
+                                results[pids[slot]] = value
+                                finished += 1
+                                live -= 1
+                                continue
+                        inbox[slot] = None
+                    cls = op.__class__
+                    if cls is not CycleOp_:
+                        if cls is Emit_ or isinstance(op, Emit_):
+                            est = _EmitState(
+                                op, emit_schedule(pids[slot], op, k), cycle,
+                                max_fields,
                             )
-                        # Minimum-one-cycle rule (see the Sleep docstring):
-                        # the yield itself consumed this cycle, so Sleep(0)
-                        # === Sleep(1) === one empty CycleOp.
-                        if c <= 1:
-                            keep(slot)
+                            emitting[slot] = est
+                            emitters += 1
+                            op = est.next_op(cycle)
+                            cls = op.__class__
+                        if cls is Sleep_ or isinstance(op, Sleep_):
+                            c = op.cycles
+                            if c < 0:
+                                raise ProtocolError(
+                                    f"P{pids[slot]} requested a negative "
+                                    f"sleep ({c})"
+                                )
+                            # Minimum-one-cycle rule (see the Sleep
+                            # docstring): the yield itself consumed this
+                            # cycle, so Sleep(0) === Sleep(1) === one
+                            # empty CycleOp.
+                            if c <= 1:
+                                keep(slot)
+                            else:
+                                heappush(sleep_heap, (cycle + c, slot))
+                            continue
+                        if cls is Listen_ or isinstance(op, Listen_):
+                            ch = op.channel
+                            window = self._validate_listen(pids[slot], op)
+                            # Park: leave the active set entirely.
+                            st = _ListenState()
+                            st.channel = ch
+                            st.window = window
+                            st.start = cycle
+                            listening[slot] = st
+                            parked += 1
+                            if window is None:
+                                until_parked += 1
+                                until_waiters[ch].append(slot)
+                            else:
+                                st.log_idx = len(chan_log[ch])
+                                bounded_count[ch] += 1
+                                heappush(sleep_heap, (cycle + window, slot))
+                            continue
+                        if isinstance(op, Collective_):
+                            # Check its form now, as the desugared
+                            # program would on creation; what it does
+                            # waits for the rest of the cycle.
+                            op.check(pids[slot], k)
+                            if coll_ops is None:
+                                coll_ops = []
+                            coll_ops.append((slot, op))
+                            continue
+                        if not isinstance(op, CycleOp_):
+                            raise ProtocolError(
+                                f"P{pids[slot]} yielded {op!r}; expected "
+                                f"CycleOp, Sleep, Listen, Emit, or a "
+                                f"collective op"
+                            )
+                    keep(slot)
+                    w = op.write
+                    if w is not None:
+                        payload = op.payload
+                        if (
+                            not 1 <= w <= k
+                            or payload.__class__ is not Message_
+                            or len(payload.fields) > max_fields
+                        ):
+                            # Raises the precise ProtocolError/
+                            # MessageSizeError; falls through only for
+                            # Message subclasses.
+                            self._validate_write(pids[slot], op, cycle)
+                        prev = chan_writer[w]
+                        if prev:
+                            if collided is None:
+                                collided = {}
+                            if prev != -1:
+                                chan_writer[w] = -1
+                                collided[w] = [prev, pids[slot]]
+                            else:
+                                collided[w].append(pids[slot])
                         else:
-                            heappush(sleep_heap, (cycle + c, slot))
-                        continue
-                    if cls is Listen_ or isinstance(op, Listen_):
-                        ch = op.channel
-                        window = self._validate_listen(pids[slot], op)
-                        # Park: leave the active set entirely.
-                        st = _ListenState()
-                        st.channel = ch
-                        st.window = window
-                        st.start = cycle
-                        listening[slot] = st
-                        parked += 1
-                        if window is None:
-                            until_parked += 1
-                            until_waiters[ch].append(slot)
-                        else:
-                            st.log_idx = len(chan_log[ch])
-                            bounded_count[ch] += 1
-                            heappush(sleep_heap, (cycle + window, slot))
-                        continue
-                    if cls is RunPlan_ or isinstance(op, RunPlan_):
-                        # Register the plan's first op in slot order, as
-                        # its desugared program would yield it.  After
-                        # the pass the whole plan either runs in one step
-                        # (taking these ops back) or is stepped.
-                        check_run_plan(pids[slot], op, k)
-                        if plan_ops is None:
-                            plan_ops = []
-                        plan_ops.append((slot, op))
-                        op = op.plan.first_op(op.proc, op.row)
-                    if not isinstance(op, CycleOp_):
+                            chan_writer[w] = pids[slot]
+                            chan_msg[w] = payload
+                            written.append(w)
+                    elif op.payload is not None:
                         raise ProtocolError(
-                            f"P{pids[slot]} yielded {op!r}; expected "
-                            f"CycleOp, Sleep, Listen, Emit, or RunPlan"
+                            f"P{pids[slot]} attached a payload without a "
+                            f"write channel"
                         )
-                keep(slot)
-                w = op.write
-                if w is not None:
-                    payload = op.payload
-                    if (
-                        not 1 <= w <= k
-                        or payload.__class__ is not Message_
-                        or len(payload.fields) > max_fields
-                    ):
-                        # Raises the precise ProtocolError/MessageSizeError;
-                        # falls through only for Message subclasses.
-                        self._validate_write(pids[slot], op, cycle)
-                    prev = chan_writer[w]
-                    if prev:
-                        if collided is None:
-                            collided = {}
-                        if prev != -1:
-                            chan_writer[w] = -1
-                            collided[w] = [prev, pids[slot]]
-                        else:
-                            collided[w].append(pids[slot])
-                    else:
-                        chan_writer[w] = pids[slot]
-                        chan_msg[w] = payload
-                        written.append(w)
-                elif op.payload is not None:
-                    raise ProtocolError(
-                        f"P{pids[slot]} attached a payload without a write channel"
-                    )
-                r = op.read
-                if r is not None:
-                    if not 1 <= r <= k:
-                        raise ProtocolError(
-                            f"P{pids[slot]} read invalid channel C{r} (k={k})"
-                        )
-                    add_read_slot(slot)
-                    add_read_chan(r)
-
-            if plan_ops is not None:
+                    r = op.read
+                    if r is not None:
+                        if not 1 <= r <= k:
+                            raise ProtocolError(
+                                f"P{pids[slot]} read invalid channel C{r} "
+                                f"(k={k})"
+                            )
+                        add_read_slot(slot)
+                        add_read_chan(r)
+                if stepping is not None:
+                    # The stepped ops ran their first cycle: restore slot
+                    # order among this cycle's survivors.
+                    for _, op in stepping:
+                        _collective_runs(op.label, "stepped", 1)
+                    stepping = None
+                    next_ready.sort()
+                if coll_ops is None:
+                    break
                 done = None
-                if not parked:
-                    done = _collective_plan(
-                        plan_ops,
-                        len(next_ready),
-                        cycle,
+                coll_cls = coll_ops[0][1].__class__
+                if (
+                    not next_ready
+                    and not parked
+                    and all(op.__class__ is coll_cls for _, op in coll_ops)
+                ):
+                    done = coll_cls.collective(
+                        [op for _, op in coll_ops],
                         min(sleep_heap[0][0] if sleep_heap else max_cycles,
-                            max_cycles),
+                            max_cycles) - cycle,
                         max_fields,
                     )
-                if done is None:
-                    # Step each plan program; its first op is the one
-                    # registered above.
-                    for slot, op in plan_ops:
-                        sub = run_plan_program(pids[slot], op, k)
-                        sub.send(None)
-                        plan_outer[slot] = sends[slot]
-                        sends[slot] = sub.send
-                    _plan_runs("stepped", len(plan_ops))
-                else:
-                    # Every op registered this cycle is a plan's first op:
-                    # take them back, hand each program its final row and
-                    # charge the whole plan.
-                    outs, bits, cw, cycles = done
-                    for w in written:
-                        chan_writer[w] = 0
-                        chan_msg[w] = None
-                    for slot, op in plan_ops:
-                        inbox[slot] = outs[op.proc]
-                    for ch, n in cw:
-                        cw_counts[ch] += n
-                        messages += n
-                    bits_acc += bits
-                    _plan_runs("collective", len(plan_ops))
-                    cycle += cycles
-                    ready = next_ready
-                    continue
+                if done is not None:
+                    break
+                # Step each op's desugared program from this cycle on.
+                batch = []
+                for slot, op in coll_ops:
+                    coll_outer[slot] = sends[slot]
+                    sends[slot] = op.program().send
+                    batch.append(slot)
+                stepping, coll_ops = coll_ops, None
+
+            if coll_ops is not None:
+                # Nobody else acted this cycle: charge the whole step and
+                # resume each program with its result when it ends.
+                ready = []
+                for (slot, _), value in zip(coll_ops, done.results):
+                    inbox[slot] = value
+                    ready.append(slot)
+                for ch, n in done.channel_writes:
+                    cw_counts[ch] += n
+                    messages += n
+                bits_acc += done.bits
+                _collective_runs(coll_cls.label, "collective", len(coll_ops))
+                cycle += done.cycles
+                continue
 
             if collided is not None:
-                channel, writers = next(iter(collided.items()))
+                # Order each collided channel's writers by slot, and pick
+                # the channel whose second writer comes first, as a pass
+                # in slot order finds it (a stepped collective op's first
+                # write is collected after the other slots').
+                slot_of = {pid: i for i, pid in enumerate(pids)}
+                clashes = {
+                    ch: sorted(ws, key=slot_of.__getitem__)
+                    for ch, ws in collided.items()
+                }
+                channel = min(
+                    clashes, key=lambda ch: slot_of[clashes[ch][1]]
+                )
                 # Preserve the aborted phase's cost data: all completed
                 # cycles are recorded, stamped with collisions=1, so
                 # adversary/lower-bound experiments keep their stats.
@@ -779,7 +652,7 @@ class MCBNetwork(ReferenceMCBNetwork):
                 ph.cycles = cycle
                 ph.collisions = 1
                 self.stats.add(ph)
-                raise CollisionError(cycle, channel, writers)
+                raise CollisionError(cycle, channel, clashes[channel])
 
             # --- deliver reads -------------------------------------------
             if written:

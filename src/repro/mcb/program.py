@@ -36,13 +36,15 @@ Per cycle a program yields either
   replay that sequence itself (a fixed write schedule, like the
   writers of Rank-Sort or of the §8 termination gather); or
 
-* :class:`RunPlan` — run one processor's part of an oblivious
+* a :class:`CollectiveOp` — a step a whole group enters together:
+  :class:`RunPlan` runs one processor's part of an oblivious
   :class:`~repro.mcb.vector.plan.SchedulePlan` (a §5.2 columnsort
-  transfer phase, a comparator-network round).  ``row = yield
-  RunPlan(plan, proc, row)`` is semantically identical to ``row =
-  yield from plan.as_program(proc, row)(ctx)``, but when all of the
-  plan's processors enter it together the engine may run the whole
-  phase as one step.
+  transfer phase, a comparator-network round), and Rank-Sort's
+  :class:`~repro.sort.rank_sort.SortGroup` one member's part of a
+  single-channel group sort.  ``x = yield op`` is semantically
+  identical to ``x = yield from desugar_collective(pid, op, k)``, but
+  when the whole group enters it together the engine may run it as
+  one step.
 
 The generator's return value (``return x``) becomes the processor's result
 in :meth:`MCBNetwork.run`'s output.
@@ -52,7 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Any, Callable, Generator, Optional, Sequence
+from typing import Any, Callable, Generator, NamedTuple, Optional, Sequence
 
 from .errors import ProtocolError
 from .message import Message
@@ -335,7 +337,83 @@ def desugar_emit(pid: int, op: Emit, k: int) -> list:
     return ops
 
 
-class RunPlan:
+class Collective(NamedTuple):
+    """What a :class:`CollectiveOp` step computes for its ops: what
+    stepping the desugared programs would produce, charged in bulk.
+
+    ``results[i]`` resumes the processor that yielded ``ops[i]``;
+    ``bits`` and the ``(channel, writes)`` pairs of ``channel_writes``
+    are charged (one message per write), and ``cycles`` elapse.
+    """
+
+    results: list
+    bits: int
+    channel_writes: list
+    cycles: int
+
+
+class CollectiveOp:
+    """An op a group of processors enters together, which the fast
+    engine may run for the whole group in one step.
+
+    ``x = yield op`` is *defined* by desugaring: it behaves exactly like
+    ``x = yield from desugar_collective(pid, op, k)`` — the generator of
+    ops :meth:`program` returns, validated, collision-checked and
+    charged as those ops.  The reference interpreter (and so every
+    observed stage), the §2 simulators and every fallback step that
+    program.  Only the fast engine's unobserved loop may instead hand
+    every op yielded in one cycle to the class's :meth:`collective`,
+    when nobody else is awake or parked (see ``docs/MODEL.md``,
+    "Collective ops").
+
+    A subclass sets :attr:`label` (the ``op`` label of
+    ``network_plan_runs_total``) and implements :meth:`check`,
+    :meth:`program` and :meth:`collective`.  Like :class:`CycleOp`,
+    instances are plain ``__slots__`` objects; treat them as immutable.
+    """
+
+    __slots__ = ()
+
+    #: The ``op`` label the fast engine counts this op's runs under.
+    label: str = ""
+
+    def check(self, pid: int, k: int) -> None:
+        """Raise :class:`~repro.mcb.errors.ProtocolError` if the op is
+        malformed on ``k`` channels.  Every engine and the simulation
+        desugaring call it when the op is yielded."""
+        raise NotImplementedError
+
+    def program(self) -> Generator:
+        """The generator of desugared ops that defines the op; its
+        return value resumes the processor that yielded the op."""
+        raise NotImplementedError
+
+    @classmethod
+    def collective(
+        cls, ops: list, span: int, max_fields: int
+    ) -> Optional[Collective]:
+        """Run ``ops`` — every op yielded in one cycle, all of this class
+        — in one step, or return ``None`` to step their programs.
+
+        Nobody else is awake or parked, and nobody wakes within ``span``
+        cycles, so the step may only be taken if it ends by then.  The
+        result must be exactly what stepping would give, with every
+        message passing the write guard of ``max_fields`` fields; any
+        ``ProcContext`` aux accounting happens here, in the programs'
+        order, and only once the step is certain.
+        """
+        return None
+
+
+def desugar_collective(pid: int, op: CollectiveOp, k: int) -> Generator:
+    """Check ``op`` (:meth:`CollectiveOp.check`); return the generator of
+    desugared ops that defines it (the counterpart of
+    :func:`desugar_emit`)."""
+    op.check(pid, k)
+    return op.program()
+
+
+class RunPlan(CollectiveOp):
     """Run processor ``proc``'s part of ``plan`` from ``row``; resumed
     once, with the final row, when the plan's ``plan.cycles`` are over.
 
@@ -345,21 +423,15 @@ class RunPlan:
     (:meth:`~repro.mcb.vector.plan.SchedulePlan.as_program`, the one
     generator-side spelling of a plan) — the same ops in the same
     cycles, validated, collision-checked and charged as those ops.
-    What changes is who spells them: when every processor of the plan
-    yields its ``RunPlan`` in the same cycle and nothing else can
-    touch the channels until the plan ends, the fast engine's
-    unobserved path moves the elements by the plan's compiled form in
-    one step (see ``docs/MODEL.md``, "Collective plan phases").
-    Everywhere else — the reference interpreter (and so every observed
-    stage), the §2 simulators and every fallback — the desugared ops
-    are stepped.
-
-    :func:`check_run_plan` checks the op's form in every engine.
-    Like :class:`CycleOp`, a plain ``__slots__`` class; treat instances
-    as immutable.
+    When every processor of the plan yields its ``RunPlan`` in the same
+    cycle and nothing else can touch the channels until the plan ends,
+    the fast engine's unobserved path moves the elements by the plan's
+    compiled form in one step (:meth:`collective`).
     """
 
     __slots__ = ("plan", "proc", "row")
+
+    label = "run_plan"
 
     def __init__(self, plan: Any, proc: int, row: Sequence[Any]):
         self.plan = plan
@@ -369,35 +441,56 @@ class RunPlan:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"RunPlan({self.plan!r}, {self.proc!r}, <row>)"
 
+    def check(self, pid: int, k: int) -> None:
+        """Plan processor in ``0..plan.p-1``, at most ``k`` channels, at
+        least one cycle."""
+        plan = self.plan
+        if not 0 <= self.proc < plan.p:
+            raise ProtocolError(
+                f"P{pid} yielded RunPlan for plan processor {self.proc} "
+                f"outside 0..{plan.p - 1}"
+            )
+        if plan.k > k:
+            raise ProtocolError(
+                f"P{pid} yielded RunPlan for a plan on {plan.k} channels "
+                f"(k={k})"
+            )
+        if plan.cycles < 1:
+            raise ProtocolError(
+                f"P{pid} yielded RunPlan for a zero-cycle plan"
+            )
 
-def check_run_plan(pid: int, op: RunPlan, k: int) -> None:
-    """Check a :class:`RunPlan`'s form on ``k`` channels.
+    def program(self) -> Generator:
+        """The plan program ``plan.as_program(proc, row)``, which never
+        looks at its context."""
+        return self.plan.as_program(self.proc, self.row)(None)
 
-    Every engine and the simulation desugaring share this check, so a
-    malformed op fails with the same message everywhere (the
-    counterpart of :func:`emit_schedule`).  The ops themselves are
-    checked later, each at the cycle it runs.
-    """
-    plan = op.plan
-    if not 0 <= op.proc < plan.p:
-        raise ProtocolError(
-            f"P{pid} yielded RunPlan for plan processor {op.proc} "
-            f"outside 0..{plan.p - 1}"
+    @classmethod
+    def collective(
+        cls, ops: list, span: int, max_fields: int
+    ) -> Optional[Collective]:
+        """The whole plan as one list gather
+        (:meth:`~repro.mcb.vector.plan.SchedulePlan.gather_rows`), if
+        ``ops`` are exactly its ``p`` processors and it ends within
+        ``span``."""
+        plan = ops[0].plan
+        p = plan.p
+        if len(ops) != p or plan.cycles > span:
+            return None
+        rows: list[Any] = [None] * p
+        for op in ops:
+            if op.plan is not plan:
+                return None
+            rows[op.proc] = op.row
+        if len({op.proc for op in ops}) != p:
+            return None
+        done = plan.gather_rows(rows, max_fields)
+        if done is None:
+            return None
+        outs, bits, cw = done
+        return Collective(
+            [outs[op.proc] for op in ops], bits, cw, plan.cycles
         )
-    if plan.k > k:
-        raise ProtocolError(
-            f"P{pid} yielded RunPlan for a plan on {plan.k} channels (k={k})"
-        )
-    if plan.cycles < 1:
-        raise ProtocolError(f"P{pid} yielded RunPlan for a zero-cycle plan")
-
-
-def run_plan_program(pid: int, op: RunPlan, k: int) -> Generator:
-    """Check ``op`` (:func:`check_run_plan`); return the generator of
-    desugared ops that defines it."""
-    check_run_plan(pid, op, k)
-    # Plan programs never look at their context.
-    return op.plan.as_program(op.proc, op.row)(None)
 
 
 #: A no-op cycle (participate in the round, touch no channel).

@@ -42,9 +42,10 @@ bulk result.  The fast engine's parked wait-lists must match this bit
 for bit.  An :class:`~repro.mcb.program.Emit` is stepped as the
 ``Sleep``/``CycleOp`` list :func:`~repro.mcb.program.desugar_emit`
 spells out, one op per cycle, before the generator resumes, and a
-:class:`~repro.mcb.program.RunPlan` as the plan program
-(:func:`~repro.mcb.program.run_plan_program`) it stands for, whose
-returned row resumes the generator.
+collective op (:class:`~repro.mcb.program.CollectiveOp`: a ``RunPlan``
+or Rank-Sort's ``SortGroup``) as the desugared program
+(:func:`~repro.mcb.program.desugar_collective`) it stands for, whose
+return value resumes the generator.
 
 Rules shared by every policy (and by the fast engine): ``Sleep(c)``
 with ``c < 0`` raises :class:`ProtocolError`; a message with more than
@@ -84,16 +85,16 @@ from .errors import (
 )
 from .message import EMPTY, Message
 from .program import (
+    CollectiveOp,
     CycleOp,
     Emit,
     Listen,
     ProcContext,
     ProgramFn,
-    RunPlan,
     Sleep,
+    desugar_collective,
     desugar_emit,
     listen_window,
-    run_plan_program,
 )
 from .trace import PhaseStats, RunStats
 
@@ -239,24 +240,25 @@ class ReferenceMCBNetwork(ObservableMixin):
         wake: dict[int, int] = {pid: 0 for pid in programs}
         listening: dict[int, _RefListenState] = {}
         emitting: dict[int, Any] = {}  # pid -> rest of its desugared Emit
-        plan_outer: dict[int, Any] = {}  # pid -> program inside a RunPlan
+        coll_outer: dict[int, Any] = {}  # pid -> program inside a collective op
 
         def resume(pid: int, got: Any) -> Any:
-            """``pid``'s next op, stepping a RunPlan as its plan program;
-            raises StopIteration only when the program itself ends."""
+            """``pid``'s next op, stepping a collective op as its
+            desugared program; raises StopIteration only when the program
+            itself ends."""
             while True:
                 try:
                     op = gens[pid].send(got)
                 except StopIteration as stop:
-                    if pid not in plan_outer:
+                    if pid not in coll_outer:
                         raise
-                    gens[pid] = plan_outer.pop(pid)
+                    gens[pid] = coll_outer.pop(pid)
                     got = stop.value
                     continue
-                if not isinstance(op, RunPlan):
+                if not isinstance(op, CollectiveOp):
                     return op
-                plan_outer[pid] = gens[pid]
-                gens[pid] = run_plan_program(pid, op, k)
+                coll_outer[pid] = gens[pid]
+                gens[pid] = desugar_collective(pid, op, k)
                 got = None
         until_parked = 0
         memory: dict[int, Any] = {}  # cell contents (medium "cells")
@@ -387,7 +389,7 @@ class ReferenceMCBNetwork(ObservableMixin):
                     raise ProtocolError(
                         f"P{pid} yielded {op!r}; expected "
                         f"{', '.join(c.__name__ for c in cycle_ops)}, "
-                        f"Sleep, Listen, Emit, or RunPlan"
+                        f"Sleep, Listen, Emit, or a collective op"
                     )
                 wake[pid] = cycle + 1
                 w = op.write

@@ -44,16 +44,16 @@ from .message import EMPTY
 from .network import MCBNetwork
 from .program import (
     IDLE,
+    CollectiveOp,
     CycleOp,
     Emit,
     Listen,
     ProcContext,
     ProgramFn,
-    RunPlan,
     Sleep,
+    desugar_collective,
     desugar_emit,
     listen_window,
-    run_plan_program,
 )
 
 
@@ -83,7 +83,7 @@ def simulation_overhead(p_virtual: int, k_virtual: int, p: int, k: int) -> tuple
 
 def desugar(q: int, k: int, gen: Generator) -> Generator:
     """Run virtual program ``gen``, spelling ``Listen``, ``Emit`` and
-    ``RunPlan`` out.
+    collective ops out.
 
     The oblivious block schedule moves at most one read and one write per
     virtual processor per virtual cycle and has no parked readers,
@@ -95,9 +95,11 @@ def desugar(q: int, k: int, gen: Generator) -> Generator:
     result an engine would deliver; an :class:`~repro.mcb.program.Emit`
     becomes its :func:`~repro.mcb.program.desugar_emit` ops, and the
     program is resumed with ``None`` after the last write; a
-    :class:`~repro.mcb.program.RunPlan` becomes its plan program, whose
-    returned row resumes the program — so a virtual plan never runs on
-    the physical channels.  Everything else passes through.
+    :class:`~repro.mcb.program.CollectiveOp` (a ``RunPlan``, Rank-Sort's
+    ``SortGroup``) becomes its desugared program, itself spelled out
+    the same way, whose return value resumes the program — so a virtual
+    plan or group sort never runs on the physical channels.  Everything
+    else passes through.
     """
     got = None
     while True:
@@ -110,8 +112,8 @@ def desugar(q: int, k: int, gen: Generator) -> Generator:
                 yield sub
             got = None
             continue
-        if isinstance(op, RunPlan):
-            got = yield from run_plan_program(q, op, k)
+        if isinstance(op, CollectiveOp):
+            got = yield from desugar(q, k, desugar_collective(q, op, k))
             continue
         if not isinstance(op, Listen):
             got = yield op

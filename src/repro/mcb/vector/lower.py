@@ -73,7 +73,8 @@ def _phase_event_arrays(
 
     Returns ``(cycle, src_col, src_row, dst_col, dst_row)`` int64 arrays,
     one entry per element, in ``(cycle, src_col)`` order — the scan order
-    of :func:`~repro.columnsort.schedule.build_schedule`'s cycles.
+    of :func:`~repro.columnsort.schedule.build_schedule`'s cycles (all
+    empty when ``m == 0``: no element, no cycle).
 
     The cycle assignment replicates ``build_schedule``: each
     ``(src, dst)`` column pair's transfers are queued in ascending
@@ -83,6 +84,9 @@ def _phase_event_arrays(
     with the expanded matching slots sorted by ``(src_col, dst_col,
     cycle)``.
     """
+    if not m:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty, empty, empty, empty
     matchings = bvn_for_phase(phase, m, k)
     perm = np.asarray(PHASE_PERMS[phase](m, k), dtype=np.int64)
     src_col, src_row = np.divmod(np.arange(m * k, dtype=np.int64), m)

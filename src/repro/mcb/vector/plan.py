@@ -21,7 +21,7 @@ Two layers:
   :class:`~repro.mcb.program.RunPlan` op through which columnsort and
   the comparator-network backends run their plans on the generator
   engines (the fast engine may run such a phase in one collective
-  step).
+  step, :meth:`~SchedulePlan.gather_rows`).
 
 * :class:`CompiledPhase` — the validated columnar form produced by
   :meth:`SchedulePlan.compile`: flat int64 index arrays, one row per
@@ -44,12 +44,13 @@ of element positions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any, Optional, Sequence
 
 import numpy as np
 
-from ..errors import CollisionError, ConfigurationError
-from ..message import EMPTY, Message, pack_elem, unpack_elem
+from ..errors import CollisionError, ConfigurationError, MCBError
+from ..message import EMPTY, Message, delivered, pack_elem, unpack_elem
 from ..program import IDLE, CycleOp, ProcContext
 
 #: (cycle, proc0, channel, src_slot) — proc0 is 0-based, channel 1-based.
@@ -492,15 +493,101 @@ class SchedulePlan:
 
         return program
 
-    def first_op(self, proc: int, row: Sequence[Any]) -> CycleOp:
-        """The op ``as_program(proc, row)`` yields in its first cycle.
+    def gather_rows(
+        self, rows: list[Sequence[Any]], max_fields: int
+    ) -> Optional[tuple[list[list], int, list[tuple[int, int]]]]:
+        """Run the plan on ``rows`` (indexed by processor) as one list
+        gather: what every processor's :meth:`as_program` returns, the
+        bits its writes charge (``Message(kind, *pack_elem(v))`` each)
+        and the ``(channel, writes)`` pairs.
 
-        The fast engine registers it for a
-        :class:`~repro.mcb.program.RunPlan` before it knows whether the
-        whole plan will run in one step, without building the program.
+        ``None`` if stepping must decide: the plan does not compile, a
+        row is shorter than ``slots``, or some write would fail the
+        engines' write guard of ``max_fields`` fields or its bit sizing.
+        This is the collective step of :class:`~repro.mcb.program.RunPlan`.
         """
-        table = self._program_maps()[0].get(proc)
-        return _step_op(self.kind, row, table[0] if table else None)
+        gather = self._gather()
+        if gather is None:
+            return None
+        slots = self.slots
+        if any(len(row) < slots for row in rows):
+            return None
+        flat = list(
+            chain.from_iterable(
+                row if len(row) == slots else row[:slots] for row in rows
+            )
+        )
+        sent = delivered(
+            list(map(flat.__getitem__, gather.w_flat)), self.kind, max_fields
+        )
+        if sent is None:
+            return None
+        got, bits = sent
+        src = got + flat
+        outs = []
+        for row, idx in zip(rows, gather.out_idx):
+            out = list(map(src.__getitem__, idx))
+            if len(row) > slots:
+                out += row[slots:]
+            outs.append(out)
+        return outs, bits, gather.cw
+
+    def _gather(self) -> Optional["_PlanGather"]:
+        """The plan's gather tables, cached; ``None`` if the plan does
+        not compile (then every run of it is stepped)."""
+        try:
+            return self._run_gather
+        except AttributeError:
+            pass
+        try:
+            compiled = self.compile()
+        except MCBError:
+            gather = None
+        else:
+            gather = _PlanGather(compiled)
+        self._run_gather = gather
+        return gather
+
+
+class _PlanGather:
+    """A :class:`CompiledPhase` as index lists for
+    :meth:`SchedulePlan.gather_rows`.
+
+    With ``flat`` the plan's initial rows concatenated (``slots``
+    entries per processor) and ``got`` the value each write delivers,
+    in compiled write order, processor ``proc``'s final row is
+    ``(got + flat)[i]`` for ``i`` in ``out_idx[proc]``: a matched
+    read's write, a local move's source, or the slot's own entry.
+    ``w_flat[i]`` is write ``i``'s source in ``flat``; ``cw`` holds the
+    plan's ``(channel, writes)`` pairs.
+    """
+
+    __slots__ = ("w_flat", "out_idx", "cw")
+
+    def __init__(self, ph: CompiledPhase):
+        slots = ph.slots
+        nw = ph.messages
+        self.w_flat = [
+            proc * slots + src
+            for proc, src in zip(ph.w_proc.tolist(), ph.w_src.tolist())
+        ]
+        out_idx = [
+            list(range(nw + proc * slots, nw + (proc + 1) * slots))
+            for proc in range(ph.p)
+        ]
+        for proc, src, dst in zip(
+            ph.m_proc.tolist(), ph.m_src.tolist(), ph.m_dst.tolist()
+        ):
+            out_idx[proc][dst] = nw + proc * slots + src
+        for proc, dst, widx in zip(
+            ph.r_proc.tolist(), ph.r_dst.tolist(), ph.r_widx.tolist()
+        ):
+            out_idx[proc][dst] = widx
+        self.out_idx = out_idx
+        self.cw = [
+            (ch, n) for ch, n in enumerate(ph.channel_write_counts().tolist())
+            if n
+        ]
 
 
 def _step_op(kind: str, row: Sequence[Any], step: Any) -> CycleOp:

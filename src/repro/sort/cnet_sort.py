@@ -308,6 +308,8 @@ def _cnet_pipeline(
     64).  Observed runs sort descending, since dispatch events carry
     the actual values.
     """
+    if m == 0:
+        return state  # every round is zero cycles long
     compiled = compiled_cnet_phases(network.name, m, network.width, *variant)
     extra = max((ph.slots for ph in compiled), default=m) - m
     if extra:

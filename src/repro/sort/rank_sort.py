@@ -20,31 +20,50 @@ bucketed by local insertion position, turned into suffix sums at the end
 of pass 1) so no pass-1 buffering of foreign elements is needed — the
 auxiliary footprint really is ``O(n_i)``.
 
-Both passes park readers and writers alike.  A member only reading
-parks on :class:`~repro.mcb.program.Listen` (pass 1 around its own write
-run, pass 2 across its output segment); a member only writing hands the
-engine its whole run as one :class:`~repro.mcb.program.Emit` (pass 1's
-back-to-back elements, pass 2's owned ranks before and after its
-segment, at their fixed cycles).  Each member is therefore resumed a
-handful of times per pass, not once per cycle.  The aux accounting is
-unchanged — a heard list is the engine's bulk delivery of the per-cycle
-reads, and pass 1 folds it into the same histogram the reads would have
-filled.  Observed runs emit a ``ListenParked``/``ListenWoken`` pair per
-listen window; an emit is stepped as its desugared writes and sleeps, so
-it adds no event of its own.
+The group sort is one op per member, :class:`SortGroup`, yielded by
+:func:`rank_sort_group`.  It is *defined* by its desugared spelling
+(:meth:`SortGroup.program`), the two passes above as parked ops: a
+member only reading parks on :class:`~repro.mcb.program.Listen` (pass
+1 around its own write run, pass 2 across its output segment); a
+member only writing hands the engine its whole run as one
+:class:`~repro.mcb.program.Emit` (pass 1's back-to-back elements, pass
+2's owned ranks before and after its segment, at their fixed cycles).
+The aux accounting follows the per-cycle schedule — a heard list is the
+engine's bulk delivery of the per-cycle reads, and pass 1 folds it into
+the same histogram the reads would have filled.  The reference
+interpreter (and so every observed run), the §2 simulators and every
+fallback step that spelling, so observed runs emit a
+``ListenParked``/``ListenWoken`` pair per listen window and nothing for
+the op itself.
+
+The fast engine's unobserved loop may instead run every group of a
+stage as one collective step (:meth:`SortGroup.collective`, which says
+when): one sort per group, sliced into the output segments and charged
+what the two passes would write.  Otherwise it steps the spelling, so
+repeated keys still collide at their exact cycle.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from itertools import repeat
-from operator import attrgetter, itemgetter
+from functools import lru_cache
+from itertools import chain, compress, repeat
+from operator import attrgetter, itemgetter, ne
 from typing import Any, Optional, Sequence
 
-from ..mcb.message import Message
+from ..core.element import has_duplicates
+from ..mcb.errors import ProtocolError
+from ..mcb.message import Message, bulk_bits, plain_fields
 from ..mcb.network import MCBNetwork
-from ..mcb.program import Emit, Listen, ProcContext, Sleep
+from ..mcb.program import (
+    Collective,
+    CollectiveOp,
+    Emit,
+    Listen,
+    ProcContext,
+    Sleep,
+)
 from .common import pack_elem, unpack_elem
 from .even_pk import SortResult
 
@@ -90,6 +109,144 @@ def _emit_owned(channel: int, cycles: list, msg_of_rank: dict, t: int):
     return t
 
 
+class SortGroup(CollectiveOp):
+    """Member ``member``'s part of one group's Rank-Sort on ``channel``.
+
+    ``out = yield SortGroup(...)`` is *defined* by its desugared
+    spelling, :meth:`program`: the two passes of the module docstring,
+    as ``Listen``/``Emit``/``Sleep`` ops over ``2 * sum(counts)``
+    cycles.  Build it with :func:`rank_sort_group`, which checks the
+    arguments and skips an all-empty group.
+    """
+
+    __slots__ = (
+        "channel", "member", "counts", "out_counts", "ascending", "elems",
+        "ctx",
+    )
+
+    label = "rank_sort"
+
+    def __init__(
+        self,
+        channel: int,
+        member: int,
+        counts: tuple,
+        out_counts: tuple,
+        ascending: bool,
+        elems: Sequence[Any],
+        ctx: Optional[ProcContext],
+    ):
+        self.channel = channel
+        self.member = member
+        self.counts = counts
+        self.out_counts = out_counts
+        self.ascending = ascending
+        self.elems = elems
+        self.ctx = ctx
+
+    def check(self, pid: int, k: int) -> None:
+        """The group's channel is one of the network's ``k``."""
+        if not 1 <= self.channel <= k:
+            raise ProtocolError(
+                f"P{pid} sorts a group on invalid channel C{self.channel} "
+                f"(k={k})"
+            )
+
+    def program(self):
+        """The two passes, as :func:`_two_passes` spells them."""
+        return _two_passes(
+            self.channel, self.member, self.counts, self.elems,
+            self.out_counts, self.ascending, self.ctx,
+        )
+
+    @classmethod
+    def collective(
+        cls, ops: list, span: int, max_fields: int
+    ) -> Optional[Collective]:
+        """Every group's sort at once: one sort of its elements, sliced
+        into the members' output segments.
+
+        Taken only if each channel carries one complete group (every
+        member once, all agreeing on the group's shape and direction),
+        all groups hold the same ``n_g`` elements and end within
+        ``span``, every output segment is non-empty, and each group's
+        keys are distinct :func:`~repro.mcb.message.plain_fields`
+        elements.  Then the ranks pass 1 computes are the sorted
+        positions, and pass 2 writes rank ``r`` unless its owner is its
+        target: ``n_g`` messages plus one per moved element.
+        """
+        groups: dict[int, list] = {}
+        for i, op in enumerate(ops):
+            seats = groups.get(op.channel)
+            if seats is None:
+                seats = groups[op.channel] = [None] * len(op.counts)
+            if not 0 <= op.member < len(seats) or seats[op.member] is not None:
+                return None
+            seats[op.member] = i
+        n_g = None
+        for seats in groups.values():
+            if None in seats:
+                return None
+            first = ops[seats[0]]
+            shape = (first.counts, first.out_counts, first.ascending)
+            for i, c in zip(seats, first.counts):
+                op = ops[i]
+                if (op.counts, op.out_counts, op.ascending) != shape or (
+                    len(op.elems) != c
+                ):
+                    return None
+            if n_g is None:
+                n_g = sum(first.counts)
+            if sum(first.counts) != n_g or 0 in first.out_counts:
+                return None
+        if 2 * n_g > span:
+            return None
+
+        results: list[Any] = [None] * len(ops)
+        bits = 0
+        cw = []
+        for channel, seats in groups.items():
+            first = ops[seats[0]]
+            flat = list(chain.from_iterable(ops[i].elems for i in seats))
+            fields = plain_fields(flat, max_fields)
+            if fields is None or len(set(flat)) != n_g:
+                return None  # stepping decides (and may collide)
+            order = sorted(
+                range(n_g), key=flat.__getitem__, reverse=not first.ascending
+            )
+            ranked = list(map(flat.__getitem__, order))
+            moved = list(compress(ranked, map(
+                ne,
+                map(_seat_of(first.counts).__getitem__, order),
+                _seat_of(first.out_counts),
+            )))
+            bits += bulk_bits(n_g, fields) + bulk_bits(
+                len(moved), plain_fields(moved, max_fields)
+            )
+            cw.append((channel, n_g + len(moved)))
+            at = 0
+            for i, c in zip(seats, first.out_counts):
+                results[i] = ranked[at:at + c]
+                at += c
+        for op in ops:
+            ctx = op.ctx
+            if ctx is not None:
+                n_i, out_i = len(op.elems), op.out_counts[op.member]
+                ctx.aux_acquire(n_i + 1)
+                ctx.aux_acquire(out_i)
+                ctx.aux_release(n_i + 1 + out_i)
+        return Collective(results, bits, cw, 2 * n_g)
+
+
+@lru_cache(maxsize=256)
+def _seat_of(counts: tuple) -> tuple:
+    """The member holding each position of a group laid out by
+    ``counts``."""
+    return tuple(chain.from_iterable(
+        repeat(j, c) for j, c in enumerate(counts)
+    ))
+
+
 def rank_sort_group(
     channel: int,
     group_index: int,
@@ -101,6 +258,8 @@ def rank_sort_group(
     ctx: Optional[ProcContext] = None,
 ):
     """Sub-generator: Rank-Sort within one group sharing ``channel``.
+
+    Yields one :class:`SortGroup` op (none for an all-empty group).
 
     Parameters
     ----------
@@ -131,26 +290,40 @@ def rank_sort_group(
         Takes exactly ``2 * sum(counts)`` cycles for every member; an
         all-empty group returns at once, without charging any aux memory.
     """
-    counts = list(counts)
-    out_counts = list(out_counts) if out_counts is not None else counts
-    g = len(counts)
-    n_g = sum(counts)
-    if sum(out_counts) != n_g:
+    counts = tuple(counts)
+    out_counts = tuple(out_counts) if out_counts is not None else counts
+    if sum(out_counts) != sum(counts):
         raise ValueError("output segment sizes must sum to the group total")
     if len(my_elems) != counts[group_index]:
         raise ValueError(
             f"member {group_index} announced {counts[group_index]} elements "
             f"but holds {len(my_elems)}"
         )
-    if not n_g:
+    if not sum(counts):
         return []
+    return (yield SortGroup(
+        channel, group_index, counts, out_counts, ascending, my_elems, ctx
+    ))
+
+
+def _two_passes(
+    channel: int,
+    group_index: int,
+    counts: tuple,
+    my_elems: Sequence[Any],
+    out_counts: tuple,
+    ascending: bool,
+    ctx: Optional[ProcContext],
+):
+    """Sub-generator: the desugared spelling of :class:`SortGroup` — both
+    passes for member ``group_index``; returns its output segment."""
+    n_g = sum(counts)
     prefix = [0]
     for c in counts:
         prefix.append(prefix[-1] + c)
     out_prefix = [0]
     for c in out_counts:
-        prefix_val = out_prefix[-1] + c
-        out_prefix.append(prefix_val)
+        out_prefix.append(out_prefix[-1] + c)
 
     # My elements ascending (bisect-friendly), each with the message that
     # carries it: pass 2 resends pass 1's message objects.
@@ -259,10 +432,20 @@ def rank_sort(
     ``2n`` cycles and at most ``2n`` messages regardless of ``k`` —
     the single-channel baseline of the benchmarks (and the IPBAM-style
     comparison in §9).
+
+    Keys must be distinct (equal keys would share a rank, and their
+    owners would write in one cycle); :func:`repro.sort.dispatch.mcb_sort`
+    lifts repeated values to distinct ``(value, pid, index)`` triples
+    first.
     """
     pids = sorted(parts)
     if pids != list(range(1, net.p + 1)):
         raise ValueError("parts must cover processors 1..p")
+    if has_duplicates(parts):
+        raise ValueError(
+            "rank_sort needs distinct keys (§3); sort repeated values "
+            "with mcb_sort, which lifts them to distinct triples"
+        )
     counts = [len(parts[i]) for i in pids]
 
     def program(ctx: ProcContext):

@@ -55,6 +55,7 @@ import numpy as np
 
 from ..columnsort.matrix import PHASE_PERMS
 from ..columnsort.schedule import bvn_decomposition
+from ..core.element import has_duplicates
 from ..mcb.message import Message
 from ..mcb.network import MCBNetwork
 from ..mcb.program import CycleOp, ProcContext, Sleep
@@ -271,14 +272,20 @@ def sort_recursive(
     """Sort an even power-of-two distribution with the §6.2 recursion.
 
     Requires ``p`` and ``k`` powers of two, ``k | p``, equal ``n_i``,
-    and ``p | n``.  Intended for the small-``n`` regime
-    ``n < k^2(k-1)`` where it beats the fewer-columns fallback
-    (Corollary 5); it is correct for larger ``n`` too (where it reduces
-    to the §6.1 base case).
+    ``p | n`` and distinct keys (§3; :func:`repro.sort.dispatch.mcb_sort`
+    lifts repeated values to distinct triples).  Intended for the
+    small-``n`` regime ``n < k^2(k-1)`` where it beats the fewer-columns
+    fallback (Corollary 5); it is correct for larger ``n`` too (where it
+    reduces to the §6.1 base case).
     """
     p, k = net.p, net.k
     if sorted(parts) != list(range(1, p + 1)):
         raise ValueError("parts must cover processors 1..p")
+    if has_duplicates(parts):
+        raise ValueError(
+            "sort_recursive needs distinct keys (§3); sort repeated values "
+            "with mcb_sort, which lifts them to distinct triples"
+        )
     if not (_is_pow2(p) and _is_pow2(k)):
         raise ValueError(
             "the recursive algorithm assumes p and k are powers of two "

@@ -41,6 +41,7 @@ from functools import lru_cache
 from typing import Any, Literal, Sequence
 
 from ..columnsort.matrix import require_valid_dims
+from ..core.element import has_duplicates
 from ..mcb.network import MCBNetwork
 from ..mcb.program import ProcContext, RunPlan
 from ..mcb.vector.lower import lower_virtual_phase
@@ -144,10 +145,19 @@ def sort_virtual(
         ``"rank"`` (Rank-Sort, O(n_i) aux memory) or ``"merge"``
         (Merge-Sort, O(1) aux memory) for the virtual-column sorting
         phases.
+
+    Keys must be distinct, as both group sorts need (§3);
+    :func:`repro.sort.dispatch.mcb_sort` lifts repeated values to
+    distinct ``(value, pid, index)`` triples first.
     """
     p, k = net.p, net.k
     if sorted(parts) != list(range(1, p + 1)):
         raise ValueError("parts must cover processors 1..p")
+    if has_duplicates(parts):
+        raise ValueError(
+            "sort_virtual needs distinct keys (§3); sort repeated values "
+            "with mcb_sort, which lifts them to distinct triples"
+        )
     if p % k != 0:
         raise ValueError(f"this variant assumes k | p, got p={p}, k={k}")
     lengths = {len(v) for v in parts.values()}

@@ -16,10 +16,15 @@ All of them must return the same output and the same
 columnsort variants (``paper_phase2`` x ``wrap_skip``, k up to 8) on
 the same three paths, and a third checks every lane of a
 ``sort_even_pk_batch`` run, either backend, against its solo run on the
-generator engine.  A last property does the same for the §6.1
+generator engine.  Another property does the same for the §6.1
 virtual-column sort (both sorters, several group sizes ``g = p/k``) and
 the §6.2 recursion, whose transfer phases are collective plans on the
-fast engine; the vector engine does not run them.
+fast engine; the vector engine does not run them.  A last one draws
+single Rank-Sort stages — several groups, uneven ``counts``,
+``out_counts`` with empty segments, either direction — and holds the
+fast engine unobserved (where they may run as one collective step) and
+the reference interpreter observed to the per-cycle Rank-Sort schedule,
+``per_cycle_rank_sort_group``.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.mcb import MCBNetwork
@@ -36,11 +41,13 @@ from repro.obs import EventLog
 from repro.select import mcb_select
 from repro.sort import (
     mcb_sort,
+    rank_sort_group,
     sort_even_pk,
     sort_even_pk_batch,
     sort_virtual,
 )
 from repro.sort.recursive import sort_recursive
+from test_rank_sort_listen import per_cycle_rank_sort_group
 
 
 @st.composite
@@ -156,6 +163,8 @@ def run_even_pk(net, query, engine="generator"):
     max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
 @given(query=even_pk_variants())
+@example(query=(1, {1: []}, False, False))  # m = 0: no element, no cycle
+@example(query=(1, {1: []}, True, False))
 def test_even_pk_variants_agree(query):
     k, columns, *_ = query
     observed = ReferenceMCBNetwork(k, k)
@@ -258,3 +267,74 @@ def test_virtual_and_recursive_engines_agree(query):
     observed.attach_observer(EventLog())
     fast = run_columnsort(MCBNetwork(p, k), query)
     assert run_columnsort(observed, query) == fast
+
+
+@st.composite
+def rank_sort_stages(draw):
+    """``(groups, same_size)`` for one stage of Rank-Sort groups, group
+    ``c`` on channel ``c + 1``: each group is ``(counts, out_counts,
+    elems, ascending)``.  Counts may be uneven or zero, output segments
+    empty; with ``same_size`` every group holds the same number of
+    elements (the fast engine's collective step needs that)."""
+    same_size = draw(st.booleans())
+    n_g = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    groups = []
+    for _ in range(draw(st.integers(1, 3))):
+        g = draw(st.integers(1, 5))
+        size = n_g if same_size else draw(st.integers(1, 12))
+        counts = np.diff(
+            [0, *sorted(rng.integers(0, size + 1, size=g - 1)), size]
+        ).tolist()
+        if draw(st.booleans()):
+            out_counts = counts
+        else:
+            out_counts = np.diff(
+                [0, *sorted(rng.integers(0, size + 1, size=g - 1)), size]
+            ).tolist()
+        if draw(st.booleans()):
+            elems = rng.choice(8 * size, size=size, replace=False).tolist()
+        else:
+            elems = [
+                (int(v), i, 7) for i, v in enumerate(rng.choice(3, size=size))
+            ]
+        groups.append((counts, out_counts, elems, draw(st.booleans())))
+    return groups, same_size
+
+
+def run_rank_sort_stage(net, groups, sort_group=rank_sort_group):
+    programs = {}
+    pid = 1
+    for channel, (counts, out_counts, elems, ascending) in enumerate(
+        groups, start=1
+    ):
+        at = 0
+        for member, c in enumerate(counts):
+            def prog(
+                ctx, args=(channel, member, counts, elems[at:at + c]),
+                kw=dict(out_counts=out_counts, ascending=ascending),
+            ):
+                return (yield from sort_group(*args, **kw, ctx=ctx))
+
+            programs[pid] = prog
+            pid += 1
+            at += c
+    answer = net.run(programs, phase="rank-sort")
+    return answer, net.stats.to_dict()
+
+
+@settings(
+    max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(stage=rank_sort_stages())
+def test_rank_sort_stages_agree(stage):
+    groups, _ = stage
+    p = sum(len(counts) for counts, *_ in groups)
+    k = len(groups)
+    oracle = run_rank_sort_stage(
+        MCBNetwork(p, k), groups, per_cycle_rank_sort_group
+    )
+    observed = ReferenceMCBNetwork(p, k)
+    observed.attach_observer(EventLog())
+    assert run_rank_sort_stage(MCBNetwork(p, k), groups) == oracle
+    assert run_rank_sort_stage(observed, groups) == oracle

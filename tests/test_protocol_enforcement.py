@@ -52,11 +52,22 @@ class TestScheduleBugsAreCaught:
         # A Rank-Sort with duplicate elements (violating the distinctness
         # precondition) would make two owners claim the same rank; the
         # resulting double-broadcast is caught, not silently merged.
-        from repro.sort import rank_sort
+        # Standalone rank_sort rejects such input up front, so run the
+        # group sort itself.
+        from repro.sort import rank_sort, rank_sort_group
+
+        parts = {1: [5, 5], 2: [5, 1]}
+
+        def prog(ctx):
+            return (yield from rank_sort_group(
+                1, ctx.pid - 1, [2, 2], parts[ctx.pid], ctx=ctx
+            ))
 
         net = MCBNetwork(p=2, k=1)
         with pytest.raises((CollisionError, AssertionError)):
-            rank_sort(net, {1: [5, 5], 2: [5, 1]})
+            net.run({1: prog, 2: prog})
+        with pytest.raises(ValueError, match="mcb_sort"):
+            rank_sort(MCBNetwork(p=2, k=1), parts)
 
     def test_oversized_element_tuple_rejected(self):
         # An element packed into too many fields breaks the O(log beta)

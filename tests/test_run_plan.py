@@ -11,7 +11,8 @@ phase plans of all four variants and the Batcher rounds, for every
 condition that makes the fast engine fall back, and for collision,
 message-size and ``max_cycles`` errors — and the same
 ``ProtocolError`` for every malformed ``RunPlan``.  The
-``network_plan_runs_total{path}`` counter shows which path ran.
+``network_plan_runs_total{op="run_plan", path}`` counter shows which
+path ran.
 """
 
 from __future__ import annotations
@@ -60,13 +61,18 @@ VARIANTS = [(False, False), (True, False), (False, True), (True, True)]
 Triple = namedtuple("Triple", "value pid idx")
 
 
-def plan_runs() -> dict[str, float]:
+def plan_runs(op: str = "run_plan") -> dict[str, float]:
     counter = global_registry().counter("network_plan_runs_total")
-    return {path: counter.get(path=path) for path in ("collective", "stepped")}
+    return {
+        path: counter.get(op=op, path=path)
+        for path in ("collective", "stepped")
+    }
 
 
-def runs_since(before: dict[str, float]) -> dict[str, float]:
-    return {path: n - before[path] for path, n in plan_runs().items()}
+def runs_since(
+    before: dict[str, float], op: str = "run_plan"
+) -> dict[str, float]:
+    return {path: n - before[path] for path, n in plan_runs(op).items()}
 
 
 def run_plan(form: str, plan: SchedulePlan, proc: int, row, ctx):

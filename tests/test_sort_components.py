@@ -114,6 +114,14 @@ class TestTransformationSubgenerators:
         net.run(plan.as_programs(cols))
         assert net.stats.cycles == m
 
+    @pytest.mark.parametrize("paper_phase2", [False, True])
+    def test_empty_column_lowers_to_empty_phases(self, paper_phase2):
+        # The dimension rule admits m = 0 at k = 1: no element, no cycle.
+        for plan in lower_columnsort_phases(0, 1, paper_phase2):
+            assert (plan.cycles, plan.writes, plan.reads, plan.moves) == (
+                0, [], [], []
+            )
+
     def test_wrap_skip_shift_pair_realizes_both_shifts(self, rng):
         # Phases 6 then 8 with the wrap-around parked (no sort between)
         # move every element exactly as the up-shift then the down-shift
