@@ -157,14 +157,6 @@ class ComparatorNetwork:
             1 for r in self.rounds if not isinstance(r, SortRound)
         )
 
-    @property
-    def total_pairs(self) -> int:
-        """Comparators across all rounds (merge-split invocations)."""
-        return sum(
-            len(r.pairs) for r in self.rounds
-            if isinstance(r, CompareRound)
-        )
-
 
 def _boms_partner(line: int, level: int, step: int) -> int:
     """Batcher odd-even merge-sort partner of ``line`` at (level, step).

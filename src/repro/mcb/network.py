@@ -62,25 +62,17 @@ cycle loop has no observer branch:
   wake heap at their deadline and receive the buffered non-empty reads
   in bulk; ``until_nonempty`` listeners are woken by the first write to
   their channel;
-* an :class:`~repro.mcb.program.Emit` is **replayed**: the slot stays
-  in the schedule exactly where its desugared ``Sleep``/``CycleOp`` ops
-  (:func:`~repro.mcb.program.desugar_emit`) would keep it, but the
-  engine spells each cycle's op itself instead of resuming the
-  generator, so a write run costs one resume, not one per write, and
-  every op passes the ordinary op path.  A **write burst** goes
-  further: while every awake slot is an emitter writing back to back
-  on its own channel and nobody else is due, the engine charges those
-  cycles in one pass — the same validation, messages, bits, channel
-  writes and traffic log, without the per-cycle loop;
 * a :class:`~repro.mcb.program.CollectiveOp` is set aside until the
   cycle's other ops are collected.  If every awake slot yielded one,
   all of one class, and nobody else is awake or parked, the class's
   ``collective`` may run them all as one **collective step** — the
   counters charged in bulk, each program resumed once with its result
   when the step ends (a ``RunPlan`` is a list gather over its plan's
-  compiled index lists; Rank-Sort's ``SortGroup`` one sort per group).
-  Otherwise each slot steps the op's desugared program from this
-  cycle on; its first op is collected after the others', so the
+  compiled index lists; Rank-Sort's ``SortGroup`` one sort per group;
+  an ``Emit`` has no such step).  Otherwise each slot steps the op's
+  desugared program from this cycle on, on a per-slot stack of the
+  programs it interrupted, so a stepped program may yield collective
+  ops of its own; its first op is collected after the others', so the
   survivors are put back in slot order and a collision lists its
   writers in slot order, as the reference interpreter finds them.
   ``network_plan_runs_total{op, path}`` counts both outcomes.
@@ -102,12 +94,10 @@ from .message import EMPTY, Message
 from .program import (
     CollectiveOp,
     CycleOp,
-    Emit,
     Listen,
     ProcContext,
     ProgramFn,
     Sleep,
-    emit_schedule,
 )
 from .reference import ReferenceMCBNetwork
 from .trace import PhaseStats
@@ -124,64 +114,11 @@ class _ListenState:
     __slots__ = ("channel", "window", "start", "log_idx")
 
 
-class _EmitState:
-    """Engine-internal replay of one :class:`Emit` for one slot.
-
-    Spells the emit's desugared ops (:func:`desugar_emit`) one cycle at a
-    time from its checked offsets, without building the op list: the
-    write due at ``base + at[i]``, or the ``Sleep`` up to it.  ``ok`` is
-    the index of the first message the engine's fast write guard would
-    reject (``len(msgs)`` if none), which bounds write bursts.
-    """
-
-    __slots__ = ("channel", "msgs", "at", "base", "i", "ok")
-
-    def __init__(
-        self, op: Emit, at: Sequence[int], base: int, max_fields: int
-    ):
-        self.channel = op.channel
-        self.msgs = msgs = list(op.messages)
-        self.at = None if op.at is None else at  # None: 0, 1, 2, ...
-        self.base = base
-        self.i = 0
-        self.ok = len(msgs)
-        for j, msg in enumerate(msgs):
-            if msg.__class__ is not Message or len(msg.fields) > max_fields:
-                self.ok = j
-                break
-
-    def next_op(self, cycle: int) -> Any:
-        """The desugared op for ``cycle``; ``None`` once all are written."""
-        i = self.i
-        if i == len(self.msgs):
-            return None
-        due = self.base + (i if self.at is None else self.at[i])
-        if due > cycle:
-            return Sleep(due - cycle)
-        self.i = i + 1
-        return CycleOp(self.channel, self.msgs[i])
-
-    def writes_from(self, cycle: int) -> int:
-        """How many guard-clean writes fall on consecutive cycles from
-        ``cycle`` on (0 if the next op is not a write due then)."""
-        i, ok, at = self.i, self.ok, self.at
-        if i >= ok:
-            return 0
-        if at is None:
-            return ok - i  # back to back: write i is always due now
-        if self.base + at[i] != cycle:
-            return 0
-        j = i + 1
-        while j < ok and at[j] == at[j - 1] + 1:
-            j += 1
-        return j - i
-
-
 def _collective_runs(op: str, path: str, n: int) -> None:
     global_registry().counter(
         "network_plan_runs_total",
         "Collective ops the fast engine's unobserved loop ran, by op "
-        "(run_plan or rank_sort) and path (collective or stepped)",
+        "(run_plan, rank_sort or emit) and path (collective or stepped)",
     ).inc(n, op=op, path=path)
 
 
@@ -299,23 +236,19 @@ class MCBNetwork(ReferenceMCBNetwork):
         until_waiters: list[list[int]] = [[] for _ in range(k + 1)]
         bounded_count = [0] * (k + 1)
         chan_log: list[list[tuple[int, Any]]] = [[] for _ in range(k + 1)]
-        # emitting[slot] is an _EmitState while that slot replays an Emit;
-        # emitters counts them.
-        emitting: list[Any] = [None] * m
-        emitters = 0
-        # coll_outer[slot] is the program's own send while that slot steps
-        # a collective op's desugared program (sends[slot] is the op's).
+        # coll_outer[slot] stacks the sends of the programs that slot's
+        # stepped collective ops interrupted, innermost last (sends[slot]
+        # is the innermost op's desugared program).
         coll_outer: list[Any] = [None] * m
         parked = 0  # parked listeners
         until_parked = 0  # parked until_nonempty listeners
         live = m  # unfinished generators
 
         # Local bindings for the hot loop.
-        CycleOp_, Sleep_, Listen_, Emit_, Collective_, Message_, EMPTY_ = (
+        CycleOp_, Sleep_, Listen_, Collective_, Message_, EMPTY_ = (
             CycleOp,
             Sleep,
             Listen,
-            Emit,
             CollectiveOp,
             Message,
             EMPTY,
@@ -391,45 +324,6 @@ class MCBNetwork(ReferenceMCBNetwork):
                     f"stage '{phase}' exceeded max_cycles={max_cycles}"
                 )
 
-            if emitters and len(ready) <= emitters:
-                # Write burst: every awake slot replays an Emit whose next
-                # ops are writes from this cycle on, on distinct channels
-                # nobody parks until-nonempty on, and no one else wakes
-                # before the span ends — so each of its cycles is exactly
-                # these writes.  Charge them in one pass.  A write the
-                # fast guard rejects ends the span before its cycle; the
-                # per-cycle path below then raises (or admits) it.
-                span = (sleep_heap[0][0] if sleep_heap else max_cycles) - cycle
-                chans: list[int] = []
-                for slot in ready:
-                    est = emitting[slot]
-                    if est is None:
-                        span = 0
-                        break
-                    span = min(span, est.writes_from(cycle))
-                    w = est.channel
-                    if span < 2 or w in chans or until_waiters[w]:
-                        span = 0
-                        break
-                    chans.append(w)
-                if span:
-                    for slot in ready:
-                        est = emitting[slot]
-                        w = est.channel
-                        i = est.i
-                        est.i = i + span
-                        sent = est.msgs[i : i + span]
-                        for msg in sent:
-                            bits_acc += msg.bit_size()
-                        if bounded_count[w]:
-                            chan_log[w].extend(
-                                zip(range(cycle, cycle + span), sent)
-                            )
-                        cw_counts[w] += span
-                        messages += span
-                    cycle += span
-                    continue
-
             # --- collect this cycle's ops from every awake processor -----
             next_ready: list[int] = []
             written: list[int] = []
@@ -450,52 +344,29 @@ class MCBNetwork(ReferenceMCBNetwork):
             batch = ready
             while True:
                 for slot in batch:
-                    est = emitting[slot]
-                    op = None
-                    if est is not None:
-                        # Mid-Emit: this cycle's op comes from the replay;
-                        # the generator resumes (with None) once it runs
-                        # out.
-                        op = est.next_op(cycle)
-                        if op is None:
-                            emitting[slot] = None
-                            emitters -= 1
-                    if op is None:
-                        try:
-                            op = sends[slot](inbox[slot])
-                        except StopIteration as stop:
-                            value = stop.value
-                            outer = coll_outer[slot]
-                            ended = True
-                            if outer is not None:
-                                # A stepped collective op ended: its
-                                # returned value resumes the program that
-                                # yielded it.
-                                coll_outer[slot] = None
-                                sends[slot] = outer
-                                try:
-                                    op = outer(value)
-                                    ended = False
-                                except StopIteration as stop2:
-                                    value = stop2.value
-                            if ended:
-                                inbox[slot] = None
-                                results[pids[slot]] = value
-                                finished += 1
-                                live -= 1
-                                continue
-                        inbox[slot] = None
+                    try:
+                        op = sends[slot](inbox[slot])
+                    except StopIteration as stop:
+                        value = stop.value
+                        # A stepped collective op ended: its returned
+                        # value resumes the program that yielded it.
+                        stack = coll_outer[slot]
+                        while stack:
+                            sends[slot] = send = stack.pop()
+                            try:
+                                op = send(value)
+                                break
+                            except StopIteration as stop2:
+                                value = stop2.value
+                        else:
+                            inbox[slot] = None
+                            results[pids[slot]] = value
+                            finished += 1
+                            live -= 1
+                            continue
+                    inbox[slot] = None
                     cls = op.__class__
                     if cls is not CycleOp_:
-                        if cls is Emit_ or isinstance(op, Emit_):
-                            est = _EmitState(
-                                op, emit_schedule(pids[slot], op, k), cycle,
-                                max_fields,
-                            )
-                            emitting[slot] = est
-                            emitters += 1
-                            op = est.next_op(cycle)
-                            cls = op.__class__
                         if cls is Sleep_ or isinstance(op, Sleep_):
                             c = op.cycles
                             if c < 0:
@@ -612,7 +483,11 @@ class MCBNetwork(ReferenceMCBNetwork):
                 # Step each op's desugared program from this cycle on.
                 batch = []
                 for slot, op in coll_ops:
-                    coll_outer[slot] = sends[slot]
+                    stack = coll_outer[slot]
+                    if stack is None:
+                        coll_outer[slot] = [sends[slot]]
+                    else:
+                        stack.append(sends[slot])
                     sends[slot] = op.program().send
                     batch.append(slot)
                 stepping, coll_ops = coll_ops, None

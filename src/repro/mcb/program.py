@@ -29,22 +29,19 @@ Per cycle a program yields either
   cycle's cost tracks the active writers rather than ``p`` (most of the
   paper's phases are "few writers, many listeners"); or
 
-* :class:`Emit` — write a run of messages on one channel at fixed
-  offsets without being resumed per write.  Emitting is semantically
-  identical to yielding the ``Sleep``/``CycleOp(write=ch, payload=m)``
-  sequence that :func:`desugar_emit` spells out, but lets the engine
-  replay that sequence itself (a fixed write schedule, like the
-  writers of Rank-Sort or of the §8 termination gather); or
-
-* a :class:`CollectiveOp` — a step a whole group enters together:
+* a :class:`CollectiveOp` — a step a whole group enters together.
+  ``x = yield op`` is semantically identical to ``x = yield from
+  desugar_collective(pid, op, k)``; when the whole group enters it
+  together the engine may run it as one step.  There are three:
   :class:`RunPlan` runs one processor's part of an oblivious
   :class:`~repro.mcb.vector.plan.SchedulePlan` (a §5.2 columnsort
-  transfer phase, a comparator-network round), and Rank-Sort's
+  transfer phase, a comparator-network round), Rank-Sort's
   :class:`~repro.sort.rank_sort.SortGroup` one member's part of a
-  single-channel group sort.  ``x = yield op`` is semantically
-  identical to ``x = yield from desugar_collective(pid, op, k)``, but
-  when the whole group enters it together the engine may run it as
-  one step.
+  single-channel group sort, and :class:`Emit` writes a run of
+  messages on one channel at fixed offsets, resumed once after the
+  last write (a fixed write schedule, like the writers of Rank-Sort
+  or of the §8 termination gather).  ``Emit`` has no one-step form;
+  every engine steps its ``Sleep``/``CycleOp`` program.
 
 The generator's return value (``return x``) becomes the processor's result
 in :meth:`MCBNetwork.run`'s output.
@@ -53,7 +50,6 @@ in :meth:`MCBNetwork.run`'s output.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Any, Callable, Generator, NamedTuple, Optional, Sequence
 
 from .errors import ProtocolError
@@ -241,102 +237,6 @@ def listen_window(pid: int, op: Listen) -> Optional[int]:
     return max(1, op.cycles)
 
 
-class Emit:
-    """Write ``messages`` on one channel, resumed once after the last write.
-
-    ``Emit(ch, messages, at)`` is *defined* by desugaring: it behaves
-    exactly like yielding the ops of :func:`desugar_emit` — for each
-    ``i``, ``CycleOp(write=ch, payload=messages[i])`` at offset
-    ``at[i]`` from the yield cycle (default ``at = 0, 1, 2, ...``), with
-    every gap spelled as one ``Sleep``.  A 1-cycle gap (``Sleep(1)``) is
-    therefore a participating cycle, while longer gaps are sleeps the
-    engine may fast-forward, exactly as if written by hand.  Every write
-    is validated, collision-checked and charged at its own cycle.  What
-    changes is the *delivery*: the generator is resumed once, with
-    ``None``, in the cycle after the last write::
-
-        yield Emit(channel, [msg_a, msg_b], at=[3, 7])
-        # resumed at offset 8
-
-    ``at`` must be as long as ``messages``, non-negative and strictly
-    increasing, and ``messages`` must not be empty
-    (:func:`emit_schedule` checks this in every engine).
-
-    Like :class:`CycleOp`, a plain ``__slots__`` class; treat instances
-    as immutable.
-    """
-
-    __slots__ = ("channel", "messages", "at")
-
-    def __init__(
-        self,
-        channel: int,
-        messages: Sequence[Message],
-        at: Optional[Sequence[int]] = None,
-    ):
-        self.channel = channel
-        self.messages = messages
-        self.at = at
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Emit({self.channel!r}, {self.messages!r}, at={self.at!r})"
-
-
-def emit_schedule(pid: int, op: Emit, k: int) -> Sequence[int]:
-    """Check an :class:`Emit`'s form on ``k`` channels; return its offsets.
-
-    Every engine and the simulation desugaring share this check, so a
-    malformed emit fails with the same message everywhere (the
-    counterpart of :func:`listen_window`).  The messages themselves are
-    checked later, each at the cycle it is written.
-    """
-    if not 1 <= op.channel <= k:
-        raise ProtocolError(
-            f"P{pid} emits on invalid channel C{op.channel} (k={k})"
-        )
-    n = len(op.messages)
-    if not n:
-        raise ProtocolError(f"P{pid} yielded an Emit with no messages")
-    if op.at is None:
-        return range(n)
-    at = list(op.at)
-    if len(at) != n:
-        raise ProtocolError(
-            f"P{pid} yielded an Emit with {n} messages but {len(at)} offsets"
-        )
-    if at[0] < 0:
-        raise ProtocolError(f"P{pid} yielded a negative emit offset ({at[0]})")
-    for a, b in zip(at, at[1:]):
-        if b <= a:
-            raise ProtocolError(
-                f"P{pid} yielded emit offsets that do not increase ({a}, {b})"
-            )
-    return at
-
-
-def desugar_emit(pid: int, op: Emit, k: int) -> list:
-    """The ``Sleep``/``CycleOp`` sequence that defines ``op``.
-
-    Each gap before a write becomes one ``Sleep(gap)``; nothing follows
-    the last write.  The reference interpreter and the §2 simulators
-    step this list in place of resuming the generator, one op per cycle
-    it would have yielded; the fast engine spells the same ops one
-    cycle at a time.
-    """
-    at = emit_schedule(pid, op, k)
-    ch = op.channel
-    if op.at is None:
-        return list(map(CycleOp, repeat(ch), op.messages))
-    ops: list = []
-    t = 0
-    for a, msg in zip(at, op.messages):
-        if a > t:
-            ops.append(Sleep(a - t))
-        ops.append(CycleOp(ch, msg))
-        t = a + 1
-    return ops
-
-
 class Collective(NamedTuple):
     """What a :class:`CollectiveOp` step computes for its ops: what
     stepping the desugared programs would produce, charged in bulk.
@@ -367,9 +267,10 @@ class CollectiveOp:
     "Collective ops").
 
     A subclass sets :attr:`label` (the ``op`` label of
-    ``network_plan_runs_total``) and implements :meth:`check`,
-    :meth:`program` and :meth:`collective`.  Like :class:`CycleOp`,
-    instances are plain ``__slots__`` objects; treat them as immutable.
+    ``network_plan_runs_total``) and implements :meth:`check` and
+    :meth:`program`, and :meth:`collective` if it has a one-step form.
+    Like :class:`CycleOp`, instances are plain ``__slots__`` objects;
+    treat them as immutable.
     """
 
     __slots__ = ()
@@ -407,8 +308,7 @@ class CollectiveOp:
 
 def desugar_collective(pid: int, op: CollectiveOp, k: int) -> Generator:
     """Check ``op`` (:meth:`CollectiveOp.check`); return the generator of
-    desugared ops that defines it (the counterpart of
-    :func:`desugar_emit`)."""
+    desugared ops that defines it."""
     op.check(pid, k)
     return op.program()
 
@@ -491,6 +391,96 @@ class RunPlan(CollectiveOp):
         return Collective(
             [outs[op.proc] for op in ops], bits, cw, plan.cycles
         )
+
+
+class Emit(CollectiveOp):
+    """Write ``messages`` on one channel, resumed once after the last write.
+
+    ``Emit(ch, messages, at)`` is *defined* by desugaring: it behaves
+    exactly like yielding the ops of :meth:`program` — for each ``i``,
+    ``CycleOp(write=ch, payload=messages[i])`` at offset ``at[i]`` from
+    the yield cycle (default ``at = 0, 1, 2, ...``), with every gap
+    spelled as one ``Sleep``.  A 1-cycle gap (``Sleep(1)``) is
+    therefore a participating cycle, while longer gaps are sleeps the
+    engine may fast-forward, exactly as if written by hand.  Every write
+    is validated, collision-checked and charged at its own cycle.  What
+    changes is the *delivery*: the generator is resumed once, with
+    ``None``, in the cycle after the last write::
+
+        yield Emit(channel, [msg_a, msg_b], at=[3, 7])
+        # resumed at offset 8
+
+    ``at`` must be as long as ``messages``, non-negative and strictly
+    increasing, and ``messages`` must not be empty (:meth:`check`).
+    It has no :meth:`~CollectiveOp.collective` form: every engine steps
+    :meth:`program`.
+    """
+
+    __slots__ = ("channel", "messages", "at")
+
+    label = "emit"
+
+    def __init__(
+        self,
+        channel: int,
+        messages: Sequence[Message],
+        at: Optional[Sequence[int]] = None,
+    ):
+        self.channel = channel
+        self.messages = messages
+        self.at = at
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"Emit({self.channel!r}, {self.messages!r}, at={self.at!r})"
+
+    def check(self, pid: int, k: int) -> None:
+        """The channel exists, ``messages`` is not empty, and ``at`` is
+        as long, non-negative and strictly increasing.  A one-shot
+        ``at`` iterable is listed here, once, and kept as that list.
+        The messages themselves are checked later, each at the cycle it
+        is written."""
+        if not 1 <= self.channel <= k:
+            raise ProtocolError(
+                f"P{pid} emits on invalid channel C{self.channel} (k={k})"
+            )
+        n = len(self.messages)
+        if not n:
+            raise ProtocolError(f"P{pid} yielded an Emit with no messages")
+        at = self.at
+        if at is None:
+            return
+        if at.__class__ not in (list, tuple, range):
+            at = self.at = list(at)
+        if len(at) != n:
+            raise ProtocolError(
+                f"P{pid} yielded an Emit with {n} messages but {len(at)} "
+                f"offsets"
+            )
+        if at[0] < 0:
+            raise ProtocolError(
+                f"P{pid} yielded a negative emit offset ({at[0]})"
+            )
+        for a, b in zip(at, at[1:]):
+            if b <= a:
+                raise ProtocolError(
+                    f"P{pid} yielded emit offsets that do not increase "
+                    f"({a}, {b})"
+                )
+
+    def program(self) -> Generator:
+        """The ``Sleep``/``CycleOp`` run that defines the emit: each gap
+        before a write is one ``Sleep(gap)``, and nothing follows the
+        last write."""
+        ch, msgs, at = self.channel, self.messages, self.at
+        if at is None:
+            at = range(len(msgs))
+        t = 0
+        for a, msg in zip(at, msgs):
+            if a > t:
+                yield Sleep(a - t)
+            yield CycleOp(ch, msg)
+            t = a + 1
+        return None
 
 
 #: A no-op cycle (participate in the round, touch no channel).

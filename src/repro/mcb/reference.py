@@ -39,13 +39,12 @@ It serves as
 interpreter synthesizes one ``CycleOp(read=...)`` per cycle of the
 window without resuming the generator, then resumes it once with the
 bulk result.  The fast engine's parked wait-lists must match this bit
-for bit.  An :class:`~repro.mcb.program.Emit` is stepped as the
-``Sleep``/``CycleOp`` list :func:`~repro.mcb.program.desugar_emit`
-spells out, one op per cycle, before the generator resumes, and a
-collective op (:class:`~repro.mcb.program.CollectiveOp`: a ``RunPlan``
-or Rank-Sort's ``SortGroup``) as the desugared program
+for bit.  A collective op (:class:`~repro.mcb.program.CollectiveOp`: a
+``RunPlan``, Rank-Sort's ``SortGroup`` or an
+:class:`~repro.mcb.program.Emit`) is stepped as the desugared program
 (:func:`~repro.mcb.program.desugar_collective`) it stands for, whose
-return value resumes the generator.
+return value resumes the generator; that program may yield collective
+ops of its own.
 
 Rules shared by every policy (and by the fast engine): ``Sleep(c)``
 with ``c < 0`` raises :class:`ProtocolError`; a message with more than
@@ -87,13 +86,11 @@ from .message import EMPTY, Message
 from .program import (
     CollectiveOp,
     CycleOp,
-    Emit,
     Listen,
     ProcContext,
     ProgramFn,
     Sleep,
     desugar_collective,
-    desugar_emit,
     listen_window,
 )
 from .trace import PhaseStats, RunStats
@@ -239,8 +236,9 @@ class ReferenceMCBNetwork(ObservableMixin):
         inbox: dict[int, Any] = {pid: None for pid in programs}
         wake: dict[int, int] = {pid: 0 for pid in programs}
         listening: dict[int, _RefListenState] = {}
-        emitting: dict[int, Any] = {}  # pid -> rest of its desugared Emit
-        coll_outer: dict[int, Any] = {}  # pid -> program inside a collective op
+        # pid -> the programs its stepped collective ops interrupted,
+        # innermost last
+        coll_outer: dict[int, list] = {}
 
         def resume(pid: int, got: Any) -> Any:
             """``pid``'s next op, stepping a collective op as its
@@ -250,14 +248,15 @@ class ReferenceMCBNetwork(ObservableMixin):
                 try:
                     op = gens[pid].send(got)
                 except StopIteration as stop:
-                    if pid not in coll_outer:
+                    outer = coll_outer.get(pid)
+                    if not outer:
                         raise
-                    gens[pid] = coll_outer.pop(pid)
+                    gens[pid] = outer.pop()
                     got = stop.value
                     continue
                 if not isinstance(op, CollectiveOp):
                     return op
-                coll_outer[pid] = gens[pid]
+                coll_outer.setdefault(pid, []).append(gens[pid])
                 gens[pid] = desugar_collective(pid, op, k)
                 got = None
         until_parked = 0
@@ -332,23 +331,14 @@ class ReferenceMCBNetwork(ObservableMixin):
                                 heard=1 if st.window is None else len(done),
                             )
                         )
-                op = None
-                if pid in emitting:
-                    op = next(emitting[pid], None)
-                    if op is None:
-                        del emitting[pid]
-                if op is None:
-                    try:
-                        op = resume(pid, inbox[pid])
-                    except StopIteration as stop:
-                        results[pid] = stop.value
-                        del gens[pid]
-                        continue
-                    finally:
-                        inbox[pid] = None
-                if isinstance(op, Emit):
-                    emitting[pid] = iter(desugar_emit(pid, op, k))
-                    op = next(emitting[pid])
+                try:
+                    op = resume(pid, inbox[pid])
+                except StopIteration as stop:
+                    results[pid] = stop.value
+                    del gens[pid]
+                    continue
+                finally:
+                    inbox[pid] = None
                 any_op = True
                 if isinstance(op, Sleep):
                     if op.cycles < 0:

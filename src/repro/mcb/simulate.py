@@ -46,13 +46,11 @@ from .program import (
     IDLE,
     CollectiveOp,
     CycleOp,
-    Emit,
     Listen,
     ProcContext,
     ProgramFn,
     Sleep,
     desugar_collective,
-    desugar_emit,
     listen_window,
 )
 
@@ -82,24 +80,21 @@ def simulation_overhead(p_virtual: int, k_virtual: int, p: int, k: int) -> tuple
 
 
 def desugar(q: int, k: int, gen: Generator) -> Generator:
-    """Run virtual program ``gen``, spelling ``Listen``, ``Emit`` and
-    collective ops out.
+    """Run virtual program ``gen``, spelling ``Listen`` and collective
+    ops out.
 
     The oblivious block schedule moves at most one read and one write per
-    virtual processor per virtual cycle and has no parked readers,
-    replayed writers or collective phases, so both simulators wrap every
-    virtual program (virtual pid ``q`` on ``k`` virtual channels) in this
-    generator.  A :class:`~repro.mcb.program.Listen` becomes exactly the
-    per-cycle ``CycleOp(read=ch)`` yields that define it
-    (``docs/MODEL.md``), and the program is resumed with the same bulk
-    result an engine would deliver; an :class:`~repro.mcb.program.Emit`
-    becomes its :func:`~repro.mcb.program.desugar_emit` ops, and the
-    program is resumed with ``None`` after the last write; a
-    :class:`~repro.mcb.program.CollectiveOp` (a ``RunPlan``, Rank-Sort's
-    ``SortGroup``) becomes its desugared program, itself spelled out
-    the same way, whose return value resumes the program — so a virtual
-    plan or group sort never runs on the physical channels.  Everything
-    else passes through.
+    virtual processor per virtual cycle and has no parked readers or
+    collective phases, so both simulators wrap every virtual program
+    (virtual pid ``q`` on ``k`` virtual channels) in this generator.  A
+    :class:`~repro.mcb.program.Listen` becomes exactly the per-cycle
+    ``CycleOp(read=ch)`` yields that define it (``docs/MODEL.md``), and
+    the program is resumed with the same bulk result an engine would
+    deliver; a :class:`~repro.mcb.program.CollectiveOp` (a ``RunPlan``,
+    Rank-Sort's ``SortGroup``, an ``Emit``) becomes its desugared
+    program, itself spelled out the same way, whose return value resumes
+    the program — so a virtual plan, group sort or write run never runs
+    on the physical channels.  Everything else passes through.
     """
     got = None
     while True:
@@ -107,11 +102,6 @@ def desugar(q: int, k: int, gen: Generator) -> Generator:
             op = gen.send(got)
         except StopIteration as stop:
             return stop.value
-        if isinstance(op, Emit):
-            for sub in desugar_emit(q, op, k):
-                yield sub
-            got = None
-            continue
         if isinstance(op, CollectiveOp):
             got = yield from desugar(q, k, desugar_collective(q, op, k))
             continue

@@ -72,9 +72,6 @@ class _Metric:
         self.help = help
         self._samples: dict[LabelKey, Any] = {}
 
-    def labels_seen(self) -> list[dict[str, Any]]:
-        return [dict(key) for key in self._samples]
-
     def _project(self, value: Any) -> Any:
         return value
 

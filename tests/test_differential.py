@@ -4,7 +4,7 @@ One hypothesis property draws a query — algorithm, network shape, input
 size, distribution and even-sort backend — and runs it on three paths:
 
 * the fast engine unobserved (``RunPlan`` phases run as collective
-  steps, ``Listen``/``Emit`` park);
+  steps, ``Listen`` parks);
 * the reference interpreter with an observer attached (every op
   stepped; an observed ``MCBNetwork`` stage runs on this same loop);
 * the vector engine (``engine="vector"``), wherever it applies: a
@@ -16,10 +16,11 @@ All of them must return the same output and the same
 columnsort variants (``paper_phase2`` x ``wrap_skip``, k up to 8) on
 the same three paths, and a third checks every lane of a
 ``sort_even_pk_batch`` run, either backend, against its solo run on the
-generator engine.  Another property does the same for the §6.1
-virtual-column sort (both sorters, several group sizes ``g = p/k``) and
-the §6.2 recursion, whose transfer phases are collective plans on the
-fast engine; the vector engine does not run them.  A last one draws
+generator engine; both draw integer or float columns.  Another
+property does the same for the §6.1 virtual-column sort (both sorters,
+several group sizes ``g = p/k``) and the §6.2 recursion, whose
+transfer phases are collective plans on the fast engine; the vector
+engine does not run them.  A last one draws
 single Rank-Sort stages — several groups, uneven ``counts``,
 ``out_counts`` with empty segments, either direction — and holds the
 fast engine unobserved (where they may run as one collective step) and
@@ -129,11 +130,23 @@ def test_engines_agree(query):
         assert run(MCBNetwork(p, k), query, engine="vector") == fast
 
 
+def float_columns(k: int, m: int, seed: int) -> dict[int, list]:
+    """``k`` columns of ``m`` floats with three decimals."""
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(-50, 50, size=k * m).round(3).tolist()
+    return {pid: values[(pid - 1) * m: pid * m] for pid in range(1, k + 1)}
+
+
 def draw_columns(draw, k: int, m: int) -> dict[int, list]:
-    """``k`` columns of ``m`` distinct values, or of eight values."""
+    """``k`` columns of ``m`` distinct integers, of eight integers, or of
+    floats."""
     n = k * m
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["distinct", "eight", "float"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if kind == "float":
+        return float_columns(k, m, seed)
+    rng = np.random.default_rng(seed)
+    if kind == "distinct":
         values = rng.choice(4 * n + 1, size=n, replace=False).tolist()
     else:
         values = rng.choice(np.arange(1, 9) * 100, size=n).tolist()
@@ -165,6 +178,8 @@ def run_even_pk(net, query, engine="generator"):
 @given(query=even_pk_variants())
 @example(query=(1, {1: []}, False, False))  # m = 0: no element, no cycle
 @example(query=(1, {1: []}, True, False))
+@example(query=(4, float_columns(4, 16, 11), False, False))
+@example(query=(4, float_columns(4, 16, 11), True, False))
 def test_even_pk_variants_agree(query):
     k, columns, *_ = query
     observed = ReferenceMCBNetwork(k, k)
@@ -196,6 +211,10 @@ def batch_queries(draw):
     max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
 @given(query=batch_queries())
+@example(query=(
+    4, [float_columns(4, 16, seed) for seed in (21, 22)], "columnsort",
+    False, True,
+))
 def test_batch_lanes_match_solo_runs(query):
     k, lanes, backend, paper_phase2, wrap_skip = query
     batch = sort_even_pk_batch(

@@ -234,11 +234,21 @@ class TestFallbacksStepTheSpelling:
         assert paths == {"collective": 0, "stepped": 2}
 
     def test_empty_output_segment(self):
-        groups = [([2, 3, 1], distinct(6), {"out_counts": [3, 0, 3]})]
-        _, paths = run_everywhere(
-            3, 1, lambda form: group_programs(groups, form)
-        )
-        assert paths == {"collective": 0, "stepped": 3}
+        # The stepped spelling's write runs are nested Emit ops, stepped
+        # on every engine.
+        elems = distinct(6)
+        for counts, ascending in [([2, 3, 1], False), ([1, 1, 4], True)]:
+            kw = {"out_counts": [3, 0, 3], "ascending": ascending}
+            before = runs("emit")
+            (res, *_), paths = run_everywhere(
+                3, 1,
+                lambda form: group_programs([(counts, elems, kw)], form),
+            )
+            ranked = sorted(elems, reverse=not ascending)
+            assert res == {1: ranked[:3], 2: [], 3: ranked[3:]}
+            assert paths == {"collective": 0, "stepped": 3}
+            emits = runs_since(before, "emit")
+            assert emits["collective"] == 0 and emits["stepped"] > 0
 
     def test_groups_of_different_lengths(self):
         groups = [([2, 2], distinct(4, 1), {}), ([3, 2], distinct(5, 2), {})]

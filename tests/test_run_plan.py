@@ -12,7 +12,9 @@ condition that makes the fast engine fall back, and for collision,
 message-size and ``max_cycles`` errors — and the same
 ``ProtocolError`` for every malformed ``RunPlan``.  The
 ``network_plan_runs_total{op="run_plan", path}`` counter shows which
-path ran.
+path ran.  A collective op whose program yields another one (a
+``RunPlan`` or a test-local op) resumes its caller with the inner
+result on every engine and inside both simulators.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from repro.mcb import (
     Sleep,
 )
 from repro.mcb.cnet import build_network, cnet_to_schedule
+from repro.mcb.program import CollectiveOp
 from repro.mcb.reference import ReferenceMCBNetwork, run_simulated_reference
 from repro.mcb.simulate import run_simulated
 from repro.mcb.vector import SchedulePlan
@@ -405,6 +408,137 @@ class TestRunPlanInsideSimulation:
                     net, None, lambda: simulate(net, 4, 4, programs)
                 ))
         assert isinstance(outcomes[0][0], dict)
+        assert all(o == outcomes[0] for o in outcomes)
+
+
+class Inner(CollectiveOp):
+    """A test-local collective op: one idle cycle, then ``value + 1``."""
+
+    __slots__ = ("value",)
+
+    label = "test_inner"
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def check(self, pid: int, k: int) -> None:
+        pass
+
+    def program(self):
+        yield CycleOp()
+        return self.value + 1
+
+
+class Outer(CollectiveOp):
+    """A test-local collective op whose program yields ``inner``,
+    another collective op, idles one cycle and returns what ``inner``
+    returned."""
+
+    __slots__ = ("inner",)
+
+    label = "test_outer"
+
+    def __init__(self, inner: CollectiveOp):
+        self.inner = inner
+
+    def check(self, pid: int, k: int) -> None:
+        pass
+
+    def program(self):
+        got = yield self.inner
+        yield CycleOp()
+        return got
+
+
+def spelled(op, ctx):
+    """Sub-generator: ``op``'s ops written out by hand."""
+    if isinstance(op, RunPlan):
+        return (yield from op.plan.as_program(op.proc, op.row)(ctx))
+    if isinstance(op, Outer):
+        got = yield from spelled(op.inner, ctx)
+        yield CycleOp()
+        return got
+    yield CycleOp()
+    return op.value + 1
+
+
+def nested_programs(p: int, make_inner, form: str):
+    """Processors ``1..p`` yield ``Outer(make_inner(ctx))`` (``"op"``)
+    or its hand spelling (``"desugared"``), then sleep one cycle and
+    return what it returned."""
+
+    def prog(ctx):
+        op = Outer(make_inner(ctx))
+        if form == "op":
+            got = yield op
+        else:
+            got = yield from spelled(op, ctx)
+        yield Sleep(1)
+        return ("resumed", got)
+
+    return {pid: prog for pid in range(1, p + 1)}
+
+
+class TestNestedCollectiveOps:
+    def test_inner_op_resumes_its_caller(self):
+        def programs(form):
+            return nested_programs(2, lambda ctx: Inner(10 * ctx.pid), form)
+
+        before = {op: plan_runs(op) for op in ("test_outer", "test_inner")}
+        (res, stats, *_), _ = run_everywhere(2, 1, programs)
+        assert res == {1: ("resumed", 11), 2: ("resumed", 21)}
+        assert stats["totals"]["cycles"] == 3
+        # run_everywhere runs the op form unobserved on the fast engine
+        # twice, two processors each time.
+        assert {op: runs_since(n, op) for op, n in before.items()} == {
+            op: {"collective": 0, "stepped": 2 * 2} for op in before
+        }
+
+    def test_inner_plan_runs_collectively_and_resumes(self):
+        plan = single_plan()
+        rows = columns(8, 4, "int")
+
+        def programs(form):
+            return nested_programs(
+                4, lambda ctx: RunPlan(plan, ctx.pid - 1, rows[ctx.pid - 1]),
+                form,
+            )
+
+        (res, stats, *_), paths = run_everywhere(4, 4, programs)
+        plain = run_engine(
+            ReferenceMCBNetwork, False, 4, 4,
+            chain_programs([plan], rows, "desugared"),
+        )[0]
+        # chain_programs reverses each row after the plan.
+        assert res == {
+            pid: ("resumed", [e for _, e in reversed(row)])
+            for pid, row in plain.items()
+        }
+        assert stats["totals"]["cycles"] == plan.cycles + 2
+        assert paths == {"collective": 4, "stepped": 0}
+
+    @pytest.mark.parametrize("inner", ["test", "plan"])
+    def test_inside_simulation(self, inner):
+        plan = single_plan()
+        rows = columns(8, 4, "triple")
+
+        def make_inner(ctx):
+            if inner == "test":
+                return Inner(10 * ctx.pid)
+            return RunPlan(plan, ctx.pid - 1, rows[ctx.pid - 1])
+
+        outcomes = []
+        for simulate, cls in SIMULATORS:
+            for form in ("op", "desugared"):
+                net = cls(p=2, k=2)
+                programs = nested_programs(4, make_inner, form)
+                outcomes.append(outcome(
+                    net, None, lambda: simulate(net, 4, 4, programs)
+                ))
+        res = outcomes[0][0]
+        assert all(got[0] == "resumed" for got in res.values())
+        if inner == "test":
+            assert res == {q: ("resumed", 10 * q + 1) for q in range(1, 5)}
         assert all(o == outcomes[0] for o in outcomes)
 
 

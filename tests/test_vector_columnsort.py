@@ -6,6 +6,10 @@ generator engine — including ``wrap_skip`` (compiled through the
 parking-slot lowering) — and a loud :class:`ConfigurationError` for
 anything the compiled oblivious path cannot faithfully run (the
 adaptive ``mcb_sort`` strategies), never a silent mis-execution.
+Output and stats parity of the plain variants (int and float columns)
+and of batch lanes against solo runs is drawn in
+``tests/test_differential.py``; this module keeps the event streams and
+the ``wrap_skip`` message savings.
 """
 
 from __future__ import annotations
@@ -53,15 +57,6 @@ def run_both(columns: dict[int, list], **kwargs):
     return gen_net, gen, vec_net, vec
 
 
-@pytest.mark.parametrize("paper_phase2", [False, True])
-@pytest.mark.parametrize("kind", ["int", "float"])
-def test_vector_sort_matches_generator(kind, paper_phase2):
-    columns = int_columns(11) if kind == "int" else float_columns(11)
-    gen_net, gen, vec_net, vec = run_both(columns, paper_phase2=paper_phase2)
-    assert gen.output == vec.output
-    assert gen_net.stats.to_dict() == vec_net.stats.to_dict()
-
-
 def test_vector_sort_with_duplicates_via_mcb_sort():
     """Duplicate elements are lifted to tagged tuples (§3), which the
     vector engine runs on the object dtype — same answer, same bits."""
@@ -77,16 +72,6 @@ def test_vector_sort_with_duplicates_via_mcb_sort():
     )
     assert gen.output == vec.output
     assert gen_net.stats.to_dict() == vec_net.stats.to_dict()
-
-
-def test_batched_sort_matches_per_seed_generator_runs():
-    lanes = [int_columns(s) for s in (21, 22, 23)]
-    batch = sort_even_pk_batch(K, lanes)
-    for b, lane in enumerate(lanes):
-        net = ReferenceMCBNetwork(p=K, k=K)
-        gen = sort_even_pk(net, {p: list(v) for p, v in lane.items()})
-        assert batch.results[b].output == gen.output, b
-        assert batch.stats[b].to_dict() == net.stats.to_dict(), b
 
 
 def test_batch_lanes_must_share_shape():
@@ -168,18 +153,6 @@ def test_wrap_skip_event_stream_matches_generator():
         engine="vector", wrap_skip=True,
     )
     assert gen_rec.events == vec_rec.events
-
-
-def test_batched_wrap_skip_matches_generator():
-    lanes = [int_columns(s) for s in (41, 42)]
-    batch = sort_even_pk_batch(K, lanes, wrap_skip=True)
-    for b, lane in enumerate(lanes):
-        net = ReferenceMCBNetwork(p=K, k=K)
-        gen = sort_even_pk(
-            net, {p: list(v) for p, v in lane.items()}, wrap_skip=True
-        )
-        assert batch.results[b].output == gen.output, b
-        assert batch.stats[b].to_dict() == net.stats.to_dict(), b
 
 
 def test_unknown_engine_rejected():
