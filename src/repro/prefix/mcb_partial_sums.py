@@ -70,6 +70,48 @@ def _sleep(t: int):
         yield Sleep(t)
 
 
+def _up_sweep(
+    pid: int,
+    a: Any,
+    k: int,
+    big_p: int,
+    op: Callable[[Any, Any], Any],
+    identity: Any,
+):
+    """Sub-generator for ``P_pid``'s part of the bottom-up sweep.
+
+    Returns ``vals``: level -> subtree sum of the node ``P_pid``
+    simulates at that level (level 0 is ``a`` itself).  Every processor
+    spends the same ``sum_l ceil(P / 2^{l+1} / k)`` cycles in it.
+    """
+    vals: dict[int, Any] = {0: a}
+    for l in range(big_p.bit_length() - 1):
+        transfers = big_p >> (l + 1)
+        level_cycles = math.ceil(transfers / k)
+        sender_j = receiver_j = None
+        if (pid - 1) % (1 << l) == 0:
+            s = ((pid - 1) >> l) + 1
+            if s % 2 == 0:
+                sender_j = s // 2  # I am right son of (l+1, s/2)
+        if (pid - 1) % (1 << (l + 1)) == 0:
+            receiver_j = ((pid - 1) >> (l + 1)) + 1
+        if sender_j is not None:
+            slot = sender_j - 1
+            yield from _sleep(slot // k)
+            yield CycleOp(write=slot % k + 1, payload=Message("up", vals[l]))
+            yield from _sleep(level_cycles - slot // k - 1)
+        elif receiver_j is not None:
+            slot = receiver_j - 1
+            yield from _sleep(slot // k)
+            got = yield CycleOp(read=slot % k + 1)
+            right = identity if got is EMPTY else got[0]
+            vals[l + 1] = op(vals[l], right)
+            yield from _sleep(level_cycles - slot // k - 1)
+        else:
+            yield from _sleep(level_cycles)
+    return vals
+
+
 def mcb_partial_sums(
     net: MCBNetwork,
     values: dict[int, Any],
@@ -107,34 +149,7 @@ def mcb_partial_sums(
     def program(ctx: ProcContext):
         pid = ctx.pid
         a = values[pid]
-        vals: dict[int, Any] = {0: a}  # level -> subtree sum of my node
-        # --- bottom-up sweep ------------------------------------------
-        for l in range(r):
-            transfers = big_p >> (l + 1)
-            level_cycles = math.ceil(transfers / k)
-            sender_j = receiver_j = None
-            if (pid - 1) % (1 << l) == 0:
-                s = ((pid - 1) >> l) + 1
-                if s % 2 == 0:
-                    sender_j = s // 2  # I am right son of (l+1, s/2)
-            if (pid - 1) % (1 << (l + 1)) == 0:
-                receiver_j = ((pid - 1) >> (l + 1)) + 1
-            if sender_j is not None:
-                slot = sender_j - 1
-                yield from _sleep(slot // k)
-                yield CycleOp(
-                    write=slot % k + 1, payload=Message("up", vals[l])
-                )
-                yield from _sleep(level_cycles - slot // k - 1)
-            elif receiver_j is not None:
-                slot = receiver_j - 1
-                yield from _sleep(slot // k)
-                got = yield CycleOp(read=slot % k + 1)
-                right = identity if got is EMPTY else got[0]
-                vals[l + 1] = op(vals[l], right)
-                yield from _sleep(level_cycles - slot // k - 1)
-            else:
-                yield from _sleep(level_cycles)
+        vals = yield from _up_sweep(pid, a, k, big_p, op, identity)
 
         # --- top-down sweep -------------------------------------------
         down: dict[int, Any] = {}
@@ -235,31 +250,7 @@ def mcb_total_sum(
 
     def program(ctx: ProcContext):
         pid = ctx.pid
-        vals: dict[int, Any] = {0: values[pid]}
-        for l in range(r):
-            transfers = big_p >> (l + 1)
-            level_cycles = math.ceil(transfers / k)
-            sender_j = receiver_j = None
-            if (pid - 1) % (1 << l) == 0:
-                s = ((pid - 1) >> l) + 1
-                if s % 2 == 0:
-                    sender_j = s // 2
-            if (pid - 1) % (1 << (l + 1)) == 0:
-                receiver_j = ((pid - 1) >> (l + 1)) + 1
-            if sender_j is not None:
-                slot = sender_j - 1
-                yield from _sleep(slot // k)
-                yield CycleOp(write=slot % k + 1, payload=Message("up", vals[l]))
-                yield from _sleep(level_cycles - slot // k - 1)
-            elif receiver_j is not None:
-                slot = receiver_j - 1
-                yield from _sleep(slot // k)
-                got = yield CycleOp(read=slot % k + 1)
-                right = identity if got is EMPTY else got[0]
-                vals[l + 1] = op(vals[l], right)
-                yield from _sleep(level_cycles - slot // k - 1)
-            else:
-                yield from _sleep(level_cycles)
+        vals = yield from _up_sweep(pid, values[pid], k, big_p, op, identity)
         if pid == 1:
             total = vals[r]
             yield CycleOp(write=1, payload=Message("total", total), read=1)

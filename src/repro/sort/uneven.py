@@ -26,6 +26,15 @@ known).  The paper's plan, implemented stage by stage:
    silent) and every processor collects its own target segment, which
    spans at most two columns since ``n_i <= n_max <= M``.
 
+Once the group counts are known, stages 3 and 5 are oblivious: each is
+one :class:`~repro.mcb.vector.plan.SchedulePlan` (:func:`group_plans`)
+whose write cycles are exactly those above — in collection, a member's
+``t``-th element goes out in cycle ``revised partial sum + t`` — run as
+one :class:`~repro.mcb.program.RunPlan` op, like stage 4's Columnsort
+phases.  :func:`group_columnsort` runs stages 3–5; §8's pair sort
+(:func:`repro.sort.ones.sort_ones`) is the same pipeline with fixed
+groups and a single broadcast pass.
+
 Total: ``O(n/k + n_max)`` cycles and ``O(n + p)`` messages — by
 Corollary 6 this is ``Theta(max{n/k, n_max})`` cycles and ``Theta(n)``
 messages whenever ``n_max <= alpha * n`` for a constant ``alpha < 1``.
@@ -37,14 +46,16 @@ When ``n < k^2(k-1)`` the column count is capped at the largest valid
 from __future__ import annotations
 
 import math
-from typing import Any, Sequence
+from bisect import bisect_left
+from typing import Any, Optional, Sequence
 
 from ..columnsort.matrix import max_columns_for
 from ..mcb.message import EMPTY, Message
 from ..mcb.network import MCBNetwork
-from ..mcb.program import CycleOp, Listen, ProcContext, Sleep, emit_from
+from ..mcb.program import CycleOp, ProcContext, RunPlan, Sleep
+from ..mcb.vector.plan import SchedulePlan
 from ..prefix.mcb_partial_sums import mcb_partial_sums, mcb_total_sum
-from .common import dummy_like, is_dummy, pack_elem, unpack_elem
+from .common import dummy_like
 from .even_pk import SortResult, columnsort_program
 
 
@@ -118,99 +129,121 @@ def sort_uneven(
     m_pad = max(m_j for _, m_j in groups)
     m_pad = math.ceil(m_pad / k_used) * k_used
 
-    rep_pids = [rep for rep, _ in groups]
-    group_m = [m_j for _, m_j in groups]
-    group_base = [0]
-    for m_j in group_m:
-        group_base.append(group_base[-1] + m_j)
+    bounds = [0] + [sums[i].incl for i in range(1, p + 1)]
+    reps = [rep for rep, _ in groups]
+    return group_columnsort(
+        net, parts, reps, bounds, m_pad, m_pad,
+        group_plans(reps, bounds, m_pad, 2), phase=f"{phase}/sort",
+    )
 
-    # --- stages 3-5 as one aligned program ------------------------------
-    def main_program(ctx: ProcContext):
+
+def group_plans(
+    reps: Sequence[int], bounds: Sequence[int], m_pad: int, passes: int
+) -> tuple[Optional[SchedulePlan], SchedulePlan]:
+    """Stage 3's collection plan and stage 5's broadcast plan.
+
+    Group ``j`` is the processors after ``reps[j-1]`` up to its
+    representative ``reps[j]`` and talks on channel ``j + 1``;
+    ``bounds[i - 1]`` and ``bounds[i]`` are ``P_i``'s partial sums
+    ``n^+_{i-1}`` and ``n^+_i`` (so ``bounds[p] = n``).  Every row has
+    ``m_pad`` slots.
+
+    * Collection: a member writes its ``t``-th element in cycle
+      ``n^+_{i-1} - base_j + t`` — its revised partial sum, the wait the
+      paper's members count — and the representative reads it into
+      that slot.  The plan ends with its last write; it is ``None`` if
+      nobody writes (every group is a single processor).
+    * Broadcast (``passes * m_pad`` cycles): in each pass every
+      representative writes each real row of its column — the positions
+      ``< n`` in column-major order: real elements are finite, so the
+      dummies sort to the tail — and ``P_i`` reads its segment ``[n^+_{i-1}, n^+_i)`` into slots
+      ``0..n_i-1``.  The segment's ``c``-th column is read in pass
+      ``c``, so a segment may span ``passes`` columns.
+    """
+    p, n, k_used = len(bounds) - 1, bounds[-1], len(reps)
+    writes: list = []
+    reads: list = []
+    lo = 1
+    for j, rep in enumerate(reps):
+        base = bounds[lo - 1]
+        for pid in range(lo, rep):
+            for pos in range(bounds[pid - 1], bounds[pid]):
+                writes.append((pos - base, pid - 1, j + 1, pos - bounds[pid - 1]))
+                reads.append((pos - base, rep - 1, j + 1, pos - base))
+        lo = rep + 1
+    collect = None
+    if writes:
+        span = max(cy for cy, _, _, _ in writes) + 1
+        collect = SchedulePlan(p, k_used, span, m_pad, writes, reads)
+
+    cells = [divmod(pos, m_pad) for pos in range(n)]
+    writes = [
+        (t * m_pad + row, reps[col] - 1, col + 1, row)
+        for t in range(passes)
+        for col, row in cells
+    ]
+    reads = []
+    for pid in range(1, p + 1):
+        prev = bounds[pid - 1]
+        first = prev // m_pad
+        for slot, (col, row) in enumerate(cells[prev : bounds[pid]]):
+            assert col - first < passes, "a segment spans too many columns"
+            reads.append(((col - first) * m_pad + row, pid - 1, col + 1, slot))
+    return collect, SchedulePlan(p, k_used, passes * m_pad, m_pad, writes, reads)
+
+
+def group_columnsort(
+    net: MCBNetwork,
+    parts: dict[int, Sequence[Any]],
+    reps: Sequence[int],
+    bounds: Sequence[int],
+    m_pad: int,
+    collect_cycles: int,
+    plans: tuple[Optional[SchedulePlan], SchedulePlan],
+    *,
+    phase: str,
+) -> SortResult:
+    """Stages 3-5 of §7.2 as one network stage: collection, Phases 1-9
+    of Columnsort among the representatives, Phase 10.
+
+    ``reps``, ``bounds`` and ``m_pad`` are as in :func:`group_plans`,
+    which built ``plans``.  Collection lasts ``collect_cycles``: its
+    plan, then a sleep for the rest.  Each representative holds its
+    column — the members' elements, its own, then dummies — in
+    ``m_pad`` aux slots until Phase 10 ends; every processor returns its
+    segment.
+    """
+    p = net.p
+    assert len(bounds) == p + 1
+    collect, bcast = plans
+    k_used = len(reps)
+    rest = collect_cycles - (collect.cycles if collect is not None else 0)
+
+    def program(ctx: ProcContext):
         pid = ctx.pid
-        my_prev = sums[pid].prev
-        my_incl = sums[pid].incl
-        # my group: the first group whose representative pid >= mine
-        j = next(idx for idx, rep in enumerate(rep_pids) if rep >= pid)
-        chan = j + 1
-        is_rep = pid == rep_pids[j]
+        j = bisect_left(reps, pid)  # my group: the first rep >= pid
+        is_rep = pid == reps[j]
+        prev = bounds[pid - 1]
         mine = list(parts[pid])
-
-        # ---- element collection (stage length M for every processor) ---
-        column: list[Any] | None = None
         if is_rep:
-            to_read = group_m[j] - len(mine)
-            column = []
             ctx.aux_acquire(m_pad)
-            if to_read:
-                # The members stream back to back: park for the whole run.
-                heard = yield Listen(chan, to_read)
-                assert len(heard) == to_read, "a group member must send"
-                column.extend(unpack_elem(msg.fields) for _, msg in heard)
-            column.extend(mine)
-            column.extend(
-                dummy_like(mine[0], seq=r) for r in range(m_pad - len(column))
-            )
-            if m_pad > to_read:
-                yield Sleep(m_pad - to_read)
+            heard = prev - bounds[reps[j - 1] if j else 0]
+            row = [None] * heard + mine
+            row += [dummy_like(mine[0], seq=r) for r in range(m_pad - len(row))]
         else:
-            # Await my turn by counting cycles: the wait is my revised
-            # partial sum.
-            my_start = my_prev - group_base[j]
-            yield from emit_from(
-                chan, [Message("elem", *pack_elem(e)) for e in mine], my_start
-            )
-            my_end = my_start + len(mine)
-            if m_pad > my_end:
-                yield Sleep(m_pad - my_end)
-
-        # ---- phases 1-9 among representatives --------------------------
+            row = mine + [None] * (m_pad - len(mine))
+        if collect is not None:
+            row = yield RunPlan(collect, pid - 1, row)
+        if rest > 0:
+            yield Sleep(rest)
         if is_rep:
-            column = yield from columnsort_program(j, column, m_pad, k_used)
+            row = yield from columnsort_program(j, row, m_pad, k_used)
         else:
-            if m_pad > 0:
-                yield Sleep(4 * m_pad)
-
-        # ---- phase 10: double broadcast, everyone collects its segment -
-        seg_start, seg_end = my_prev, my_incl
-        needs: dict[int, list[tuple[int, int]]] = {}
-        for slot, pos in enumerate(range(seg_start, seg_end)):
-            needs.setdefault(pos // m_pad, []).append((pos % m_pad, slot))
-        cols_needed = sorted(needs)
-        assert len(cols_needed) <= 2, "a segment spans at most two columns"
-        plan: dict[int, tuple[int, int]] = {}
-        for pass_idx, c in enumerate(cols_needed):
-            for row, slot in needs[c]:
-                plan[pass_idx * m_pad + row] = (c + 1, slot)
-        out: list[Any] = [None] * (seg_end - seg_start)
-        t = 0
-        while t < 2 * m_pad:
-            r = t % m_pad
-            wchan = wpay = None
-            if is_rep and not is_dummy(column[r]):
-                wchan = chan
-                wpay = Message("elem", *pack_elem(column[r]))
-            rd = plan.get(t)
-            if wchan is None and rd is None:
-                nxt = min((u for u in plan if u > t), default=2 * m_pad)
-                if is_rep:
-                    nxt = t + 1
-                if nxt > t:
-                    yield Sleep(nxt - t)
-                t = nxt
-                continue
-            got = yield CycleOp(
-                write=wchan, payload=wpay, read=rd[0] if rd else None
-            )
-            if rd is not None:
-                assert got is not EMPTY
-                out[rd[1]] = unpack_elem(got.fields)
-            t += 1
+            yield Sleep(4 * m_pad)
+        row = yield RunPlan(bcast, pid - 1, row)
         if is_rep:
             ctx.aux_release(m_pad)
-        assert all(e is not None for e in out)
-        return out
+        return row[: bounds[pid] - prev]
 
-    results = net.run(
-        {i: main_program for i in range(1, p + 1)}, phase=f"{phase}/sort"
-    )
+    results = net.run({i: program for i in range(1, p + 1)}, phase=phase)
     return SortResult(output={pid: tuple(v) for pid, v in results.items()})

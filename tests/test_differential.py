@@ -58,12 +58,16 @@ def queries(draw):
 
     ``sort_pk`` runs on ``p == k``; ``sort_uneven`` and ``select`` on
     ``k < p``.  ``even`` inputs hold ``n / p`` distinct values per
-    processor, ``duplicates`` the same sizes from eight values, and
-    ``skewed`` uneven sizes.  The backend applies where the query has a
-    choice: a ``sort_pk`` query on an even-sized input.
+    processor, ``duplicates`` the same sizes from eight values,
+    ``skewed`` uneven sizes and ``thm3`` uneven sizes in Theorem 3's
+    placement (values dealt in descending order, round robin over the
+    processors with room left).  The backend applies where the query has
+    a choice: a ``sort_pk`` query on an even-sized input.
     """
     algorithm = draw(st.sampled_from(["sort_pk", "sort_uneven", "select"]))
-    distribution = draw(st.sampled_from(["even", "skewed", "duplicates"]))
+    distribution = draw(
+        st.sampled_from(["even", "skewed", "thm3", "duplicates"])
+    )
     backend = draw(st.sampled_from(["columnsort", "batcher"]))
     if algorithm == "sort_pk":
         k = draw(st.sampled_from([2, 4]))
@@ -83,16 +87,25 @@ def queries(draw):
         values = rng.choice(np.arange(1, 9) * 100, size=n).tolist()
     else:
         values = rng.choice(4 * n, size=n, replace=False).tolist()
-    if distribution == "skewed":
+    uneven = distribution in ("skewed", "thm3")
+    if uneven:
         cuts = sorted(rng.choice(np.arange(1, n), size=p - 1, replace=False))
         sizes = np.diff([0, *cuts, n]).tolist()
     else:
         sizes = [m] * p
-    parts, at = {}, 0
-    for pid, size in enumerate(sizes, start=1):
-        parts[pid] = values[at:at + size]
-        at += size
-    if algorithm != "sort_pk" or distribution == "skewed":
+    parts = {pid: [] for pid in range(1, p + 1)}
+    if distribution == "thm3":
+        ordered = iter(sorted(values, reverse=True))
+        for r in range(max(sizes)):
+            for pid, size in enumerate(sizes, start=1):
+                if r < size:
+                    parts[pid].append(next(ordered))
+    else:
+        at = 0
+        for pid, size in enumerate(sizes, start=1):
+            parts[pid] = values[at:at + size]
+            at += size
+    if algorithm != "sort_pk" or uneven:
         backend = "columnsort"
     rank = draw(st.integers(1, n))
     return algorithm, distribution, p, k, parts, backend, rank
@@ -112,7 +125,7 @@ def vector_applies(query) -> bool:
     every ``select``; other sorts raise ``ConfigurationError``."""
     algorithm, distribution, *_ = query
     return algorithm == "select" or (
-        algorithm == "sort_pk" and distribution != "skewed"
+        algorithm == "sort_pk" and distribution not in ("skewed", "thm3")
     )
 
 

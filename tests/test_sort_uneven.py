@@ -7,6 +7,8 @@ from repro.bounds import sorting_cycles_lb, thm3_sorting_messages_lb
 from repro.core import Distribution
 from repro.core.problem import sorting_violations
 from repro.mcb import MCBNetwork
+from repro.mcb.reference import ReferenceMCBNetwork
+from repro.obs import EventLog
 from repro.sort import sort_uneven
 
 
@@ -114,3 +116,37 @@ class TestCosts:
         sort_uneven(net, d.parts)
         bound = n / k + d.n_max
         assert net.stats.cycles <= 12 * bound
+
+    @pytest.mark.parametrize(
+        "p,k,parts,cycles,fast_forward",
+        [
+            # Two single-member groups: nobody writes in the collection.
+            (2, 2, {1: [9, 7, 5, 3, 1], 2: [10, 8, 6, 4, 2]}, 42, 5),
+            (
+                4, 2,
+                {
+                    1: [3, 14, 15, 92],
+                    2: [65, 35, 89, 79, 32, 38, 46, 26],
+                    3: [43],
+                    4: [383, 279, 50, 288],
+                },
+                98, 1,
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("engine", ["fast", "reference"])
+    def test_sort_stage_cycles_pinned(
+        self, p, k, parts, cycles, fast_forward, engine
+    ):
+        # Stages 3-5 keep the paper's cycle-exact schedule: the
+        # collection's trailing idle cycles still fast-forward.
+        if engine == "fast":
+            net = MCBNetwork(p=p, k=k)
+        else:
+            net = ReferenceMCBNetwork(p=p, k=k)
+            net.attach_observer(EventLog())
+        res = sort_uneven(net, parts)
+        flat = sorted((v for vs in parts.values() for v in vs), reverse=True)
+        assert [v for pid in range(1, p + 1) for v in res.output[pid]] == flat
+        ph = net.stats.phase("columnsort-uneven/sort")
+        assert (ph.cycles, ph.fast_forward_cycles) == (cycles, fast_forward)
