@@ -28,22 +28,19 @@ reference leg carry ``speedup_hoisted_vs_ref`` and
 ``speedup_constructing_vs_ref``, a separate series for the regression
 check.
 
-Results accumulate in ``benchmarks/results/BENCH_engine_hotpath.json``
-(one JSON object per line, appended by the session recorder under the
-canonical bench name ``engine_hotpath``) — the perf trajectory the CI
-regression check reads its baseline from.
+Each run appends its records to
+``benchmarks/results/session/BENCH_engine_hotpath.json`` (one JSON object
+per line, canonical bench name ``engine_hotpath``); the CI regression
+check compares them with the committed baseline,
+``benchmarks/results/BENCH_engine_hotpath.json``.
 """
 
 from __future__ import annotations
 
 import time
-from pathlib import Path
 
 from repro.mcb import CycleOp, MCBNetwork, Message
 from repro.mcb.reference import ReferenceMCBNetwork
-
-RESULTS_DIR = Path(__file__).resolve().parent / "results"
-HOTPATH_JSON = RESULTS_DIR / "BENCH_engine_hotpath.json"
 
 CONFIGS = [(256, 16), (1024, 32)]
 CYCLES = 1500

@@ -9,9 +9,10 @@ result cache:
   the cache.
 
 Both passes produce the standard ``loadgen-report/v1`` percentile
-report; the records land in ``benchmarks/results/BENCH_loadgen.json``
-(canonical bench name ``loadgen``), giving the repo a committed
-trajectory of load-test percentiles.  The regression gate is the
+report; the records land in
+``benchmarks/results/session/BENCH_loadgen.json`` (canonical bench name
+``loadgen``), and ``benchmarks/results/BENCH_loadgen.json`` is the
+committed trajectory of load-test percentiles.  The regression gate is the
 **warm/cold throughput ratio** — two measurements from the same session
 on the same machine, hence machine-independent.  Required: **>= 2x**;
 if serving cached queries is not clearly cheaper than simulating them,

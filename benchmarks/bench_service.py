@@ -17,9 +17,9 @@ session, hence machine-independent.  Required: **>= 2x** — if serving
 a cached job is not clearly cheaper than simulating it, the cache or
 the admission path has regressed.
 
-Results accumulate in ``benchmarks/results/BENCH_service.json``
-(canonical bench name ``service``), the committed baseline for the CI
-perf-regression check.
+Results accumulate in ``benchmarks/results/session/BENCH_service.json``
+(canonical bench name ``service``); the CI perf-regression check
+compares them with the committed ``benchmarks/results/BENCH_service.json``.
 """
 
 from __future__ import annotations

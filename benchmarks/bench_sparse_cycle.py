@@ -34,24 +34,20 @@ and :class:`~repro.mcb.reference.ReferenceMCBNetwork`, asserting
 bit-identical results and ``RunStats.to_dict()`` — the speedup is not
 allowed to buy any accounting drift.
 
-Results accumulate in ``benchmarks/results/BENCH_sparse_cycle.json``
-(canonical bench name ``sparse_cycle``), the committed baseline for the
-CI perf-regression check.
+Results accumulate in ``benchmarks/results/session/BENCH_sparse_cycle.json``
+(canonical bench name ``sparse_cycle``); the CI perf-regression check
+compares them with the committed ``benchmarks/results/BENCH_sparse_cycle.json``.
 """
 
 from __future__ import annotations
 
 import statistics
 import time
-from pathlib import Path
 
 from repro.mcb import CycleOp, Listen, MCBNetwork, Message
 from repro.mcb.message import EMPTY
 from repro.mcb.program import Sleep
 from repro.mcb.reference import ReferenceMCBNetwork
-
-RESULTS_DIR = Path(__file__).resolve().parent / "results"
-SPARSE_JSON = RESULTS_DIR / "BENCH_sparse_cycle.json"
 
 #: (p, k) grids for the two workloads; the gate applies at (4096, 8).
 CONFIGS = [(4096, 4), (4096, 8)]

@@ -40,9 +40,9 @@ A fused leg composes the four compiled phases into one gather
 ``RunStats.to_dict()`` against the generator oracle from the transform
 leg — fusion must be invisible to accounting.
 
-Results accumulate in ``benchmarks/results/BENCH_vector_engine.json``
-(canonical bench name ``vector_engine``), the committed baseline for
-the CI perf-regression check.
+Results accumulate in ``benchmarks/results/session/BENCH_vector_engine.json``
+(canonical bench name ``vector_engine``); the CI perf-regression check
+compares them with the committed ``benchmarks/results/BENCH_vector_engine.json``.
 """
 
 from __future__ import annotations

@@ -4,10 +4,10 @@
 plane*: medians, ``>= med*`` rank counts and the case-2/3 purges run as
 whole-matrix NumPy operations
 (:class:`repro.select.vector.VectorCandidates`) instead of per-element
-list comprehensions.  On an unobserved network it also replays the §8
-control plane — median-pair sorting, partial sums, announcements — from
-cached schedule tables (:class:`repro.select.vector.ReplayControl`)
-with identical cycles/messages/bits.  Two legs, both gated:
+list comprehensions.  Both engines run the same §8 control stages
+(:class:`repro.select.filtering.NetworkControl`), whose pair sort and
+sweeps the fast engine runs as collective steps, so cycles, messages
+and bits are identical.  Two legs, both gated:
 
 * ``run`` — one full median selection at ``p = 8, k = 2, n = 800k``,
   generator vs vector engine, asserted bit-identical (value, trace,
@@ -22,9 +22,10 @@ with identical cycles/messages/bits.  Two legs, both gated:
   is the component the vector engine actually replaces and the paper
   charges nothing for; required: **>= 5x**.
 
-Results accumulate in ``benchmarks/results/BENCH_vector_select.json``
-(canonical bench name ``vector_select``); the first record is the
-committed baseline for the CI perf-regression check.
+Results accumulate in ``benchmarks/results/session/BENCH_vector_select.json``
+(canonical bench name ``vector_select``); the first record of the
+committed ``benchmarks/results/BENCH_vector_select.json`` is the
+baseline for the CI perf-regression check.
 """
 
 from __future__ import annotations

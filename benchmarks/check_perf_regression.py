@@ -1,14 +1,14 @@
 #!/usr/bin/env python
 """Perf-regression gate over the committed benchmark trajectories.
 
-The engine benchmarks append one record per session to their JSONL
-result files (``benchmarks/results/BENCH_engine_hotpath.json``,
-``BENCH_sparse_cycle.json``, ``BENCH_vector_engine.json``,
-``BENCH_vector_select.json``, ``BENCH_service.json``), so each
-file is a history: the *first*
-record per configuration — every distinct ``(p, k, m, n)`` in the
-record, absent fields read as ``None`` — is the committed baseline, the
-*last* is the freshest run.  This script compares the two on the **speedup ratios**
+Each trajectory is two JSONL files read as one history: the committed
+``benchmarks/results/BENCH_<name>.json`` (``engine_hotpath``,
+``sparse_cycle``, ``vector_engine``, ``vector_select``, ``service``,
+``network_backends``, ``loadgen``), then the untracked
+``benchmarks/results/session/BENCH_<name>.json`` the benchmarks append
+one record per run to.  The *first* record per configuration — every
+distinct ``(p, k, m, n)`` in the record, absent fields read as
+``None`` — is the committed baseline, the *last* is the freshest run.  This script compares the two on the **speedup ratios**
 (fast/reference, parked/polling) — ratios of two measurements taken on the
 same machine in the same session, hence machine-independent — and
 fails (exit 1) when any ratio drops below ``1 - tolerance`` times its
@@ -38,6 +38,8 @@ import sys
 from pathlib import Path
 
 RESULTS = Path(__file__).resolve().parent / "results"
+#: The benchmarks' untracked per-run records (``benchmarks/conftest.py``).
+SESSION = RESULTS / "session"
 
 #: Default slack: newest ratio must be at least (1 - tolerance) of the
 #: baseline ratio.
@@ -90,13 +92,18 @@ def load_rows(path: Path) -> list[dict]:
 
 
 def check_file(
-    path: Path, extract, *, best_of: int, threshold: float
+    path: Path, extract, *, best_of: int, threshold: float,
+    session: Path | None = None,
 ) -> list[str]:
-    """Return failure messages for one trajectory file."""
+    """Return failure messages for one trajectory: the committed file
+    ``path``, followed by the ``session`` file's rows if it exists."""
     if not path.is_file():
         return [f"{path.name}: missing (run the benchmark first)"]
+    rows = load_rows(path)
+    if session is not None and session.is_file():
+        rows += load_rows(session)
     by_config: dict[tuple, list[dict]] = {}
-    for row in load_rows(path):
+    for row in rows:
         metrics = extract(row)
         if metrics is None:
             continue  # table mirror / unrelated record
@@ -159,6 +166,7 @@ def main(argv: list[str] | None = None) -> int:
         failures += check_file(
             RESULTS / name, extract,
             best_of=args.best_of, threshold=threshold,
+            session=SESSION / name,
         )
     if failures:
         print("\nperf regression check FAILED:", file=sys.stderr)

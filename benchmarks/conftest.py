@@ -8,19 +8,20 @@ configuration through pytest-benchmark.
 
 Machine-readable trajectory: a session-scoped recorder mirrors every
 table emitted through :func:`emit` (plus any explicit :func:`record`
-calls) into ``benchmarks/results/BENCH_<name>.json`` — one JSON object
-per line, *appended* through the :class:`repro.obs.sinks.JsonlSink` —
-so the perf history of the repo accumulates run over run instead of
-each session overwriting the last.  Every record carries the session's
-``run`` id plus a unique ``id`` so individual runs stay separable when
-a file holds many sessions; the first record per bench doubles as the
-committed baseline the CI perf-regression check compares against.
+calls) into ``benchmarks/results/session/BENCH_<name>.json`` — one JSON
+object per line, *appended* through the :class:`repro.obs.sinks.JsonlSink`
+— so local runs accumulate instead of each session overwriting the
+last.  Every record carries the session's ``run`` id plus a unique
+``id`` so individual runs stay separable when a file holds many
+sessions.  The session files are not tracked: the committed
+``benchmarks/results/BENCH_<name>.json`` trajectories are the baselines
+``check_perf_regression.py`` reads first, before the session's records,
+so running a bench leaves the tracked files as they are.
 """
 
 from __future__ import annotations
 
 import os
-import shutil
 import time
 from pathlib import Path
 
@@ -32,21 +33,9 @@ from repro.obs.sinks import JsonlSink
 
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
 CACHE_DIR = RESULTS_DIR / "cache"
-REPO_ROOT = Path(__file__).resolve().parent.parent
-
-#: Benches whose trajectory files double as committed repo-root
-#: baselines (``BENCH_<name>.json`` next to ROADMAP.md): the canonical
-#: copy is synced from ``benchmarks/results/`` on every recorder flush,
-#: so the repo always carries the latest published trajectory.
-CANONICAL_BENCHES = (
-    "engine_hotpath",
-    "sparse_cycle",
-    "vector_engine",
-    "vector_select",
-    "service",
-    "network_backends",
-    "loadgen",
-)
+#: Where a session's records are appended (untracked; see the module
+#: docstring).
+SESSION_DIR = RESULTS_DIR / "session"
 
 # Benchmarks must not read or write the user's ~/.cache: default the
 # persistent compiled-plan cache to results/cache/plans (gitignored with
@@ -106,15 +95,12 @@ class BenchRecorder:
     def flush(self) -> list[Path]:
         written = []
         for name, rows in sorted(self._records.items()):
-            path = RESULTS_DIR / f"BENCH_{name}.json"
+            SESSION_DIR.mkdir(parents=True, exist_ok=True)
+            path = SESSION_DIR / f"BENCH_{name}.json"
             with JsonlSink(path, mode="a") as sink:
                 for row in rows:
                     sink.emit(row)
             written.append(path)
-        for name in CANONICAL_BENCHES:
-            src = RESULTS_DIR / f"BENCH_{name}.json"
-            if src.is_file():
-                shutil.copyfile(src, REPO_ROOT / src.name)
         return written
 
 
@@ -124,7 +110,7 @@ def _bench_recorder():
     yield recorder
     files = recorder.flush()
     if files:
-        print(f"\n[bench] wrote {len(files)} result file(s) under {RESULTS_DIR}")
+        print(f"\n[bench] wrote {len(files)} result file(s) under {SESSION_DIR}")
 
 
 @pytest.fixture

@@ -68,8 +68,9 @@ cycle loop has no observer branch:
   ``collective`` may run them all as one **collective step** — the
   counters charged in bulk, each program resumed once with its result
   when the step ends (a ``RunPlan`` is a list gather over its plan's
-  compiled index lists; Rank-Sort's ``SortGroup`` one sort per group;
-  an ``Emit`` has no such step).  Otherwise each slot steps the op's
+  compiled index lists; ``SortGroup`` one sort per group; ``Sweep``
+  one pass over the tree; ``SortOnes`` its plans' index maps; an
+  ``Emit`` has no such step).  Otherwise each slot steps the op's
   desugared program from this cycle on, on a per-slot stack of the
   programs it interrupted, so a stepped program may yield collective
   ops of its own; its first op is collected after the others', so the
@@ -118,7 +119,8 @@ def _collective_runs(op: str, path: str, n: int) -> None:
     global_registry().counter(
         "network_plan_runs_total",
         "Collective ops the fast engine's unobserved loop ran, by op "
-        "(run_plan, rank_sort or emit) and path (collective or stepped)",
+        "(run_plan, rank_sort, sweep, sort_ones or emit) and path "
+        "(collective or stepped)",
     ).inc(n, op=op, path=path)
 
 
@@ -200,10 +202,7 @@ class MCBNetwork(ReferenceMCBNetwork):
         sends: list[Any] = []
         for pid in pids:
             ctx = ProcContext(
-                pid=pid,
-                p=self.p,
-                k=self.k,
-                data=None if data is None else data.get(pid),
+                pid, self.p, self.k, None if data is None else data.get(pid)
             )
             contexts.append(ctx)
             sends.append(programs[pid](ctx).send)
@@ -261,7 +260,7 @@ class MCBNetwork(ReferenceMCBNetwork):
                 ch: n for ch, n in enumerate(cw_counts) if n
             }
             for slot, ctx in enumerate(contexts):
-                ph.aux_peak[pids[slot]] = ctx.aux_peak
+                ph.aux_peak[pids[slot]] = ctx._aux_peak
 
         while True:
             if until_parked and until_parked == live:
@@ -503,6 +502,7 @@ class MCBNetwork(ReferenceMCBNetwork):
                     cw_counts[ch] += n
                     messages += n
                 bits_acc += done.bits
+                ph.fast_forward_cycles += done.fast_forward_cycles
                 _collective_runs(coll_cls.label, "collective", len(coll_ops))
                 cycle += done.cycles
                 continue

@@ -32,12 +32,14 @@ Per cycle a program yields either
 * a :class:`CollectiveOp` — a step a whole group enters together.
   ``x = yield op`` is semantically identical to ``x = yield from
   desugar_collective(pid, op, k)``; when the whole group enters it
-  together the engine may run it as one step.  There are three:
-  :class:`RunPlan` runs one processor's part of an oblivious
+  together the engine may run it as one step.  :class:`RunPlan` runs
+  one processor's part of an oblivious
   :class:`~repro.mcb.vector.plan.SchedulePlan` (a §5.2 columnsort
   transfer phase, a comparator-network round), Rank-Sort's
   :class:`~repro.sort.rank_sort.SortGroup` one member's part of a
-  single-channel group sort, and :class:`Emit` writes a run of
+  single-channel group sort, :class:`~repro.prefix.mcb_partial_sums.Sweep`
+  a §7.1 tree sweep, :class:`~repro.sort.ones.SortOnes` §8's pair
+  sort, and :class:`Emit` writes a run of
   messages on one channel at fixed offsets, resumed once after the
   last write (a fixed write schedule, like the writers of Rank-Sort
   or of the §8 termination gather).  ``Emit`` has no one-step form;
@@ -243,13 +245,16 @@ class Collective(NamedTuple):
 
     ``results[i]`` resumes the processor that yielded ``ops[i]``;
     ``bits`` and the ``(channel, writes)`` pairs of ``channel_writes``
-    are charged (one message per write), and ``cycles`` elapse.
+    are charged (one message per write), and ``cycles`` elapse, of
+    which ``fast_forward_cycles`` are ones the stepped programs would
+    all sleep through.
     """
 
     results: list
     bits: int
     channel_writes: list
     cycles: int
+    fast_forward_cycles: int = 0
 
 
 class CollectiveOp:

@@ -527,7 +527,7 @@ def compact_rows(
     ``values[i, keep[i]]`` in their original relative order in slots
     ``0..counts[i]-1``, with every later slot set to ``fill``.  This is
     the vector form of the filtering loop's purge step (``[e for e in
-    row if pred(e)]``) — one O(n) cumsum scatter instead of ``p``
+    row if pred(e)]``) — one boolean-mask scatter instead of ``p``
     Python list comprehensions.
 
     Returns ``(compacted, counts)`` with ``counts`` of shape ``(p,)``.
@@ -539,14 +539,12 @@ def compact_rows(
             f"compact_rows needs matching (p, cap) arrays, got "
             f"values{values.shape} keep{keep.shape}"
         )
-    # Cumsum gives each kept element its compacted column directly —
-    # an O(n) scatter (order-preserving by construction) instead of a
-    # stable argsort over the mask.
+    # Boolean indexing reads and writes in row-major order, so the kept
+    # elements, read row by row, fill each row's first counts[i] slots
+    # in their original order.
     counts = keep.sum(axis=1)
-    pos = np.cumsum(keep, axis=1) - 1
     out = np.full_like(values, fill)
-    rows, cols = np.nonzero(keep)
-    out[rows, pos[rows, cols]] = values[rows, cols]
+    out[np.arange(values.shape[1]) < counts[:, None]] = values[keep]
     return out, counts
 
 

@@ -52,11 +52,11 @@ def mcb_select(
         ``"generator"`` (default) or ``"vector"``: the vector engine
         runs the candidate data plane — medians, rank counts, purges —
         as whole-matrix NumPy operations
-        (:class:`repro.select.vector.VectorCandidates`) and, on an
-        unobserved network, replays each filtering round's control
-        stages from cached schedule tables
-        (:class:`repro.select.vector.ReplayControl`).  Cycles, messages
-        and ``RunStats`` are identical to the generator engine's.
+        (:class:`repro.select.vector.VectorCandidates`); both engines
+        run each filtering round's control stages on the network
+        (:class:`repro.select.filtering.NetworkControl`).  Cycles,
+        messages and ``RunStats`` are identical to the generator
+        engine's.
 
     Returns
     -------

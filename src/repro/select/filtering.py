@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 from ..mcb.errors import ConfigurationError
-from ..mcb.message import Message
+from ..mcb.message import EMPTY, Message
 from ..mcb.network import MCBNetwork
 from ..mcb.program import CycleOp, Listen, ProcContext, Sleep, emit_from
 from ..prefix.mcb_partial_sums import mcb_partial_sums, mcb_total_sum
@@ -46,8 +46,8 @@ class _ListCandidates:
     """Candidate store of the generator engine: plain per-pid lists.
 
     The store owns the selection loop's *data plane* — medians,
-    ``>= med*`` counts, purges — all free local computation — and picks
-    the control plane that runs the network stages.  The vector engine
+    ``>= med*`` counts, purges — all free local computation;
+    :class:`NetworkControl` runs the network stages.  The vector engine
     swaps in :class:`repro.select.vector.VectorCandidates`, which
     implements the same surface over a ``(p, cap)`` NumPy matrix.
     """
@@ -83,19 +83,18 @@ class _ListCandidates:
                 else [e for e in v if e < med_star]
             )
 
-    def control_plane(self, net: MCBNetwork, pair_sorter: str):
-        return NetworkControl(net, pair_sorter)
-
 
 class NetworkControl:
-    """The four control stages of a filtering round, stepped on ``net``.
+    """The four control stages of a filtering round, run on ``net``.
 
     Sorting the ``(med_i, m_i)`` pairs, Partial-Sums over the sorted
     counts, the one-cycle ``med*`` announcement and the ``m_>=`` total
-    sum each run as one :meth:`MCBNetwork.run` stage.  Vector runs on an
-    unobserved network replay the same stages from cached schedule
-    tables instead (:class:`repro.select.vector.ReplayControl`); both
-    commit identical ``PhaseStats``.
+    sum each run as one :meth:`MCBNetwork.run` stage, for either
+    candidate store and for weighted selection.  In the pair sort
+    (``"ones"``) and the sweeps every processor yields one collective op
+    (:class:`~repro.sort.ones.SortOnes`,
+    :class:`~repro.prefix.mcb_partial_sums.Sweep`), which the fast
+    engine runs unobserved as one step.
     """
 
     def __init__(self, net: MCBNetwork, pair_sorter: str):
@@ -111,18 +110,17 @@ class NetworkControl:
         return mcb_partial_sums(self.net, values, phase=phase)
 
     def announce(self, my_sorted: dict[int, tuple], sums, half: int, phase: str):
-        """The weighted-median processor broadcasts ``med*``; all learn it."""
+        """The processor whose prefix of the sorted weights first reaches
+        ``half`` writes ``med*`` for one cycle; everyone reads it."""
 
         def program(ctx: ProcContext):
-            pid = ctx.pid
-            s = sums[pid]
+            s = sums[ctx.pid]
             if s.prev < half <= s.incl:
-                med_fields = my_sorted[pid][0][:-2]
-                yield CycleOp(write=1, payload=Message("med", *med_fields))
-                return unpack_elem(med_fields)
-            # Exactly one processor holds the weighted median and writes
-            # in this phase's single cycle; everyone else parks for it.
-            _, got = yield Listen(1, until_nonempty=True)
+                fields = my_sorted[ctx.pid][0][:-2]
+                yield CycleOp(write=1, payload=Message("med", *fields))
+                return unpack_elem(fields)
+            got = yield CycleOp(read=1)
+            assert got is not EMPTY, "the weighted-median processor announces"
             return unpack_elem(got.fields)
 
         net = self.net
@@ -186,11 +184,9 @@ def mcb_select_descending(
         ``"generator"`` (default) keeps candidates in per-pid lists;
         ``"vector"`` stores them in a ``(p, cap)`` matrix and runs the
         data plane (medians, rank counts, purges) as whole-matrix NumPy
-        operations.  On an unobserved network with the ``"ones"`` pair
-        sorter it also replays each round's four control stages from
-        cached per-``(p, k)`` schedule tables instead of stepping them
-        (:class:`repro.select.vector.ReplayControl`).  Every cycle,
-        message and ``RunStats`` entry is identical either way.
+        operations.  Both run the same control stages
+        (:class:`NetworkControl`), so every cycle, message and
+        ``RunStats`` entry is identical either way.
     """
     p = net.p
     if sorted(parts) != list(range(1, p + 1)):
@@ -221,13 +217,13 @@ def select_from_store(
     phase: str = "select",
 ) -> SelectionResult:
     """The §8 loop over a built candidate store (see
-    :func:`mcb_select_descending`); the store picks the control plane."""
+    :func:`mcb_select_descending`)."""
     p, k = net.p, net.k
     n = store.total()
     if not 1 <= d <= n:
         raise ValueError(f"rank d={d} out of range 1..{n}")
     m_star = threshold if threshold is not None else max(1, p // k)
-    control = store.control_plane(net, pair_sorter)
+    control = NetworkControl(net, pair_sorter)
 
     # Pairs travel as flat lexicographic tuples of uniform arity:
     # (median fields..., tiebreak, count).  A processor whose candidates
@@ -294,32 +290,48 @@ def select_from_store(
     tag = f"{phase}/termination"
     counts_now = {i: store.count(i) for i in range(1, p + 1)}
     sums = mcb_partial_sums(net, counts_now, phase=f"{tag}/prefix")
-    total = m
+    value = gather_answer(
+        net, {i: store.row(i) for i in range(1, p + 1)}, sums, m,
+        pack_elem, unpack_elem,
+        lambda pool: select_kth_largest(pool, d) if pool else None, tag,
+    )
+    trace.phases.append({"m_before": m, "purged": m, "case": 0})
+    return SelectionResult(value=value, trace=trace)
+
+
+def gather_answer(
+    net: MCBNetwork, items: dict, sums: dict, total: int,
+    pack, unpack, resolve, phase: str,
+) -> Any:
+    """§8's termination stage: every ``P_i`` streams its ``items``, one
+    ``pack``-ed message each, to ``P_1`` on channel 1 from cycle
+    ``sums[i].prev`` on (``P_1``'s own need no channel; those cycles pass
+    in silence); ``P_1`` holds the ``total`` items, ``resolve``-s them and
+    broadcasts the answer, which every processor returns."""
 
     def collect(ctx: ProcContext):
         pid = ctx.pid
-        mine = store.row(pid)
+        mine = items[pid]
         if pid == 1:
-            # My own candidates (positions [0, n_1)) need no channel; the
-            # corresponding cycles pass in silence.
             pool = list(mine)
             ctx.aux_acquire(total)
             start = sums[pid].incl
             if start > 0:
                 yield Sleep(start)
             if total > start:
-                # The other processors' candidates arrive back to back,
-                # one per cycle (partial-sums pacing): park once for the
-                # whole stream instead of resuming per candidate.
+                # The other items arrive back to back, one per cycle
+                # (partial-sums pacing): park once for the whole stream
+                # instead of resuming per item.
                 heard = yield Listen(1, total - start)
-                pool.extend(unpack_elem(msg.fields) for _, msg in heard)
-            answer = select_kth_largest(pool, d) if pool else None
+                assert len(heard) == total - start, "a survivor must send"
+                pool.extend(unpack(msg.fields) for _, msg in heard)
+            answer = resolve(pool)
             ctx.aux_release(total)
             yield CycleOp(write=1, payload=Message("ans", *pack_elem(answer)))
             return answer
         start = sums[pid].prev
         yield from emit_from(
-            1, [Message("cand", *pack_elem(e)) for e in mine], start
+            1, [Message("cand", *pack(e)) for e in mine], start
         )
         rest = total - start - len(mine)
         if rest > 0:
@@ -327,8 +339,7 @@ def select_from_store(
         got = yield CycleOp(read=1)
         return unpack_elem(got.fields)
 
-    answers = net.run({i: collect for i in range(1, p + 1)}, phase=tag)
+    answers = net.run({i: collect for i in range(1, net.p + 1)}, phase=phase)
     value = answers[1]
     assert all(a == value for a in answers.values())
-    trace.phases.append({"m_before": m, "purged": m, "case": 0})
-    return SelectionResult(value=value, trace=trace)
+    return value

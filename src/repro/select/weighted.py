@@ -17,7 +17,9 @@ The filtering loop is the paper's, with counts replaced by weight sums:
    at least a quarter of the *remaining weight* per phase, so
    ``O(log(W/threshold))`` phases suffice.
 
-Weights travel with their elements (one extra message field).
+Steps 2–4 are §8's control stages
+(:class:`~repro.select.filtering.NetworkControl`).  Weights travel with
+their elements (one extra message field).
 """
 
 from __future__ import annotations
@@ -26,12 +28,10 @@ import math
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from ..mcb.message import EMPTY, Message
 from ..mcb.network import MCBNetwork
-from ..mcb.program import CycleOp, Listen, ProcContext, Sleep, emit_from
-from ..prefix.mcb_partial_sums import mcb_partial_sums, mcb_total_sum
+from ..prefix.mcb_partial_sums import mcb_partial_sums
 from ..sort.common import pack_elem, unpack_elem
-from ..sort.ones import sort_ones
+from .filtering import NetworkControl, gather_answer
 
 
 @dataclass
@@ -102,6 +102,7 @@ def mcb_select_weighted(
         # padding by the pair sorter.
         return (-math.inf,) + (0,) * (arity - 1) + (i, 0)
 
+    control = NetworkControl(net, "ones")
     w_left = total_w
     t_left = target
     rounds = 0
@@ -109,37 +110,23 @@ def mcb_select_weighted(
         rounds += 1
         tag = f"{phase}/filter-{rounds}"
         pairs = {i: [flat_pair(i)] for i in cand}
-        sorted_pairs = sort_ones(net, pairs, phase=f"{tag}/sort").output
+        sorted_pairs = control.sort_pairs(pairs, f"{tag}/sort")
         weights_sorted = {i: sorted_pairs[i][0][-1] for i in sorted_pairs}
-        sums = mcb_partial_sums(net, weights_sorted, phase=f"{tag}/prefix")
+        sums = control.partial_sums(weights_sorted, f"{tag}/prefix")
         half = (w_left + 1) // 2
-
-        def announce(ctx: ProcContext):
-            s = sums[ctx.pid]
-            if s.prev < half <= s.incl:
-                fields = sorted_pairs[ctx.pid][0][:-2]
-                yield CycleOp(write=1, payload=Message("med", *fields))
-                return unpack_elem(fields)
-            got = yield CycleOp(read=1)
-            assert got is not EMPTY
-            return unpack_elem(got.fields)
-
-        med_star = net.run(
-            {i: announce for i in range(1, p + 1)}, phase=f"{tag}/announce"
-        )[1]
+        med_star = control.announce(sorted_pairs, sums, half, f"{tag}/announce")
 
         ge = {
             i: sum(w for e, w in cand[i] if e >= med_star) for i in cand
         }
-        w_ge = mcb_total_sum(net, ge, phase=f"{tag}/weight-ge")[1]
+        w_ge = control.total_sum(ge, f"{tag}/weight-ge")
 
         # weight(> med*) = w_ge - w(med*); the three cases on weight:
         if w_ge >= t_left:
-            w_med = mcb_total_sum(
-                net,
+            w_med = control.total_sum(
                 {i: sum(w for e, w in cand[i] if e == med_star) for i in cand},
-                phase=f"{tag}/weight-eq",
-            )[1]
+                f"{tag}/weight-eq",
+            )
             if w_ge - w_med < t_left:
                 return WeightedSelectionResult(value=med_star, phases=rounds)
             # answer is strictly above med*: purge <= med*
@@ -157,47 +144,19 @@ def mcb_select_weighted(
     # together), resolve locally, broadcast.
     counts_now = {i: len(cand[i]) for i in cand}
     sums = mcb_partial_sums(net, counts_now, phase=f"{phase}/term-prefix")
-    total_c = sums[p].incl
 
-    def collect(ctx: ProcContext):
-        pid = ctx.pid
-        mine = cand[pid]
-        if pid == 1:
-            pool = list(mine)
-            ctx.aux_acquire(total_c)
-            start = sums[pid].incl
-            if start > 0:
-                yield Sleep(start)
-            if total_c > start:
-                # The other survivors fill every cycle of the gather.
-                heard = yield Listen(1, total_c - start)
-                assert len(heard) == total_c - start, "a survivor must send"
-                pool.extend(
-                    (unpack_elem(msg.fields[:-1]), msg.fields[-1])
-                    for _, msg in heard
-                )
-            acc = 0
-            answer = None
-            for e, w in sorted(pool, reverse=True):
-                acc += w
-                if acc >= t_left:
-                    answer = e
-                    break
-            ctx.aux_release(total_c)
-            yield CycleOp(write=1, payload=Message("ans", *pack_elem(answer)))
-            return answer
-        start = sums[pid].prev
-        cands = [Message("cand", *(pack_elem(e) + (w,))) for e, w in mine]
-        yield from emit_from(1, cands, start)
-        rest = total_c - start - len(mine)
-        if rest > 0:
-            yield Sleep(rest)
-        got = yield CycleOp(read=1)
-        return unpack_elem(got.fields)
+    def resolve(pool: list) -> Any:
+        acc = 0
+        for e, w in sorted(pool, reverse=True):
+            acc += w
+            if acc >= t_left:
+                return e
+        return None
 
-    answers = net.run(
-        {i: collect for i in range(1, p + 1)}, phase=f"{phase}/termination"
+    value = gather_answer(
+        net, cand, sums, sums[p].incl,
+        lambda ew: pack_elem(ew[0]) + (ew[1],),
+        lambda f: (unpack_elem(f[:-1]), f[-1]),
+        resolve, f"{phase}/termination",
     )
-    value = answers[1]
-    assert all(a == value for a in answers.values())
     return WeightedSelectionResult(value=value, phases=rounds)

@@ -18,8 +18,10 @@ re-deriving exactly that knowledge; this specialization skips all of it:
   §5.2 "broadcast twice" rule is unnecessary.
 
 Collection, phases 1–9 and redistribution are §7.2's stages 3–5,
-:func:`repro.sort.uneven.group_columnsort`, on these fixed groups; the
+:func:`repro.sort.uneven.group_program`, on these fixed groups; the
 collection and broadcast plans depend only on ``(p, k)`` and are cached.
+Each processor yields its part as one :class:`SortOnes` op, which the
+fast engine runs in one step (:class:`_PairTable`).
 
 Cost: ``O(p/k')`` cycles, ``O(p)`` messages — the same family as the
 general path minus its ``O(p/k + log k)`` control overhead, which is
@@ -30,13 +32,20 @@ by default (``pair_sorter="ones"``).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from functools import lru_cache
-from typing import Any, Sequence
+from itertools import chain
+from operator import ge
+from typing import Any, Generator, Optional, Sequence
 
 from ..columnsort.matrix import max_columns_for
+from ..mcb.errors import ProtocolError
+from ..mcb.message import Message, pack_elem, plain_fields
 from ..mcb.network import MCBNetwork
-from .common import SortResult
-from .uneven import group_columnsort, group_plans
+from ..mcb.program import Collective, CollectiveOp, ProcContext
+from .cnet_sort import _generator_plans
+from .common import SortResult, dummy_like
+from .uneven import group_plans, group_program, stage3_row
 
 
 def sort_ones(
@@ -60,12 +69,16 @@ def sort_ones(
     if p == 1:
         return SortResult(output={1: tuple(parts[1])})
 
-    return group_columnsort(net, parts, *_blocks(p, k), phase=phase)
+    def program(ctx: ProcContext):
+        return (yield SortOnes(ctx, parts[ctx.pid], p, k))
+
+    results = net.run({i: program for i in range(1, p + 1)}, phase=phase)
+    return SortResult(output={pid: tuple(v) for pid, v in results.items()})
 
 
 @lru_cache(maxsize=32)
 def _blocks(p: int, k: int) -> tuple:
-    """``group_columnsort``'s layout and plans for ``p`` one-element
+    """``group_program``'s layout and plans for ``p`` one-element
     processors in blocks of ``g``: a pure function of ``(p, k)``, so
     every filtering round of a selection reuses one compiled pair."""
     k_used = max_columns_for(p, k)
@@ -75,3 +88,166 @@ def _blocks(p: int, k: int) -> tuple:
     reps = tuple(min((j + 1) * g, p) for j in range(n_cols))
     bounds = tuple(range(p + 1))
     return reps, bounds, m_pad, g - 1, group_plans(reps, bounds, m_pad, 1)
+
+
+class SortOnes(CollectiveOp):
+    """Processor ``ctx.pid``'s part of :func:`sort_ones` on ``p``
+    processors and ``k`` channels, holding the one element of ``mine``.
+
+    ``[x] = yield SortOnes(...)`` is *defined* by its program,
+    :func:`~repro.sort.uneven.group_program` on the blocks of
+    :func:`_blocks`: ``x`` is the element of rank ``pid``.
+    """
+
+    __slots__ = ("ctx", "mine", "p", "k")
+
+    label = "sort_ones"
+
+    def __init__(self, ctx: ProcContext, mine: Sequence[Any], p: int, k: int):
+        self.ctx, self.mine, self.p, self.k = ctx, mine, p, k
+
+    def check(self, pid: int, k: int) -> None:
+        """The blocks use at most the network's ``k`` channels."""
+        if self.k > k:
+            raise ProtocolError(f"P{pid} sorts pairs for k={self.k} (k={k})")
+
+    def program(self) -> Generator:
+        """:func:`~repro.sort.uneven.group_program` on the blocks."""
+        return group_program(self.ctx, self.mine, *_blocks(self.p, self.k))
+
+    @classmethod
+    def collective(
+        cls, ops: list, span: int, max_fields: int
+    ) -> Optional[Collective]:
+        """:class:`_PairTable`'s index maps run on the elements' ranks,
+        if ``ops`` are ``P_1..P_p``'s, in order, on one ``(p, k)``; the
+        stage ends within ``span``; the elements are distinct (equal
+        dummies are interchangeable) and totally ordered, so sorting
+        ranks sorts them; and
+        :func:`_elem_bits` sizes every message.  Representatives'
+        contexts see the program's aux."""
+        p, k = ops[0].p, ops[0].k
+        if len(ops) != p:
+            return None
+        for pid, op in enumerate(ops, 1):
+            if op.ctx.pid != pid or op.p != p or op.k != k:
+                return None
+        vals = [op.mine[0] for op in ops]
+        table = _pair_table(p, k)
+        if table.cycles > span:
+            return None
+        vals += [dummy_like(vals[0], seq=s) for s in table.dummies]
+        try:
+            pads = len(set(vals[p:]))
+            if len(set(vals[:p])) != p or len(set(vals)) != p + pads:
+                return None
+            order = sorted(range(len(vals)), key=vals.__getitem__, reverse=True)
+            ranked = [vals[i] for i in order]  # rank r: the r-th largest
+            if not all(map(ge, ranked, ranked[1:])):
+                return None  # no total order (a NaN): stepping decides
+        except TypeError:  # unhashable or incomparable: stepping decides
+            return None
+        bits = _elem_bits(ranked, max_fields)
+        if bits is None:
+            return None
+        rank = sorted(range(len(order)), key=order.__getitem__)
+        m = table.m
+        flat = [rank[i] for i in table.cols]
+        sent = [rank[i] for i in table.collect_sent]
+        for step in table.steps:
+            if step[0] == "sort":
+                for lo in range(step[1], len(flat), m):
+                    flat[lo:lo + m] = sorted(flat[lo:lo + m])
+            else:
+                sent += map(flat.__getitem__, step[2])
+                flat = list(map(flat.__getitem__, step[1]))
+        sent += map(flat.__getitem__, table.bcast_sent)
+        for op in ops:
+            if op.ctx.pid in table.reps:
+                op.ctx.aux_acquire(m)
+                op.ctx.aux_release(m)
+        results = [[ranked[flat[i]]] for i in table.result]
+        return Collective(
+            results, sum(map(bits.__getitem__, sent)), table.cw, table.cycles
+        )
+
+
+class _PairTable:
+    """:func:`sort_ones`' stage for one ``(p, k)`` as index maps over
+    element ids (``pid - 1`` for ``P_pid``'s, ``p + i`` for the dummy
+    ``dummy_like(elem, seq=dummies[i])``), read off its plans.
+
+    ``cols`` is the representatives' columns after the collection plan,
+    which sends ``collect_sent``.  Columnsort's ``steps`` on them either
+    sort each column from ``("sort", start)`` on or, for ``("plan",
+    src_of, sent)``, send positions ``sent`` and move ``src_of[i]`` to
+    ``i``.  The broadcast sends ``bcast_sent``; ``P_pid`` gets position
+    ``result[pid - 1]``.  Block 0 is full: no cycle is fast-forwarded.
+    """
+
+    def __init__(self, p: int, k: int):
+        reps, bounds, m, collect_cycles, (collect, bcast) = _blocks(p, k)
+        assert collect.cycles == collect_cycles
+        self.reps, self.m, self.dummies = frozenset(reps), m, []
+
+        def pad(r: int) -> int:
+            self.dummies.append(r)
+            return p + len(self.dummies) - 1
+
+        rows, self.collect_sent = _gather(collect, [
+            stage3_row(pid, [pid - 1], reps, bounds, m, pad)
+            for pid in range(1, p + 1)
+        ])
+        self.cols = [i for rep in reps for i in rows[rep - 1]]
+        plans, steps = _generator_plans("columnsort", m, len(reps), False, False)
+        lines = [list(range(j * m, (j + 1) * m)) for j in range(len(reps))]
+        self.steps = []
+        for step in steps:
+            if step[0] == "sort":
+                self.steps.append(("sort", m if step[1] else 0))
+            else:
+                src_of, sent = _gather(plans[step[1]], lines)
+                self.steps.append(("plan", sum(src_of, []), sent))
+        rows = [lines[reps.index(pid)] if pid in reps else [None] * m
+                for pid in range(1, p + 1)]
+        rows, self.bcast_sent = _gather(bcast, rows)
+        self.result = [row[0] for row in rows]
+        runs = [collect, *(plans[s[1]] for s in steps if s[0] == "plan"), bcast]
+        cw: Counter = Counter()
+        for plan in runs:
+            cw.update(dict(plan._gather().cw))
+        self.cw = sorted(cw.items())
+        self.cycles = sum(plan.cycles for plan in runs)
+
+
+def _gather(plan: Any, rows: list) -> tuple[list, list]:
+    """``plan``'s gather tables run on ``rows`` of ids, one per plan
+    processor: every final row, and the ids the writes send."""
+    gather = plan._gather()
+    flat = list(chain.from_iterable(rows))
+    got = list(map(flat.__getitem__, gather.w_flat))
+    src = got + flat
+    return [list(map(src.__getitem__, idx)) for idx in gather.out_idx], got
+
+
+def _elem_bits(vals: list, max_fields: int) -> Optional[list]:
+    """``Message("elem", *pack_elem(v)).bit_size()`` of each value — by
+    :func:`~repro.mcb.message.bulk_bits`' rule when all are plain — or
+    ``None`` if one would fail the write guard or its bit sizing, or
+    would not arrive as itself (a tuple subclass or a 1-tuple)."""
+    packed = list(map(pack_elem, vals))
+    if plain_fields(vals, max_fields) is not None:
+        return [8 + len(f) + sum(map(int.bit_length, f)) + f.count(0)
+                for f in packed]
+    if max(map(len, packed)) > max_fields or any(
+        isinstance(v, tuple) and (v.__class__ is not tuple or len(v) == 1)
+        for v in vals
+    ):
+        return None
+    try:
+        return [Message("elem", *f).bit_size() for f in packed]
+    except TypeError:
+        return None
+
+
+_pair_table = lru_cache(maxsize=64)(_PairTable)

@@ -31,9 +31,9 @@ one :class:`~repro.mcb.vector.plan.SchedulePlan` (:func:`group_plans`)
 whose write cycles are exactly those above — in collection, a member's
 ``t``-th element goes out in cycle ``revised partial sum + t`` — run as
 one :class:`~repro.mcb.program.RunPlan` op, like stage 4's Columnsort
-phases.  :func:`group_columnsort` runs stages 3–5; §8's pair sort
-(:func:`repro.sort.ones.sort_ones`) is the same pipeline with fixed
-groups and a single broadcast pass.
+phases.  :func:`group_program` is one processor's part of stages 3–5;
+§8's pair sort (:func:`repro.sort.ones.sort_ones`) is the same program
+with fixed groups and a single broadcast pass.
 
 Total: ``O(n/k + n_max)`` cycles and ``O(n + p)`` messages — by
 Corollary 6 this is ``Theta(max{n/k, n_max})`` cycles and ``Theta(n)``
@@ -129,12 +129,20 @@ def sort_uneven(
     m_pad = max(m_j for _, m_j in groups)
     m_pad = math.ceil(m_pad / k_used) * k_used
 
+    # --- stages 3-5 -----------------------------------------------------
     bounds = [0] + [sums[i].incl for i in range(1, p + 1)]
     reps = [rep for rep, _ in groups]
-    return group_columnsort(
-        net, parts, reps, bounds, m_pad, m_pad,
-        group_plans(reps, bounds, m_pad, 2), phase=f"{phase}/sort",
+    plans = group_plans(reps, bounds, m_pad, 2)
+
+    def program(ctx: ProcContext):
+        return (yield from group_program(
+            ctx, parts[ctx.pid], reps, bounds, m_pad, m_pad, plans
+        ))
+
+    results = net.run(
+        {i: program for i in range(1, p + 1)}, phase=f"{phase}/sort"
     )
+    return SortResult(output={pid: tuple(v) for pid, v in results.items()})
 
 
 def group_plans(
@@ -192,58 +200,53 @@ def group_plans(
     return collect, SchedulePlan(p, k_used, passes * m_pad, m_pad, writes, reads)
 
 
-def group_columnsort(
-    net: MCBNetwork,
-    parts: dict[int, Sequence[Any]],
-    reps: Sequence[int],
-    bounds: Sequence[int],
-    m_pad: int,
-    collect_cycles: int,
-    plans: tuple[Optional[SchedulePlan], SchedulePlan],
-    *,
-    phase: str,
-) -> SortResult:
-    """Stages 3-5 of §7.2 as one network stage: collection, Phases 1-9
-    of Columnsort among the representatives, Phase 10.
+def stage3_row(pid: int, mine: list, reps, bounds, m_pad: int, pad) -> list:
+    """``P_pid``'s ``m_pad``-slot row entering stage 3: a member's own
+    elements, or a representative's column — ``None`` for each element
+    its members will send, its own elements, then ``pad(r)`` for the
+    ``r``-th dummy."""
+    j = bisect_left(reps, pid)  # my group: the first rep >= pid
+    if pid != reps[j]:
+        return mine + [None] * (m_pad - len(mine))
+    heard = bounds[pid - 1] - bounds[reps[j - 1] if j else 0]
+    row = [None] * heard + mine
+    return row + [pad(r) for r in range(m_pad - len(row))]
+
+
+def group_program(
+    ctx: ProcContext, elems: Sequence[Any], reps: Sequence[int],
+    bounds: Sequence[int], m_pad: int, collect_cycles: int, plans: tuple,
+):
+    """Sub-generator: ``P_ctx.pid``'s part of stages 3-5 of §7.2 —
+    collection, Phases 1-9 of Columnsort among the representatives,
+    Phase 10 — over its elements ``elems``.
 
     ``reps``, ``bounds`` and ``m_pad`` are as in :func:`group_plans`,
     which built ``plans``.  Collection lasts ``collect_cycles``: its
-    plan, then a sleep for the rest.  Each representative holds its
-    column — the members' elements, its own, then dummies — in
-    ``m_pad`` aux slots until Phase 10 ends; every processor returns its
-    segment.
+    plan, then a sleep for the rest.  A representative holds its column
+    (:func:`stage3_row`) in ``m_pad`` aux slots until Phase 10 ends.
+    Returns the processor's segment, a list.
     """
-    p = net.p
-    assert len(bounds) == p + 1
+    pid = ctx.pid
     collect, bcast = plans
     k_used = len(reps)
     rest = collect_cycles - (collect.cycles if collect is not None else 0)
-
-    def program(ctx: ProcContext):
-        pid = ctx.pid
-        j = bisect_left(reps, pid)  # my group: the first rep >= pid
-        is_rep = pid == reps[j]
-        prev = bounds[pid - 1]
-        mine = list(parts[pid])
-        if is_rep:
-            ctx.aux_acquire(m_pad)
-            heard = prev - bounds[reps[j - 1] if j else 0]
-            row = [None] * heard + mine
-            row += [dummy_like(mine[0], seq=r) for r in range(m_pad - len(row))]
-        else:
-            row = mine + [None] * (m_pad - len(mine))
-        if collect is not None:
-            row = yield RunPlan(collect, pid - 1, row)
-        if rest > 0:
-            yield Sleep(rest)
-        if is_rep:
-            row = yield from columnsort_program(j, row, m_pad, k_used)
-        else:
-            yield Sleep(4 * m_pad)
-        row = yield RunPlan(bcast, pid - 1, row)
-        if is_rep:
-            ctx.aux_release(m_pad)
-        return row[: bounds[pid] - prev]
-
-    results = net.run({i: program for i in range(1, p + 1)}, phase=phase)
-    return SortResult(output={pid: tuple(v) for pid, v in results.items()})
+    j = bisect_left(reps, pid)
+    is_rep = pid == reps[j]
+    mine = list(elems)
+    if is_rep:
+        ctx.aux_acquire(m_pad)
+    row = stage3_row(pid, mine, reps, bounds, m_pad,
+                     lambda r: dummy_like(mine[0], seq=r))
+    if collect is not None:
+        row = yield RunPlan(collect, pid - 1, row)
+    if rest > 0:
+        yield Sleep(rest)
+    if is_rep:
+        row = yield from columnsort_program(j, row, m_pad, k_used)
+    else:
+        yield Sleep(4 * m_pad)
+    row = yield RunPlan(bcast, pid - 1, row)
+    if is_rep:
+        ctx.aux_release(m_pad)
+    return row[: bounds[pid] - bounds[pid - 1]]

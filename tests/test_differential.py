@@ -20,17 +20,23 @@ generator engine; both draw integer or float columns.  Another
 property does the same for the §6.1 virtual-column sort (both sorters,
 several group sizes ``g = p/k``) and the §6.2 recursion, whose
 transfer phases are collective plans on the fast engine; the vector
-engine does not run them.  A last one draws
+engine does not run them.  Another draws
 single Rank-Sort stages — several groups, uneven ``counts``,
 ``out_counts`` with empty segments, either direction — and holds the
 fast engine unobserved (where they may run as one collective step) and
 the reference interpreter observed to the per-cycle Rank-Sort schedule,
-``per_cycle_rank_sort_group``.
+``per_cycle_rank_sort_group``.  The last three hold the fast engine
+unobserved to the reference interpreter observed on the §7.1
+Partial-Sums and Total-Sum stages (``p`` up to 24, ``add`` and ``max``,
+with and without the successor stage), the §8 pair sort ``sort_ones``
+and weighted selection, whose sweeps and pair sorts run as collective
+steps on the fast engine.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 from hypothesis import HealthCheck, example, given, settings
@@ -39,7 +45,9 @@ from hypothesis import strategies as st
 from repro.mcb import MCBNetwork
 from repro.mcb.reference import ReferenceMCBNetwork
 from repro.obs import EventLog
+from repro.prefix import mcb_partial_sums, mcb_total_sum
 from repro.select import mcb_select
+from repro.select.weighted import mcb_select_weighted
 from repro.sort import (
     mcb_sort,
     rank_sort_group,
@@ -47,6 +55,7 @@ from repro.sort import (
     sort_even_pk_batch,
     sort_virtual,
 )
+from repro.sort.ones import sort_ones
 from repro.sort.recursive import sort_recursive
 from test_rank_sort_listen import per_cycle_rank_sort_group
 
@@ -370,3 +379,127 @@ def test_rank_sort_stages_agree(stage):
     observed.attach_observer(EventLog())
     assert run_rank_sort_stage(MCBNetwork(p, k), groups) == oracle
     assert run_rank_sort_stage(observed, groups) == oracle
+
+
+# ---------------------------------------------------------------------------
+# §7.1 sweeps, the §8 pair sort and weighted selection
+# ---------------------------------------------------------------------------
+
+def draw_values(draw, size: int) -> list:
+    """Distinct-or-not ints (non-negative or signed) or floats."""
+    kind = draw(st.sampled_from(["int", "negative", "float"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "int":
+        return rng.integers(0, 1000, size=size).tolist()
+    if kind == "negative":
+        return rng.integers(-1000, 1000, size=size).tolist()
+    return rng.uniform(-1e3, 1e3, size=size).tolist()
+
+
+@st.composite
+def sweep_stages(draw):
+    """``(p, k, total, values, op, include_next)`` for one Partial-Sums
+    (``total`` false) or Total-Sum stage: ``p`` up to 24, powers of two
+    or not, ``op`` ``add`` (identity 0) or ``max`` (identity ``-inf``)."""
+    p = draw(st.integers(1, 24))
+    k = draw(st.integers(1, p))
+    total = draw(st.booleans())
+    values = dict(enumerate(draw_values(draw, p), start=1))
+    op = draw(st.sampled_from(["add", "max"]))
+    include_next = not total and draw(st.booleans())
+    return p, k, total, values, op, include_next
+
+
+def run_sweep(net, stage):
+    _, _, total, values, op, include_next = stage
+    fn, identity = (operator.add, 0) if op == "add" else (max, -math.inf)
+    if total:
+        answer = mcb_total_sum(net, values, op=fn, identity=identity)
+    else:
+        answer = mcb_partial_sums(
+            net, values, op=fn, identity=identity, include_next=include_next
+        )
+    return answer, net.stats.to_dict()
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(stage=sweep_stages())
+@example(stage=(1, 1, False, {1: -4}, "max", True))
+@example(stage=(13, 3, False, dict(enumerate(range(13), 1)), "add", True))
+def test_sweeps_agree(stage):
+    p, k, *_ = stage
+    observed = ReferenceMCBNetwork(p, k)
+    observed.attach_observer(EventLog())
+    assert run_sweep(MCBNetwork(p, k), stage) == run_sweep(observed, stage)
+
+
+@st.composite
+def pair_sorts(draw):
+    """``(p, k, parts)``: one distinct int, float or int-triple element
+    per processor, ``p`` in 2..24."""
+    p = draw(st.integers(2, 24))
+    k = draw(st.integers(1, p))
+    kind = draw(st.sampled_from(["int", "float", "triple"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "int":
+        elems = rng.choice(4 * p, size=p, replace=False).tolist()
+    elif kind == "float":
+        elems = rng.uniform(-1e3, 1e3, size=p).tolist()
+    else:
+        heads = rng.integers(-5, 5, size=p).tolist()
+        elems = [(h, i, 7) for i, h in enumerate(heads)]
+    return p, k, {pid: [e] for pid, e in enumerate(elems, start=1)}
+
+
+def run_pair_sort(net, parts):
+    return sort_ones(net, parts).output, net.stats.to_dict()
+
+
+@settings(
+    max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(query=pair_sorts())
+def test_pair_sorts_agree(query):
+    p, k, parts = query
+    observed = ReferenceMCBNetwork(p, k)
+    observed.attach_observer(EventLog())
+    assert run_pair_sort(MCBNetwork(p, k), parts) == run_pair_sort(
+        observed, parts
+    )
+
+
+@st.composite
+def weighted_selections(draw):
+    """``(p, k, parts, target)``: distinct elements with positive integer
+    weights, dealt unevenly over ``p`` in 2..16 processors."""
+    p = draw(st.integers(2, 16))
+    k = draw(st.integers(1, p))
+    n = draw(st.integers(p, 6 * p))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    elems = rng.choice(10 * n, size=n, replace=False).tolist()
+    weights = rng.integers(1, 10, size=n).tolist()
+    owners = rng.integers(1, p + 1, size=n).tolist()
+    parts = {pid: [] for pid in range(1, p + 1)}
+    for e, w, pid in zip(elems, weights, owners):
+        parts[pid].append((e, w))
+    target = draw(st.integers(1, sum(weights)))
+    return p, k, parts, target
+
+
+def run_weighted(net, parts, target):
+    return mcb_select_weighted(net, parts, target).value, net.stats.to_dict()
+
+
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(query=weighted_selections())
+def test_weighted_selections_agree(query):
+    p, k, parts, target = query
+    observed = ReferenceMCBNetwork(p, k)
+    observed.attach_observer(EventLog())
+    assert run_weighted(MCBNetwork(p, k), parts, target) == run_weighted(
+        observed, parts, target
+    )

@@ -64,3 +64,26 @@ def test_each_leg_is_compared_with_its_own_baseline(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "p,k,m,n=(4, 4, 2, 8)" in out
     assert "p,k,m,n=(4, 4, 12, 48) speedup[auto]: baseline 1.20" in out
+
+
+def test_a_failing_session_record_fails_the_check(tmp_path):
+    """Fresh runs append to the untracked session file, which the gate
+    reads after the committed trajectory: a drop that exists only there
+    must still fail the check."""
+    gate = _load_gate()
+    committed = _write_jsonl(
+        tmp_path / "BENCH_network_backends.json", [_leg(2, 3.3)]
+    )
+    session_dir = tmp_path / "session"
+    session_dir.mkdir()
+    session = _write_jsonl(
+        session_dir / "BENCH_network_backends.json", [_leg(2, 1.0)]
+    )
+    extract = gate.CHECKS["BENCH_network_backends.json"]
+    assert gate.check_file(
+        committed, extract, best_of=1, threshold=0.8
+    ) == []
+    failures = gate.check_file(
+        committed, extract, best_of=1, threshold=0.8, session=session
+    )
+    assert len(failures) == 1 and "speedup[auto]" in failures[0]

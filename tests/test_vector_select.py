@@ -1,17 +1,18 @@
 """``mcb_select(engine="vector")`` vs the generator engine: exact parity.
 
 The vector selection swaps the candidate data plane
-(:class:`repro.select.vector.VectorCandidates` for the per-pid lists)
-and, on an unobserved network, replays each filtering round's control
-stages from cached schedule tables
-(:class:`repro.select.vector.ReplayControl`) instead of stepping them.
-The bar is bit-identity: same selected value (type included), same
-per-phase trace, same ``RunStats`` — every ``PhaseStats`` field,
-per-pid aux peaks included.  The sweeps cover every rank of small
-configurations — hitting all three pivot cases, the reflection device,
-§3 tagging via duplicates, and both pair sorters — plus float and tuple
-payloads, hypothesis-drawn shapes, message-size failures and observed
-networks (which keep stepping the engine).
+(:class:`repro.select.vector.VectorCandidates` for the per-pid lists);
+both engines run the same control stages, whose pair sort and sweeps
+the fast engine runs as collective steps.  So the vector engine on an
+unobserved :class:`MCBNetwork` is held to the generator engine on the
+reference interpreter, which steps every op.  The bar is bit-identity:
+same selected value (type included), same per-phase trace, same
+``RunStats`` — every ``PhaseStats`` field, per-pid aux peaks
+included.  The sweeps cover every rank of small configurations —
+hitting all three pivot cases, the reflection device, §3 tagging via
+duplicates, and both pair sorters — plus float and tuple payloads,
+hypothesis-drawn shapes, message-size failures and observed networks
+(which step every op on the reference interpreter's loop).
 """
 
 from __future__ import annotations
@@ -25,14 +26,16 @@ from hypothesis import strategies as st
 from repro.core.element import has_duplicates
 from repro.mcb.errors import ConfigurationError, MessageSizeError
 from repro.mcb.network import MCBNetwork
+from repro.mcb.reference import ReferenceMCBNetwork
 from repro.obs import EventLog
+from repro.obs.metrics import global_registry
 from repro.select import mcb_select
 from repro.select.filtering import mcb_select_descending
 from repro.select.vector import VectorCandidates
 
 
 def run_both(parts, d, p, k, **kwargs):
-    gen_net = MCBNetwork(p=p, k=k)
+    gen_net = ReferenceMCBNetwork(p=p, k=k)
     gen = mcb_select(gen_net, parts, d, **kwargs)
     vec_net = MCBNetwork(p=p, k=k)
     vec = mcb_select(vec_net, parts, d, engine="vector", **kwargs)
@@ -83,7 +86,7 @@ def test_float_median_matches_generator(seed):
 def test_pair_sorters_match_generator(pair_sorter):
     p, k, n = 4, 2, 16
     parts = even_parts(n, p, seed=9)
-    gen_net = MCBNetwork(p=p, k=k)
+    gen_net = ReferenceMCBNetwork(p=p, k=k)
     gen = mcb_select_descending(
         gen_net, parts, 3, pair_sorter=pair_sorter
     )
@@ -118,7 +121,7 @@ def test_emptied_processor_dummy_pairs_round_trip():
 
 
 # ---------------------------------------------------------------------------
-# The replayed control plane
+# The control plane
 # ---------------------------------------------------------------------------
 
 EXAMPLES = settings(
@@ -150,35 +153,42 @@ def selections(draw):
 
 @EXAMPLES
 @given(selections())
-def test_replay_matches_generator(case):
+def test_vector_select_matches_reference(case):
     parts, d, p, k = case
     res = run_both(parts, d, p, k)
     pool = sorted((e for v in parts.values() for e in v), reverse=True)
     assert res.value == pool[d - 1]
 
 
-def count_runs(monkeypatch):
-    calls = []
-    real = MCBNetwork.run
-
-    def run(self, *args, **kwargs):
-        calls.append(kwargs.get("phase"))
-        return real(self, *args, **kwargs)
-
-    monkeypatch.setattr(MCBNetwork, "run", run)
-    return calls
+def plan_runs(op: str) -> dict[str, float]:
+    counter = global_registry().counter("network_plan_runs_total")
+    return {
+        path: counter.get(op=op, path=path)
+        for path in ("collective", "stepped")
+    }
 
 
-def test_unobserved_vector_select_steps_only_the_termination(monkeypatch):
-    parts = even_parts(64, 8, seed=3)
-    calls = count_runs(monkeypatch)
-    res = mcb_select(MCBNetwork(p=8, k=2), parts, 20, engine="vector")
-    assert res.trace.num_phases > 2
-    assert calls == ["select/termination/prefix", "select/termination"]
+@pytest.mark.parametrize("engine", ["generator", "vector"])
+def test_unobserved_control_stages_run_collectively(engine):
+    """Every round's pair sort and both sweeps, and the termination
+    prefix, run as one collective step per stage on either engine."""
+    p, k = 8, 2
+    parts = even_parts(64, p, seed=3)
+    before = {op: plan_runs(op) for op in ("sort_ones", "sweep")}
+    res = mcb_select(MCBNetwork(p=p, k=k), parts, 20, engine=engine)
+    rounds = res.trace.num_phases - 1
+    assert rounds > 2
+    runs = {
+        op: {path: n - before[op][path] for path, n in plan_runs(op).items()}
+        for op in before
+    }
+    # sort-medians; count-prefix, count-ge and the termination prefix
+    assert runs["sort_ones"] == {"collective": p * rounds, "stepped": 0}
+    assert runs["sweep"] == {"collective": p * (2 * rounds + 1), "stepped": 0}
 
 
 def test_p1_commits_no_sort_phase():
-    """sort_ones runs no stage for one processor; the replay follows."""
+    """sort_ones runs no stage for one processor."""
     parts = {1: [5, 3, 9, 1, 7]}
     run_both(parts, 2, 1, 1)
     net = MCBNetwork(p=1, k=1)
@@ -214,8 +224,10 @@ def test_fast_forward_cycles_on_virtual_tree_leaves(p, k):
 def test_message_size_error_matches_generator(p, k, fields, kind):
     parts = even_parts(4 * p, p, seed=11, kind=kind)
     outcomes = []
-    for engine in ("generator", "vector"):
-        net = MCBNetwork(p=p, k=k, max_message_fields=fields)
+    for engine, cls in (
+        ("generator", ReferenceMCBNetwork), ("vector", MCBNetwork)
+    ):
+        net = cls(p=p, k=k, max_message_fields=fields)
         with pytest.raises(MessageSizeError) as info:
             mcb_select(net, parts, 2, engine=engine)
         outcomes.append((str(info.value), net.stats.phases))
