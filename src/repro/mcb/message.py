@@ -73,6 +73,26 @@ def unpack_elem(fields: Sequence[Any]) -> Any:
     return fields[0] if len(fields) == 1 else tuple(fields)
 
 
+def _fields(vals: list, max_fields: int) -> Optional[tuple[list, set]]:
+    """The message fields of elements ``vals`` and their types, or
+    ``None``.  With no plain tuple among them the fields are the
+    elements themselves; if all are plain tuples (none of length 1, at
+    most ``max_fields`` fields) they are flattened.  When every field
+    is an exact int or float, each element arrives unchanged."""
+    if max_fields < 1:
+        return None
+    types = set(map(type, vals))
+    if tuple not in types:
+        return vals, types
+    if types != {tuple}:
+        return None
+    lens = set(map(len, vals))
+    if max(lens) > max_fields or 1 in lens:
+        return None
+    fields = list(chain.from_iterable(vals))
+    return fields, set(map(type, fields))
+
+
 def plain_fields(vals: list, max_fields: int) -> Optional[list]:
     """The message fields of elements ``vals``, flattened, if they are
     all exact ints or all plain tuples of exact ints (none of length 1)
@@ -82,17 +102,8 @@ def plain_fields(vals: list, max_fields: int) -> Optional[list]:
     same type), order like their fields and are sized by
     :func:`bulk_bits`.
     """
-    if max_fields < 1:
-        return None
-    types = set(map(type, vals))
-    fields = vals
-    if types == {tuple}:
-        lens = set(map(len, vals))
-        if max(lens) > max_fields or 1 in lens:
-            return None
-        fields = list(chain.from_iterable(vals))
-        types = set(map(type, fields))
-    return fields if types <= {int} else None
+    got = _fields(vals, max_fields)
+    return got[0] if got is not None and got[1] <= {int} else None
 
 
 def bulk_bits(messages: int, fields: list) -> int:
@@ -106,6 +117,19 @@ def bulk_bits(messages: int, fields: list) -> int:
     )
 
 
+def numeric_bits(messages: int, fields: list) -> Optional[int]:
+    """:func:`bulk_bits` for fields that are exact ints or exact floats,
+    a float costing 64 bits (:func:`scalar_bits`); ``None`` if some
+    field is of another type (a ``bool`` included)."""
+    types = set(map(type, fields))
+    if types <= {int}:
+        return bulk_bits(messages, fields)
+    if not types <= {int, float}:
+        return None
+    ints = [f for f in fields if f.__class__ is int]
+    return bulk_bits(messages, ints) + 64 * (len(fields) - len(ints))
+
+
 def delivered(
     vals: list, kind: str, max_fields: int
 ) -> Optional[tuple[list, int]]:
@@ -115,12 +139,16 @@ def delivered(
     reader stores ``unpack_elem`` of the fields.  Returns ``None`` if
     some write would fail an engine's write guard (more than
     ``max_fields`` fields) or its bit sizing, so that stepping raises
-    the error at its cycle.  :func:`plain_fields` elements are sized in
-    bulk.
+    the error at its cycle.  Elements whose fields are all exact ints
+    or floats (:func:`numeric_bits`), as scalars or as plain tuples,
+    arrive unchanged and are sized in bulk; any other element builds
+    its ``Message``.
     """
-    fields = plain_fields(vals, max_fields)
-    if fields is not None:
-        return vals, bulk_bits(len(vals), fields)
+    flat = _fields(vals, max_fields)
+    if flat is not None:
+        bits = numeric_bits(len(vals), flat[0])
+        if bits is not None:
+            return vals, bits
     got = []
     bits = 0
     for v in vals:

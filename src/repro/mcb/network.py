@@ -76,7 +76,12 @@ cycle loop has no observer branch:
   ops of its own; its first op is collected after the others', so the
   survivors are put back in slot order and a collision lists its
   writers in slot order, as the reference interpreter finds them.
-  ``network_plan_runs_total{op, path}`` counts both outcomes.
+  ``network_plan_runs_total{op, path}`` counts both outcomes;
+* a **one-op stage** (:meth:`MCBNetwork.run_ops`: every processor
+  yields one collective op and returns its result) skips the arena
+  when unobserved: it builds the contexts and ops, checks each op in
+  slot order and commits the class's ``collective`` step as the loop
+  would, or else runs the loop on the one-yield program.
 
 On a collision the engine records the aborted phase's partial
 :class:`~repro.mcb.trace.PhaseStats` (costs of all completed cycles,
@@ -87,7 +92,7 @@ lower-bound experiments keep their cost data.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from ..obs.metrics import global_registry
 from .errors import CollisionError, ProtocolError
@@ -100,7 +105,7 @@ from .program import (
     ProgramFn,
     Sleep,
 )
-from .reference import ReferenceMCBNetwork
+from .reference import MAX_CYCLES, ReferenceMCBNetwork
 from .trace import PhaseStats
 
 
@@ -160,13 +165,63 @@ class MCBNetwork(ReferenceMCBNetwork):
     accepts_ext_op = False
 
     # ------------------------------------------------------------------
+    def run_ops(
+        self,
+        make_op: Callable[[ProcContext], CollectiveOp],
+        *,
+        phase: str = "phase",
+    ) -> dict[int, Any]:
+        """:meth:`ReferenceMCBNetwork.run_ops` without generators.
+
+        An unobserved stage builds each processor's context and op in
+        slot order, checking each op as :meth:`run` would when it is
+        yielded, and hands the ops to their class's ``collective``.  Its
+        :class:`~repro.mcb.program.Collective` is committed as
+        :meth:`run` commits a collective step.  An observed stage, an op
+        that is not a collective op, ops of mixed classes or a declined
+        step run the definition instead.
+        """
+        if self._dispatch is not None:
+            return super().run_ops(make_op, phase=phase)
+        p, k = self.p, self.k
+        contexts: list[ProcContext] = []
+        ops: list[Any] = []
+        for pid in range(1, p + 1):
+            ctx = ProcContext(pid, p, k)
+            op = make_op(ctx)
+            if not isinstance(op, CollectiveOp):
+                return super().run_ops(make_op, phase=phase)
+            op.check(pid, k)
+            contexts.append(ctx)
+            ops.append(op)
+        cls = ops[0].__class__
+        done = None
+        if all(op.__class__ is cls for op in ops):
+            done = cls.collective(ops, MAX_CYCLES, self.max_message_fields)
+        if done is None:
+            return super().run_ops(make_op, phase=phase)
+        cw_counts = [0] * (k + 1)
+        for ch, n in done.channel_writes:
+            cw_counts[ch] += n
+        ph = PhaseStats(name=phase, k=k)
+        ph.cycles = done.cycles
+        ph.messages = sum(cw_counts)
+        ph.bits = done.bits
+        ph.channel_writes = {ch: n for ch, n in enumerate(cw_counts) if n}
+        ph.fast_forward_cycles = done.fast_forward_cycles
+        for ctx in contexts:
+            ph.aux_peak[ctx.pid] = ctx._aux_peak
+        _collective_runs(cls.label, "collective", p)
+        self.stats.add(ph)
+        return {ctx.pid: value for ctx, value in zip(contexts, done.results)}
+
     def run(
         self,
         programs: dict[int, ProgramFn] | Sequence[ProgramFn],
         *,
         phase: str = "phase",
         data: Optional[dict[int, Any]] = None,
-        max_cycles: int = 50_000_000,
+        max_cycles: int = MAX_CYCLES,
     ) -> dict[int, Any]:
         """Execute one synchronized stage and return per-processor results.
 

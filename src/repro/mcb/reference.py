@@ -63,7 +63,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Literal, Optional, Sequence
+from typing import Any, Callable, Literal, Optional, Sequence
 
 from ..obs.events import (
     CollisionDetected,
@@ -94,6 +94,10 @@ from .program import (
     listen_window,
 )
 from .trace import PhaseStats, RunStats
+
+#: ``run``'s default ``max_cycles``: the safety valve against a
+#: livelocked protocol.
+MAX_CYCLES = 50_000_000
 
 WritePolicy = Literal["exclusive", "detect", "priority"]
 ReadPolicy = Literal["single", "all"]
@@ -204,7 +208,7 @@ class ReferenceMCBNetwork(ObservableMixin):
         *,
         phase: str = "phase",
         data: Optional[dict[int, Any]] = None,
-        max_cycles: int = 50_000_000,
+        max_cycles: int = MAX_CYCLES,
     ) -> dict[int, Any]:
         """Execute one synchronized stage under :attr:`policy`; same
         contract as :meth:`MCBNetwork.run`."""
@@ -511,6 +515,30 @@ class ReferenceMCBNetwork(ObservableMixin):
                 )
             )
         return results
+
+    def run_ops(
+        self,
+        make_op: Callable[[ProcContext], CollectiveOp],
+        *,
+        phase: str = "phase",
+    ) -> dict[int, Any]:
+        """A stage in which each processor ``P_1..P_p`` yields the one
+        :class:`~repro.mcb.program.CollectiveOp` that ``make_op(ctx)``
+        builds, and returns its result.
+
+        *Defined* as :meth:`run` of that one-yield program; the fast
+        engine may instead run the stage without generators (see
+        :meth:`MCBNetwork.run_ops <repro.mcb.network.MCBNetwork.run_ops>`).
+        ``make_op`` should only build the op: an engine may call it
+        again for a processor.
+        """
+
+        def program(ctx: ProcContext):
+            return (yield make_op(ctx))
+
+        return self.run(
+            {pid: program for pid in range(1, self.p + 1)}, phase=phase
+        )
 
     # ------------------------------------------------------------------
     def _check_programs(

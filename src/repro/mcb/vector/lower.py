@@ -2,8 +2,10 @@
 
 Each lowering is a pure function of globally-known parameters — exactly
 the property that makes a phase oblivious — and produces the raw event
-lists that :meth:`SchedulePlan.compile` validates into a
-:class:`~repro.mcb.vector.plan.CompiledPhase`:
+tables that :meth:`SchedulePlan.compile` validates into a
+:class:`~repro.mcb.vector.plan.CompiledPhase`.  The columnsort
+lowerings hand over the int64 event arrays they compute;
+:func:`lower_virtual_phase` builds event tuple lists:
 
 * :func:`lower_columnsort_phases` — the four §5.2 transformation phases
   (2, 4, 6, 8) of one ``(m, k, paper_phase2, wrap_skip)`` variant, built
@@ -112,18 +114,6 @@ def _phase_event_arrays(
     )
 
 
-def _tuples(arr: np.ndarray) -> list[tuple]:
-    """Rows of a non-negative int array as tuples of Python ints.
-
-    Equal values share one int object: a plan cached for the generator
-    engines then holds one tuple per event, not fresh ints per field.
-    """
-    if not arr.size:
-        return []
-    ints = np.array(range(int(arr.max()) + 1), dtype=object)
-    return list(map(tuple, ints[arr].tolist()))
-
-
 def lower_phase_columnar(phase: int, m: int, k: int) -> SchedulePlan:
     """One transformation phase as a plan over ``k`` columns.
 
@@ -139,9 +129,9 @@ def lower_phase_columnar(phase: int, m: int, k: int) -> SchedulePlan:
     t = ~self_t
     return SchedulePlan(
         p=k, k=k, cycles=m, slots=m,
-        writes=_tuples(np.stack([cyc[t], sc[t], sc[t] + 1, sr[t]], axis=1)),
-        reads=_tuples(np.stack([cyc[t], dc[t], sc[t] + 1, dr[t]], axis=1)),
-        moves=_tuples(np.stack([sc[self_t], sr[self_t], dr[self_t]], axis=1)),
+        writes=np.stack([cyc[t], sc[t], sc[t] + 1, sr[t]], axis=1),
+        reads=np.stack([cyc[t], dc[t], sc[t] + 1, dr[t]], axis=1),
+        moves=np.stack([sc[self_t], sr[self_t], dr[self_t]], axis=1),
     )
 
 
@@ -182,15 +172,9 @@ def lower_wrap_skip(m: int, k: int) -> tuple[SchedulePlan, SchedulePlan]:
     t6 = ~is_move
     plan6 = SchedulePlan(
         p=k, k=k, cycles=m, slots=slots,
-        writes=_tuples(
-            np.stack([cyc[t6], sc[t6], sc[t6] + 1, sr[t6]], axis=1)
-        ),
-        reads=_tuples(
-            np.stack([cyc[t6], dc[t6], sc[t6] + 1, dr[t6]], axis=1)
-        ),
-        moves=_tuples(
-            np.stack([sc[is_move], sr[is_move], m_dst[is_move]], axis=1)
-        ),
+        writes=np.stack([cyc[t6], sc[t6], sc[t6] + 1, sr[t6]], axis=1),
+        reads=np.stack([cyc[t6], dc[t6], sc[t6] + 1, dr[t6]], axis=1),
+        moves=np.stack([sc[is_move], sr[is_move], m_dst[is_move]], axis=1),
     )
     parked = sr[park_idx]  # src_row of each parked element, cycle order
 
@@ -222,13 +206,9 @@ def lower_wrap_skip(m: int, k: int) -> tuple[SchedulePlan, SchedulePlan]:
     )
     plan8 = SchedulePlan(
         p=k, k=k, cycles=m, slots=slots,
-        writes=_tuples(
-            np.stack([cyc8[t8], sc8[t8], sc8[t8] + 1, sr8[t8]], axis=1)
-        ),
-        reads=_tuples(
-            np.stack([cyc8[t8], dc8[t8], sc8[t8] + 1, dr8[t8]], axis=1)
-        ),
-        moves=_tuples(moves8),
+        writes=np.stack([cyc8[t8], sc8[t8], sc8[t8] + 1, sr8[t8]], axis=1),
+        reads=np.stack([cyc8[t8], dc8[t8], sc8[t8] + 1, dr8[t8]], axis=1),
+        moves=moves8,
     )
     return plan6, plan8
 
@@ -258,12 +238,8 @@ def lower_paper_transpose(m: int, k: int) -> SchedulePlan:
     ii = np.broadcast_to(i, (m, k))
     return SchedulePlan(
         p=k, k=k, cycles=m, slots=m,
-        writes=_tuples(
-            np.stack([jj, ii, ii + 1, send_row], axis=2).reshape(-1, 4)
-        ),
-        reads=_tuples(
-            np.stack([jj, ii, read_ch + 1, dest % m], axis=2).reshape(-1, 4)
-        ),
+        writes=np.stack([jj, ii, ii + 1, send_row], axis=2).reshape(-1, 4),
+        reads=np.stack([jj, ii, read_ch + 1, dest % m], axis=2).reshape(-1, 4),
     )
 
 

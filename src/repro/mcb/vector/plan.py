@@ -12,8 +12,9 @@ execution and executed as a handful of NumPy gather/scatter operations
 
 Two layers:
 
-* :class:`SchedulePlan` — the raw, unvalidated event-list form produced
-  by the lowerings in :mod:`repro.mcb.vector.lower`.  Its
+* :class:`SchedulePlan` — the raw, unvalidated event form produced by
+  the lowerings in :mod:`repro.mcb.vector.lower`: int64 event arrays
+  (or, for hand-built plans, lists of event tuples).  Its
   :meth:`~SchedulePlan.as_programs` renders the plan back into ordinary
   per-processor generator programs, so any plan can also be run on the
   generator engines — that interpreter is the parity oracle the vector
@@ -59,6 +60,27 @@ WriteEvent = tuple[int, int, int, int]
 ReadEvent = tuple[int, int, int, int]
 #: (proc0, src_slot, dst_slot) — a free local permutation step.
 MoveEvent = tuple[int, int, int]
+
+
+def _event_array(events: Any, width: int) -> Optional[np.ndarray]:
+    """``events`` as an ``(n, width)`` int64 array, or ``None`` if they
+    are not ``width``-wide rows of ints (then only the per-event
+    checks of :meth:`SchedulePlan._compile_slow` can say why)."""
+    if (
+        isinstance(events, np.ndarray)
+        and events.dtype == np.int64
+        and events.shape[1:] == (width,)
+    ):
+        return events
+    try:
+        return np.array(events, dtype=np.int64).reshape(-1, width)
+    except (OverflowError, TypeError, ValueError):
+        return None
+
+
+def _event_rows(events: Any) -> list:
+    """``events`` as a list of rows of Python ints."""
+    return events.tolist() if isinstance(events, np.ndarray) else events
 
 
 class CompiledPhase:
@@ -161,30 +183,36 @@ class CompiledPhase:
         )
 
 
-@dataclass
+@dataclass(eq=False)
 class SchedulePlan:
-    """Raw (unvalidated) oblivious phase: flat event lists.
+    """Raw (unvalidated) oblivious phase: flat event tables.
 
-    ``writes``/``reads`` are ``(cycle, proc, channel, slot)`` tuples with
-    0-based cycles/procs/slots and 1-based channels; ``moves`` are free
-    local ``(proc, src_slot, dst_slot)`` copies.  Use
+    ``writes``/``reads`` are ``(n, 4)`` int64 arrays of ``(cycle, proc,
+    channel, slot)`` rows with 0-based cycles/procs/slots and 1-based
+    channels; ``moves`` an ``(n, 3)`` array of free local ``(proc,
+    src_slot, dst_slot)`` copies (none by default).  Lists of event
+    tuples are accepted in their place and checked the same way.  Use
     :meth:`compile` to validate into a :class:`CompiledPhase` for the
     vector executor, or :meth:`as_programs` to render the identical
-    computation as generator programs for any MCB engine.
+    computation as generator programs for any MCB engine.  Plans
+    compare by identity.
     """
 
     p: int
     k: int
     cycles: int
     slots: int
-    writes: list[WriteEvent]
-    reads: list[ReadEvent]
-    moves: list[MoveEvent] = field(default_factory=list)
+    writes: Any
+    reads: Any
+    moves: Any = field(default_factory=list)
     kind: str = "elem"
 
     # ------------------------------------------------------------------
     def compile(self) -> CompiledPhase:
         """Validate the plan and lower it to columnar index arrays.
+
+        The result is cached, so a plan's events must not change once
+        it has compiled.
 
         Raises
         ------
@@ -199,19 +227,32 @@ class SchedulePlan:
             a read of a silent channel, or
             two events landing in one destination slot.
         """
+        try:
+            return self._compiled
+        except AttributeError:
+            pass
         p, k, cycles, slots = self.p, self.k, self.cycles, self.slots
         if p < 1 or k < 1 or cycles < 0 or slots < 1:
             raise ConfigurationError(
                 f"invalid plan shape: p={p}, k={k}, cycles={cycles}, "
                 f"slots={slots}"
             )
-        fast = self._compile_fast()
-        if fast is not None:
-            return fast
-        return self._compile_slow()
+        w = _event_array(self.writes, 4)
+        r = _event_array(self.reads, 4)
+        mv = _event_array(self.moves, 3)
+        compiled = None
+        if w is not None and r is not None and mv is not None:
+            compiled = self._compile_fast(w, r, mv)
+        if compiled is None:
+            compiled = self._compile_slow()
+        self._compiled = compiled
+        return compiled
 
-    def _compile_fast(self) -> Optional[CompiledPhase]:
-        """Vectorized validation — the whole-plan checks as array ops.
+    def _compile_fast(
+        self, w: np.ndarray, r: np.ndarray, mv: np.ndarray
+    ) -> Optional[CompiledPhase]:
+        """Vectorized validation of the event arrays ``w``, ``r`` and
+        ``mv`` — the whole-plan checks as array ops.
 
         Returns ``None`` whenever *any* rule is (or merely might be)
         violated, and :meth:`compile` falls back to :meth:`_compile_slow`,
@@ -221,12 +262,6 @@ class SchedulePlan:
         compile cost scales with NumPy sorts instead of per-event Python.
         """
         p, k, cycles, slots = self.p, self.k, self.cycles, self.slots
-        try:
-            w = np.array(self.writes, dtype=np.int64).reshape(-1, 4)
-            r = np.array(self.reads, dtype=np.int64).reshape(-1, 4)
-            mv = np.array(self.moves, dtype=np.int64).reshape(-1, 3)
-        except (OverflowError, TypeError, ValueError):
-            return None
 
         for ev in (w, r):
             if len(ev) and not (
@@ -293,7 +328,9 @@ class SchedulePlan:
     def _compile_slow(self) -> CompiledPhase:
         """Event-at-a-time validation: the diagnostic (and fallback) path."""
         p, k, cycles, slots = self.p, self.k, self.cycles, self.slots
-        writes = sorted(self.writes, key=lambda w: (w[0], w[1]))
+        writes = sorted(
+            _event_rows(self.writes), key=lambda w: (w[0], w[1])
+        )
         seen_wp: set[tuple[int, int]] = set()
         for cy, proc, chan, src in writes:
             self._check_event("write", cy, proc, chan, src)
@@ -309,7 +346,7 @@ class SchedulePlan:
         # receive its second writer.
         self._check_collisions(writes)
 
-        reads = sorted(self.reads, key=lambda r: (r[0], r[1]))
+        reads = sorted(_event_rows(self.reads), key=lambda r: (r[0], r[1]))
         seen_rp: set[tuple[int, int]] = set()
         for cy, proc, chan, dst in reads:
             self._check_event("read", cy, proc, chan, dst)
@@ -339,7 +376,8 @@ class SchedulePlan:
                     f"two events deliver into slot {dst} of P{proc + 1}"
                 )
             dests.add((proc, dst))
-        for proc, src, dst in self.moves:
+        moves = _event_rows(self.moves)
+        for proc, src, dst in moves:
             if not (0 <= proc < p and 0 <= src < slots and 0 <= dst < slots):
                 raise ConfigurationError(
                     f"local move ({proc}, {src}, {dst}) out of range for "
@@ -363,9 +401,9 @@ class SchedulePlan:
             r_proc=col([r[0] for r in matched]),
             r_dst=col([r[1] for r in matched]),
             r_widx=col([r[2] for r in matched]),
-            m_proc=col([mv[0] for mv in self.moves]),
-            m_src=col([mv[1] for mv in self.moves]),
-            m_dst=col([mv[2] for mv in self.moves]),
+            m_proc=col([mv[0] for mv in moves]),
+            m_src=col([mv[1] for mv in moves]),
+            m_dst=col([mv[2] for mv in moves]),
         )
 
     # ------------------------------------------------------------------
@@ -449,10 +487,10 @@ class SchedulePlan:
                     t = steps[proc] = [None] * cycles
                 return t
 
-            for cy, proc, chan, src in self.writes:
+            for cy, proc, chan, src in _event_rows(self.writes):
                 if 0 <= cy < cycles:
                     table(proc)[cy] = (chan, src, None, None)
-            for cy, proc, chan, dst in self.reads:
+            for cy, proc, chan, dst in _event_rows(self.reads):
                 if 0 <= cy < cycles:
                     t = table(proc)
                     w = t[cy]
@@ -461,7 +499,7 @@ class SchedulePlan:
                         else (w[0], w[1], chan, dst)
                     )
             per_m: dict[int, list[tuple[int, int]]] = {}
-            for proc, src, dst in self.moves:
+            for proc, src, dst in _event_rows(self.moves):
                 per_m.setdefault(proc, []).append((src, dst))
             maps = self._prog_maps = (steps, per_m)
         return maps
@@ -565,25 +603,14 @@ class _PlanGather:
     __slots__ = ("w_flat", "out_idx", "cw")
 
     def __init__(self, ph: CompiledPhase):
-        slots = ph.slots
-        nw = ph.messages
-        self.w_flat = [
-            proc * slots + src
-            for proc, src in zip(ph.w_proc.tolist(), ph.w_src.tolist())
-        ]
-        out_idx = [
-            list(range(nw + proc * slots, nw + (proc + 1) * slots))
-            for proc in range(ph.p)
-        ]
-        for proc, src, dst in zip(
-            ph.m_proc.tolist(), ph.m_src.tolist(), ph.m_dst.tolist()
-        ):
-            out_idx[proc][dst] = nw + proc * slots + src
-        for proc, dst, widx in zip(
-            ph.r_proc.tolist(), ph.r_dst.tolist(), ph.r_widx.tolist()
-        ):
-            out_idx[proc][dst] = widx
-        self.out_idx = out_idx
+        slots, nw = ph.slots, ph.messages
+        self.w_flat = (ph.w_proc * slots + ph.w_src).tolist()
+        out = np.arange(nw, nw + ph.p * slots, dtype=np.int64).reshape(
+            ph.p, slots
+        )
+        out[ph.m_proc, ph.m_dst] = nw + ph.m_proc * slots + ph.m_src
+        out[ph.r_proc, ph.r_dst] = ph.r_widx
+        self.out_idx = out.tolist()
         self.cw = [
             (ch, n) for ch, n in enumerate(ph.channel_write_counts().tolist())
             if n

@@ -38,14 +38,13 @@ from operator import add
 from typing import Any, Callable, Generator, Optional
 
 from ..mcb.errors import ProtocolError
-from ..mcb.message import EMPTY, Message, bulk_bits
+from ..mcb.message import EMPTY, Message, numeric_bits
 from ..mcb.network import MCBNetwork
 from ..mcb.program import (
     Collective,
     CollectiveOp,
     CycleOp,
     Listen,
-    ProcContext,
     Sleep,
 )
 
@@ -287,7 +286,8 @@ class Sweep(CollectiveOp):
         """The stage as one pass over the tree's levels, applying ``op``
         as the programs do (a virtual right son's silence stands for
         ``identity``) and charging ``Message(kind, v).bit_size()`` per
-        transfer, in bulk for exact ints, and :func:`_tree`'s costs.
+        transfer, in bulk for exact ints and floats, and :func:`_tree`'s
+        costs.
 
         Taken only if ``ops`` are ``P_1..P_p``'s, in order, sharing one
         ``stage``; it ends within ``span``; and every message passes the
@@ -336,9 +336,8 @@ class Sweep(CollectiveOp):
                 if nxt:
                     sent += incl[1:]
                 results = list(map(PartialSums, down, incl, succ))
-            if set(map(type, sent)) <= {int}:
-                bits = bulk_bits(len(sent), sent)
-            else:  # every kind tag costs the same
+            bits = numeric_bits(len(sent), sent)
+            if bits is None:  # every kind tag costs the same
                 bits = sum(Message("sum", v).bit_size() for v in sent)
         except TypeError:  # stepping raises it at its cycle
             return None
@@ -352,11 +351,9 @@ def _run_sweep(net: MCBNetwork, values: dict, phase: str, *shape) -> dict:
     if sorted(values) != list(range(1, p + 1)):
         raise ValueError("values must be given for every processor 1..p")
     stage = (p, net.k) + shape
-
-    def program(ctx: ProcContext):
-        return (yield Sweep(ctx.pid, values[ctx.pid], stage))
-
-    return net.run({i: program for i in range(1, p + 1)}, phase=phase)
+    return net.run_ops(
+        lambda ctx: Sweep(ctx.pid, values[ctx.pid], stage), phase=phase
+    )
 
 
 def mcb_partial_sums(

@@ -69,10 +69,9 @@ def sort_ones(
     if p == 1:
         return SortResult(output={1: tuple(parts[1])})
 
-    def program(ctx: ProcContext):
-        return (yield SortOnes(ctx, parts[ctx.pid], p, k))
-
-    results = net.run({i: program for i in range(1, p + 1)}, phase=phase)
+    results = net.run_ops(
+        lambda ctx: SortOnes(ctx, parts[ctx.pid], p, k), phase=phase
+    )
     return SortResult(output={pid: tuple(v) for pid, v in results.items()})
 
 

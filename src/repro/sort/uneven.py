@@ -49,6 +49,8 @@ import math
 from bisect import bisect_left
 from typing import Any, Optional, Sequence
 
+import numpy as np
+
 from ..columnsort.matrix import max_columns_for
 from ..mcb.message import EMPTY, Message
 from ..mcb.network import MCBNetwork
@@ -164,39 +166,42 @@ def group_plans(
     * Broadcast (``passes * m_pad`` cycles): in each pass every
       representative writes each real row of its column — the positions
       ``< n`` in column-major order: real elements are finite, so the
-      dummies sort to the tail — and ``P_i`` reads its segment ``[n^+_{i-1}, n^+_i)`` into slots
-      ``0..n_i-1``.  The segment's ``c``-th column is read in pass
-      ``c``, so a segment may span ``passes`` columns.
+      dummies sort to the tail — and ``P_i`` reads its segment
+      ``[n^+_{i-1}, n^+_i)`` into slots ``0..n_i-1``.  The segment's
+      ``c``-th column is read in pass ``c``, so a segment may span
+      ``passes`` columns.
+
+    Both plans' events are int64 arrays built with NumPy, one write
+    (and one read) per element position per pass, in position order.
     """
     p, n, k_used = len(bounds) - 1, bounds[-1], len(reps)
-    writes: list = []
-    reads: list = []
-    lo = 1
-    for j, rep in enumerate(reps):
-        base = bounds[lo - 1]
-        for pid in range(lo, rep):
-            for pos in range(bounds[pid - 1], bounds[pid]):
-                writes.append((pos - base, pid - 1, j + 1, pos - bounds[pid - 1]))
-                reads.append((pos - base, rep - 1, j + 1, pos - base))
-        lo = rep + 1
+    rep = np.asarray(reps, dtype=np.int64)
+    bound = np.asarray(bounds, dtype=np.int64)
+    pos = np.arange(n, dtype=np.int64)
+    # Each position's owner P_{owner+1}, its slot there and its group.
+    owner = np.repeat(np.arange(p, dtype=np.int64), np.diff(bound))
+    slot = pos - bound[owner]
+    group = np.searchsorted(rep, owner + 1)
+    member = owner + 1 != rep[group]
     collect = None
-    if writes:
-        span = max(cy for cy, _, _, _ in writes) + 1
-        collect = SchedulePlan(p, k_used, span, m_pad, writes, reads)
+    if member.any():
+        # Group j's base is the partial sum before its first processor.
+        base = bound[np.concatenate([[0], rep[:-1]])]
+        g = group[member]
+        cycle = (pos - base[group])[member]
+        collect = SchedulePlan(
+            p, k_used, int(cycle.max()) + 1, m_pad,
+            np.stack([cycle, owner[member], g + 1, slot[member]], axis=1),
+            np.stack([cycle, rep[g] - 1, g + 1, cycle], axis=1),
+        )
 
-    cells = [divmod(pos, m_pad) for pos in range(n)]
-    writes = [
-        (t * m_pad + row, reps[col] - 1, col + 1, row)
-        for t in range(passes)
-        for col, row in cells
-    ]
-    reads = []
-    for pid in range(1, p + 1):
-        prev = bounds[pid - 1]
-        first = prev // m_pad
-        for slot, (col, row) in enumerate(cells[prev : bounds[pid]]):
-            assert col - first < passes, "a segment spans too many columns"
-            reads.append(((col - first) * m_pad + row, pid - 1, col + 1, slot))
+    col, row = np.divmod(pos, m_pad)
+    cycle = (col - bound[owner] // m_pad) * m_pad + row
+    assert (cycle < passes * m_pad).all(), "a segment spans too many columns"
+    writes = np.stack([row, rep[col] - 1, col + 1, row], axis=1)
+    writes = np.tile(writes, (passes, 1))
+    writes[:, 0] += np.repeat(np.arange(passes, dtype=np.int64) * m_pad, n)
+    reads = np.stack([cycle, owner, col + 1, slot], axis=1)
     return collect, SchedulePlan(p, k_used, passes * m_pad, m_pad, writes, reads)
 
 

@@ -1,7 +1,8 @@
 """Differential harness: every engine path gives the same answer and cost.
 
 One hypothesis property draws a query — algorithm, network shape, input
-size, distribution and even-sort backend — and runs it on three paths:
+size, distribution, even-sort backend and, for ``sort_uneven`` and
+``select``, int or float values — and runs it on three paths:
 
 * the fast engine unobserved (``RunPlan`` phases run as collective
   steps, ``Listen`` parks);
@@ -70,8 +71,9 @@ def queries(draw):
     processor, ``duplicates`` the same sizes from eight values,
     ``skewed`` uneven sizes and ``thm3`` uneven sizes in Theorem 3's
     placement (values dealt in descending order, round robin over the
-    processors with room left).  The backend applies where the query has
-    a choice: a ``sort_pk`` query on an even-sized input.
+    processors with room left).  ``sort_uneven`` and ``select`` values
+    are ints or floats.  The backend applies where the query has a
+    choice: a ``sort_pk`` query on an even-sized input.
     """
     algorithm = draw(st.sampled_from(["sort_pk", "sort_uneven", "select"]))
     distribution = draw(
@@ -117,6 +119,9 @@ def queries(draw):
     if algorithm != "sort_pk" or uneven:
         backend = "columnsort"
     rank = draw(st.integers(1, n))
+    if algorithm != "sort_pk" and draw(st.booleans()):
+        # Float values: bulk bit sizing against per-message sizing.
+        parts = {pid: [v / 8 for v in vs] for pid, vs in parts.items()}
     return algorithm, distribution, p, k, parts, backend, rank
 
 

@@ -1,8 +1,11 @@
 """Tests for messages, bit accounting and the EMPTY sentinel."""
 
+import math
+
 import pytest
 
 from repro.mcb import EMPTY, Message, log2ceil, scalar_bits
+from repro.mcb.message import delivered, pack_elem, unpack_elem
 
 
 class TestMessage:
@@ -67,6 +70,40 @@ class TestBitAccounting:
             scalar_bits(v) for v in values
         )
         assert Message("k", True).bit_size() == 9
+
+
+INF = math.inf
+
+
+class TestDelivered:
+    """``delivered`` charges what one ``Message`` per element would, in
+    bulk for exact ints and floats, and hands back what readers store."""
+
+    @pytest.mark.parametrize("vals", [
+        [0, 1, -1, 255, -256, 0, 2**70],
+        [INF, -INF, math.nan, -0.0, 0.0, 1.5],
+        [3, -0.0, 0, 2.25, -7, -INF],
+        [True, False, 1, 0],
+        [(-INF, -INF, 4), (5, 2, 0), (0, -0.0, 7), (-INF, -INF, 0)],
+        [(1,), (2,)],
+        [(3, 4), 5.5],
+    ])
+    def test_bits_are_the_per_message_sum(self, vals):
+        got, bits = delivered(vals, "elem", 8)
+        assert bits == sum(
+            Message("elem", *pack_elem(v)).bit_size() for v in vals
+        )
+        want = [unpack_elem(pack_elem(v)) for v in vals]
+        assert [(type(g), repr(g)) for g in got] == [
+            (type(w), repr(w)) for w in want
+        ]
+
+    def test_a_float_field_costs_64_bits(self):
+        assert delivered([0.5, -INF], "elem", 8)[1] == 2 * (8 + 64)
+
+    def test_too_many_fields_and_non_scalars_decline(self):
+        assert delivered([(1.0, 2, 3)], "elem", 2) is None
+        assert delivered([1.0, [2]], "elem", 8) is None
 
 
 class TestEmpty:

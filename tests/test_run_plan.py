@@ -302,7 +302,7 @@ class TestFallbacksStepTheDesugaredOps:
         # first or last write cycle raises MessageSizeError there.
         plan = single_plan()
         rows = columns(8, 4, "int")
-        cy, proc, _, src = sorted(plan.writes)[-1 if last else 0]
+        cy, proc, _, src = sorted(plan.writes.tolist())[-1 if last else 0]
         assert (cy > 0) == last
         rows[proc][src] = (rows[proc][src], proc, src)
         programs = partial(chain_programs, [plan], rows)
@@ -320,7 +320,7 @@ class TestFallbacksStepTheDesugaredOps:
         # unobserved runs count on network_plan_runs_total.
         plan = single_plan()
         rows = columns(8, 4, "int")
-        _, proc, _, src = sorted(plan.writes)[-1]
+        _, proc, _, src = sorted(plan.writes.tolist())[-1]
         rows[proc][src] = [1, 2]
         programs = partial(chain_programs, [plan], rows)
 
