@@ -1,4 +1,6 @@
-"""Columnsort kernel: transformations, sequential reference, schedules."""
+"""Columnsort kernel: transformations, sequential reference, and the
+Birkhoff–von-Neumann matchings the transfer schedules are lowered from
+(:mod:`repro.mcb.vector.lower`)."""
 
 from .matrix import (
     PHASE_PERMS,
@@ -27,22 +29,12 @@ from .zero_one import (
     columnsort_zero_one_exhaustive,
     columnsort_zero_one_sampled,
 )
-from .schedule import (
-    BroadcastSchedule,
-    Transfer,
-    build_schedule,
-    bvn_decomposition,
-    bvn_for_phase,
-    schedule_for_phase,
-)
+from .schedule import bvn_decomposition, bvn_for_phase
 
 __all__ = [
-    "BroadcastSchedule",
     "ColumnsortTrace",
     "PHASE_PERMS",
-    "Transfer",
     "apply_perm",
-    "build_schedule",
     "bvn_decomposition",
     "bvn_for_phase",
     "columnsort",
@@ -57,7 +49,6 @@ __all__ = [
     "is_permutation",
     "max_columns_for",
     "require_valid_dims",
-    "schedule_for_phase",
     "to_columns",
     "transfer_matrix",
     "transformations_demo",

@@ -1,11 +1,13 @@
 """Lowering the repo's oblivious schedule sources to :class:`SchedulePlan`.
 
 Each lowering is a pure function of globally-known parameters — exactly
-the property that makes a phase oblivious — and produces the raw event
-tables that :meth:`SchedulePlan.compile` validates into a
-:class:`~repro.mcb.vector.plan.CompiledPhase`.  The columnsort
-lowerings hand over the int64 event arrays they compute;
-:func:`lower_virtual_phase` builds event tuple lists:
+the property that makes a phase oblivious — and produces the raw int64
+event tables that :meth:`SchedulePlan.compile` validates into a
+:class:`~repro.mcb.vector.plan.CompiledPhase`.  Every Birkhoff–von
+Neumann transfer schedule in the sorts — §5.2's phases, §6.1's virtual
+columns and §6.2's segments — comes from one cycle assignment,
+:func:`_phase_event_arrays`, run at the column length of the matching.
+The lowerings:
 
 * :func:`lower_columnsort_phases` — the four §5.2 transformation phases
   (2, 4, 6, 8) of one ``(m, k, paper_phase2, wrap_skip)`` variant, built
@@ -14,18 +16,17 @@ lowerings hand over the int64 event arrays they compute;
   and :func:`repro.sort.even_pk.columnsort_program` runs them on the
   generator engines through :meth:`SchedulePlan.as_program`.
 * :func:`lower_phase_columnar` — one transformation phase on the
-  Birkhoff–von-Neumann schedule of
-  :func:`~repro.columnsort.schedule.build_schedule` (self-transfers
-  become free local moves: "these elements need not be shifted at
-  all").
+  Birkhoff–von-Neumann schedule (self-transfers become free local
+  moves: "these elements need not be shifted at all").
 * :func:`lower_paper_transpose` — the paper's verbatim closed-form
   phase-2 schedule, including its broadcast-even-to-self behaviour.
 * :func:`lower_wrap_skip` — phases 6 and 8 with §5.2's wrap-around
   traffic parked at column ``k``.
 * :func:`lower_virtual_phase` — one §6.1 virtual-column transformation
   phase over the ``g * k`` group members, each sender storing what it
-  reads over the element it just sent; ``sort_virtual`` and §6.2's
-  base case run it on the generator engines as a
+  reads over the element it just sent, or with ``segments > 1`` one
+  §6.2 segment transformation; ``sort_virtual`` and every transfer
+  phase of ``sort_recursive`` run it on the generator engines as a
   :class:`~repro.mcb.program.RunPlan`.
 
 The comparator-network backends lower their compare rounds with
@@ -34,12 +35,14 @@ The comparator-network backends lower their compare rounds with
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from ...columnsort.matrix import PHASE_PERMS, downshift_perm, transpose_perm
-from ...columnsort.schedule import bvn_for_phase, schedule_for_phase
+from ...columnsort.schedule import bvn_for_phase
 from ..errors import ConfigurationError
-from .plan import ReadEvent, SchedulePlan, WriteEvent
+from .plan import SchedulePlan
 
 
 def lower_columnsort_phases(
@@ -68,41 +71,48 @@ def lower_columnsort_phases(
 
 
 def _phase_event_arrays(
-    phase: int, m: int, k: int
+    phase: int, m: int, k: int, rows: Optional[int] = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One transformation phase as flat event arrays, without the
-    intermediate :class:`~repro.columnsort.schedule.BroadcastSchedule`.
+    """One transformation phase as flat event arrays: the Birkhoff–von
+    Neumann schedule of ``PHASE_PERMS[phase](m, k)`` at column length
+    ``rows``.
 
-    Returns ``(cycle, src_col, src_row, dst_col, dst_row)`` int64 arrays,
-    one entry per element, in ``(cycle, src_col)`` order — the scan order
-    of :func:`~repro.columnsort.schedule.build_schedule`'s cycles (all
-    empty when ``m == 0``: no element, no cycle).
+    ``rows`` (default ``m``) is the length of the columns the matching
+    runs at: ``m`` for §5.2 and §6.1, the segment length ``m / S`` for
+    §6.2, whose segment transfer matrix is the same permutation read as
+    a ``rows x (k * m / rows)`` column-major matrix.  Returns ``(cycle,
+    src_col, src_row, dst_col, dst_row)`` int64 arrays in that reading,
+    one entry per element, in ``(cycle, src_col)`` order (all empty when
+    ``m == 0``: no element, no cycle).  There are ``rows`` cycles, and
+    in each one every column sends one element and receives one.
 
-    The cycle assignment replicates ``build_schedule``: each
-    ``(src, dst)`` column pair's transfers are queued in ascending
-    source-row order, and the cycles (the BvN matchings expanded by their
-    counts, in order) consume each queue front to back.  Columnar form:
-    events sorted by ``(src_col, dst_col, src_row)`` align one-to-one
-    with the expanded matching slots sorted by ``(src_col, dst_col,
-    cycle)``.
+    The cycle assignment: each ``(src, dst)`` column pair's transfers
+    are queued in ascending source-row order, and the cycles (the BvN
+    matchings of :func:`~repro.columnsort.schedule.bvn_for_phase`
+    expanded by their counts, in order) consume each queue front to
+    back.  Columnar form: events sorted by ``(src_col, dst_col,
+    src_row)`` align one-to-one with the expanded matching slots sorted
+    by ``(src_col, dst_col, cycle)``.
     """
     if not m:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty, empty, empty, empty
-    matchings = bvn_for_phase(phase, m, k)
+    rows = m if rows is None else rows
+    width = m * k // rows
+    matchings = bvn_for_phase(phase, m, k, rows)
     perm = np.asarray(PHASE_PERMS[phase](m, k), dtype=np.int64)
-    src_col, src_row = np.divmod(np.arange(m * k, dtype=np.int64), m)
-    dst_col, dst_row = np.divmod(perm, m)
+    src_col, src_row = np.divmod(np.arange(m * k, dtype=np.int64), rows)
+    dst_col, dst_row = np.divmod(perm, rows)
     ev_order = np.lexsort((src_row, dst_col, src_col))
 
     mx = np.repeat(
         np.stack([mt for mt, _ in matchings]).astype(np.int64),
         [c for _, c in matchings],
         axis=0,
-    )  # (cycles, k): in cycle j column s sends to column mx[j, s]
+    )  # (cycles, width): in cycle j column s sends to column mx[j, s]
     n_cycles = mx.shape[0]
-    j_idx = np.repeat(np.arange(n_cycles, dtype=np.int64), k)
-    s_idx = np.tile(np.arange(k, dtype=np.int64), n_cycles)
+    j_idx = np.repeat(np.arange(n_cycles, dtype=np.int64), width)
+    s_idx = np.tile(np.arange(width, dtype=np.int64), n_cycles)
     slot_order = np.lexsort((j_idx, mx.ravel(), s_idx))
 
     cycle = np.empty(m * k, dtype=np.int64)
@@ -118,11 +128,9 @@ def lower_phase_columnar(phase: int, m: int, k: int) -> SchedulePlan:
     """One transformation phase as a plan over ``k`` columns.
 
     Column ``c`` writes channel ``c + 1`` in the cycle
-    :func:`~repro.columnsort.schedule.build_schedule` assigns each
-    transfer; a transfer whose destination is its own column never
-    touches a channel (a free local move).  Lowered columnar: the
-    per-``Transfer`` bookkeeping becomes a pair of ``np.lexsort`` calls
-    over the whole phase.
+    :func:`_phase_event_arrays` assigns each transfer; a transfer whose
+    destination is its own column never touches a channel (a free local
+    move).
     """
     cyc, sc, sr, dc, dr = _phase_event_arrays(phase, m, k)
     self_t = sc == dc
@@ -244,37 +252,55 @@ def lower_paper_transpose(m: int, k: int) -> SchedulePlan:
 
 
 def lower_virtual_phase(
-    phase: int, m: int, k: int, g: int, blocks: int = 1
+    phase: int, m: int, k: int, g: int, blocks: int = 1, segments: int = 1
 ) -> SchedulePlan:
     """One §6.1 transformation phase on ``k`` virtual columns of ``g``
     processors each, as a plan with ``p = g * k`` and ``n/p`` slots.
 
     Processor ``c * g + w`` is member ``w`` of column ``c`` and holds its
     rows ``w * npp .. (w + 1) * npp - 1`` (``npp = m // g``) in slots
-    ``0 .. npp - 1``.  In cycle ``t`` of :func:`schedule_for_phase`'s
-    schedule, the member holding the row column ``c`` sends writes it on
-    channel ``c + 1`` and, in the same cycle, reads the channel of the
-    column sending to ``c`` into that same slot — "the element received
-    during the cycle can be stored over the one just sent".  A
-    self-transfer has no event, so its element stays where it is.
+    ``0 .. npp - 1``.  Column ``c`` is ``segments = S`` segments of
+    ``L = m / S`` rows, segment ``s`` on channel ``c * S + s + 1``; the
+    phase runs :func:`_phase_event_arrays`'s ``L``-cycle schedule at
+    segment granularity.  In cycle ``t`` the member holding the row
+    segment ``x`` sends writes it on ``x``'s channel and, in the same
+    cycle, reads the channel of the segment sending to ``x`` into that
+    same slot — "the element received during the cycle can be stored
+    over the one just sent".  With ``S = 1`` this is §6.1's ``m``-cycle
+    phase; ``S = K / k' > 1`` is §6.2's segment transformation, where
+    "each virtual column is broken into k/k' segments ... and all
+    segments are broadcast simultaneously — each segment using a
+    separate channel", so the phase takes ``L = N / K`` cycles.
+
+    One rule for self-transfers: with one segment per column a transfer
+    from a column to itself has no event, so its element stays where it
+    is; with ``S > 1`` every segment broadcasts every cycle, and one
+    sending to itself reads its own channel back (all ``k * S``
+    channels busy).
 
     ``blocks > 1`` tiles ``blocks`` copies side by side in the same
-    cycles (§6.2's parallel base-case calls): block ``b`` is processors
-    ``b * g * k ..`` and channels ``b * k + 1 ..``.
+    cycles (§6.2's parallel calls): block ``b`` is processors
+    ``b * g * k ..`` and channels ``b * k * S + 1 ..``.
     """
-    npp, p = m // g, g * k
-    sched = schedule_for_phase(phase, m, k)
-    writes: list[WriteEvent] = []
-    reads: list[ReadEvent] = []
-    for b in range(blocks):
-        for t, (sends, rd) in enumerate(zip(sched.cycles, sched.reads)):
-            for c, tr in enumerate(sends):
-                if tr.dst_col != c:
-                    w, slot = divmod(tr.src_row, npp)
-                    proc, chan = b * p + c * g + w, b * k + c + 1
-                    writes.append((t, proc, chan, slot))
-                    reads.append((t, proc, b * k + rd[c] + 1, slot))
+    npp, rows, p, width = m // g, m // segments, g * k, k * segments
+    cyc, sc, sr, dc, _ = _phase_event_arrays(phase, m, k, rows)
+    sender = np.empty(len(cyc), dtype=np.int64)
+    sender[cyc * width + dc] = sc  # the segment sending to dc in cycle cyc
+    if segments == 1:
+        sent = sc != dc
+        cyc, sc, sr = cyc[sent], sc[sent], sr[sent]
+    w, slot = np.divmod(sc % segments * rows + sr, npp)
+    proc = sc // segments * g + w
+    read = sender[cyc * width + sc] + 1
+    block = np.repeat(np.arange(blocks, dtype=np.int64), len(cyc))
+    cyc, proc, slot = (np.tile(a, blocks) for a in (cyc, proc, slot))
+    proc = proc + block * p
     return SchedulePlan(
-        p=p * blocks, k=k * blocks, cycles=m, slots=npp,
-        writes=writes, reads=reads,
+        p=p * blocks, k=width * blocks, cycles=rows, slots=npp,
+        writes=np.stack(
+            [cyc, proc, np.tile(sc + 1, blocks) + block * width, slot], axis=1
+        ),
+        reads=np.stack(
+            [cyc, proc, np.tile(read, blocks) + block * width, slot], axis=1
+        ),
     )

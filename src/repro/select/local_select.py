@@ -3,9 +3,9 @@
 Each filtering phase needs every processor to find the median of its
 local candidates "using an efficient sequential selection algorithm
 ([Blum73], for example)".  Local computation is free in the MCB cost
-model, so any correct selection works; we nevertheless provide the
-classic deterministic median-of-medians algorithm (worst-case linear) as
-the library's faithful substrate, plus a thin convenience wrapper.
+model, so any correct selection works, and :func:`select_kth_largest`
+sorts (DESIGN.md §2's substitution): on the sizes the network hands a
+processor, a C sort beats a linear-time selection written in Python.
 
 Rank convention matches the paper: rank 1 selects the *largest* element.
 """
@@ -16,43 +16,11 @@ from typing import Any, Sequence
 
 
 def select_kth_largest(items: Sequence[Any], d: int) -> Any:
-    """The d-th largest element (1-based) by deterministic select.
-
-    Median-of-medians pivoting: worst-case ``O(len(items))`` comparisons,
-    matching the guarantee of [Blum73] the paper cites.
-    """
+    """The d-th largest element (1-based), by sorting."""
     n = len(items)
     if not 1 <= d <= n:
         raise ValueError(f"rank d={d} out of range 1..{n}")
-    # Convert to "k-th smallest" for the recursion below.
-    return _select_smallest(list(items), n - d)
-
-
-def _median_of_five(chunk: list[Any]) -> Any:
-    s = sorted(chunk)
-    return s[(len(s) - 1) // 2]
-
-
-def _select_smallest(items: list[Any], k: int) -> Any:
-    """0-based k-th smallest via median-of-medians (iterative outer loop)."""
-    while True:
-        n = len(items)
-        if n <= 10:
-            return sorted(items)[k]
-        medians = [
-            _median_of_five(items[i: i + 5]) for i in range(0, n, 5)
-        ]
-        pivot = _select_smallest(medians, (len(medians) - 1) // 2)
-        lows = [x for x in items if x < pivot]
-        highs = [x for x in items if x > pivot]
-        pivots = n - len(lows) - len(highs)
-        if k < len(lows):
-            items = lows
-        elif k < len(lows) + pivots:
-            return pivot
-        else:
-            k -= len(lows) + pivots
-            items = highs
+    return sorted(items, reverse=True)[d - 1]
 
 
 def local_median(items: Sequence[Any]) -> Any:

@@ -19,6 +19,13 @@ redistributed to all the processors."
   whose segment spans two columns can read one column per pass without
   missing a message.  Dummies are never broadcast.
 
+With the groups fixed in advance this is §7.2's stages 3–5 on groups of
+``n/k`` elements, so the sort runs :func:`repro.sort.uneven.group_program`
+with representatives ``g, 2g, ..., p`` and partial sums ``0, n/p, ...,
+n``: phases 0 and 10 are the oblivious plans of
+:func:`~repro.sort.uneven.group_plans`, each run as one
+:class:`~repro.mcb.program.RunPlan` op.
+
 Cost: ``O(n)`` messages and ``O(n/k)`` cycles — still optimal — at the
 price of ``Theta(n/k)`` auxiliary memory in the representatives (tracked
 via :meth:`ProcContext.aux_acquire`; the §6.1 virtual-column variant
@@ -30,11 +37,10 @@ from __future__ import annotations
 import math
 from typing import Any, Sequence
 
-from ..mcb.message import EMPTY, Message
 from ..mcb.network import MCBNetwork
-from ..mcb.program import CycleOp, Listen, ProcContext, Sleep, emit_from
-from .common import dummy_like, is_dummy, pack_elem, unpack_elem
-from .even_pk import SortResult, columnsort_program
+from ..mcb.program import ProcContext
+from .even_pk import SortResult
+from .uneven import group_plans, group_program
 
 
 def padded_column_length(n: int, k: int) -> int:
@@ -73,102 +79,14 @@ def sort_even_collect(
         )
     g = p // k
     m_pad = padded_column_length(n, k)
-    collect_cycles = (g - 1) * npp
+    reps = list(range(g, p + 1, g))
+    bounds = [i * npp for i in range(p + 1)]
+    plans = group_plans(reps, bounds, m_pad, 2)
 
     def program(ctx: ProcContext):
-        pid = ctx.pid
-        j = (pid - 1) // g + 1  # my group / channel / column (1-based)
-        w = (pid - 1) % g  # my index within the group
-        is_rep = w == g - 1
-        mine = list(parts[pid])
-
-        # ---- phase 0: collect the group's elements at the representative
-        column: list[Any] | None = None
-        if is_rep:
-            column = []
-            ctx.aux_acquire(m_pad)
-            if collect_cycles:
-                # The members write back to back, filling every cycle of
-                # the window: park once instead of resuming per cycle.
-                heard = yield Listen(j, collect_cycles)
-                column.extend(unpack_elem(msg.fields) for _, msg in heard)
-            column.extend(mine)
-            column.extend(
-                dummy_like(mine[0], seq=r) for r in range(m_pad - len(column))
-            )
-        else:
-            yield from emit_from(
-                j, [Message("elem", *pack_elem(e)) for e in mine], w * npp
-            )
-            if collect_cycles > (w + 1) * npp:
-                yield Sleep(collect_cycles - (w + 1) * npp)
-
-        # ---- phases 1-9: Columnsort among the representatives ----------
-        if is_rep:
-            column = yield from columnsort_program(j - 1, column, m_pad, k)
-        else:
-            if m_pad > 0:
-                yield Sleep(4 * m_pad)
-
-        # ---- phase 10: redistribute (each element broadcast twice) -----
-        # Global sorted position pos (0-based) lives at column pos // m_pad,
-        # row pos % m_pad (dummies are smaller than everything, so real
-        # elements occupy positions 0..n-1 exactly).
-        seg_start = (pid - 1) * npp
-        needs: dict[int, list[tuple[int, int]]] = {}  # col -> [(row, slot)]
-        for slot in range(npp):
-            pos = seg_start + slot
-            needs.setdefault(pos // m_pad, []).append((pos % m_pad, slot))
-        cols_needed = sorted(needs)
-        assert len(cols_needed) <= 2, "a segment spans at most two columns"
-        out: list[Any] = [None] * npp
-        if is_rep:
-            # A representative interleaves writing its column with its own
-            # segment reads, so it cannot park; keep the per-cycle plan.
-            plan: dict[int, tuple[int, int]] = {}  # cycle -> (channel, slot)
-            for pass_idx, c in enumerate(cols_needed):
-                for row, slot in needs[c]:
-                    plan[pass_idx * m_pad + row] = (c + 1, slot)
-            t = 0
-            while t < 2 * m_pad:
-                r = t % m_pad
-                wchan = wpay = None
-                if not is_dummy(column[r]):
-                    wchan = j
-                    wpay = Message("elem", *pack_elem(column[r]))
-                rd = plan.get(t)
-                if wchan is None and rd is None:
-                    yield Sleep(1)  # may resume writing next cycle
-                    t += 1
-                    continue
-                got = yield CycleOp(
-                    write=wchan, payload=wpay, read=rd[0] if rd else None
-                )
-                if rd is not None:
-                    assert got is not EMPTY
-                    out[rd[1]] = unpack_elem(got.fields)
-                t += 1
-        else:
-            # A pure listener: its segment's rows are consecutive within
-            # each needed column (and never dummies), so each pass is one
-            # contiguous fully-written window — park through it.
-            t = 0
-            for pass_idx, c in enumerate(cols_needed):
-                rows = needs[c]  # ascending (row, slot)
-                start = pass_idx * m_pad + rows[0][0]
-                if start > t:
-                    yield Sleep(start - t)
-                heard = yield Listen(c + 1, len(rows))
-                assert len(heard) == len(rows)
-                for (_, msg), (_, slot) in zip(heard, rows):
-                    out[slot] = unpack_elem(msg.fields)
-                t = start + len(rows)
-            if 2 * m_pad > t:
-                yield Sleep(2 * m_pad - t)
-        assert all(e is not None for e in out)
-        if is_rep:
-            ctx.aux_release(m_pad)
-        return out
+        return (yield from group_program(
+            ctx, parts[ctx.pid], reps, bounds, m_pad, (g - 1) * npp, plans
+        ))
 
     results = net.run({i: program for i in range(1, p + 1)}, phase=phase)
     return SortResult(output={pid: tuple(v) for pid, v in results.items()})

@@ -23,17 +23,24 @@ a block of ``K`` channels:
 into ``k/k'`` segments ... and all segments are broadcast simultaneously
 — each segment using a separate channel."  We realize this with a
 Birkhoff–von-Neumann schedule at *segment* granularity: segment
-``(c, s)`` owns channel ``c*S + s`` (``S = K/k'``); each destination
-column's incoming elements are assigned round-robin to its ``S``
-receiver slots; the resulting ``K x K`` transfer matrix is
-``(m/S)``-doubly-balanced, so it decomposes into ``m/S`` perfect
-matchings — one per cycle.  In each cycle every segment broadcasts one
-element and its sender simultaneously reads the one channel carrying an
-element destined to its own slot, storing it over the element just sent
-(the §6.1 trick).  A transformation phase therefore takes exactly
-``m/S = N/K`` cycles — all ``K`` channels busy — and the total cost is
-``O(s * n/k)`` cycles and ``O(s * n)`` messages for recursion depth
-``s``, which is Corollary 5's claim.
+``(c, s)`` (rows ``s*m/S .. (s+1)*m/S - 1`` of column ``c``, ``S =
+K/k'``) owns channel ``c*S + s + 1`` of the call's block, and receives
+the elements whose destination rows lie in that segment.  The segment
+transfer matrix is the transformation's permutation read as an
+``(m/S) x K`` column-major matrix, doubly balanced, so it decomposes
+into ``m/S`` perfect matchings — one per cycle.  In each cycle every
+segment broadcasts one element and its sender simultaneously reads the
+one channel carrying an element destined to its own segment, storing it
+over the element just sent (the §6.1 trick).  That schedule is
+oblivious: it is :func:`~repro.mcb.vector.lower.lower_virtual_phase`
+with ``segments=S``, tiled over every call of the level (one
+``blocks``-wide plan), and each processor runs it as a
+:class:`~repro.mcb.program.RunPlan` — the fast engine moves the whole
+phase in one collective step, as for the §6.1 base case.  A
+transformation phase therefore takes exactly ``m/S = N/K`` cycles — all
+``K`` channels busy — and the total cost is ``O(s * n/k)`` cycles and
+``O(s * n)`` messages for recursion depth ``s``, which is Corollary 5's
+claim.
 
 As in the virtual-column algorithm, phase 7 sorts column 1 *ascending*
 (implemented by recursing on order-negated elements), so the positional
@@ -47,19 +54,12 @@ makes the same kind of w.l.o.g. assumption — "n, p, and k are powers of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
 from typing import Any, Sequence
 
-import numpy as np
-
-from ..columnsort.matrix import PHASE_PERMS
-from ..columnsort.schedule import bvn_decomposition
 from ..core.element import has_duplicates
-from ..mcb.message import Message
 from ..mcb.network import MCBNetwork
-from ..mcb.program import CycleOp, ProcContext, Sleep
-from .common import neg_elem, pack_elem, unpack_elem
+from ..mcb.program import ProcContext, RunPlan
+from .common import neg_elem
 from .even_pk import SortResult
 from .rank_sort import rank_sort_group
 from .virtual import virtual_columnsort, virtual_plans
@@ -67,111 +67,6 @@ from .virtual import virtual_columnsort, virtual_plans
 
 def _is_pow2(x: int) -> bool:
     return x >= 1 and (x & (x - 1)) == 0
-
-
-# ---------------------------------------------------------------------------
-# Segment-level broadcast schedule
-# ---------------------------------------------------------------------------
-
-@dataclass
-class SegmentSchedule:
-    """Schedule of one transformation phase at segment granularity.
-
-    ``cycles[u][x]`` is the 0-based row (within its column) that segment
-    ``x = c*S + s`` broadcasts in cycle ``u``; ``reads[u][x]`` is the
-    segment index whose channel segment ``x``'s sender must read (always
-    defined — each cycle is a perfect matching of segments to receiver
-    slots, and slot ``x``'s reader is segment ``x``'s sender).
-    """
-
-    m: int
-    kprime: int
-    s_per_col: int
-    cycles: list[list[int]]
-    reads: list[list[int]]
-
-
-@lru_cache(maxsize=256)
-def segment_schedule(phase: int, m: int, kprime: int, s_per_col: int) -> SegmentSchedule:
-    """Build the ``N/K``-cycle segment schedule for a paper phase."""
-    if phase not in PHASE_PERMS:
-        raise ValueError(f"phase {phase} is not a transformation phase")
-    s = s_per_col
-    seg_len = m // s  # segment length == number of cycles
-    big_k = kprime * s
-    perm = PHASE_PERMS[phase](m, kprime)
-
-    transfer = np.zeros((big_k, big_k), dtype=np.int64)
-    edges: dict[tuple[int, int], list[int]] = {}
-    for gpos in range(m * kprime):
-        c, r = divmod(gpos, m)
-        x = c * s + r // seg_len
-        dst = int(perm[gpos])
-        c2, r2 = divmod(dst, m)
-        y = c2 * s + r2 // seg_len  # receiver slot, round-robin by dest row
-        transfer[x, y] += 1
-        edges.setdefault((x, y), []).append(r)
-    for q in edges.values():
-        q.reverse()
-
-    cycles: list[list[int]] = []
-    reads: list[list[int]] = []
-    for matching, count in bvn_decomposition(transfer):
-        inverse = [0] * big_k
-        for x in range(big_k):
-            inverse[int(matching[x])] = x
-        for _ in range(count):
-            row_of: list[int] = [0] * big_k
-            for x in range(big_k):
-                row_of[x] = edges[(x, int(matching[x]))].pop()
-            cycles.append(row_of)
-            reads.append(list(inverse))
-    assert len(cycles) == seg_len
-    return SegmentSchedule(
-        m=m, kprime=kprime, s_per_col=s, cycles=cycles, reads=reads
-    )
-
-
-def segment_transformation(
-    phase_no: int,
-    col: int,
-    member: int,
-    npp: int,
-    m: int,
-    kprime: int,
-    s_per_col: int,
-    chan_base: int,
-    mine: list[Any],
-):
-    """Sub-generator: one segment-scheduled transformation phase.
-
-    ``col``/``member`` locate me inside the call (0-based); ``npp`` is my
-    row count; channels used are ``chan_base + 1 .. chan_base + K``.
-    Returns my new (scattered) elements.
-    """
-    sched = segment_schedule(phase_no, m, kprime, s_per_col)
-    seg_len = m // s_per_col
-    lo, hi = member * npp, (member + 1) * npp
-    my_seg = col * s_per_col + lo // seg_len  # my rows lie in one segment
-    out = list(mine)
-    t_now = 0
-    for u in range(seg_len):
-        row = sched.cycles[u][my_seg]
-        if not lo <= row < hi:
-            continue
-        if u > t_now:
-            yield Sleep(u - t_now)
-        src_seg = sched.reads[u][my_seg]
-        got = yield CycleOp(
-            write=chan_base + my_seg + 1,
-            payload=Message("elem", *pack_elem(out[row - lo])),
-            read=chan_base + src_seg + 1,
-        )
-        out[row - lo] = unpack_elem(got.fields)
-        t_now = u + 1
-    if seg_len > t_now:
-        yield Sleep(seg_len - t_now)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -215,17 +110,18 @@ def _rec_program(
     ``chan_base+1 .. chan_base+big_k``.  ``idx`` is my 0-based position;
     returns my canonical descending segment."""
     npp = big_n // big_p
+    # Every call of this level runs in lockstep on its own block —
+    # processors b*big_p.. and channels b*big_k+1.. — so each transfer
+    # phase is one block-diagonal plan over the network, which the fast
+    # engine runs collectively.
+    block, rest = divmod(ctx.pid - 1, big_p)
+    assert rest == idx and chan_base == block * big_k, "blocks tile"
+    blocks = ctx.p // big_p
     if big_k > 1 and big_n >= big_k ** 3:
         # Base: the §6.1 virtual-column Columnsort with big_k columns.
-        # Every base-case call of this level runs in lockstep on its own
-        # block — processors b*big_p.. and channels b*big_k+1.. — so the
-        # transfer phases are one block-diagonal plan over the network,
-        # which the fast engine runs collectively.
-        block, rest = divmod(ctx.pid - 1, big_p)
-        assert rest == idx and chan_base == block * big_k, "blocks tile"
         g = big_p // big_k
         col, w = divmod(idx, g)
-        plans = virtual_plans(big_n // big_k, big_k, g, ctx.p // big_p)
+        plans = virtual_plans(big_n // big_k, big_k, g, blocks)
         return (yield from virtual_columnsort(
             ctx, plans, col == 0, w, chan_base + col + 1, [npp] * g, mine
         ))
@@ -254,12 +150,11 @@ def _rec_program(
         return res
 
     # Sorting phases 1, 3, 5 and 7 (column 1 ascending in phase 7), each
-    # followed by transformation phase 2, 4, 6 or 8.
-    for ph, ascending in ((2, False), (4, False), (6, False), (8, col == 0)):
+    # followed by the segment-scheduled transformation phase 2, 4, 6 or 8.
+    plans = virtual_plans(m, kprime, g, blocks, s_per_col)
+    for plan, ascending in zip(plans, (False, False, False, col == 0)):
         mine = yield from recurse(mine, ascending)
-        mine = yield from segment_transformation(
-            ph, col, w, npp, m, kprime, s_per_col, chan_base, mine
-        )
+        mine = yield RunPlan(plan, ctx.pid - 1, mine)
     return (yield from recurse(mine))  # phase 9
 
 

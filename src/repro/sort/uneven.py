@@ -230,8 +230,11 @@ def group_program(
     which built ``plans``.  Collection lasts ``collect_cycles``: its
     plan, then a sleep for the rest.  A representative holds its column
     (:func:`stage3_row`) in ``m_pad`` aux slots until Phase 10 ends.
-    Returns the processor's segment, a list.
+    Returns the processor's segment, a list (at once, after no cycle,
+    when there is nothing to sort: ``m_pad == 0``).
     """
+    if not m_pad:
+        return []
     pid = ctx.pid
     collect, bcast = plans
     k_used = len(reps)

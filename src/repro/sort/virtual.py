@@ -56,17 +56,20 @@ Sorter = Literal["rank", "merge"]
 
 @lru_cache(maxsize=64)
 def virtual_plans(
-    m: int, k: int, g: int, blocks: int = 1
+    m: int, k: int, g: int, blocks: int = 1, segments: int = 1
 ) -> tuple[SchedulePlan, ...]:
     """The :func:`~repro.mcb.vector.lower.lower_virtual_phase` plans of
-    transformation phases 2, 4, 6 and 8, cached.
+    transformation phases 2, 4, 6 and 8, cached: §6.1's with one
+    channel per column, §6.2's segment transformations with
+    ``segments`` channels per column.
 
     Each plan is checked once, statically: it compiles (collision-free,
     matched reads, unique destinations), and each processor's reads
     refill exactly the slots it writes.
     """
     plans = tuple(
-        lower_virtual_phase(phase, m, k, g, blocks) for phase in (2, 4, 6, 8)
+        lower_virtual_phase(phase, m, k, g, blocks, segments)
+        for phase in (2, 4, 6, 8)
     )
     for phase, plan in zip((2, 4, 6, 8), plans):
         compiled = plan.compile()

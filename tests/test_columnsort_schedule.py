@@ -1,17 +1,18 @@
-"""Tests for the collision-free broadcast schedules (§5.2)."""
+"""Tests for the collision-free broadcast schedules (§5.2): the BvN
+decomposition, the event arrays and plans lowered from it, and the
+paper's closed-form transpose."""
 
 import numpy as np
 import pytest
 
 from repro.columnsort import (
     PHASE_PERMS,
-    build_schedule,
     bvn_decomposition,
-    schedule_for_phase,
     transfer_matrix,
     transpose_perm,
 )
 from repro.mcb.vector import lower_paper_transpose
+from repro.mcb.vector.lower import _phase_event_arrays, lower_phase_columnar
 
 
 class TestBvnDecomposition:
@@ -46,58 +47,65 @@ class TestBvnDecomposition:
         assert sum(c for _, c in parts) == m
 
 
+def cycle_groups(cyc, *cols):
+    """``cols`` split per cycle: one list of arrays per cycle."""
+    return [[c[cyc == j] for c in cols] for j in range(int(cyc.max()) + 1)]
+
+
 class TestBuildSchedule:
+    """The BvN schedule of a transformation phase: the event arrays of
+    ``_phase_event_arrays`` and their plan, ``lower_phase_columnar``."""
+
     @pytest.mark.parametrize("phase", [2, 4, 6, 8])
     @pytest.mark.parametrize("m,k", [(6, 3), (12, 4), (4, 2), (20, 5)])
     def test_schedule_valid_and_exactly_m_cycles(self, phase, m, k):
-        sched = schedule_for_phase(phase, m, k)
-        sched.validate()
-        assert sched.num_cycles() == m
+        cyc, sc, sr, dc, dr = _phase_event_arrays(phase, m, k)
+        assert len(cyc) == m * k and set(cyc.tolist()) == set(range(m))
+        for srcs, dsts in cycle_groups(cyc, sc, dc):
+            assert sorted(srcs.tolist()) == list(range(k))
+            assert sorted(dsts.tolist()) == list(range(k))
+        plan = lower_phase_columnar(phase, m, k)
+        compiled = plan.compile()  # collision-free, matched reads
+        assert plan.cycles == m
+        assert compiled.messages + len(compiled.m_proc) == m * k
 
     def test_every_element_moved_exactly_once(self):
         m, k = 12, 4
-        sched = schedule_for_phase(2, m, k)
-        seen = set()
-        for cycle in sched.cycles:
-            for tr in cycle:
-                if tr is not None:
-                    seen.add((tr.src_col, tr.src_row))
-        assert len(seen) == m * k
+        _, sc, sr, _, _ = _phase_event_arrays(2, m, k)
+        assert len(set(zip(sc.tolist(), sr.tolist()))) == m * k
 
     def test_destinations_match_permutation(self):
         m, k = 12, 4
         perm = transpose_perm(m, k)
-        sched = build_schedule(perm, m, k)
-        for cycle in sched.cycles:
-            for tr in cycle:
-                if tr is None:
-                    continue
-                g = tr.src_col * m + tr.src_row
-                assert perm[g] == tr.dst_col * m + tr.dst_row
+        _, sc, sr, dc, dr = _phase_event_arrays(2, m, k)
+        assert np.array_equal(perm[sc * m + sr], dc * m + dr)
 
     def test_reads_consistent_with_sends(self):
-        sched = schedule_for_phase(6, 12, 3)
-        for cycle, reads in zip(sched.cycles, sched.reads):
-            for c, src in enumerate(reads):
-                if src is not None:
-                    assert cycle[src].dst_col == c
+        m, k = 12, 3
+        perm = PHASE_PERMS[6](m, k)
+        plan = lower_phase_columnar(6, m, k)
+        on_channel = {
+            (cy, chan): (proc, src)
+            for cy, proc, chan, src in plan.writes.tolist()
+        }
+        landed = {}
+        for cy, proc, chan, dst in plan.reads.tolist():
+            col, row = on_channel[(cy, chan)]
+            assert chan == col + 1 and proc != col
+            landed[proc * m + dst] = col * m + row
+        for proc, src, dst in plan.moves.tolist():
+            landed[proc * m + dst] = proc * m + src
+        assert {int(perm[g]): g for g in range(m * k)} == landed
 
     def test_one_write_one_read_per_column_per_cycle(self):
-        sched = schedule_for_phase(4, 20, 5)
-        for cycle, reads in zip(sched.cycles, sched.reads):
-            senders = [tr.src_col for tr in cycle if tr is not None]
-            readers = [c for c, s in enumerate(reads) if s is not None]
-            assert len(senders) == len(set(senders))
-            assert len(readers) == len(set(readers))
-
-    def test_schedule_cache(self):
-        a = schedule_for_phase(2, 6, 3)
-        b = schedule_for_phase(2, 6, 3)
-        assert a is b
+        plan = lower_phase_columnar(4, 20, 5)
+        for events in (plan.writes, plan.reads):
+            cycle_proc = events[:, :2].tolist()
+            assert len(set(map(tuple, cycle_proc))) == len(cycle_proc)
 
     def test_unknown_phase_rejected(self):
         with pytest.raises(ValueError):
-            schedule_for_phase(3, 6, 3)
+            lower_phase_columnar(3, 6, 3)
 
 
 class TestPaperFormula:

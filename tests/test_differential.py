@@ -18,10 +18,11 @@ columnsort variants (``paper_phase2`` x ``wrap_skip``, k up to 8) on
 the same three paths, and a third checks every lane of a
 ``sort_even_pk_batch`` run, either backend, against its solo run on the
 generator engine; both draw integer or float columns.  Another
-property does the same for the §6.1 virtual-column sort (both sorters,
-several group sizes ``g = p/k``) and the §6.2 recursion, whose
-transfer phases are collective plans on the fast engine; the vector
-engine does not run them.  Another draws
+property does the same for the §5.2 collect variant, the §6.1
+virtual-column sort (both sorters, several group sizes ``g = p/k``)
+and the §6.2 recursion (up to three levels), whose oblivious transfers
+are collective plans on the fast engine; the vector engine does not
+run them.  Another draws
 single Rank-Sort stages — several groups, uneven ``counts``,
 ``out_counts`` with empty segments, either direction — and holds the
 fast engine unobserved (where they may run as one collective step) and
@@ -53,6 +54,7 @@ from repro.sort import (
     mcb_sort,
     rank_sort_group,
     sort_even_pk,
+    sort_even_collect,
     sort_even_pk_batch,
     sort_virtual,
 )
@@ -260,17 +262,28 @@ def test_batch_lanes_match_solo_runs(query):
 
 @st.composite
 def columnsort_queries(draw):
-    """``(algorithm, p, k, parts, sorter)`` for one §6.1 or §6.2 sort.
+    """``(algorithm, p, k, parts, sorter)`` for one §5.2 collect, §6.1 or
+    §6.2 sort.
 
-    ``sort_virtual`` draws ``k`` columns of ``g`` processors, with the
-    column length ``m = g * n/p`` a multiple of ``k`` and at least
-    ``k(k - 1)``; ``sort_recursive`` draws powers of two.  Elements are
-    distinct values, or ``(value, pid, index)`` triples over eight
-    values.
+    ``sort_even_collect`` draws ``k | p`` and ``n >= k^2(k - 1)``, often
+    with ``n/k`` not a multiple of ``k`` (padded columns), over int or
+    float values; ``sort_virtual`` draws ``k`` columns of ``g``
+    processors, with the column length ``m = g * n/p`` a multiple of
+    ``k`` and at least ``k(k - 1)``; ``sort_recursive`` draws powers of
+    two, up to three levels of recursion (``p = k = 64``).  Elements of
+    the last two are distinct values, or ``(value, pid, index)``
+    triples over eight values.
     """
-    algorithm = draw(st.sampled_from(["sort_virtual", "sort_recursive"]))
+    algorithm = draw(
+        st.sampled_from(["sort_even_collect", "sort_virtual", "sort_recursive"])
+    )
     sorter = draw(st.sampled_from(["rank", "merge"]))
-    if algorithm == "sort_virtual":
+    if algorithm == "sort_even_collect":
+        k = draw(st.integers(1, 4))
+        p = k * draw(st.integers(1, 4))
+        low = max(1, -(-k * k * (k - 1) // p))
+        npp = draw(st.sampled_from([low, low + 1, low + 3]))
+    elif algorithm == "sort_virtual":
         k = draw(st.integers(1, 4))
         g = draw(st.integers(1, 4))
         p = g * k
@@ -278,12 +291,17 @@ def columnsort_queries(draw):
         low = -(-max(1, k * (k - 1)) // (g * step)) * step
         npp = draw(st.sampled_from([low, low + step, 2 * low]))
     else:
-        p = draw(st.sampled_from([2, 4, 8, 16, 32]))
-        k = draw(st.sampled_from([kk for kk in (1, 2, 4, 8, 16) if kk <= p]))
+        p = draw(st.sampled_from([2, 4, 8, 16, 32, 64]))
+        k = draw(
+            st.sampled_from([kk for kk in (1, 2, 4, 8, 16, 64) if kk <= p])
+        )
         npp = draw(st.sampled_from([1, 2, 4]))
     n = p * npp
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if draw(st.booleans()):
+    if algorithm == "sort_even_collect":
+        values = rng.choice(4 * n, size=n, replace=False)
+        values = (values / 8 if draw(st.booleans()) else values).tolist()
+    elif draw(st.booleans()):
         values = rng.choice(4 * n, size=n, replace=False).tolist()
     else:
         values = [
@@ -296,17 +314,34 @@ def columnsort_queries(draw):
 
 def run_columnsort(net, query):
     algorithm, _, _, parts, sorter = query
-    if algorithm == "sort_virtual":
+    if algorithm == "sort_even_collect":
+        answer = sort_even_collect(net, parts).output
+    elif algorithm == "sort_virtual":
         answer = sort_virtual(net, parts, sorter=sorter).output
     else:
         answer = sort_recursive(net, parts).output
     return answer, net.stats.to_dict()
 
 
+def _three_levels():
+    values = np.random.default_rng(3).permutation(512).tolist()
+    parts = {pid: values[(pid - 1) * 8: pid * 8] for pid in range(1, 65)}
+    return "sort_recursive", 64, 64, parts, "rank"
+
+
+def _padded_collect():
+    # p=12, k=3: n/k = 28 is not a multiple of k, so columns are padded
+    values = [v / 4 for v in np.random.default_rng(4).permutation(84)]
+    parts = {pid: values[(pid - 1) * 7: pid * 7] for pid in range(1, 13)}
+    return "sort_even_collect", 12, 3, parts, "rank"
+
+
 @settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
 @given(query=columnsort_queries())
+@example(query=_three_levels())
+@example(query=_padded_collect())
 def test_virtual_and_recursive_engines_agree(query):
     _, p, k, *_ = query
     observed = ReferenceMCBNetwork(p, k)

@@ -17,7 +17,6 @@ from repro.bounds import SelectionAdversary
 from repro.columnsort import (
     PHASE_PERMS,
     apply_perm,
-    build_schedule,
     columnsort,
     is_permutation,
     transfer_matrix,
@@ -25,6 +24,11 @@ from repro.columnsort import (
 from repro.core import Distribution, kth_largest
 from repro.core.problem import is_sorted_output
 from repro.mcb import MCBNetwork
+from repro.mcb.vector.lower import (
+    _phase_event_arrays,
+    lower_phase_columnar,
+    lower_virtual_phase,
+)
 from repro.prefix import mcb_partial_sums, serial_partial_sums, tree_partial_sums
 from repro.select import mcb_select, select_kth_largest
 from repro.sort import mcb_sort
@@ -89,9 +93,17 @@ class TestColumnsortProperties:
     @given(dims, st.sampled_from([2, 4, 6, 8]))
     def test_schedules_valid(self, mk, phase):
         m, k = mk
-        sched = build_schedule(PHASE_PERMS[phase](m, k), m, k)
-        sched.validate()
-        assert sched.num_cycles() == m
+        cyc, sc, sr, dc, dr = _phase_event_arrays(phase, m, k)
+        # every element once, to its destination under the permutation
+        assert sorted((sc * m + sr).tolist()) == list(range(m * k))
+        perm = PHASE_PERMS[phase](m, k)
+        assert np.array_equal(perm[sc * m + sr], dc * m + dr)
+        # m cycles, each one send and one receive per column
+        for j in range(m):
+            assert sorted(sc[cyc == j].tolist()) == list(range(k))
+            assert sorted(dc[cyc == j].tolist()) == list(range(k))
+        plan = lower_phase_columnar(phase, m, k)
+        assert plan.cycles == m and plan.compile().cycles == m
 
     @SLOW
     @given(dims, st.integers(0, 2 ** 20))
@@ -415,26 +427,47 @@ class TestSegmentScheduleProperties:
         st.sampled_from([2, 4, 6, 8]),
         st.sampled_from([(2, 2), (2, 4), (4, 2), (4, 4)]),
         st.integers(1, 4),
+        st.integers(1, 2),
+        st.integers(1, 2),
     )
     def test_every_element_once_and_reads_are_permutations(
-        self, phase, kprime_s, mult
+        self, phase, kprime_s, mult, per_seg, blocks
     ):
-        from repro.sort.recursive import segment_schedule
-
+        """§6.2's segment plan (``lower_virtual_phase`` with
+        ``segments=S``): ``m/S`` cycles with every channel written,
+        each element sent once and heard by the segment it is bound
+        for, each processor refilling exactly the slots it sent."""
         kprime, s = kprime_s
-        # m must be a multiple of both k' (transform validity) and s
-        # (segment length), and >= k'(k'-1)
-        m = kprime * s * mult * max(1, (kprime - 1))
-        sched = segment_schedule(phase, m, kprime, s)
-        seg_len = m // s
-        assert len(sched.cycles) == seg_len
-        seen = set()
-        big_k = kprime * s
+        # m must be a multiple of k' (transform validity) and of the
+        # segment count, and >= k'(k'-1); each segment spans per_seg
+        # processors.
+        m = kprime * s * per_seg * mult * max(1, kprime - 1)
+        g, seg_len = s * per_seg, m // s
+        npp = m // g
+        plan = lower_virtual_phase(phase, m, kprime, g, blocks, segments=s)
+        compiled = plan.compile()
+        big_k = kprime * s * blocks
+        assert plan.cycles == compiled.cycles == seg_len
+        perm = PHASE_PERMS[phase](m, kprime)
+        writes, reads = plan.writes.tolist(), plan.reads.tolist()
         for u in range(seg_len):
-            rows = sched.cycles[u]
-            for x in range(big_k):
-                c = x // s
-                seen.add((c, rows[x]))
-                assert rows[x] // seg_len == x % s  # row in its segment
-            assert sorted(sched.reads[u]) == list(range(big_k))
-        assert len(seen) == m * kprime
+            assert sorted(w[2] for w in writes if w[0] == u) == list(
+                range(1, big_k + 1)
+            )
+            assert sorted(r[2] for r in reads if r[0] == u) == list(
+                range(1, big_k + 1)
+            )
+        sent = {(c, proc): (ch, slot) for c, proc, ch, slot in writes}
+        assert len({(proc, slot) for _, proc, _, slot in writes}) == len(
+            writes
+        ) == m * kprime * blocks
+        on_channel = {(c, ch): (proc, slot) for c, proc, ch, slot in writes}
+        for c, proc, ch, slot in reads:
+            my_chan, my_slot = sent[(c, proc)]
+            assert my_slot == slot  # refill the slot just sent
+            src_proc, src_slot = on_channel[(c, ch)]
+            p_in_block = src_proc % (g * kprime)
+            row = p_in_block % g * npp + src_slot
+            dest = int(perm[p_in_block // g * m + row])
+            # the element lands in the segment the reader sends for
+            assert (my_chan - 1) % (kprime * s) == dest // seg_len

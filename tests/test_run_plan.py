@@ -221,8 +221,9 @@ class TestRunPlanIsItsPlanProgram:
 
 
 class TestVirtualColumnsortRunsCollectively:
-    """§6.1's transfer phases are plans over all ``p`` members; they
-    enter each phase together, so none may fall back to stepping."""
+    """§6.1's and §6.2's transfer phases are plans over all ``p``
+    members; they enter each phase together, so none may fall back to
+    stepping."""
 
     def test_sort_virtual(self):
         parts = Distribution.even(1024, 16, seed=0).parts
@@ -231,13 +232,27 @@ class TestVirtualColumnsortRunsCollectively:
         assert runs_since(before) == {"collective": 4 * 16, "stepped": 0}
 
     def test_sort_recursive_base_case_blocks(self):
-        # n=256 on k=8 recurses once on 4 columns; each of their 5
-        # sorting phases runs the §6.1 base case on 4 blocks of 16
-        # processors as one block-diagonal plan per transfer phase.
+        # n=256 on k=8 recurses once on 4 columns: 4 segment transfer
+        # phases, and each of the 5 sorting phases runs the §6.1 base
+        # case on 4 blocks of 16 processors as one block-diagonal plan
+        # per transfer phase.
         parts = Distribution.even(256, 64, seed=0).parts
         before = plan_runs()
         sort_recursive(MCBNetwork(64, 8), parts)
-        assert runs_since(before) == {"collective": 5 * 4 * 64, "stepped": 0}
+        assert runs_since(before) == {
+            "collective": (4 + 5 * 4) * 64, "stepped": 0,
+        }
+
+    def test_sort_recursive_three_levels(self):
+        # n=512 on k=64: 8 columns of 8 segments, then each column
+        # (n=64, k=8) 4 columns of 2 segments, then the base case on
+        # 32 blocks (n=16, k=2): 4 + 5*4 + 25*4 transfer phases.
+        parts = Distribution.even(512, 64, seed=0).parts
+        before = plan_runs()
+        sort_recursive(MCBNetwork(64, 64), parts)
+        assert runs_since(before) == {
+            "collective": (4 + 5 * 4 + 25 * 4) * 64, "stepped": 0,
+        }
 
 
 def single_plan(m: int = 8, k: int = 4) -> SchedulePlan:

@@ -83,6 +83,13 @@ class TestEvenCollect:
         res = sort_even_collect(net, d.parts)
         assert sorting_violations(d, res.output) == []
 
+    def test_empty_input_runs_no_cycle(self):
+        # k = 1 admits n = 0: nothing to collect, sort or broadcast.
+        net = MCBNetwork(p=2, k=1)
+        res = sort_even_collect(net, {1: [], 2: []})
+        assert res.output == {1: (), 2: ()}
+        assert net.stats.cycles == 0 and net.stats.messages == 0
+
     def test_representative_memory_is_column_sized(self, rng):
         p, k, npp = 16, 4, 16
         n = p * npp

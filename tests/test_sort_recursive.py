@@ -5,7 +5,8 @@ import pytest
 from repro.core import Distribution
 from repro.core.problem import sorting_violations
 from repro.mcb import MCBNetwork
-from repro.sort.recursive import recursion_plan, segment_schedule, sort_recursive
+from repro.mcb.vector.lower import lower_virtual_phase
+from repro.sort.recursive import recursion_plan, sort_recursive
 
 
 class TestRecursionPlan:
@@ -29,36 +30,41 @@ class TestRecursionPlan:
 
 
 class TestSegmentSchedule:
+    """§6.2's segment transformation: ``lower_virtual_phase`` with
+    ``segments = S`` channels per column, as ``_rec_program`` runs it."""
+
     @pytest.mark.parametrize("phase", [2, 4, 6, 8])
     def test_every_element_scheduled_once(self, phase):
-        m, kprime, s = 16, 2, 2
-        sched = segment_schedule(phase, m, kprime, s)
-        seg_len = m // s
-        assert len(sched.cycles) == seg_len
-        seen = set()
-        for u, rows in enumerate(sched.cycles):
-            for x, r in enumerate(rows):
-                c = x // s
-                seen.add((c, r))
-                # the row really belongs to segment x
-                assert r // seg_len == x % s
-        assert len(seen) == m * kprime
+        m, kprime, s, g = 16, 2, 2, 4
+        plan = lower_virtual_phase(phase, m, kprime, g, segments=s)
+        plan.compile()
+        assert plan.cycles == m // s
+        sent = sorted(map(tuple, plan.writes[:, 1::2].tolist()))
+        assert sent == [(proc, slot) for proc in range(g * kprime)
+                        for slot in range(m // g)]
+        # each processor's reads refill exactly the slots it wrote
+        assert sorted(map(tuple, plan.reads[:, [0, 1, 3]].tolist())) == sorted(
+            map(tuple, plan.writes[:, [0, 1, 3]].tolist())
+        )
 
     def test_reads_form_permutations(self):
-        sched = segment_schedule(2, 16, 2, 2)
+        plan = lower_virtual_phase(2, 16, 2, 4, segments=2)
         big_k = 4
-        for reads in sched.reads:
-            assert sorted(reads) == list(range(big_k))
+        for u in range(plan.cycles):
+            for events in (plan.writes, plan.reads):
+                chans = events[events[:, 0] == u, 2].tolist()
+                assert sorted(chans) == list(range(1, big_k + 1))
 
     def test_cycle_count_is_n_over_k(self):
-        # m/S super-cycles = N/K: all channels busy.
+        # m/S cycles = N/K: all channels busy.
         m, kprime, s = 32, 4, 2
-        sched = segment_schedule(2, m, kprime, s)
-        assert len(sched.cycles) == m // s
+        plan = lower_virtual_phase(2, m, kprime, 8, segments=s)
+        assert plan.compile().cycles == m // s == m * kprime // (kprime * s)
+        assert plan.compile().messages == m * kprime
 
     def test_invalid_phase(self):
         with pytest.raises(ValueError):
-            segment_schedule(5, 16, 2, 2)
+            lower_virtual_phase(5, 16, 2, 4, segments=2)
 
 
 class TestSortRecursive:
