@@ -1,8 +1,8 @@
 """Vector-engine benchmark: compiled NumPy execution vs the generator engine.
 
 The §5.2 columnsort transformation phases are oblivious, so the vector
-engine (:mod:`repro.mcb.vector`) compiles each one to columnar index
-arrays and executes it as a single NumPy gather/scatter.  Two legs,
+engine (:mod:`repro.mcb.vector`) compiles each one to a flat gather
+table and executes it as two NumPy gathers.  Two legs,
 both gated:
 
 * ``transform`` — the four transformation phases (2/4/6/8) back to back
@@ -14,7 +14,7 @@ both gated:
   engine sorts ``B = 64`` independent instances as one ``(k, m, B)``
   pass (warmed, best of three — sub-second walls are noisy), compared
   against full generator ``sort_even_pk`` runs, whose transfer phases
-  are ``RunPlan`` ops that the fast engine runs as one collective list
+  are ``RunPlan`` ops that the fast engine runs as one collective
   gather each (sampled at ``GEN_SAMPLE`` instances, so timing all 64
   would only slow the suite without changing the per-instance rate).
   Required: **>= 40x**.
@@ -133,7 +133,7 @@ def run_generator_transforms(columns: dict[int, list[int]]):
 
 
 def run_vector_transforms(columns: dict[int, list[int]], phases):
-    """The same four phases as compiled gather/scatter passes."""
+    """The same four phases as compiled gather passes."""
     state = build_state([list(columns[pid]) for pid in range(1, K + 1)])
     run = VectorRun(P, K, phase="transform")
     start = time.perf_counter()

@@ -67,8 +67,8 @@ cycle loop has no observer branch:
   all of one class, and nobody else is awake or parked, the class's
   ``collective`` may run them all as one **collective step** — the
   counters charged in bulk, each program resumed once with its result
-  when the step ends (a ``RunPlan`` is a list gather over its plan's
-  compiled index lists; ``SortGroup`` one sort per group; ``Sweep``
+  when the step ends (a ``RunPlan`` is its compiled plan's gather run
+  on the rows as object arrays; ``SortGroup`` one sort per group; ``Sweep``
   one pass over the tree; ``SortOnes`` its plans' index maps; an
   ``Emit`` has no such step).  Otherwise each slot steps the op's
   desugared program from this cycle on, on a per-slot stack of the

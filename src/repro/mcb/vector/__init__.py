@@ -6,7 +6,7 @@ pure function of globally-known parameters.  This package compiles them
 into columnar index arrays (:mod:`~repro.mcb.vector.plan`), lowers the
 repo's existing schedule sources into that form
 (:mod:`~repro.mcb.vector.lower`) and executes whole phases as NumPy
-gather/scatter over a ``(p, slots)`` — or batched ``(p, slots, B)`` —
+gathers over a ``(p, slots)`` — or batched ``(p, slots, B)`` —
 element matrix (:mod:`~repro.mcb.vector.executor`), with bit-identical
 outputs and ``RunStats`` accounting to the generator engines.
 

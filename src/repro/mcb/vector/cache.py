@@ -16,12 +16,14 @@ Lookups count on ``vector_plan_cache_total`` labelled
 their wall time to ``vector_plan_compile_seconds``.
 
 Layout: one ``.npz`` per configuration under the cache directory,
-holding each phase's ten columnar int64 arrays plus a scalar metadata
-record.  Entries are trusted (they were validated when first compiled);
-the ``PLAN_SCHEMA_VERSION`` baked into both the filename and the
-payload invalidates every entry whenever the compiled representation
-changes — bump it in the same commit that changes
-:class:`CompiledPhase`'s layout or the lowerings' output.
+holding each phase's four write-event arrays and its ``(p, slots)``
+gather table ``out_idx`` (all int64) plus a scalar metadata record.
+Entries were validated when first compiled; a load checks only that
+every array has its shape and every index its range, so that a damaged
+entry cannot index out of bounds.  The ``PLAN_SCHEMA_VERSION`` baked
+into both the filename and the payload invalidates every entry whenever
+the compiled representation changes — bump it in the same commit that
+changes :class:`CompiledPhase`'s layout or the lowerings' output.
 
 The directory is resolved by :func:`plan_cache_dir`:
 
@@ -31,8 +33,9 @@ The directory is resolved by :func:`plan_cache_dir`:
   :func:`repro.bench.cache.default_cache_root`, so ``XDG_CACHE_HOME``
   is honoured).
 
-Corrupt, truncated or version-mismatched entries load as ``None``
-(a miss) — never as errors; writes are atomic (temp file + rename).
+Corrupt, truncated, out-of-range or version-mismatched entries load as
+``None`` (a miss) — never as errors; writes are atomic (temp file +
+rename).
 """
 
 from __future__ import annotations
@@ -51,13 +54,9 @@ from .plan import CompiledPhase
 #: Bump whenever the on-disk representation changes incompatibly — a
 #: CompiledPhase layout change, a lowering-output change, anything that
 #: would make a stale entry wrong.  Mismatched entries read as misses.
-PLAN_SCHEMA_VERSION = 2
+PLAN_SCHEMA_VERSION = 3
 
-_ARRAY_FIELDS = (
-    "w_cycle", "w_proc", "w_chan", "w_src",
-    "r_proc", "r_dst", "r_widx",
-    "m_proc", "m_src", "m_dst",
-)
+_ARRAY_FIELDS = ("w_cycle", "w_proc", "w_chan", "w_src", "out_idx")
 _DISABLED = {"", "0", "off", "none", "disabled"}
 
 
@@ -217,17 +216,18 @@ def load_compiled_phases(
                 return None
             phases = []
             for i in range(int(schema[1])):
-                meta = data[f"p{i}_meta"]
+                p, k, cycles, slots = map(int, data[f"p{i}_meta"])
                 arrays = {
                     name: np.ascontiguousarray(
                         data[f"p{i}_{name}"], dtype=np.int64
                     )
                     for name in _ARRAY_FIELDS
                 }
+                if not _entry_fits(p, k, cycles, slots, arrays):
+                    return None
                 phases.append(
                     CompiledPhase(
-                        p=int(meta[0]), k=int(meta[1]),
-                        cycles=int(meta[2]), slots=int(meta[3]),
+                        p=p, k=k, cycles=cycles, slots=slots,
                         kind=str(data[f"p{i}_kind"]),
                         **arrays,
                     )
@@ -235,3 +235,23 @@ def load_compiled_phases(
             return tuple(phases)
     except Exception:
         return None
+
+
+def _entry_fits(
+    p: int, k: int, cycles: int, slots: int, arrays: dict[str, np.ndarray]
+) -> bool:
+    """Whether one loaded phase's arrays have the shapes and index
+    ranges its ``p, k, cycles, slots`` allow."""
+    n = len(arrays["w_cycle"])
+    ranges = {  # name: (shape, low, high)
+        "w_cycle": ((n,), 0, cycles),
+        "w_proc": ((n,), 0, p),
+        "w_chan": ((n,), 1, k + 1),
+        "w_src": ((n,), 0, slots),
+        "out_idx": ((p, slots), 0, n + p * slots),
+    }
+    for name, (shape, lo, hi) in ranges.items():
+        a = arrays[name]
+        if a.shape != shape or (a.size and not lo <= a.min() <= a.max() < hi):
+            return False
+    return min(p, k, slots) >= 1 and cycles >= 0

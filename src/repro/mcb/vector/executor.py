@@ -1,15 +1,16 @@
 """Columnar execution of compiled oblivious phases.
 
-One :class:`CompiledPhase` executes as a handful of whole-array NumPy
-operations over a ``(p, slots)`` element matrix — or ``(p, slots, B)``
+One :class:`CompiledPhase` executes as two whole-array NumPy gathers
+over a ``(p, slots)`` element matrix — or ``(p, slots, B)``
 with a trailing *batch axis*, running ``B`` independent instances of the
 same schedule in a single vectorized pass:
 
-1. gather every write's payload: ``vals = state[w_proc, w_src]``;
-2. start the output as a copy of the input (*update* semantics);
-3. scatter local moves and matched reads:
-   ``out[r_proc, r_dst] = vals[r_widx]``;
-4. account messages/bits/channel-writes from the gathered values.
+1. gather every write's payload from the flat input state:
+   ``vals = flat[w_flat]``;
+2. gather the output: ``out = concat(vals, flat)[out_idx]`` — each
+   slot takes the write its processor reads into it, a local move's
+   source or its own input value (*update* semantics);
+3. account messages/bits/channel-writes from the gathered values.
 
 Bit accounting is exact: a message's size is a pure function of its
 payload value (:func:`repro.mcb.message.scalar_bits`), so
@@ -320,19 +321,13 @@ class VectorRun:
 
     # ------------------------------------------------------------------
     def execute(
-        self,
-        compiled: CompiledPhase,
-        state: np.ndarray,
-        donate: bool = False,
+        self, compiled: CompiledPhase, state: np.ndarray
     ) -> np.ndarray:
         """Run one compiled phase; returns the new state matrix.
 
-        ``donate=True`` lets the executor mutate ``state`` in place and
-        return it (no defensive copy) — callers that discard the input
-        after the call, like the columnsort pipeline, use it to avoid
-        one full-matrix copy per phase.  Semantics are unchanged: write
-        values are gathered from the pre-phase state before any move or
-        read lands.
+        ``state`` is the phase's ``(p, slots)`` matrix (plus the batch
+        axis) and is left as it is: the output is the phase's gather,
+        ``concat(vals, flat)[out_idx]`` with ``vals = flat[w_flat]``.
         """
         expect_ndim = 2 if self.batch is None else 3
         if state.ndim != expect_ndim:
@@ -340,24 +335,18 @@ class VectorRun:
                 f"state has {state.ndim} axes; expected {expect_ndim} "
                 f"(batch={self.batch})"
             )
-        if compiled.k != self.k or compiled.p > state.shape[0]:
+        p, slots = compiled.p, compiled.slots
+        if compiled.k != self.k or state.shape[:2] != (p, slots):
             raise ConfigurationError(
-                f"compiled phase shape (p={compiled.p}, k={compiled.k}) does "
-                f"not fit the run (p={state.shape[0]}, k={self.k})"
+                f"compiled phase shape (p={p}, k={compiled.k}, "
+                f"slots={slots}) does not fit the run (state "
+                f"{state.shape[:2]}, k={self.k})"
             )
-        n_writes = len(compiled.w_cycle)
-        # Write values source the *input* state (update semantics), so
-        # gather them before any mutation — mandatory when ``out`` will
-        # alias ``state`` under donation.
-        vals = state[compiled.w_proc, compiled.w_src] if n_writes else None
-        out = state if donate else state.copy()
-        if len(compiled.m_proc):
-            out[compiled.m_proc, compiled.m_dst] = state[
-                compiled.m_proc, compiled.m_src
-            ]
+        flat = state.reshape(p * slots, *state.shape[2:])
+        vals = flat[compiled.w_flat]
+        out = np.concatenate((vals, flat))[compiled.out_idx]
+        n_writes = len(vals)
         if n_writes:
-            if len(compiled.r_proc):
-                out[compiled.r_proc, compiled.r_dst] = vals[compiled.r_widx]
             # Phases on value-independent dtypes need no runtime
             # accounting at all: messages and channel writes are plan
             # constants, and the bit total is messages * static cost.
@@ -413,17 +402,13 @@ class VectorRun:
                 f"state has {state.ndim} axes; expected {expect_ndim} "
                 f"(batch={self.batch})"
             )
-        if fused.k != self.k or fused.p > state.shape[0]:
+        if fused.k != self.k or state.shape[:2] != (fused.p, fused.slots):
             raise ConfigurationError(
-                f"fused phase shape (p={fused.p}, k={fused.k}) does "
-                f"not fit the run (p={state.shape[0]}, k={self.k})"
+                f"fused phase shape (p={fused.p}, k={fused.k}, "
+                f"slots={fused.slots}) does not fit the run (state "
+                f"{state.shape[:2]}, k={self.k})"
             )
-        gathered = state[fused.g_proc, fused.g_slot]
-        if fused.p == state.shape[0]:
-            out = gathered
-        else:
-            out = state.copy()
-            out[: fused.p] = gathered
+        out = state[fused.g_proc, fused.g_slot]
         static = static_message_bits(state.dtype)
         if static is not None:
             self._bits += fused.messages * static

@@ -35,6 +35,7 @@ The comparator-network backends lower their compare rounds with
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional
 
 import numpy as np
@@ -52,22 +53,26 @@ def lower_columnsort_phases(
 
     The only code that knows which lowering a variant uses: phase 2 is
     :func:`lower_paper_transpose` with ``paper_phase2``, phases 6 and 8
-    are :func:`lower_wrap_skip` with ``wrap_skip`` (``k >= 2``; their
-    plans then carry ``m // 2`` parking slots past the column), and
-    every other phase is :func:`lower_phase_columnar`.  The free local
-    sorts of phases 1, 3, 5, 7 and 9 stay with the caller.
+    are :func:`lower_wrap_skip` with ``wrap_skip`` (``k >= 2``), and
+    every other phase is :func:`lower_phase_columnar`.  One variant's
+    plans share one slot count: with ``wrap_skip`` phases 2 and 4 also
+    carry phases 6 and 8's ``m // 2`` parking slots past the column,
+    untouched.  The free local sorts of phases 1, 3, 5, 7 and 9 stay
+    with the caller.
     """
     first = (
         lower_paper_transpose(m, k)
         if paper_phase2
         else lower_phase_columnar(2, m, k)
     )
-    if wrap_skip:
-        plan6, plan8 = lower_wrap_skip(m, k)
-    else:
-        plan6 = lower_phase_columnar(6, m, k)
-        plan8 = lower_phase_columnar(8, m, k)
-    return first, lower_phase_columnar(4, m, k), plan6, plan8
+    second = lower_phase_columnar(4, m, k)
+    if not wrap_skip:
+        return (first, second, lower_phase_columnar(6, m, k),
+                lower_phase_columnar(8, m, k))
+    plan6, plan8 = lower_wrap_skip(m, k)
+    slots = plan6.slots
+    return (replace(first, slots=slots), replace(second, slots=slots),
+            plan6, plan8)
 
 
 def _phase_event_arrays(

@@ -6,7 +6,8 @@ slot holds either its prior contents or one pre-phase value.  A sequence
 of such phases therefore composes into a single *origin map* — for every
 final ``(proc, slot)``, the initial ``(proc, slot)`` its value came from
 — and the executor can apply the whole pipeline as one NumPy gather
-instead of one gather/scatter pass per phase.  Moves whose destinations
+instead of one pass per phase.  The map is each phase's own gather run
+on a state of initial positions.  Moves whose destinations
 are overwritten later in the sequence (dead moves) vanish in the
 composition for free.
 
@@ -104,24 +105,20 @@ def fuse_phases(phases: Sequence[CompiledPhase]) -> FusedPhase:
     """Compose consecutive compiled phases into one :class:`FusedPhase`.
 
     All phases must share one ``(p, k, slots)`` shape (they run on the
-    same state matrix).  The composition walks the sequence once,
-    threading the origin map through each phase's moves and matched
-    reads; untouched slots keep the identity mapping, and a slot
-    overwritten twice keeps only its last origin — which is exactly the
-    dead-move elimination.
+    same state matrix).  The composition runs each phase's own gather
+    (``concat(vals, flat)[out_idx]``) on a state of initial positions,
+    so every slot ends holding its origin; a slot overwritten twice
+    keeps only its last origin — which is exactly the dead-move
+    elimination.
     """
     if not phases:
         raise ConfigurationError("fuse_phases needs at least one phase")
     first = phases[0]
     p, k, slots = first.p, first.k, first.slots
-    srcp = np.broadcast_to(
-        np.arange(p, dtype=np.int64)[:, None], (p, slots)
-    ).copy()
-    srcs = np.broadcast_to(
-        np.arange(slots, dtype=np.int64)[None, :], (p, slots)
-    ).copy()
-    b_proc_parts: list[np.ndarray] = []
-    b_slot_parts: list[np.ndarray] = []
+    # Each phase's gather run on an index state: ``origin[i]`` is the
+    # initial flat position whose value sits at flat position ``i``.
+    origin = np.arange(p * slots, dtype=np.int64)
+    sent: list[np.ndarray] = []
     cw = np.zeros(k + 1, dtype=np.int64)
     cycles = messages = 0
     for ph in phases:
@@ -130,36 +127,18 @@ def fuse_phases(phases: Sequence[CompiledPhase]) -> FusedPhase:
                 f"cannot fuse phase of shape (p={ph.p}, k={ph.k}, "
                 f"slots={ph.slots}) with (p={p}, k={k}, slots={slots})"
             )
-        if ph.messages:
-            # Where each of this phase's write values lives in the
-            # *initial* state — gathered before the map advances.
-            b_proc_parts.append(srcp[ph.w_proc, ph.w_src])
-            b_slot_parts.append(srcs[ph.w_proc, ph.w_src])
-        new_p, new_s = srcp.copy(), srcs.copy()
-        if len(ph.m_proc):
-            new_p[ph.m_proc, ph.m_dst] = srcp[ph.m_proc, ph.m_src]
-            new_s[ph.m_proc, ph.m_dst] = srcs[ph.m_proc, ph.m_src]
-        if len(ph.r_proc):
-            wp = ph.w_proc[ph.r_widx]
-            ws = ph.w_src[ph.r_widx]
-            new_p[ph.r_proc, ph.r_dst] = srcp[wp, ws]
-            new_s[ph.r_proc, ph.r_dst] = srcs[wp, ws]
-        srcp, srcs = new_p, new_s
+        vals = origin[ph.w_flat]
+        sent.append(vals)
+        origin = np.concatenate((vals, origin))[ph.out_idx].ravel()
         cycles += ph.cycles
         messages += ph.messages
         cw += ph.channel_write_counts()
     _count_fused(len(phases))
+    g_proc, g_slot = np.divmod(origin.reshape(p, slots), slots)
+    b_proc, b_slot = np.divmod(np.concatenate(sent), slots)
     return FusedPhase(
         p=p, k=k, slots=slots, cycles=cycles, messages=messages,
         phases_fused=len(phases), kind=first.kind,
-        g_proc=srcp, g_slot=srcs,
-        b_proc=(
-            np.concatenate(b_proc_parts) if b_proc_parts
-            else np.empty(0, dtype=np.int64)
-        ),
-        b_slot=(
-            np.concatenate(b_slot_parts) if b_slot_parts
-            else np.empty(0, dtype=np.int64)
-        ),
+        g_proc=g_proc, g_slot=g_slot, b_proc=b_proc, b_slot=b_slot,
         cw_counts=cw,
     )

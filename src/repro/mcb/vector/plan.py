@@ -7,7 +7,7 @@ schedules, §6.1's virtual-column transfers, a comparator network's
 compare rounds.  Such a phase needs no per-cycle generator
 dispatch at all: it is a fixed permutation-with-fanout from an input
 state matrix to an output state matrix, and can be validated *before*
-execution and executed as a handful of NumPy gather/scatter operations
+execution and executed as two NumPy gathers
 (:mod:`repro.mcb.vector.executor`).
 
 Two layers:
@@ -24,18 +24,21 @@ Two layers:
   engines (the fast engine may run such a phase in one collective
   step, :meth:`~SchedulePlan.gather_rows`).
 
-* :class:`CompiledPhase` — the validated columnar form produced by
-  :meth:`SchedulePlan.compile`: flat int64 index arrays, one row per
-  write/read/local-move event.  Compilation enforces the MCB access
+* :class:`CompiledPhase` — the validated form produced by
+  :meth:`SchedulePlan.compile`: the write events as int64 arrays plus
+  one ``(p, slots)`` gather table, ``out_idx``, which every executor
+  reads — the vector engine on arrays, ``gather_rows`` on Python rows,
+  phase fusion on an index state.  Compilation enforces the MCB access
   rules statically: collision-freedom (one writer per channel per
   cycle — a violation raises :class:`~repro.mcb.errors.CollisionError`
   with exactly the engine's message, *before* any element moves), one
   write and one read per processor per cycle, matched reads, and
   unambiguous destination slots.
 
-Semantics of one plan are "update": the output state starts as a copy of
-the input state, every write sources the *input* state, and every
-matched read (plus every local move) overwrites one destination slot.
+Semantics of one plan are "update": every write sources the *input*
+state, every matched read (plus every local move) fills one destination
+slot, and every other slot keeps its input value — so the whole phase
+is one gather from the input state and the values the writes send.
 This is exactly what the per-cycle generator form computes, because a
 collision-free oblivious schedule never reads a slot it has already
 overwritten in the same phase — each phase is built from a permutation
@@ -83,68 +86,50 @@ def _event_rows(events: Any) -> list:
     return events.tolist() if isinstance(events, np.ndarray) else events
 
 
+@dataclass(eq=False, repr=False, slots=True)
 class CompiledPhase:
-    """A validated oblivious phase as flat columnar index arrays.
+    """A validated oblivious phase as one flat gather.
 
     Write event ``i`` broadcasts ``state[w_proc[i], w_src[i]]`` on
-    channel ``w_chan[i]`` in cycle ``w_cycle[i]``; read event ``j``
-    stores the value of write ``r_widx[j]`` into
-    ``out[r_proc[j], r_dst[j]]``; move event ``l`` copies
-    ``state[m_proc[l], m_src[l]]`` to ``out[m_proc[l], m_dst[l]]``
-    locally (free — no channel traffic).  Write events are sorted by
-    ``(cycle, proc)``, which is the order the generator engines deliver
-    (and emit observability events for) them.
+    channel ``w_chan[i]`` in cycle ``w_cycle[i]``.  Write events are
+    sorted by ``(cycle, proc)``, which is the order the generator
+    engines deliver (and emit observability events for) them.
+
+    ``out_idx`` is the whole phase as one ``(p, slots)`` gather.  With
+    ``flat`` the input state's ``p * slots`` entries in row-major order
+    and ``vals = flat[w_flat]`` the value each write sends, the output
+    state is ``concat(vals, flat)[out_idx]``: an entry below
+    ``messages`` is the write a matched read stores into that slot, any
+    other is ``messages + proc * slots + src``, a free local move's
+    source or the slot's own value.
     """
 
-    __slots__ = (
-        "p", "k", "cycles", "slots", "kind",
-        "w_cycle", "w_proc", "w_chan", "w_src",
-        "r_proc", "r_dst", "r_widx",
-        "m_proc", "m_src", "m_dst",
-        "_readers", "_cw_counts",
-    )
-
-    def __init__(
-        self,
-        *,
-        p: int,
-        k: int,
-        cycles: int,
-        slots: int,
-        kind: str,
-        w_cycle: np.ndarray,
-        w_proc: np.ndarray,
-        w_chan: np.ndarray,
-        w_src: np.ndarray,
-        r_proc: np.ndarray,
-        r_dst: np.ndarray,
-        r_widx: np.ndarray,
-        m_proc: np.ndarray,
-        m_src: np.ndarray,
-        m_dst: np.ndarray,
-    ):
-        self.p = p
-        self.k = k
-        self.cycles = cycles
-        self.slots = slots
-        self.kind = kind
-        self.w_cycle = w_cycle
-        self.w_proc = w_proc
-        self.w_chan = w_chan
-        self.w_src = w_src
-        self.r_proc = r_proc
-        self.r_dst = r_dst
-        self.r_widx = r_widx
-        self.m_proc = m_proc
-        self.m_src = m_src
-        self.m_dst = m_dst
-        self._readers: Optional[list[tuple[int, ...]]] = None
-        self._cw_counts: Optional[np.ndarray] = None
+    p: int
+    k: int
+    cycles: int
+    slots: int
+    kind: str
+    w_cycle: np.ndarray
+    w_proc: np.ndarray
+    w_chan: np.ndarray
+    w_src: np.ndarray
+    out_idx: np.ndarray
+    _w_flat: Optional[np.ndarray] = field(default=None, init=False)
+    _readers: Optional[list] = field(default=None, init=False)
+    _cw_counts: Optional[np.ndarray] = field(default=None, init=False)
+    _cw_pairs: Optional[list] = field(default=None, init=False)
 
     @property
     def messages(self) -> int:
         """Broadcast count of the phase (== number of write events)."""
         return len(self.w_cycle)
+
+    @property
+    def w_flat(self) -> np.ndarray:
+        """Each write's source as an index into the flat state, cached."""
+        if self._w_flat is None:
+            self._w_flat = self.w_proc * self.slots + self.w_src
+        return self._w_flat
 
     def channel_write_counts(self) -> np.ndarray:
         """Writes per channel, dense ``(k + 1,)`` array (index 0 unused).
@@ -161,16 +146,31 @@ class CompiledPhase:
             self._cw_counts = counts
         return counts
 
+    def channel_writes(self) -> list[tuple[int, int]]:
+        """``(channel, writes)`` of every channel the phase writes,
+        ascending, cached."""
+        pairs = self._cw_pairs
+        if pairs is None:
+            pairs = self._cw_pairs = [
+                (ch, n)
+                for ch, n in enumerate(self.channel_write_counts().tolist())
+                if n
+            ]
+        return pairs
+
     def readers_by_write(self) -> list[tuple[int, ...]]:
         """1-based reader pids per write event, ascending (event order)."""
         readers = self._readers
         if readers is None:
             readers = [()] * len(self.w_cycle)
+            flat = self.out_idx.ravel()
+            read = np.flatnonzero(flat < len(self.w_cycle))
             by_widx: dict[int, list[int]] = {}
-            for proc, widx in zip(self.r_proc.tolist(), self.r_widx.tolist()):
-                by_widx.setdefault(widx, []).append(proc + 1)
+            # Row-major positions come in ascending processor order.
+            for pos, widx in zip(read.tolist(), flat[read].tolist()):
+                by_widx.setdefault(widx, []).append(pos // self.slots + 1)
             for widx, pids in by_widx.items():
-                readers[widx] = tuple(sorted(pids))
+                readers[widx] = tuple(pids)
             self._readers = readers
         return readers
 
@@ -178,9 +178,27 @@ class CompiledPhase:
         return (
             f"CompiledPhase(kind={self.kind!r}, p={self.p}, k={self.k}, "
             f"cycles={self.cycles}, slots={self.slots}, "
-            f"writes={len(self.w_cycle)}, reads={len(self.r_proc)}, "
-            f"moves={len(self.m_proc)})"
+            f"writes={len(self.w_cycle)})"
         )
+
+
+def _out_index(
+    p: int,
+    slots: int,
+    messages: int,
+    reads: tuple[np.ndarray, np.ndarray, np.ndarray],
+    moves: tuple[np.ndarray, np.ndarray, np.ndarray],
+) -> np.ndarray:
+    """A phase's :attr:`CompiledPhase.out_idx` from its matched
+    ``reads`` (``proc, dst, write``) and local ``moves`` (``proc, src,
+    dst``), whose destinations are distinct."""
+    out = np.arange(messages, messages + p * slots, dtype=np.int64)
+    out = out.reshape(p, slots)
+    m_proc, m_src, m_dst = moves
+    out[m_proc, m_dst] = messages + m_proc * slots + m_src
+    r_proc, r_dst, r_widx = reads
+    out[r_proc, r_dst] = r_widx
+    return out
 
 
 @dataclass(eq=False)
@@ -193,7 +211,7 @@ class SchedulePlan:
     src_slot, dst_slot)`` copies (none by default).  Lists of event
     tuples are accepted in their place and checked the same way.  Use
     :meth:`compile` to validate into a :class:`CompiledPhase` for the
-    vector executor, or :meth:`as_programs` to render the identical
+    vector executor and :meth:`gather_rows`, or :meth:`as_programs` to render the identical
     computation as generator programs for any MCB engine.  Plans
     compare by identity.
     """
@@ -209,7 +227,8 @@ class SchedulePlan:
 
     # ------------------------------------------------------------------
     def compile(self) -> CompiledPhase:
-        """Validate the plan and lower it to columnar index arrays.
+        """Validate the plan and lower it to its write events and gather
+        table.
 
         The result is cached, so a plan's events must not change once
         it has compiled.
@@ -302,14 +321,12 @@ class SchedulePlan:
                 found = np.zeros(len(r), dtype=bool)
             if not found.all():
                 return None  # read of a silent channel
-            mr = r
             r_widx = wc_order[pos]
         else:
-            mr = r
             r_widx = np.empty(0, dtype=np.int64)
 
         dest_keys = np.concatenate(
-            [mr[:, 1] * slots + mr[:, 3], mv[:, 0] * slots + mv[:, 2]]
+            [r[:, 1] * slots + r[:, 3], mv[:, 0] * slots + mv[:, 2]]
         )
         dest_keys.sort()
         if (np.diff(dest_keys) == 0).any():
@@ -319,10 +336,9 @@ class SchedulePlan:
             p=p, k=k, cycles=cycles, slots=slots, kind=self.kind,
             w_cycle=w[:, 0].copy(), w_proc=w[:, 1].copy(),
             w_chan=w[:, 2].copy(), w_src=w[:, 3].copy(),
-            r_proc=mr[:, 1].copy(), r_dst=mr[:, 3].copy(),
-            r_widx=np.ascontiguousarray(r_widx),
-            m_proc=mv[:, 0].copy(), m_src=mv[:, 1].copy(),
-            m_dst=mv[:, 2].copy(),
+            out_idx=_out_index(
+                p, slots, len(w), (r[:, 1], r[:, 3], r_widx), mv.T
+            ),
         )
 
     def _compile_slow(self) -> CompiledPhase:
@@ -389,21 +405,17 @@ class SchedulePlan:
                 )
             dests.add((proc, dst))
 
-        def col(values: list[int]) -> np.ndarray:
-            return np.array(values, dtype=np.int64)
+        def cols(rows: list, width: int) -> np.ndarray:
+            return np.array(rows, dtype=np.int64).reshape(-1, width).T
 
+        w = cols(writes, 4)
         return CompiledPhase(
             p=p, k=k, cycles=cycles, slots=slots, kind=self.kind,
-            w_cycle=col([w[0] for w in writes]),
-            w_proc=col([w[1] for w in writes]),
-            w_chan=col([w[2] for w in writes]),
-            w_src=col([w[3] for w in writes]),
-            r_proc=col([r[0] for r in matched]),
-            r_dst=col([r[1] for r in matched]),
-            r_widx=col([r[2] for r in matched]),
-            m_proc=col([mv[0] for mv in moves]),
-            m_src=col([mv[1] for mv in moves]),
-            m_dst=col([mv[2] for mv in moves]),
+            w_cycle=w[0].copy(), w_proc=w[1].copy(),
+            w_chan=w[2].copy(), w_src=w[3].copy(),
+            out_idx=_out_index(
+                p, slots, len(writes), cols(matched, 3), cols(moves, 3)
+            ),
         )
 
     # ------------------------------------------------------------------
@@ -534,87 +546,43 @@ class SchedulePlan:
     def gather_rows(
         self, rows: list[Sequence[Any]], max_fields: int
     ) -> Optional[tuple[list[list], int, list[tuple[int, int]]]]:
-        """Run the plan on ``rows`` (indexed by processor) as one list
-        gather: what every processor's :meth:`as_program` returns, the
-        bits its writes charge (``Message(kind, *pack_elem(v))`` each)
-        and the ``(channel, writes)`` pairs.
+        """Run the plan on ``rows`` (indexed by processor) as one gather
+        over object arrays: what every processor's :meth:`as_program`
+        returns, the bits its writes charge (``Message(kind,
+        *pack_elem(v))`` each) and the ``(channel, writes)`` pairs.
 
         ``None`` if stepping must decide: the plan does not compile, a
         row is shorter than ``slots``, or some write would fail the
         engines' write guard of ``max_fields`` fields or its bit sizing.
         This is the collective step of :class:`~repro.mcb.program.RunPlan`.
         """
-        gather = self._gather()
-        if gather is None:
+        try:
+            compiled = self.compile()
+        except MCBError:
             return None
         slots = self.slots
         if any(len(row) < slots for row in rows):
             return None
-        flat = list(
+        # fromiter keeps each element whole: a tuple is not an axis.
+        flat = np.fromiter(
             chain.from_iterable(
                 row if len(row) == slots else row[:slots] for row in rows
-            )
+            ),
+            dtype=object, count=len(rows) * slots,
         )
-        sent = delivered(
-            list(map(flat.__getitem__, gather.w_flat)), self.kind, max_fields
-        )
+        vals = flat[compiled.w_flat]
+        listed = vals.tolist()
+        sent = delivered(listed, self.kind, max_fields)
         if sent is None:
             return None
         got, bits = sent
-        src = got + flat
-        outs = []
-        for row, idx in zip(rows, gather.out_idx):
-            out = list(map(src.__getitem__, idx))
+        if got is not listed:  # a message changed some value
+            vals = np.fromiter(got, dtype=object, count=len(got))
+        outs = np.concatenate((vals, flat))[compiled.out_idx].tolist()
+        for out, row in zip(outs, rows):
             if len(row) > slots:
                 out += row[slots:]
-            outs.append(out)
-        return outs, bits, gather.cw
-
-    def _gather(self) -> Optional["_PlanGather"]:
-        """The plan's gather tables, cached; ``None`` if the plan does
-        not compile (then every run of it is stepped)."""
-        try:
-            return self._run_gather
-        except AttributeError:
-            pass
-        try:
-            compiled = self.compile()
-        except MCBError:
-            gather = None
-        else:
-            gather = _PlanGather(compiled)
-        self._run_gather = gather
-        return gather
-
-
-class _PlanGather:
-    """A :class:`CompiledPhase` as index lists for
-    :meth:`SchedulePlan.gather_rows`.
-
-    With ``flat`` the plan's initial rows concatenated (``slots``
-    entries per processor) and ``got`` the value each write delivers,
-    in compiled write order, processor ``proc``'s final row is
-    ``(got + flat)[i]`` for ``i`` in ``out_idx[proc]``: a matched
-    read's write, a local move's source, or the slot's own entry.
-    ``w_flat[i]`` is write ``i``'s source in ``flat``; ``cw`` holds the
-    plan's ``(channel, writes)`` pairs.
-    """
-
-    __slots__ = ("w_flat", "out_idx", "cw")
-
-    def __init__(self, ph: CompiledPhase):
-        slots, nw = ph.slots, ph.messages
-        self.w_flat = (ph.w_proc * slots + ph.w_src).tolist()
-        out = np.arange(nw, nw + ph.p * slots, dtype=np.int64).reshape(
-            ph.p, slots
-        )
-        out[ph.m_proc, ph.m_dst] = nw + ph.m_proc * slots + ph.m_src
-        out[ph.r_proc, ph.r_dst] = ph.r_widx
-        self.out_idx = out.tolist()
-        self.cw = [
-            (ch, n) for ch, n in enumerate(ph.channel_write_counts().tolist())
-            if n
-        ]
+        return outs, bits, compiled.channel_writes()
 
 
 def _step_op(kind: str, row: Sequence[Any], step: Any) -> CycleOp:

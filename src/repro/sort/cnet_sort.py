@@ -162,12 +162,16 @@ def _generator_plans(
         plans = cnet_to_schedule(network, k, k, m)
     comm = [rnd for rnd in network.rounds if not isinstance(rnd, SortRound)]
     for rnd, plan in zip(comm, plans):
-        compiled = plan.compile()
+        plan.compile()
         if not isinstance(rnd, PermuteRound):
             continue
+        # The raw events: a move onto its own slot leaves no trace in
+        # the compiled gather, but it does refill its row.
+        reads = np.asarray(plan.reads, dtype=np.int64).reshape(-1, 4)
+        moves = np.asarray(plan.moves, dtype=np.int64).reshape(-1, 3)
         filled = np.zeros((k, plan.slots), dtype=bool)
-        filled[compiled.r_proc, compiled.r_dst] = True
-        filled[compiled.m_proc, compiled.m_dst] = True
+        filled[reads[:, 1], reads[:, 3]] = True
+        filled[moves[:, 0], moves[:, 2]] = True
         want = np.ones((k, m), dtype=bool)
         if wrap_skip and rnd.phase == 6:
             want[0, : m // 2] = False
@@ -298,9 +302,8 @@ def _cnet_pipeline(
 
     ``state`` holds each line's column in slots ``0..m-1`` (axis 1,
     batched or not); it is padded to the compiled plans' slot count
-    first, and the local sorts stay within the first ``m`` slots.
-    Every plan discards its input, so each donates its state buffer to
-    the executor (no per-phase defensive copy).
+    first (one count per variant), and the local sorts stay within the
+    first ``m`` slots.
 
     Numeric, unobserved runs bracket the whole run with one global
     negation and sort plain ascending in between: bit accounting is
@@ -319,7 +322,7 @@ def _cnet_pipeline(
         np.negative(state, out=state)
     for step in cnet_steps(network):
         if step[0] == "plan":
-            state = run.execute(compiled[step[1]], state, donate=True)
+            state = run.execute(compiled[step[1]], state)
         elif step[0] == "sort":
             _sort_slots(state[1 if step[1] else 0:, :m], descending)
         else:

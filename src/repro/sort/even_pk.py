@@ -88,7 +88,7 @@ def sort_even_pk(
     engine:
         ``"generator"`` (default) steps per-processor programs on the
         network's cycle loop; ``"vector"`` compiles the oblivious
-        schedules and executes them as NumPy gather/scatter — identical
+        schedules and executes each as two NumPy gathers — identical
         outputs and stats; ``wrap_skip`` lowers to static park/unpark
         moves and is fully supported.
     backend:

@@ -38,6 +38,8 @@ from itertools import chain
 from operator import ge
 from typing import Any, Generator, Optional, Sequence
 
+import numpy as np
+
 from ..columnsort.matrix import max_columns_for
 from ..mcb.errors import ProtocolError
 from ..mcb.message import Message, pack_elem, plain_fields
@@ -214,19 +216,21 @@ class _PairTable:
         runs = [collect, *(plans[s[1]] for s in steps if s[0] == "plan"), bcast]
         cw: Counter = Counter()
         for plan in runs:
-            cw.update(dict(plan._gather().cw))
+            cw.update(dict(plan.compile().channel_writes()))
         self.cw = sorted(cw.items())
         self.cycles = sum(plan.cycles for plan in runs)
 
 
 def _gather(plan: Any, rows: list) -> tuple[list, list]:
-    """``plan``'s gather tables run on ``rows`` of ids, one per plan
+    """``plan``'s compiled gather run on ``rows`` of ids, one per plan
     processor: every final row, and the ids the writes send."""
-    gather = plan._gather()
-    flat = list(chain.from_iterable(rows))
-    got = list(map(flat.__getitem__, gather.w_flat))
-    src = got + flat
-    return [list(map(src.__getitem__, idx)) for idx in gather.out_idx], got
+    compiled = plan.compile()
+    flat = np.fromiter(
+        chain.from_iterable(rows), dtype=object, count=plan.p * plan.slots
+    )
+    got = flat[compiled.w_flat]
+    outs = np.concatenate((got, flat))[compiled.out_idx]
+    return outs.tolist(), got.tolist()
 
 
 def _elem_bits(vals: list, max_fields: int) -> Optional[list]:

@@ -72,9 +72,9 @@ def virtual_plans(
         for phase in (2, 4, 6, 8)
     )
     for phase, plan in zip((2, 4, 6, 8), plans):
-        compiled = plan.compile()
-        sent = zip(compiled.w_proc.tolist(), compiled.w_src.tolist())
-        got = zip(compiled.r_proc.tolist(), compiled.r_dst.tolist())
+        plan.compile()
+        sent = plan.writes[:, [1, 3]].tolist()
+        got = plan.reads[:, [1, 3]].tolist()
         assert sorted(sent) == sorted(got), f"phase {phase} leaves a hole"
     return plans
 

@@ -67,7 +67,7 @@ class TestBuildSchedule:
         plan = lower_phase_columnar(phase, m, k)
         compiled = plan.compile()  # collision-free, matched reads
         assert plan.cycles == m
-        assert compiled.messages + len(compiled.m_proc) == m * k
+        assert compiled.messages + len(plan.moves) == m * k
 
     def test_every_element_moved_exactly_once(self):
         m, k = 12, 4

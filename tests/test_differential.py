@@ -17,7 +17,9 @@ All of them must return the same output and the same
 columnsort variants (``paper_phase2`` x ``wrap_skip``, k up to 8) on
 the same three paths, and a third checks every lane of a
 ``sort_even_pk_batch`` run, either backend, against its solo run on the
-generator engine; both draw integer or float columns.  Another
+generator engine; both draw integer or float columns, and both run
+their vector leg a second time on compiled plans reloaded from a fresh
+disk cache (``run_reloaded``).  Another
 property does the same for the §5.2 collect variant, the §6.1
 virtual-column sort (both sorters, several group sizes ``g = p/k``)
 and the §6.2 recursion (up to three levels), whose oblivious transfers
@@ -39,6 +41,8 @@ from __future__ import annotations
 
 import math
 import operator
+import os
+import tempfile
 
 import numpy as np
 from hypothesis import HealthCheck, example, given, settings
@@ -46,7 +50,9 @@ from hypothesis import strategies as st
 
 from repro.mcb import MCBNetwork
 from repro.mcb.reference import ReferenceMCBNetwork
+from repro.mcb.vector.cache import plan_registry
 from repro.obs import EventLog
+from repro.obs.metrics import global_registry
 from repro.prefix import mcb_partial_sums, mcb_total_sum
 from repro.select import mcb_select
 from repro.select.weighted import mcb_select_weighted
@@ -192,6 +198,41 @@ def even_pk_variants(draw):
     return k, draw_columns(draw, k, m), draw(st.booleans()), draw(st.booleans())
 
 
+def run_reloaded(run_vector):
+    """``run_vector()``'s answer on compiled plans reloaded from disk.
+
+    Over a fresh ``REPRO_PLAN_CACHE``, a first call compiles its plans
+    and writes them; after ``plan_registry().clear()`` a second call
+    must find every plan on disk (no lookup misses), and its answer is
+    returned.
+    """
+    counter = global_registry().counter("vector_plan_cache_total")
+
+    def misses():
+        return sum(
+            counter.get(result="miss", backend=backend)
+            for backend in ("columnsort", "batcher")
+        )
+
+    saved = os.environ.get("REPRO_PLAN_CACHE")
+    with tempfile.TemporaryDirectory() as root:
+        os.environ["REPRO_PLAN_CACHE"] = root
+        try:
+            plan_registry().clear()
+            run_vector()
+            plan_registry().clear()
+            before = misses()
+            answer = run_vector()
+            assert misses() == before
+        finally:
+            plan_registry().clear()
+            if saved is None:
+                del os.environ["REPRO_PLAN_CACHE"]
+            else:
+                os.environ["REPRO_PLAN_CACHE"] = saved
+    return answer
+
+
 def run_even_pk(net, query, engine="generator"):
     k, columns, paper_phase2, wrap_skip = query
     answer = sort_even_pk(
@@ -216,6 +257,9 @@ def test_even_pk_variants_agree(query):
     fast = run_even_pk(MCBNetwork(k, k), query)
     assert run_even_pk(observed, query) == fast
     assert run_even_pk(MCBNetwork(k, k), query, engine="vector") == fast
+    assert run_reloaded(
+        lambda: run_even_pk(MCBNetwork(k, k), query, engine="vector")
+    ) == fast
     flat = sorted((v for col in columns.values() for v in col), reverse=True)
     assert [v for pid in range(1, k + 1) for v in fast[0][pid]] == flat
 
@@ -246,18 +290,27 @@ def batch_queries(draw):
 ))
 def test_batch_lanes_match_solo_runs(query):
     k, lanes, backend, paper_phase2, wrap_skip = query
-    batch = sort_even_pk_batch(
-        k, lanes, paper_phase2=paper_phase2, wrap_skip=wrap_skip,
-        backend=backend,
-    )
-    for lane, result, stats in zip(lanes, batch.results, batch.stats):
+
+    def batch():
+        out = sort_even_pk_batch(
+            k, lanes, paper_phase2=paper_phase2, wrap_skip=wrap_skip,
+            backend=backend,
+        )
+        return (
+            [result.output for result in out.results],
+            [stats.to_dict() for stats in out.stats],
+        )
+
+    outputs, stats = batch()
+    assert run_reloaded(batch) == (outputs, stats)
+    for lane, output, lane_stats in zip(lanes, outputs, stats):
         net = MCBNetwork(k, k)
         solo = sort_even_pk(
             net, {pid: list(v) for pid, v in lane.items()},
             paper_phase2=paper_phase2, wrap_skip=wrap_skip, backend=backend,
         )
-        assert result.output == solo.output
-        assert stats.to_dict() == net.stats.to_dict()
+        assert output == solo.output
+        assert lane_stats == net.stats.to_dict()
 
 
 @st.composite

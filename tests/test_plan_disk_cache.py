@@ -88,6 +88,66 @@ def test_schema_mismatch_loads_as_none(tmp_path):
     assert load_compiled_phases(path) is None
 
 
+def _rewrite(path, **changes):
+    """Rewrite the entry at ``path`` with some arrays replaced."""
+    with np.load(path, allow_pickle=False) as data:
+        arrays = {name: data[name] for name in data.files}
+    for name, change in changes.items():
+        arrays[name] = change(arrays[name])
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"p0_w_src": lambda a: a + 1000},
+        {"p0_w_proc": lambda a: -a - 1},
+        {"p0_w_chan": lambda a: a * 0},
+        {"p0_w_cycle": lambda a: a + 2},
+        {"p0_w_src": lambda a: a[:-1]},
+        {"p1_out_idx": lambda a: a + 100},
+        {"p1_out_idx": lambda a: a.ravel()},
+        {"p1_out_idx": lambda a: a[:, :-1]},
+        {"p1_meta": lambda a: a[:3]},
+    ],
+)
+def test_out_of_range_entry_loads_as_none(tmp_path, changes):
+    # A well-formed archive whose arrays do not fit the entry's own
+    # p, k, cycles and slots would index out of bounds when run.
+    path = tmp_path / "entry.npz"
+    save_compiled_phases(path, _sample_phases())
+    assert load_compiled_phases(path) is not None
+    _rewrite(path, **changes)
+    assert load_compiled_phases(path) is None
+
+
+def test_damaged_disk_entry_is_recompiled(monkeypatch, tmp_path):
+    from repro.mcb import MCBNetwork
+    from repro.obs.metrics import global_registry
+    from repro.sort import sort_even_pk
+    from repro.sort.vector import compiled_columnsort_phases
+
+    monkeypatch.setenv("REPRO_PLAN_CACHE", str(tmp_path))
+    m, k = 12, 4
+    compiled_columnsort_phases.cache_clear()
+    compiled_columnsort_phases(m, k)  # compiles and writes the entry
+    path = plan_entry_path(tmp_path, columnsort_plan_stem(m, k, False, False))
+    _rewrite(path, p0_w_src=lambda a: a + 1000)
+    compiled_columnsort_phases.cache_clear()
+    counter = global_registry().counter("vector_plan_cache_total")
+    misses = counter.get(result="miss", backend="columnsort")
+    values = np.random.default_rng(3).permutation(m * k).tolist()
+    parts = {pid: values[(pid - 1) * m: pid * m] for pid in range(1, k + 1)}
+    try:
+        got = sort_even_pk(MCBNetwork(k, k), parts, engine="vector")
+    finally:
+        compiled_columnsort_phases.cache_clear()
+    want = sort_even_pk(MCBNetwork(k, k), parts)
+    assert got.output == want.output
+    assert counter.get(result="miss", backend="columnsort") == misses + 1
+
+
 def test_plan_path_carries_config_and_version(tmp_path):
     path = plan_entry_path(tmp_path, columnsort_plan_stem(20, 5, True, False))
     assert path.parent == tmp_path

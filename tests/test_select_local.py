@@ -1,5 +1,7 @@
-"""Tests for the sequential median-of-medians selection (the [Blum73]
-stand-in used for local medians)."""
+"""Tests for the local selection step: ``select_kth_largest`` (the
+d-th largest by sorting, which stands in for the paper's [Blum73]
+linear-time selection) and ``local_median``, the ``ceil(m_i/2)``-th
+largest local element."""
 
 import pytest
 

@@ -6,7 +6,10 @@ final states and identical ``RunStats.to_dict()`` accounting to the
 reference engine running the same plan rendered as generator programs
 (:meth:`SchedulePlan.as_programs`, the parity oracle).  Hypothesis
 drives random plans — random writer/channel assignments per cycle,
-random matched reads, random local moves — through both engines.
+random matched reads, random local moves — through both engines, and
+through the fast engine's collective gather: the plan yielded as
+``RunPlan`` ops on an unobserved ``MCBNetwork``, with rows wider than
+the plan.
 
 Collision-freedom is a *static* property of an oblivious schedule, so
 the vector engine checks it at compile time, before any element moves;
@@ -20,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.mcb import MCBNetwork, RunPlan
 from repro.mcb.errors import CollisionError, ConfigurationError
 from repro.mcb.message import Message
 from repro.mcb.reference import ReferenceMCBNetwork
@@ -31,6 +35,7 @@ from repro.mcb.vector import (
     build_state,
     message_bits,
 )
+from repro.obs.metrics import global_registry
 
 
 # ---------------------------------------------------------------------------
@@ -41,7 +46,8 @@ from repro.mcb.vector import (
 def plans(draw) -> SchedulePlan:
     """A random valid plan: per cycle, distinct writers on distinct
     channels; readers matched to written channels with globally unique
-    destination slots per processor; optional free local moves."""
+    destination slots per processor; optional free local moves, some
+    onto their own slot."""
     p = draw(st.integers(2, 5))
     k = draw(st.integers(1, min(3, p)))
     slots = draw(st.integers(2, 4))
@@ -70,9 +76,10 @@ def plans(draw) -> SchedulePlan:
         proc = draw(st.integers(0, p - 1))
         if not dst_pool[proc]:
             continue
-        src = draw(st.integers(0, slots - 1))
         at = draw(st.integers(0, len(dst_pool[proc]) - 1))
-        moves.append((proc, src, dst_pool[proc].pop(at)))
+        dst = dst_pool[proc].pop(at)
+        src = draw(st.one_of(st.just(dst), st.integers(0, slots - 1)))
+        moves.append((proc, src, dst))
     return SchedulePlan(
         p=p, k=k, cycles=cycles, slots=slots,
         writes=writes, reads=reads, moves=moves,
@@ -96,34 +103,51 @@ def run_vector(plan: SchedulePlan, rows):
     return state, stats.to_dict()
 
 
-@given(plans(), st.data())
-def test_vector_matches_reference_on_random_plans(plan, data):
-    rows = [
-        data.draw(
-            st.lists(elements, min_size=plan.slots, max_size=plan.slots)
-        )
+def run_collective(plan: SchedulePlan, rows):
+    """The plan as ``RunPlan`` ops on an unobserved fast engine, which
+    runs all ``p`` of them as one collective gather
+    (``SchedulePlan.gather_rows``)."""
+    counter = global_registry().counter("network_plan_runs_total")
+    before = counter.get(op="run_plan", path="collective")
+
+    def program(ctx):
+        return (yield RunPlan(plan, ctx.pid - 1, rows[ctx.pid - 1]))
+
+    net = MCBNetwork(p=plan.p, k=plan.k)
+    out = net.run(
+        {pid: program for pid in range(1, plan.p + 1)}, phase="plan"
+    )
+    assert counter.get(op="run_plan", path="collective") == before + plan.p
+    return out, net.stats.to_dict()
+
+
+def draw_rows(data, plan: SchedulePlan, extra: int = 0):
+    """One row per processor, ``extra`` entries wider than the plan."""
+    width = plan.slots + extra
+    return [
+        data.draw(st.lists(elements, min_size=width, max_size=width))
         for _ in range(plan.p)
     ]
+
+
+@given(plans(), st.integers(0, 2), st.data())
+def test_vector_matches_reference_on_random_plans(plan, extra, data):
+    # The generator engines run rows wider than the plan (the tail
+    # stays put); the vector state holds exactly the plan's slots.
+    rows = draw_rows(data, plan, extra)
     ref_out, ref_stats = run_reference(plan, rows)
-    state, vec_stats = run_vector(plan, rows)
+    state, vec_stats = run_vector(plan, [row[: plan.slots] for row in rows])
     assert vec_stats == ref_stats
     got = state.tolist()
     for proc in range(plan.p):
-        assert got[proc] == ref_out[proc + 1], proc
+        assert got[proc] == ref_out[proc + 1][: plan.slots], proc
+    assert run_collective(plan, rows) == (ref_out, ref_stats)
 
 
 @settings(max_examples=25)
 @given(plans(), st.integers(1, 3), st.data())
 def test_batched_execution_matches_solo_reference_runs(plan, b, data):
-    lanes = [
-        [
-            data.draw(
-                st.lists(elements, min_size=plan.slots, max_size=plan.slots)
-            )
-            for _ in range(plan.p)
-        ]
-        for _ in range(b)
-    ]
+    lanes = [draw_rows(data, plan) for _ in range(b)]
     run = VectorRun(plan.p, plan.k, phase="plan", batch=b)
     state = run.execute(plan.compile(), build_batched_state(lanes))
     lane_phases = run.finish()
@@ -133,6 +157,7 @@ def test_batched_execution_matches_solo_reference_runs(plan, b, data):
         got = state[:, :, lane].tolist()
         for proc in range(plan.p):
             assert got[proc] == ref_out[proc + 1], (lane, proc)
+        assert run_collective(plan, lanes[lane]) == (ref_out, ref_stats)
 
 
 # ---------------------------------------------------------------------------
@@ -211,11 +236,7 @@ def test_compile_rejects_invalid_plans(plan, fragment):
 # ---------------------------------------------------------------------------
 
 _COMPILED_SCALARS = ("p", "k", "cycles", "slots", "kind")
-_COMPILED_ARRAYS = (
-    "w_cycle", "w_proc", "w_chan", "w_src",
-    "r_proc", "r_dst", "r_widx",
-    "m_proc", "m_src", "m_dst",
-)
+_COMPILED_ARRAYS = ("w_cycle", "w_proc", "w_chan", "w_src", "out_idx")
 
 
 @given(plans())
