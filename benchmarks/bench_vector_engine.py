@@ -59,10 +59,9 @@ from repro.mcb import MCBNetwork
 from repro.mcb.reference import ReferenceMCBNetwork
 from repro.mcb.trace import RunStats
 from repro.mcb.vector import VectorRun, build_state, fuse_phases
-from repro.mcb.vector.cache import _ARRAY_FIELDS
+from repro.mcb.vector.cache import _ARRAY_FIELDS, plan_registry
 from repro.sort import sort_even_pk, sort_even_pk_batch
-from repro.sort.cnet_sort import _generator_plans
-from repro.sort.vector import compiled_columnsort_phases
+from repro.sort.cnet_sort import cnet_plans
 
 RESULTS = Path(__file__).resolve().parent / "results"
 
@@ -115,7 +114,7 @@ def run_generator_transforms(columns: dict[int, list[int]]):
     (with their program event maps) before the clock starts — which
     also leaves the batch leg's generator sorts warm.
     """
-    plans, _ = _generator_plans("columnsort", M, K, False, False)
+    plans = cnet_plans("columnsort", M, K)
     for plan in plans:
         plan.as_program(0, columns[1])  # builds the event maps, untimed
 
@@ -153,9 +152,9 @@ def test_vector_engine_speedup(benchmark, emit, record, tmp_path, monkeypatch):
     # committed pre-vectorization compile_s.
     monkeypatch.setenv("REPRO_PLAN_CACHE", "off")
     clear_schedule_caches()
-    compiled_columnsort_phases.cache_clear()
+    plan_registry().clear()
     compile_start = time.perf_counter()
-    phases = compiled_columnsort_phases(M, K)
+    phases = [plan.compile() for plan in cnet_plans("columnsort", M, K)]
     compile_s = time.perf_counter() - compile_start
     baseline_compile_s = committed_compile_baseline()
     compile_speedup = baseline_compile_s / compile_s
@@ -164,11 +163,11 @@ def test_vector_engine_speedup(benchmark, emit, record, tmp_path, monkeypatch):
     # Write the entry, drop the in-process cache, and time the pure
     # disk load a fresh process would pay.
     monkeypatch.setenv("REPRO_PLAN_CACHE", str(tmp_path / "plans"))
-    compiled_columnsort_phases.cache_clear()
-    compiled_columnsort_phases(M, K)  # compiles again; writes the entry
-    compiled_columnsort_phases.cache_clear()
+    plan_registry().clear()
+    cnet_plans("columnsort", M, K)  # compiles again; writes the entry
+    plan_registry().clear()
     warm_start = time.perf_counter()
-    warm_phases = compiled_columnsort_phases(M, K)
+    warm_phases = [plan.compile() for plan in cnet_plans("columnsort", M, K)]
     warm_load_s = time.perf_counter() - warm_start
     assert len(warm_phases) == len(phases)
     for fresh, loaded in zip(phases, warm_phases):

@@ -53,6 +53,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
+import numpy as np
+
 from .errors import ConfigurationError
 
 #: Columnsort transformation phases expressible as PermuteRounds.
@@ -267,17 +269,16 @@ def cnet_to_schedule(
     plans = []
     for rnd in network.rounds:
         if isinstance(rnd, CompareRound):
-            writes = []
-            reads = []
-            for hi, lo in rnd.pairs:
-                for t in range(m):
-                    writes.append((t, hi, hi + 1, t))
-                    writes.append((t, lo, lo + 1, t))
-                    reads.append((t, hi, lo + 1, m + t))
-                    reads.append((t, lo, hi + 1, m + t))
+            # Every endpoint writes its slot t on its own channel in
+            # cycle t, and its partner reads it into slot m + t.
+            ends = np.array(rnd.pairs, dtype=np.int64).reshape(-1, 2)
+            t = np.tile(np.arange(m, dtype=np.int64), 2 * len(ends))
+            me = np.repeat(ends.ravel(), m)
+            partner = np.repeat(ends[:, ::-1].ravel(), m)
             plans.append(SchedulePlan(
                 p=p, k=k, cycles=m, slots=slots,
-                writes=writes, reads=reads,
+                writes=np.stack([t, me, me + 1, t], axis=1),
+                reads=np.stack([t, me, partner + 1, m + t], axis=1),
             ))
         elif isinstance(rnd, PermuteRound):
             plans.append(lower_phase_columnar(rnd.phase, m, k))

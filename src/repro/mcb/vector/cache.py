@@ -1,20 +1,14 @@
-"""Compiled-plan caching: one in-memory/on-disk registry, all backends.
+"""Plan caching: one in-memory/on-disk registry for both engines.
 
-Compiling a schedule plan is a pure function of its configuration —
-``(m, k, paper_phase2, wrap_skip)`` for the columnsort transformation
-phases, ``(network, m, k)`` for the comparator-network backends — so
-the resulting :class:`~repro.mcb.vector.plan.CompiledPhase` arrays can
-be written to disk once and loaded by every later process (service
-boots, CI runs, fresh grid sweeps) in milliseconds instead of
-recompiled.
+An oblivious transfer schedule is a pure function of its configuration
+— ``(m, k, paper_phase2, wrap_skip)`` for columnsort, ``(network, m,
+k)`` for the comparator-network backends, ``(m, k, g, blocks,
+segments)`` for §6.1/§6.2's virtual phases — so one process lowers it
+once, and its compiled :class:`~repro.mcb.vector.plan.CompiledPhase`
+arrays are written to disk once and loaded by every later process
+(service boots, CI runs, fresh grid sweeps) in milliseconds.
 
-:class:`PlanRegistry` is the single lookup/eviction/prewarm surface:
-every backend's compiled plans live in one in-memory dict keyed by the
-entry's filename stem, backed by the on-disk ``.npz`` store below.
-Lookups count on ``vector_plan_cache_total`` labelled
-``result=hit|disk_hit|miss`` *and* ``backend=<name>``; true misses add
-their wall time to ``vector_plan_compile_seconds``.
-
+:class:`PlanRegistry` is the single lookup/eviction/prewarm surface.
 Layout: one ``.npz`` per configuration under the cache directory,
 holding each phase's four write-event arrays and its ``(p, slots)``
 gather table ``out_idx`` (all int64) plus a scalar metadata record.
@@ -42,19 +36,26 @@ from __future__ import annotations
 
 import os
 import tempfile
+import threading
 import time
+from collections import OrderedDict
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from ...bench.cache import default_cache_root
-from .plan import CompiledPhase
+from .plan import CompiledPhase, SchedulePlan
 
 #: Bump whenever the on-disk representation changes incompatibly — a
 #: CompiledPhase layout change, a lowering-output change, anything that
 #: would make a stale entry wrong.  Mismatched entries read as misses.
 PLAN_SCHEMA_VERSION = 3
+
+#: Bytes of plan arrays :class:`PlanRegistry` keeps in memory: it also
+#: holds the uneven sort's data-dependent group shapes, one per shape
+#: a long-lived service is ever asked for.
+PLAN_CACHE_BUDGET = 64 << 20
 
 _ARRAY_FIELDS = ("w_cycle", "w_proc", "w_chan", "w_src", "out_idx")
 _DISABLED = {"", "0", "off", "none", "disabled"}
@@ -95,19 +96,23 @@ def cnet_plan_stem(network: str, m: int, k: int) -> str:
 
 
 class PlanRegistry:
-    """One in-memory + on-disk cache for every backend's compiled plans.
+    """The one cache of lowered oblivious plans, in memory and on disk.
 
-    Entries are keyed by their filename stem (which encodes backend and
-    shape), so ``clear()`` / :func:`repro.sort.vector.prewarm_plan_cache`
-    evict and warm columnsort and comparator-network plans through one
-    surface.  Each :meth:`lookup` counts on ``vector_plan_cache_total``
-    (labels ``result=hit|disk_hit|miss``, ``backend=<name>``) and each
-    true miss adds its wall time to ``vector_plan_compile_seconds`` on
-    :func:`repro.obs.metrics.global_registry`.
+    An entry is the tuple of :class:`~repro.mcb.vector.plan.SchedulePlan`
+    objects one lowering built, keyed by its filename stem; the
+    generator engines and the vector executor run the same objects.
+    Each :meth:`lookup` counts on ``vector_plan_cache_total`` (labels
+    ``result=hit|disk_hit|miss``, ``backend=<name>``) and each true miss
+    adds its wall time to ``vector_plan_compile_seconds`` on
+    :func:`repro.obs.metrics.global_registry`.  Past
+    :data:`PLAN_CACHE_BUDGET` bytes of plan arrays the least recently
+    used entries leave memory (not disk).
     """
 
     def __init__(self) -> None:
-        self._mem: dict[str, tuple[CompiledPhase, ...]] = {}
+        self._mem: OrderedDict[str, tuple[tuple, int]] = OrderedDict()
+        self._bytes = 0
+        self._lock = threading.Lock()
 
     def _count(self, result: str, backend: str) -> None:
         from ...obs.metrics import global_registry
@@ -122,26 +127,36 @@ class PlanRegistry:
         stem: str,
         *,
         backend: str,
-        build: Callable[[], Sequence["CompiledPhase"]],
-    ) -> tuple["CompiledPhase", ...]:
-        """Memory -> disk -> ``build()`` resolution for one entry."""
-        if stem in self._mem:
+        build: Callable[[], Sequence[SchedulePlan]],
+    ) -> tuple[SchedulePlan, ...]:
+        """Memory -> disk -> ``build()`` resolution for one entry.
+
+        ``build`` lowers and checks the plans; a true miss compiles
+        each and writes them to disk, a disk hit rebuilds them with
+        :meth:`SchedulePlan.from_compiled`.
+        """
+        with self._lock:
+            entry = self._mem.get(stem)
+            if entry is not None:
+                self._mem.move_to_end(stem)
+        if entry is not None:
             self._count("hit", backend)
-            return self._mem[stem]
+            return entry[0]
         root = plan_cache_dir()
         path = plan_entry_path(root, stem) if root is not None else None
         if path is not None:
             cached = load_compiled_phases(path)
             if cached is not None:
                 self._count("disk_hit", backend)
-                self._mem[stem] = cached
-                return cached
+                return self._keep(
+                    stem, tuple(map(SchedulePlan.from_compiled, cached))
+                )
         self._count("miss", backend)
         from ...obs.metrics import global_registry
 
         start = time.perf_counter()
-        phases = tuple(build())
-        self._mem[stem] = phases
+        plans = tuple(build())
+        phases = [plan.compile() for plan in plans]
         global_registry().counter(
             "vector_plan_compile_seconds",
             "wall-clock seconds spent compiling schedule plans",
@@ -151,11 +166,34 @@ class PlanRegistry:
                 save_compiled_phases(path, phases)
             except OSError:
                 pass  # a read-only cache dir must never fail the compile
-        return phases
+        return self._keep(stem, plans)
+
+    def _keep(self, stem: str, plans: tuple) -> tuple:
+        """Hold ``plans`` under ``stem``, evicting least recently used
+        entries past the budget (never the entry just kept)."""
+        size = 0
+        for plan in plans:
+            phase = plan.compile()
+            arrays = [plan.writes, plan.reads, plan.moves]
+            arrays += [getattr(phase, name) for name in _ARRAY_FIELDS]
+            size += sum(getattr(a, "nbytes", 0) for a in arrays)
+        with self._lock:
+            self._bytes += size - self._mem.pop(stem, ((), 0))[1]
+            self._mem[stem] = (plans, size)
+            while self._bytes > PLAN_CACHE_BUDGET and len(self._mem) > 1:
+                self._bytes -= self._mem.popitem(last=False)[1][1]
+        return plans
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of plan arrays held in memory."""
+        return self._bytes
 
     def clear(self) -> None:
-        """Evict every backend's in-memory entries (disk stays)."""
-        self._mem.clear()
+        """Evict every in-memory entry (disk stays)."""
+        with self._lock:
+            self._mem.clear()
+            self._bytes = 0
 
     def __len__(self) -> int:
         return len(self._mem)
@@ -241,7 +279,10 @@ def _entry_fits(
     p: int, k: int, cycles: int, slots: int, arrays: dict[str, np.ndarray]
 ) -> bool:
     """Whether one loaded phase's arrays have the shapes and index
-    ranges its ``p, k, cycles, slots`` allow."""
+    ranges its ``p, k, cycles, slots`` allow; a slot not filled by a
+    read must take a value of its own processor."""
+    if min(p, k, slots) < 1 or cycles < 0:
+        return False
     n = len(arrays["w_cycle"])
     ranges = {  # name: (shape, low, high)
         "w_cycle": ((n,), 0, cycles),
@@ -254,4 +295,6 @@ def _entry_fits(
         a = arrays[name]
         if a.shape != shape or (a.size and not lo <= a.min() <= a.max() < hi):
             return False
-    return min(p, k, slots) >= 1 and cycles >= 0
+    out = arrays["out_idx"]
+    own = (out - n) // slots == np.arange(p)[:, None]
+    return bool(((out < n) | own).all())

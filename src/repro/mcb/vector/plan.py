@@ -225,6 +225,33 @@ class SchedulePlan:
     moves: Any = field(default_factory=list)
     kind: str = "elem"
 
+    @classmethod
+    def from_compiled(cls, phase: CompiledPhase) -> "SchedulePlan":
+        """The plan whose :meth:`compile` is ``phase`` (a disk-loaded
+        phase), for the generator engines: ``phase``'s writes, each
+        matched read at its write's cycle and channel, and each local
+        move that changes a slot.  Recompiling it gives ``phase``."""
+        p, slots, n = phase.p, phase.slots, phase.messages
+        out = phase.out_idx
+        proc, dst = np.nonzero(out < n)
+        widx = out[proc, dst]
+        src = out - n - np.arange(p, dtype=np.int64)[:, None] * slots
+        m_proc, m_dst = np.nonzero((out >= n) & (src != np.arange(slots)))
+        plan = cls(
+            p, phase.k, phase.cycles, slots,
+            np.stack(
+                [phase.w_cycle, phase.w_proc, phase.w_chan, phase.w_src],
+                axis=1,
+            ),
+            np.stack(
+                [phase.w_cycle[widx], proc, phase.w_chan[widx], dst], axis=1
+            ),
+            np.stack([m_proc, src[m_proc, m_dst], m_dst], axis=1),
+            phase.kind,
+        )
+        plan._compiled = phase
+        return plan
+
     # ------------------------------------------------------------------
     def compile(self) -> CompiledPhase:
         """Validate the plan and lower it to its write events and gather

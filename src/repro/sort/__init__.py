@@ -12,7 +12,6 @@ from .rebalance import even_targets, rebalance
 from .uneven import sort_uneven
 from .vector import (
     BatchSortResult,
-    compiled_columnsort_phases,
     prewarm_plan_cache,
     sort_even_pk_batch,
 )
@@ -24,7 +23,7 @@ from .backends import (
     predicted_cost,
     static_plan_stats,
 )
-from .cnet_sort import compiled_cnet_phases, sort_cnet
+from .cnet_sort import cnet_plans, sort_cnet
 from .virtual import sort_virtual
 
 __all__ = [
@@ -36,9 +35,8 @@ __all__ = [
     "backend_unavailable_reason",
     "choose_backend",
     "choose_strategy",
+    "cnet_plans",
     "columnsort_program",
-    "compiled_cnet_phases",
-    "compiled_columnsort_phases",
     "crossover_table",
     "is_dummy",
     "mcb_merge",

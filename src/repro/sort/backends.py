@@ -134,9 +134,9 @@ def static_plan_stats(
     if backend_unavailable_reason(backend, k, k, m) is not None:
         return None
     from ..mcb.vector import static_message_bits
-    from .cnet_sort import compiled_cnet_phases
+    from .cnet_sort import cnet_plans
 
-    compiled = compiled_cnet_phases(backend, m, k)
+    compiled = [plan.compile() for plan in cnet_plans(backend, m, k)]
     cw = np.zeros(k + 1, dtype=np.int64)
     cycles = 0
     messages = 0

@@ -31,23 +31,24 @@ same values, so outputs *and* ``RunStats.to_dict()`` agree bit for bit
 between the two drivers and the reference interpreter
 (``tests/test_cnet_backends.py``, ``tests/test_differential.py``).
 
-Compiled round plans live in the shared
-:class:`~repro.mcb.vector.cache.PlanRegistry`: columnsort under its
-variant-keyed stem, other networks under ``cnet_<name>_m<m>_k<k>``, so
-every backend gets the same memory/disk caching, prewarming and
-``vector_plan_cache_total`` accounting (labelled ``backend=<name>``).
+Round plans come from :func:`cnet_plans`, the one front door to the
+shared :class:`~repro.mcb.vector.cache.PlanRegistry`: columnsort under
+its variant-keyed stem, other networks under
+``cnet_<name>_m<m>_k<k>``, so every backend gets the same memory/disk
+caching, prewarming and ``vector_plan_cache_total`` accounting
+(labelled ``backend=<name>``), and both drivers run the same plan
+objects.  A sort fetches its plans once, not once per line.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
 from ..columnsort.matrix import require_valid_dims
 from ..mcb.cnet import (
     CompareRound,
-    ComparatorNetwork,
     PermuteRound,
     SortRound,
     build_network,
@@ -56,11 +57,14 @@ from ..mcb.cnet import (
 from ..mcb.errors import ConfigurationError
 from ..mcb.network import MCBNetwork
 from ..mcb.program import RunPlan
-from ..mcb.vector import CompiledPhase, VectorRun, build_state
-from ..mcb.vector.cache import cnet_plan_stem, plan_registry
+from ..mcb.vector import SchedulePlan, VectorRun, build_state
+from ..mcb.vector.cache import (
+    cnet_plan_stem,
+    columnsort_plan_stem,
+    plan_registry,
+)
 from ..mcb.vector.lower import lower_columnsort_phases
 from .common import SortResult
-from .vector import compiled_columnsort_phases
 
 
 def _variant(
@@ -110,79 +114,64 @@ def _phase_label(backend: str, phase: str) -> str:
     return phase if backend == "columnsort" else f"{phase}/cnet-{backend}"
 
 
-def compiled_cnet_phases(
+def cnet_plans(
     name: str,
     m: int,
     k: int,
     paper_phase2: bool = False,
     wrap_skip: bool = False,
-) -> tuple[CompiledPhase, ...]:
-    """Compiled plans for the named network's communication rounds.
+) -> tuple[SchedulePlan, ...]:
+    """The round plans of the named network at ``m x k``, in round
+    order, compiled, from the shared
+    :class:`~repro.mcb.vector.cache.PlanRegistry` (``backend=<name>``):
+    both engines run the same objects.  Only columnsort takes
+    ``paper_phase2``/``wrap_skip``.
 
-    One entry per compare/permute round, in round order.  The
-    ``"columnsort"`` network's entries are the columnsort phase entries
-    of the variant (same plans, same disk files, same
-    ``backend="columnsort"`` label); other networks cache under their
-    own network-keyed stem.
+    On a true miss each plan is checked once: ``compile()`` enforces
+    collision-freedom, matched reads and unique destinations, and a
+    permute plan's reads plus moves must refill rows ``0..m-1`` of every
+    column — except column 1's wrap-skip ghost rows after phase 6, which
+    phase 8 refills.
     """
+    paper_phase2, wrap_skip = _variant(name, k, paper_phase2, wrap_skip)
+    cnet_steps(name, k)  # refuses an unknown network before any lookup
+
+    def build() -> tuple[SchedulePlan, ...]:
+        network = build_network(name, k)
+        if name == "columnsort":
+            plans = lower_columnsort_phases(m, k, paper_phase2, wrap_skip)
+        else:
+            plans = cnet_to_schedule(network, k, k, m)
+        comm = [r for r in network.rounds if not isinstance(r, SortRound)]
+        for rnd, plan in zip(comm, plans):
+            if not isinstance(rnd, PermuteRound):
+                continue
+            # The raw events: a move onto its own slot leaves no trace
+            # in the compiled gather, but it does refill its row.
+            reads = np.asarray(plan.reads, dtype=np.int64).reshape(-1, 4)
+            moves = np.asarray(plan.moves, dtype=np.int64).reshape(-1, 3)
+            filled = np.zeros((k, plan.slots), dtype=bool)
+            filled[reads[:, 1], reads[:, 3]] = True
+            filled[moves[:, 0], moves[:, 2]] = True
+            want = np.ones((k, m), dtype=bool)
+            if wrap_skip and rnd.phase == 6:
+                want[0, : m // 2] = False
+            assert (filled[:, :m] == want).all(), (
+                f"phase {rnd.phase} leaves a hole"
+            )
+        return plans
+
     if name == "columnsort":
-        return compiled_columnsort_phases(m, k, paper_phase2, wrap_skip)
-
-    def build() -> tuple[CompiledPhase, ...]:
-        return tuple(
-            plan.compile()
-            for plan in cnet_to_schedule(build_network(name, k), k, k, m)
-        )
-
-    return plan_registry().lookup(
-        cnet_plan_stem(name, m, k), backend=name, build=build
-    )
-
-
-@lru_cache(maxsize=64)
-def _generator_plans(
-    name: str, m: int, k: int, paper_phase2: bool, wrap_skip: bool
-) -> tuple[tuple, tuple[tuple, ...]]:
-    """The round plans and :func:`cnet_steps` the generator engines run.
-
-    Both are pure functions of the configuration, so they are cached:
-    repeated small sorts skip the lowering (and the plans keep their
-    program event maps), and every processor of a sort shares them.  Each
-    plan is checked once, statically: :meth:`SchedulePlan.compile`
-    enforces collision-freedom, matched reads and unique destinations,
-    and a permute plan's reads plus moves must refill rows ``0..m-1``
-    of every column — except column 1's wrap-skip ghost rows after
-    phase 6, whose elements stay parked at column ``k`` until phase 8
-    refills them.
-    """
-    network = build_network(name, k)
-    if name == "columnsort":
-        plans = lower_columnsort_phases(m, k, paper_phase2, wrap_skip)
+        stem = columnsort_plan_stem(m, k, paper_phase2, wrap_skip)
     else:
-        plans = cnet_to_schedule(network, k, k, m)
-    comm = [rnd for rnd in network.rounds if not isinstance(rnd, SortRound)]
-    for rnd, plan in zip(comm, plans):
-        plan.compile()
-        if not isinstance(rnd, PermuteRound):
-            continue
-        # The raw events: a move onto its own slot leaves no trace in
-        # the compiled gather, but it does refill its row.
-        reads = np.asarray(plan.reads, dtype=np.int64).reshape(-1, 4)
-        moves = np.asarray(plan.moves, dtype=np.int64).reshape(-1, 3)
-        filled = np.zeros((k, plan.slots), dtype=bool)
-        filled[reads[:, 1], reads[:, 3]] = True
-        filled[moves[:, 0], moves[:, 2]] = True
-        want = np.ones((k, m), dtype=bool)
-        if wrap_skip and rnd.phase == 6:
-            want[0, : m // 2] = False
-        assert (filled[:, :m] == want).all(), (
-            f"phase {rnd.phase} leaves a hole"
-        )
-    return plans, cnet_steps(network)
+        stem = cnet_plan_stem(name, m, k)
+    return plan_registry().lookup(stem, backend=name, build=build)
 
 
-def cnet_steps(network: ComparatorNetwork) -> tuple[tuple, ...]:
-    """The driver's step list: one entry per plan execution/local op.
+@cache
+def cnet_steps(name: str, k: int) -> tuple[tuple, ...]:
+    """The driver's step list for the named network at width ``k``: one
+    entry per plan execution/local op.
 
     ``("plan", i)`` executes the ``i``-th communication plan;
     ``("merge", his, los)`` applies the merge-split combine to that
@@ -190,7 +179,7 @@ def cnet_steps(network: ComparatorNetwork) -> tuple[tuple, ...]:
     """
     steps: list[tuple] = []
     comm = 0
-    for rnd in network.rounds:
+    for rnd in build_network(name, k).rounds:
         if isinstance(rnd, CompareRound):
             steps.append(("plan", comm))
             comm += 1
@@ -213,15 +202,15 @@ def cnet_program(
     column: list,
     m: int,
     k: int,
-    variant: tuple[bool, bool],
+    plans: tuple[SchedulePlan, ...],
 ):
     """Sub-generator running the named network for one processor line.
 
     ``line`` is 0-based; ``column`` is the line's initial column
     (length ``m``).  Returns the final sorted column (a descending
     list).  All ``k`` lines must run this concurrently, line ``i``
-    writing channel ``i + 1``; ``variant`` is :func:`_variant`'s
-    normalized ``(paper_phase2, wrap_skip)``.
+    writing channel ``i + 1``, on the same ``plans``: the network's
+    :func:`cnet_plans`, fetched once for all of them.
 
     Each round plan runs as one :class:`~repro.mcb.program.RunPlan`
     op: the fast engine runs a plan that all ``k`` lines enter together
@@ -232,11 +221,10 @@ def cnet_program(
     """
     if m == 0:
         return []  # every round is zero cycles long
-    plans, steps = _generator_plans(name, m, k, *variant)
     slots = max((plan.slots for plan in plans), default=m)
     row = list(column)
     row += row[: slots - m]  # extra slots; every plan writes them first
-    for step in steps:
+    for step in cnet_steps(name, k):
         if step[0] == "plan":
             row = yield RunPlan(plans[step[1]], line, row)
         elif step[0] == "sort":
@@ -294,11 +282,11 @@ def _merge_split(
 def _cnet_pipeline(
     run: VectorRun,
     state: np.ndarray,
-    network: ComparatorNetwork,
+    name: str,
     m: int,
     variant: tuple[bool, bool],
 ) -> np.ndarray:
-    """Execute every round of ``network`` on the vector engine.
+    """Execute every round of the named network on the vector engine.
 
     ``state`` holds each line's column in slots ``0..m-1`` (axis 1,
     batched or not); it is padded to the compiled plans' slot count
@@ -313,14 +301,14 @@ def _cnet_pipeline(
     """
     if m == 0:
         return state  # every round is zero cycles long
-    compiled = compiled_cnet_phases(network.name, m, network.width, *variant)
+    compiled = [plan.compile() for plan in cnet_plans(name, m, run.k, *variant)]
     extra = max((ph.slots for ph in compiled), default=m) - m
     if extra:
         state = np.concatenate([state, state[:, :extra]], axis=1)
     descending = state.dtype == object or run._dispatch is not None
     if not descending:
         np.negative(state, out=state)
-    for step in cnet_steps(network):
+    for step in cnet_steps(name, run.k):
         if step[0] == "plan":
             state = run.execute(compiled[step[1]], state)
         elif step[0] == "sort":
@@ -351,7 +339,7 @@ def sort_cnet(
     ``paper_phase2``/``wrap_skip``.
     """
     variant = _variant(backend, net.k, paper_phase2, wrap_skip)
-    network = build_network(backend, net.k)
+    cnet_steps(backend, net.k)  # refuses an unknown network
     if engine not in ("generator", "vector"):
         raise ConfigurationError(
             f"unknown engine {engine!r}; expected 'generator' or 'vector'"
@@ -360,7 +348,7 @@ def sort_cnet(
     if net.p != k:
         raise ConfigurationError(
             "comparator-network sorts run on p == k == width; got "
-            f"p={net.p}, k={k}, width={network.width}"
+            f"p={net.p}, k={k}, width={k}"
         )
     m = _column_length(k, columns, backend)
     label = _phase_label(backend, phase)
@@ -370,17 +358,19 @@ def sort_cnet(
             net.p, k, phase=label, stats=net.stats, dispatch=net._dispatch
         )
         state = build_state([list(columns[pid]) for pid in pids])
-        state = _cnet_pipeline(run, state, network, m, variant)
+        state = _cnet_pipeline(run, state, backend, m, variant)
         run.finish()
         rows = state[:, :m].tolist()
         return SortResult(
             output={pid: tuple(rows[pid - 1]) for pid in pids}
         )
 
+    plans = cnet_plans(backend, m, k, *variant) if m else ()
+
     def make(pid: int):
         def program(ctx):
             return (yield from cnet_program(
-                backend, pid - 1, columns[pid], m, k, variant
+                backend, pid - 1, columns[pid], m, k, plans
             ))
 
         return program

@@ -29,7 +29,7 @@ Implementation notes:
 from __future__ import annotations
 
 from ..mcb.network import MCBNetwork
-from .cnet_sort import _variant, cnet_program, sort_cnet
+from .cnet_sort import cnet_plans, cnet_program, sort_cnet
 from .common import SortResult
 
 
@@ -59,10 +59,8 @@ def columnsort_program(
     :class:`~repro.mcb.program.RunPlan` op, and the local sorts between
     them only touch rows ``0..m-1``.
     """
-    return (yield from cnet_program(
-        "columnsort", col_idx, column, m, k,
-        _variant("columnsort", k, paper_phase2, wrap_skip),
-    ))
+    plans = cnet_plans("columnsort", m, k, paper_phase2, wrap_skip) if m else ()
+    return (yield from cnet_program("columnsort", col_idx, column, m, k, plans))
 
 
 def sort_even_pk(

@@ -45,7 +45,7 @@ from ..mcb.errors import ProtocolError
 from ..mcb.message import Message, pack_elem, plain_fields
 from ..mcb.network import MCBNetwork
 from ..mcb.program import Collective, CollectiveOp, ProcContext
-from .cnet_sort import _generator_plans
+from .cnet_sort import cnet_plans, cnet_steps
 from .common import SortResult, dummy_like
 from .uneven import group_plans, group_program, stage3_row
 
@@ -200,7 +200,8 @@ class _PairTable:
             for pid in range(1, p + 1)
         ])
         self.cols = [i for rep in reps for i in rows[rep - 1]]
-        plans, steps = _generator_plans("columnsort", m, len(reps), False, False)
+        plans = cnet_plans("columnsort", m, len(reps))
+        steps = cnet_steps("columnsort", len(reps))
         lines = [list(range(j * m, (j + 1) * m)) for j in range(len(reps))]
         self.steps = []
         for step in steps:

@@ -37,13 +37,13 @@ measures.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Any, Literal, Sequence
 
 from ..columnsort.matrix import require_valid_dims
 from ..core.element import has_duplicates
 from ..mcb.network import MCBNetwork
 from ..mcb.program import ProcContext, RunPlan
+from ..mcb.vector.cache import plan_registry
 from ..mcb.vector.lower import lower_virtual_phase
 from ..mcb.vector.plan import SchedulePlan
 from .common import neg_elem
@@ -54,29 +54,34 @@ from .rank_sort import rank_sort_group
 Sorter = Literal["rank", "merge"]
 
 
-@lru_cache(maxsize=64)
 def virtual_plans(
     m: int, k: int, g: int, blocks: int = 1, segments: int = 1
 ) -> tuple[SchedulePlan, ...]:
     """The :func:`~repro.mcb.vector.lower.lower_virtual_phase` plans of
-    transformation phases 2, 4, 6 and 8, cached: §6.1's with one
-    channel per column, §6.2's segment transformations with
-    ``segments`` channels per column.
+    transformation phases 2, 4, 6 and 8 — §6.1's with one channel per
+    column, §6.2's segment transformations with ``segments`` channels
+    per column — from the shared
+    :class:`~repro.mcb.vector.cache.PlanRegistry` (``backend="virtual"``).
 
-    Each plan is checked once, statically: it compiles (collision-free,
-    matched reads, unique destinations), and each processor's reads
-    refill exactly the slots it writes.
+    On a true miss each plan is checked once: it compiles, and each
+    processor's reads refill exactly the slots it writes.
     """
-    plans = tuple(
-        lower_virtual_phase(phase, m, k, g, blocks, segments)
-        for phase in (2, 4, 6, 8)
+
+    def build() -> tuple[SchedulePlan, ...]:
+        plans = tuple(
+            lower_virtual_phase(phase, m, k, g, blocks, segments)
+            for phase in (2, 4, 6, 8)
+        )
+        for phase, plan in zip((2, 4, 6, 8), plans):
+            sent = plan.writes[:, [1, 3]].tolist()
+            got = plan.reads[:, [1, 3]].tolist()
+            assert sorted(sent) == sorted(got), f"phase {phase} leaves a hole"
+        return plans
+
+    return plan_registry().lookup(
+        f"virtual_m{m}_k{k}_g{g}_b{blocks}_s{segments}",
+        backend="virtual", build=build,
     )
-    for phase, plan in zip((2, 4, 6, 8), plans):
-        plan.compile()
-        sent = plan.writes[:, [1, 3]].tolist()
-        got = plan.reads[:, [1, 3]].tolist()
-        assert sorted(sent) == sorted(got), f"phase {phase} leaves a hole"
-    return plans
 
 
 def virtual_columnsort(

@@ -44,7 +44,13 @@ from repro.mcb.cnet import (
 )
 from repro.mcb.errors import ConfigurationError
 from repro.mcb.network import MCBNetwork
-from repro.mcb.vector import VectorRun, build_state, fuse_phases
+from repro.mcb.vector import (
+    VectorRun,
+    build_state,
+    columnsort_plan_stem,
+    fuse_phases,
+    plan_registry,
+)
 from repro.obs.metrics import global_registry
 from repro.sort import mcb_sort, sort_even_pk, sort_even_pk_batch
 from repro.sort.backends import (
@@ -55,7 +61,7 @@ from repro.sort.backends import (
     predicted_cost,
     static_plan_stats,
 )
-from repro.sort.cnet_sort import compiled_cnet_phases, sort_cnet
+from repro.sort.cnet_sort import cnet_plans, sort_cnet
 from repro.sort.vector import prewarm_plan_cache
 
 
@@ -261,7 +267,7 @@ def test_cnet_plan_runs_fused():
     results — cnet plans are ordinary compiled phases."""
     network = build_network("batcher", 4)
     m = 2
-    compiled = compiled_cnet_phases("batcher", m, 4)
+    compiled = [plan.compile() for plan in cnet_plans("batcher", m, 4)]
     rows = [[9, 1, 0, 0], [7, 3, 0, 0], [8, 2, 0, 0], [6, 4, 0, 0]]
 
     plain_run = VectorRun(4, 4, phase="plain")
@@ -428,21 +434,19 @@ def test_plan_registry_backend_labels(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_PLAN_CACHE", str(tmp_path / "plans"))
     reg = global_registry()
     reg.reset()
-    from repro.sort.vector import compiled_columnsort_phases
-
-    compiled_columnsort_phases.cache_clear()  # clears every backend
-    compiled_cnet_phases("batcher", 12, 4)
+    plan_registry().clear()  # clears every backend
+    cnet_plans("batcher", 12, 4)
     plans = reg.counter("vector_plan_cache_total")
     assert plans.get(result="miss", backend="batcher") == 1
-    compiled_cnet_phases("batcher", 12, 4)
+    cnet_plans("batcher", 12, 4)
     assert plans.get(result="hit", backend="batcher") == 1
-    # One eviction surface: clearing through the columnsort alias
-    # evicts the batcher entry too, which then disk-hits.
-    compiled_columnsort_phases.cache_clear()
-    compiled_cnet_phases("batcher", 12, 4)
+    # One eviction surface: clearing the registry evicts the batcher
+    # entry too, which then disk-hits.
+    plan_registry().clear()
+    cnet_plans("batcher", 12, 4)
     assert plans.get(result="disk_hit", backend="batcher") == 1
     # Different backends never alias: columnsort at the same shape misses.
-    compiled_cnet_phases("columnsort", 12, 4)
+    cnet_plans("columnsort", 12, 4)
     assert plans.get(result="miss", backend="columnsort") == 1
 
 
@@ -450,16 +454,26 @@ def test_prewarm_accepts_backend_configs(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_PLAN_CACHE", str(tmp_path / "plans"))
     reg = global_registry()
     reg.reset()
-    from repro.sort.vector import compiled_columnsort_phases
-
-    compiled_columnsort_phases.cache_clear()
+    plan_registry().clear()
     warmed = prewarm_plan_cache([
         (12, 4), ("batcher", 12, 4), ("columnsort", 8, 2),
     ])
     assert warmed == 3
     plans = reg.counter("vector_plan_cache_total")
-    compiled_cnet_phases("batcher", 12, 4)
+    cnet_plans("batcher", 12, 4)
     assert plans.get(result="hit", backend="batcher") == 1
+
+
+def test_prewarm_warms_the_variant_it_names(tmp_path, monkeypatch):
+    # The backend-first form carries the columnsort variant fields too,
+    # and refuses them on any other backend, as a sort would.
+    monkeypatch.setenv("REPRO_PLAN_CACHE", str(tmp_path / "plans"))
+    plan_registry().clear()
+    assert prewarm_plan_cache([("columnsort", 12, 4, True, True)]) == 1
+    assert columnsort_plan_stem(12, 4, True, True) in plan_registry()
+    assert columnsort_plan_stem(12, 4, False, False) not in plan_registry()
+    with pytest.raises(ConfigurationError, match="columnsort schedule"):
+        prewarm_plan_cache([("batcher", 12, 4, True)])
 
 
 def test_parse_prewarm_backend_grammar():
@@ -482,12 +496,10 @@ def test_zero_round_network_compiles_to_empty_tuple(tmp_path, monkeypatch):
     """batcher at k=1 has no communication rounds: the compiled tuple is
     empty, survives the disk cache, and the sort still works."""
     monkeypatch.setenv("REPRO_PLAN_CACHE", str(tmp_path / "plans"))
-    from repro.sort.vector import compiled_columnsort_phases
-
-    compiled_columnsort_phases.cache_clear()
-    assert compiled_cnet_phases("batcher", 3, 1) == ()
-    compiled_columnsort_phases.cache_clear()
-    assert compiled_cnet_phases("batcher", 3, 1) == ()  # disk round-trip
+    plan_registry().clear()
+    assert cnet_plans("batcher", 3, 1) == ()
+    plan_registry().clear()
+    assert cnet_plans("batcher", 3, 1) == ()  # disk round-trip
     cols = {1: [2, 9, 4]}
     for engine in ("generator", "vector"):
         net = MCBNetwork(p=1, k=1)

@@ -18,13 +18,14 @@ columnsort variants (``paper_phase2`` x ``wrap_skip``, k up to 8) on
 the same three paths, and a third checks every lane of a
 ``sort_even_pk_batch`` run, either backend, against its solo run on the
 generator engine; both draw integer or float columns, and both run
-their vector leg a second time on compiled plans reloaded from a fresh
-disk cache (``run_reloaded``).  Another
+their vector leg a second time on plans reloaded from a fresh disk
+cache (``run_reloaded``), the variants' generator legs (fast
+unobserved, reference observed) too.  Another
 property does the same for the §5.2 collect variant, the §6.1
 virtual-column sort (both sorters, several group sizes ``g = p/k``)
 and the §6.2 recursion (up to three levels), whose oblivious transfers
-are collective plans on the fast engine; the vector engine does not
-run them.  Another draws
+are collective plans on the fast engine, each generator leg also on
+reloaded plans; the vector engine does not run them.  Another draws
 single Rank-Sort stages — several groups, uneven ``counts``,
 ``out_counts`` with empty segments, either direction — and holds the
 fast engine unobserved (where they may run as one collective step) and
@@ -34,11 +35,16 @@ unobserved to the reference interpreter observed on the §7.1
 Partial-Sums and Total-Sum stages (``p`` up to 24, ``add`` and ``max``,
 with and without the successor stage), the §8 pair sort ``sort_ones``
 and weighted selection, whose sweeps and pair sorts run as collective
-steps on the fast engine.
+steps on the fast engine.  A final property runs even sort and select
+jobs (both engines, vector batch lanes) through the service's thread
+executor and holds each job's ``stats`` to a direct ``MCBNetwork``
+run of the same query.
 """
 
 from __future__ import annotations
 
+import asyncio
+import json
 import math
 import operator
 import os
@@ -48,14 +54,16 @@ import numpy as np
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from repro.core.distribution import Distribution
 from repro.mcb import MCBNetwork
 from repro.mcb.reference import ReferenceMCBNetwork
 from repro.mcb.vector.cache import plan_registry
-from repro.obs import EventLog
+from repro.obs import EventLog, MetricsRegistry
 from repro.obs.metrics import global_registry
 from repro.prefix import mcb_partial_sums, mcb_total_sum
 from repro.select import mcb_select
 from repro.select.weighted import mcb_select_weighted
+from repro.service import JobSpec, JobState, ServiceApp
 from repro.sort import (
     mcb_sort,
     rank_sort_group,
@@ -198,20 +206,22 @@ def even_pk_variants(draw):
     return k, draw_columns(draw, k, m), draw(st.booleans()), draw(st.booleans())
 
 
-def run_reloaded(run_vector):
-    """``run_vector()``'s answer on compiled plans reloaded from disk.
+def run_reloaded(run_query):
+    """``run_query()``'s answer on plans reloaded from disk.
 
-    Over a fresh ``REPRO_PLAN_CACHE``, a first call compiles its plans
+    Over a fresh ``REPRO_PLAN_CACHE``, a first call lowers its plans
     and writes them; after ``plan_registry().clear()`` a second call
-    must find every plan on disk (no lookup misses), and its answer is
-    returned.
+    must find every plan on disk (no lookup misses, virtual stems
+    included), and its answer is returned.  The vector engine runs the
+    loaded compiled phases, the generator engines step or gather the
+    plans :meth:`SchedulePlan.from_compiled` rebuilt from them.
     """
     counter = global_registry().counter("vector_plan_cache_total")
 
     def misses():
         return sum(
             counter.get(result="miss", backend=backend)
-            for backend in ("columnsort", "batcher")
+            for backend in ("columnsort", "batcher", "virtual")
         )
 
     saved = os.environ.get("REPRO_PLAN_CACHE")
@@ -219,10 +229,10 @@ def run_reloaded(run_vector):
         os.environ["REPRO_PLAN_CACHE"] = root
         try:
             plan_registry().clear()
-            run_vector()
+            run_query()
             plan_registry().clear()
             before = misses()
-            answer = run_vector()
+            answer = run_query()
             assert misses() == before
         finally:
             plan_registry().clear()
@@ -231,6 +241,13 @@ def run_reloaded(run_vector):
             else:
                 os.environ["REPRO_PLAN_CACHE"] = saved
     return answer
+
+
+def observed_reference(p: int, k: int) -> ReferenceMCBNetwork:
+    """The reference interpreter with an ``EventLog`` attached."""
+    net = ReferenceMCBNetwork(p, k)
+    net.attach_observer(EventLog())
+    return net
 
 
 def run_even_pk(net, query, engine="generator"):
@@ -252,14 +269,15 @@ def run_even_pk(net, query, engine="generator"):
 @example(query=(4, float_columns(4, 16, 11), True, False))
 def test_even_pk_variants_agree(query):
     k, columns, *_ = query
-    observed = ReferenceMCBNetwork(k, k)
-    observed.attach_observer(EventLog())
     fast = run_even_pk(MCBNetwork(k, k), query)
-    assert run_even_pk(observed, query) == fast
+    assert run_even_pk(observed_reference(k, k), query) == fast
     assert run_even_pk(MCBNetwork(k, k), query, engine="vector") == fast
-    assert run_reloaded(
-        lambda: run_even_pk(MCBNetwork(k, k), query, engine="vector")
-    ) == fast
+    for leg in (
+        lambda: run_even_pk(MCBNetwork(k, k), query),
+        lambda: run_even_pk(observed_reference(k, k), query),
+        lambda: run_even_pk(MCBNetwork(k, k), query, engine="vector"),
+    ):
+        assert run_reloaded(leg) == fast
     flat = sorted((v for col in columns.values() for v in col), reverse=True)
     assert [v for pid in range(1, k + 1) for v in fast[0][pid]] == flat
 
@@ -397,10 +415,12 @@ def _padded_collect():
 @example(query=_padded_collect())
 def test_virtual_and_recursive_engines_agree(query):
     _, p, k, *_ = query
-    observed = ReferenceMCBNetwork(p, k)
-    observed.attach_observer(EventLog())
     fast = run_columnsort(MCBNetwork(p, k), query)
-    assert run_columnsort(observed, query) == fast
+    assert run_columnsort(observed_reference(p, k), query) == fast
+    assert run_reloaded(lambda: run_columnsort(MCBNetwork(p, k), query)) == fast
+    assert run_reloaded(
+        lambda: run_columnsort(observed_reference(p, k), query)
+    ) == fast
 
 
 @st.composite
@@ -596,3 +616,67 @@ def test_weighted_selections_agree(query):
     assert run_weighted(MCBNetwork(p, k), parts, target) == run_weighted(
         observed, parts, target
     )
+
+
+# ---------------------------------------------------------------------------
+# The service
+# ---------------------------------------------------------------------------
+
+@st.composite
+def service_jobs(draw):
+    """One service job payload on an even distribution: a sort on
+    either engine (the vector engine on ``p == k``, with batch lanes
+    and either backend) or a median select on either engine."""
+    algorithm = draw(st.sampled_from(["sort", "select"]))
+    engine = draw(st.sampled_from(["generator", "vector"]))
+    backend, batch = "columnsort", 1
+    if algorithm == "sort" and engine == "vector":
+        backend = draw(st.sampled_from(["columnsort", "batcher"]))
+        p = k = draw(st.sampled_from([2, 4]))
+        if backend == "columnsort":
+            m = k * draw(st.integers(max(1, k - 1), k + 1))
+        else:
+            m = draw(st.integers(1, 6))
+        batch = draw(st.integers(1, 3))
+    else:
+        p = draw(st.sampled_from([4, 8]))
+        k = draw(st.sampled_from([1, 2, 4]))
+        m = draw(st.integers(1, 8))
+    return dict(
+        algorithm=algorithm, p=p, k=k, n=p * m,
+        seed=draw(st.integers(0, 999)), engine=engine, batch=batch,
+        backend=backend,
+    )
+
+
+def run_direct(job: dict) -> dict:
+    """The job's query run directly on an ``MCBNetwork``: its
+    ``RunStats.to_dict()`` in the service's JSON form."""
+    net = MCBNetwork(job["p"], job["k"])
+    dist = Distribution.even(job["n"], job["p"], seed=job["seed"])
+    if job["algorithm"] == "sort":
+        mcb_sort(net, dist, engine=job["engine"], backend=job["backend"])
+    else:
+        mcb_select(net, dist, (job["n"] + 1) // 2, engine=job["engine"])
+    return json.loads(json.dumps(net.stats.to_dict()))
+
+
+@settings(
+    max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(jobs=st.lists(service_jobs(), min_size=1, max_size=4))
+def test_service_jobs_match_direct_runs(jobs):
+    async def serve():
+        app = ServiceApp(executor="thread", workers=2, registry=MetricsRegistry())
+        await app.start()
+        submitted = [app.submit(JobSpec(**job)) for job in jobs]
+        await app.join()
+        await app.shutdown()
+        return submitted
+
+    for job, served in zip(jobs, asyncio.run(serve())):
+        assert served.state is JobState.DONE, served.error
+        lanes = served.result.get("lanes", [served.result])
+        assert len(lanes) == job["batch"]
+        for i, lane in enumerate(lanes):
+            assert lane["stats"] == run_direct({**job, "seed": job["seed"] + i})

@@ -2,11 +2,12 @@
 
 ``Emit(ch, messages, at)`` is *defined* as writing ``messages[i]`` at
 offset ``at[i]`` from the yield cycle, every gap one ``Sleep``, with one
-resume (``None``) in the cycle after the last write.  The fast engine
-replays that run without resuming the generator; observed runs, the
-reference interpreter and both §2 simulators step the same ops.  These
-tests spell the desugaring out by hand (:func:`hand_emit`, written
-independently of ``repro.mcb.program.desugar_emit``) and demand the same
+resume (``None``) in the cycle after the last write.  It has no
+one-step form: every engine — the fast one, observed runs, the
+reference interpreter and both §2 simulators — steps those ops, from
+``Emit.program``.  These tests spell the desugaring out by hand
+(:func:`hand_emit`, written independently of ``Emit.program``) and
+demand the same
 results, ``RunStats``, per-processor aux peaks and observed event
 streams as the ``Emit`` form on every engine — including mid-run
 collisions and oversized messages — and the same ``ProtocolError`` for

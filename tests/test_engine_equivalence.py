@@ -537,6 +537,9 @@ class TestProfilerEquivalence:
                 mcb_sort(net, d)
             return prof.report().to_dict()
 
+        # The reports carry this run's plan-cache lookups, so both
+        # engines start from the same cache state: the plans warm.
+        mcb_sort(MCBNetwork(p=8, k=4), d)
         report_fast, report_ref = run_both(8, 4, drive)
         assert report_fast == report_ref
 

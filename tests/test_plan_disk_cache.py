@@ -20,25 +20,30 @@ from repro.mcb.vector.cache import (
     _ARRAY_FIELDS,
     columnsort_plan_stem,
     load_compiled_phases,
+    plan_registry,
     plan_cache_dir,
     plan_entry_path,
     save_compiled_phases,
 )
 
 
-def _sample_phases():
+def _sample_plans():
     a = SchedulePlan(
         p=3, k=2, cycles=2, slots=3,
         writes=[(0, 0, 1, 0), (0, 1, 2, 1), (1, 2, 1, 2)],
         reads=[(0, 2, 1, 0), (1, 0, 1, 1)],
         moves=[(1, 0, 2)],
-    ).compile()
+    )
     b = SchedulePlan(
         p=3, k=2, cycles=1, slots=3,
         writes=[(0, 2, 2, 0)], reads=[(0, 1, 2, 0)],
         kind="tuple3",
-    ).compile()
+    )
     return (a, b)
+
+
+def _sample_phases():
+    return tuple(plan.compile() for plan in _sample_plans())
 
 
 def test_round_trip_is_exact(tmp_path):
@@ -110,6 +115,9 @@ def _rewrite(path, **changes):
         {"p1_out_idx": lambda a: a.ravel()},
         {"p1_out_idx": lambda a: a[:, :-1]},
         {"p1_meta": lambda a: a[:3]},
+        # in range, but a slot takes another processor's value: no
+        # local move does that
+        {"p1_out_idx": lambda a: a[::-1]},
     ],
 )
 def test_out_of_range_entry_loads_as_none(tmp_path, changes):
@@ -126,15 +134,15 @@ def test_damaged_disk_entry_is_recompiled(monkeypatch, tmp_path):
     from repro.mcb import MCBNetwork
     from repro.obs.metrics import global_registry
     from repro.sort import sort_even_pk
-    from repro.sort.vector import compiled_columnsort_phases
+    from repro.sort.cnet_sort import cnet_plans
 
     monkeypatch.setenv("REPRO_PLAN_CACHE", str(tmp_path))
     m, k = 12, 4
-    compiled_columnsort_phases.cache_clear()
-    compiled_columnsort_phases(m, k)  # compiles and writes the entry
+    plan_registry().clear()
+    cnet_plans("columnsort", m, k)  # compiles and writes the entry
     path = plan_entry_path(tmp_path, columnsort_plan_stem(m, k, False, False))
     _rewrite(path, p0_w_src=lambda a: a + 1000)
-    compiled_columnsort_phases.cache_clear()
+    plan_registry().clear()
     counter = global_registry().counter("vector_plan_cache_total")
     misses = counter.get(result="miss", backend="columnsort")
     values = np.random.default_rng(3).permutation(m * k).tolist()
@@ -142,7 +150,7 @@ def test_damaged_disk_entry_is_recompiled(monkeypatch, tmp_path):
     try:
         got = sort_even_pk(MCBNetwork(k, k), parts, engine="vector")
     finally:
-        compiled_columnsort_phases.cache_clear()
+        plan_registry().clear()
     want = sort_even_pk(MCBNetwork(k, k), parts)
     assert got.output == want.output
     assert counter.get(result="miss", backend="columnsort") == misses + 1
@@ -189,16 +197,118 @@ def test_unwritable_cache_root_still_returns_compiled_phases(
     blocker.write_text("")
     monkeypatch.setenv("REPRO_PLAN_CACHE", str(blocker / "plans"))
     registry = PlanRegistry()
-    phases = _sample_phases()
+    plans = _sample_plans()
     built = []
 
     def build():
         built.append(1)
-        return phases
+        return plans
 
     got = registry.lookup("unwritable", backend="test", build=build)
-    assert got == phases
+    assert got == plans
     assert registry.lookup("unwritable", backend="test", build=build) == got
     assert built == [1]
     assert "unwritable" in registry
     assert blocker.read_text() == ""
+
+
+def test_one_lowering_serves_both_engines(monkeypatch, tmp_path):
+    # A generator sort lowers and writes the shape once; a vector sort
+    # of the same shape then hits the same in-memory entry.
+    from repro.mcb import MCBNetwork
+    from repro.obs.metrics import global_registry
+    from repro.sort import sort_even_pk
+
+    monkeypatch.setenv("REPRO_PLAN_CACHE", str(tmp_path))
+    reg = global_registry()
+    reg.reset()
+    plan_registry().clear()
+    counter = reg.counter("vector_plan_cache_total")
+    m, k = 12, 4
+    values = np.random.default_rng(5).permutation(m * k).tolist()
+    parts = {pid: values[(pid - 1) * m: pid * m] for pid in range(1, k + 1)}
+    try:
+        gen = sort_even_pk(MCBNetwork(k, k), parts)
+        assert counter.get(result="miss", backend="columnsort") == 1
+        assert counter.get(result="hit", backend="columnsort") == 0
+        vec = sort_even_pk(MCBNetwork(k, k), parts, engine="vector")
+    finally:
+        plan_registry().clear()
+    assert vec.output == gen.output
+    assert counter.get(result="miss", backend="columnsort") == 1
+    assert counter.get(result="hit", backend="columnsort") == 1
+    assert counter.get(result="disk_hit", backend="columnsort") == 0
+    assert [path.name for path in tmp_path.iterdir()] == [
+        plan_entry_path(tmp_path, columnsort_plan_stem(m, k, False, False)).name
+    ]
+
+
+def test_registry_evicts_the_least_recently_used_entry(monkeypatch, tmp_path):
+    from repro.mcb.vector import cache
+    from repro.obs.metrics import global_registry
+
+    monkeypatch.setenv("REPRO_PLAN_CACHE", str(tmp_path))
+    registry = PlanRegistry()
+    registry.lookup("a", backend="test", build=_sample_plans)
+    size = registry.nbytes
+    assert size > 0
+    monkeypatch.setattr(cache, "PLAN_CACHE_BUDGET", 2 * size)
+    registry.lookup("b", backend="test", build=_sample_plans)
+    registry.lookup("a", backend="test", build=_sample_plans)  # a is newer
+    registry.lookup("c", backend="test", build=_sample_plans)
+    assert ("a" in registry, "b" in registry, "c" in registry) == (
+        True, False, True,
+    )
+    assert len(registry) == 2 and registry.nbytes == 2 * size
+    counter = global_registry().counter("vector_plan_cache_total")
+    disk_hits = counter.get(result="disk_hit", backend="test")
+    plans = registry.lookup("b", backend="test", build=_sample_plans)
+    assert counter.get(result="disk_hit", backend="test") == disk_hits + 1
+    assert "a" not in registry  # a was the least recently used now
+    for plan, want in zip(plans, _sample_phases()):
+        for name in _ARRAY_FIELDS:
+            assert np.array_equal(getattr(plan.compile(), name), getattr(want, name))
+    # An entry over the whole budget is still kept, alone.
+    monkeypatch.setattr(cache, "PLAN_CACHE_BUDGET", 1)
+    registry.lookup("d", backend="test", build=_sample_plans)
+    assert len(registry) == 1 and "d" in registry
+
+
+def test_concurrent_lookups_keep_the_byte_count(monkeypatch, tmp_path):
+    # Service threads share one registry: hits, misses and evictions
+    # racing must leave the byte count equal to the entries held.
+    import sys
+    import threading
+
+    from repro.mcb.vector import cache
+
+    monkeypatch.setenv("REPRO_PLAN_CACHE", "off")
+    registry = PlanRegistry()
+    registry.lookup("probe", backend="test", build=_sample_plans)
+    size = registry.nbytes
+    registry.clear()
+    monkeypatch.setattr(cache, "PLAN_CACHE_BUDGET", 3 * size)
+    errors = []
+
+    def worker(seed):
+        try:
+            for i in range(800):
+                stem = f"s{(seed * 7 + i) % 5}"
+                registry.lookup(stem, backend="test", build=_sample_plans)
+        except Exception as exc:  # reported below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(s,)) for s in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(registry) == 3
+    assert registry.nbytes == 3 * size

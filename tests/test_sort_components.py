@@ -142,9 +142,11 @@ class TestTransformationSubgenerators:
         assert net.stats.messages == plain - 2 * half
 
     def test_generator_plans_reject_a_hole(self, monkeypatch):
-        # The generator path's static check: every phase's reads and
-        # moves must refill each column's rows 0..m-1.
-        from repro.sort import cnet_sort
+        # The registry build's static check: every phase's reads and
+        # moves must refill each column's rows 0..m-1.  Both engines
+        # fetch the same plans, so a hole fails either one.
+        from repro.mcb.vector import plan_registry
+        from repro.sort import cnet_sort, sort_even_pk
 
         def holed(m, k, paper_phase2, wrap_skip):
             plans = lower_columnsort_phases(m, k, paper_phase2, wrap_skip)
@@ -153,12 +155,18 @@ class TestTransformationSubgenerators:
             return plans
 
         monkeypatch.setattr(cnet_sort, "lower_columnsort_phases", holed)
-        cnet_sort._generator_plans.cache_clear()
+        monkeypatch.setenv("REPRO_PLAN_CACHE", "off")
+        cols = {pid: list(range(pid, 36 + pid, 3)) for pid in range(1, 4)}
+        plan_registry().clear()
         try:
             with pytest.raises(AssertionError, match="phase 4"):
-                cnet_sort._generator_plans("columnsort", 12, 3, False, False)
+                cnet_sort.cnet_plans("columnsort", 12, 3)
+            for engine in ("generator", "vector"):
+                with pytest.raises(AssertionError, match="phase 4"):
+                    sort_even_pk(MCBNetwork(3, 3), cols, engine=engine)
+            assert len(plan_registry()) == 0
         finally:
-            cnet_sort._generator_plans.cache_clear()
+            plan_registry().clear()
 
     @pytest.mark.parametrize("phase", [2, 4, 6, 8])
     def test_virtual_phase_preserves_column_sets(self, phase, rng):

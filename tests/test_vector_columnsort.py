@@ -23,7 +23,8 @@ from repro.mcb.errors import ConfigurationError
 from repro.mcb.reference import ReferenceMCBNetwork
 from repro.obs import Observer, global_registry
 from repro.sort import mcb_sort, sort_even_pk, sort_even_pk_batch
-from repro.sort.vector import compiled_columnsort_phases
+from repro.mcb.vector import plan_registry
+from repro.sort.cnet_sort import cnet_plans
 
 K, M = 4, 16
 
@@ -199,15 +200,15 @@ def test_schedule_cache_counters_track_compilation_reuse(
     monkeypatch.setenv("REPRO_PLAN_CACHE", "off")
     reg = global_registry()
     reg.reset()
-    compiled_columnsort_phases.cache_clear()
-    compiled_columnsort_phases(M, K)
+    plan_registry().clear()
+    cnet_plans("columnsort", M, K)
     # counter() is create-or-fetch: the BvN counter only exists if this
     # session's schedule caches were cold when the phases compiled.
     bvn = reg.counter("columnsort_bvn_cache_total")
     misses = bvn.get(result="miss")
     hits = bvn.get(result="hit")
-    compiled_columnsort_phases.cache_clear()
-    compiled_columnsort_phases(M, K)
+    plan_registry().clear()
+    cnet_plans("columnsort", M, K)
     # Recompiling the same (m, k) hits the BvN cache (one lookup per
     # transformation phase) and recomputes nothing.
     assert bvn.get(result="miss") == misses
@@ -221,25 +222,25 @@ def test_plan_cache_counters_and_compile_seconds(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_PLAN_CACHE", str(tmp_path / "plans"))
     reg = global_registry()
     reg.reset()
-    compiled_columnsort_phases.cache_clear()
+    plan_registry().clear()
     plans = reg.counter("vector_plan_cache_total")
-    compiled_columnsort_phases(M, K)
+    cnet_plans("columnsort", M, K)
     assert plans.get(result="miss", backend="columnsort") == 1
     assert plans.get(result="hit", backend="columnsort") == 0
     seconds = reg.counter("vector_plan_compile_seconds")
     first_cost = seconds.get()
     assert first_cost > 0
-    compiled_columnsort_phases(M, K)
+    cnet_plans("columnsort", M, K)
     assert plans.get(result="hit", backend="columnsort") == 1
     assert seconds.get() == first_cost  # hits compile nothing
     # wrap_skip is a distinct plan identity, not a hit on the plain one.
-    compiled_columnsort_phases(M, K, wrap_skip=True)
+    cnet_plans("columnsort", M, K, wrap_skip=True)
     assert plans.get(result="miss", backend="columnsort") == 2
     # A fresh in-process cache (= a fresh process) loads the persisted
     # entry from disk instead of recompiling.
     total_cost = seconds.get()
-    compiled_columnsort_phases.cache_clear()
-    compiled_columnsort_phases(M, K)
+    plan_registry().clear()
+    cnet_plans("columnsort", M, K)
     assert plans.get(result="disk_hit", backend="columnsort") == 1
     assert plans.get(result="miss", backend="columnsort") == 2
     assert seconds.get() == total_cost  # disk hits compile nothing
@@ -251,11 +252,11 @@ def test_plan_cache_disabled_by_env(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_PLAN_CACHE", "off")
     reg = global_registry()
     reg.reset()
-    compiled_columnsort_phases.cache_clear()
+    plan_registry().clear()
     plans = reg.counter("vector_plan_cache_total")
-    compiled_columnsort_phases(M, K)
-    compiled_columnsort_phases.cache_clear()
-    compiled_columnsort_phases(M, K)
+    cnet_plans("columnsort", M, K)
+    plan_registry().clear()
+    cnet_plans("columnsort", M, K)
     assert plans.get(result="miss", backend="columnsort") == 2
     assert plans.get(result="disk_hit", backend="columnsort") == 0
 
@@ -266,16 +267,16 @@ def test_prewarm_plan_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_PLAN_CACHE", str(tmp_path / "plans"))
     reg = global_registry()
     reg.reset()
-    compiled_columnsort_phases.cache_clear()
+    plan_registry().clear()
     warmed = prewarm_plan_cache([(M, K), (M, K, False, True)])
     assert warmed == 2
     plans = reg.counter("vector_plan_cache_total")
     assert plans.get(result="miss", backend="columnsort") == 2
     # Warm cache: the next sort's plan lookup is a hit.
-    compiled_columnsort_phases(M, K)
+    cnet_plans("columnsort", M, K)
     assert plans.get(result="hit", backend="columnsort") == 1
     # Pre-warming persisted both entries: a fresh process disk-hits.
-    compiled_columnsort_phases.cache_clear()
+    plan_registry().clear()
     warmed = prewarm_plan_cache([(M, K), (M, K, False, True)])
     assert warmed == 2
     assert plans.get(result="disk_hit", backend="columnsort") == 2

@@ -35,6 +35,7 @@ from repro.mcb.vector import (
     build_state,
     message_bits,
 )
+from repro.obs import EventLog
 from repro.obs.metrics import global_registry
 
 
@@ -255,6 +256,37 @@ def test_fast_compile_matches_slow_path(plan):
     assert np.array_equal(
         fast.channel_write_counts(), slow.channel_write_counts()
     )
+
+
+def run_observed(plan: SchedulePlan, rows):
+    """The plan stepped on the reference interpreter with an
+    ``EventLog`` attached: rows, stats and the event stream."""
+    net = ReferenceMCBNetwork(p=plan.p, k=plan.k)
+    log = EventLog()
+    net.attach_observer(log)
+    out = net.run(plan.as_programs(rows), phase="plan")
+    return out, net.stats.to_dict(), log.events
+
+
+@given(plans(), st.data())
+def test_plan_rebuilt_from_its_compiled_phase_behaves_the_same(plan, data):
+    """``SchedulePlan.from_compiled`` (how a disk-loaded phase becomes a
+    plan again) recompiles to the same arrays and steps the same
+    rows, stats and events, though a move onto its own slot is gone."""
+    compiled = plan.compile()
+    rebuilt = SchedulePlan.from_compiled(compiled)
+    assert rebuilt.compile() is compiled
+    fresh = SchedulePlan(
+        p=rebuilt.p, k=rebuilt.k, cycles=rebuilt.cycles, slots=rebuilt.slots,
+        writes=rebuilt.writes, reads=rebuilt.reads, moves=rebuilt.moves,
+        kind=rebuilt.kind,
+    ).compile()
+    for name in _COMPILED_SCALARS:
+        assert getattr(fresh, name) == getattr(compiled, name), name
+    for name in _COMPILED_ARRAYS:
+        assert np.array_equal(getattr(fresh, name), getattr(compiled, name))
+    rows = draw_rows(data, plan)
+    assert run_observed(rebuilt, rows) == run_observed(plan, rows)
 
 
 @pytest.mark.parametrize("plan, fragment", INVALID_PLANS)

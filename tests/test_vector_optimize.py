@@ -235,10 +235,10 @@ def test_fused_rejects_observed_runs():
 
 def test_fused_columnsort_phases_match_sequential():
     """The real columnsort transformation pipeline, fused end to end."""
-    from repro.sort.vector import compiled_columnsort_phases
+    from repro.sort.cnet_sort import cnet_plans
 
     m, k = 16, 4
-    phases = compiled_columnsort_phases(m, k)
+    phases = [plan.compile() for plan in cnet_plans("columnsort", m, k)]
     rng = np.random.default_rng(9)
     rows = rng.integers(0, 1 << 20, size=(k, m)).tolist()
 
