@@ -58,7 +58,7 @@ def drive_filtering_rounds(store, d: int, p: int):
         ]
         med_star = sorted(meds)[len(meds) // 2]
         ge = store.ge_counts(med_star)
-        cnt = sum(ge.values())
+        cnt = sum(ge)
         if d <= cnt:
             store.purge(med_star, keep_gt=True)
         else:

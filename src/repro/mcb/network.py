@@ -69,19 +69,21 @@ cycle loop has no observer branch:
   counters charged in bulk, each program resumed once with its result
   when the step ends (a ``RunPlan`` is its compiled plan's gather run
   on the rows as object arrays; ``SortGroup`` one sort per group; ``Sweep``
-  one pass over the tree; ``SortOnes`` its plans' index maps; an
-  ``Emit`` has no such step).  Otherwise each slot steps the op's
+  one pass over the tree; ``SortOnes`` its plans' index maps; §8's
+  ``Announce`` its one writer's message; an ``Emit`` has no such
+  step).  Otherwise each slot steps the op's
   desugared program from this cycle on, on a per-slot stack of the
   programs it interrupted, so a stepped program may yield collective
   ops of its own; its first op is collected after the others', so the
   survivors are put back in slot order and a collision lists its
   writers in slot order, as the reference interpreter finds them.
   ``network_plan_runs_total{op, path}`` counts both outcomes;
-* a **one-op stage** (:meth:`MCBNetwork.run_ops`: every processor
-  yields one collective op and returns its result) skips the arena
-  when unobserved: it builds the contexts and ops, checks each op in
-  slot order and commits the class's ``collective`` step as the loop
-  would, or else runs the loop on the one-yield program.
+* a **one-op stage** (:meth:`MCBNetwork.run_stage`: every processor
+  yields one :class:`~repro.mcb.program.StageOp` of one class and
+  returns its result) skips the arena when unobserved: it checks
+  ``P_1``'s op and commits the class's table function ``stage`` over
+  the stage's values as the loop commits a collective step, or else
+  runs the loop on the one-yield program.
 
 On a collision the engine records the aborted phase's partial
 :class:`~repro.mcb.trace.PhaseStats` (costs of all completed cycles,
@@ -92,18 +94,20 @@ lower-bound experiments keep their cost data.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from ..obs.metrics import global_registry
 from .errors import CollisionError, ProtocolError
 from .message import EMPTY, Message
 from .program import (
+    Collective,
     CollectiveOp,
     CycleOp,
     Listen,
     ProcContext,
     ProgramFn,
     Sleep,
+    StageOp,
 )
 from .reference import MAX_CYCLES, ReferenceMCBNetwork
 from .trace import PhaseStats
@@ -124,9 +128,24 @@ def _collective_runs(op: str, path: str, n: int) -> None:
     global_registry().counter(
         "network_plan_runs_total",
         "Collective ops the fast engine's unobserved loop ran, by op "
-        "(run_plan, rank_sort, sweep, sort_ones or emit) and path "
-        "(collective or stepped)",
+        "(run_plan, rank_sort, sweep, sort_ones, announce or emit) and "
+        "path (collective or stepped)",
     ).inc(n, op=op, path=path)
+
+
+def _charge(
+    ph: PhaseStats, cw_counts: list, done: Collective, label: str, n: int
+) -> None:
+    """Charge ``done``, a collective step of ``n`` ops labelled
+    ``label``, to ``ph``: its messages (counted per channel in
+    ``cw_counts``), bits and fast-forwarded cycles, and its run on
+    ``network_plan_runs_total``.  Its cycles elapse at the caller."""
+    for ch, c in done.channel_writes:
+        cw_counts[ch] += c
+        ph.messages += c
+    ph.bits += done.bits
+    ph.fast_forward_cycles += done.fast_forward_cycles
+    _collective_runs(label, "collective", n)
 
 
 class MCBNetwork(ReferenceMCBNetwork):
@@ -165,55 +184,43 @@ class MCBNetwork(ReferenceMCBNetwork):
     accepts_ext_op = False
 
     # ------------------------------------------------------------------
-    def run_ops(
+    def run_stage(
         self,
-        make_op: Callable[[ProcContext], CollectiveOp],
+        cls: type[StageOp],
+        values: Sequence[Any],
+        shared: Any,
         *,
         phase: str = "phase",
-    ) -> dict[int, Any]:
-        """:meth:`ReferenceMCBNetwork.run_ops` without generators.
+    ) -> list:
+        """:meth:`ReferenceMCBNetwork.run_stage` from ``values`` alone.
 
-        An unobserved stage builds each processor's context and op in
-        slot order, checking each op as :meth:`run` would when it is
-        yielded, and hands the ops to their class's ``collective``.  Its
-        :class:`~repro.mcb.program.Collective` is committed as
-        :meth:`run` commits a collective step.  An observed stage, an op
-        that is not a collective op, ops of mixed classes or a declined
-        step run the definition instead.
+        An unobserved stage checks ``P_1``'s op (the ops share
+        ``shared``, which is all a check reads) and commits the
+        :class:`~repro.mcb.program.Collective` of ``cls.stage`` as
+        :meth:`run` commits a collective step, each processor's aux
+        peak from its ``aux_peaks``.  An observed stage or a declined
+        table runs the definition instead.
         """
-        if self._dispatch is not None:
-            return super().run_ops(make_op, phase=phase)
         p, k = self.p, self.k
-        contexts: list[ProcContext] = []
-        ops: list[Any] = []
-        for pid in range(1, p + 1):
-            ctx = ProcContext(pid, p, k)
-            op = make_op(ctx)
-            if not isinstance(op, CollectiveOp):
-                return super().run_ops(make_op, phase=phase)
-            op.check(pid, k)
-            contexts.append(ctx)
-            ops.append(op)
-        cls = ops[0].__class__
-        done = None
-        if all(op.__class__ is cls for op in ops):
-            done = cls.collective(ops, MAX_CYCLES, self.max_message_fields)
-        if done is None:
-            return super().run_ops(make_op, phase=phase)
-        cw_counts = [0] * (k + 1)
-        for ch, n in done.channel_writes:
-            cw_counts[ch] += n
-        ph = PhaseStats(name=phase, k=k)
-        ph.cycles = done.cycles
-        ph.messages = sum(cw_counts)
-        ph.bits = done.bits
-        ph.channel_writes = {ch: n for ch, n in enumerate(cw_counts) if n}
-        ph.fast_forward_cycles = done.fast_forward_cycles
-        for ctx in contexts:
-            ph.aux_peak[ctx.pid] = ctx._aux_peak
-        _collective_runs(cls.label, "collective", p)
-        self.stats.add(ph)
-        return {ctx.pid: value for ctx, value in zip(contexts, done.results)}
+        if self._dispatch is None and len(values) == p:
+            cls(ProcContext(1, p, k), values[0], shared).check(1, k)
+            done = cls.stage(
+                values, shared, MAX_CYCLES, self.max_message_fields
+            )
+            if done is not None:
+                ph = PhaseStats(name=phase, k=k)
+                cw_counts = [0] * (k + 1)
+                _charge(ph, cw_counts, done, cls.label, p)
+                ph.cycles = done.cycles
+                ph.channel_writes = {
+                    ch: n for ch, n in enumerate(cw_counts) if n
+                }
+                ph.aux_peak = dict(
+                    zip(range(1, p + 1), done.aux_peaks or [0] * p)
+                )
+                self.stats.add(ph)
+                return done.results
+        return super().run_stage(cls, values, shared, phase=phase)
 
     def run(
         self,
@@ -309,8 +316,8 @@ class MCBNetwork(ReferenceMCBNetwork):
         )
 
         def _commit_counters() -> None:
-            ph.messages = messages
-            ph.bits = bits_acc
+            ph.messages += messages
+            ph.bits += bits_acc
             ph.channel_writes = {
                 ch: n for ch, n in enumerate(cw_counts) if n
             }
@@ -553,12 +560,7 @@ class MCBNetwork(ReferenceMCBNetwork):
                 for (slot, _), value in zip(coll_ops, done.results):
                     inbox[slot] = value
                     ready.append(slot)
-                for ch, n in done.channel_writes:
-                    cw_counts[ch] += n
-                    messages += n
-                bits_acc += done.bits
-                ph.fast_forward_cycles += done.fast_forward_cycles
-                _collective_runs(coll_cls.label, "collective", len(coll_ops))
+                _charge(ph, cw_counts, done, coll_cls.label, len(coll_ops))
                 cycle += done.cycles
                 continue
 

@@ -39,7 +39,10 @@ Per cycle a program yields either
   :class:`~repro.sort.rank_sort.SortGroup` one member's part of a
   single-channel group sort, :class:`~repro.prefix.mcb_partial_sums.Sweep`
   a §7.1 tree sweep, :class:`~repro.sort.ones.SortOnes` §8's pair
-  sort, and :class:`Emit` writes a run of
+  sort and :class:`~repro.select.filtering.Announce` §8's ``med*``
+  announce (the three :class:`StageOp` classes, whose whole stage the
+  fast engine runs from the processors' values), and :class:`Emit`
+  writes a run of
   messages on one channel at fixed offsets, resumed once after the
   last write (a fixed write schedule, like the writers of Rank-Sort
   or of the §8 termination gather).  ``Emit`` has no one-step form;
@@ -247,7 +250,8 @@ class Collective(NamedTuple):
     ``bits`` and the ``(channel, writes)`` pairs of ``channel_writes``
     are charged (one message per write), and ``cycles`` elapse, of
     which ``fast_forward_cycles`` are ones the stepped programs would
-    all sleep through.
+    all sleep through.  A step whose programs account aux memory
+    reports it in ``aux_peaks``.
     """
 
     results: list
@@ -255,6 +259,10 @@ class Collective(NamedTuple):
     channel_writes: list
     cycles: int
     fast_forward_cycles: int = 0
+    #: ``aux_peaks[i]``: the aux slots the processor of ``results[i]``
+    #: holds at the step's peak, above what it held before (``None``:
+    #: none anywhere)
+    aux_peaks: Optional[list] = None
 
 
 class CollectiveOp:
@@ -309,6 +317,59 @@ class CollectiveOp:
         order, and only once the step is certain.
         """
         return None
+
+
+class StageOp(CollectiveOp):
+    """``P_pid``'s part of a stage every processor enters with one op of
+    one class: ``cls(ctx, value, shared)``, where ``value`` is what
+    ``P_pid`` alone holds and ``shared`` is one object all the stage's
+    ops hold.
+
+    Its one-step form is the class's table function :meth:`stage`, a
+    function of the values in pid order and ``shared``: the fast
+    engine's :meth:`~repro.mcb.network.MCBNetwork.run_stage` runs a
+    whole unobserved stage through it without building an op, and
+    :meth:`collective` adapts it to ops yielded in a ``run``.  A
+    subclass's :meth:`~CollectiveOp.check` may read only ``shared``
+    (and the network's ``k``), so one processor's check stands for
+    every processor's.
+    """
+
+    __slots__ = ("ctx", "value", "shared")
+
+    def __init__(self, ctx: "ProcContext", value: Any, shared: Any):
+        self.ctx, self.value, self.shared = ctx, value, shared
+
+    @classmethod
+    def stage(
+        cls, values: list, shared: Any, span: int, max_fields: int
+    ) -> Optional[Collective]:
+        """What stepping the programs of ``P_1..P_p``'s ops over
+        ``values`` (``values[i]`` is ``P_{i+1}``'s) would give, or
+        ``None`` to step them.  As for :meth:`~CollectiveOp.collective`,
+        the step must end within ``span`` and every message pass the
+        write guard of ``max_fields`` fields; aux memory goes in
+        ``aux_peaks``, not on any context."""
+        return None
+
+    @classmethod
+    def collective(
+        cls, ops: list, span: int, max_fields: int
+    ) -> Optional[Collective]:
+        """:meth:`stage` on the ops' values, if ``ops`` are ``P_1..P_p``'s
+        in order, sharing one ``shared``; their contexts then take its
+        ``aux_peaks``."""
+        shared = ops[0].shared
+        for pid, op in enumerate(ops, 1):
+            if op.ctx.pid != pid or op.shared is not shared:
+                return None
+        done = cls.stage([op.value for op in ops], shared, span, max_fields)
+        if done is not None and done.aux_peaks is not None:
+            for op, slots in zip(ops, done.aux_peaks):
+                if slots:
+                    op.ctx.aux_acquire(slots)
+                    op.ctx.aux_release(slots)
+        return done
 
 
 def desugar_collective(pid: int, op: CollectiveOp, k: int) -> Generator:

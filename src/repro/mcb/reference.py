@@ -63,7 +63,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Literal, Optional, Sequence
+from typing import Any, Literal, Optional, Sequence
 
 from ..obs.events import (
     CollisionDetected,
@@ -90,6 +90,7 @@ from .program import (
     ProcContext,
     ProgramFn,
     Sleep,
+    StageOp,
     desugar_collective,
     listen_window,
 )
@@ -516,29 +517,34 @@ class ReferenceMCBNetwork(ObservableMixin):
             )
         return results
 
-    def run_ops(
+    def run_stage(
         self,
-        make_op: Callable[[ProcContext], CollectiveOp],
+        cls: type[StageOp],
+        values: Sequence[Any],
+        shared: Any,
         *,
         phase: str = "phase",
-    ) -> dict[int, Any]:
-        """A stage in which each processor ``P_1..P_p`` yields the one
-        :class:`~repro.mcb.program.CollectiveOp` that ``make_op(ctx)``
-        builds, and returns its result.
+    ) -> list:
+        """A stage in which each processor ``P_i`` yields the one
+        :class:`~repro.mcb.program.StageOp` ``cls(ctx, values[i - 1],
+        shared)`` and returns its result; the results in pid order.
 
         *Defined* as :meth:`run` of that one-yield program; the fast
-        engine may instead run the stage without generators (see
-        :meth:`MCBNetwork.run_ops <repro.mcb.network.MCBNetwork.run_ops>`).
-        ``make_op`` should only build the op: an engine may call it
-        again for a processor.
+        engine may instead run the stage from ``values`` alone (see
+        :meth:`MCBNetwork.run_stage
+        <repro.mcb.network.MCBNetwork.run_stage>`).
         """
+        p = self.p
+        if len(values) != p:
+            raise ValueError(
+                f"a stage takes one value per processor: {len(values)} "
+                f"for p={p}"
+            )
 
         def program(ctx: ProcContext):
-            return (yield make_op(ctx))
+            return (yield cls(ctx, values[ctx.pid - 1], shared))
 
-        return self.run(
-            {pid: program for pid in range(1, self.p + 1)}, phase=phase
-        )
+        return list(self.run([program] * p, phase=phase).values())
 
     # ------------------------------------------------------------------
     def _check_programs(

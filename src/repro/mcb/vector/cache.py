@@ -39,6 +39,7 @@ import tempfile
 import threading
 import time
 from collections import OrderedDict
+from functools import partial
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -170,23 +171,45 @@ class PlanRegistry:
 
     def _keep(self, stem: str, plans: tuple) -> tuple:
         """Hold ``plans`` under ``stem``, evicting least recently used
-        entries past the budget (never the entry just kept)."""
+        entries past the budget (never the entry just kept).  The step
+        tables a stepped engine later caches on a plan are charged to
+        the entry when they are built (:meth:`_grow`)."""
         size = 0
+        charge = partial(self._grow, stem)
         for plan in plans:
             phase = plan.compile()
             arrays = [plan.writes, plan.reads, plan.moves]
             arrays += [getattr(phase, name) for name in _ARRAY_FIELDS]
             size += sum(getattr(a, "nbytes", 0) for a in arrays)
+            plan._charge = charge
         with self._lock:
             self._bytes += size - self._mem.pop(stem, ((), 0))[1]
             self._mem[stem] = (plans, size)
-            while self._bytes > PLAN_CACHE_BUDGET and len(self._mem) > 1:
-                self._bytes -= self._mem.popitem(last=False)[1][1]
+            self._evict()
         return plans
+
+    def _grow(self, stem: str, plan: SchedulePlan, size: int) -> None:
+        """Charge ``size`` more bytes that ``plan`` caches to entry
+        ``stem``, if it still holds ``plan``, and evict past the
+        budget."""
+        with self._lock:
+            entry = self._mem.get(stem)
+            if entry is None or not any(p is plan for p in entry[0]):
+                return
+            self._mem[stem] = (entry[0], entry[1] + size)
+            self._bytes += size
+            self._evict()
+
+    def _evict(self) -> None:
+        """Drop least recently used entries while past the budget,
+        keeping at least one (call with the lock held)."""
+        while self._bytes > PLAN_CACHE_BUDGET and len(self._mem) > 1:
+            self._bytes -= self._mem.popitem(last=False)[1][1]
 
     @property
     def nbytes(self) -> int:
-        """Bytes of plan arrays held in memory."""
+        """Bytes of plan arrays, and of the step tables built on the
+        plans, held in memory."""
         return self._bytes
 
     def clear(self) -> None:

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
+from sys import getsizeof
 from typing import Any, Optional, Sequence
 
 import numpy as np
@@ -514,6 +515,10 @@ class SchedulePlan:
         ``None`` for an idle cycle; events outside ``0..cycles-1`` never
         run.  One list per processor keeps the cache small: plans stay
         cached for the generator engines' columnsort and network paths.
+        A :class:`~repro.mcb.vector.cache.PlanRegistry` that holds the
+        plan sets ``_charge``, which is called once, with the plan and
+        the tables' bytes, when they are built, so they count against
+        its budget.
         """
         maps = getattr(self, "_prog_maps", None)
         if maps is None:
@@ -541,6 +546,9 @@ class SchedulePlan:
             for proc, src, dst in _event_rows(self.moves):
                 per_m.setdefault(proc, []).append((src, dst))
             maps = self._prog_maps = (steps, per_m)
+            charge = getattr(self, "_charge", None)
+            if charge is not None:
+                charge(self, _held_bytes(maps))
         return maps
 
     def as_program(self, proc: int, row: Sequence[Any]):
@@ -610,6 +618,19 @@ class SchedulePlan:
             if len(row) > slots:
                 out += row[slots:]
         return outs, bits, compiled.channel_writes()
+
+
+def _held_bytes(maps: tuple) -> int:
+    """Bytes :meth:`SchedulePlan._program_maps`' tables hold: every dict,
+    list and tuple, and every int outside CPython's small-int cache
+    (``sys.getsizeof``, which counts the GC header)."""
+    steps, per_m = maps
+    tables = [*steps.values(), *per_m.values()]
+    rows = [row for table in tables for row in table if row is not None]
+    return sum(map(getsizeof, (steps, per_m, *tables, *rows))) + sum(
+        getsizeof(v) for row in rows for v in row
+        if v.__class__ is int and not -5 <= v <= 256
+    )
 
 
 def _step_op(kind: str, row: Sequence[Any], step: Any) -> CycleOp:

@@ -26,7 +26,8 @@ Deviations / resolutions:
 
 Each processor yields its part of a stage as one :class:`Sweep` op.
 The schedule is oblivious (:func:`_tree`), so the fast engine runs a
-stage as one step that applies ``op`` level by level.
+stage from the values alone, as one pass that applies ``op`` level by
+level (:meth:`Sweep.stage`).
 """
 
 from __future__ import annotations
@@ -42,10 +43,10 @@ from ..mcb.message import EMPTY, Message, numeric_bits
 from ..mcb.network import MCBNetwork
 from ..mcb.program import (
     Collective,
-    CollectiveOp,
     CycleOp,
     Listen,
     Sleep,
+    StageOp,
 )
 
 
@@ -257,31 +258,29 @@ def _tree(p: int, k: int) -> tuple[list, dict]:
     }
 
 
-class Sweep(CollectiveOp):
-    """Processor ``pid``'s part of a §7.1 stage over its ``value``,
-    *defined* by its program (:func:`_program`).  ``stage`` is ``(p, k,
-    op, identity, total, include_next)``, one tuple shared by the stage's
-    ops: Partial-Sums or, with ``total``, Total-Sum."""
+class Sweep(StageOp):
+    """Processor ``ctx.pid``'s part of a §7.1 stage over its ``value``,
+    *defined* by its program (:func:`_program`).  ``shared`` is ``(p,
+    k, op, identity, total, include_next)``: Partial-Sums or, with
+    ``total``, Total-Sum."""
 
-    __slots__ = ("pid", "value", "stage")
+    __slots__ = ()
 
     label = "sweep"
 
-    def __init__(self, pid: int, value: Any, stage: tuple):
-        self.pid, self.value, self.stage = pid, value, stage
-
     def check(self, pid: int, k: int) -> None:
         """The schedule uses at most the network's ``k`` channels."""
-        if self.stage[1] > k:
-            raise ProtocolError(f"P{pid} sweeps for k={self.stage[1]} (k={k})")
+        ks = self.shared[1]
+        if ks > k:
+            raise ProtocolError(f"P{pid} sweeps for k={ks} (k={k})")
 
     def program(self) -> Generator:
         """:func:`_program`, the paper's per-processor schedule."""
-        return _program(self.pid, self.value, self.stage)
+        return _program(self.ctx.pid, self.value, self.shared)
 
     @classmethod
-    def collective(
-        cls, ops: list, span: int, max_fields: int
+    def stage(
+        cls, values: list, shared: tuple, span: int, max_fields: int
     ) -> Optional[Collective]:
         """The stage as one pass over the tree's levels, applying ``op``
         as the programs do (a virtual right son's silence stands for
@@ -289,23 +288,19 @@ class Sweep(CollectiveOp):
         transfer, in bulk for exact ints and floats, and :func:`_tree`'s
         costs.
 
-        Taken only if ``ops`` are ``P_1..P_p``'s, in order, sharing one
-        ``stage``; it ends within ``span``; and every message passes the
-        write guard and its bit sizing, and every ``op`` call its
-        operand types (else stepping raises the ``TypeError``).
+        Taken only if there are ``p`` values; the stage ends within
+        ``span``; and every message passes the write guard and its bit
+        sizing, and every ``op`` call its operand types (else stepping
+        raises the ``TypeError``).
         """
-        stage = ops[0].stage
-        p, k, fn, ident, total, nxt = stage
-        if len(ops) != p or max_fields < 1 or any(
-            o.pid != pid or o.stage is not stage
-            for pid, o in enumerate(ops, 1)
-        ):
+        p, k, fn, ident, total, nxt = shared
+        if len(values) != p or max_fields < 1:
             return None
         sizes, shapes = _tree(p, k)
         cycles, ff, cw = shapes[total, nxt]
         if cycles > span:
             return None
-        a = [o.value for o in ops]
+        a = list(values)
         sent: list = []
         try:
             levels = [a]
@@ -344,16 +339,23 @@ class Sweep(CollectiveOp):
         return Collective(results, bits, cw, cycles, ff)
 
 
-def _run_sweep(net: MCBNetwork, values: dict, phase: str, *shape) -> dict:
-    """One stage in which every processor yields its :class:`Sweep`;
-    ``shape`` is ``(op, identity, total, include_next)``."""
-    p = net.p
-    if sorted(values) != list(range(1, p + 1)):
-        raise ValueError("values must be given for every processor 1..p")
-    stage = (p, net.k) + shape
-    return net.run_ops(
-        lambda ctx: Sweep(ctx.pid, values[ctx.pid], stage), phase=phase
+def sweep_stage(net: MCBNetwork, values: list, phase: str, *shape) -> list:
+    """One stage in which every processor yields its :class:`Sweep`:
+    ``values[i]`` is ``P_{i+1}``'s value, ``shape`` is ``(op, identity,
+    total, include_next)``; the results in pid order."""
+    return net.run_stage(
+        Sweep, values, (net.p, net.k) + shape, phase=phase
     )
+
+
+def _run_sweep(net: MCBNetwork, values: dict, phase: str, *shape) -> dict:
+    """:func:`sweep_stage` on a dict ``pid -> value`` covering ``1..p``;
+    a dict ``pid -> result``."""
+    pids = range(1, net.p + 1)
+    if sorted(values) != list(pids):
+        raise ValueError("values must be given for every processor 1..p")
+    got = sweep_stage(net, [values[pid] for pid in pids], phase, *shape)
+    return dict(zip(pids, got))
 
 
 def mcb_partial_sums(

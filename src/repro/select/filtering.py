@@ -23,21 +23,38 @@ selects locally and broadcasts the answer.
 
 Total: ``O((p/k) log(kn/p))`` cycles and ``O(p log(kn/p))`` messages —
 tight by Theorem 2 / Corollary 2 (Corollary 7).
+
+Steps 2–4 are :class:`NetworkControl`'s four stages: the pair sort,
+the count prefix, the ``med*`` announce (:class:`Announce`, one cycle
+with one writer) and the ``m_>=`` total sum.  Each is a one-op stage
+(:meth:`~repro.mcb.network.MCBNetwork.run_stage`; the pair sort with
+the default ``"ones"`` sorter), which the fast engine runs unobserved
+from its list of per-processor values in one step, with no generator;
+observed, each steps its per-processor programs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from operator import add
+from typing import Any, Generator, Optional, Sequence
 
 from ..mcb.errors import ConfigurationError
 from ..mcb.message import EMPTY, Message
 from ..mcb.network import MCBNetwork
-from ..mcb.program import CycleOp, Listen, ProcContext, Sleep, emit_from
-from ..prefix.mcb_partial_sums import mcb_partial_sums, mcb_total_sum
+from ..mcb.program import (
+    Collective,
+    CycleOp,
+    Listen,
+    ProcContext,
+    Sleep,
+    StageOp,
+    emit_from,
+)
+from ..prefix.mcb_partial_sums import mcb_partial_sums, sweep_stage
 from ..sort.common import pack_elem, unpack_elem
-from ..sort.ones import sort_ones
+from ..sort.ones import sort_ones_stage
 from ..sort.uneven import sort_uneven
 from .local_select import local_median, select_kth_largest
 
@@ -69,11 +86,10 @@ class _ListCandidates:
     def row(self, pid: int) -> list:
         return list(self._cands[pid])
 
-    def ge_counts(self, med_star) -> dict[int, int]:
-        return {
-            i: sum(1 for e in v if e >= med_star)
-            for i, v in self._cands.items()
-        }
+    def ge_counts(self, med_star) -> list[int]:
+        return [
+            sum(1 for e in v if e >= med_star) for v in self._cands.values()
+        ]
 
     def purge(self, med_star, keep_gt: bool) -> None:
         for i, v in self._cands.items():
@@ -84,51 +100,106 @@ class _ListCandidates:
             )
 
 
+class Announce(StageOp):
+    """``P_pid``'s part of step 3's ``med*`` announce.  ``value`` is
+    ``(sums, pair)``: the :class:`~repro.prefix.mcb_partial_sums.PartialSums`
+    of ``P_pid``'s sorted weight and its sorted pair ``(med fields...,
+    tiebreak, weight)``; ``shared`` is ``half``.
+
+    The processor whose prefix first reaches ``half`` (``prev < half <=
+    incl``) writes ``med*`` on ``C_1`` for one cycle, and every other
+    processor reads it; each returns ``med*``.
+    """
+
+    __slots__ = ()
+
+    label = "announce"
+
+    def check(self, pid: int, k: int) -> None:
+        """Nothing to check: every network has ``C_1``."""
+
+    def program(self) -> Generator:
+        """One cycle: the write of ``med*``, or its read."""
+        sums, pair = self.value
+        if sums.prev < self.shared <= sums.incl:
+            fields = pair[:-2]
+            yield CycleOp(write=1, payload=Message("med", *fields))
+            return unpack_elem(fields)
+        got = yield CycleOp(read=1)
+        assert got is not EMPTY, "the weighted-median processor announces"
+        return unpack_elem(got.fields)
+
+    @classmethod
+    def stage(
+        cls, values: list, half: int, span: int, max_fields: int
+    ) -> Optional[Collective]:
+        """The one writer's ``med*`` for everyone in one cycle: one
+        message on ``C_1``.  Taken only if exactly one processor
+        qualifies (none leaves its readers ``EMPTY``, two collide) and
+        its message passes the write guard and its bit sizing."""
+        try:
+            writers = [
+                pair for sums, pair in values if sums.prev < half <= sums.incl
+            ]
+            if len(writers) != 1:
+                return None
+            fields = writers[0][:-2]
+            if len(fields) > max_fields:
+                return None
+            bits = Message("med", *fields).bit_size()
+        except TypeError:  # stepping raises it at its cycle
+            return None
+        med_star = unpack_elem(fields)
+        return Collective([med_star] * len(values), bits, [(1, 1)], 1)
+
+
 class NetworkControl:
     """The four control stages of a filtering round, run on ``net``.
 
     Sorting the ``(med_i, m_i)`` pairs, Partial-Sums over the sorted
     counts, the one-cycle ``med*`` announcement and the ``m_>=`` total
-    sum each run as one :meth:`MCBNetwork.run` stage, for either
-    candidate store and for weighted selection.  In the pair sort
-    (``"ones"``) and the sweeps every processor yields one collective op
-    (:class:`~repro.sort.ones.SortOnes`,
-    :class:`~repro.prefix.mcb_partial_sums.Sweep`), which the fast
-    engine runs unobserved as one step.
+    sum are one network stage each, for either candidate store and for
+    weighted selection.  Every processor yields one
+    :class:`~repro.mcb.program.StageOp` in each
+    (:class:`~repro.sort.ones.SortOnes` for the ``"ones"`` pair sort,
+    :class:`~repro.prefix.mcb_partial_sums.Sweep`, :class:`Announce`),
+    so the fast engine runs them unobserved from the stages' value
+    lists, without a generator (:meth:`MCBNetwork.run_stage`); the
+    ``"uneven"`` pair sort is a full ``sort_uneven``.  Values travel
+    between the stages as lists in pid order.
     """
 
     def __init__(self, net: MCBNetwork, pair_sorter: str):
         self.net = net
-        self.pair_sort = sort_ones if pair_sorter == "ones" else sort_uneven
+        self.ones = pair_sorter == "ones"
 
-    def sort_pairs(self, pairs: dict[int, list], phase: str) -> dict[int, tuple]:
-        """pid -> [pair] in, pid -> (pair of rank pid,) out."""
-        return self.pair_sort(self.net, pairs, phase=phase).output
-
-    def partial_sums(self, values: dict[int, int], phase: str):
-        """pid -> :class:`~repro.prefix.mcb_partial_sums.PartialSums`."""
-        return mcb_partial_sums(self.net, values, phase=phase)
-
-    def announce(self, my_sorted: dict[int, tuple], sums, half: int, phase: str):
-        """The processor whose prefix of the sorted weights first reaches
-        ``half`` writes ``med*`` for one cycle; everyone reads it."""
-
-        def program(ctx: ProcContext):
-            s = sums[ctx.pid]
-            if s.prev < half <= s.incl:
-                fields = my_sorted[ctx.pid][0][:-2]
-                yield CycleOp(write=1, payload=Message("med", *fields))
-                return unpack_elem(fields)
-            got = yield CycleOp(read=1)
-            assert got is not EMPTY, "the weighted-median processor announces"
-            return unpack_elem(got.fields)
-
+    def sort_pairs(self, pairs: list, phase: str) -> list:
+        """``P_i``'s pair in, ``P_i``'s pair of rank ``i`` out."""
         net = self.net
-        return net.run({i: program for i in range(1, net.p + 1)}, phase=phase)[1]
+        if self.ones:
+            got = sort_ones_stage(net, [[pair] for pair in pairs], phase)
+            return [out[0] for out in got]
+        pids = range(1, net.p + 1)
+        out = sort_uneven(
+            net, {pid: [pair] for pid, pair in zip(pids, pairs)}, phase=phase
+        ).output
+        return [out[pid][0] for pid in pids]
 
-    def total_sum(self, values: dict[int, int], phase: str) -> int:
+    def partial_sums(self, values: list, phase: str) -> list:
+        """Each processor's
+        :class:`~repro.prefix.mcb_partial_sums.PartialSums`."""
+        return sweep_stage(self.net, values, phase, add, 0, False, False)
+
+    def announce(self, pairs: list, sums: list, half: int, phase: str):
+        """``med*``, the pair head of the processor whose prefix of the
+        sorted weights first reaches ``half`` (:class:`Announce`)."""
+        return self.net.run_stage(
+            Announce, list(zip(sums, pairs)), half, phase=phase
+        )[0]
+
+    def total_sum(self, values: list, phase: str) -> int:
         """The sum of ``values``, as every processor learns it."""
-        return mcb_total_sum(self.net, values, phase=phase)[1]
+        return sweep_stage(self.net, values, phase, add, 0, True, False)[0]
 
 
 @dataclass
@@ -231,18 +302,19 @@ def select_from_store(
     # as the tiebreak — which sorts below every real pair (real medians
     # are finite) and carries count 0.  Every round has a live candidate
     # (m >= 1), so a real median fixes the arity.
-    def flat_pairs() -> dict[int, list]:
+    def flat_pairs() -> list:
+        counts = [store.count(i) for i in range(1, p + 1)]
         meds = {i: pack_elem(store.median(i))
-                for i in range(1, p + 1) if store.count(i)}
+                for i, c in enumerate(counts, 1) if c}
         arity = len(next(iter(meds.values())))
         # The tail must stay finite, or a tuple-element dummy pair would
         # satisfy ``is_dummy`` and be dropped as padding by the pair
         # sorters instead of travelling as a real element.
-        return {
-            i: [meds[i] + (0, store.count(i)) if i in meds
-                else (-math.inf,) + (0,) * (arity - 1) + (i, 0)]
-            for i in range(1, p + 1)
-        }
+        return [
+            meds[i] + (0, c) if c
+            else (-math.inf,) + (0,) * (arity - 1) + (i, 0)
+            for i, c in enumerate(counts, 1)
+        ]
 
     trace = SelectionTrace()
     m = n
@@ -255,8 +327,8 @@ def select_from_store(
         # -- step 1: local medians (free) + step 2: sort the pairs -------
         my_sorted = control.sort_pairs(
             flat_pairs(), f"{tag}/sort-medians"
-        )  # pid -> ((med..., tiebreak, count),)
-        counts_sorted = {i: my_sorted[i][0][-1] for i in my_sorted}
+        )  # P_i's (med..., tiebreak, count) of rank i
+        counts_sorted = [pair[-1] for pair in my_sorted]
 
         # -- step 3: weighted median processor i* broadcasts med* --------
         sums = control.partial_sums(counts_sorted, f"{tag}/count-prefix")

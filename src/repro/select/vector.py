@@ -124,20 +124,18 @@ class VectorCandidates:
     def _live(self) -> np.ndarray:
         return np.arange(self.cap)[None, :] < self.counts[:, None]
 
-    def ge_counts(self, med_star: Any) -> dict[int, int]:
-        """Per-pid count of live candidates ``>= med_star`` (Python ints —
-        these become message payloads with exact bit accounting)."""
+    def ge_counts(self, med_star: Any) -> list[int]:
+        """Each processor's count of live candidates ``>= med_star``, in
+        pid order (Python ints — these become message payloads with
+        exact bit accounting)."""
         if self.numeric:
             # int64 before the reduce: np.add on bools is logical-or.
             flags = (self.values >= med_star).astype(np.int64)
-            per = masked_reduce(flags, self._live())
-            return {i + 1: int(per[i]) for i in range(self.p)}
-        return {
-            i + 1: sum(
-                1 for e in self.values[i, : self.counts[i]] if e >= med_star
-            )
+            return masked_reduce(flags, self._live()).tolist()
+        return [
+            sum(1 for e in self.values[i, : self.counts[i]] if e >= med_star)
             for i in range(self.p)
-        }
+        ]
 
     # -- write side ----------------------------------------------------
     def purge(self, med_star: Any, keep_gt: bool) -> None:

@@ -103,28 +103,28 @@ def mcb_select_weighted(
         return (-math.inf,) + (0,) * (arity - 1) + (i, 0)
 
     control = NetworkControl(net, "ones")
+    pids = range(1, p + 1)
     w_left = total_w
     t_left = target
     rounds = 0
     while sum(len(v) for v in cand.values()) > m_star:
         rounds += 1
         tag = f"{phase}/filter-{rounds}"
-        pairs = {i: [flat_pair(i)] for i in cand}
-        sorted_pairs = control.sort_pairs(pairs, f"{tag}/sort")
-        weights_sorted = {i: sorted_pairs[i][0][-1] for i in sorted_pairs}
+        sorted_pairs = control.sort_pairs(
+            [flat_pair(i) for i in pids], f"{tag}/sort"
+        )
+        weights_sorted = [pair[-1] for pair in sorted_pairs]
         sums = control.partial_sums(weights_sorted, f"{tag}/prefix")
         half = (w_left + 1) // 2
         med_star = control.announce(sorted_pairs, sums, half, f"{tag}/announce")
 
-        ge = {
-            i: sum(w for e, w in cand[i] if e >= med_star) for i in cand
-        }
+        ge = [sum(w for e, w in cand[i] if e >= med_star) for i in pids]
         w_ge = control.total_sum(ge, f"{tag}/weight-ge")
 
         # weight(> med*) = w_ge - w(med*); the three cases on weight:
         if w_ge >= t_left:
             w_med = control.total_sum(
-                {i: sum(w for e, w in cand[i] if e == med_star) for i in cand},
+                [sum(w for e, w in cand[i] if e == med_star) for i in pids],
                 f"{tag}/weight-eq",
             )
             if w_ge - w_med < t_left:

@@ -20,8 +20,8 @@ re-deriving exactly that knowledge; this specialization skips all of it:
 Collection, phases 1–9 and redistribution are §7.2's stages 3–5,
 :func:`repro.sort.uneven.group_program`, on these fixed groups; the
 collection and broadcast plans depend only on ``(p, k)`` and are cached.
-Each processor yields its part as one :class:`SortOnes` op, which the
-fast engine runs in one step (:class:`_PairTable`).
+Each processor yields its part as one :class:`SortOnes` op; the fast
+engine runs the stage from the elements alone (:class:`_PairTable`).
 
 Cost: ``O(p/k')`` cycles, ``O(p)`` messages — the same family as the
 general path minus its ``O(p/k + log k)`` control overhead, which is
@@ -44,7 +44,7 @@ from ..columnsort.matrix import max_columns_for
 from ..mcb.errors import ProtocolError
 from ..mcb.message import Message, pack_elem, plain_fields
 from ..mcb.network import MCBNetwork
-from ..mcb.program import Collective, CollectiveOp, ProcContext
+from ..mcb.program import Collective, StageOp
 from .cnet_sort import cnet_plans, cnet_steps
 from .common import SortResult, dummy_like
 from .uneven import group_plans, group_program, stage3_row
@@ -62,19 +62,24 @@ def sort_ones(
     processor the element of rank ``pid`` (descending).  Elements must
     be distinct.
     """
-    p, k = net.p, net.k
+    p = net.p
     if sorted(parts) != list(range(1, p + 1)):
         raise ValueError("parts must cover processors 1..p")
     if any(len(v) != 1 for v in parts.values()):
         raise ValueError("sort_ones requires exactly one element everywhere")
 
-    if p == 1:
-        return SortResult(output={1: tuple(parts[1])})
+    pids = range(1, p + 1)
+    results = sort_ones_stage(net, [parts[pid] for pid in pids], phase)
+    return SortResult(output={pid: tuple(v) for pid, v in zip(pids, results)})
 
-    results = net.run_ops(
-        lambda ctx: SortOnes(ctx, parts[ctx.pid], p, k), phase=phase
-    )
-    return SortResult(output={pid: tuple(v) for pid, v in results.items()})
+
+def sort_ones_stage(net: MCBNetwork, parts: list, phase: str) -> list:
+    """:func:`sort_ones` on ``parts[i]``, ``P_{i+1}``'s one-element
+    sequence: each processor's output in pid order (no stage for
+    ``p = 1``)."""
+    if net.p == 1:
+        return [parts[0]]
+    return net.run_stage(SortOnes, parts, (net.p, net.k), phase=phase)
 
 
 @lru_cache(maxsize=32)
@@ -91,49 +96,43 @@ def _blocks(p: int, k: int) -> tuple:
     return reps, bounds, m_pad, g - 1, group_plans(reps, bounds, m_pad, 1)
 
 
-class SortOnes(CollectiveOp):
-    """Processor ``ctx.pid``'s part of :func:`sort_ones` on ``p``
-    processors and ``k`` channels, holding the one element of ``mine``.
+class SortOnes(StageOp):
+    """Processor ``ctx.pid``'s part of :func:`sort_ones`, holding the
+    one element of ``value``; ``shared`` is ``(p, k)``.
 
     ``[x] = yield SortOnes(...)`` is *defined* by its program,
     :func:`~repro.sort.uneven.group_program` on the blocks of
     :func:`_blocks`: ``x`` is the element of rank ``pid``.
     """
 
-    __slots__ = ("ctx", "mine", "p", "k")
+    __slots__ = ()
 
     label = "sort_ones"
 
-    def __init__(self, ctx: ProcContext, mine: Sequence[Any], p: int, k: int):
-        self.ctx, self.mine, self.p, self.k = ctx, mine, p, k
-
     def check(self, pid: int, k: int) -> None:
         """The blocks use at most the network's ``k`` channels."""
-        if self.k > k:
-            raise ProtocolError(f"P{pid} sorts pairs for k={self.k} (k={k})")
+        ks = self.shared[1]
+        if ks > k:
+            raise ProtocolError(f"P{pid} sorts pairs for k={ks} (k={k})")
 
     def program(self) -> Generator:
         """:func:`~repro.sort.uneven.group_program` on the blocks."""
-        return group_program(self.ctx, self.mine, *_blocks(self.p, self.k))
+        return group_program(self.ctx, self.value, *_blocks(*self.shared))
 
     @classmethod
-    def collective(
-        cls, ops: list, span: int, max_fields: int
+    def stage(
+        cls, values: list, shared: tuple, span: int, max_fields: int
     ) -> Optional[Collective]:
         """:class:`_PairTable`'s index maps run on the elements' ranks,
-        if ``ops`` are ``P_1..P_p``'s, in order, on one ``(p, k)``; the
-        stage ends within ``span``; the elements are distinct (equal
-        dummies are interchangeable) and totally ordered, so sorting
-        ranks sorts them; and
-        :func:`_elem_bits` sizes every message.  Representatives'
-        contexts see the program's aux."""
-        p, k = ops[0].p, ops[0].k
-        if len(ops) != p:
+        if there are ``p`` values; the stage ends within ``span``; the
+        elements are distinct (equal dummies are interchangeable) and
+        totally ordered, so sorting ranks sorts them; and
+        :func:`_elem_bits` sizes every message.  Representatives hold
+        their column's ``m`` aux slots."""
+        p, k = shared
+        if len(values) != p:
             return None
-        for pid, op in enumerate(ops, 1):
-            if op.ctx.pid != pid or op.p != p or op.k != k:
-                return None
-        vals = [op.mine[0] for op in ops]
+        vals = [v[0] for v in values]
         table = _pair_table(p, k)
         if table.cycles > span:
             return None
@@ -163,13 +162,10 @@ class SortOnes(CollectiveOp):
                 sent += map(flat.__getitem__, step[2])
                 flat = list(map(flat.__getitem__, step[1]))
         sent += map(flat.__getitem__, table.bcast_sent)
-        for op in ops:
-            if op.ctx.pid in table.reps:
-                op.ctx.aux_acquire(m)
-                op.ctx.aux_release(m)
         results = [[ranked[flat[i]]] for i in table.result]
         return Collective(
-            results, sum(map(bits.__getitem__, sent)), table.cw, table.cycles
+            results, sum(map(bits.__getitem__, sent)), table.cw,
+            table.cycles, 0, table.aux,
         )
 
 
@@ -183,13 +179,16 @@ class _PairTable:
     sort each column from ``("sort", start)`` on or, for ``("plan",
     src_of, sent)``, send positions ``sent`` and move ``src_of[i]`` to
     ``i``.  The broadcast sends ``bcast_sent``; ``P_pid`` gets position
-    ``result[pid - 1]``.  Block 0 is full: no cycle is fast-forwarded.
+    ``result[pid - 1]`` and holds ``aux[pid - 1]`` aux slots (its
+    column, if it is a representative).  Block 0 is full: no cycle is
+    fast-forwarded.
     """
 
     def __init__(self, p: int, k: int):
         reps, bounds, m, collect_cycles, (collect, bcast) = _blocks(p, k)
         assert collect.cycles == collect_cycles
-        self.reps, self.m, self.dummies = frozenset(reps), m, []
+        self.m, self.dummies = m, []
+        self.aux = [m if pid in reps else 0 for pid in range(1, p + 1)]
 
         def pad(r: int) -> int:
             self.dummies.append(r)

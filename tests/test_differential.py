@@ -30,12 +30,16 @@ single Rank-Sort stages — several groups, uneven ``counts``,
 ``out_counts`` with empty segments, either direction — and holds the
 fast engine unobserved (where they may run as one collective step) and
 the reference interpreter observed to the per-cycle Rank-Sort schedule,
-``per_cycle_rank_sort_group``.  The last three hold the fast engine
+``per_cycle_rank_sort_group``.  The next three hold the fast engine
 unobserved to the reference interpreter observed on the §7.1
 Partial-Sums and Total-Sum stages (``p`` up to 24, ``add`` and ``max``,
 with and without the successor stage), the §8 pair sort ``sort_ones``
-and weighted selection, whose sweeps and pair sorts run as collective
-steps on the fast engine.  A final property runs even sort and select
+and weighted selection, whose control stages the fast engine runs from
+their value lists.  Another draws whole ``mcb_select_descending`` runs
+(either pair sorter, int or float values, ``p`` up to 16) on both
+candidate stores, fast unobserved and reference observed, and compares
+their value, ``RunStats.to_dict()`` and ``repr`` of the phase records,
+which carries every processor's aux peak.  A final property runs even sort and select
 jobs (both engines, vector batch lanes) through the service's thread
 executor and holds each job's ``stats`` to a direct ``MCBNetwork``
 run of the same query.
@@ -62,6 +66,7 @@ from repro.obs import EventLog, MetricsRegistry
 from repro.obs.metrics import global_registry
 from repro.prefix import mcb_partial_sums, mcb_total_sum
 from repro.select import mcb_select
+from repro.select.filtering import mcb_select_descending
 from repro.select.weighted import mcb_select_weighted
 from repro.service import JobSpec, JobState, ServiceApp
 from repro.sort import (
@@ -616,6 +621,56 @@ def test_weighted_selections_agree(query):
     assert run_weighted(MCBNetwork(p, k), parts, target) == run_weighted(
         observed, parts, target
     )
+
+
+@st.composite
+def selections(draw):
+    """``(p, k, parts, d, pair_sorter)``: ``n`` in ``p..8p`` distinct
+    ints or floats dealt at random over ``p`` in 1..16 processors (some
+    may hold none), any rank ``d`` and either pair sorter."""
+    p = draw(st.integers(1, 16))
+    k = draw(st.integers(1, p))
+    n = draw(st.integers(p, 8 * p))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.choice(4 * n, size=n, replace=False).tolist()
+    if draw(st.booleans()):
+        values = [v / 8 for v in values]
+    parts = {pid: [] for pid in range(1, p + 1)}
+    for v, pid in zip(values, rng.integers(1, p + 1, size=n).tolist()):
+        parts[pid].append(v)
+    d = draw(st.integers(1, n))
+    return p, k, parts, d, draw(st.sampled_from(["ones", "uneven"]))
+
+
+def run_selection(net, query, store):
+    _, _, parts, d, pair_sorter = query
+    value = mcb_select_descending(
+        net, parts, d, pair_sorter=pair_sorter, engine=store
+    ).value
+    return value, net.stats.to_dict(), repr(net.stats.phases)
+
+
+_SKEWED = Distribution.uneven(256, 16, seed=2, skew=2.0).parts
+
+
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(query=selections())
+@example(query=(16, 4, _SKEWED, 100, "uneven"))
+@example(query=(
+    16, 4, {pid: [v / 4 for v in vs] for pid, vs in _SKEWED.items()}, 60,
+    "ones",
+))
+def test_whole_selections_agree(query):
+    # The control stages' tables (fast, unobserved) against stepping
+    # (reference, observed), on both candidate stores: ``repr`` of the
+    # phase records also compares every processor's aux peak.
+    p, k, *_ = query
+    fast = run_selection(MCBNetwork(p, k), query, "generator")
+    assert run_selection(observed_reference(p, k), query, "generator") == fast
+    assert run_selection(MCBNetwork(p, k), query, "vector") == fast
+    assert run_selection(observed_reference(p, k), query, "vector") == fast
 
 
 # ---------------------------------------------------------------------------

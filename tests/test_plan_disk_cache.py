@@ -312,3 +312,54 @@ def test_concurrent_lookups_keep_the_byte_count(monkeypatch, tmp_path):
     assert errors == []
     assert len(registry) == 3
     assert registry.nbytes == 3 * size
+
+
+def test_step_tables_count_against_their_entry(monkeypatch, tmp_path):
+    # Stepping a plan caches per-processor step tables on it: they are
+    # charged to the registry entry once, and only while it holds them.
+    monkeypatch.setenv("REPRO_PLAN_CACHE", str(tmp_path))
+    registry = PlanRegistry()
+    plans = registry.lookup("a", backend="test", build=_sample_plans)
+    size = registry.nbytes
+    plans[0].as_program(0, [1, 2, 3])
+    grown = registry.nbytes
+    assert grown > size
+    plans[0].as_program(1, [1, 2, 3])
+    assert registry.nbytes == grown
+    registry.clear()
+    plans[1].as_program(0, [1, 2, 3])
+    assert registry.nbytes == 0
+
+
+def test_registry_bytes_cover_what_plans_hold(monkeypatch):
+    # One fast (collective gathers) and one reference (stepped plans)
+    # columnsort at m=256, k=16: whatever plan.py still holds once both
+    # ran is counted in the registry's bytes.
+    import tracemalloc
+
+    from repro.core.distribution import Distribution
+    from repro.mcb import MCBNetwork
+    from repro.mcb.reference import ReferenceMCBNetwork
+    from repro.mcb.vector import plan as plan_module
+    from repro.sort import sort_even_pk
+
+    monkeypatch.setenv("REPRO_PLAN_CACHE", "off")
+    parts = Distribution.even(256 * 16, 16, seed=0).parts
+    plan_registry().clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot()
+        for engine in (MCBNetwork, ReferenceMCBNetwork):
+            sort_even_pk(
+                engine(16, 16), {pid: list(v) for pid, v in parts.items()}
+            )
+        after = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    held = sum(
+        stat.size_diff
+        for stat in after.compare_to(before, "filename")
+        if stat.traceback[0].filename == plan_module.__file__
+    )
+    assert held > 0
+    assert plan_registry().nbytes >= held

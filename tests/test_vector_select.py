@@ -295,10 +295,9 @@ class TestVectorCandidates:
             assert store.row(pid) == list(vals)
             assert store.median(pid) == sorted(vals)[len(vals) // 2]
             assert isinstance(store.median(pid), int)
-        assert store.ge_counts(5) == {
-            pid: sum(1 for e in vals if e >= 5)
-            for pid, vals in parts.items()
-        }
+        assert store.ge_counts(5) == [
+            sum(1 for e in vals if e >= 5) for vals in parts.values()
+        ]
 
     def test_purge_preserves_order_and_drops_correctly(self):
         parts = {1: [9, 2, 5, 7], 2: [4, 8, 1, 3]}
@@ -316,7 +315,7 @@ class TestVectorCandidates:
         store = VectorCandidates(parts, 2)
         assert not store.numeric
         assert store.median(1) == (3, 1, 0)
-        assert store.ge_counts((2, 2, 0)) == {1: 1, 2: 2}
+        assert store.ge_counts((2, 2, 0)) == [1, 2]
         store.purge((2, 2, 0), keep_gt=True)
         assert store.row(1) == [(3, 1, 0)]
         assert store.row(2) == [(4, 2, 1)]
@@ -327,4 +326,4 @@ class TestVectorCandidates:
         assert all(type(v) is float for v in row)
         assert type(store.median(1)) is float
         counts = store.ge_counts(-2.5)
-        assert all(type(c) is int for c in counts.values())
+        assert all(type(c) is int for c in counts)
