@@ -70,8 +70,9 @@ cycle loop has no observer branch:
   when the step ends (a ``RunPlan`` is its compiled plan's gather run
   on the rows as object arrays; ``SortGroup`` one sort per group; ``Sweep``
   one pass over the tree; ``SortOnes`` its plans' index maps; §8's
-  ``Announce`` its one writer's message; an ``Emit`` has no such
-  step).  Otherwise each slot steps the op's
+  ``Announce`` its one writer's message; §6.1's ``VirtualSort`` the
+  whole sort on one table; an ``Emit`` has no such step).  Otherwise
+  each slot steps the op's
   desugared program from this cycle on, on a per-slot stack of the
   programs it interrupted, so a stepped program may yield collective
   ops of its own; its first op is collected after the others', so the
@@ -124,13 +125,26 @@ class _ListenState:
     __slots__ = ("channel", "window", "start", "log_idx")
 
 
+#: ``network_plan_runs_total``'s bound ``inc`` per ``(op, path)``, fetched
+#: while the global registry had been reset ``_runs_resets`` times.
+_runs_incs: dict = {}
+_runs_resets = -1
+
+
 def _collective_runs(op: str, path: str, n: int) -> None:
-    global_registry().counter(
-        "network_plan_runs_total",
-        "Collective ops the fast engine's unobserved loop ran, by op "
-        "(run_plan, rank_sort, sweep, sort_ones, announce or emit) and "
-        "path (collective or stepped)",
-    ).inc(n, op=op, path=path)
+    global _runs_incs, _runs_resets
+    registry = global_registry()
+    if registry.resets != _runs_resets:  # the family was dropped
+        _runs_incs, _runs_resets = {}, registry.resets
+    inc = _runs_incs.get((op, path))
+    if inc is None:
+        inc = _runs_incs[op, path] = registry.counter(
+            "network_plan_runs_total",
+            "Collective ops the fast engine's unobserved loop ran, by op "
+            "(run_plan, rank_sort, sweep, sort_ones, announce, "
+            "virtual_sort or emit) and path (collective or stepped)",
+        ).labelled(op=op, path=path)
+    inc(n)
 
 
 def _charge(

@@ -39,9 +39,11 @@ Per cycle a program yields either
   :class:`~repro.sort.rank_sort.SortGroup` one member's part of a
   single-channel group sort, :class:`~repro.prefix.mcb_partial_sums.Sweep`
   a §7.1 tree sweep, :class:`~repro.sort.ones.SortOnes` §8's pair
-  sort and :class:`~repro.select.filtering.Announce` §8's ``med*``
-  announce (the three :class:`StageOp` classes, whose whole stage the
-  fast engine runs from the processors' values), and :class:`Emit`
+  sort, :class:`~repro.select.filtering.Announce` §8's ``med*``
+  announce and :class:`~repro.sort.virtual.VirtualSort` §6.1's whole
+  virtual-column sort (the four :class:`StageOp` classes, whose whole
+  stage the fast engine runs from the processors' values), and
+  :class:`Emit`
   writes a run of
   messages on one channel at fixed offsets, resumed once after the
   last write (a fixed write schedule, like the writers of Rank-Sort

@@ -567,8 +567,11 @@ class ReferenceMCBNetwork(ObservableMixin):
     def _close_phase(
         self, ph: PhaseStats, cycle: int, contexts: dict[int, ProcContext]
     ) -> None:
-        """Stamp the phase's cycle count and aux peaks; add it to stats."""
+        """Stamp the phase's cycle count and aux peaks, list its channel
+        writes in ascending channel order (as the fast engine does);
+        add it to stats."""
         ph.cycles = cycle
+        ph.channel_writes = dict(sorted(ph.channel_writes.items()))
         for pid, ctx in contexts.items():
             ph.aux_peak[pid] = ctx.aux_peak
         self.stats.add(ph)

@@ -189,7 +189,7 @@ def build_state(
 ) -> np.ndarray:
     """Stack per-processor rows into the ``(p, slots)`` state matrix."""
     if dtype is None:
-        dtype = detect_dtype(v for row in rows for v in row)
+        dtype = detect_dtype_rows(rows)
     if dtype == np.dtype(object):
         out = np.empty((len(rows), len(rows[0]) if rows else 0), dtype=object)
         for i, row in enumerate(rows):

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import Any, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, Tuple
 
 LabelKey = Tuple[Tuple[str, Any], ...]
 
@@ -124,6 +124,19 @@ class Counter(_Metric):
     def get(self, **labels: Any) -> float:
         """Current value for ``labels`` (0 if never incremented)."""
         return self._samples.get(_label_key(labels), 0)
+
+    def labelled(self, **labels: Any) -> Callable[[float], None]:
+        """:meth:`inc` of the sample ``labels`` select, with its label
+        key built once, for callers that count on a hot path."""
+        key = _label_key(labels)
+        samples = self._samples
+
+        def inc(amount: float = 1) -> None:
+            if amount < 0:
+                raise ValueError("counters only go up; use a Gauge")
+            samples[key] = samples.get(key, 0) + amount
+
+        return inc
 
 
 class Gauge(_Metric):
@@ -476,6 +489,9 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._metrics: dict[str, _Metric] = {}
+        #: how many times :meth:`reset` has dropped every family, so a
+        #: caller holding a family knows when to fetch it again
+        self.resets = 0
 
     # ------------------------------------------------------------------
     def _get_or_create(self, cls, name: str, help: str, **kwargs) -> Any:
@@ -549,6 +565,7 @@ class MetricsRegistry:
     def reset(self) -> None:
         """Drop every registered family (a fresh registry, same object)."""
         self._metrics.clear()
+        self.resets += 1
 
     def snapshot(self) -> dict[str, Any]:
         """Project the registry to ``{name: {type, help, value}}``."""

@@ -33,17 +33,31 @@ Total cost: ``O(n/k)`` cycles, ``O(n)`` messages, and per-processor
 auxiliary memory ``O(n_i)`` with Rank-Sort or ``O(1)`` with Merge-Sort —
 the memory/simplicity trade-off of §6.1 that ``benchmarks/bench_memory``
 measures.
+
+:func:`sort_virtual` is one stage in which every processor yields one
+:class:`VirtualSort` op (``net.run_stage``).  The op is *defined* by
+its program, :func:`virtual_columnsort` — the phases above — which the
+reference interpreter, every observed run, the §2 simulators and every
+declined step run, with their group sorts and transfers as collective
+ops of their own.  Unobserved, with distinct int keys and Rank-Sort,
+the fast engine instead runs the whole sort from
+:meth:`VirtualSort.stage`, one NumPy table of the ``(p, n/p)``
+elements, charged exactly what those phases charge.
 """
 
 from __future__ import annotations
 
-from typing import Any, Literal, Sequence
+from typing import Any, Generator, Literal, Optional, Sequence
+
+import numpy as np
 
 from ..columnsort.matrix import require_valid_dims
 from ..core.element import has_duplicates
+from ..mcb.errors import MCBError, ProtocolError
 from ..mcb.network import MCBNetwork
-from ..mcb.program import ProcContext, RunPlan
+from ..mcb.program import Collective, ProcContext, RunPlan, StageOp
 from ..mcb.vector.cache import plan_registry
+from ..mcb.vector.executor import detect_dtype_rows, message_bits
 from ..mcb.vector.lower import lower_virtual_phase
 from ..mcb.vector.plan import SchedulePlan
 from .common import neg_elem
@@ -133,6 +147,107 @@ def _negated(sort):
     return [neg_elem(e) for e in (yield from sort)]
 
 
+class VirtualSort(StageOp):
+    """``P_pid``'s part of :func:`sort_virtual`: ``value`` is its
+    elements and ``shared`` is ``(p, k, g, n_i, sorter, plans)``, the
+    shape, the group sort and the columns' :func:`virtual_plans`.
+
+    ``out = yield VirtualSort(...)`` is *defined* by its program,
+    :func:`virtual_columnsort` for member ``(pid - 1) % g`` of column
+    ``(pid - 1) // g + 1``: ``out`` is ``P_pid``'s canonical descending
+    segment.
+    """
+
+    __slots__ = ()
+
+    label = "virtual_sort"
+
+    def check(self, pid: int, k: int) -> None:
+        """The columns use at most the network's ``k`` channels."""
+        ks = self.shared[1]
+        if ks > k:
+            raise ProtocolError(
+                f"P{pid} sorts virtual columns for k={ks} (k={k})"
+            )
+
+    def program(self) -> Generator:
+        """:func:`virtual_columnsort` for my column and member."""
+        _, _, g, npp, sorter, plans = self.shared
+        col, w = divmod(self.ctx.pid - 1, g)
+        return virtual_columnsort(
+            self.ctx, plans, col == 0, w, col + 1, [npp] * g,
+            list(self.value), sorter,
+        )
+
+    @classmethod
+    def stage(
+        cls, values: list, shared: tuple, span: int, max_fields: int
+    ) -> Optional[Collective]:
+        """The whole Rank-Sort columnsort on one ``(p, n_i)`` int64
+        table: each sorting phase one ``argsort`` per column, each
+        transfer its compiled plan's gather.
+
+        Taken only if the sorter is Rank-Sort, the columns are not
+        empty, every element is an exact int strictly inside
+        ``±2^62``, the keys are distinct and the ``14 m`` cycles end
+        within ``span``.  Then each sorting phase charges what
+        :meth:`~repro.sort.rank_sort.SortGroup.collective` charges —
+        ``m`` messages plus one per moved element on each column's
+        channel, and ``2 m`` cycles — and each transfer what its
+        :class:`~repro.mcb.program.RunPlan` charges.  Every processor
+        peaks at Rank-Sort's ``2 n_i + 1`` aux slots.
+        """
+        p, k, g, npp, sorter, plans = shared
+        m = g * npp
+        if (
+            sorter != "rank" or not m or max_fields < 1
+            or len(values) != p or 14 * m > span
+            or any(len(row) != npp for row in values)
+            or detect_dtype_rows(values) != np.int64
+        ):
+            return None
+        try:
+            phases = [plan.compile() for plan in plans]
+        except MCBError:
+            return None
+        if any(
+            (ph.p, ph.k, ph.slots, ph.cycles) != (p, k, npp, m)
+            for ph in phases
+        ):
+            return None
+        flat = np.array(values, dtype=np.int64).ravel()
+        keys = np.sort(flat)
+        if (keys[1:] == keys[:-1]).any():
+            return None  # repeated keys: stepping collides
+
+        bits = 5 * int(message_bits(keys).sum())
+        cw = np.zeros(k + 1, dtype=np.int64)
+        seat = np.arange(m) // npp  # the member holding each row
+        for i in range(5):  # sorting phases 1, 3, 5, 7 and 9
+            cols = flat.reshape(k, m)
+            order = np.argsort(cols, axis=1)
+            # Descending, but column 1 ascending in phase 7.
+            order = np.concatenate(
+                (order[:1] if i == 3 else order[:1, ::-1], order[1:, ::-1])
+            )
+            cols = np.take_along_axis(cols, order, axis=1)
+            moved = order // npp != seat
+            cw[1:] += m + moved.sum(axis=1)
+            bits += int(message_bits(cols[moved]).sum())
+            flat = cols.ravel()
+            if i < 4:  # transfer phase 2, 4, 6 or 8
+                phase = phases[i]
+                sent = flat[phase.w_flat]
+                flat = np.concatenate((sent, flat))[phase.out_idx.ravel()]
+                cw += phase.channel_write_counts()
+                bits += int(message_bits(sent).sum())
+        return Collective(
+            flat.reshape(p, npp).tolist(), bits,
+            [(ch, n) for ch, n in enumerate(cw.tolist()) if ch and n],
+            14 * m, 0, [2 * npp + 1] * p,
+        )
+
+
 def sort_virtual(
     net: MCBNetwork,
     parts: dict[int, Sequence[Any]],
@@ -176,13 +291,8 @@ def sort_virtual(
     m = g * npp  # virtual column length
     require_valid_dims(m, k)
     plans = virtual_plans(m, k, g) if m else (None,) * 4
-
-    def program(ctx: ProcContext):
-        col, w = divmod(ctx.pid - 1, g)  # my 0-based column, group index
-        return virtual_columnsort(
-            ctx, plans, col == 0, w, col + 1, [npp] * g,
-            list(parts[ctx.pid]), sorter,
-        )
-
-    out = net.run({i: program for i in range(1, p + 1)}, phase=phase)
-    return SortResult(output={pid: tuple(v) for pid, v in out.items()})
+    out = net.run_stage(
+        VirtualSort, [parts[pid] for pid in range(1, p + 1)],
+        (p, k, g, npp, sorter, plans), phase=phase,
+    )
+    return SortResult(output={pid: tuple(v) for pid, v in enumerate(out, 1)})

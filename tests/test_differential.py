@@ -347,8 +347,8 @@ def columnsort_queries(draw):
     processors, with the column length ``m = g * n/p`` a multiple of
     ``k`` and at least ``k(k - 1)``; ``sort_recursive`` draws powers of
     two, up to three levels of recursion (``p = k = 64``).  Elements of
-    the last two are distinct values, or ``(value, pid, index)``
-    triples over eight values.
+    the last two are distinct values (ints, or for ``sort_virtual``
+    also floats), or ``(value, pid, index)`` triples over eight values.
     """
     algorithm = draw(
         st.sampled_from(["sort_even_collect", "sort_virtual", "sort_recursive"])
@@ -377,13 +377,19 @@ def columnsort_queries(draw):
     if algorithm == "sort_even_collect":
         values = rng.choice(4 * n, size=n, replace=False)
         values = (values / 8 if draw(st.booleans()) else values).tolist()
-    elif draw(st.booleans()):
-        values = rng.choice(4 * n, size=n, replace=False).tolist()
     else:
-        values = [
-            (v, i // npp + 1, i % npp)
-            for i, v in enumerate(rng.choice(8, size=n).tolist())
-        ]
+        kinds = ["int", "triple"]
+        if algorithm == "sort_virtual":
+            kinds.append("float")
+        kind = draw(st.sampled_from(kinds))
+        if kind == "triple":
+            values = [
+                (v, i // npp + 1, i % npp)
+                for i, v in enumerate(rng.choice(8, size=n).tolist())
+            ]
+        else:
+            values = rng.choice(4 * n, size=n, replace=False)
+            values = (values / 8 if kind == "float" else values).tolist()
     parts = {pid: values[(pid - 1) * npp: pid * npp] for pid in range(1, p + 1)}
     return algorithm, p, k, parts, sorter
 
@@ -396,7 +402,7 @@ def run_columnsort(net, query):
         answer = sort_virtual(net, parts, sorter=sorter).output
     else:
         answer = sort_recursive(net, parts).output
-    return answer, net.stats.to_dict()
+    return answer, net.stats.to_dict(), repr(net.stats.phases)
 
 
 def _three_levels():

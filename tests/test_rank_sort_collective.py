@@ -169,7 +169,12 @@ class TestCollectiveStep:
             assert merged == sorted(elems, reverse=not ascending)
 
     def test_sort_virtual_phases(self):
-        parts = Distribution.even(1024, 16, seed=0).parts
+        # Triples decline VirtualSort's table, so its definition runs
+        # and yields the five Rank-Sorts.
+        parts = {
+            pid: [(v, pid, i) for i, v in enumerate(vals)]
+            for pid, vals in Distribution.even(1024, 16, seed=0).parts.items()
+        }
         before, plans = runs(), runs("run_plan")
         sort_virtual(MCBNetwork(16, 4), parts, sorter="rank")
         assert runs_since(before) == {"collective": 5 * 16, "stepped": 0}

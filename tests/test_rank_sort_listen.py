@@ -203,11 +203,13 @@ class TestRankSortMatchesPerCycleSchedule:
     @pytest.mark.parametrize("n,p,k", [(16, 4, 2), (64, 8, 2), (256, 8, 4)])
     def test_sort_virtual_identical(self, n, p, k, seed):
         # The §6.1 memory-efficient Columnsort, with either schedule as
-        # its per-virtual-column sorter.
+        # its per-virtual-column sorter.  The fast engine runs the
+        # whole sort from its table; the reference interpreter runs its
+        # definition, which calls the patched group sort.
         d = Distribution.even(n, p, seed=seed)
 
-        def run(sort_group):
-            net = MCBNetwork(p=p, k=k)
+        def run(sort_group, engine):
+            net = engine(p=p, k=k)
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(virtual, "rank_sort_group", sort_group)
                 res = virtual.sort_virtual(net, d.parts, sorter="rank")
@@ -217,4 +219,6 @@ class TestRankSortMatchesPerCycleSchedule:
                 [dict(ph.aux_peak) for ph in net.stats.phases],
             )
 
-        assert run(rank_sort_group) == run(per_cycle_rank_sort_group)
+        table = run(rank_sort_group, MCBNetwork)
+        assert table == run(rank_sort_group, ReferenceMCBNetwork)
+        assert table == run(per_cycle_rank_sort_group, ReferenceMCBNetwork)

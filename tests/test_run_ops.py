@@ -6,13 +6,14 @@ shared))`` on ``P_1..P_p``.  The fast engine runs an unobserved one
 from ``values`` alone, through the class's table function
 ``cls.stage``, and falls back to the definition whenever the table
 declines.  These tests hold both spellings to each other for
-``Sweep``, ``SortOnes`` and ``Announce`` on ``MCBNetwork`` unobserved
+``Sweep``, ``SortOnes``, ``Announce`` and ``VirtualSort`` on
+``MCBNetwork`` unobserved
 and observed and on ``ReferenceMCBNetwork``: results (or the error
 raised), ``RunStats.to_dict()``, ``repr`` of the phase records (which
 carries every processor's aux peak), event streams and
 ``network_plan_runs_total`` counts.  Ops yielded by hand in a ``run``
 take the same table through ``StageOp.collective``; the last tests pin
-that whole selections take the table path.
+that whole selections and ``sort_virtual`` take the table path.
 """
 
 from __future__ import annotations
@@ -32,7 +33,9 @@ from repro.prefix.mcb_partial_sums import PartialSums, Sweep
 from repro.select import mcb_select
 from repro.select.filtering import Announce
 from repro.select.weighted import mcb_select_weighted
+from repro.sort import mcb_sort, sort_virtual
 from repro.sort.ones import SortOnes, _blocks
+from repro.sort.virtual import VirtualSort, virtual_plans
 
 #: Every (engine, observed) pair a stage can run on.
 ENGINES = [
@@ -42,7 +45,10 @@ ENGINES = [
     (ReferenceMCBNetwork, True),
 ]
 
-LABELS = ("sweep", "sort_ones", "announce", "emit")
+LABELS = (
+    "sweep", "sort_ones", "announce", "virtual_sort", "rank_sort",
+    "run_plan", "emit",
+)
 
 
 def plan_runs() -> dict[tuple[str, str], float]:
@@ -116,16 +122,15 @@ def both(p: int, k: int, cls, values, shared) -> dict:
 
 def across(p: int, k: int, make_op) -> dict:
     """Ops yielded by hand in a ``run``, on every engine; asserts that
-    every engine gives the unobserved fast engine's result, stats and
-    aux peaks (a stepped stage's ``repr`` may list channel writes in
-    another order)."""
+    every engine gives the unobserved fast engine's result, stats,
+    phase records and aux peaks."""
     got = {
         (engine, observed): outcome(engine, observed, p, k, by_hand(make_op))
         for engine, observed in ENGINES
     }
     fast = got[MCBNetwork, False]
     for key in ENGINES[1:]:
-        assert got[key][:2] + got[key][5:] == fast[:2] + fast[5:], key
+        assert got[key][:3] + got[key][5:] == fast[:3] + fast[5:], key
     return got
 
 
@@ -183,6 +188,16 @@ def test_ops_not_given_as_p1_to_pp_are_stepped():
     got = across(p, k, lambda ctx: Sweep(
         ProcContext(p + 1 - ctx.pid, p, k), values[ctx.pid - 1], shared))
     assert got[MCBNetwork, False][4] == {("sweep", "stepped"): p}
+    # C_2 is written first, yet every engine lists the phase's channel
+    # writes in ascending channel order.
+    for engine in (MCBNetwork, ReferenceMCBNetwork):
+        net = engine(p, k)
+        by_hand(lambda ctx: Sweep(
+            ProcContext(p + 1 - ctx.pid, p, k), values[ctx.pid - 1], shared
+        ))(net)
+        assert list(net.stats.phases[0].channel_writes.items()) == [
+            (1, 5), (2, 1)
+        ], engine.__name__
 
 
 class _OtherSweep(Sweep):
@@ -368,6 +383,116 @@ def test_a_declined_announce_is_stepped(case):
     # stepped ops are counted.
     stepped = {} if case == "oversized" else {("announce", "stepped"): p}
     assert runs == stepped
+
+
+# ---------------------------------------------------------------------------
+# VirtualSort
+# ---------------------------------------------------------------------------
+
+def virtual_stage(p: int, k: int, n: int, kind: str = "int",
+                  sorter: str = "rank") -> tuple:
+    """``sort_virtual``'s stage values and ``shared`` for ``n`` elements
+    on MCB(p, k): distinct ints, floats, or ``(value, pid, index)``
+    triples over seven values."""
+    parts = Distribution.even(n, p, seed=p + k).parts
+    values = [list(parts[pid]) for pid in range(1, p + 1)]
+    if kind == "float":
+        values = [[v / 4 for v in row] for row in values]
+    elif kind == "triple":
+        values = [[(v % 7, pid, i) for i, v in enumerate(row)]
+                  for pid, row in enumerate(values, 1)]
+    g, npp = p // k, n // p
+    return values, (p, k, g, npp, sorter, virtual_plans(g * npp, k, g))
+
+
+@pytest.mark.parametrize(
+    "p,k,n", [(8, 2, 64), (8, 4, 128), (6, 3, 36), (4, 1, 16), (4, 4, 48)]
+)
+def test_virtual_sort_matches_its_definition(p, k, n):
+    # k=1 is one column whose transfers move nothing; g=1 (p = k) are
+    # one-member groups whose sorts move nothing: both take the table.
+    values, shared = virtual_stage(p, k, n)
+    got = both(p, k, VirtualSort, values, shared)
+    assert_table_path(got, "virtual_sort", p)
+    res, stats, *_ = got[MCBNetwork, False]
+    merged = [v for row in res for v in row]
+    assert merged == sorted((v for row in values for v in row), reverse=True)
+    m = n // k
+    [phase] = stats["phases"]
+    assert phase["cycles"] == 14 * m
+    assert got[MCBNetwork, False][5] == [
+        {pid: 2 * (n // p) + 1 for pid in range(1, p + 1)}
+    ]
+
+
+@pytest.mark.parametrize(
+    "case", ["float", "triple", "merge", "float k=1", "triple g=1"]
+)
+def test_a_declined_virtual_sort_is_stepped(case):
+    p, k, n = {"float k=1": (4, 1, 16), "triple g=1": (4, 4, 48)}.get(
+        case, (8, 2, 64)
+    )
+    kind = case.split()[0] if case != "merge" else "int"
+    sorter = "merge" if case == "merge" else "rank"
+    values, shared = virtual_stage(p, k, n, kind, sorter)
+    got = both(p, k, VirtualSort, values, shared)
+    res, _, _, _, runs, _ = got[MCBNetwork, False]
+    merged = [v for row in res for v in row]
+    assert merged == sorted((v for row in values for v in row), reverse=True)
+    assert runs[("virtual_sort", "stepped")] == p
+    assert ("virtual_sort", "collective") not in runs
+    # The definition's own transfers still run in one step each.
+    assert runs[("run_plan", "collective")] == 4 * p
+    if kind == "triple":  # and so do its Rank-Sorts on plain tuples
+        assert runs[("rank_sort", "collective")] == 5 * p
+
+
+def test_a_failing_check_of_virtual_sort_raises_what_run_raises():
+    values, (p, k, *rest) = virtual_stage(8, 2, 64)
+    got = both(p, 1, VirtualSort, values, (p, k, *rest))
+    for res, *_ in got.values():
+        assert res == ("ProtocolError",
+                       "P1 sorts virtual columns for k=2 (k=1)")
+
+
+def test_an_unobserved_int_sort_virtual_takes_the_table():
+    # One VirtualSort per processor, and none of the inner Rank-Sort or
+    # RunPlan steps; an observed run steps it and counts nothing.
+    p, k = 16, 4
+    parts = Distribution.even(1024, p, seed=0).parts
+    outputs = []
+    for observed in (False, True):
+        net = MCBNetwork(p, k)
+        if observed:
+            net.attach_observer(EventLog())
+        before = plan_runs()
+        outputs.append(sort_virtual(net, parts).output)
+        after = plan_runs()
+        runs = {key: n - before[key] for key, n in after.items()
+                if n != before[key]}
+        assert runs == ({} if observed else {("virtual_sort", "collective"): p})
+    assert outputs[0] == outputs[1]
+    # Repeated values are lifted to triples, which the table declines.
+    before = plan_runs()
+    mcb_sort(MCBNetwork(p, k), {pid: [v % 5 for v in vs]
+                                for pid, vs in parts.items()},
+             strategy="virtual")
+    assert plan_runs()[("virtual_sort", "stepped")] - before[
+        ("virtual_sort", "stepped")] == p
+
+
+def test_plan_runs_keep_counting_after_a_registry_reset():
+    p, k = 8, 2
+    values, shared = virtual_stage(p, k, 64)
+    counter = global_registry().counter("network_plan_runs_total")
+    before = counter.get(op="virtual_sort", path="collective")
+    MCBNetwork(p, k).run_stage(VirtualSort, values, shared)
+    assert counter.get(op="virtual_sort", path="collective") == before + p
+    global_registry().reset()
+    for _ in range(2):
+        MCBNetwork(p, k).run_stage(VirtualSort, values, shared)
+    counter = global_registry().counter("network_plan_runs_total")
+    assert counter.get(op="virtual_sort", path="collective") == 2 * p
 
 
 # ---------------------------------------------------------------------------

@@ -226,7 +226,12 @@ class TestVirtualColumnsortRunsCollectively:
     stepping."""
 
     def test_sort_virtual(self):
-        parts = Distribution.even(1024, 16, seed=0).parts
+        # Triples decline VirtualSort's table, so its definition runs
+        # and yields the four transfer plans.
+        parts = {
+            pid: [(v, pid, i) for i, v in enumerate(vals)]
+            for pid, vals in Distribution.even(1024, 16, seed=0).parts.items()
+        }
         before = plan_runs()
         sort_virtual(MCBNetwork(16, 4), parts, sorter="rank")
         assert runs_since(before) == {"collective": 4 * 16, "stepped": 0}

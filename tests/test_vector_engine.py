@@ -35,6 +35,7 @@ from repro.mcb.vector import (
     build_state,
     message_bits,
 )
+from repro.mcb.vector.executor import detect_dtype, detect_dtype_rows
 from repro.obs import EventLog
 from repro.obs.metrics import global_registry
 
@@ -334,6 +335,38 @@ def test_message_bits_matches_scalar_rule(values):
     for v, bits in zip(values, got):
         fields = v if isinstance(v, tuple) else (v,)
         assert bits == Message("elem", *fields).bit_size(), v
+
+
+EDGE = 1 << 62
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[True, False], [1, 2]],
+        [[True], [False]],
+        [[1, 2.5], [3, 4]],
+        [[1, 2], [3.0, 4.0]],
+        [[EDGE - 1, 0], [-EDGE + 1, 5]],
+        [[EDGE, 0], [1, 2]],
+        [[0, 1], [-EDGE, 2]],
+        [[1 << 80, 1], [2, 3]],
+        [[(1, 2), (3, 4)], [(5, 6), (7, 8)]],
+        [[1, 2], [(3, 4), 5]],
+        [[], []],
+        [],
+        [[0.5, 1.5], [2.5, -1.0]],
+        [[3, 1], [2, 7]],
+    ],
+)
+def test_row_dtype_scan_matches_the_element_rule(rows):
+    # build_state detects its dtype with the row scan; it must give
+    # the element-by-element rule's answer on every input.
+    assert detect_dtype_rows(rows) == detect_dtype(
+        v for row in rows for v in row
+    )
+    if rows:
+        assert build_state(rows).dtype == detect_dtype_rows(rows)
 
 
 def test_message_bits_numeric_dtypes():
